@@ -211,12 +211,14 @@ def _strata_data(af: ArrangementFile) -> StrataData:
         return strata_data_from_toric(af.dim, _toric_hypersurfaces(af))
     if af.kind == "hyperplane":
         return strata_data_from_hyperplanes(af.dim, [(e.coeffs, e.constant) for e in af.equations])
-    return StrataData(
+    sd = StrataData(
         tuple(
             Stratum("s%d" % i, s.codim, s.cohomology, s.local_dim)
             for i, s in enumerate(af.strata)
         )
     )
+    sd.validate()
+    return sd
 
 
 def _poset_nodes_and_covers(af: ArrangementFile):
@@ -535,10 +537,7 @@ def main(argv=None) -> int:
             fmt=args.format,
             dot_path=getattr(args, "dot", None),
         )
-    except ParseError as err:
-        sys.stdout.write("error: %s\n" % err)
-        return 1
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # bad input, or the --dot file cannot be written
         sys.stdout.write("error: %s\n" % err)
         return 1
     sys.stdout.write(text)

@@ -15,17 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from stratiform.matroidos import (
-    affine_intersection_poset,
-    build_matroid,
-    flat_lattice,
-)
-from stratiform.toriclayers import (
-    ToricHypersurface,
-    build_layer_poset,
-    layer_cohomology,
-    local_subarrangement,
-)
+from stratiform.matroidos import affine_intersection_poset
+from stratiform.toriclayers import ToricHypersurface, build_layer_poset, layer_cohomology
 
 INF = math.inf
 
@@ -60,30 +51,21 @@ class StrataData:
                 raise ValueError("negative cohomology dimension")
 
 
-def _local_dim_of_characters(vectors: Sequence[Sequence]) -> int:
-    """|mu(bottom, top)| of the matroid of the local normal vectors."""
-    lattice = flat_lattice(build_matroid(vectors))
-    return abs(lattice.mobius[lattice.top])
-
-
 def strata_data_from_toric(
     ambient_dim: int, arrangement: Sequence[ToricHypersurface]
 ) -> StrataData:
     """Strata of a toric arrangement: layers with torus cohomology.
 
     Every layer of dimension d contributes binomial dims, pure of weight
-    2p in degree p; the local dimension comes from the matroid of the
-    characters of hypersurfaces through the layer.
+    2p in degree p; the local dimension is |mu(ambient, layer)| in the
+    layer poset, whose interval below the layer is the lattice of flats
+    of the characters of hypersurfaces through it.
     """
     poset = build_layer_poset(ambient_dim, arrangement)
-    strata = []
-    for layer in poset.layers:
-        local = local_subarrangement(arrangement, layer)
-        local_dim = _local_dim_of_characters([h.exponents for h in local])
-        strata.append(
-            Stratum(layer.key, layer.codim, layer_cohomology(layer), local_dim)
-        )
-    sd = StrataData(tuple(strata))
+    sd = StrataData(tuple(
+        Stratum(layer.key, layer.codim, layer_cohomology(layer), abs(mu))
+        for layer, mu in zip(poset.layers, poset.mobius)
+    ))
     sd.validate()
     return sd
 
@@ -94,16 +76,15 @@ def strata_data_from_hyperplanes(
     """Strata of an affine hyperplane arrangement: affine spaces.
 
     Each stratum has one dimension of cohomology in degree 0, weight 0;
-    the local dimension is |mu| of the matroid of normals of hyperplanes
-    containing the stratum.
+    the local dimension is |mu(ambient, stratum)| in the intersection
+    poset, whose interval below the stratum is the lattice of flats of
+    the normals of hyperplanes containing it.
     """
     poset = affine_intersection_poset(ambient_dim, hyperplanes)
-    normals = [tuple(v) for v, _ in hyperplanes]
-    strata = []
-    for f in poset.flats:
-        local_dim = _local_dim_of_characters([normals[j] for j in sorted(f.hyperplanes)])
-        strata.append(Stratum(f.name, f.codim, ((0, 1, 0),), local_dim))
-    sd = StrataData(tuple(strata))
+    sd = StrataData(tuple(
+        Stratum(f.name, f.codim, ((0, 1, 0),), abs(mu))
+        for f, mu in zip(poset.flats, poset.mobius)
+    ))
     sd.validate()
     return sd
 

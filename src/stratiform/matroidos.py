@@ -4,8 +4,13 @@ The matroid of a list of rational vectors drives everything: flats are
 enumerated by closure, the Moebius function is computed by the defining
 recursion, and the Orlik-Solomon algebra is realized on its no-broken-
 circuit basis with straightening along circuit boundary relations.
-Affine intersection posets of hyperplane arrangements live here too,
-since their local data are matroids of normal vectors.
+
+Affine intersection posets of hyperplane arrangements live here too.
+Their covers are recorded while the flats are enumerated, and
+`mobius_from_covers`, shared with the toric layer poset, turns them into
+mu(ambient, X).  The interval below X is the lattice of flats of the
+central arrangement of normals through X, so |mu(ambient, X)| is the
+local dimension at X without building that lattice.
 """
 
 from __future__ import annotations
@@ -350,47 +355,24 @@ class AffinePoset:
     """Intersection poset of an affine hyperplane arrangement.
 
     Ordered by reverse inclusion with the ambient space at the bottom.
-    Every stratum is an affine space: cohomology is one dimension in
-    degree 0, weight 0.
+    Flats are sorted by (codimension, key); `covers` holds index pairs
+    (i, j) with flats[j] a maximal proper subspace of flats[i], and
+    `mobius[i]` is mu(ambient, flats[i]).  Every stratum is an affine
+    space: cohomology is one dimension in degree 0, weight 0.
     """
 
-    def __init__(self, ambient_dim: int, flats: Sequence[AffineFlat]):
+    def __init__(self, ambient_dim: int, flats: Sequence[AffineFlat],
+                 covers: Iterable[tuple[tuple, tuple]]):
+        """`covers` holds (key of X, key of Y) pairs with Y covering X."""
         self.ambient_dim = ambient_dim
         self.flats = tuple(sorted(flats, key=lambda f: (f.codim, f.key)))
-        self._index = {f.key: i for i, f in enumerate(self.flats)}
-        self.mobius = self._mobius()
-        n = len(self.flats)
-        rel = {
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and self.leq(i, j)
-        }
-        self.covers = tuple(
-            sorted(
-                (i, j)
-                for (i, j) in rel
-                if not any((i, k) in rel and (k, j) in rel for k in range(n))
-            )
-        )
+        index = {f.key: i for i, f in enumerate(self.flats)}
+        self.covers = tuple(sorted({(index[x], index[y]) for x, y in covers}))
+        self.mobius = mobius_from_covers(len(self.flats), self.covers)
 
     def leq(self, i: int, j: int) -> bool:
         """flats[i] <= flats[j]: the stratum of j is inside the stratum of i."""
-        fi, fj = self.flats[i], self.flats[j]
-        if fi.codim > fj.codim:
-            return False
-        if not fi.key:
-            return True
-        stacked = Matrix([list(r) for r in fj.key] + [list(r) for r in fi.key])
-        return stacked.rank() == fj.codim
-
-    def _mobius(self) -> dict[int, int]:
-        order = sorted(range(len(self.flats)), key=lambda i: self.flats[i].codim)
-        mob: dict[int, int] = {}
-        for i in order:
-            below = [j for j in order if j != i and self.leq(j, i)]
-            mob[i] = 1 if not below else -sum(mob[j] for j in below)
-        return mob
+        return self.flats[i].hyperplanes <= self.flats[j].hyperplanes
 
     def flats_of_codim(self, q: int) -> tuple[AffineFlat, ...]:
         return tuple(f for f in self.flats if f.codim == q)
@@ -400,9 +382,28 @@ class AffinePoset:
         return max((f.codim for f in self.flats), default=0)
 
 
-def _canonical_affine_key(rows: list[list[Fraction]], n: int) -> tuple[tuple[Fraction, ...], ...]:
-    red, pivots = Matrix(rows, ncols=n + 1).rref()
-    return tuple(red.rows[i] for i in range(len(pivots)))
+def mobius_from_covers(size: int, covers: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """mu(bottom, x) for the elements 0..size-1 of a poset with a bottom.
+
+    `covers` holds the pairs (i, j) with j covering i, and the elements
+    are numbered along a linear extension (i < j whenever i is below j),
+    as a sort by rank gives.  The strict down-set of x is the union of
+    its lower covers and their down-sets, and mu(bottom, x) is minus the
+    sum of mu over that down-set.
+    """
+    lower: list[list[int]] = [[] for _ in range(size)]
+    for i, j in covers:
+        lower[j].append(i)
+    below: list[set[int]] = []
+    mobius: list[int] = []
+    for x in range(size):
+        down: set[int] = set()
+        for y in lower[x]:
+            down.add(y)
+            down |= below[y]
+        below.append(down)
+        mobius.append(-sum(mobius[y] for y in down) if down else 1)
+    return tuple(mobius)
 
 
 def affine_intersection_poset(
@@ -412,7 +413,10 @@ def affine_intersection_poset(
 
     Hyperplanes are (normal, constant) pairs with rational entries and a
     nonzero normal.  Deduplication is by the canonical echelon form of
-    the defining system; empty intersections are dropped.
+    the defining system; empty intersections are dropped.  The flats of
+    codimension q+1 are the nonempty intersections of a codimension-q
+    flat X with a hyperplane not containing X.  Each of these covers X,
+    and every cover arises this way, so the BFS records the covers.
     """
     n = ambient_dim
     eqs = []
@@ -425,12 +429,16 @@ def affine_intersection_poset(
         eqs.append(row + [Fraction(c)])
 
     def containing(key) -> frozenset[int]:
+        """Hyperplanes whose equation reduces to zero against the echelon rows."""
+        pivots = [next(c for c, x in enumerate(row) if x) for row in key]
         out = set()
-        base = [list(r) for r in key]
-        base_rank = len(key)
         for j, eq in enumerate(eqs):
-            stacked = Matrix(base + [eq], ncols=n + 1)
-            if stacked.rank() == base_rank:
+            rest = eq
+            for p, row in zip(pivots, key):
+                f = rest[p]
+                if f:
+                    rest = [a - f * b for a, b in zip(rest, row)]
+            if not any(rest):
                 out.add(j)
         return frozenset(out)
 
@@ -438,6 +446,7 @@ def affine_intersection_poset(
     flats: dict[tuple, AffineFlat] = {
         ambient_key: AffineFlat(ambient_key, 0, n, containing(ambient_key))
     }
+    covers: set[tuple[tuple, tuple]] = set()
     frontier = [ambient_key]
     while frontier:
         new = []
@@ -446,18 +455,17 @@ def affine_intersection_poset(
             for j, eq in enumerate(eqs):
                 if j in flat.hyperplanes:
                     continue
-                rows = [list(r) for r in key] + [list(eq)]
-                m_aug = Matrix(rows, ncols=n + 1)
-                r_aug = m_aug.rank()
-                r_coef = Matrix([row[:-1] for row in rows], ncols=n).rank()
-                if r_aug != r_coef:
-                    continue  # inconsistent: empty intersection
-                new_key = _canonical_affine_key(rows, n)
+                red, pivots = Matrix(list(key) + [eq], ncols=n + 1).rref()
+                if n in pivots:
+                    continue  # a pivot in the constant column: empty intersection
+                new_key = red.rows[:len(pivots)]
                 if new_key not in flats:
-                    flats[new_key] = AffineFlat(new_key, r_aug, n - r_aug, containing(new_key))
+                    codim = len(pivots)
+                    flats[new_key] = AffineFlat(new_key, codim, n - codim, containing(new_key))
                     new.append(new_key)
+                covers.add((key, new_key))
         frontier = new
-    return AffinePoset(n, tuple(flats.values()))
+    return AffinePoset(n, tuple(flats.values()), covers)
 
 
 def poset_characteristic_polynomial(poset: AffinePoset) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
@@ -22,6 +23,7 @@ from stratiform.exactalg import (
     lattice_coordinates,
     smith_normal_form,
 )
+from stratiform.matroidos import mobius_from_covers
 
 
 def mod1(x) -> Fraction:
@@ -214,51 +216,51 @@ class LayerPoset:
     def max_codim(self) -> int:
         return max((l.codim for l in self.layers), default=0)
 
-    def contains(self, i: int, j: int) -> bool:
-        return layer_contains(self.layers[i], self.layers[j])
+    @cached_property
+    def mobius(self) -> tuple[int, ...]:
+        """mu(ambient, layers[i]) for each i, from the covers.
+
+        The interval below a layer is the lattice of flats of its local
+        central arrangement, so |mu| is the layer's local dimension.
+        """
+        return mobius_from_covers(len(self.layers), self.covers)
 
 
 def build_layer_poset(n: int, arrangement: Sequence[ToricHypersurface]) -> LayerPoset:
-    """Poset of all layers, built incrementally.
+    """Poset of all layers, with covers recorded during the BFS.
 
     Layers of codimension q+1 arise by intersecting codimension-q layers
     with single hypersurfaces; canonical keys deduplicate, so no subset
-    enumeration happens.
+    enumeration happens.  A hypersurface whose character lies in the
+    span of a layer either contains the layer or misses it, so it is
+    skipped.  Any other one cuts the layer in components of one
+    codimension more; each of them covers the layer, and every cover
+    arises this way.
     """
     for h in arrangement:
         if h.dim != n:
             raise ValueError("hypersurface of wrong ambient dimension")
     ambient = Layer(n, (), ())
     found: dict[str, Layer] = {ambient.key: ambient}
+    covers: set[tuple[str, str]] = set()
     frontier = [ambient]
     while frontier:
         next_frontier = []
         for layer in frontier:
             for h in arrangement:
+                if layer.phase_of(h.exponents) is not None:
+                    continue
                 for comp in layers_from_equations(
                     n, layer.equations() + [(h.exponents, h.phase)]
                 ):
-                    if comp.codim == layer.codim:
-                        continue  # the hypersurface already contains the layer
                     if comp.key not in found:
                         found[comp.key] = comp
                         next_frontier.append(comp)
+                    covers.add((layer.key, comp.key))
         frontier = next_frontier
     layers = tuple(sorted(found.values(), key=lambda l: l.sort_key))
-    order = {
-        (i, j)
-        for i in range(len(layers))
-        for j in range(len(layers))
-        if i != j and layer_contains(layers[i], layers[j])
-    }
-    covers = tuple(
-        sorted(
-            (i, j)
-            for (i, j) in order
-            if not any((i, k) in order and (k, j) in order for k in range(len(layers)))
-        )
-    )
-    return LayerPoset(n, layers, covers)
+    index = {l.key: i for i, l in enumerate(layers)}
+    return LayerPoset(n, layers, tuple(sorted((index[a], index[b]) for a, b in covers)))
 
 
 def layer_cohomology(layer: Layer) -> tuple[tuple[int, int, int], ...]:

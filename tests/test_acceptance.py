@@ -106,6 +106,7 @@ def test_criterion_2_hyperplane_whitney_oracle():
             ],
             "braid-3": _braid_hyperplanes(3),
             "braid-4": _braid_hyperplanes(4),
+            "braid-5": _braid_hyperplanes(5),
             "concurrent-3": [((1, 0), 0), ((0, 1), 0), ((1, 1), 0)],
         }
         for name, hyps in central.items():

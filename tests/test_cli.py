@@ -178,6 +178,21 @@ class TestCommands:
         assert text.count("->") == 4  # diamond
         assert 'label="0/2/ambient"' in text
 
+    def test_poset_dot_unwritable_exit_1(self, tmp_path):
+        f = tmp_path / "coord.arr"
+        f.write_text(COORD2)
+        code, out = invoke(["poset", str(f), "--dot", str(tmp_path / "missing" / "x.dot")])
+        assert code == 1
+        assert out.startswith("error:") and "x.dot" in out
+
+    @pytest.mark.parametrize("command", ["strata", "e2", "betti", "purity", "certificate"])
+    def test_strata_without_ambient_exit_1(self, tmp_path, command):
+        f = tmp_path / "noambient.arr"
+        f.write_text("strata 2\nstratum 1 1 : 0:1:0\n")
+        code, out = invoke([command, str(f)])
+        assert code == 1
+        assert out == "error: need exactly one ambient stratum with local dimension 1\n"
+
     def test_model_selftest(self):
         code, out = invoke(["model-selftest"])
         assert code == 0
