@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from stratiform.exactalg import Matrix
 
@@ -62,6 +62,97 @@ def shuffle_sign(i_set: Iterable[int], j_set: Iterable[int]) -> int:
     a, b = sorted(i_set), sorted(j_set)
     inversions = sum(1 for x in a for y in b if x > y)
     return -1 if inversions % 2 else 1
+
+
+class _NoRows:
+    """Sparse columns of a matrix without rows: every index, even one past
+    the width, names an empty column, as a loop over the rows finds."""
+
+    def __getitem__(self, j: int) -> Sparse:
+        return {}
+
+    def __iter__(self):
+        return iter(())
+
+
+def _sparse_columns(mat: Matrix) -> list[Sparse] | _NoRows:
+    """The nonzero entries of each column of `mat`, keyed by row."""
+    if not mat.nrows:
+        return _NoRows()
+    cols: list[Sparse] = [{} for _ in range(mat.ncols)]
+    for i, row in enumerate(mat.rows):
+        for j, v in enumerate(row):
+            if v:
+                cols[j][i] = v
+    return cols
+
+
+def _apply_columns(cols: Sequence[Mapping[int, Fraction]], vec: Mapping[int, Fraction]) -> Sparse:
+    """Sparse mat-vec: the matrix given by its sparse columns times `vec`."""
+    out: Sparse = {}
+    for j, c in vec.items():
+        if c == 0:
+            continue
+        for i, v in cols[j].items():
+            out[i] = out.get(i, Fraction(0)) + c * v
+    return {i: v for i, v in out.items() if v}
+
+
+def _row_support(cols: Sequence[Mapping[int, Fraction]]) -> dict[int, list[int]]:
+    """For each row, the columns holding a nonzero entry in it, ascending."""
+    rows: dict[int, list[int]] = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            rows.setdefault(i, []).append(j)
+    return rows
+
+
+# A sparse product table maps basis pairs (a, b) to the sparse vector ab.
+# The axiom checks below visit only the basis tuples that can meet one of
+# its keys: on any other tuple both sides of the identity are empty sums,
+# so skipping it keeps the check exhaustive.
+
+
+def _pairs_through(table: Mapping, r1: Container, r2: Container, left=None, right=None) -> set:
+    """Pairs (a, b) in r1 x r2 for which `table` has a key (m, n) with m
+    in the image of a and n in the image of b.  `left` (`right`) maps an
+    index m (n) to the basis vectors whose image has a nonzero entry at it,
+    as `_row_support` does for a matrix; None means each vector is its own
+    image."""
+    out = set()
+    for m, n in table:
+        for a in left.get(m, ()) if left is not None else (m,):
+            if a not in r1:
+                continue
+            for b in right.get(n, ()) if right is not None else (n,):
+                if b in r2:
+                    out.add((a, b))
+    return out
+
+
+def _triples_through(t12: Mapping, t12_3: Mapping, t23: Mapping, t1_23: Mapping,
+                     r1: Container, r2: Container, r3: Container) -> set:
+    """Triples (a, b, c) in r1 x r2 x r3 on which (ab)c or a(bc) has a term:
+    some m in supp(ab) has (m, c) in `t12_3`, or some m in supp(bc) has
+    (a, m) in `t1_23`."""
+    out = set()
+    follow: dict = {}
+    for m, c in t12_3:
+        if c in r3:
+            follow.setdefault(m, []).append(c)
+    for (a, b), ab in t12.items():
+        if a in r1 and b in r2:
+            for m in ab:
+                out.update((a, b, c) for c in follow.get(m, ()))
+    lead: dict = {}
+    for a, m in t1_23:
+        if a in r1:
+            lead.setdefault(m, []).append(a)
+    for (b, c), bc in t23.items():
+        if b in r2 and c in r3:
+            for m in bc:
+                out.update((a, b, c) for a in lead.get(m, ()))
+    return out
 
 
 def _sorted_subset(i_set: Iterable[int]) -> tuple[int, ...]:
@@ -227,37 +318,47 @@ class CompactificationDatum:
         return {c: v for c, v in out.items() if v}
 
     def _check_cup(self, i_key) -> list[str]:
+        """Graded commutativity and associativity of the cup product on D_I,
+        over the basis tuples that meet a structure constant, in the order
+        of the loop over all basis pairs and triples."""
         issues = []
-        degrees = self.degrees(i_key)
-        basis = [(p, a) for p in degrees for a in range(self.dim(i_key, p))]
-        for p, a in basis:
-            for p2, b in basis:
-                left = self._cup_vec(i_key, p, a, p2, b)
-                right = self._cup_vec(i_key, p2, b, p, a)
-                sign = (-1) ** (p * p2)
-                if left != {c: sign * v for c, v in right.items()}:
-                    issues.append(
-                        "cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)"
-                        % (i_key, p, a, p2, b)
-                    )
-        for p, a in basis:
-            for p2, b in basis:
-                ab = self._cup_vec(i_key, p, a, p2, b)
-                for p3, c in basis:
-                    left: Sparse = {}
-                    for m, v in ab.items():
-                        for t, w in self._cup_vec(i_key, p + p2, m, p3, c).items():
-                            left[t] = left.get(t, Fraction(0)) + v * w
-                    bc = self._cup_vec(i_key, p2, b, p3, c)
-                    right: Sparse = {}
-                    for m, v in bc.items():
-                        for t, w in self._cup_vec(i_key, p, a, p2 + p3, m).items():
-                            right[t] = right.get(t, Fraction(0)) + v * w
-                    if {k: v for k, v in left.items() if v} != {k: v for k, v in right.items() if v}:
-                        issues.append(
-                            "cup product on D_%r not associative at (%d,%d),(%d,%d),(%d,%d)"
-                            % (i_key, p, a, p2, b, p3, c)
-                        )
+        # one table over labels (degree, index), so that sorted label
+        # tuples come in the order of the loop over the basis
+        basis = {(p, a) for p in self.degrees(i_key) for a in range(self.dim(i_key, p))}
+        table = {
+            ((p, a), (p2, b)): {(p + p2, c): v for c, v in vec.items()}
+            for (p, p2), entries in self.cups.get(tuple(sorted(i_key)), {}).items()
+            for (a, b), vec in entries.items()
+        }
+        pairs = _pairs_through(table, basis, basis)
+        pairs |= {(x, y) for y, x in pairs}
+        for (p, a), (p2, b) in sorted(pairs):
+            left = self._cup_vec(i_key, p, a, p2, b)
+            right = self._cup_vec(i_key, p2, b, p, a)
+            sign = (-1) ** (p * p2)
+            if left != {c: sign * v for c, v in right.items()}:
+                issues.append(
+                    "cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)"
+                    % (i_key, p, a, p2, b)
+                )
+
+        triples = _triples_through(table, table, table, table, basis, basis, basis)
+        for (p, a), (p2, b), (p3, c) in sorted(triples):
+            ab = self._cup_vec(i_key, p, a, p2, b)
+            left: Sparse = {}
+            for m, v in ab.items():
+                for t, w in self._cup_vec(i_key, p + p2, m, p3, c).items():
+                    left[t] = left.get(t, Fraction(0)) + v * w
+            bc = self._cup_vec(i_key, p2, b, p3, c)
+            right: Sparse = {}
+            for m, v in bc.items():
+                for t, w in self._cup_vec(i_key, p, a, p2 + p3, m).items():
+                    right[t] = right.get(t, Fraction(0)) + v * w
+            if {k: v for k, v in left.items() if v} != {k: v for k, v in right.items() if v}:
+                issues.append(
+                    "cup product on D_%r not associative at (%d,%d),(%d,%d),(%d,%d)"
+                    % (i_key, p, a, p2, b, p3, c)
+                )
         return issues
 
 
@@ -294,6 +395,7 @@ class BigradedModel:
             key: {ab: dict(vec) for ab, vec in table.items() if vec}
             for key, table in products.items()
         }
+        self._diff_cols_cache: dict[Bidegree, list[Sparse]] = {}
 
     def dim(self, kq: Bidegree) -> int:
         return len(self.spaces.get(kq, ()))
@@ -317,17 +419,15 @@ class BigradedModel:
         k, q = kq
         return Matrix.zero(self.dim((k + 1, q)), self.dim(kq))
 
+    def _diff_cols(self, kq: Bidegree) -> list[Sparse]:
+        """Sparse columns of d on M^k_q, built once per bidegree."""
+        cols = self._diff_cols_cache.get(kq)
+        if cols is None:
+            cols = self._diff_cols_cache[kq] = _sparse_columns(self.differential(kq))
+        return cols
+
     def diff_vec(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
-        mat = self.differential(kq)
-        out: Sparse = {}
-        for j, c in vec.items():
-            if c == 0:
-                continue
-            for i in range(mat.nrows):
-                v = mat.rows[i][j]
-                if v:
-                    out[i] = out.get(i, Fraction(0)) + c * v
-        return {i: v for i, v in out.items() if v}
+        return _apply_columns(self._diff_cols(kq), vec)
 
     def mult_basis(self, kq1: Bidegree, a: int, kq2: Bidegree, b: int) -> Sparse:
         return dict(self.products.get((kq1, kq2), {}).get((a, b), {}))
@@ -443,8 +543,18 @@ class AxiomReport:
 
 
 def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
-    """d o d = 0, Leibniz, associativity and graded commutativity,
-    each as exact identities over all basis tuples."""
+    """d o d = 0, Leibniz, associativity and graded commutativity, each as
+    an exact identity on every basis pair or triple.
+
+    The product table is sparse, so most tuples are structurally zero: on
+    a pair (a, b) with no key ab, no key (m, b) for m in supp(da) and no
+    key (a, m) for m in supp(db), both sides of Leibniz are empty sums,
+    and likewise for commutativity without the keys (a, b) or (b, a) and
+    for associativity when neither (ab)c nor a(bc) meets a key.  Only the
+    remaining tuples are evaluated, so the check stays exhaustive.  Table
+    keys outside the basis are ignored, and violations come in the order
+    of the loop over all tuples (bidegrees, then basis indices).
+    """
     violations: list[tuple[str, str]] = []
 
     for kq in model.bidegrees():
@@ -454,63 +564,75 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
             violations.append(("d_squared", "d o d nonzero on M^%d_%d" % (k, q)))
 
     bidegs = model.bidegrees()
-    for kq1 in bidegs:
-        for kq2 in bidegs:
-            for a in range(model.dim(kq1)):
-                for b in range(model.dim(kq2)):
-                    prod = model.mult_basis(kq1, a, kq2, b)
-                    lhs = model.diff_vec((kq1[0] + kq2[0], kq1[1] + kq2[1]), prod)
-                    da = model.diff_vec(kq1, {a: Fraction(1)})
-                    rhs = model.mult_vec((kq1[0] + 1, kq1[1]), da, kq2, {b: Fraction(1)})
-                    db = model.diff_vec(kq2, {b: Fraction(1)})
-                    sign = (-1) ** kq1[0]
-                    for c, v in model.mult_vec(kq1, {a: Fraction(1)}, (kq2[0] + 1, kq2[1]), db).items():
-                        rhs[c] = rhs.get(c, Fraction(0)) + sign * v
-                    rhs = {c: v for c, v in rhs.items() if v}
-                    if lhs != rhs:
-                        violations.append(
-                            (
-                                "leibniz",
-                                "Leibniz fails for basis pair (%r, %d) x (%r, %d)"
-                                % (kq1, a, kq2, b),
-                            )
-                        )
+    span = {kq: range(model.dim(kq)) for kq in bidegs}
+    rows = {kq: _row_support(model._diff_cols(kq)) for kq in bidegs}
+
+    def table(kq1, kq2):
+        return model.products.get((kq1, kq2), {})
 
     for kq1 in bidegs:
         for kq2 in bidegs:
-            for a in range(model.dim(kq1)):
-                for b in range(model.dim(kq2)):
-                    ab = model.mult_basis(kq1, a, kq2, b)
-                    ba = model.mult_basis(kq2, b, kq1, a)
-                    sign = (-1) ** (kq1[0] * kq2[0])
-                    if ab != {c: sign * v for c, v in ba.items()}:
-                        violations.append(
-                            (
-                                "graded_commutativity",
-                                "commutativity fails for (%r, %d) x (%r, %d)" % (kq1, a, kq2, b),
-                            )
+            r1, r2 = span[kq1], span[kq2]
+            d_kq1, d_kq2 = (kq1[0] + 1, kq1[1]), (kq2[0] + 1, kq2[1])
+            pairs = _pairs_through(table(kq1, kq2), r1, r2)
+            pairs |= _pairs_through(table(d_kq1, kq2), r1, r2, left=rows[kq1])
+            pairs |= _pairs_through(table(kq1, d_kq2), r1, r2, right=rows[kq2])
+            for a, b in sorted(pairs):
+                prod = model.mult_basis(kq1, a, kq2, b)
+                lhs = model.diff_vec((kq1[0] + kq2[0], kq1[1] + kq2[1]), prod)
+                da = model.diff_vec(kq1, {a: Fraction(1)})
+                rhs = model.mult_vec(d_kq1, da, kq2, {b: Fraction(1)})
+                db = model.diff_vec(kq2, {b: Fraction(1)})
+                sign = (-1) ** kq1[0]
+                for c, v in model.mult_vec(kq1, {a: Fraction(1)}, d_kq2, db).items():
+                    rhs[c] = rhs.get(c, Fraction(0)) + sign * v
+                rhs = {c: v for c, v in rhs.items() if v}
+                if lhs != rhs:
+                    violations.append(
+                        (
+                            "leibniz",
+                            "Leibniz fails for basis pair (%r, %d) x (%r, %d)" % (kq1, a, kq2, b),
                         )
+                    )
+
+    for kq1 in bidegs:
+        for kq2 in bidegs:
+            pairs = _pairs_through(table(kq1, kq2), span[kq1], span[kq2])
+            pairs |= {(a, b) for b, a in _pairs_through(table(kq2, kq1), span[kq2], span[kq1])}
+            for a, b in sorted(pairs):
+                ab = model.mult_basis(kq1, a, kq2, b)
+                ba = model.mult_basis(kq2, b, kq1, a)
+                sign = (-1) ** (kq1[0] * kq2[0])
+                if ab != {c: sign * v for c, v in ba.items()}:
+                    violations.append(
+                        (
+                            "graded_commutativity",
+                            "commutativity fails for (%r, %d) x (%r, %d)" % (kq1, a, kq2, b),
+                        )
+                    )
 
     for kq1 in bidegs:
         for kq2 in bidegs:
             kq12 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
             for kq3 in bidegs:
                 kq23 = (kq2[0] + kq3[0], kq2[1] + kq3[1])
-                for a in range(model.dim(kq1)):
-                    for b in range(model.dim(kq2)):
-                        ab = model.mult_basis(kq1, a, kq2, b)
-                        for c in range(model.dim(kq3)):
-                            left = model.mult_vec(kq12, ab, kq3, {c: Fraction(1)})
-                            bc = model.mult_basis(kq2, b, kq3, c)
-                            right = model.mult_vec(kq1, {a: Fraction(1)}, kq23, bc)
-                            if left != right:
-                                violations.append(
-                                    (
-                                        "associativity",
-                                        "associativity fails for (%r,%d),(%r,%d),(%r,%d)"
-                                        % (kq1, a, kq2, b, kq3, c),
-                                    )
-                                )
+                triples = _triples_through(
+                    table(kq1, kq2), table(kq12, kq3), table(kq2, kq3), table(kq1, kq23),
+                    span[kq1], span[kq2], span[kq3],
+                )
+                for a, b, c in sorted(triples):
+                    ab = model.mult_basis(kq1, a, kq2, b)
+                    left = model.mult_vec(kq12, ab, kq3, {c: Fraction(1)})
+                    bc = model.mult_basis(kq2, b, kq3, c)
+                    right = model.mult_vec(kq1, {a: Fraction(1)}, kq23, bc)
+                    if left != right:
+                        violations.append(
+                            (
+                                "associativity",
+                                "associativity fails for (%r,%d),(%r,%d),(%r,%d)"
+                                % (kq1, a, kq2, b, kq3, c),
+                            )
+                        )
     return AxiomReport(tuple(violations))
 
 
@@ -527,17 +649,13 @@ def cohomology_of_model(model: BigradedModel) -> dict[Bidegree, int]:
     return out
 
 
-def _independent_columns(vectors: list, length: int) -> list:
-    chosen: list = []
-    for v in vectors:
-        candidate = Matrix.from_columns(chosen + [v], nrows=length)
-        if candidate.rank() == len(chosen) + 1:
-            chosen.append(v)
-    return chosen
-
-
 class _ColumnCohomology:
-    """Representatives and quotient coordinates for one (k, q) column."""
+    """Representatives and quotient coordinates for one (k, q) column.
+
+    Greedy selection of independent columns, first from the boundaries
+    and then from the cocycle basis, keeps exactly the pivot columns of
+    one rref of [boundaries | cocycles].
+    """
 
     def __init__(self, model: BigradedModel, kq: Bidegree):
         n = model.dim(kq)
@@ -546,27 +664,36 @@ class _ColumnCohomology:
         cocycles = [list(v) for v in d_out.right_kernel()] if n else []
         d_in = model.differential((k - 1, q))
         boundaries = [list(d_in.column(j)) for j in range(d_in.ncols)]
+        _, pivots = Matrix.from_columns(boundaries + cocycles, nrows=n).rref()
         self.length = n
-        self.boundary_basis = _independent_columns(boundaries, n)
-        reps: list = []
-        for v in cocycles:
-            candidate = Matrix.from_columns(self.boundary_basis + reps + [v], nrows=n)
-            if candidate.rank() == len(self.boundary_basis) + len(reps) + 1:
-                reps.append(v)
-        self.representatives = reps
-        self._solve_matrix = Matrix.from_columns(self.boundary_basis + reps, nrows=n)
+        self.boundary_basis = [boundaries[p] for p in pivots if p < len(boundaries)]
+        self.representatives = [cocycles[p - len(boundaries)] for p in pivots if p >= len(boundaries)]
+        self._solve_matrix = Matrix.from_columns(self.boundary_basis + self.representatives, nrows=n)
+        self._inverse_cols: list[Sparse] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
-    def coordinates(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def coordinates(self, vec: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
+        """Coordinates of the sparse cocycle `vec` on the representatives,
+        modulo boundaries.
+
+        The columns S of `_solve_matrix` are independent, so one rref of
+        [S | I] gives E with E S = [I; 0]: S x = v has the unique solution
+        x = (E v)[:s] exactly when (E v)[s:] = 0, the solution `solve`
+        returns.  E is built on first use and serves every later vector.
+        """
         if self.length == 0:
             return ()
-        sol = self._solve_matrix.solve(list(vec))
-        if sol is None:
+        s = self._solve_matrix.ncols
+        if self._inverse_cols is None:
+            red, _ = self._solve_matrix.hstack(Matrix.identity(self.length)).rref()
+            self._inverse_cols = _sparse_columns(Matrix([r[s:] for r in red.rows], ncols=self.length))
+        ev = _apply_columns(self._inverse_cols, vec)
+        if any(i >= s for i in ev):
             raise ValueError("vector is not a cocycle class representative")
-        return tuple(sol[len(self.boundary_basis):])
+        return tuple(ev.get(i, Fraction(0)) for i in range(len(self.boundary_basis), s))
 
 
 # -- morphisms and quasi-isomorphisms --------------------------------------
@@ -580,6 +707,7 @@ class CdgaMorphism:
         self.source = source
         self.target = target
         self.blocks = dict(blocks)
+        self._block_cols_cache: dict[Bidegree, list[Sparse]] = {}
 
     def block(self, kq: Bidegree) -> Matrix:
         stored = self.blocks.get(kq)
@@ -587,17 +715,15 @@ class CdgaMorphism:
             return stored
         return Matrix.zero(self.target.dim(kq), self.source.dim(kq))
 
+    def _block_cols(self, kq: Bidegree) -> list[Sparse]:
+        """Sparse columns of the block at `kq`, built once per bidegree."""
+        cols = self._block_cols_cache.get(kq)
+        if cols is None:
+            cols = self._block_cols_cache[kq] = _sparse_columns(self.block(kq))
+        return cols
+
     def apply(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
-        mat = self.block(kq)
-        out: Sparse = {}
-        for j, c in vec.items():
-            if c == 0:
-                continue
-            for i in range(mat.nrows):
-                v = mat.rows[i][j]
-                if v:
-                    out[i] = out.get(i, Fraction(0)) + c * v
-        return {i: v for i, v in out.items() if v}
+        return _apply_columns(self._block_cols(kq), vec)
 
     def violations(self) -> list[str]:
         out = []
@@ -614,20 +740,28 @@ class CdgaMorphism:
             right = self.target.differential(kq) @ self.block(kq)
             if left != right:
                 out.append("differential compatibility fails at %r" % (kq,))
-        for kq1 in self.source.bidegrees():
-            for kq2 in self.source.bidegrees():
+        # f(ab) = f(a)f(b) is checked on the pairs where ab has a term in
+        # the source or some f(a)_m f(b)_n meets a target product
+        bidegs = self.source.bidegrees()
+        span = {kq: range(self.source.dim(kq)) for kq in bidegs}
+        rows = {kq: _row_support(self._block_cols(kq)) for kq in bidegs}
+        for kq1 in bidegs:
+            for kq2 in bidegs:
                 kq3 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
-                for a in range(self.source.dim(kq1)):
+                pairs = _pairs_through(self.source.products.get((kq1, kq2), {}), span[kq1], span[kq2])
+                pairs |= _pairs_through(
+                    self.target.products.get((kq1, kq2), {}), span[kq1], span[kq2], rows[kq1], rows[kq2]
+                )
+                for a, b in sorted(pairs):
+                    lhs = self.apply(kq3, self.source.mult_basis(kq1, a, kq2, b))
                     fa = self.apply(kq1, {a: Fraction(1)})
-                    for b in range(self.source.dim(kq2)):
-                        lhs = self.apply(kq3, self.source.mult_basis(kq1, a, kq2, b))
-                        fb = self.apply(kq2, {b: Fraction(1)})
-                        rhs = self.target.mult_vec(kq1, fa, kq2, fb)
-                        if lhs != rhs:
-                            out.append(
-                                "product compatibility fails for (%r, %d) x (%r, %d)"
-                                % (kq1, a, kq2, b)
-                            )
+                    fb = self.apply(kq2, {b: Fraction(1)})
+                    rhs = self.target.mult_vec(kq1, fa, kq2, fb)
+                    if lhs != rhs:
+                        out.append(
+                            "product compatibility fails for (%r, %d) x (%r, %d)"
+                            % (kq1, a, kq2, b)
+                        )
         return out
 
 
@@ -668,7 +802,7 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
                 continue
             cols = []
             for rep in src.representatives:
-                image = f.block((k, q)).apply(rep)
+                image = f.apply((k, q), dict(enumerate(rep)))
                 cols.append(list(tgt.coordinates(image)))
             induced = Matrix.from_columns(cols, nrows=tgt.dim)
             rk = induced.rank()
@@ -686,6 +820,28 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
 
 
 # -- formality witnesses ------------------------------------------------------
+
+
+class _KernelBasis:
+    """The `right_kernel` basis of d, with coordinates found without a solve.
+
+    Each basis vector has 1 at its own free column of d and 0 at the other
+    free columns, so a vector v in the span has coordinates v at the free
+    columns; recombining them and comparing with v decides membership.
+    """
+
+    def __init__(self, d: Matrix):
+        self.vectors = [list(v) for v in d.right_kernel()]
+        pivots = set(d.rref()[1])
+        self.free = [j for j in range(d.ncols) if j not in pivots]
+        self.matrix = Matrix.from_columns(self.vectors, nrows=d.ncols)
+        self.columns = _sparse_columns(self.matrix)
+
+    def coordinates(self, vec: Mapping[int, Fraction]) -> Sparse | None:
+        """Sparse coordinates of `vec` on the basis, or None outside its span."""
+        coords = {c: vec[j] for c, j in enumerate(self.free) if vec.get(j)}
+        inside = _apply_columns(self.columns, coords) == {i: v for i, v in vec.items() if v}
+        return coords if inside else None
 
 
 @dataclass(frozen=True)
@@ -709,61 +865,42 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     bad = sorted(kq for kq, h in cohom.items() if h and kq[1] != 2 * kq[0] and kq[0] <= r)
     if bad:
         raise ModelPurityError("kernel model", bad)
-    kernels: dict[int, list] = {}
+    kernels: dict[int, _KernelBasis] = {}
     for k in range(model.max_degree() + 1):
         kq = (k, 2 * k)
         if model.dim(kq) == 0:
             continue
-        basis = [list(v) for v in model.differential(kq).right_kernel()]
-        if basis:
+        basis = _KernelBasis(model.differential(kq))
+        if basis.vectors:
             kernels[k] = basis
     spaces = {
-        (k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(basis)))
-        for k, basis in kernels.items()
-    }
-    solve_mats = {
-        k: Matrix.from_columns(basis, nrows=model.dim((k, 2 * k)))
+        (k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(basis.vectors)))
         for k, basis in kernels.items()
     }
     products: dict = {}
     for k1, basis1 in kernels.items():
         for k2, basis2 in kernels.items():
             k3 = k1 + k2
-            if k3 not in kernels:
-                # the product of cocycles must vanish if K^{k3} is trivial
-                for a, va in enumerate(basis1):
-                    for b, vb in enumerate(basis2):
-                        prod = model.mult_vec(
-                            (k1, 2 * k1), dict(enumerate(va)), (k2, 2 * k2), dict(enumerate(vb))
-                        )
-                        if prod:
-                            raise ClosureError(
-                                "kernel product escapes at K^%d x K^%d pair (%d, %d)"
-                                % (k1, k2, a, b)
-                            )
-                continue
             table: dict = {}
-            for a, va in enumerate(basis1):
-                for b, vb in enumerate(basis2):
-                    prod = model.mult_vec(
-                        (k1, 2 * k1), dict(enumerate(va)), (k2, 2 * k2), dict(enumerate(vb))
-                    )
-                    dense = [Fraction(0)] * model.dim((k3, 2 * k3))
-                    for c, v in prod.items():
-                        dense[c] = v
-                    sol = solve_mats[k3].solve(dense)
-                    if sol is None:
+            for a, va in enumerate(basis1.columns):
+                for b, vb in enumerate(basis2.columns):
+                    prod = model.mult_vec((k1, 2 * k1), va, (k2, 2 * k2), vb)
+                    if k3 in kernels:
+                        vec = kernels[k3].coordinates(prod)
+                    else:
+                        # the product of cocycles must vanish if K^{k3} is trivial
+                        vec = None if prod else {}
+                    if vec is None:
                         raise ClosureError(
                             "kernel product escapes at K^%d x K^%d pair (%d, %d)"
                             % (k1, k2, a, b)
                         )
-                    vec = {c: v for c, v in enumerate(sol) if v}
                     if vec:
                         table[(a, b)] = vec
             if table:
                 products[((k1, 2 * k1), (k2, 2 * k2))] = table
     witness_model = BigradedModel(spaces, {}, products)
-    blocks = {(k, 2 * k): solve_mats[k] for k in kernels}
+    blocks = {(k, 2 * k): basis.matrix for k, basis in kernels.items()}
     inclusion = CdgaMorphism(witness_model, model, blocks)
     verdict = check_r_quasi_iso(inclusion, r)
     return FormalityWitness("kernel", witness_model, inclusion, verdict)
@@ -798,12 +935,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     for k, col in data.items():
         if not col.dim:
             continue
-        n = model.dim((k, k))
-        cols = []
-        for j in range(n):
-            e = [Fraction(0)] * n
-            e[j] = Fraction(1)
-            cols.append(list(col.coordinates(e)))
+        cols = [list(col.coordinates({j: Fraction(1)})) for j in range(model.dim((k, k)))]
         projections[(k, k)] = Matrix.from_columns(cols, nrows=col.dim)
 
     # well-definedness: boundaries must multiply into boundaries
@@ -818,10 +950,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
                     prod = model.mult_vec(
                         (k, k), dict(enumerate(u)), (k2, k2), {j: Fraction(1)}
                     )
-                    dense = [Fraction(0)] * model.dim((k3, k3))
-                    for c, v in prod.items():
-                        dense[c] = v
-                    if any(x for x in data[k3].coordinates(dense)):
+                    if any(x for x in data[k3].coordinates(prod)):
                         raise ClosureError(
                             "boundary times basis vector survives in C^%d (from C^%d x C^%d)"
                             % (k3, k, k2)
@@ -839,10 +968,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
                     prod = model.mult_vec(
                         (k1, k1), dict(enumerate(ra)), (k2, k2), dict(enumerate(rb))
                     )
-                    dense = [Fraction(0)] * model.dim((k3, k3))
-                    for c, v in prod.items():
-                        dense[c] = v
-                    vec = {c: v for c, v in enumerate(data[k3].coordinates(dense)) if v}
+                    vec = {c: v for c, v in enumerate(data[k3].coordinates(prod)) if v}
                     if vec:
                         table[(a, b)] = vec
             if table:

@@ -289,7 +289,7 @@ def test_criterion_5_cdga_axiom_suite():
         assert block_flip.axioms_failing() == ("leibniz",)
         assert any("basis pair" in desc for _, desc in block_flip.violations)
 
-    _report(5, "cdga axioms pass on all builders; Gysin sign flips detected", 30.0, body)
+    _report(5, "cdga axioms pass on all builders; Gysin sign flips detected", 5.0, body)
 
 
 # -- criterion 6 -----------------------------------------------------------
