@@ -11,10 +11,11 @@ hyperplane files it is the constant term.  Fractions must be reduced with
 positive denominator.  The `strata` kind feeds synthetic stratum data
 straight into the purity and certificate machinery.
 
-Exit codes: 0 success, 1 malformed input or usage, 2 mathematically
-refused certificate.  All output goes to standard output and is
-byte-reproducible; equations are canonicalized (sorted) before any
-computation, so permuting input lines cannot change any result.
+Exit codes: 0 success, 1 malformed input, usage, or more layers or flats
+than --max-strata allows, 2 mathematically refused certificate.  All
+output goes to standard output and is byte-reproducible; equations are
+canonicalized (sorted) before any computation, so permuting input lines
+cannot change any result.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from stratiform.morganmodel import (
 from stratiform.toriclayers import ToricHypersurface, build_layer_poset, mod1
 
 INF = math.inf
+DEFAULT_MAX_STRATA = 100_000
 
 _FRACTION = re.compile(r"^(-?\d+)/(\d+)$")
 _COH_ENTRY = re.compile(r"^(\d+):(\d+):(\d+)$")
@@ -206,11 +208,13 @@ def _toric_hypersurfaces(af: ArrangementFile) -> list[ToricHypersurface]:
     return [ToricHypersurface(e.coeffs, e.constant, e.label) for e in af.equations]
 
 
-def _strata_data(af: ArrangementFile) -> StrataData:
+def _strata_data(af: ArrangementFile, max_strata: int) -> StrataData:
     if af.kind == "toric":
-        return strata_data_from_toric(af.dim, _toric_hypersurfaces(af))
+        return strata_data_from_toric(af.dim, _toric_hypersurfaces(af), max_strata)
     if af.kind == "hyperplane":
-        return strata_data_from_hyperplanes(af.dim, [(e.coeffs, e.constant) for e in af.equations])
+        return strata_data_from_hyperplanes(
+            af.dim, [(e.coeffs, e.constant) for e in af.equations], max_strata
+        )
     sd = StrataData(
         tuple(
             Stratum("s%d" % i, s.codim, s.cohomology, s.local_dim)
@@ -221,13 +225,15 @@ def _strata_data(af: ArrangementFile) -> StrataData:
     return sd
 
 
-def _poset_nodes_and_covers(af: ArrangementFile):
+def _poset_nodes_and_covers(af: ArrangementFile, max_strata: int):
     if af.kind == "toric":
-        poset = build_layer_poset(af.dim, _toric_hypersurfaces(af))
+        poset = build_layer_poset(af.dim, _toric_hypersurfaces(af), max_strata)
         nodes = [(l.codim, l.dim, l.key) for l in poset.layers]
         return nodes, list(poset.covers)
     if af.kind == "hyperplane":
-        poset = affine_intersection_poset(af.dim, [(e.coeffs, e.constant) for e in af.equations])
+        poset = affine_intersection_poset(
+            af.dim, [(e.coeffs, e.constant) for e in af.equations], max_strata
+        )
         nodes = [(f.codim, f.dim, f.name) for f in poset.flats]
         return nodes, list(poset.covers)
     raise ValueError("poset requires a toric or hyperplane file")
@@ -317,8 +323,13 @@ def _purity_rows(report) -> list[dict]:
 
 
 def run_command(command: str, af: ArrangementFile | None, r: float = INF,
-                fmt: str = "text", dot_path: str | None = None) -> tuple[int, str]:
-    """Execute one command; returns (exit code, rendered output)."""
+                fmt: str = "text", dot_path: str | None = None,
+                max_strata: int = DEFAULT_MAX_STRATA) -> tuple[int, str]:
+    """Execute one command; returns (exit code, rendered output).
+
+    An arrangement with more than `max_strata` layers or flats raises
+    ValueError before its poset is complete.
+    """
     if command == "model-selftest":
         return _model_selftest(fmt)
     assert af is not None
@@ -329,7 +340,7 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
     code = 0
 
     if command == "strata":
-        sd = _strata_data(af)
+        sd = _strata_data(af, max_strata)
         rows = [
             {
                 "codim": s.codim,
@@ -341,7 +352,7 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
         ]
         sections.append(("stratum", rows))
     elif command == "poset":
-        nodes, covers = _poset_nodes_and_covers(af)
+        nodes, covers = _poset_nodes_and_covers(af, max_strata)
         sections.append(
             ("node", [{"index": i, "codim": c, "dim": d, "key": k} for i, (c, d, k) in enumerate(nodes)])
         )
@@ -351,12 +362,12 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
                 fh.write(render_poset_dot(nodes, covers))
             sections.append(("dot", dot_path))
     elif command == "e2":
-        table = assemble_e2(_strata_data(af))
+        table = assemble_e2(_strata_data(af, max_strata))
         sections.append(("e2", _e2_rows(table)))
         sections.append(("note", table.note))
     elif command == "betti":
         try:
-            result = betti_and_poincare(assemble_e2(_strata_data(af)))
+            result = betti_and_poincare(assemble_e2(_strata_data(af, max_strata)))
         except DegenerationUnknown as err:
             sections.append(("refused", str(err)))
             report = RunReport(command, digest, tuple(sections), warnings)
@@ -365,13 +376,13 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
         sections.append(("poincare", result.poincare))
         sections.append(("weights", list(result.weights)))
     elif command == "purity":
-        report_p = purity_hypothesis_check(_strata_data(af), r)
+        report_p = purity_hypothesis_check(_strata_data(af, max_strata), r)
         sections.append(("r", r))
         sections.append(("purity", "pass" if report_p.passed else "fail"))
         if not report_p.passed:
             sections.append(("witness", _purity_rows(report_p)))
     elif command == "certificate":
-        out = formality_certificate(_strata_data(af), r)
+        out = formality_certificate(_strata_data(af, max_strata), r)
         sections.append(("r", r))
         if isinstance(out, FormalityCertificate):
             sections.append(("purity", "pass"))
@@ -497,6 +508,16 @@ def _parse_r(text: str) -> float:
     return value
 
 
+def _parse_max_strata(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("max-strata must be a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stratiform", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -504,6 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("file", help="arrangement file")
         p.add_argument("--format", choices=("text", "kv"), default="text")
+        p.add_argument(
+            "--max-strata", type=_parse_max_strata, default=DEFAULT_MAX_STRATA,
+            help="refuse an arrangement with more layers or flats (default %(default)s)",
+        )
         if name in ("purity", "certificate"):
             p.add_argument("--r", type=_parse_r, default=INF, help="formality level (integer or 'inf')")
         if name == "poset":
@@ -536,8 +561,9 @@ def main(argv=None) -> int:
             r=getattr(args, "r", INF),
             fmt=args.format,
             dot_path=getattr(args, "dot", None),
+            max_strata=args.max_strata,
         )
-    except (ValueError, OSError) as err:  # bad input, or the --dot file cannot be written
+    except (ValueError, OSError) as err:  # bad input, too many strata, or an unwritable --dot file
         sys.stdout.write("error: %s\n" % err)
         return 1
     sys.stdout.write(text)

@@ -7,13 +7,19 @@ column); Hermite bases are row-style with positive pivots and the entries
 above each pivot reduced into [0, pivot).  These fixed rules make every
 result deterministic.  All comparisons are exact; no tolerance parameter
 exists anywhere in this package.
+
+The lattice code is integer-only.  One Smith core, `_smith_core`, works
+on lists of ints and carries the inverse of its right transform along
+with it (each column operation is mirrored by the inverse row
+operation), so saturation and the toric layers need no rational
+elimination; `smith_normal_form` wraps it for `Matrix` callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -296,18 +302,29 @@ class SmithDecomposition:
         return abs(det(self.left)) == 1 and abs(det(self.right)) == 1
 
 
-def smith_normal_form(m: Matrix) -> SmithDecomposition:
-    """Smith normal form of an integer matrix.
+class _IntSmith(NamedTuple):
+    """Integer Smith data: left @ a @ right = diag, right_inverse = right^-1."""
+
+    left: list[list[int]]
+    diag: tuple[int, ...]
+    right: list[list[int]]
+    right_inverse: list[list[int]]
+
+
+def _smith_core(rows: Sequence[Sequence[int]], ncols: int) -> _IntSmith:
+    """Smith normal form of an integer matrix given as lists of ints.
 
     Pivot rule: entry of smallest absolute value in the unfinished
-    submatrix, ties broken by lowest (row, column).
+    submatrix, ties broken by lowest (row, column).  Every column
+    operation on `right` is mirrored as the inverse row operation on
+    `right_inverse`, so the inverse comes out integral with no
+    elimination.
     """
-    if not m.is_integral():
-        raise ValueError("smith_normal_form requires integer entries")
-    a = [[int(x) for x in row] for row in m.rows]
-    nr, nc = m.nrows, m.ncols
+    a = [list(row) for row in rows]
+    nr, nc = len(a), ncols
     left = [[int(i == j) for j in range(nr)] for i in range(nr)]
     right = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    right_inv = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def row_sub(i, j, q):  # row_i -= q * row_j on a and left
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
@@ -321,17 +338,19 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
         a[i] = [-x for x in a[i]]
         left[i] = [-x for x in left[i]]
 
-    def col_sub(j, k, q):  # col_j -= q * col_k on a and right
+    def col_sub(j, k, q):  # col_j -= q * col_k on a and right; row_k += q * row_j on right_inv
         for row in a:
             row[j] -= q * row[k]
         for row in right:
             row[j] -= q * row[k]
+        right_inv[k] = [x + q * y for x, y in zip(right_inv[k], right_inv[j])]
 
     def col_swap(j, k):
         for row in a:
             row[j], row[k] = row[k], row[j]
         for row in right:
             row[j], row[k] = row[k], row[j]
+        right_inv[j], right_inv[k] = right_inv[k], right_inv[j]
 
     def stage(t: int) -> bool:
         while True:
@@ -383,7 +402,17 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
         if not stage(t):
             break
     diag = tuple(a[i][i] for i in range(min(nr, nc)))
-    return SmithDecomposition(Matrix(left, ncols=nr), diag, Matrix(right, ncols=nc))
+    return _IntSmith(left, diag, right, right_inv)
+
+
+def smith_normal_form(m: Matrix) -> SmithDecomposition:
+    """Smith normal form of an integer matrix (pivot rule of `_smith_core`)."""
+    if not m.is_integral():
+        raise ValueError("smith_normal_form requires integer entries")
+    core = _smith_core([[int(x) for x in row] for row in m.rows], m.ncols)
+    return SmithDecomposition(
+        Matrix(core.left, ncols=m.nrows), core.diag, Matrix(core.right, ncols=m.ncols)
+    )
 
 
 def torsion_invariants(m: Matrix) -> tuple[int, ...]:
@@ -398,12 +427,12 @@ def _int_rows(rows: Iterable[Sequence]) -> list[list[int]]:
     out = []
     width = None
     for row in rows:
-        r = []
-        for x in row:
-            f = _frac(x)
-            if f.denominator != 1:
+        r = list(row)
+        if not all(type(x) is int for x in r):  # rows of plain ints need no validation
+            fr = [_frac(x) for x in r]
+            if any(f.denominator != 1 for f in fr):
                 raise ValueError("lattice rows must be integral")
-            r.append(int(f))
+            r = [int(f) for f in fr]
         if width is None:
             width = len(r)
         elif len(r) != width:
@@ -483,23 +512,17 @@ def saturate(rows: Iterable[Sequence]) -> tuple[tuple[int, ...], ...]:
     """Hermite basis of {v : d*v in the lattice of `rows` for some d >= 1}.
 
     Requires independent rows; the index of the input lattice in its
-    saturation is the product of the nonzero Smith invariants.
+    saturation is the product of the nonzero Smith invariants.  With
+    left @ B @ right = diag, the first rank rows of right^-1 span the
+    saturation.
     """
     b = _int_rows(rows)
     if not b:
         return ()
-    m = Matrix(b)
-    if m.rank() != len(b):
+    core = _smith_core(b, len(b[0]))
+    if sum(1 for d in core.diag if d) != len(b):
         raise ValueError("saturate expects independent rows")
-    snf = smith_normal_form(m)
-    winv = inverse(snf.right)
-    sat = []
-    for i in range(len(b)):
-        row = winv.rows[i]
-        if any(x.denominator != 1 for x in row):
-            raise AssertionError("inverse of a unimodular matrix must be integral")
-        sat.append([int(x) for x in row])
-    return hermite_basis(sat)
+    return hermite_basis(core.right_inverse[:len(b)])
 
 
 def lattice_index_in_saturation(rows: Iterable[Sequence]) -> int:
@@ -507,9 +530,8 @@ def lattice_index_in_saturation(rows: Iterable[Sequence]) -> int:
     b = _int_rows(rows)
     if not b:
         return 1
-    snf = smith_normal_form(Matrix(b))
     idx = 1
-    for d in snf.diag:
+    for d in _smith_core(b, len(b[0])).diag:
         if d:
             idx *= d
     return idx

@@ -52,16 +52,17 @@ class StrataData:
 
 
 def strata_data_from_toric(
-    ambient_dim: int, arrangement: Sequence[ToricHypersurface]
+    ambient_dim: int, arrangement: Sequence[ToricHypersurface], max_strata: int | None = None
 ) -> StrataData:
     """Strata of a toric arrangement: layers with torus cohomology.
 
     Every layer of dimension d contributes binomial dims, pure of weight
     2p in degree p; the local dimension is |mu(ambient, layer)| in the
     layer poset, whose interval below the layer is the lattice of flats
-    of the characters of hypersurfaces through it.
+    of the characters of hypersurfaces through it.  More than
+    `max_strata` layers raise ValueError.
     """
-    poset = build_layer_poset(ambient_dim, arrangement)
+    poset = build_layer_poset(ambient_dim, arrangement, max_strata)
     sd = StrataData(tuple(
         Stratum(layer.key, layer.codim, layer_cohomology(layer), abs(mu))
         for layer, mu in zip(poset.layers, poset.mobius)
@@ -71,16 +72,17 @@ def strata_data_from_toric(
 
 
 def strata_data_from_hyperplanes(
-    ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]]
+    ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]], max_strata: int | None = None
 ) -> StrataData:
     """Strata of an affine hyperplane arrangement: affine spaces.
 
     Each stratum has one dimension of cohomology in degree 0, weight 0;
     the local dimension is |mu(ambient, stratum)| in the intersection
     poset, whose interval below the stratum is the lattice of flats of
-    the normals of hyperplanes containing it.
+    the normals of hyperplanes containing it.  More than `max_strata`
+    strata raise ValueError.
     """
-    poset = affine_intersection_poset(ambient_dim, hyperplanes)
+    poset = affine_intersection_poset(ambient_dim, hyperplanes, max_strata)
     sd = StrataData(tuple(
         Stratum(f.name, f.codim, ((0, 1, 0),), abs(mu))
         for f, mu in zip(poset.flats, poset.mobius)

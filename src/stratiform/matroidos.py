@@ -407,7 +407,7 @@ def mobius_from_covers(size: int, covers: Iterable[tuple[int, int]]) -> tuple[in
 
 
 def affine_intersection_poset(
-    ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]]
+    ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]], max_flats: int | None = None
 ) -> AffinePoset:
     """Poset of nonempty intersections of affine hyperplanes {a.x = c}.
 
@@ -417,6 +417,7 @@ def affine_intersection_poset(
     codimension q+1 are the nonempty intersections of a codimension-q
     flat X with a hyperplane not containing X.  Each of these covers X,
     and every cover arises this way, so the BFS records the covers.
+    Finding more than `max_flats` flats raises ValueError.
     """
     n = ambient_dim
     eqs = []
@@ -460,6 +461,8 @@ def affine_intersection_poset(
                     continue  # a pivot in the constant column: empty intersection
                 new_key = red.rows[:len(pivots)]
                 if new_key not in flats:
+                    if max_flats is not None and len(flats) >= max_flats:
+                        raise ValueError("the arrangement has more than %d flats" % max_flats)
                     codim = len(pivots)
                     flats[new_key] = AffineFlat(new_key, codim, n - codim, containing(new_key))
                     new.append(new_key)

@@ -13,23 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from itertools import product
+from math import comb, lcm, prod
 from typing import Iterable, Sequence
 
 from stratiform.exactalg import (
-    Matrix,
+    _smith_core,
     hermite_basis,
-    inverse,
+    lattice_contains,
     lattice_coordinates,
-    smith_normal_form,
 )
 from stratiform.matroidos import mobius_from_covers
 
 
 def mod1(x) -> Fraction:
     """Reduce a rational number into [0, 1)."""
-    f = Fraction(x)
-    return f - (f.numerator // f.denominator)
+    f = x if type(x) is Fraction else Fraction(x)
+    q = f.numerator // f.denominator
+    return f - q if q else f
 
 
 def _phase_str(t: Fraction) -> str:
@@ -81,7 +82,7 @@ class Layer:
     def dim(self) -> int:
         return self.ambient_dim - self.codim
 
-    @property
+    @cached_property
     def key(self) -> str:
         if not self.span:
             return "ambient"
@@ -125,14 +126,27 @@ def layer_contains(outer: Layer, inner: Layer) -> bool:
 
 
 def layers_from_equations(
-    n: int, equations: Iterable[tuple[Sequence[int], Fraction]]
+    n: int,
+    equations: Iterable[tuple[Sequence[int], Fraction]],
+    max_layers: int | None = None,
 ) -> list[Layer]:
     """All connected components of the solution set of z^chi = e^{2 pi i t}.
 
     Components correspond to the extensions of the phase map from the
     lattice generated by the chi's to its saturation; their number is the
     index, the product of the Smith invariants.  Inconsistent phases give
-    the empty list; no equations give the ambient layer.
+    the empty list; no equations, or only zero exponent rows with phase
+    0, give the ambient layer.  More than `max_layers` components raise
+    ValueError before any of them is built.
+
+    The work is integer-only.  With L C R = diag(d_1, ..., d_r, 0, ...)
+    the Smith form of the exponent matrix C, the rows w_1..w_r of R^-1
+    span the saturation, and R^-1 R = I makes (h R)[:r] the w-coordinates
+    c of a Hermite row h (and (h R)[r:] zero).  Phases share one
+    denominator: with D the lcm of the phase denominators and a = D t,
+    the system is consistent iff (L a)_i = 0 mod D for every i >= r, and
+    the component k in prod_i [0, d_i) gives h the phase
+    sum_i c_i ((L a)_i + k_i D) (d_r / d_i) mod D d_r, over D d_r.
     """
     eqs = [(tuple(int(e) for e in chi), mod1(t)) for chi, t in equations]
     for chi, _ in eqs:
@@ -140,43 +154,39 @@ def layers_from_equations(
             raise ValueError("exponent vector of wrong length")
     if not eqs:
         return [Layer(n, (), ())]
-    c = Matrix([list(chi) for chi, _ in eqs])
-    t = [t for _, t in eqs]
-    snf = smith_normal_form(c)
-    r = sum(1 for d in snf.diag if d)
-    ut = snf.left.apply(t)
+    snf = _smith_core([chi for chi, _ in eqs], n)
+    diag = [d for d in snf.diag if d]
+    r = len(diag)
+    denom = lcm(*(t.denominator for _, t in eqs))
+    a = [t.numerator * (denom // t.denominator) for _, t in eqs]
+    la = [sum(x * y for x, y in zip(row, a)) for row in snf.left]
     # rows of `left` beyond the rank span all integer relations among the chi's
-    for i in range(r, len(eqs)):
-        if mod1(ut[i]) != 0:
-            return []
-    winv = inverse(snf.right)
-    w = [tuple(int(x) for x in winv.rows[i]) for i in range(r)]
-    span = hermite_basis(w)
-    # express each Hermite row in the w-basis (integral, both span the saturation)
-    wmat = Matrix([list(row) for row in w]).transpose()
-    coords = []
-    for row in span:
-        sol = wmat.solve(list(row))
-        assert sol is not None and all(x.denominator == 1 for x in sol)
-        coords.append([int(x) for x in sol])
-    layers = []
-    counters = [0] * r
-    while True:
-        ext = [mod1((ut[i] + counters[i]) / snf.diag[i]) for i in range(r)]
-        phases = tuple(
-            mod1(sum((Fraction(ci) * si for ci, si in zip(crow, ext)), Fraction(0)))
-            for crow in coords
+    if any(la[i] % denom for i in range(r, len(eqs))):
+        return []
+    count = prod(diag)
+    if max_layers is not None and count > max_layers:
+        raise ValueError(
+            "an intersection has %d components, more than the limit of %d" % (count, max_layers)
         )
-        layers.append(Layer(n, span, phases))
-        for i in range(r - 1, -1, -1):
-            counters[i] += 1
-            if counters[i] < snf.diag[i]:
-                break
-            counters[i] = 0
-        else:
-            break
-    layers.sort(key=lambda l: l.sort_key)
-    return layers
+    if r == 0:  # only zero exponent rows, all with phase 0
+        return [Layer(n, (), ())]
+    span = hermite_basis(snf.right_inverse[:r])
+    cols = list(zip(*snf.right))
+    coords = []
+    for h in span:
+        hr = [sum(x * y for x, y in zip(h, col)) for col in cols]
+        assert not any(hr[r:]), "Hermite row outside the saturation"
+        coords.append(hr[:r])
+    # the phase numerator of span row j at component k is base_j + step_j . k
+    modulus = denom * diag[-1]
+    scale = [diag[-1] // d for d in diag]
+    base = [sum(c * x * s for c, x, s in zip(crow, la, scale)) for crow in coords]
+    step = [[c * denom * s for c, s in zip(crow, scale)] for crow in coords]
+    numerators = sorted(
+        tuple((b + sum(s * ki for s, ki in zip(srow, k))) % modulus for b, srow in zip(base, step))
+        for k in product(*(range(d) for d in diag))
+    )
+    return [Layer(n, span, tuple(Fraction(x, modulus) for x in num)) for num in numerators]
 
 
 def intersect_hypersurfaces(
@@ -226,7 +236,9 @@ class LayerPoset:
         return mobius_from_covers(len(self.layers), self.covers)
 
 
-def build_layer_poset(n: int, arrangement: Sequence[ToricHypersurface]) -> LayerPoset:
+def build_layer_poset(
+    n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None
+) -> LayerPoset:
     """Poset of all layers, with covers recorded during the BFS.
 
     Layers of codimension q+1 arise by intersecting codimension-q layers
@@ -235,7 +247,8 @@ def build_layer_poset(n: int, arrangement: Sequence[ToricHypersurface]) -> Layer
     span of a layer either contains the layer or misses it, so it is
     skipped.  Any other one cuts the layer in components of one
     codimension more; each of them covers the layer, and every cover
-    arises this way.
+    arises this way.  Finding more than `max_layers` layers raises
+    ValueError.
     """
     for h in arrangement:
         if h.dim != n:
@@ -247,13 +260,14 @@ def build_layer_poset(n: int, arrangement: Sequence[ToricHypersurface]) -> Layer
     while frontier:
         next_frontier = []
         for layer in frontier:
+            eqs = layer.equations()
             for h in arrangement:
-                if layer.phase_of(h.exponents) is not None:
+                if lattice_contains(layer.span, h.exponents):
                     continue
-                for comp in layers_from_equations(
-                    n, layer.equations() + [(h.exponents, h.phase)]
-                ):
+                for comp in layers_from_equations(n, eqs + [(h.exponents, h.phase)], max_layers):
                     if comp.key not in found:
+                        if max_layers is not None and len(found) >= max_layers:
+                            raise ValueError("the arrangement has more than %d layers" % max_layers)
                         found[comp.key] = comp
                         next_frontier.append(comp)
                     covers.add((layer.key, comp.key))

@@ -1,5 +1,6 @@
 import io
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,40 @@ class TestCommands:
         f.write_text(SYNTH_FAIL)
         code, out = invoke(["betti", str(f)])
         assert code == 2 and "refused" in out
+
+    @pytest.mark.parametrize("command", ["strata", "poset", "e2", "betti", "purity", "certificate"])
+    def test_too_many_components_refused_before_enumeration(self, tmp_path, command):
+        f = tmp_path / "huge.arr"
+        f.write_text("toric 1\neq 1000000 : 0/1\n")
+        start = time.perf_counter()
+        code, out = invoke([command, str(f)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == "error: an intersection has 1000000 components, more than the limit of 100000\n"
+
+    def test_max_strata_counts_every_layer(self, tmp_path):
+        f = tmp_path / "circle.arr"
+        f.write_text("toric 1\neq 150 : 1/3\n")  # 150 points and the ambient torus
+        code, out = invoke(["betti", str(f), "--max-strata", "151"])
+        assert code == 0 and "betti: 1 151" in out
+        code, out = invoke(["betti", str(f), "--max-strata", "150"])
+        assert code == 1 and out == "error: the arrangement has more than 150 layers\n"
+        code, out = invoke(["poset", str(f), "--max-strata", "149"])
+        assert code == 1 and "150 components, more than the limit of 149" in out
+
+    def test_max_strata_bounds_hyperplane_flats(self, tmp_path):
+        f = tmp_path / "braid.arr"
+        f.write_text(BRAID3)  # ambient, 3 planes, 1 line
+        assert invoke(["betti", str(f), "--max-strata", "5"])[0] == 0
+        code, out = invoke(["betti", str(f), "--max-strata", "4"])
+        assert code == 1 and out == "error: the arrangement has more than 4 flats\n"
+
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_max_strata_must_be_positive(self, tmp_path, value):
+        f = tmp_path / "z2.arr"
+        f.write_text(Z2)
+        code, out = invoke(["betti", str(f), "--max-strata", value])
+        assert code == 1 and "error: argument --max-strata" in out
 
     def test_concurrent_lines_poset_shape(self, tmp_path):
         f = tmp_path / "conc.arr"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from stratiform.exactalg import (
     Matrix,
+    _smith_core,
     det,
     hermite_basis,
     inverse,
@@ -276,6 +277,30 @@ def test_saturation_index_matches_torsion(rows):
     for d in torsion_invariants(Matrix(independent)):
         expected *= d
     assert got == expected
+
+
+@settings(max_examples=75, deadline=None)
+@given(matrices())
+def test_smith_core_carries_the_inverse_of_right(rows):
+    ncols = len(rows[0])
+    core = _smith_core(rows, ncols)
+    right, right_inv = Matrix(core.right, ncols=ncols), Matrix(core.right_inverse, ncols=ncols)
+    assert right_inv @ right == Matrix.identity(ncols)
+    assert right @ right_inv == Matrix.identity(ncols)
+    snf = smith_normal_form(Matrix(rows))
+    assert (snf.left.int_rows(), snf.diag, snf.right.int_rows()) == (
+        tuple(map(tuple, core.left)), core.diag, tuple(map(tuple, core.right)))
+
+
+def test_integer_rows_keep_their_validation():
+    assert hermite_basis([[Fraction(2), 4]]) == ((2, 4),)
+    assert hermite_basis(((2, True),)) == ((2, 1),)
+    with pytest.raises(ValueError, match="integral"):
+        hermite_basis([[1, Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        hermite_basis([[1, 0.5]])
+    with pytest.raises(ValueError, match="ragged"):
+        hermite_basis([[1, 2], [3]])
 
 
 def test_inverse_roundtrip():

@@ -4,11 +4,14 @@ The posets record their covers during the search and take mu from the
 covers.  Here the order is recomputed from scratch (rank tests for
 flats, `layer_contains` for layers) and transitively reduced, and each
 |mu(ambient, X)| is compared with the Moebius value of the flat lattice
-of the local normals or characters at X.
+of the local normals or characters at X.  Toric layers and their mu are
+also checked against finite-field point counts, which use no Smith form.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +177,100 @@ def test_random_affine_posets(hyperplanes):
 )
 def test_random_two_tori(equations):
     check_toric(*_toric(2, equations))
+
+
+def complement_point_count(n, arrangement, q):
+    """Points x of (Z/q)^n off every hypersurface: chi.x != t q (mod q).
+
+    x stands for the torsion point exp(2 pi i x / q) of the torus.
+    """
+    targets = []
+    for h in arrangement:
+        tq = h.phase * q
+        assert tq.denominator == 1
+        targets.append((h.exponents, int(tq)))
+    return sum(
+        all((sum(c * x for c, x in zip(chi, point)) - tq) % q for chi, tq in targets)
+        for point in product(range(q), repeat=n)
+    )
+
+
+def check_point_count(n, arrangement):
+    """The characteristic quasi-polynomial sum_L mu(L) q^dim L counts the
+    complement's q-torsion points when every layer phase has denominator
+    dividing q (Kamiya-Takemura-Terao 2008)."""
+    poset = build_layer_poset(n, arrangement)
+    period = lcm(*(t.denominator for layer in poset.layers for t in layer.phases))
+    for q in (period, 2 * period):
+        expected = sum(mu * q ** layer.dim for layer, mu in zip(poset.layers, poset.mobius))
+        assert complement_point_count(n, arrangement, q) == expected
+
+
+def b3_translate():
+    """B3 moved by the torsion point (1/2, 1/3, 0): phases <chi, w>."""
+    w = (F(1, 2), F(1, 3), F(0))
+    return _toric(3, [(chi, sum(c * x for c, x in zip(chi, w))) for chi in b_type_characters(3)])
+
+
+POINT_COUNT_CASES = {
+    "B2": TORIC_CASES["B2"],
+    "B3 translate": b3_translate(),
+    "eq 12 : 1/4": _toric(1, [((12,), F(1, 4))]),
+    "twisted 2-torus": TORIC_CASES["twisted 2-torus"],
+    "circle": TORIC_CASES["circle"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_COUNT_CASES))
+def test_layer_mobius_against_point_counts(name):
+    check_point_count(*POINT_COUNT_CASES[name])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+            st.integers(1, 4).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: F(p, q))),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_random_two_tori_against_point_counts(equations):
+    check_point_count(*_toric(2, equations))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(-1, 1)] * 3).filter(any),
+            st.integers(1, 2).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: F(p, q))),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_random_three_tori_against_point_counts(equations):
+    check_point_count(*_toric(3, equations))
+
+
+def test_layer_poset_makes_no_rational_elimination(monkeypatch):
+    """Work gate: the toric BFS is integer-only, so it builds no `Matrix`
+    and runs no rref or solve."""
+    calls = Counter()
+    for name in ("__init__", "rref", "solve"):
+        def counting(self, *args, _name=name, _original=getattr(Matrix, name), **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(Matrix, name, counting)
+    Matrix([[1]]).solve([1])
+    assert set(calls) == {"__init__", "rref", "solve"}  # the counters count
+    calls.clear()
+    poset = build_layer_poset(*b3_translate())
+    assert len(poset.layers) == 49
+    assert calls == {}
 
 
 def test_mobius_from_covers_matches_flat_lattice():

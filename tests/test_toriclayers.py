@@ -2,8 +2,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stratiform.exactalg import Matrix, hermite_basis, rank, torsion_invariants
+from stratiform.exactalg import (
+    Matrix,
+    hermite_basis,
+    inverse,
+    rank,
+    smith_normal_form,
+    torsion_invariants,
+)
 from stratiform.toriclayers import (
     Layer,
     ToricHypersurface,
@@ -117,6 +125,102 @@ class TestIntersect:
         eqs = [((2, 0), F(0)), ((1, 0), F(1, 3))]
         assert layers_from_equations(2, eqs) == []
         assert brute_force_components(2, eqs, 12) == 0
+
+
+def _layers_reference(n, equations):
+    """Rational reference for `layers_from_equations`.
+
+    Smith form as a `Matrix`, the saturation basis from `inverse` of the
+    right transform, one `Matrix.solve` per Hermite row for its
+    coordinates, and Fraction phases, one sum per component.
+    """
+    eqs = [(tuple(int(e) for e in chi), mod1(t)) for chi, t in equations]
+    if not eqs:
+        return [Layer(n, (), ())]
+    snf = smith_normal_form(Matrix([list(chi) for chi, _ in eqs]))
+    r = sum(1 for d in snf.diag if d)
+    ut = snf.left.apply([t for _, t in eqs])
+    for i in range(r, len(eqs)):
+        if mod1(ut[i]) != 0:
+            return []
+    winv = inverse(snf.right)
+    w = [tuple(int(x) for x in winv.rows[i]) for i in range(r)]
+    span = hermite_basis(w)
+    wmat = Matrix([list(row) for row in w]).transpose()
+    coords = []
+    for row in span:
+        sol = wmat.solve(list(row))
+        assert sol is not None and all(x.denominator == 1 for x in sol)
+        coords.append([int(x) for x in sol])
+    layers = []
+    for counters in product(*(range(snf.diag[i]) for i in range(r))):
+        ext = [mod1((ut[i] + counters[i]) / snf.diag[i]) for i in range(r)]
+        phases = tuple(
+            mod1(sum((F(ci) * si for ci, si in zip(crow, ext)), F(0))) for crow in coords
+        )
+        layers.append(Layer(n, span, phases))
+    layers.sort(key=lambda l: l.sort_key)
+    return layers
+
+
+phases_up_to_12 = st.integers(1, 12).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: F(p, q)))
+
+
+class TestAgainstRationalReference:
+    @pytest.mark.parametrize(
+        "n,equations",
+        [
+            (1, [((6,), F(1, 4))]),  # torsion: six components
+            (2, [((2, 0), F(1, 3)), ((0, 4), F(1, 2))]),  # invariants 2 and 4
+            (2, [((2, 4), F(1, 2)), ((0, 6), F(1, 3))]),
+            (3, [((2, 2, 0), F(0)), ((0, 2, 2), F(1, 2)), ((2, 0, 2), F(1, 4))]),
+            (2, [((1, 1), F(0)), ((2, 2), F(0)), ((1, -1), F(1, 2))]),  # dependent rows
+            (2, [((1, 1), F(1, 3)), ((2, 2), F(2, 3)), ((3, 3), F(0))]),
+            (2, [((2, 0), F(0)), ((1, 0), F(1, 3))]),  # inconsistent phases
+            (2, [((1, 1), F(0)), ((2, 2), F(1, 2))]),
+            (2, [((0, 0), F(0))]),  # zero exponent rows: r = 0
+            (2, [((0, 0), F(1, 2))]),
+            (2, [((0, 0), F(0)), ((0, 0), F(0))]),
+            (2, [((0, 0), F(0)), ((2, 0), F(1, 2))]),
+            (2, [((0, 0), F(1, 3)), ((2, 0), F(1, 2))]),
+            (3, []),
+        ],
+    )
+    def test_fixed_cases(self, n, equations):
+        assert layers_from_equations(n, equations) == _layers_reference(n, equations)
+
+    def test_zero_rows_give_the_ambient_layer_or_nothing(self):
+        assert layers_from_equations(2, [((0, 0), F(0))]) == [Layer(2, (), ())]
+        assert layers_from_equations(2, [((0, 0), F(1, 2))]) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.tuples(*[st.integers(-4, 4)] * n), phases_up_to_12),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_drawn_systems(self, equations):
+        n = len(equations[0][0])
+        assert layers_from_equations(n, equations) == _layers_reference(n, equations)
+
+
+class TestLimits:
+    def test_components_refused_before_enumeration(self):
+        with pytest.raises(ValueError, match="10000000000 components, more than the limit of 100"):
+            layers_from_equations(1, [((10 ** 10,), F(0))], max_layers=100)
+        assert len(layers_from_equations(2, [((4, 0), F(0))], max_layers=4)) == 4
+        with pytest.raises(ValueError):
+            layers_from_equations(2, [((4, 0), F(0))], max_layers=3)
+
+    def test_layer_poset_refused_above_the_limit(self):
+        arr = [H((2, 0), F(0)), H((0, 3), F(0))]  # ambient, 2 + 3 lines, 6 points
+        assert len(build_layer_poset(2, arr, max_layers=12).layers) == 12
+        with pytest.raises(ValueError, match="more than 11 layers"):
+            build_layer_poset(2, arr, max_layers=11)
 
 
 class TestLayer:
