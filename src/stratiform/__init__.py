@@ -10,8 +10,6 @@ from stratiform.exactalg import (
     Matrix,
     SmithDecomposition,
     hermite_basis,
-    kernel_basis,
-    rank,
     saturate,
     smith_normal_form,
     torsion_invariants,
@@ -29,15 +27,10 @@ from stratiform.matroidos import (
     AffinePoset,
     FlatLattice,
     LinearMatroid,
-    OSAlgebra,
     affine_intersection_poset,
-    build_matroid,
     characteristic_polynomial,
-    flat_lattice,
     local_component_dims,
     nbc_basis,
-    os_algebra,
-    os_product,
 )
 from stratiform.leraymodel import (
     FormalityCertificate,

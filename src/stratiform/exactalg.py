@@ -226,14 +226,6 @@ class Matrix:
         return tuple(x)
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
-    return m.right_kernel()
-
-
 def det(m: Matrix) -> Fraction:
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")

@@ -1,9 +1,11 @@
-"""Linear matroids, lattices of flats, and Orlik-Solomon algebras.
+"""Linear matroids, lattices of flats, no-broken-circuit bases.
 
 The matroid of a list of rational vectors drives everything: flats are
-enumerated by closure, the Moebius function is computed by the defining
-recursion, and the Orlik-Solomon algebra is realized on its no-broken-
-circuit basis with straightening along circuit boundary relations.
+enumerated by closure and the Moebius function is computed by the
+defining recursion.  No-broken-circuit sets count the same numbers
+without the lattice: there are |w_k| of size k, and |mu(bottom, X)|
+whose support closes to the flat X, which makes them an independent
+check of `FlatLattice`.
 
 Affine intersection posets of hyperplane arrangements live here too.
 Their covers are recorded while the flats are enumerated, and
@@ -18,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from stratiform.exactalg import Matrix, vector
-
-OSElement = dict[tuple[int, ...], Fraction]
 
 
 class LinearMatroid:
@@ -96,10 +96,6 @@ class LinearMatroid:
         return self._circuits
 
 
-def build_matroid(vectors: Iterable[Sequence], labels: Sequence[int] | None = None) -> LinearMatroid:
-    return LinearMatroid(vectors, labels)
-
-
 # -- lattice of flats ---------------------------------------------------
 
 
@@ -151,10 +147,6 @@ class FlatLattice:
         return mob
 
 
-def flat_lattice(matroid: LinearMatroid) -> FlatLattice:
-    return FlatLattice(matroid)
-
-
 def local_component_dims(lattice: FlatLattice) -> dict[frozenset[int], int]:
     """Dimension of the local component at each flat: |mu(bottom, flat)|."""
     return {f: abs(m) for f, m in lattice.mobius.items()}
@@ -178,13 +170,7 @@ def whitney_numbers(lattice: FlatLattice) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- Orlik-Solomon algebra ----------------------------------------------
-
-
-def shuffle_sign_tuples(a: Sequence[int], b: Sequence[int]) -> int:
-    """Sign of the permutation sorting (a ascending, b ascending) together."""
-    inversions = sum(1 for x in a for y in b if x > y)
-    return -1 if inversions % 2 else 1
+# -- no-broken-circuit bases ---------------------------------------------
 
 
 def nbc_basis(
@@ -220,109 +206,6 @@ def nbc_basis(
 
     extend((), frozenset())
     return {k: tuple(sorted(v)) for k, v in out.items()}
-
-
-class OSAlgebra:
-    """Orlik-Solomon algebra on the NBC basis of a linear matroid.
-
-    Elements are dicts mapping ascending id tuples to coefficients.
-    Products are straightened via the circuit boundary relations toward
-    lexicographically smaller monomials; monomials with dependent support
-    vanish.
-    """
-
-    def __init__(self, matroid: LinearMatroid):
-        self.matroid = matroid
-        self.nbc = nbc_basis(matroid)
-        self._nbc_sets = {frozenset(m) for ms in self.nbc.values() for m in ms}
-        self._reduce_cache: dict[tuple[int, ...], OSElement] = {}
-
-    def degree_dims(self) -> tuple[int, ...]:
-        top = max(self.nbc)
-        return tuple(len(self.nbc.get(k, ())) for k in range(top + 1))
-
-    def local_dims(self) -> dict[frozenset[int], int]:
-        """Number of NBC monomials whose support closes to each flat."""
-        lattice = flat_lattice(self.matroid)
-        counts = {f: 0 for f in lattice.flats}
-        for monos in self.nbc.values():
-            for m in monos:
-                counts[self.matroid.closure(m)] += 1
-        return counts
-
-    def _reduce(self, mono: tuple[int, ...]) -> OSElement:
-        """Expand a monomial with independent ascending support in the NBC basis."""
-        if frozenset(mono) in self._nbc_sets:
-            return {mono: Fraction(1)}
-        cached = self._reduce_cache.get(mono)
-        if cached is not None:
-            return dict(cached)
-        support = frozenset(mono)
-        broken = None
-        circuit = None
-        for c in self.matroid.circuits():
-            b = frozenset(c) - {min(c)}
-            if b <= support:
-                broken, circuit = b, sorted(c)
-                break
-        assert broken is not None, "non-NBC independent set must contain a broken circuit"
-        rest = tuple(e for e in mono if e not in broken)
-        sgn_br = shuffle_sign_tuples(sorted(broken), rest)
-        result: OSElement = {}
-        for j in range(1, len(circuit)):
-            dropped = circuit[:j] + circuit[j + 1:]
-            term_support = frozenset(dropped) | frozenset(rest)
-            if len(term_support) < len(dropped) + len(rest):
-                continue  # overlap kills the term
-            if not self.matroid.is_independent(term_support):
-                continue
-            sign = (-1) ** (j + 1) * sgn_br * shuffle_sign_tuples(dropped, rest)
-            term = tuple(sorted(term_support))
-            for nbc_mono, coeff in self._reduce(term).items():
-                result[nbc_mono] = result.get(nbc_mono, Fraction(0)) + sign * coeff
-        result = {m: c for m, c in result.items() if c != 0}
-        self._reduce_cache[mono] = dict(result)
-        return result
-
-    def reduce_monomial(self, mono: Sequence[int]) -> OSElement:
-        """Normal form of e_mono, for mono a tuple of distinct ids (any order)."""
-        mono = tuple(mono)
-        if len(set(mono)) != len(mono):
-            return {}
-        ascending = tuple(sorted(mono))
-        sign = _permutation_sign(mono)
-        if not self.matroid.is_independent(frozenset(mono)):
-            return {}
-        return {m: sign * c for m, c in self._reduce(ascending).items()}
-
-    def multiply(self, a: Mapping, b: Mapping) -> OSElement:
-        result: OSElement = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                if set(ma) & set(mb):
-                    continue
-                sign = shuffle_sign_tuples(ma, mb)
-                merged = tuple(sorted(ma + mb))
-                for m, c in self.reduce_monomial(merged).items():
-                    result[m] = result.get(m, Fraction(0)) + sign * Fraction(ca) * Fraction(cb) * c
-        return {m: c for m, c in result.items() if c != 0}
-
-
-def _permutation_sign(seq: Sequence[int]) -> int:
-    inversions = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
-
-
-def os_algebra(matroid: LinearMatroid) -> OSAlgebra:
-    return OSAlgebra(matroid)
-
-
-def os_product(algebra: OSAlgebra, a: Mapping, b: Mapping) -> OSElement:
-    return algebra.multiply(a, b)
 
 
 # -- affine intersection posets ------------------------------------------

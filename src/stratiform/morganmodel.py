@@ -17,6 +17,7 @@ identities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,27 +232,16 @@ class CompactificationDatum:
 
     def restriction(self, i_set: Sequence[int], j_set: Sequence[int], p: int) -> Matrix:
         """Composite restriction H^p(D_I) -> H^p(D_J) along sorted steps."""
-        i_key, j_key = tuple(sorted(i_set)), tuple(sorted(j_set))
-        if not set(i_key) <= set(j_key):
-            raise ValueError("restriction requires I inside J")
-        cache_key = (i_key, j_key, p)
+        cache_key = (tuple(sorted(i_set)), tuple(sorted(j_set)), p)
         cached = self._restriction_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        src = self.dim(i_key, p)
-        current = Matrix.identity(src)
-        cur = i_key
-        for j in sorted(set(j_key) - set(i_key)):
-            if self.dim(cur, p) == 0:
-                current = Matrix.zero(self.dim(j_key, p), src)
-                break
-            step = self._step(cur, j, p)
-            current = step @ current
-            cur = tuple(sorted(cur + (j,)))
-        if current.shape != (self.dim(j_key, p), src):
-            current = Matrix.zero(self.dim(j_key, p), src)
-        self._restriction_cache[cache_key] = current
-        return current
+        if cached is None:
+            i_key, j_key = _sorted_subset(i_set), _sorted_subset(j_set)
+            if not set(i_key) <= set(j_key):
+                raise ValueError("restriction requires I inside J")
+            cached = self._restriction_cache[cache_key] = self._compose_steps(
+                i_key, sorted(set(j_key) - set(i_key)), p
+            )
+        return cached
 
     def gysin(self, i_set: Sequence[int], i: int, p: int) -> Matrix:
         """Gysin map H^p(D_I) -> H^{p+2}(D_{I-i}) for i in I."""
@@ -301,13 +291,13 @@ class CompactificationDatum:
         return issues
 
     def _compose_steps(self, i_key, js, p) -> Matrix:
-        src = self.dim(i_key, p)
-        cur, mat = i_key, Matrix.identity(src)
+        """The one-step restrictions from D_I along `js`, composed in that order."""
+        if not js:
+            return Matrix.identity(self.dim(i_key, p))
+        cur, mat = i_key, None
         for j in js:
-            if self.dim(cur, p) == 0:
-                tgt = tuple(sorted(set(i_key) | set(js)))
-                return Matrix.zero(self.dim(tgt, p), src)
-            mat = self._step(cur, j, p) @ mat
+            step = self._step(cur, j, p)
+            mat = step if mat is None else step @ mat
             cur = tuple(sorted(cur + (j,)))
         return mat
 
@@ -1020,15 +1010,32 @@ def builder_projective_line_marked(s: int) -> CompactificationDatum:
     return CompactificationDatum(s, cohomology, restrictions, gysins, cups)
 
 
-def _tensor_basis(cd1, cd2, i1, i2, p) -> list[tuple[int, int, int, int]]:
-    out = []
-    for p1 in cd1.degrees(i1):
-        p2 = p - p1
-        d1, d2 = cd1.dim(i1, p1), cd2.dim(i2, p2)
-        for a1 in range(d1):
-            for a2 in range(d2):
-                out.append((p1, p2, a1, a2))
-    return out
+def _lift(factor_map, left: bool, shift: int, src: Mapping, tgt: Mapping) -> dict[int, Matrix]:
+    """A map f of one factor as f (x) id (`left`) or id (x) f on the product.
+
+    `factor_map(p)` is f on degree p of its factor, raising the degree by
+    `shift` (0 for a restriction, 2 for a Gysin map).  `src` maps each
+    degree to the product labels (p1, p2, a1, a2) of the source stratum,
+    and `tgt` each degree to the label -> index dict of the target.  f has
+    even degree, so it commutes with the other factor without a sign.
+    """
+    blocks: dict[int, Matrix] = {}
+    maps: dict[int, Matrix] = {}
+    for p, labels in src.items():
+        index = tgt.get(p + shift)
+        if index is None:
+            continue
+        rows = [[Fraction(0)] * len(labels) for _ in index]
+        for col, (p1, p2, a1, a2) in enumerate(labels):
+            q = p1 if left else p2
+            mat = maps.get(q)
+            if mat is None:
+                mat = maps[q] = factor_map(q)
+            for b, row in enumerate(mat.rows):
+                label = (p1 + shift, p2, b, a2) if left else (p1, p2 + shift, a1, b)
+                rows[index[label]][col] = row[a1 if left else a2]
+        blocks[p] = Matrix(rows, ncols=len(labels))
+    return blocks
 
 
 def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> CompactificationDatum:
@@ -1038,127 +1045,74 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
     tensors with Koszul signs."""
     s1, s2 = cd1.components, cd2.components
 
-    def split(i_key):
-        left = tuple(i for i in i_key if i <= s1)
-        right = tuple(i - s1 for i in i_key if i > s1)
-        return left, right
-
-    subsets = []
+    # the basis of H^p(D_I x D_I') is (p1, p2, a1, a2) with p1 ascending,
+    # then a1, then a2; degrees come in the order they first occur
+    factors: dict = {}
+    bases: dict = {}
     for i1 in cd1.subsets():
         for i2 in cd2.subsets():
             key = tuple(sorted(i1 + tuple(j + s1 for j in i2)))
-            subsets.append((key, i1, i2))
+            labels: dict[int, list] = {}
+            for p1 in cd1.degrees(i1):
+                for p2 in cd2.degrees(i2):
+                    labels.setdefault(p1 + p2, []).extend(
+                        (p1, p2, a1, a2) for a1 in range(cd1.dim(i1, p1)) for a2 in range(cd2.dim(i2, p2))
+                    )
+            if labels:
+                factors[key], bases[key] = (i1, i2), labels
+    cohomology = {key: {p: len(labels) for p, labels in basis.items()} for key, basis in bases.items()}
+    index = {
+        key: {p: {lab: i for i, lab in enumerate(labels)} for p, labels in basis.items()}
+        for key, basis in bases.items()
+    }
 
-    cohomology: dict = {}
-    basis_cache: dict = {}
-    for key, i1, i2 in subsets:
-        dims: dict[int, int] = {}
-        degs1, degs2 = cd1.degrees(i1), cd2.degrees(i2)
-        for p1 in degs1:
-            for p2 in degs2:
-                d = cd1.dim(i1, p1) * cd2.dim(i2, p2)
-                if d:
-                    dims[p1 + p2] = dims.get(p1 + p2, 0) + d
-        if dims:
-            cohomology[key] = dims
-            for p in dims:
-                basis_cache[(key, p)] = _tensor_basis(cd1, cd2, i1, i2, p)
-
-    def basis(key, p):
-        return basis_cache.get((key, p), [])
+    def side(x, i1, i2):
+        """Whether component x of the product is on the left, its factor's
+        datum and stratum, and its index there."""
+        return (True, cd1, i1, x) if x <= s1 else (False, cd2, i2, x - s1)
 
     restrictions: dict = {}
     gysins: dict = {}
-    for key, i1, i2 in subsets:
-        if key not in cohomology:
-            continue
+    for key, (i1, i2) in factors.items():
         for j in range(1, s1 + s2 + 1):
-            if j in key:
-                continue
             tgt_key = tuple(sorted(key + (j,)))
-            if tgt_key not in cohomology:
+            if j in key or tgt_key not in index:
                 continue
-            t1, t2 = split(tgt_key)
-            blocks: dict[int, Matrix] = {}
-            for p in cohomology[key]:
-                src_basis = basis(key, p)
-                tgt_basis = basis(tgt_key, p)
-                if not src_basis or not tgt_basis:
-                    continue
-                rows = [[Fraction(0)] * len(src_basis) for _ in tgt_basis]
-                if j <= s1:
-                    step = {
-                        p1: cd1.restriction(i1, t1, p1)
-                        for p1 in cd1.degrees(i1)
-                    }
-                    for col, (p1, p2, a1, a2) in enumerate(src_basis):
-                        mat = step[p1]
-                        for row, (q1, q2, b1, b2) in enumerate(tgt_basis):
-                            if q1 == p1 and q2 == p2 and b2 == a2 and mat.nrows > b1:
-                                rows[row][col] = mat.rows[b1][a1]
-                else:
-                    step = {
-                        p2: cd2.restriction(i2, t2, p2)
-                        for p2 in cd2.degrees(i2)
-                    }
-                    for col, (p1, p2, a1, a2) in enumerate(src_basis):
-                        mat = step[p2]
-                        for row, (q1, q2, b1, b2) in enumerate(tgt_basis):
-                            if q1 == p1 and q2 == p2 and b1 == a1 and mat.nrows > b2:
-                                rows[row][col] = mat.rows[b2][a2]
-                blocks[p] = Matrix(rows, ncols=len(src_basis))
+            left, cd, own, local = side(j, i1, i2)
+            step = functools.partial(cd.restriction, own, own + (local,))
+            blocks = _lift(step, left, 0, bases[key], index[tgt_key])
             if blocks:
                 restrictions[(key, j)] = blocks
         for i in key:
             tgt_key = tuple(x for x in key if x != i)
-            if tgt_key not in cohomology:
+            if tgt_key not in index:
                 continue
-            t1, t2 = split(tgt_key)
-            blocks = {}
-            for p in cohomology[key]:
-                src_basis = basis(key, p)
-                tgt_basis = basis(tgt_key, p + 2)
-                if not src_basis or not tgt_basis:
-                    continue
-                rows = [[Fraction(0)] * len(src_basis) for _ in tgt_basis]
-                if i <= s1:
-                    for col, (p1, p2, a1, a2) in enumerate(src_basis):
-                        mat = cd1.gysin(i1, i, p1)
-                        for row, (q1, q2, b1, b2) in enumerate(tgt_basis):
-                            if q1 == p1 + 2 and q2 == p2 and b2 == a2 and mat.nrows > b1:
-                                rows[row][col] = mat.rows[b1][a1]
-                else:
-                    for col, (p1, p2, a1, a2) in enumerate(src_basis):
-                        mat = cd2.gysin(i2, i - s1, p2)
-                        for row, (q1, q2, b1, b2) in enumerate(tgt_basis):
-                            if q1 == p1 and q2 == p2 + 2 and b1 == a1 and mat.nrows > b2:
-                                rows[row][col] = mat.rows[b2][a2]
-                blocks[p] = Matrix(rows, ncols=len(src_basis))
+            left, cd, own, local = side(i, i1, i2)
+            blocks = _lift(functools.partial(cd.gysin, own, local), left, 2, bases[key], index[tgt_key])
             if blocks:
                 gysins[(key, i)] = blocks
 
     cups: dict = {}
-    for key, i1, i2 in subsets:
-        if key not in cohomology:
-            continue
+    for key, (i1, i2) in factors.items():
+        basis, lookup = bases[key], index[key]
         table: dict = {}
-        degrees = sorted(cohomology[key])
+        degrees = sorted(basis)
         for p in degrees:
             for p2 in degrees:
+                target = lookup.get(p + p2, {})
                 entries: dict = {}
-                for a, (pa1, pa2, a1, a2) in enumerate(basis(key, p)):
-                    for b, (pb1, pb2, b1, b2) in enumerate(basis(key, p2)):
+                for a, (pa1, pa2, a1, a2) in enumerate(basis[p]):
+                    for b, (pb1, pb2, b1, b2) in enumerate(basis[p2]):
+                        # Koszul sign: the left part of b passes the right part of a
                         sign = (-1) ** (pa2 * pb1)
                         c1 = cd1.cup_entries(i1, pa1, pb1).get((a1, b1), {})
                         c2 = cd2.cup_entries(i2, pa2, pb2).get((a2, b2), {})
                         if not c1 or not c2:
                             continue
                         vec: Sparse = {}
-                        target_basis = basis(key, p + p2)
-                        lookup = {lab: idx for idx, lab in enumerate(target_basis)}
                         for t1_idx, v1 in c1.items():
                             for t2_idx, v2 in c2.items():
-                                pos = lookup.get((pa1 + pb1, pa2 + pb2, t1_idx, t2_idx))
+                                pos = target.get((pa1 + pb1, pa2 + pb2, t1_idx, t2_idx))
                                 if pos is None:
                                     continue
                                 vec[pos] = vec.get(pos, Fraction(0)) + sign * v1 * v2

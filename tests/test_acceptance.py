@@ -23,9 +23,9 @@ from stratiform.leraymodel import (
     strata_data_from_toric,
 )
 from stratiform.matroidos import (
-    build_matroid,
+    FlatLattice,
+    LinearMatroid,
     characteristic_polynomial,
-    flat_lattice,
     poset_whitney_numbers,
     affine_intersection_poset,
 )
@@ -112,7 +112,7 @@ def test_criterion_2_hyperplane_whitney_oracle():
         for name, hyps in central.items():
             n = len(hyps[0][0])
             betti = betti_and_poincare(assemble_e2(strata_data_from_hyperplanes(n, hyps))).betti
-            lat = flat_lattice(build_matroid([v for v, _ in hyps]))
+            lat = FlatLattice(LinearMatroid([v for v, _ in hyps]))
             coeffs = characteristic_polynomial(lat)
             r = lat.rank
             whitney = tuple(abs(coeffs[r - k]) for k in range(r + 1))

@@ -9,11 +9,9 @@ from stratiform.exactalg import (
     det,
     hermite_basis,
     inverse,
-    kernel_basis,
     lattice_contains,
     lattice_coordinates,
     lattice_index_in_saturation,
-    rank,
     saturate,
     smith_normal_form,
     torsion_invariants,
@@ -64,33 +62,33 @@ def minor_gcd_invariants(rows, nrows, ncols):
 
 class TestRank:
     def test_identity(self):
-        assert rank(Matrix.identity(2)) == 2
+        assert Matrix.identity(2).rank() == 2
 
     def test_proportional_rows(self):
-        assert rank(Matrix([[1, 2], [2, 4]])) == 1
+        assert Matrix([[1, 2], [2, 4]]).rank() == 1
 
     def test_full_rank_3x3_against_cofactor_oracle(self):
         rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
         assert cofactor_det(rows) == 18
-        assert rank(Matrix(rows)) == 3
+        assert Matrix(rows).rank() == 3
 
     def test_empty_shapes(self):
-        assert rank(Matrix([], ncols=3)) == 0
-        assert rank(Matrix.zero(2, 0)) == 0
+        assert Matrix([], ncols=3).rank() == 0
+        assert Matrix.zero(2, 0).rank() == 0
 
 
 class TestKernel:
     def test_identity_trivial(self):
-        assert kernel_basis(Matrix.identity(3)) == ()
+        assert Matrix.identity(3).right_kernel() == ()
 
     def test_single_relation(self):
-        (v,) = kernel_basis(Matrix([[1, 1]]))
+        (v,) = Matrix([[1, 1]]).right_kernel()
         assert v[0] * Fraction(-1) == v[1]
         assert Matrix([[1, 1]]).apply(v) == (0,)
 
     def test_rank_one_2x2(self):
         m = Matrix([[1, 2], [2, 4]])
-        basis = kernel_basis(m)
+        basis = m.right_kernel()
         assert len(basis) == 1
         (v,) = basis
         assert m.apply(v) == (0, 0)
@@ -101,7 +99,7 @@ class TestKernel:
 
     def test_rank_plus_kernel_dim(self):
         m = Matrix([[1, 2, 3], [0, 0, 1]])
-        assert rank(m) + len(kernel_basis(m)) == m.ncols
+        assert m.rank() + len(m.right_kernel()) == m.ncols
 
 
 class TestSolve:
@@ -227,8 +225,8 @@ def test_snf_reconstruction_and_chain(rows):
 @given(matrices())
 def test_rank_kernel_dimension(rows):
     m = Matrix(rows)
-    assert rank(m) + len(kernel_basis(m)) == m.ncols
-    for v in kernel_basis(m):
+    assert m.rank() + len(m.right_kernel()) == m.ncols
+    for v in m.right_kernel():
         assert all(x == 0 for x in m.apply(v))
 
 
@@ -260,12 +258,12 @@ def test_hermite_invariance_under_unimodular_transforms(rows, ops):
 @given(matrices(3))
 def test_saturation_index_matches_torsion(rows):
     m = Matrix(rows)
-    independent = [list(r) for r in rows][: rank(m)]
-    if rank(Matrix(independent)) != len(independent):
+    independent = [list(r) for r in rows][: m.rank()]
+    if Matrix(independent).rank() != len(independent):
         # keep only an independent prefix
         independent = []
         for r in rows:
-            if rank(Matrix(independent + [list(r)])) > len(independent):
+            if Matrix(independent + [list(r)]).rank() > len(independent):
                 independent.append(list(r))
     if not independent:
         return

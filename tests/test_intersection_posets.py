@@ -20,9 +20,8 @@ from stratiform.exactalg import Matrix
 from stratiform.leraymodel import assemble_e2, betti_and_poincare, strata_data_from_hyperplanes
 from stratiform.matroidos import (
     FlatLattice,
+    LinearMatroid,
     affine_intersection_poset,
-    build_matroid,
-    flat_lattice,
     mobius_from_covers,
 )
 from stratiform.toriclayers import (
@@ -46,7 +45,7 @@ def transitive_reduction(size, below):
 
 def local_mobius(vectors):
     """|mu(bottom, top)| of the lattice of flats of the given vectors."""
-    lattice = flat_lattice(build_matroid(vectors))
+    lattice = FlatLattice(LinearMatroid(vectors))
     return abs(lattice.mobius[lattice.top])
 
 
@@ -275,7 +274,7 @@ def test_layer_poset_makes_no_rational_elimination(monkeypatch):
 
 def test_mobius_from_covers_matches_flat_lattice():
     for vectors in ([(1, 0), (0, 1), (1, 1)], [v for v, _ in b_type_hyperplanes(3)]):
-        lattice = FlatLattice(build_matroid(vectors))
+        lattice = FlatLattice(LinearMatroid(vectors))
         index = {f: i for i, f in enumerate(lattice.flats)}
         covers = [(index[f], index[g]) for f, g in lattice.covers]
         mobius = mobius_from_covers(len(lattice.flats), covers)

@@ -19,9 +19,9 @@ from stratiform.leraymodel import (
     strata_data_from_toric,
 )
 from stratiform.matroidos import (
-    build_matroid,
+    FlatLattice,
+    LinearMatroid,
     characteristic_polynomial,
-    flat_lattice,
     whitney_numbers,
 )
 from stratiform.toriclayers import ToricHypersurface
@@ -215,7 +215,7 @@ class TestBetti:
         normals = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
         sd = strata_data_from_hyperplanes(3, [(v, 0) for v in normals])
         betti = betti_and_poincare(assemble_e2(sd)).betti
-        lat = flat_lattice(build_matroid(normals))
+        lat = FlatLattice(LinearMatroid(normals))
         wn = whitney_numbers(lat)
         assert betti == wn
 

@@ -1,39 +1,34 @@
-from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
 from stratiform.matroidos import (
+    FlatLattice,
+    LinearMatroid,
     affine_intersection_poset,
-    build_matroid,
     characteristic_polynomial,
-    flat_lattice,
     local_component_dims,
     nbc_basis,
-    os_algebra,
-    os_product,
     poset_characteristic_polynomial,
     poset_whitney_numbers,
     whitney_numbers,
 )
 
-F = Fraction
-
 
 def concurrent3():
-    return build_matroid([(1, 0), (0, 1), (1, 1)])
+    return LinearMatroid([(1, 0), (0, 1), (1, 1)])
 
 
 def boolean(n):
-    return build_matroid([tuple(int(i == j) for j in range(n)) for i in range(n)])
+    return LinearMatroid([tuple(int(i == j) for j in range(n)) for i in range(n)])
 
 
 def braid3():
-    return build_matroid([(1, -1, 0), (1, 0, -1), (0, 1, -1)])
+    return LinearMatroid([(1, -1, 0), (1, 0, -1), (0, 1, -1)])
 
 
 def parallel_pair():
-    return build_matroid([(1, 0), (1, 0)])
+    return LinearMatroid([(1, 0), (1, 0)])
 
 
 TEST_MATROIDS = [
@@ -42,15 +37,15 @@ TEST_MATROIDS = [
     lambda: boolean(3),
     braid3,
     parallel_pair,
-    lambda: build_matroid([(1, 0), (0, 1), (1, 1), (1, 2)]),
-    lambda: build_matroid([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
-    lambda: build_matroid([(1, 0), (2, 0), (0, 1)]),
+    lambda: LinearMatroid([(1, 0), (0, 1), (1, 1), (1, 2)]),
+    lambda: LinearMatroid([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+    lambda: LinearMatroid([(1, 0), (2, 0), (0, 1)]),
 ]
 
 
 class TestMatroid:
     def test_independent_pair(self):
-        m = build_matroid([(1, 0), (0, 1)])
+        m = LinearMatroid([(1, 0), (0, 1)])
         assert m.full_rank == 2
         assert m.circuits() == ()
 
@@ -66,7 +61,7 @@ class TestMatroid:
         assert m.circuits() == (frozenset({0, 1, 2}),)
 
     def test_closure(self):
-        m = build_matroid([(1, 0), (2, 0), (0, 1)])
+        m = LinearMatroid([(1, 0), (2, 0), (0, 1)])
         assert m.closure({0}) == {0, 1}
         assert m.closure({2}) == {2}
         assert m.closure({0, 2}) == {0, 1, 2}
@@ -74,29 +69,29 @@ class TestMatroid:
 
 class TestFlatLattice:
     def test_uniform_rank2_on_3(self):
-        lat = flat_lattice(concurrent3())
+        lat = FlatLattice(concurrent3())
         assert len(lat.flats) == 5
         assert lat.mobius[lat.top] == 2
 
     def test_single_element(self):
-        lat = flat_lattice(build_matroid([(1,)]))
+        lat = FlatLattice(LinearMatroid([(1,)]))
         assert len(lat.flats) == 2
         assert lat.mobius[lat.top] == -1
 
     def test_boolean_rank2(self):
-        lat = flat_lattice(boolean(2))
+        lat = FlatLattice(boolean(2))
         assert lat.mobius[lat.top] == 1
 
     @pytest.mark.parametrize("make", TEST_MATROIDS)
     def test_mobius_recursion_sums_to_zero(self, make):
-        lat = flat_lattice(make())
+        lat = FlatLattice(make())
         for f in lat.flats:
             if f == lat.bottom:
                 continue
             assert sum(lat.mobius[g] for g in lat.flats if g <= f) == 0
 
     def test_covers_are_rank_steps(self):
-        lat = flat_lattice(braid3())
+        lat = FlatLattice(braid3())
         for f, g in lat.covers:
             assert f < g and lat.rank_of[g] == lat.rank_of[f] + 1
 
@@ -104,20 +99,20 @@ class TestFlatLattice:
 class TestCharacteristicPolynomial:
     def test_boolean_rank2(self):
         # (t - 1)^2 = t^2 - 2t + 1
-        assert characteristic_polynomial(flat_lattice(boolean(2))) == (1, -2, 1)
+        assert characteristic_polynomial(FlatLattice(boolean(2))) == (1, -2, 1)
 
     def test_three_concurrent(self):
-        assert characteristic_polynomial(flat_lattice(concurrent3())) == (2, -3, 1)
+        assert characteristic_polynomial(FlatLattice(concurrent3())) == (2, -3, 1)
 
     def test_braid3(self):
-        assert characteristic_polynomial(flat_lattice(braid3())) == (2, -3, 1)
+        assert characteristic_polynomial(FlatLattice(braid3())) == (2, -3, 1)
 
     def test_empty_matroid(self):
-        assert characteristic_polynomial(flat_lattice(build_matroid([]))) == (1,)
+        assert characteristic_polynomial(FlatLattice(LinearMatroid([]))) == (1,)
 
     @pytest.mark.parametrize("make", TEST_MATROIDS)
     def test_whitney_matches_charpoly(self, make):
-        lat = flat_lattice(make())
+        lat = FlatLattice(make())
         coeffs = characteristic_polynomial(lat)
         wn = whitney_numbers(lat)
         r = lat.rank
@@ -126,7 +121,7 @@ class TestCharacteristicPolynomial:
 
 class TestNBC:
     def test_independent(self):
-        nbc = nbc_basis(build_matroid([(1, 0), (0, 1)]))
+        nbc = nbc_basis(LinearMatroid([(1, 0), (0, 1)]))
         assert nbc[2] == ((0, 1),)
 
     def test_three_concurrent(self):
@@ -149,64 +144,23 @@ class TestNBC:
 
     @pytest.mark.parametrize("make", TEST_MATROIDS)
     def test_local_dims_match_mobius(self, make):
+        # the NBC sets whose support closes to the flat X number |mu(bottom, X)|
         m = make()
-        alg = os_algebra(m)
-        lat = flat_lattice(m)
-        expected = local_component_dims(lat)
-        assert alg.local_dims() == expected
+        lat = FlatLattice(m)
+        counts = {f: 0 for f in lat.flats}
+        for monos in nbc_basis(m).values():
+            for mono in monos:
+                counts[m.closure(mono)] += 1
+        assert counts == local_component_dims(lat)
 
     @pytest.mark.parametrize("make", TEST_MATROIDS)
     def test_total_dims_match_whitney(self, make):
+        # the NBC sets of size k number |w_k|
         m = make()
-        alg = os_algebra(m)
-        lat = flat_lattice(m)
-        wn = whitney_numbers(lat)
-        dims = alg.degree_dims()
-        assert dims == wn[: len(dims)]
-        assert all(w == 0 for w in wn[len(dims):])
-
-
-class TestOSProduct:
-    def test_square_is_zero(self):
-        alg = os_algebra(concurrent3())
-        assert alg.multiply({(0,): F(1)}, {(0,): F(1)}) == {}
-
-    def test_independent_product(self):
-        alg = os_algebra(build_matroid([(1, 0), (0, 1)]))
-        assert alg.multiply({(0,): F(1)}, {(1,): F(1)}) == {(0, 1): F(1)}
-
-    def test_straightening_on_circuit(self):
-        alg = os_algebra(concurrent3())
-        got = os_product(alg, {(1,): F(1)}, {(2,): F(1)})
-        assert got == {(0, 2): F(1), (0, 1): F(-1)}
-
-    def test_dependent_support_vanishes(self):
-        alg = os_algebra(parallel_pair())
-        assert alg.multiply({(0,): F(1)}, {(1,): F(1)}) == {}
-
-    @pytest.mark.parametrize("make", TEST_MATROIDS)
-    def test_graded_commutative(self, make):
-        alg = os_algebra(make())
-        monos = [m for ms in alg.nbc.values() for m in ms if m]
-        for a in monos:
-            for b in monos:
-                ab = alg.multiply({a: F(1)}, {b: F(1)})
-                ba = alg.multiply({b: F(1)}, {a: F(1)})
-                sign = (-1) ** (len(a) * len(b))
-                assert ab == {m: sign * c for m, c in ba.items()}
-
-    @pytest.mark.parametrize("make", TEST_MATROIDS)
-    def test_associative(self, make):
-        alg = os_algebra(make())
-        monos = [m for ms in alg.nbc.values() for m in ms]
-        for a in monos:
-            for b in monos:
-                ab = alg.multiply({a: F(1)}, {b: F(1)})
-                for c in monos:
-                    bc = alg.multiply({b: F(1)}, {c: F(1)})
-                    left = alg.multiply(ab, {c: F(1)})
-                    right = alg.multiply({a: F(1)}, bc)
-                    assert left == right
+        nbc = nbc_basis(m)
+        wn = whitney_numbers(FlatLattice(m))
+        assert max(nbc) < len(wn)
+        assert tuple(len(nbc.get(k, ())) for k in range(len(wn))) == wn
 
 
 class TestAffinePoset:
@@ -258,5 +212,5 @@ class TestAffinePoset:
         # central arrangement: poset Whitney numbers equal matroid Whitney numbers
         normals = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
         poset = affine_intersection_poset(3, [(v, 0) for v in normals])
-        lat = flat_lattice(build_matroid(normals))
+        lat = FlatLattice(LinearMatroid(normals))
         assert poset_whitney_numbers(poset) == whitney_numbers(lat)

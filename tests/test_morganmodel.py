@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 from fractions import Fraction
@@ -315,6 +316,74 @@ class TestDatumValidation:
         cd = CompactificationDatum(0, {(): {0: 1, 1: 2, 2: 1}}, {}, {}, {(): cups})
         issues = cd.validate()
         assert any("graded-commutative" in msg for msg in issues)
+
+
+def square_of_points(restrictions):
+    """Two components meeting in a point, every stratum a point: the two
+    ways from D_() to D_(1, 2) are the given one-step restrictions."""
+    cohomology = {(): {0: 1}, (1,): {0: 1}, (2,): {0: 1}, (1, 2): {0: 1}}
+    blocks = {key: {0: Matrix([[v]])} for key, v in restrictions.items()}
+    return CompactificationDatum(2, cohomology, blocks)
+
+
+class TestRestrictionFunctoriality:
+    def test_commuting_square_passes(self):
+        cd = square_of_points({((), 1): 2, ((), 2): 3, ((1,), 2): 3, ((2,), 1): 2})
+        assert cd.validate() == []
+        assert cd.restriction((), (1, 2), 0) == Matrix([[6]])
+        assert cd.restriction((), (), 0) == Matrix.identity(1)
+
+    def test_restriction_arguments_checked(self):
+        cd = square_of_points({((), 1): 2, ((), 2): 3, ((1,), 2): 3, ((2,), 1): 2})
+        with pytest.raises(ValueError, match="repeated component"):
+            cd.restriction((), (1, 1), 0)
+        with pytest.raises(ValueError, match="I inside J"):
+            cd.restriction((1,), (2,), 0)
+
+    def test_non_commuting_square_named(self):
+        cd = square_of_points({((), 1): 1, ((), 2): 1, ((1,), 2): 1, ((2,), 1): 2})
+        assert cd.validate() == [
+            "restrictions from I=() through 1 and 2 do not commute at degree 0"
+        ]
+        # the composite follows the components in increasing order
+        assert cd.restriction((), (2, 1), 0) == Matrix([[1]])
+        with pytest.raises(DatumError, match=r"do not commute"):
+            build_model(cd)
+
+    def test_missing_step_named_by_validate(self):
+        cd = square_of_points({((), 1): 1, ((), 2): 1, ((1,), 2): 1})
+        assert cd.validate() == ["missing restriction for I=(2,), j=1, degree 0"]
+
+    def test_missing_step_named_by_build_model(self):
+        # one component: validate has no pair of steps to compare, and the
+        # missing step shows when the product restricts to D_(1)
+        line = builder_projective_line_marked(1)
+        cd = CompactificationDatum(1, line.cohomology, {}, line.gysins, line.cups)
+        assert cd.validate() == []
+        with pytest.raises(DatumError, match=r"^missing restriction for I=\(\), j=1, degree 0$"):
+            build_model(cd)
+
+    def test_faults_listed_in_loop_order(self):
+        # a non-commuting square, a missing step and a misshapen step: each
+        # pair of steps reports the first fault it meets, in the order of
+        # (I, j1 < j2, degree), and a fault met from two strata shows twice
+        cohomology = {key: {0: 1} for key in [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]}
+        cohomology[()] = {0: 1, 2: 1}
+        steps = {
+            ((), 1): {0: [[1]]}, ((), 2): {0: [[1]]}, ((), 3): {0: [[1]]},
+            ((1,), 2): {0: [[1]]}, ((2,), 1): {0: [[-1]]},
+            ((1,), 3): {0: [[1]]},
+            ((2,), 3): {0: [[1, 0]]}, ((3,), 2): {0: [[1]]},
+        }
+        restrictions = {key: {p: Matrix(rows) for p, rows in blocks.items()} for key, blocks in steps.items()}
+        cd = CompactificationDatum(3, cohomology, restrictions)
+        assert cd.validate() == [
+            "restrictions from I=() through 1 and 2 do not commute at degree 0",
+            "missing restriction for I=(3,), j=1, degree 0",
+            "restriction for I=(2,), j=3, degree 0 has shape (1, 2), expected (1, 1)",
+            "restriction for I=(2,), j=3, degree 0 has shape (1, 2), expected (1, 1)",
+            "missing restriction for I=(3,), j=1, degree 0",
+        ]
 
 
 # -- dense reference oracles -------------------------------------------------
@@ -735,6 +804,283 @@ class TestFastCoordinatesAgainstSolve:
                     col.coordinates(sparse)
             else:
                 assert col.coordinates(sparse) == tuple(sol[len(col.boundary_basis):])
+
+
+# -- Kunneth reference ----------------------------------------------------------
+#
+# The product as it was first written: one tensor-with-identity loop per
+# kind of map, each scanning the target basis for the matching label.
+# `kunneth_product` must reproduce its data exactly, dict orders included.
+
+
+def _tensor_basis(cd1, cd2, i1, i2, p) -> list[tuple[int, int, int, int]]:
+    out = []
+    for p1 in cd1.degrees(i1):
+        p2 = p - p1
+        d1, d2 = cd1.dim(i1, p1), cd2.dim(i2, p2)
+        for a1 in range(d1):
+            for a2 in range(d2):
+                out.append((p1, p2, a1, a2))
+    return out
+
+
+def _kunneth_reference(cd1: CompactificationDatum, cd2: CompactificationDatum) -> CompactificationDatum:
+    """Product datum: divisor components of the first factor crossed with
+    the second variety, then the first variety crossed with components of
+    the second.  Cohomology, restrictions, Gysin maps and cups are graded
+    tensors with Koszul signs."""
+    s1, s2 = cd1.components, cd2.components
+
+    def split(i_key):
+        left = tuple(i for i in i_key if i <= s1)
+        right = tuple(i - s1 for i in i_key if i > s1)
+        return left, right
+
+    subsets = []
+    for i1 in cd1.subsets():
+        for i2 in cd2.subsets():
+            key = tuple(sorted(i1 + tuple(j + s1 for j in i2)))
+            subsets.append((key, i1, i2))
+
+    cohomology: dict = {}
+    basis_cache: dict = {}
+    for key, i1, i2 in subsets:
+        dims: dict[int, int] = {}
+        degs1, degs2 = cd1.degrees(i1), cd2.degrees(i2)
+        for p1 in degs1:
+            for p2 in degs2:
+                d = cd1.dim(i1, p1) * cd2.dim(i2, p2)
+                if d:
+                    dims[p1 + p2] = dims.get(p1 + p2, 0) + d
+        if dims:
+            cohomology[key] = dims
+            for p in dims:
+                basis_cache[(key, p)] = _tensor_basis(cd1, cd2, i1, i2, p)
+
+    def basis(key, p):
+        return basis_cache.get((key, p), [])
+
+    restrictions: dict = {}
+    gysins: dict = {}
+    for key, i1, i2 in subsets:
+        if key not in cohomology:
+            continue
+        for j in range(1, s1 + s2 + 1):
+            if j in key:
+                continue
+            tgt_key = tuple(sorted(key + (j,)))
+            if tgt_key not in cohomology:
+                continue
+            t1, t2 = split(tgt_key)
+            blocks: dict[int, Matrix] = {}
+            for p in cohomology[key]:
+                src_basis = basis(key, p)
+                tgt_basis = basis(tgt_key, p)
+                if not src_basis or not tgt_basis:
+                    continue
+                rows = [[Fraction(0)] * len(src_basis) for _ in tgt_basis]
+                if j <= s1:
+                    step = {
+                        p1: cd1.restriction(i1, t1, p1)
+                        for p1 in cd1.degrees(i1)
+                    }
+                    for col, (p1, p2, a1, a2) in enumerate(src_basis):
+                        mat = step[p1]
+                        for row, (q1, q2, b1, b2) in enumerate(tgt_basis):
+                            if q1 == p1 and q2 == p2 and b2 == a2 and mat.nrows > b1:
+                                rows[row][col] = mat.rows[b1][a1]
+                else:
+                    step = {
+                        p2: cd2.restriction(i2, t2, p2)
+                        for p2 in cd2.degrees(i2)
+                    }
+                    for col, (p1, p2, a1, a2) in enumerate(src_basis):
+                        mat = step[p2]
+                        for row, (q1, q2, b1, b2) in enumerate(tgt_basis):
+                            if q1 == p1 and q2 == p2 and b1 == a1 and mat.nrows > b2:
+                                rows[row][col] = mat.rows[b2][a2]
+                blocks[p] = Matrix(rows, ncols=len(src_basis))
+            if blocks:
+                restrictions[(key, j)] = blocks
+        for i in key:
+            tgt_key = tuple(x for x in key if x != i)
+            if tgt_key not in cohomology:
+                continue
+            t1, t2 = split(tgt_key)
+            blocks = {}
+            for p in cohomology[key]:
+                src_basis = basis(key, p)
+                tgt_basis = basis(tgt_key, p + 2)
+                if not src_basis or not tgt_basis:
+                    continue
+                rows = [[Fraction(0)] * len(src_basis) for _ in tgt_basis]
+                if i <= s1:
+                    for col, (p1, p2, a1, a2) in enumerate(src_basis):
+                        mat = cd1.gysin(i1, i, p1)
+                        for row, (q1, q2, b1, b2) in enumerate(tgt_basis):
+                            if q1 == p1 + 2 and q2 == p2 and b2 == a2 and mat.nrows > b1:
+                                rows[row][col] = mat.rows[b1][a1]
+                else:
+                    for col, (p1, p2, a1, a2) in enumerate(src_basis):
+                        mat = cd2.gysin(i2, i - s1, p2)
+                        for row, (q1, q2, b1, b2) in enumerate(tgt_basis):
+                            if q1 == p1 and q2 == p2 + 2 and b1 == a1 and mat.nrows > b2:
+                                rows[row][col] = mat.rows[b2][a2]
+                blocks[p] = Matrix(rows, ncols=len(src_basis))
+            if blocks:
+                gysins[(key, i)] = blocks
+
+    cups: dict = {}
+    for key, i1, i2 in subsets:
+        if key not in cohomology:
+            continue
+        table: dict = {}
+        degrees = sorted(cohomology[key])
+        for p in degrees:
+            for p2 in degrees:
+                entries: dict = {}
+                for a, (pa1, pa2, a1, a2) in enumerate(basis(key, p)):
+                    for b, (pb1, pb2, b1, b2) in enumerate(basis(key, p2)):
+                        sign = (-1) ** (pa2 * pb1)
+                        c1 = cd1.cup_entries(i1, pa1, pb1).get((a1, b1), {})
+                        c2 = cd2.cup_entries(i2, pa2, pb2).get((a2, b2), {})
+                        if not c1 or not c2:
+                            continue
+                        vec: Sparse = {}
+                        target_basis = basis(key, p + p2)
+                        lookup = {lab: idx for idx, lab in enumerate(target_basis)}
+                        for t1_idx, v1 in c1.items():
+                            for t2_idx, v2 in c2.items():
+                                pos = lookup.get((pa1 + pb1, pa2 + pb2, t1_idx, t2_idx))
+                                if pos is None:
+                                    continue
+                                vec[pos] = vec.get(pos, Fraction(0)) + sign * v1 * v2
+                        vec = {c: v for c, v in vec.items() if v}
+                        if vec:
+                            entries[(a, b)] = vec
+                if entries:
+                    table[(p, p2)] = entries
+        if table:
+            cups[key] = table
+    return CompactificationDatum(s1 + s2, cohomology, restrictions, gysins, cups)
+
+
+def datum_items(cd):
+    """Everything a datum holds, as nested lists in dict order; reprs of
+    two such lists are equal exactly when the data and orders agree."""
+    def maps(table):
+        return [(key, [(p, blk.shape, blk.rows) for p, blk in blocks.items()]) for key, blocks in table.items()]
+
+    cups = [
+        (key, [(pp, [(ab, list(vec.items())) for ab, vec in entries.items()]) for pp, entries in table.items()])
+        for key, table in cd.cups.items()
+    ]
+    return [cd.components, list(cd.cohomology.items()), maps(cd.restrictions), maps(cd.gysins), cups]
+
+
+def rescaled(cd, scales):
+    """The datum in the basis where basis vector a of H^p(D_I) is multiplied
+    by a nonzero scale; the scales are taken from `scales` in turn."""
+    labels = [(key, p, a) for key in cd.subsets() for p in cd.degrees(key) for a in range(cd.dim(key, p))]
+    scale = {lab: F(scales[i % len(scales)]) for i, lab in enumerate(labels)}
+
+    def conj(blk, src, p, tgt, q):
+        return Matrix(
+            [[blk.rows[b][a] * scale[(src, p, a)] / scale[(tgt, q, b)] for a in range(blk.ncols)]
+             for b in range(blk.nrows)],
+            ncols=blk.ncols,
+        )
+
+    restrictions = {
+        (key, j): {p: conj(blk, key, p, tuple(sorted(key + (j,))), p) for p, blk in blocks.items()}
+        for (key, j), blocks in cd.restrictions.items()
+    }
+    gysins = {
+        (key, i): {p: conj(blk, key, p, tuple(x for x in key if x != i), p + 2) for p, blk in blocks.items()}
+        for (key, i), blocks in cd.gysins.items()
+    }
+    cups = {
+        key: {
+            (p, p2): {
+                (a, b): {c: F(v) * scale[(key, p, a)] * scale[(key, p2, b)] / scale[(key, p + p2, c)]
+                         for c, v in vec.items()}
+                for (a, b), vec in entries.items()
+            }
+            for (p, p2), entries in table.items()
+        }
+        for key, table in cd.cups.items()
+    }
+    return CompactificationDatum(cd.components, cd.cohomology, restrictions, gysins, cups)
+
+
+KUNNETH_FACTORS = {"point": builder_point, "torus-like": torus_like_compact_datum, **{
+    "line-%d" % s: (lambda s=s: builder_projective_line_marked(s)) for s in range(5)
+}}
+
+
+def assert_matches_reference(*factors):
+    got = want = factors[0]
+    for other in factors[1:]:
+        got = kunneth_product(got, other)
+        want = _kunneth_reference(want, other)
+    assert repr(datum_items(got)) == repr(datum_items(want))
+    return got
+
+
+class TestKunnethAgainstReference:
+    @pytest.mark.parametrize("first", sorted(KUNNETH_FACTORS))
+    @pytest.mark.parametrize("second", sorted(KUNNETH_FACTORS))
+    def test_two_factors(self, first, second):
+        assert_matches_reference(KUNNETH_FACTORS[first](), KUNNETH_FACTORS[second]())
+
+    @pytest.mark.parametrize("names", [
+        ("line-1", "line-2", "line-0"),
+        ("point", "line-3", "line-1"),
+        ("line-4", "line-0", "line-2"),
+        ("line-2", "line-2", "line-2"),
+        ("line-3", "line-3", "line-3"),
+        ("line-0", "point", "line-4"),
+    ])
+    def test_three_factors(self, names):
+        assert_matches_reference(*(KUNNETH_FACTORS[name]() for name in names))
+
+    @pytest.mark.parametrize("first, second", [
+        (("line-0", "line-0"), ("line-1", "line-2")),
+        (("line-2", "line-0"), ("torus-like", "line-1")),
+        (("line-1",), ("line-2", "line-0")),
+        (("torus-like",), ("torus-like", "line-2")),
+    ])
+    def test_products_as_factors(self, first, second):
+        # spaces of dimension two and more on both sides, and odd degrees
+        a, b = (functools.reduce(_kunneth_reference, [KUNNETH_FACTORS[n]() for n in names])
+                for names in (first, second))
+        assert_matches_reference(a, b)
+        assert_matches_reference(b, a)
+
+    def test_negated_gysin_blocks(self):
+        # a negated block on either factor, and on a product used as a factor
+        line2, line3 = builder_projective_line_marked(2), builder_projective_line_marked(3)
+        for (i_set, i), blocks in sorted(line2.gysins.items()):
+            for p in sorted(blocks):
+                bad = negate_gysin_block(line2, i_set, i, p)
+                assert_matches_reference(bad, line3)
+                assert_matches_reference(line3, bad)
+        square = kunneth_product(line2, builder_projective_line_marked(0))
+        for (i_set, i), blocks in sorted(square.gysins.items()):
+            for p in sorted(blocks):
+                assert_matches_reference(negate_gysin_block(square, i_set, i, p), line2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from(sorted(KUNNETH_FACTORS)), min_size=2, max_size=3),
+        st.lists(
+            st.tuples(st.integers(-9, 9).filter(bool), st.integers(1, 9)).map(lambda t: F(*t)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_rescaled_factors(self, names, scales):
+        factors = [rescaled(KUNNETH_FACTORS[name](), scales[i:] + scales[:i]) for i, name in enumerate(names)]
+        assert_matches_reference(*factors)
 
 
 class TestBudgets:

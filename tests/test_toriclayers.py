@@ -8,7 +8,6 @@ from stratiform.exactalg import (
     Matrix,
     hermite_basis,
     inverse,
-    rank,
     smith_normal_form,
     torsion_invariants,
 )
@@ -280,7 +279,7 @@ class TestPoset:
         arr = [H((2, 0), F(0)), H((1, 1), F(1, 2))]
         poset = build_layer_poset(2, arr)
         for l in poset.layers:
-            assert l.codim == rank(Matrix([list(r) for r in l.span])) if l.span else l.codim == 0
+            assert l.codim == Matrix([list(r) for r in l.span]).rank() if l.span else l.codim == 0
 
     def test_spans_saturated_and_canonical(self):
         from stratiform.exactalg import hermite_basis, saturate
