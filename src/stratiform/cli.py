@@ -9,7 +9,9 @@ Input grammar (line oriented, `#` starts a comment, blank lines ignored):
 For toric files the fraction is the phase t of a = exp(2 pi i t); for
 hyperplane files it is the constant term.  Fractions must be reduced with
 positive denominator.  The `strata` kind feeds synthetic stratum data
-straight into the purity and certificate machinery.
+straight into the purity and certificate machinery; a stratum's codim
+lies in [0, n] and its degrees p in [0, 2(n - codim)], the real
+dimension of a stratum of complex dimension n - codim.
 
 Exit codes: 0 success, 1 malformed input, usage, or more layers or flats
 than --max-strata allows, 2 mathematically refused certificate.  All
@@ -160,12 +162,21 @@ def parse_arrangement_file(text: str) -> ArrangementFile:
                 raise ParseError(line_no, "codim and localdim must be integers") from None
             if codim < 0 or local_dim < 0:
                 raise ParseError(line_no, "codim and localdim must be nonnegative")
+            if codim > dim:
+                raise ParseError(line_no, "codim %d exceeds the ambient dimension %d" % (codim, dim))
             entries = []
             for tok in tail:
                 m = _COH_ENTRY.match(tok)
                 if not m:
                     raise ParseError(line_no, "expected cohomology entry p:dim:weight, got %r" % tok)
-                entries.append((int(m.group(1)), int(m.group(2)), int(m.group(3))))
+                degree = int(m.group(1))
+                if degree > 2 * (dim - codim):
+                    raise ParseError(
+                        line_no,
+                        "degree %d exceeds 2 * (dim - codim) = %d, the real dimension of the stratum"
+                        % (degree, 2 * (dim - codim)),
+                    )
+                entries.append((degree, int(m.group(2)), int(m.group(3))))
             if not entries:
                 raise ParseError(line_no, "stratum needs at least one cohomology entry")
             strata.append(SyntheticStratum(codim, local_dim, tuple(sorted(entries))))
@@ -393,9 +404,11 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
             if out.betti is not None:
                 sections.append(("betti", list(out.betti.betti)))
                 sections.append(("poincare", out.betti.poincare))
-            sections.append(("formal", True))
+            sections.append(("formal", True if out.formal else "refused"))
             for i, step in enumerate(out.reasoning):
                 sections.append(("reasoning.%d" % i, step))
+            if not out.formal:
+                code = 2
         else:
             sections.append(("purity", "fail"))
             sections.append(("witness", _purity_rows(out)))

@@ -12,7 +12,11 @@ The lattice code is integer-only.  One Smith core, `_smith_core`, works
 on lists of ints and carries the inverse of its right transform along
 with it (each column operation is mirrored by the inverse row
 operation), so saturation and the toric layers need no rational
-elimination; `smith_normal_form` wraps it for `Matrix` callers.
+elimination; `smith_normal_form` wraps it for `Matrix` callers.  The
+affine intersection poset is integer-only as well, so on the production
+paths rational elimination (`Matrix.rref` and what calls it) remains
+only in `morganmodel`; `LinearMatroid`, the flat-lattice oracle, still
+takes ranks with it.
 """
 
 from __future__ import annotations

@@ -176,12 +176,13 @@ def purity_hypothesis_check(sd: StrataData, r: float) -> PurityReport:
 
 @dataclass(frozen=True)
 class DegenerationReport:
-    """Outcome of the weight argument on a table.
+    """Outcome of the weight argument on a table, up to total degree r+1.
 
-    verdict 'degenerate' means every entry has weight 2(p+q), so any
-    differential would map weight 2(p+q) onto weight 2(p+q+1) and is
-    forced to vanish: the table already equals the abutment.  Entries off
-    the pure weight leave the verdict 'unknown'.
+    verdict 'degenerate' means every entry with p+q <= r+1 has weight
+    2(p+q), so any differential out of total degree p+q <= r would map
+    weight 2(p+q) onto weight 2(p+q+1) and is forced to vanish: through
+    degree r the table already equals the abutment.  Entries in that
+    range off the pure weight leave the verdict 'unknown'.
     """
 
     verdict: str
@@ -193,11 +194,11 @@ class DegenerationReport:
         return self.verdict == "degenerate"
 
 
-def degeneration_by_weights(table: LerayTable) -> DegenerationReport:
+def degeneration_by_weights(table: LerayTable, r: float = INF) -> DegenerationReport:
     impure = []
     for (p, q), by_weight in sorted(table.entries.items()):
         for w, d in sorted(by_weight.items()):
-            if d > 0 and w != 2 * (p + q):
+            if d > 0 and w != 2 * (p + q) and p + q <= r + 1:
                 impure.append((p, q, w))
     if impure:
         return DegenerationReport("unknown", (), tuple(impure))
@@ -205,10 +206,12 @@ def degeneration_by_weights(table: LerayTable) -> DegenerationReport:
     nonzero = {pq for pq, by_w in table.entries.items() if sum(by_w.values()) > 0}
     max_q = max((q for (_, q) in nonzero), default=0)
     for (p, q) in sorted(nonzero):
-        for r in range(2, max_q + 2):
-            target = (p + r, q - r + 1)
+        if p + q > r:
+            continue
+        for d in range(2, max_q + 2):
+            target = (p + d, q - d + 1)
             if target[1] >= 0 and target in nonzero:
-                forced.append((r, p, q, 2 * (p + q), 2 * (p + q + 1)))
+                forced.append((d, p, q, 2 * (p + q), 2 * (p + q + 1)))
     return DegenerationReport("degenerate", tuple(forced), ())
 
 
@@ -258,8 +261,9 @@ def betti_and_poincare(table: LerayTable) -> BettiResult:
 
 @dataclass(frozen=True)
 class FormalityCertificate:
-    """Bundle of evidence: purity report, weight-graded table, forced
-    degeneration, Betti data when available, and the reasoning chain."""
+    """Bundle of evidence: purity report, weight-graded table, degeneration
+    through total degree r+1, Betti data when the whole table degenerates,
+    and the reasoning chain that this evidence supports."""
 
     r: float
     purity: PurityReport
@@ -270,25 +274,44 @@ class FormalityCertificate:
 
     @property
     def formal(self) -> bool:
-        return True
+        """The weight argument certifies the range: purity passed and no
+        E2 entry of total degree <= r+1 is off the pure weight."""
+        return self.degeneration.degenerate
 
 
-_REASONING = (
-    "every stratum in range is pure of weight 2k in degree k",
-    "each E2 entry at (p, q) is pure of weight 2(p+q) after the Tate twist",
-    "every differential shifts total degree by 1 and hence weight by 2: it vanishes",
-    "the complement has H^k pure of weight 2k in the certified range",
-    "weight-2k purity gives a zero-differential model through degree r",
-)
+def _reasoning(r: float, degeneration: DegenerationReport) -> tuple[str, ...]:
+    """The steps of the weight argument that the evidence supports."""
+    purity = "every stratum in range is pure of weight 2k in degree k"
+    if not degeneration.degenerate:
+        return (
+            purity,
+            "E2 entries (p, q, weight) off weight 2(p+q) in range: %s"
+            % " ".join("(%d, %d, %d)" % e for e in degeneration.impure_entries),
+            "the weight argument cannot force the differentials at these entries to vanish",
+        )
+    entries = "each E2 entry at (p, q)" if r == INF else "each E2 entry at (p, q) with p+q <= %d" % (r + 1)
+    differentials = "every differential" if r == INF else "every differential out of total degree <= %d" % r
+    return (
+        purity,
+        "%s is pure of weight 2(p+q) after the Tate twist" % entries,
+        "%s shifts total degree by 1 and hence weight by 2: it vanishes" % differentials,
+        "the complement has H^k pure of weight 2k in the certified range",
+        "weight-2k purity gives a zero-differential model through degree r",
+    )
 
 
 def formality_certificate(sd: StrataData, r: float):
     """FormalityCertificate when purity passes at level r, else the
-    failing PurityReport."""
+    failing PurityReport.  The certificate's `formal` is false when
+    entries of total degree <= r+1 off the pure weight leave the weight
+    argument undecided."""
     purity = purity_hypothesis_check(sd, r)
     if not purity.passed:
         return purity
     table = assemble_e2(sd)
-    degeneration = degeneration_by_weights(table)
-    betti = betti_and_poincare(table) if degeneration.degenerate else None
-    return FormalityCertificate(r, purity, table, degeneration, betti, _REASONING)
+    degeneration = degeneration_by_weights(table, r)
+    try:
+        betti = betti_and_poincare(table)
+    except DegenerationUnknown:
+        betti = None
+    return FormalityCertificate(r, purity, table, degeneration, betti, _reasoning(r, degeneration))

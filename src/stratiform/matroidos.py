@@ -8,11 +8,17 @@ whose support closes to the flat X, which makes them an independent
 check of `FlatLattice`.
 
 Affine intersection posets of hyperplane arrangements live here too.
-Their covers are recorded while the flats are enumerated, and
-`mobius_from_covers`, shared with the toric layer poset, turns them into
-mu(ambient, X).  The interval below X is the lattice of flats of the
-central arrangement of normals through X, so |mu(ambient, X)| is the
-local dimension at X without building that lattice.
+Their search is integer-only: each equation is cleared to a primitive
+integer row, each flat is keyed by its reduced echelon rows scaled to
+primitive integer rows, and intersecting a flat with a hyperplane is one
+fraction-free reduction of the hyperplane's row.  The covers of a flat X
+partition the hyperplanes not containing X, so once a cover is found
+the hyperplanes through it are not intersected with X again.  Covers
+are recorded while the flats are enumerated, and `mobius_from_covers`,
+shared with the toric layer poset, turns them into mu(ambient, X).  The
+interval below X is the lattice of flats of the central arrangement of
+normals through X, so |mu(ambient, X)| is the local dimension at X
+without building that lattice.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from stratiform.exactalg import Matrix, vector
@@ -217,7 +224,10 @@ class AffineFlat:
 
     `key` is the reduced row echelon form of the augmented system [A | b]
     cutting the flat out; `hyperplanes` lists the input hyperplanes that
-    contain it.
+    contain it.  `affine_intersection_poset` searches on integer keys
+    (each echelon row scaled to a primitive integer row with a positive
+    pivot) and divides each row by its pivot only once, when it builds
+    the flat.
     """
 
     key: tuple[tuple[Fraction, ...], ...]
@@ -289,6 +299,55 @@ def mobius_from_covers(size: int, covers: Iterable[tuple[int, int]]) -> tuple[in
     return tuple(mobius)
 
 
+def _integer_row(entries: Sequence[Fraction]) -> tuple[int, ...]:
+    """The rational row cleared of denominators and divided by its content."""
+    scale = lcm(*(x.denominator for x in entries))
+    row = [x.numerator * (scale // x.denominator) for x in entries]
+    content = gcd(*row)
+    return tuple(x // content for x in row)
+
+
+def _clear(target: Sequence[int], row: Sequence[int], p: int) -> list[int]:
+    """row[p] * target - target[p] * row, divided by its content.
+
+    Fraction-free elimination of column p from `target`; with row[p] > 0
+    the signs of target's other entries are kept.
+    """
+    a, f = row[p], target[p]
+    out = [a * x - f * y for x, y in zip(target, row)]
+    content = gcd(*out)
+    return [x // content for x in out] if content > 1 else out
+
+
+def _reduce(row: Sequence[int], key: Sequence[Sequence[int]],
+            pivots: Sequence[int]) -> list[int]:
+    """`row` with the pivot columns of the echelon rows `key` cleared.
+
+    The rows of `key` vanish in each other's pivot columns, so one pass
+    in any order clears them all.
+    """
+    rest = list(row)
+    for p, r in zip(pivots, key):
+        if rest[p]:
+            rest = _clear(rest, r, p)
+    return rest
+
+
+def _meet(key, pivots, rest: list[int], q: int):
+    """Integer echelon key and pivots of X cut by one more equation.
+
+    `rest` is the equation reduced against X's rows `key`, with its first
+    nonzero entry in column q < n.  It is made primitive with a positive
+    pivot, its pivot is cleared from X's rows, and it goes in by pivot.
+    """
+    if rest[q] < 0:
+        rest = [-x for x in rest]
+    rows = [(p, tuple(_clear(r, rest, q)) if r[q] else r) for p, r in zip(pivots, key)]
+    rows.append((q, tuple(rest)))
+    rows.sort()
+    return tuple(r for _, r in rows), tuple(p for p, _ in rows)
+
+
 def affine_intersection_poset(
     ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]], max_flats: int | None = None
 ) -> AffinePoset:
@@ -301,6 +360,16 @@ def affine_intersection_poset(
     flat X with a hyperplane not containing X.  Each of these covers X,
     and every cover arises this way, so the BFS records the covers.
     Finding more than `max_flats` flats raises ValueError.
+
+    The search runs on integers.  A flat is held as its reduced echelon
+    rows, each a primitive integer row with a positive pivot, which is in
+    bijection with the rational echelon form.  X cut by H costs one
+    fraction-free reduction of H's row against X's rows; a remainder
+    whose only nonzero entry is the constant means an empty
+    intersection.  Every H through a cover Y but not through X gives
+    the same Y, so once Y is found those hyperplanes are skipped for X,
+    and the hyperplanes of a new Y are X's and those not yet seen for X
+    whose rows reduce to zero against Y.
     """
     n = ambient_dim
     eqs = []
@@ -310,48 +379,47 @@ def affine_intersection_poset(
             raise ValueError("normal of wrong length")
         if all(x == 0 for x in row):
             raise ValueError("hyperplane needs a nonzero normal")
-        eqs.append(row + [Fraction(c)])
+        eqs.append(_integer_row(row + [Fraction(c)]))
 
-    def containing(key) -> frozenset[int]:
-        """Hyperplanes whose equation reduces to zero against the echelon rows."""
-        pivots = [next(c for c, x in enumerate(row) if x) for row in key]
-        out = set()
-        for j, eq in enumerate(eqs):
-            rest = eq
-            for p, row in zip(pivots, key):
-                f = rest[p]
-                if f:
-                    rest = [a - f * b for a, b in zip(rest, row)]
-            if not any(rest):
-                out.add(j)
-        return frozenset(out)
-
-    ambient_key: tuple = ()
-    flats: dict[tuple, AffineFlat] = {
-        ambient_key: AffineFlat(ambient_key, 0, n, containing(ambient_key))
-    }
-    covers: set[tuple[tuple, tuple]] = set()
-    frontier = [ambient_key]
+    # integer key -> (pivot columns, hyperplanes through the flat)
+    found: dict[tuple, tuple[tuple[int, ...], frozenset[int]]] = {(): ((), frozenset())}
+    covers: list[tuple[tuple, tuple]] = []
+    frontier = [()]
     while frontier:
         new = []
         for key in frontier:
-            flat = flats[key]
+            pivots, inside = found[key]
+            seen = set(inside)
             for j, eq in enumerate(eqs):
-                if j in flat.hyperplanes:
+                if j in seen:
                     continue
-                red, pivots = Matrix(list(key) + [eq], ncols=n + 1).rref()
-                if n in pivots:
-                    continue  # a pivot in the constant column: empty intersection
-                new_key = red.rows[:len(pivots)]
-                if new_key not in flats:
-                    if max_flats is not None and len(flats) >= max_flats:
+                seen.add(j)
+                rest = _reduce(eq, key, pivots)
+                q = next((c for c in range(n) if rest[c]), None)
+                if q is None:
+                    continue  # only the constant is left: empty intersection
+                cover, cover_pivots = _meet(key, pivots, rest, q)
+                if cover in found:
+                    cover_inside = found[cover][1]
+                else:
+                    if max_flats is not None and len(found) >= max_flats:
                         raise ValueError("the arrangement has more than %d flats" % max_flats)
-                    codim = len(pivots)
-                    flats[new_key] = AffineFlat(new_key, codim, n - codim, containing(new_key))
-                    new.append(new_key)
-                covers.add((key, new_key))
+                    cover_inside = inside.union([j], (
+                        k for k in range(j + 1, len(eqs))
+                        if k not in seen and not any(_reduce(eqs[k], cover, cover_pivots))
+                    ))
+                    found[cover] = (cover_pivots, cover_inside)
+                    new.append(cover)
+                covers.append((key, cover))
+                seen |= cover_inside
         frontier = new
-    return AffinePoset(n, tuple(flats.values()), covers)
+
+    flats = {}
+    for key, (pivots, inside) in found.items():
+        fraction_key = tuple(tuple(Fraction(x, r[p]) for x in r) for p, r in zip(pivots, key))
+        flats[key] = AffineFlat(fraction_key, len(pivots), n - len(pivots), inside)
+    return AffinePoset(n, tuple(flats.values()),
+                       [(flats[x].key, flats[y].key) for x, y in covers])
 
 
 def poset_characteristic_polynomial(poset: AffinePoset) -> tuple[int, ...]:

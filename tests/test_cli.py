@@ -194,6 +194,34 @@ class TestCommands:
         assert code == 1
         assert out == "error: need exactly one ambient stratum with local dimension 1\n"
 
+    @pytest.mark.parametrize("command", ["strata", "poset", "e2", "betti", "purity", "certificate"])
+    @pytest.mark.parametrize("text, message", [
+        ("strata 1\nstratum 0 1 : 0:1:0\nstratum 5 1 : 0:1:0\n",
+         "error: line 3: codim 5 exceeds the ambient dimension 1\n"),
+        ("strata 1\nstratum 0 1 : 0:1:0\nstratum 1 1 : 0:1:0 3:1:6\n",
+         "error: line 3: degree 3 exceeds 2 * (dim - codim) = 0, the real dimension of the stratum\n"),
+    ])
+    def test_impossible_strata_exit_1(self, tmp_path, command, text, message):
+        f = tmp_path / "impossible.arr"
+        f.write_text(text)
+        assert invoke([command, str(f)]) == (1, message)
+
+    def test_certificate_at_finite_r_covers_degree_r_plus_1(self, tmp_path):
+        """Entries above total degree r+1 are outside the verdict; the
+        reasoning names the range it covers."""
+        f = tmp_path / "impure_above.arr"
+        f.write_text("strata 2\nstratum 0 1 : 0:1:0\nstratum 1 1 : 0:1:0 1:1:1\n")
+        code, out = invoke(["certificate", "--r", "0", str(f)])
+        assert code == 0
+        assert "degeneration: degenerate" in out and "formal: true" in out
+        assert "reasoning.1: each E2 entry at (p, q) with p+q <= 1 is pure" in out
+        assert "betti" not in out  # the whole table is not pure
+        code, out = invoke(["certificate", "--r", "1", str(f)])
+        assert code == 2
+        assert "degeneration: unknown" in out and "formal: refused" in out
+        assert "reasoning.1: E2 entries (p, q, weight) off weight 2(p+q) in range: (1, 1, 3)" in out
+        assert "it vanishes" not in out
+
     def test_model_selftest(self):
         code, out = invoke(["model-selftest"])
         assert code == 0

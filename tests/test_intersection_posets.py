@@ -12,6 +12,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from time import perf_counter
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from stratiform.exactalg import Matrix
 from stratiform.leraymodel import assemble_e2, betti_and_poincare, strata_data_from_hyperplanes
 from stratiform.matroidos import (
+    AffineFlat,
+    AffinePoset,
     FlatLattice,
     LinearMatroid,
     affine_intersection_poset,
@@ -81,6 +85,85 @@ def check_toric(n, arrangement):
         assert abs(mu) == local_mobius([h.exponents for h in local])
 
 
+# -- the Fraction BFS, kept as the reference for the integer search --------
+
+
+def _affine_poset_reference(
+    ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]], max_flats: int | None = None
+) -> AffinePoset:
+    """Poset of nonempty intersections of affine hyperplanes {a.x = c}.
+
+    Hyperplanes are (normal, constant) pairs with rational entries and a
+    nonzero normal.  Deduplication is by the canonical echelon form of
+    the defining system; empty intersections are dropped.  The flats of
+    codimension q+1 are the nonempty intersections of a codimension-q
+    flat X with a hyperplane not containing X.  Each of these covers X,
+    and every cover arises this way, so the BFS records the covers.
+    Finding more than `max_flats` flats raises ValueError.
+    """
+    n = ambient_dim
+    eqs = []
+    for normal, c in hyperplanes:
+        row = [Fraction(x) for x in normal]
+        if len(row) != n:
+            raise ValueError("normal of wrong length")
+        if all(x == 0 for x in row):
+            raise ValueError("hyperplane needs a nonzero normal")
+        eqs.append(row + [Fraction(c)])
+
+    def containing(key) -> frozenset[int]:
+        """Hyperplanes whose equation reduces to zero against the echelon rows."""
+        pivots = [next(c for c, x in enumerate(row) if x) for row in key]
+        out = set()
+        for j, eq in enumerate(eqs):
+            rest = eq
+            for p, row in zip(pivots, key):
+                f = rest[p]
+                if f:
+                    rest = [a - f * b for a, b in zip(rest, row)]
+            if not any(rest):
+                out.add(j)
+        return frozenset(out)
+
+    ambient_key: tuple = ()
+    flats: dict[tuple, AffineFlat] = {
+        ambient_key: AffineFlat(ambient_key, 0, n, containing(ambient_key))
+    }
+    covers: set[tuple[tuple, tuple]] = set()
+    frontier = [ambient_key]
+    while frontier:
+        new = []
+        for key in frontier:
+            flat = flats[key]
+            for j, eq in enumerate(eqs):
+                if j in flat.hyperplanes:
+                    continue
+                red, pivots = Matrix(list(key) + [eq], ncols=n + 1).rref()
+                if n in pivots:
+                    continue  # a pivot in the constant column: empty intersection
+                new_key = red.rows[:len(pivots)]
+                if new_key not in flats:
+                    if max_flats is not None and len(flats) >= max_flats:
+                        raise ValueError("the arrangement has more than %d flats" % max_flats)
+                    codim = len(pivots)
+                    flats[new_key] = AffineFlat(new_key, codim, n - codim, containing(new_key))
+                    new.append(new_key)
+                covers.add((key, new_key))
+        frontier = new
+    return AffinePoset(n, tuple(flats.values()), covers)
+
+
+def assert_same_poset(n, hyperplanes):
+    """The integer search and the Fraction reference agree exactly."""
+    got = affine_intersection_poset(n, hyperplanes)
+    want = _affine_poset_reference(n, hyperplanes)
+    assert [(f.key, f.codim, f.dim, f.hyperplanes) for f in got.flats] == [
+        (f.key, f.codim, f.dim, f.hyperplanes) for f in want.flats
+    ]
+    assert got.covers == want.covers
+    assert got.mobius == want.mobius
+
+
 def braid(n):
     out = []
     for i, j in combinations(range(n), 2):
@@ -107,6 +190,45 @@ def b_type_characters(n):
 def b_type_hyperplanes(n):
     """x_i = 0 and x_i = +-x_j: the central arrangement of type B_n."""
     return [(v, F(0)) for v in b_type_characters(n) if max(map(abs, v)) == 1]
+
+
+REFERENCE_CASES = {
+    "braid-4": (4, braid(4)),
+    "braid-5": (5, braid(5)),
+    "braid-6": (6, braid(6)),
+    "B3": (3, b_type_hyperplanes(3)),
+    "B4": (4, b_type_hyperplanes(4)),
+    "exact and scaled duplicates": (3, [((1, 1, 0), F(1)), ((1, 1, 0), F(1)), ((-2, -2, 0), F(-2)),
+                                        ((0, 1, 1), F(0)), ((0, 3, 3), F(0)), ((1, 0, 0), F(2))]),
+    "parallel families": (3, [((1, 0, 0), F(k)) for k in range(3)]
+                          + [((0, 1, 0), F(k)) for k in range(2)]
+                          + [((1, 1, 0), F(1)), ((2, 2, 0), F(3)), ((0, 0, 1), F(-1))]),
+    "rational normals and constants": (3, [((F(1, 3), 1, 0), F(-2, 5)), ((1, F(-2, 5), 0), F(1, 3)),
+                                           ((0, F(1, 3), F(-2, 5)), F(0)), ((F(1, 6), 0, F(5, 4)), F(7, 6)),
+                                           ((F(2, 3), 2, 0), F(-4, 5)), ((1, 1, 1), F(-1, 2))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_affine_poset_matches_fraction_reference(name):
+    assert_same_poset(*REFERENCE_CASES[name])
+
+
+_FRACTIONS = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.tuples(*[_FRACTIONS] * n).filter(any), _FRACTIONS),
+            min_size=1,
+            max_size=6,
+        ).map(lambda hyperplanes: (n, hyperplanes))
+    )
+)
+def test_random_affine_posets_match_fraction_reference(arrangement):
+    assert_same_poset(*arrangement)
 
 
 AFFINE_CASES = {
@@ -255,9 +377,8 @@ def test_random_three_tori_against_point_counts(equations):
     check_point_count(*_toric(3, equations))
 
 
-def test_layer_poset_makes_no_rational_elimination(monkeypatch):
-    """Work gate: the toric BFS is integer-only, so it builds no `Matrix`
-    and runs no rref or solve."""
+def count_matrix_work(monkeypatch):
+    """A Counter of `Matrix` constructions, rref and solve calls from now on."""
     calls = Counter()
     for name in ("__init__", "rref", "solve"):
         def counting(self, *args, _name=name, _original=getattr(Matrix, name), **kwargs):
@@ -267,8 +388,24 @@ def test_layer_poset_makes_no_rational_elimination(monkeypatch):
     Matrix([[1]]).solve([1])
     assert set(calls) == {"__init__", "rref", "solve"}  # the counters count
     calls.clear()
+    return calls
+
+
+def test_layer_poset_makes_no_rational_elimination(monkeypatch):
+    """Work gate: the toric BFS is integer-only, so it builds no `Matrix`
+    and runs no rref or solve."""
+    calls = count_matrix_work(monkeypatch)
     poset = build_layer_poset(*b3_translate())
     assert len(poset.layers) == 49
+    assert calls == {}
+
+
+def test_affine_poset_makes_no_rational_elimination(monkeypatch):
+    """Work gate: the affine BFS is integer-only too."""
+    calls = count_matrix_work(monkeypatch)
+    assert len(affine_intersection_poset(5, braid(5)).flats) == 52
+    rational = REFERENCE_CASES["rational normals and constants"]
+    assert len(affine_intersection_poset(*rational).flats) > 1
     assert calls == {}
 
 
@@ -293,3 +430,11 @@ def test_braid6_betti_is_the_product_formula():
         poly = [a + k * b for a, b in zip(poly + [0], [0] + poly)]
     result = betti_and_poincare(assemble_e2(strata_data_from_hyperplanes(6, braid(6))))
     assert result.betti == tuple(poly) == (1, 15, 85, 225, 274, 120)
+
+
+def test_braid7_betti_within_one_second():
+    start = perf_counter()
+    result = betti_and_poincare(assemble_e2(strata_data_from_hyperplanes(7, braid(7))))
+    elapsed = perf_counter() - start
+    assert result.betti == (1, 21, 175, 735, 1624, 1764, 720)
+    assert elapsed < 1.0, "braid-7 betti took %.2f s" % elapsed
