@@ -6,6 +6,15 @@ and t a rational phase.  A layer is a connected component of an
 intersection of hypersurfaces: a translate of a subtorus, encoded by a
 saturated character lattice in canonical Hermite form together with one
 phase per basis row.  Phases live in Q/Z, represented in [0, 1).
+
+`layers_from_equations` solves a whole system at once.  The layer poset
+is built breadth first instead, one hypersurface at a time, in quotient
+coordinates of the layer being cut: one Smith form of the layer's span
+splits every character into a part in the span and an image in the
+quotient lattice, one Hermite basis per new direction gives the span of
+the components, and their phases are integer numerators over one
+modulus (De Concini-Procesi 2005: a layer is a translate of a subtorus
+with a saturated character lattice).
 """
 
 from __future__ import annotations
@@ -14,13 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import comb, lcm, prod
-from typing import Iterable, Sequence
+from math import comb, gcd, lcm, prod
+from typing import Iterable, Iterator, Sequence
 
 from stratiform.exactalg import (
     _smith_core,
     hermite_basis,
-    lattice_contains,
     lattice_coordinates,
 )
 from stratiform.matroidos import mobius_from_covers
@@ -125,6 +133,13 @@ def layer_contains(outer: Layer, inner: Layer) -> bool:
     return True
 
 
+def _check_component_count(count: int, max_layers: int | None) -> None:
+    if max_layers is not None and count > max_layers:
+        raise ValueError(
+            "an intersection has %d components, more than the limit of %d" % (count, max_layers)
+        )
+
+
 def layers_from_equations(
     n: int,
     equations: Iterable[tuple[Sequence[int], Fraction]],
@@ -163,11 +178,7 @@ def layers_from_equations(
     # rows of `left` beyond the rank span all integer relations among the chi's
     if any(la[i] % denom for i in range(r, len(eqs))):
         return []
-    count = prod(diag)
-    if max_layers is not None and count > max_layers:
-        raise ValueError(
-            "an intersection has %d components, more than the limit of %d" % (count, max_layers)
-        )
+    _check_component_count(prod(diag), max_layers)
     if r == 0:  # only zero exponent rows, all with phase 0
         return [Layer(n, (), ())]
     span = hermite_basis(snf.right_inverse[:r])
@@ -236,45 +247,132 @@ class LayerPoset:
         return mobius_from_covers(len(self.layers), self.covers)
 
 
+def _sublayers(
+    layer: Layer, hypersurfaces: Sequence[tuple[tuple[int, ...], int, int]], max_layers: int | None
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]]:
+    """The components of layer ∩ H, for each hypersurface H that cuts the
+    layer, in the order of the hypersurfaces and, within one H, in the
+    order of their phase tuples.  Each is given as its dedup key: the
+    Hermite basis of its span and its phases as reduced (num, den) pairs.
+
+    The layer's span S (c rows) is saturated, so one Smith form
+    L S R = [I | 0] gives quotient coordinates: chi R = (a, v), where a
+    are the coordinates of chi's part in the span over the rows of L S,
+    whose phases are psi = L phi, and v is chi's image in Z^n / span(S).
+    With v = 0 the character lies in the span, and H contains the layer
+    or misses it.  Otherwise v = m g with g primitive, its first nonzero
+    entry positive; the saturation of span(S) + Z chi is
+    span(S) + Z gamma with gamma = g R^-1[c:], and the phase of gamma on
+    the |m| components runs through the solutions of
+    m phi(gamma) = t - a.psi.  The new Hermite basis, and the coordinates
+    of its rows over (L S, gamma), are computed once per direction g.
+    Phases are integer numerators over one modulus d |m|, with d the lcm
+    of the phase denominators.
+    """
+    n = layer.ambient_dim
+    span = layer.span
+    c = len(span)
+    if c == n:  # a point: every character lies in its span
+        return
+    smith = _smith_core(span, n)
+    assert all(d == 1 for d in smith.diag), "layer span is not saturated"
+    quotient = list(zip(*smith.right))[c:]  # columns c.. of R: chi -> v
+    gamma_cols = list(zip(*smith.right_inverse[c:]))
+    den = lcm(*(t.denominator for t in layer.phases))
+    phi = [t.numerator * (den // t.denominator) for t in layer.phases]
+    psi = [sum(x * y for x, y in zip(row, phi)) for row in smith.left]
+    # chi . lift = a . psi: the phase, over den, of chi's part in the span
+    lift = [sum(x * y for x, y in zip(row[:c], psi)) for row in smith.right]
+    directions: dict[tuple[int, ...], tuple] = {}
+    for chi, num, dnm in hypersurfaces:
+        v = [sum(x * y for x, y in zip(chi, col)) for col in quotient]
+        if not any(v):
+            continue
+        m = gcd(*v)
+        if next(x for x in v if x) < 0:
+            m = -m
+        count = abs(m)
+        _check_component_count(count, max_layers)
+        g = tuple(x // m for x in v)
+        known = directions.get(g)
+        if known is None:
+            gamma = [sum(x * y for x, y in zip(g, col)) for col in gamma_cols]
+            new_span = hermite_basis([*span, gamma])
+            p = next(i for i, x in enumerate(g) if x)
+            rows = []  # (alpha . psi, beta) for each Hermite row h, with h R = (alpha, beta g)
+            for h in new_span:
+                hv = [sum(x * y for x, y in zip(h, col)) for col in quotient]
+                beta = hv[p] // g[p]
+                assert hv == [beta * x for x in g], "Hermite row outside the new span"
+                rows.append((sum(x * y for x, y in zip(h, lift)), beta))
+            known = directions[g] = (new_span, rows)
+        new_span, rows = known
+        # m phi(gamma) = base / d mod 1: phi(gamma) = (sign(m) base + k d) / (d |m|), 0 <= k < |m|
+        d = lcm(den, dnm)
+        s = d // den
+        base = num * (d // dnm) - s * sum(x * y for x, y in zip(chi, lift))
+        if m < 0:
+            base = -base
+        modulus = d * count
+        terms = [(s * count * ap + beta * base, beta * d) for ap, beta in rows]
+        # in the order `layers_from_equations` gives them, so that the BFS
+        # finds layers, and hits a limit, in the same order as a whole-system solve
+        for numerators in sorted(
+            tuple((b + step * k) % modulus for b, step in terms) for k in range(count)
+        ):
+            phases = []
+            for x in numerators:
+                q = gcd(x, modulus)
+                phases.append((x // q, modulus // q))
+            yield new_span, tuple(phases)
+
+
 def build_layer_poset(
     n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None
 ) -> LayerPoset:
     """Poset of all layers, with covers recorded during the BFS.
 
     Layers of codimension q+1 arise by intersecting codimension-q layers
-    with single hypersurfaces; canonical keys deduplicate, so no subset
-    enumeration happens.  A hypersurface whose character lies in the
-    span of a layer either contains the layer or misses it, so it is
-    skipped.  Any other one cuts the layer in components of one
+    with single hypersurfaces; canonical spans and phases deduplicate,
+    so no subset enumeration happens.  A hypersurface whose character
+    lies in the span of a layer either contains the layer or misses it,
+    so it is skipped.  Any other one cuts the layer in components of one
     codimension more; each of them covers the layer, and every cover
-    arises this way.  Finding more than `max_layers` layers raises
-    ValueError.
+    arises this way.  Each layer is cut in its quotient coordinates, from
+    one Smith form of its span and one Hermite basis per new direction
+    (see `_sublayers`), not by solving the whole system again.  An
+    intersection with more than `max_layers` components, or finding more
+    than `max_layers` layers, raises ValueError.
     """
     for h in arrangement:
         if h.dim != n:
             raise ValueError("hypersurface of wrong ambient dimension")
-    ambient = Layer(n, (), ())
-    found: dict[str, Layer] = {ambient.key: ambient}
-    covers: set[tuple[str, str]] = set()
-    frontier = [ambient]
+    hypersurfaces = [(h.exponents, h.phase.numerator, h.phase.denominator) for h in arrangement]
+    layers = [Layer(n, (), ())]
+    index = {((), ()): 0}
+    covers: set[tuple[int, int]] = set()
+    frontier = [0]
     while frontier:
         next_frontier = []
-        for layer in frontier:
-            eqs = layer.equations()
-            for h in arrangement:
-                if lattice_contains(layer.span, h.exponents):
-                    continue
-                for comp in layers_from_equations(n, eqs + [(h.exponents, h.phase)], max_layers):
-                    if comp.key not in found:
-                        if max_layers is not None and len(found) >= max_layers:
-                            raise ValueError("the arrangement has more than %d layers" % max_layers)
-                        found[comp.key] = comp
-                        next_frontier.append(comp)
-                    covers.add((layer.key, comp.key))
+        for y in frontier:
+            for key in _sublayers(layers[y], hypersurfaces, max_layers):
+                j = index.get(key)
+                if j is None:
+                    if max_layers is not None and len(layers) >= max_layers:
+                        raise ValueError("the arrangement has more than %d layers" % max_layers)
+                    j = index[key] = len(layers)
+                    span, phases = key
+                    layers.append(Layer(n, span, tuple(Fraction(p, q) for p, q in phases)))
+                    next_frontier.append(j)
+                covers.add((y, j))
         frontier = next_frontier
-    layers = tuple(sorted(found.values(), key=lambda l: l.sort_key))
-    index = {l.key: i for i, l in enumerate(layers)}
-    return LayerPoset(n, layers, tuple(sorted((index[a], index[b]) for a, b in covers)))
+    order = sorted(range(len(layers)), key=lambda i: layers[i].sort_key)
+    rank = {i: r for r, i in enumerate(order)}
+    return LayerPoset(
+        n,
+        tuple(layers[i] for i in order),
+        tuple(sorted((rank[a], rank[b]) for a, b in covers)),
+    )
 
 
 def layer_cohomology(layer: Layer) -> tuple[tuple[int, int, int], ...]:

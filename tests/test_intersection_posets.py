@@ -12,14 +12,22 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from pathlib import Path
 from time import perf_counter
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratiform.exactalg import Matrix
-from stratiform.leraymodel import assemble_e2, betti_and_poincare, strata_data_from_hyperplanes
+from stratiform import toriclayers
+from stratiform.cli import parse_arrangement_file
+from stratiform.exactalg import Matrix, lattice_contains
+from stratiform.leraymodel import (
+    assemble_e2,
+    betti_and_poincare,
+    strata_data_from_hyperplanes,
+    strata_data_from_toric,
+)
 from stratiform.matroidos import (
     AffineFlat,
     AffinePoset,
@@ -29,9 +37,12 @@ from stratiform.matroidos import (
     mobius_from_covers,
 )
 from stratiform.toriclayers import (
+    Layer,
+    LayerPoset,
     ToricHypersurface,
     build_layer_poset,
     layer_contains,
+    layers_from_equations,
     local_subarrangement,
 )
 
@@ -375,6 +386,149 @@ def test_random_two_tori_against_point_counts(equations):
 )
 def test_random_three_tori_against_point_counts(equations):
     check_point_count(*_toric(3, equations))
+
+
+# -- the whole-system BFS, kept as the reference for the quotient-coordinate search
+
+
+def _layer_poset_reference(
+    n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None
+) -> LayerPoset:
+    """Poset of all layers, with covers recorded during the BFS.
+
+    Layers of codimension q+1 arise by intersecting codimension-q layers
+    with single hypersurfaces; canonical keys deduplicate, so no subset
+    enumeration happens.  A hypersurface whose character lies in the
+    span of a layer either contains the layer or misses it, so it is
+    skipped.  Any other one cuts the layer in components of one
+    codimension more; each of them covers the layer, and every cover
+    arises this way.  Finding more than `max_layers` layers raises
+    ValueError.
+    """
+    for h in arrangement:
+        if h.dim != n:
+            raise ValueError("hypersurface of wrong ambient dimension")
+    ambient = Layer(n, (), ())
+    found: dict[str, Layer] = {ambient.key: ambient}
+    covers: set[tuple[str, str]] = set()
+    frontier = [ambient]
+    while frontier:
+        next_frontier = []
+        for layer in frontier:
+            eqs = layer.equations()
+            for h in arrangement:
+                if lattice_contains(layer.span, h.exponents):
+                    continue
+                for comp in layers_from_equations(n, eqs + [(h.exponents, h.phase)], max_layers):
+                    if comp.key not in found:
+                        if max_layers is not None and len(found) >= max_layers:
+                            raise ValueError("the arrangement has more than %d layers" % max_layers)
+                        found[comp.key] = comp
+                        next_frontier.append(comp)
+                    covers.add((layer.key, comp.key))
+        frontier = next_frontier
+    layers = tuple(sorted(found.values(), key=lambda l: l.sort_key))
+    index = {l.key: i for i, l in enumerate(layers)}
+    return LayerPoset(n, layers, tuple(sorted((index[a], index[b]) for a, b in covers)))
+
+
+def layer_poset_or_error(build, n, arrangement, max_layers=None):
+    try:
+        poset = build(n, arrangement, max_layers)
+    except ValueError as exc:
+        return str(exc)
+    return poset.layers, poset.covers, poset.mobius
+
+
+def assert_same_layer_poset(n, arrangement, max_layers=None):
+    """The quotient-coordinate search and the whole-system reference agree
+    exactly: layers, covers and mu, or the error message at a limit."""
+    got = layer_poset_or_error(build_layer_poset, n, arrangement, max_layers)
+    want = layer_poset_or_error(_layer_poset_reference, n, arrangement, max_layers)
+    assert got == want
+
+
+GOLDEN_FILES = {
+    path.stem: parse_arrangement_file(path.read_text())
+    for path in sorted((Path(__file__).resolve().parent / "golden").glob("*.arr"))
+}
+GOLDEN_TORIC = {
+    stem: (af.dim, [ToricHypersurface(e.coeffs, e.constant, e.label) for e in af.equations])
+    for stem, af in GOLDEN_FILES.items()
+    if af.kind == "toric"
+}
+
+LAYER_REFERENCE_CASES = {
+    "B2": TORIC_CASES["B2"],
+    "B3": TORIC_CASES["B3"],
+    "B4": _toric(4, [(chi, F(0)) for chi in b_type_characters(4)]),
+    "B3 translate": b3_translate(),
+    "B2 over a limit of 10 layers": (*TORIC_CASES["B2"], 10),  # it has 11
+    **{"golden " + stem: torus for stem, torus in GOLDEN_TORIC.items()},
+}
+
+
+def test_golden_toric_files_are_found():
+    assert set(GOLDEN_TORIC) == {"b2", "b3", "circle150", "twisted_torus"}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_REFERENCE_CASES))
+def test_layer_poset_matches_whole_system_reference(name):
+    assert_same_layer_poset(*LAYER_REFERENCE_CASES[name])
+
+
+@st.composite
+def drawn_tori(draw):
+    """n = 1..4, exponents in [-3, 3], phase denominators <= 6; a character
+    may repeat an earlier one or be a multiple of it."""
+    n = draw(st.integers(1, 4))
+    characters = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    phases = st.integers(1, 6).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: F(p, q)))
+    equations = []
+    for _ in range(draw(st.integers(1, 5 if n < 4 else 4))):
+        if equations and draw(st.booleans()):
+            chi, _ = draw(st.sampled_from(equations))
+            scale = draw(st.sampled_from((1, 1, -1, 2, -2, 3)))
+            chi = tuple(scale * x for x in chi)
+        else:
+            chi = draw(characters)
+        equations.append((chi, draw(phases)))
+    return _toric(n, equations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_tori(), st.none() | st.integers(1, 40))
+def test_drawn_layer_posets_match_whole_system_reference(torus, max_layers):
+    assert_same_layer_poset(*torus, max_layers)
+
+
+def test_b5_betti_within_two_seconds():
+    """Gate: the toric arrangement B5 (1,539 layers, 9,062 covers)."""
+    start = perf_counter()
+    hypersurfaces = _toric(5, [(chi, F(0)) for chi in b_type_characters(5)])
+    result = betti_and_poincare(assemble_e2(strata_data_from_toric(*hypersurfaces)))
+    elapsed = perf_counter() - start
+    assert result.betti == (1, 35, 470, 3010, 9129, 10395)
+    assert elapsed < 2.0, "B5 betti took %.2f s" % elapsed
+
+
+def test_layer_poset_lattice_work_on_b4(monkeypatch):
+    """Work gate: the whole-system solve is off the BFS path; there is one
+    Smith form per layer that is not a point (241 of 257 layers), and one
+    Hermite basis per pair of a layer and the span of a cover of it (716,
+    against 1,100 covers)."""
+    calls = Counter()
+    for name in ("_smith_core", "hermite_basis", "layers_from_equations"):
+        def counting(*args, _name=name, _original=getattr(toriclayers, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(toriclayers, name, counting)
+    poset = build_layer_poset(*LAYER_REFERENCE_CASES["B4"])
+    assert (len(poset.layers), len(poset.covers)) == (257, 1100)
+    assert calls["layers_from_equations"] == 0
+    assert calls["_smith_core"] == sum(1 for layer in poset.layers if layer.dim) < len(poset.layers)
+    new_spans = {(i, poset.layers[j].span) for i, j in poset.covers}
+    assert calls["hermite_basis"] == len(new_spans) <= len(poset.covers)
 
 
 def count_matrix_work(monkeypatch):

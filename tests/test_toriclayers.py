@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -214,6 +215,12 @@ class TestLimits:
         assert len(layers_from_equations(2, [((4, 0), F(0))], max_layers=4)) == 4
         with pytest.raises(ValueError):
             layers_from_equations(2, [((4, 0), F(0))], max_layers=3)
+
+    def test_layer_poset_refuses_components_before_enumeration(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="10000000000 components, more than the limit of 100"):
+            build_layer_poset(1, [H((10 ** 10,), 0)], max_layers=100)
+        assert time.perf_counter() - start < 1.0
 
     def test_layer_poset_refused_above_the_limit(self):
         arr = [H((2, 0), F(0)), H((0, 3), F(0))]  # ambient, 2 + 3 lines, 6 points
