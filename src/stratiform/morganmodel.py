@@ -277,6 +277,13 @@ class CompactificationDatum:
                     j1, j2 = remaining[a_pos], remaining[b_pos]
                     for p in self.degrees(i_key):
                         try:
+                            if not self.dim(i_key + (j1, j2), p):
+                                # both composites end in a space without
+                                # classes, so they agree; only their first
+                                # steps can be missing or misshapen
+                                self._step(i_key, j1, p)
+                                self._step(i_key, j2, p)
+                                continue
                             via1 = self._compose_steps(i_key, (j1, j2), p)
                             via2 = self._compose_steps(i_key, (j2, j1), p)
                         except DatumError as err:
@@ -386,6 +393,7 @@ class BigradedModel:
             for key, table in products.items()
         }
         self._diff_cols_cache: dict[Bidegree, list[Sparse]] = {}
+        self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
 
     def dim(self, kq: Bidegree) -> int:
         return len(self.spaces.get(kq, ()))
@@ -415,6 +423,14 @@ class BigradedModel:
         if cols is None:
             cols = self._diff_cols_cache[kq] = _sparse_columns(self.differential(kq))
         return cols
+
+    def _column_cohomology(self, kq: Bidegree) -> _ColumnCohomology:
+        """Cohomology representatives and coordinates at `kq`, built once
+        per bidegree."""
+        col = self._cohomology_cache.get(kq)
+        if col is None:
+            col = self._cohomology_cache[kq] = _ColumnCohomology(self, kq)
+        return col
 
     def diff_vec(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
         return _apply_columns(self._diff_cols(kq), vec)
@@ -642,24 +658,49 @@ def cohomology_of_model(model: BigradedModel) -> dict[Bidegree, int]:
 class _ColumnCohomology:
     """Representatives and quotient coordinates for one (k, q) column.
 
-    Greedy selection of independent columns, first from the boundaries
-    and then from the cocycle basis, keeps exactly the pivot columns of
-    one rref of [boundaries | cocycles].
+    Greedy selection of independent columns, first from the boundaries B
+    and then from the cocycle basis Z = `right_kernel` of d_out, keeps
+    exactly the pivot columns of one rref of [B | Z].  The elimination
+    runs in the basis Z + {e_p : p a pivot column of d_out}, where v has
+    the coordinates phi(v) = (v at the free columns of d_out, R v) with
+    R = rref(d_out), and Z is the first z unit vectors.  phi is invertible
+    for every d_out, so one rref of [phi(B) | I] has the pivots of [B | Z]
+    among its first columns, and its right block E maps the chosen
+    columns S to E phi(S) = [I; 0].  When d o d = 0, R B = 0, and only the
+    z rows at the free columns take part in reducing phi(B).
     """
 
     def __init__(self, model: BigradedModel, kq: Bidegree):
         n = model.dim(kq)
+        self.length = n
+        self.boundary_basis: list[list[Fraction]] = []
+        self.representatives: list[list[Fraction]] = []
+        self._phi_cols: list[Sparse] = []
+        self._inverse_cols: list[Sparse] = []
+        if not n:
+            return
         k, q = kq
         d_out = model.differential(kq)
-        cocycles = [list(v) for v in d_out.right_kernel()] if n else []
+        red, pivots = d_out.rref()
+        cocycles = d_out.right_kernel()
+        pivot_set = set(pivots)
+        position = {j: c for c, j in enumerate(j for j in range(n) if j not in pivot_set)}
+        z = len(position)
+        for j in range(n):
+            col = {z + i: row[j] for i, row in enumerate(red.rows[: len(pivots)]) if row[j]}
+            if j in position:
+                col[position[j]] = Fraction(1)
+            self._phi_cols.append(col)
         d_in = model.differential((k - 1, q))
-        boundaries = [list(d_in.column(j)) for j in range(d_in.ncols)]
-        _, pivots = Matrix.from_columns(boundaries + cocycles, nrows=n).rref()
-        self.length = n
-        self.boundary_basis = [boundaries[p] for p in pivots if p < len(boundaries)]
-        self.representatives = [cocycles[p - len(boundaries)] for p in pivots if p >= len(boundaries)]
-        self._solve_matrix = Matrix.from_columns(self.boundary_basis + self.representatives, nrows=n)
-        self._inverse_cols: list[Sparse] | None = None
+        boundaries = [_apply_columns(self._phi_cols, col) for col in model._diff_cols((k - 1, q))]
+        b = len(boundaries)
+        rows = [[col.get(i, Fraction(0)) for col in boundaries] + [Fraction(i == j) for j in range(n)]
+                for i in range(n)]
+        reduced, chosen = Matrix(rows, ncols=b + n).rref()
+        chosen = [p for p in chosen if p < b + z]
+        self.boundary_basis = [list(d_in.column(p)) for p in chosen if p < b]
+        self.representatives = [list(cocycles[p - b]) for p in chosen if p >= b]
+        self._inverse_cols = _sparse_columns(Matrix([r[b:] for r in reduced.rows], ncols=n))
 
     @property
     def dim(self) -> int:
@@ -669,18 +710,14 @@ class _ColumnCohomology:
         """Coordinates of the sparse cocycle `vec` on the representatives,
         modulo boundaries.
 
-        The columns S of `_solve_matrix` are independent, so one rref of
-        [S | I] gives E with E S = [I; 0]: S x = v has the unique solution
-        x = (E v)[:s] exactly when (E v)[s:] = 0, the solution `solve`
-        returns.  E is built on first use and serves every later vector.
+        The chosen columns S are independent and E phi(S) = [I; 0] with E
+        invertible, so S x = v has the unique solution x = (E phi(v))[:s]
+        exactly when (E phi(v))[s:] = 0, the solution `solve` returns.
         """
         if self.length == 0:
             return ()
-        s = self._solve_matrix.ncols
-        if self._inverse_cols is None:
-            red, _ = self._solve_matrix.hstack(Matrix.identity(self.length)).rref()
-            self._inverse_cols = _sparse_columns(Matrix([r[s:] for r in red.rows], ncols=self.length))
-        ev = _apply_columns(self._inverse_cols, vec)
+        s = len(self.boundary_basis) + self.dim
+        ev = _apply_columns(self._inverse_cols, _apply_columns(self._phi_cols, vec))
         if any(i >= s for i in ev):
             raise ValueError("vector is not a cocycle class representative")
         return tuple(ev.get(i, Fraction(0)) for i in range(len(self.boundary_basis), s))
@@ -723,12 +760,21 @@ class CdgaMorphism:
                 out.append("block at %r has shape %r, expected %r" % (kq, mat.shape, want))
         if out:
             return out
+        # d o f = f o d is compared column by column on sparse columns; the
+        # blocks fit the spaces, so only a differential of another shape
+        # keeps the two composites from existing or from matching in shape
         degrees = set(self.source.bidegrees()) | set(self.target.bidegrees())
         for kq in sorted(degrees):
             k, q = kq
-            left = self.block((k + 1, q)) @ self.source.differential(kq)
-            right = self.target.differential(kq) @ self.block(kq)
-            if left != right:
+            up = (k + 1, q)
+            d_src, d_tgt = self.source.differential(kq), self.target.differential(kq)
+            if d_src.nrows != self.source.dim(up) or d_tgt.ncols != self.target.dim(kq):
+                raise ValueError("shape mismatch in matrix product")
+            src_cols, f_cols = self.source._diff_cols(kq), self._block_cols(kq)
+            if (d_src.ncols, d_tgt.nrows) != (self.source.dim(kq), self.target.dim(up)) or any(
+                self.apply(up, src_cols[j]) != self.target.diff_vec(kq, f_cols[j])
+                for j in range(self.source.dim(kq))
+            ):
                 out.append("differential compatibility fails at %r" % (kq,))
         # f(ab) = f(a)f(b) is checked on the pairs where ab has a term in
         # the source or some f(a)_m f(b)_n meets a target product
@@ -784,8 +830,8 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
         iso = True
         injective = True
         for q in weights:
-            src = _ColumnCohomology(f.source, (k, q))
-            tgt = _ColumnCohomology(f.target, (k, q))
+            src = f.source._column_cohomology((k, q))
+            tgt = f.target._column_cohomology((k, q))
             h_src += src.dim
             h_tgt += tgt.dim
             if src.dim == 0 and tgt.dim == 0:
@@ -915,7 +961,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
         if model.dim(kq) == 0:
             continue
         # M^{k+1}_k vanishes structurally, so every vector is a cocycle
-        data[k] = _ColumnCohomology(model, kq)
+        data[k] = model._column_cohomology(kq)
     spaces = {
         (k, k): tuple("C^%d_%d" % (k, j) for j in range(col.dim))
         for k, col in data.items()

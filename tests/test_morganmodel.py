@@ -214,6 +214,25 @@ class TestCokernelModel:
             extract_cokernel_model(m, INF)
         assert (1, 2) in err.value.witnesses
 
+    def test_one_column_cohomology_per_bidegree(self, monkeypatch):
+        # the extraction and the check of its projection share the model's
+        # column data; the affine square has boundaries in M^2_2 and M^4_4
+        built = []
+        init = _ColumnCohomology.__init__
+
+        def counting(self, model, kq):
+            built.append((id(model), kq))
+            init(self, model, kq)
+
+        monkeypatch.setattr(_ColumnCohomology, "__init__", counting)
+        line = builder_projective_line_marked(1)
+        m = build_model(kunneth_product(line, line))
+        w = extract_cokernel_model(m, INF)
+        assert w.quasi_iso.ok and model_dims(w.model) == {(0, 0): 1}
+        assert len(built) == len(set(built))
+        diagonal = [kq for key, kq in built if key == id(m) and kq[0] == kq[1] and m.dim(kq)]
+        assert sorted(diagonal) == [(0, 0), (2, 2), (4, 4)]
+
 
 class TestQuasiIso:
     def test_identity(self):
@@ -503,6 +522,39 @@ def dense_product_compatibility(f):
     return out
 
 
+def dense_differential_compatibility(f):
+    """The block shapes, then d o f = f o d at every bidegree as two dense
+    matrix products: what `violations` reports before its product check."""
+    out = []
+    for kq, mat in f.blocks.items():
+        want = (f.target.dim(kq), f.source.dim(kq))
+        if mat.shape != want:
+            out.append("block at %r has shape %r, expected %r" % (kq, mat.shape, want))
+    if out:
+        return out
+    for kq in sorted(set(f.source.bidegrees()) | set(f.target.bidegrees())):
+        k, q = kq
+        left = f.block((k + 1, q)) @ f.source.differential(kq)
+        right = f.target.differential(kq) @ f.block(kq)
+        if left != right:
+            out.append("differential compatibility fails at %r" % (kq,))
+    return out
+
+
+def bench_square_witness_maps():
+    """Kernel inclusions of the (5, 5), (s, 7 - s) and s = 2 cube data and
+    cokernel projections of the compact square and cube."""
+    lines = {s: builder_projective_line_marked(s) for s in range(6)}
+    maps = []
+    for sizes in [(5, 5), (2, 5), (3, 4), (4, 3), (5, 2), (2, 2, 2)]:
+        cd = functools.reduce(kunneth_product, [lines[s] for s in sizes])
+        maps.append(extract_kernel_model(build_model(cd), INF).morphism)
+    for sizes in [(0, 0), (0, 0, 0)]:
+        cd = functools.reduce(kunneth_product, [lines[s] for s in sizes])
+        maps.append(extract_cokernel_model(build_model(cd), INF).morphism)
+    return maps
+
+
 def criterion_5_builders():
     lines = {s: builder_projective_line_marked(s) for s in range(6)}
     builders = {"line-%d" % s: cd for s, cd in lines.items()}
@@ -716,6 +768,57 @@ class TestSparseAxiomsAgainstDenseOracle:
             "product compatibility fails for ((1, 2), 1) x ((1, 2), 0)",
         ]
 
+    def test_differential_checks_match_dense(self):
+        maps = bench_square_witness_maps()
+        for f in maps:
+            assert f.violations() == dense_differential_compatibility(f) == []
+
+        inclusion = maps[1]  # the kernel inclusion of the (2, 5) square
+        model, kq = inclusion.target, (2, 4)
+        block = inclusion.blocks[kq]
+        # a basis vector of M^2_4 outside the kernel: added to K's first
+        # column at one entry, and swapped in for that column
+        outside = next(i for i in range(model.dim(kq)) if model.diff_vec(kq, {i: F(1)}))
+        perturbed = [list(r) for r in block.rows]
+        perturbed[outside][0] += 1
+        swapped = [list(r) for r in block.rows]
+        for i, row in enumerate(swapped):
+            row[0] = F(i == outside)
+        for rows in (perturbed, swapped):
+            f = CdgaMorphism(inclusion.source, model, {**inclusion.blocks, kq: Matrix(rows)})
+            issues = [v for v in f.violations() if not v.startswith("product compatibility")]
+            assert issues == dense_differential_compatibility(f) == [
+                "differential compatibility fails at (2, 4)"
+            ]
+
+        f = CdgaMorphism(inclusion.source, model, {**inclusion.blocks, kq: Matrix.zero(1, block.ncols)})
+        assert f.violations() == dense_differential_compatibility(f) == [
+            "block at (2, 4) has shape (1, %d), expected %r" % (block.ncols, block.shape)
+        ]
+
+    def test_misfit_differentials_match_dense(self):
+        # d on M^1_2 of the twice marked line is 1 x 2; a differential of
+        # another width or height either fails to compose or mismatches
+        m = build_model(builder_projective_line_marked(2))
+        assert m.differential((1, 2)).shape == (1, 2)
+        identity = {kq: Matrix.identity(m.dim(kq)) for kq in m.bidegrees()}
+
+        def with_d12(rows):
+            return BigradedModel(m.spaces, {**m.diff, (1, 2): Matrix(rows)}, m.products)
+
+        for source, target in [(m, with_d12([[1, 1, 0]])), (with_d12([[1, 1], [0, 0]]), m)]:
+            f = CdgaMorphism(source, target, identity)
+            with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+                dense_differential_compatibility(f)
+            with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+                f.violations()
+        for source, target in [(with_d12([[1, 1, 0]]), m), (m, with_d12([[1, -1], [1, 1]]))]:
+            f = CdgaMorphism(source, target, identity)
+            issues = [v for v in f.violations() if not v.startswith("product compatibility")]
+            assert issues == dense_differential_compatibility(f) == [
+                "differential compatibility fails at (1, 2)"
+            ]
+
 
 class TestWitnessClosure:
     def test_kernel_product_leaves_kernel(self):
@@ -790,6 +893,48 @@ class TestFastCoordinatesAgainstSolve:
         # greedy selection by rank, boundaries first, then cocycles
         chosen = []
         for v in [list(c) for c in diff[(0, 0)].columns()] + [list(c) for c in diff[(1, 0)].right_kernel()]:
+            if Matrix.from_columns(chosen + [v], nrows=n).rank() == len(chosen) + 1:
+                chosen.append(v)
+        assert col.boundary_basis + col.representatives == chosen
+
+        solve_matrix = Matrix.from_columns(chosen, nrows=n)
+        inside = solve_matrix.apply([F(c) for c in coeffs[: len(chosen)]])
+        for vec in (inside, tuple(F(x) for x in outside)):
+            sol = solve_matrix.solve(vec)
+            sparse = {i: v for i, v in enumerate(vec) if v}
+            if sol is None:
+                with pytest.raises(ValueError):
+                    col.coordinates(sparse)
+            else:
+                assert col.coordinates(sparse) == tuple(sol[len(col.boundary_basis):])
+
+
+class TestColumnCohomologyOnComplexes:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.integers(0, 5).flatmap(lambda p: st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=p, max_size=p)),
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=0, max_size=5),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    )))
+    def test_coordinates_with_d_squared_zero(self, drawn):
+        d_out_rows, weights, coeffs, outside = drawn
+        n = len(coeffs)
+        d_out = Matrix(d_out_rows, ncols=n)
+        # each boundary is a combination of the cocycle basis: d_out d_in = 0
+        kernel = d_out.right_kernel()
+        boundaries = [
+            [sum((F(w) * v[i] for w, v in zip(ws, kernel)), F(0)) for i in range(n)] for ws in weights
+        ]
+        d_in = Matrix.from_columns(boundaries, nrows=n)
+        assert (d_out @ d_in).is_zero()
+        spaces = {(0, 0): tuple(range(d_in.ncols)), (1, 0): tuple(range(n)), (2, 0): tuple(range(d_out.nrows))}
+        col = _ColumnCohomology(BigradedModel(spaces, {(0, 0): d_in, (1, 0): d_out}, {}), (1, 0))
+
+        # greedy selection by rank, boundaries first, then cocycles
+        chosen = []
+        for v in [list(c) for c in d_in.columns()] + [list(c) for c in kernel]:
             if Matrix.from_columns(chosen + [v], nrows=n).rank() == len(chosen) + 1:
                 chosen.append(v)
         assert col.boundary_basis + col.representatives == chosen
@@ -1094,3 +1239,39 @@ class TestBudgets:
         assert report.passed
         assert elapsed < 2.0, "cube axioms took %.2fs" % elapsed
         assert extract_kernel_model(model, INF).quasi_iso.ok
+
+    # work counts, which do not move with the host's speed
+
+    def test_square_validate_composes_only_where_classes_land(self, monkeypatch):
+        # 25 of the 1,555 (I, j1, j2, p) cases of the (5, 5) square end in
+        # a space with classes; only those compose their two orders
+        line = builder_projective_line_marked(5)
+        square = kunneth_product(line, line)
+        calls = []
+        compose = CompactificationDatum._compose_steps
+
+        def counting(self, *args):
+            calls.append(args)
+            return compose(self, *args)
+
+        monkeypatch.setattr(CompactificationDatum, "_compose_steps", counting)
+        assert square.validate() == []
+        assert len(calls) == 2 * 25
+
+    def test_square_quasi_iso_check_makes_no_matrix_products(self, monkeypatch):
+        line = builder_projective_line_marked(5)
+        model = build_model(kunneth_product(line, line))
+        witness = extract_kernel_model(model, INF)
+        products = []
+        matmul = Matrix.__matmul__
+
+        def counting(self, other):
+            products.append((self.shape, other.shape))
+            return matmul(self, other)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counting)
+        # a fresh copy of the model, so that no column data is cached
+        target = BigradedModel(model.spaces, model.diff, model.products)
+        verdict = check_r_quasi_iso(CdgaMorphism(witness.model, target, witness.morphism.blocks), INF)
+        assert verdict == witness.quasi_iso and verdict.ok
+        assert products == []
