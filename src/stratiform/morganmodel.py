@@ -214,21 +214,22 @@ class CompactificationDatum:
 
     # -- maps --------------------------------------------------------------
 
-    def _step(self, i_set: tuple[int, ...], j: int, p: int) -> Matrix:
-        src, tgt = self.dim(i_set, p), self.dim(i_set + (j,), p)
+    def _block(self, maps: Mapping, name: str, i_key, x: int, p: int, tgt_key, tgt_p: int) -> Matrix:
+        """Block p of `maps[(i_key, x)]` into H^tgt_p(D_tgt_key), zero if either
+        space has no classes; `name` % (i_key, x, p) names it in errors."""
+        src, tgt = self.dim(i_key, p), self.dim(tgt_key, tgt_p)
         if src == 0 or tgt == 0:
             return Matrix.zero(tgt, src)
-        block = self.restrictions.get((i_set, j), {}).get(p)
+        block = maps.get((i_key, x), {}).get(p)
         if block is None:
-            raise DatumError(
-                "missing restriction for I=%r, j=%d, degree %d" % (i_set, j, p)
-            )
+            raise DatumError("missing " + name % (i_key, x, p))
         if block.shape != (tgt, src):
-            raise DatumError(
-                "restriction for I=%r, j=%d, degree %d has shape %r, expected %r"
-                % (i_set, j, p, block.shape, (tgt, src))
-            )
+            raise DatumError("%s has shape %r, expected %r" % (name % (i_key, x, p), block.shape, (tgt, src)))
         return block
+
+    def _step(self, i_set: tuple[int, ...], j: int, p: int) -> Matrix:
+        return self._block(self.restrictions, "restriction for I=%r, j=%d, degree %d",
+                           i_set, j, p, i_set + (j,), p)
 
     def restriction(self, i_set: Sequence[int], j_set: Sequence[int], p: int) -> Matrix:
         """Composite restriction H^p(D_I) -> H^p(D_J) along sorted steps."""
@@ -249,18 +250,7 @@ class CompactificationDatum:
         if i not in i_key:
             raise ValueError("Gysin index must lie in the component set")
         tgt_key = tuple(x for x in i_key if x != i)
-        src, tgt = self.dim(i_key, p), self.dim(tgt_key, p + 2)
-        if src == 0 or tgt == 0:
-            return Matrix.zero(tgt, src)
-        block = self.gysins.get((i_key, i), {}).get(p)
-        if block is None:
-            raise DatumError("missing Gysin map for I=%r, i=%d, degree %d" % (i_key, i, p))
-        if block.shape != (tgt, src):
-            raise DatumError(
-                "Gysin map for I=%r, i=%d, degree %d has shape %r, expected %r"
-                % (i_key, i, p, block.shape, (tgt, src))
-            )
-        return block
+        return self._block(self.gysins, "Gysin map for I=%r, i=%d, degree %d", i_key, i, p, tgt_key, p + 2)
 
     def cup_entries(self, i_set: Sequence[int], p: int, p2: int) -> dict:
         return self.cups.get(tuple(sorted(i_set)), {}).get((p, p2), {})
@@ -279,10 +269,12 @@ class CompactificationDatum:
                         try:
                             if not self.dim(i_key + (j1, j2), p):
                                 # both composites end in a space without
-                                # classes, so they agree; only their first
-                                # steps can be missing or misshapen
-                                self._step(i_key, j1, p)
-                                self._step(i_key, j2, p)
+                                # classes, so they agree; only a first step
+                                # into a space with classes can be missing
+                                # or misshapen
+                                for j in (j1, j2):
+                                    if self.dim(i_key + (j,), p):
+                                        self._step(i_key, j, p)
                                 continue
                             via1 = self._compose_steps(i_key, (j1, j2), p)
                             via2 = self._compose_steps(i_key, (j2, j1), p)
@@ -308,54 +300,20 @@ class CompactificationDatum:
             cur = tuple(sorted(cur + (j,)))
         return mat
 
-    def _cup_vec(self, i_key, p, a, p2, b) -> Sparse:
-        out: Sparse = {}
-        for c, v in self.cup_entries(i_key, p, p2).get((a, b), {}).items():
-            out[c] = out.get(c, Fraction(0)) + Fraction(v)
-        return {c: v for c, v in out.items() if v}
-
     def _check_cup(self, i_key) -> list[str]:
-        """Graded commutativity and associativity of the cup product on D_I,
-        over the basis tuples that meet a structure constant, in the order
-        of the loop over all basis pairs and triples."""
-        issues = []
-        # one table over labels (degree, index), so that sorted label
-        # tuples come in the order of the loop over the basis
-        basis = {(p, a) for p in self.degrees(i_key) for a in range(self.dim(i_key, p))}
-        table = {
-            ((p, a), (p2, b)): {(p + p2, c): v for c, v in vec.items()}
-            for (p, p2), entries in self.cups.get(tuple(sorted(i_key)), {}).items()
-            for (a, b), vec in entries.items()
-        }
-        pairs = _pairs_through(table, basis, basis)
-        pairs |= {(x, y) for y, x in pairs}
-        for (p, a), (p2, b) in sorted(pairs):
-            left = self._cup_vec(i_key, p, a, p2, b)
-            right = self._cup_vec(i_key, p2, b, p, a)
-            sign = (-1) ** (p * p2)
-            if left != {c: sign * v for c, v in right.items()}:
-                issues.append(
-                    "cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)"
-                    % (i_key, p, a, p2, b)
-                )
-
-        triples = _triples_through(table, table, table, table, basis, basis, basis)
-        for (p, a), (p2, b), (p3, c) in sorted(triples):
-            ab = self._cup_vec(i_key, p, a, p2, b)
-            left: Sparse = {}
-            for m, v in ab.items():
-                for t, w in self._cup_vec(i_key, p + p2, m, p3, c).items():
-                    left[t] = left.get(t, Fraction(0)) + v * w
-            bc = self._cup_vec(i_key, p2, b, p3, c)
-            right: Sparse = {}
-            for m, v in bc.items():
-                for t, w in self._cup_vec(i_key, p, a, p2 + p3, m).items():
-                    right[t] = right.get(t, Fraction(0)) + v * w
-            if {k: v for k, v in left.items() if v} != {k: v for k, v in right.items() if v}:
-                issues.append(
-                    "cup product on D_%r not associative at (%d,%d),(%d,%d),(%d,%d)"
-                    % (i_key, p, a, p2, b, p3, c)
-                )
+        """Graded commutativity and associativity of the cup product on D_I:
+        the ring check of `verify_cdga_axioms` on H^p(D_I) in bidegree (p, 0)
+        with d = 0, faults in the order of the loop over the labels (p, a)."""
+        products = {((p, 0), (p2, 0)): {ab: {c: Fraction(v) for c, v in vec.items() if v}
+                                        for ab, vec in entries.items()}
+                    for (p, p2), entries in self.cups.get(i_key, {}).items()}
+        ring = BigradedModel({(p, 0): range(self.dim(i_key, p)) for p in self.degrees(i_key)}, {}, products)
+        commutativity, associativity = _ring_faults(ring)
+        # a fault ((p, 0), a, (p2, 0), b, ...) sorts as its labels (p, a), (p2, b), ...
+        issues = ["cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)" % (i_key, p, a, p2, b)
+                  for (p, _), a, (p2, _), b in sorted(commutativity)]
+        issues += ["cup product on D_%r not associative at (%d,%d),(%d,%d),(%d,%d)"
+                   % (i_key, p, a, p2, b, p3, c) for (p, _), a, (p2, _), b, (p3, _), c in sorted(associativity)]
         return issues
 
 
@@ -549,8 +507,9 @@ class AxiomReport:
 
 
 def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
-    """d o d = 0, Leibniz, associativity and graded commutativity, each as
-    an exact identity on every basis pair or triple.
+    """d o d = 0 on the sparse columns of d, then Leibniz, graded
+    commutativity and associativity, each as an exact identity on every
+    basis pair or triple.
 
     The product table is sparse, so most tuples are structurally zero: on
     a pair (a, b) with no key ab, no key (m, b) for m in supp(da) and no
@@ -559,14 +518,17 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     for associativity when neither (ab)c nor a(bc) meets a key.  Only the
     remaining tuples are evaluated, so the check stays exhaustive.  Table
     keys outside the basis are ignored, and violations come in the order
-    of the loop over all tuples (bidegrees, then basis indices).
+    of the loop over all tuples (bidegrees, then basis indices).  The two
+    ring axioms are `_ring_faults`, which also checks a datum's cup rings.
     """
     violations: list[tuple[str, str]] = []
 
     for kq in model.bidegrees():
         k, q = kq
-        second = model.differential((k + 1, q)) @ model.differential(kq)
-        if not second.is_zero():
+        up = (k + 1, q)
+        if model.differential(up).ncols != model.differential(kq).nrows:
+            raise ValueError("shape mismatch in matrix product")
+        if any(model.diff_vec(up, col) for col in model._diff_cols(kq)):
             violations.append(("d_squared", "d o d nonzero on M^%d_%d" % (k, q)))
 
     bidegs = model.bidegrees()
@@ -601,6 +563,24 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
                         )
                     )
 
+    commutativity, associativity = _ring_faults(model)
+    violations += [("graded_commutativity", "commutativity fails for (%r, %d) x (%r, %d)" % fault)
+                   for fault in commutativity]
+    violations += [("associativity", "associativity fails for (%r,%d),(%r,%d),(%r,%d)" % fault)
+                   for fault in associativity]
+    return AxiomReport(tuple(violations))
+
+
+def _ring_faults(model: BigradedModel) -> tuple[list[tuple], list[tuple]]:
+    """The pairs (kq1, a, kq2, b) where graded commutativity fails and the
+    triples (kq1, a, kq2, b, kq3, c) where associativity fails, in loop order."""
+    bidegs = model.bidegrees()
+    span = {kq: range(model.dim(kq)) for kq in bidegs}
+
+    def table(kq1, kq2):
+        return model.products.get((kq1, kq2), {})
+
+    commutativity = []
     for kq1 in bidegs:
         for kq2 in bidegs:
             pairs = _pairs_through(table(kq1, kq2), span[kq1], span[kq2])
@@ -610,13 +590,9 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
                 ba = model.mult_basis(kq2, b, kq1, a)
                 sign = (-1) ** (kq1[0] * kq2[0])
                 if ab != {c: sign * v for c, v in ba.items()}:
-                    violations.append(
-                        (
-                            "graded_commutativity",
-                            "commutativity fails for (%r, %d) x (%r, %d)" % (kq1, a, kq2, b),
-                        )
-                    )
+                    commutativity.append((kq1, a, kq2, b))
 
+    associativity = []
     for kq1 in bidegs:
         for kq2 in bidegs:
             kq12 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
@@ -632,14 +608,8 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
                     bc = model.mult_basis(kq2, b, kq3, c)
                     right = model.mult_vec(kq1, {a: Fraction(1)}, kq23, bc)
                     if left != right:
-                        violations.append(
-                            (
-                                "associativity",
-                                "associativity fails for (%r,%d),(%r,%d),(%r,%d)"
-                                % (kq1, a, kq2, b, kq3, c),
-                            )
-                        )
-    return AxiomReport(tuple(violations))
+                        associativity.append((kq1, a, kq2, b, kq3, c))
+    return commutativity, associativity
 
 
 def cohomology_of_model(model: BigradedModel) -> dict[Bidegree, int]:
@@ -675,14 +645,20 @@ class _ColumnCohomology:
         self.length = n
         self.boundary_basis: list[list[Fraction]] = []
         self.representatives: list[list[Fraction]] = []
+        self.cocycles: list[Sparse] = []
         self._phi_cols: list[Sparse] = []
         self._inverse_cols: list[Sparse] = []
         if not n:
             return
         k, q = kq
-        d_out = model.differential(kq)
+        d_in, d_out = model.differential((k - 1, q)), model.differential(kq)
+        for at, d, want in (((k - 1, q), d_in, (n, model.dim((k - 1, q)))),
+                            (kq, d_out, (model.dim((k + 1, q)), n))):
+            if d.shape != want:
+                raise ValueError("differential at %r has shape %r, expected %r" % (at, d.shape, want))
         red, pivots = d_out.rref()
         cocycles = d_out.right_kernel()
+        self.cocycles = [{i: x for i, x in enumerate(v) if x} for v in cocycles]
         pivot_set = set(pivots)
         position = {j: c for c, j in enumerate(j for j in range(n) if j not in pivot_set)}
         z = len(position)
@@ -691,7 +667,6 @@ class _ColumnCohomology:
             if j in position:
                 col[position[j]] = Fraction(1)
             self._phi_cols.append(col)
-        d_in = model.differential((k - 1, q))
         boundaries = [_apply_columns(self._phi_cols, col) for col in model._diff_cols((k - 1, q))]
         b = len(boundaries)
         rows = [[col.get(i, Fraction(0)) for col in boundaries] + [Fraction(i == j) for j in range(n)]
@@ -721,6 +696,15 @@ class _ColumnCohomology:
         if any(i >= s for i in ev):
             raise ValueError("vector is not a cocycle class representative")
         return tuple(ev.get(i, Fraction(0)) for i in range(len(self.boundary_basis), s))
+
+    def cocycle_coordinates(self, vec: Mapping[int, Fraction]) -> Sparse | None:
+        """Sparse coordinates of `vec` on `cocycles` in ascending order, or None
+        if d_out vec != 0.  Each cocycle is 1 at its own free column and 0 at
+        the others, so v is a cocycle iff R v = 0, and then phi(v) holds them."""
+        phi = _apply_columns(self._phi_cols, vec)
+        if any(i >= len(self.cocycles) for i in phi):
+            return None
+        return dict(sorted(phi.items()))
 
 
 # -- morphisms and quasi-isomorphisms --------------------------------------
@@ -858,28 +842,6 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
 # -- formality witnesses ------------------------------------------------------
 
 
-class _KernelBasis:
-    """The `right_kernel` basis of d, with coordinates found without a solve.
-
-    Each basis vector has 1 at its own free column of d and 0 at the other
-    free columns, so a vector v in the span has coordinates v at the free
-    columns; recombining them and comparing with v decides membership.
-    """
-
-    def __init__(self, d: Matrix):
-        self.vectors = [list(v) for v in d.right_kernel()]
-        pivots = set(d.rref()[1])
-        self.free = [j for j in range(d.ncols) if j not in pivots]
-        self.matrix = Matrix.from_columns(self.vectors, nrows=d.ncols)
-        self.columns = _sparse_columns(self.matrix)
-
-    def coordinates(self, vec: Mapping[int, Fraction]) -> Sparse | None:
-        """Sparse coordinates of `vec` on the basis, or None outside its span."""
-        coords = {c: vec[j] for c, j in enumerate(self.free) if vec.get(j)}
-        inside = _apply_columns(self.columns, coords) == {i: v for i, v in vec.items() if v}
-        return coords if inside else None
-
-
 @dataclass(frozen=True)
 class FormalityWitness:
     """A zero-differential sub- or quotient-cdga with its comparison map."""
@@ -894,35 +856,34 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     """Sub-cdga K^k = ker(M^k_{2k} -> M^{k+1}_{2k}) in the weight-2k regime.
 
     Requires H^k(M_q) = 0 for q != 2k and k <= r; refuses otherwise with
-    the witnesses.  The inclusion into the model is checked to be a cdga
-    morphism and an r-quasi-isomorphism.
+    the witnesses.  The basis of K^k and the coordinates of products in it
+    come from the model's cached column cohomology at (k, 2k), which the
+    check of the inclusion, a cdga morphism and an r-quasi-isomorphism,
+    reads again.
     """
     cohom = cohomology_of_model(model)
     bad = sorted(kq for kq, h in cohom.items() if h and kq[1] != 2 * kq[0] and kq[0] <= r)
     if bad:
         raise ModelPurityError("kernel model", bad)
-    kernels: dict[int, _KernelBasis] = {}
+    kernels: dict[int, _ColumnCohomology] = {}
     for k in range(model.max_degree() + 1):
-        kq = (k, 2 * k)
-        if model.dim(kq) == 0:
-            continue
-        basis = _KernelBasis(model.differential(kq))
-        if basis.vectors:
-            kernels[k] = basis
+        col = model._column_cohomology((k, 2 * k))
+        if col.cocycles:
+            kernels[k] = col
     spaces = {
-        (k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(basis.vectors)))
-        for k, basis in kernels.items()
+        (k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(col.cocycles)))
+        for k, col in kernels.items()
     }
     products: dict = {}
-    for k1, basis1 in kernels.items():
-        for k2, basis2 in kernels.items():
+    for k1, col1 in kernels.items():
+        for k2, col2 in kernels.items():
             k3 = k1 + k2
             table: dict = {}
-            for a, va in enumerate(basis1.columns):
-                for b, vb in enumerate(basis2.columns):
+            for a, va in enumerate(col1.cocycles):
+                for b, vb in enumerate(col2.cocycles):
                     prod = model.mult_vec((k1, 2 * k1), va, (k2, 2 * k2), vb)
                     if k3 in kernels:
-                        vec = kernels[k3].coordinates(prod)
+                        vec = kernels[k3].cocycle_coordinates(prod)
                     else:
                         # the product of cocycles must vanish if K^{k3} is trivial
                         vec = None if prod else {}
@@ -936,7 +897,9 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
             if table:
                 products[((k1, 2 * k1), (k2, 2 * k2))] = table
     witness_model = BigradedModel(spaces, {}, products)
-    blocks = {(k, 2 * k): basis.matrix for k, basis in kernels.items()}
+    blocks = {(k, 2 * k): Matrix.from_columns([[v.get(i, Fraction(0)) for i in range(col.length)]
+                                               for v in col.cocycles], nrows=col.length)
+              for k, col in kernels.items()}
     inclusion = CdgaMorphism(witness_model, model, blocks)
     verdict = check_r_quasi_iso(inclusion, r)
     return FormalityWitness("kernel", witness_model, inclusion, verdict)

@@ -8,7 +8,6 @@ of the local normals or characters at X.  Toric layers and their mu are
 also checked against finite-field point counts, which use no Smith form.
 """
 
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -512,17 +511,12 @@ def test_b5_betti_within_two_seconds():
     assert elapsed < 2.0, "B5 betti took %.2f s" % elapsed
 
 
-def test_layer_poset_lattice_work_on_b4(monkeypatch):
+def test_layer_poset_lattice_work_on_b4(count_calls):
     """Work gate: the whole-system solve is off the BFS path; there is one
     Smith form per layer that is not a point (241 of 257 layers), and one
     Hermite basis per pair of a layer and the span of a cover of it (716,
     against 1,100 covers)."""
-    calls = Counter()
-    for name in ("_smith_core", "hermite_basis", "layers_from_equations"):
-        def counting(*args, _name=name, _original=getattr(toriclayers, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(toriclayers, name, counting)
+    calls = count_calls(toriclayers, "_smith_core", "hermite_basis", "layers_from_equations")
     poset = build_layer_poset(*LAYER_REFERENCE_CASES["B4"])
     assert (len(poset.layers), len(poset.covers)) == (257, 1100)
     assert calls["layers_from_equations"] == 0
@@ -531,32 +525,27 @@ def test_layer_poset_lattice_work_on_b4(monkeypatch):
     assert calls["hermite_basis"] == len(new_spans) <= len(poset.covers)
 
 
-def count_matrix_work(monkeypatch):
+def count_matrix_work(count_calls):
     """A Counter of `Matrix` constructions, rref and solve calls from now on."""
-    calls = Counter()
-    for name in ("__init__", "rref", "solve"):
-        def counting(self, *args, _name=name, _original=getattr(Matrix, name), **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
-        monkeypatch.setattr(Matrix, name, counting)
+    calls = count_calls(Matrix, "__init__", "rref", "solve")
     Matrix([[1]]).solve([1])
     assert set(calls) == {"__init__", "rref", "solve"}  # the counters count
     calls.clear()
     return calls
 
 
-def test_layer_poset_makes_no_rational_elimination(monkeypatch):
+def test_layer_poset_makes_no_rational_elimination(count_calls):
     """Work gate: the toric BFS is integer-only, so it builds no `Matrix`
     and runs no rref or solve."""
-    calls = count_matrix_work(monkeypatch)
+    calls = count_matrix_work(count_calls)
     poset = build_layer_poset(*b3_translate())
     assert len(poset.layers) == 49
     assert calls == {}
 
 
-def test_affine_poset_makes_no_rational_elimination(monkeypatch):
+def test_affine_poset_makes_no_rational_elimination(count_calls):
     """Work gate: the affine BFS is integer-only too."""
-    calls = count_matrix_work(monkeypatch)
+    calls = count_matrix_work(count_calls)
     assert len(affine_intersection_poset(5, braid(5)).flats) == 52
     rational = REFERENCE_CASES["rational normals and constants"]
     assert len(affine_intersection_poset(*rational).flats) > 1

@@ -30,7 +30,6 @@ from stratiform.morganmodel import (
     shuffle_sign,
     verify_cdga_axioms,
     _ColumnCohomology,
-    _KernelBasis,
 )
 
 F = Fraction
@@ -187,6 +186,14 @@ class TestKernelModel:
         w = extract_kernel_model(m, INF)
         assert w.morphism.violations() == []
 
+    def test_product_coordinates_ascending(self):
+        # xx = y1 + 2 y0 lists y1 first; its coordinates on K^2 = M^2_4 come
+        # in ascending order, so a table's repr does not follow the terms' order
+        spaces = {(0, 0): ("1",), (1, 2): ("x",), (2, 4): ("y0", "y1")}
+        model = model_with_products(spaces, {((1, 2), (1, 2)): {(0, 0): {1: F(1), 0: F(2)}}})
+        w = extract_kernel_model(model, INF)
+        assert list(w.model.products[((1, 2), (1, 2))][(0, 0)].items()) == [(0, F(2)), (1, F(1))]
+
 
 class TestCokernelModel:
     def test_compact_line(self):
@@ -214,24 +221,30 @@ class TestCokernelModel:
             extract_cokernel_model(m, INF)
         assert (1, 2) in err.value.witnesses
 
-    def test_one_column_cohomology_per_bidegree(self, monkeypatch):
+    def test_one_column_cohomology_per_bidegree(self, count_calls):
         # the extraction and the check of its projection share the model's
         # column data; the affine square has boundaries in M^2_2 and M^4_4
-        built = []
-        init = _ColumnCohomology.__init__
-
-        def counting(self, model, kq):
-            built.append((id(model), kq))
-            init(self, model, kq)
-
-        monkeypatch.setattr(_ColumnCohomology, "__init__", counting)
+        inits = count_calls(_ColumnCohomology, "__init__").args["__init__"]
         line = builder_projective_line_marked(1)
         m = build_model(kunneth_product(line, line))
         w = extract_cokernel_model(m, INF)
+        built = [(id(model), kq) for _, model, kq in inits]
         assert w.quasi_iso.ok and model_dims(w.model) == {(0, 0): 1}
         assert len(built) == len(set(built))
         diagonal = [kq for key, kq in built if key == id(m) and kq[0] == kq[1] and m.dim(kq)]
         assert sorted(diagonal) == [(0, 0), (2, 2), (4, 4)]
+
+    def test_misfit_differentials_named(self):
+        # the compact line has spaces at (0, 0) and (2, 2) only: a 2 x 2 d
+        # at the spaceless (1, 2), and a 1 x 2 d on the one-dimensional M^2_2
+        m = build_model(builder_projective_line_marked(0))
+        for kq, rows, message in [
+            ((1, 2), [[1, 0], [0, 1]], r"^differential at \(1, 2\) has shape \(2, 2\), expected \(1, 0\)$"),
+            ((2, 2), [[1, 1]], r"^differential at \(2, 2\) has shape \(1, 2\), expected \(0, 1\)$"),
+        ]:
+            misfit = BigradedModel(m.spaces, {**m.diff, kq: Matrix(rows)}, m.products)
+            with pytest.raises(ValueError, match=message):
+                extract_cokernel_model(misfit, INF)
 
 
 class TestQuasiIso:
@@ -471,13 +484,20 @@ def dense_cdga_axioms(model):
     return AxiomReport(tuple(violations))
 
 
+def cup_vec(cd, i_key, p, a, p2, b):
+    out = {}
+    for c, v in cd.cup_entries(i_key, p, p2).get((a, b), {}).items():
+        out[c] = out.get(c, F(0)) + F(v)
+    return {c: v for c, v in out.items() if v}
+
+
 def dense_cup_issues(cd, i_key):
     issues = []
     basis = [(p, a) for p in cd.degrees(i_key) for a in range(cd.dim(i_key, p))]
     for p, a in basis:
         for p2, b in basis:
-            left = cd._cup_vec(i_key, p, a, p2, b)
-            right = cd._cup_vec(i_key, p2, b, p, a)
+            left = cup_vec(cd, i_key, p, a, p2, b)
+            right = cup_vec(cd, i_key, p2, b, p, a)
             sign = (-1) ** (p * p2)
             if left != {c: sign * v for c, v in right.items()}:
                 issues.append(
@@ -486,16 +506,16 @@ def dense_cup_issues(cd, i_key):
                 )
     for p, a in basis:
         for p2, b in basis:
-            ab = cd._cup_vec(i_key, p, a, p2, b)
+            ab = cup_vec(cd, i_key, p, a, p2, b)
             for p3, c in basis:
                 left = {}
                 for m, v in ab.items():
-                    for t, w in cd._cup_vec(i_key, p + p2, m, p3, c).items():
+                    for t, w in cup_vec(cd, i_key, p + p2, m, p3, c).items():
                         left[t] = left.get(t, F(0)) + v * w
-                bc = cd._cup_vec(i_key, p2, b, p3, c)
+                bc = cup_vec(cd, i_key, p2, b, p3, c)
                 right = {}
                 for m, v in bc.items():
-                    for t, w in cd._cup_vec(i_key, p, a, p2 + p3, m).items():
+                    for t, w in cup_vec(cd, i_key, p, a, p2 + p3, m).items():
                         right[t] = right.get(t, F(0)) + v * w
                 if {k: v for k, v in left.items() if v} != {k: v for k, v in right.items() if v}:
                     issues.append(
@@ -738,6 +758,28 @@ class TestSparseAxiomsAgainstDenseOracle:
             "cup product on D_() not associative at (2,1),(2,0),(2,0)",
         ]
 
+    def test_cup_faults_across_degrees_match_dense(self):
+        # a one-sided unit and a one-sided product put faults in the degree
+        # pairs (0, 2), (2, 0) and (2, 2), listed in the order of the labels
+        # (p, a); an explicit zero constant is no term
+        dims = {0: 1, 2: 2, 4: 1}
+        units = {}
+        for p, d in dims.items():
+            units[(0, p)] = {(0, a): {a: F(1)} for a in range(d)}
+            units[(p, 0)] = {(a, 0): {a: F(1)} for a in range(d)}
+        del units[(2, 0)][(1, 0)]
+        expected = {
+            F(1): ["(0,0)x(2,1)", "(2,0)x(2,1)", "(2,1)x(0,0)", "(2,1)x(2,0)"],
+            F(0): ["(0,0)x(2,1)", "(2,1)x(0,0)"],
+        }
+        for v, pairs in expected.items():
+            cd = CompactificationDatum(0, {(): dims}, {}, {}, {(): {**units, (2, 2): {(0, 1): {0: v}}}})
+            issues = cd._check_cup(())
+            assert issues == dense_cup_issues(cd, ())
+            assert [i for i in issues if "commutative" in i] == [
+                "cup product on D_() not graded-commutative at " + pair for pair in pairs
+            ]
+
     def test_morphism_checks_match_dense(self):
         cd2 = builder_projective_line_marked(2)
         maps = []
@@ -819,6 +861,15 @@ class TestSparseAxiomsAgainstDenseOracle:
                 "differential compatibility fails at (1, 2)"
             ]
 
+    def test_misfit_differentials_refused_by_axioms(self):
+        # d on M^1_2 of the twice marked line with two rows cannot be
+        # composed with the 0 x 1 d on M^2_2
+        m = build_model(builder_projective_line_marked(2))
+        misfit = BigradedModel(m.spaces, {**m.diff, (1, 2): Matrix([[1, 1], [0, 0]])}, m.products)
+        for check in (dense_cdga_axioms, verify_cdga_axioms):
+            with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+                check(misfit)
+
 
 class TestWitnessClosure:
     def test_kernel_product_leaves_kernel(self):
@@ -860,14 +911,16 @@ class TestFastCoordinatesAgainstSolve:
         rows, coeffs, outside = drawn
         n = len(coeffs)
         d = Matrix(rows, ncols=n)
-        basis = _KernelBasis(d)
-        if not basis.vectors:
+        spaces = {(0, 0): tuple(range(n)), (1, 0): tuple(range(len(rows)))}
+        col = _ColumnCohomology(BigradedModel(spaces, {(0, 0): d}, {}), (0, 0))
+        if not col.cocycles:
             return
+        basis = Matrix.from_columns([[v.get(i, F(0)) for i in range(n)] for v in col.cocycles], nrows=n)
         # a vector in the span, and one that may lie outside it
-        inside = basis.matrix.apply([F(c) for c in coeffs[: len(basis.vectors)]])
+        inside = basis.apply([F(c) for c in coeffs[: len(col.cocycles)]])
         for vec in (inside, tuple(F(x) for x in outside)):
-            sol = basis.matrix.solve(vec)
-            got = basis.coordinates({i: v for i, v in enumerate(vec) if v})
+            sol = basis.solve(vec)
+            got = col.cocycle_coordinates({i: v for i, v in enumerate(vec) if v})
             if sol is None:
                 assert got is None
             else:
@@ -1242,34 +1295,49 @@ class TestBudgets:
 
     # work counts, which do not move with the host's speed
 
-    def test_square_validate_composes_only_where_classes_land(self, monkeypatch):
+    def test_square_validate_composes_only_where_classes_land(self, count_calls):
         # 25 of the 1,555 (I, j1, j2, p) cases of the (5, 5) square end in
         # a space with classes; only those compose their two orders
         line = builder_projective_line_marked(5)
         square = kunneth_product(line, line)
-        calls = []
-        compose = CompactificationDatum._compose_steps
-
-        def counting(self, *args):
-            calls.append(args)
-            return compose(self, *args)
-
-        monkeypatch.setattr(CompactificationDatum, "_compose_steps", counting)
+        calls = count_calls(CompactificationDatum, "_compose_steps").args["_compose_steps"]
         assert square.validate() == []
         assert len(calls) == 2 * 25
 
-    def test_square_quasi_iso_check_makes_no_matrix_products(self, monkeypatch):
+    def test_square_validate_makes_no_zero_matrices(self, count_calls):
+        # a step into a space without classes is not looked up at all
+        line = builder_projective_line_marked(5)
+        square = kunneth_product(line, line)
+        calls = count_calls(Matrix, "zero")
+        assert square.validate() == []
+        assert calls == {}
+
+    def test_axioms_make_no_matrix_products(self, count_calls):
+        # d o d is applied to the sparse columns of d
+        line5, line3 = builder_projective_line_marked(5), builder_projective_line_marked(3)
+        square = build_model(kunneth_product(line5, line5))
+        cube = build_model(kunneth_product(kunneth_product(line3, line3), line3))
+        calls = count_calls(Matrix, "__matmul__")
+        assert verify_cdga_axioms(square).passed and verify_cdga_axioms(cube).passed
+        assert calls == {}
+
+    def test_square_kernel_witness_one_kernel_basis_per_bidegree(self, count_calls):
+        # the witness reads the cocycles of the model's cached column data,
+        # so each right_kernel call is that of one nonempty column
+        line = builder_projective_line_marked(5)
+        model = build_model(kunneth_product(line, line))
+        kernels = count_calls(Matrix, "right_kernel")
+        inits = count_calls(_ColumnCohomology, "__init__").args["__init__"]
+        assert extract_kernel_model(model, INF).quasi_iso.ok
+        built = [(id(m), kq) for _, m, kq in inits if m.dim(kq)]
+        assert len(built) == len(set(built))
+        assert kernels["right_kernel"] == len(built)
+
+    def test_square_quasi_iso_check_makes_no_matrix_products(self, count_calls):
         line = builder_projective_line_marked(5)
         model = build_model(kunneth_product(line, line))
         witness = extract_kernel_model(model, INF)
-        products = []
-        matmul = Matrix.__matmul__
-
-        def counting(self, other):
-            products.append((self.shape, other.shape))
-            return matmul(self, other)
-
-        monkeypatch.setattr(Matrix, "__matmul__", counting)
+        products = count_calls(Matrix, "__matmul__").args["__matmul__"]
         # a fresh copy of the model, so that no column data is cached
         target = BigradedModel(model.spaces, model.diff, model.products)
         verdict = check_r_quasi_iso(CdgaMorphism(witness.model, target, witness.morphism.blocks), INF)
