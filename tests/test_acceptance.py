@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from stratiform.cli import main as cli_main
+from stratiform.cli import main as cli_main, model_checks
 from stratiform.exactalg import hermite_basis
 from stratiform.leraymodel import (
     StrataData,
@@ -31,17 +31,11 @@ from stratiform.matroidos import (
 )
 from stratiform.morganmodel import (
     build_model,
-    builder_point,
     builder_projective_line_marked,
     cohomology_of_model,
-    extract_cokernel_model,
-    extract_kernel_model,
-    kunneth_product,
     localization_betti,
-    negate_gysin_block,
-    verify_cdga_axioms,
 )
-from stratiform.toriclayers import ToricHypersurface, build_layer_poset, mod1
+from stratiform.toriclayers import ToricHypersurface, mod1
 
 F = Fraction
 INF = math.inf
@@ -210,115 +204,38 @@ def test_criterion_3_toric_small_cases():
 # -- criterion 4 -----------------------------------------------------------
 
 
-DIM1_ARRANGEMENTS = [
-    [((1,), F(0))],
-    [((2,), F(0))],
-    [((1,), F(0)), ((1,), F(1, 2))],
-    [((3,), F(0)), ((1,), F(0))],
-    [((2,), F(0)), ((3,), F(0))],
-    [((4,), F(1, 2))],
-    [((2,), F(0)), ((2,), F(1, 2)), ((1,), F(1, 4))],
-    [((1,), F(0)), ((1,), F(1, 5)), ((1,), F(2, 5)), ((1,), F(3, 5)), ((1,), F(4, 5))],
-]
-
-
-def _leray_graded(ambient_dim, hyps):
-    betti = betti_and_poincare(assemble_e2(strata_data_from_toric(ambient_dim, hyps))).betti
-    return {(k, 2 * k): b for k, b in enumerate(betti) if b}
+def _run_model_checks(criterion, count):
+    """The criterion's `count` checks from the list that `model-selftest`
+    shares."""
+    checks = [check for check in model_checks() if check.criterion == criterion]
+    assert len(checks) == count
+    for i, check in enumerate(checks):
+        assert check.run(), (i, check.name)
 
 
 def test_criterion_4_cross_engine():
-    def body():
-        for eqs in DIM1_ARRANGEMENTS:
-            hyps = [ToricHypersurface(chi, t, i) for i, (chi, t) in enumerate(eqs)]
-            points = len(build_layer_poset(1, hyps).by_codim(1))
-            leray = _leray_graded(1, hyps)
-            morgan = cohomology_of_model(build_model(builder_projective_line_marked(points + 2)))
-            assert leray == morgan, eqs
-        for eqs in DIM1_ARRANGEMENTS[:4]:
-            hyps1 = [ToricHypersurface(chi, t, i) for i, (chi, t) in enumerate(eqs)]
-            points = len(build_layer_poset(1, hyps1).by_codim(1))
-            crossed = [
-                ToricHypersurface(chi + (0,), t, i) for i, (chi, t) in enumerate(eqs)
-            ] + [
-                ToricHypersurface((0,) + chi, t, len(eqs) + i)
-                for i, (chi, t) in enumerate(eqs)
-            ]
-            leray = _leray_graded(2, crossed)
-            factor = builder_projective_line_marked(points + 2)
-            morgan = cohomology_of_model(build_model(kunneth_product(factor, factor)))
-            assert leray == morgan, eqs
-
-    _report(4, "cross-engine (degree, weight) dimensions agree", 10.0, body)
+    # the E2 route on arrangements of the 1-torus and their squares against
+    # the Morgan models of marked lines and their squares
+    _report(4, "cross-engine (degree, weight) dimensions agree", 10.0, lambda: _run_model_checks(4, 13))
 
 
 # -- criterion 5 -----------------------------------------------------------
 
 
 def test_criterion_5_cdga_axiom_suite():
-    def body():
-        cd2 = builder_projective_line_marked(2)
-        cd3 = builder_projective_line_marked(3)
-        cd4 = builder_projective_line_marked(4)
-        cd5 = builder_projective_line_marked(5)
-        builders = {
-            "line-0": builder_projective_line_marked(0),
-            "line-1": builder_projective_line_marked(1),
-            "line-2": cd2,
-            "line-3": cd3,
-            "line-4": cd4,
-            "line-5": cd5,
-            "square-2": kunneth_product(cd2, cd2),
-            "square-3": kunneth_product(cd3, cd3),
-            "square-4": kunneth_product(cd4, cd4),
-            "square-5": kunneth_product(cd5, cd5),
-            "mixed": kunneth_product(cd2, builder_projective_line_marked(0)),
-        }
-        for name, cd in builders.items():
-            model = build_model(cd)
-            assert model.total_dimension() <= 60, name
-            assert verify_cdga_axioms(model).passed, name
-
-        # fault injections must be detected
-        square = builders["square-2"]
-        full_flip = verify_cdga_axioms(build_model(negate_gysin_block(square, (1, 3), 1, 0)))
-        assert not full_flip.passed and "d_squared" in full_flip.axioms_failing()
-        block_flip = verify_cdga_axioms(
-            build_model(negate_gysin_block(builders["mixed"], (1,), 1, 0))
-        )
-        assert block_flip.axioms_failing() == ("leibniz",)
-        assert any("basis pair" in desc for _, desc in block_flip.violations)
-
-    _report(5, "cdga axioms pass on all builders; Gysin sign flips detected", 5.0, body)
+    # marked lines s <= 5, their squares s = 2..5 and P^1 x C*, each of total
+    # dimension at most 60; a full and a one-block Gysin sign flip
+    _report(5, "cdga axioms pass on all builders; Gysin sign flips detected", 5.0, lambda: _run_model_checks(5, 13))
 
 
 # -- criterion 6 -----------------------------------------------------------
 
 
 def test_criterion_6_formality_witnesses():
-    def body():
-        cd2 = builder_projective_line_marked(2)
-        weight_2k = [builder_projective_line_marked(s) for s in (1, 2, 3, 4, 5)]
-        weight_2k.append(kunneth_product(cd2, cd2))
-        for cd in weight_2k:
-            model = build_model(cd)
-            witness = extract_kernel_model(model, INF)
-            assert witness.quasi_iso.ok
-            assert witness.morphism.violations() == []
-        compact = [
-            builder_projective_line_marked(0),
-            kunneth_product(
-                builder_projective_line_marked(0), builder_projective_line_marked(0)
-            ),
-            builder_point(),
-        ]
-        for cd in compact:
-            model = build_model(cd)
-            witness = extract_cokernel_model(model, INF)
-            assert witness.quasi_iso.ok
-            assert witness.morphism.violations() == []
-
-    _report(6, "kernel witnesses on weight-2k builders, cokernel on compact ones", 30.0, body)
+    # kernel witnesses of marked lines s = 1..5 and the s = 2 square;
+    # cokernel witnesses of the compact line, its square and the point
+    _report(6, "kernel witnesses on weight-2k builders, cokernel on compact ones", 30.0,
+            lambda: _run_model_checks(6, 9))
 
 
 # -- criterion 7 -----------------------------------------------------------

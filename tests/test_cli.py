@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 import time
 from fractions import Fraction
@@ -227,6 +228,30 @@ class TestCommands:
         assert code == 0
         assert "selftest: pass" in out
         assert "ok=false" not in out
+
+    def test_model_selftest_runs_its_checks_in_order(self):
+        # the selftest's share of the checks of acceptance criteria 4 to 6
+        code, out = invoke(["model-selftest", "--format", "kv"])
+        assert code == 0
+        assert re.findall(r"^check\.\d+\.name = (.*)$", out, re.M) == [
+            "axioms marked-line s=0",
+            "axioms marked-line s=1",
+            "axioms marked-line s=2",
+            "axioms marked-line s=3",
+            "axioms kunneth square",
+            "fault injection full flip detected",
+            "fault injection block flip detected as leibniz",
+            "kernel witness s=2",
+            "kernel witness s=3",
+            "kernel witness square",
+            "cokernel witness compact line",
+            "cokernel witness compact square",
+            "cross-engine dim1 1-pts",
+            "cross-engine dim1 2-pts",
+            "cross-engine dim1 2-pts",
+            "cross-engine square 1-pts",
+            "cross-engine square 2-pts",
+        ]
 
     def test_strata_command_on_hyperplanes(self, tmp_path):
         f = tmp_path / "braid.arr"

@@ -157,6 +157,19 @@ class TestCohomology:
         m = build_model(kunneth_product(cd, cd))
         assert cohomology_of_model(m) == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
 
+    def test_misfit_differential_refused(self):
+        # a 2 x 2 d at the spaceless (1, 2) of the compact line has rank 2,
+        # which would make dim H^2_2 negative; both witnesses name the misfit
+        # instead of refusing the model as impure
+        m = build_model(builder_projective_line_marked(0))
+        misfit = BigradedModel(m.spaces, {**m.diff, (1, 2): Matrix([[1, 0], [0, 1]])}, m.products)
+        message = r"^differential at \(1, 2\) has shape \(2, 2\), expected \(1, 0\)$"
+        with pytest.raises(ValueError, match=message):
+            cohomology_of_model(misfit)
+        for extract in (extract_kernel_model, extract_cokernel_model):
+            with pytest.raises(ValueError, match=message):
+                extract(misfit, INF)
+
 
 class TestKernelModel:
     def test_two_marked_line(self):
@@ -721,6 +734,18 @@ class TestSparseAxiomsAgainstDenseOracle:
         assert report == dense_cdga_axioms(model)
         assert report.axioms_failing() == ("associativity", "graded_commutativity")
 
+    def test_zero_constant_outside_its_space(self):
+        # an explicit zero at index 5 of the two-dimensional M^1_2, where d
+        # has columns: a zero term is no term, so no column is looked up
+        # for it, but 1.x and x.1 no longer have the same entries
+        m = build_model(builder_projective_line_marked(2))
+        products = {key: dict(table) for key, table in m.products.items()}
+        products[((0, 0), (1, 2))][(0, 0)] = {**products[((0, 0), (1, 2))][(0, 0)], 5: F(0)}
+        model = BigradedModel(m.spaces, m.diff, products)
+        report = verify_cdga_axioms(model)
+        assert report == dense_cdga_axioms(model)
+        assert report.axioms_failing() == ("graded_commutativity",)
+
     def test_cup_checks_match_dense(self):
         data = list(criterion_5_builders().values()) + [torus_like_compact_datum()]
         for cd in data:
@@ -869,6 +894,150 @@ class TestSparseAxiomsAgainstDenseOracle:
         for check in (dense_cdga_axioms, verify_cdga_axioms):
             with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
                 check(misfit)
+
+
+# -- drawn rational models against the dense oracles ---------------------------
+#
+# A model in a rescaled basis s_i e_i is the same cdga with rational
+# structure constants.  Planted faults change or add constants, add
+# explicit zeros, keys outside the basis and tables on bidegrees without a
+# space, and change differential or morphism entries.
+
+RESCALINGS = [F(1), F(-1), F(2), F(-1, 2), F(3), F(1, 3), F(-2, 3), F(3, 2)]
+PLANTED_VALUES = st.builds(F, st.integers(-5, 5), st.integers(1, 30))
+DRAWN_BASES = [(2,), (3,), (0, 0), (2, 0), (1, 2), (2, 2)]
+
+
+def draw_base(data):
+    sizes = data.draw(st.sampled_from(DRAWN_BASES))
+    return sizes, build_model(functools.reduce(kunneth_product, [builder_projective_line_marked(s) for s in sizes]))
+
+
+def draw_scales(data, model):
+    return {(kq, i): data.draw(st.sampled_from(RESCALINGS))
+            for kq in model.bidegrees() for i in range(model.dim(kq))}
+
+
+def in_rescaled_basis(model, scales):
+    """`model` in the basis scales[(kq, i)] e_i: constants v s_a s_b / s_c
+    and differential entries d_ij s_j / s_i."""
+    products = {}
+    for (kq1, kq2), table in model.products.items():
+        kq3 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
+        products[(kq1, kq2)] = {
+            (a, b): {c: v * scales[kq1, a] * scales[kq2, b] / scales[kq3, c] for c, v in vec.items()}
+            for (a, b), vec in table.items()
+        }
+    diff = {}
+    for (k, q), d in model.diff.items():
+        diff[(k, q)] = Matrix([[v * scales[(k, q), j] / scales[(k + 1, q), i] for j, v in enumerate(row)]
+                               for i, row in enumerate(d.rows)], ncols=d.ncols)
+    return BigradedModel(model.spaces, diff, products)
+
+
+def perturbed(data, mat):
+    """`mat` with one drawn entry moved by a drawn nonzero rational."""
+    if not mat.nrows or not mat.ncols:
+        return mat
+    rows = [list(r) for r in mat.rows]
+    i, j = data.draw(st.integers(0, mat.nrows - 1)), data.draw(st.integers(0, mat.ncols - 1))
+    rows[i][j] += data.draw(PLANTED_VALUES.filter(bool))
+    return Matrix(rows, ncols=mat.ncols)
+
+
+def planted(data, model, kinds=("constant", "zero", "stray", "differential")):
+    """A copy of `model` with up to four drawn faults of the given kinds."""
+    products = {key: {ab: dict(vec) for ab, vec in table.items()} for key, table in model.products.items()}
+    diff = dict(model.diff)
+    bidegs = model.bidegrees()
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(kinds))
+        kq1, kq2 = data.draw(st.sampled_from(bidegs)), data.draw(st.sampled_from(bidegs))
+        n1, n2, n3 = model.dim(kq1), model.dim(kq2), model.dim((kq1[0] + kq2[0], kq1[1] + kq2[1]))
+        table = products.setdefault((kq1, kq2), {})
+        if kind == "stray":
+            a = data.draw(st.sampled_from([-1, n1, n1 + 2]))
+            table[(a, data.draw(st.integers(0, n2 - 1)))] = {0: data.draw(PLANTED_VALUES)}
+            products[((7, 9), kq1)] = {(0, 0): {0: F(1)}}
+        elif kind == "differential" and diff:
+            kq = data.draw(st.sampled_from(sorted(diff)))
+            diff[kq] = perturbed(data, diff[kq])
+        elif kind == "constant" and n3:
+            a, b = data.draw(st.integers(0, n1 - 1)), data.draw(st.integers(0, n2 - 1))
+            table.setdefault((a, b), {})[data.draw(st.integers(0, n3 - 1))] = data.draw(PLANTED_VALUES)
+        elif kind == "zero":
+            # a zero term is no term, even at an index outside the space
+            a, b = data.draw(st.integers(0, n1 - 1)), data.draw(st.integers(0, n2 - 1))
+            table.setdefault((a, b), {})[data.draw(st.integers(0, n3 + 1))] = F(0)
+    return BigradedModel(model.spaces, diff, products)
+
+
+def draw_morphism(data):
+    """A cdga map into a rescaled model, with drawn faults: the rescaling
+    from another rescaling of the same model, or, for a model of weight 2k,
+    the inclusion of its kernel witness."""
+    sizes, base = draw_base(data)
+    scales = draw_scales(data, base)
+    target = in_rescaled_basis(base, scales)
+    if 0 not in sizes and data.draw(st.booleans()):
+        inclusion = extract_kernel_model(base, INF).morphism
+        source = inclusion.source
+        blocks = {kq: Matrix([[v / scales[kq, i] for v in row] for i, row in enumerate(mat.rows)], ncols=mat.ncols)
+                  for kq, mat in inclusion.blocks.items()}
+    else:
+        other = draw_scales(data, base)
+        source = in_rescaled_basis(base, other)
+        blocks = {kq: Matrix([[other[kq, i] / scales[kq, i] if i == j else 0 for j in range(base.dim(kq))]
+                              for i in range(base.dim(kq))]) for kq in base.bidegrees()}
+    kinds = ("constant", "zero", "stray")
+    source, target = planted(data, source, kinds), planted(data, target, kinds)
+    if blocks and data.draw(st.booleans()):
+        kq = data.draw(st.sampled_from(sorted(blocks)))
+        blocks[kq] = perturbed(data, blocks[kq])
+    return CdgaMorphism(source, target, blocks)
+
+
+def draw_cup_datum(data):
+    """A compact datum whose cup ring on D_() is drawn: the unit cup or the
+    torus-like ring, rescaled, with planted constants, zeros and keys."""
+    dims = {0: 1, 1: data.draw(st.integers(0, 2)), 2: data.draw(st.integers(0, 2))}
+    cups = dict(torus_like_compact_datum().cups[()]) if dims == {0: 1, 1: 2, 2: 1} else {}
+    for p, d in dims.items():
+        cups[(0, p)] = {(0, a): {a: F(1)} for a in range(d)}
+        cups[(p, 0)] = {(a, 0): {a: F(1)} for a in range(d)}
+    scales = {(p, a): data.draw(st.sampled_from(RESCALINGS)) for p, d in dims.items() for a in range(d)}
+    cups = {(p, p2): {(a, b): {c: v * scales[p, a] * scales[p2, b] / scales[p + p2, c] for c, v in vec.items()}
+                      for (a, b), vec in table.items()}
+            for (p, p2), table in cups.items()}
+    for _ in range(data.draw(st.integers(0, 4))):
+        p, p2 = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        a, b = data.draw(st.integers(-1, dims[p])), data.draw(st.integers(-1, dims[p2]))
+        c = data.draw(st.integers(0, max(dims.get(p + p2, 0), 1)))
+        value = data.draw(st.sampled_from([F(0), 0]) | PLANTED_VALUES)
+        cups.setdefault((p, p2), {}).setdefault((a, b), {})[c] = value
+    return CompactificationDatum(0, {(): dims}, {}, {}, {(): cups})
+
+
+class TestDrawnRationalModels:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_axioms_match_dense(self, data):
+        _, base = draw_base(data)
+        model = planted(data, in_rescaled_basis(base, draw_scales(data, base)))
+        assert verify_cdga_axioms(model) == dense_cdga_axioms(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cup_check_matches_dense(self, data):
+        cd = draw_cup_datum(data)
+        assert cd._check_cup(()) == dense_cup_issues(cd, ())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_product_compatibility_matches_dense(self, data):
+        f = draw_morphism(data)
+        issues = [v for v in f.violations() if v.startswith("product compatibility")]
+        assert issues == dense_product_compatibility(f)
 
 
 class TestWitnessClosure:
@@ -1332,6 +1501,22 @@ class TestBudgets:
         built = [(id(m), kq) for _, m, kq in inits if m.dim(kq)]
         assert len(built) == len(set(built))
         assert kernels["right_kernel"] == len(built)
+
+    def test_axioms_multiply_no_basis_vectors(self, count_calls):
+        # the identities are swept over the keys of the product tables
+        line5, line3 = builder_projective_line_marked(5), builder_projective_line_marked(3)
+        square = build_model(kunneth_product(line5, line5))
+        cube = build_model(kunneth_product(kunneth_product(line3, line3), line3))
+        calls = count_calls(BigradedModel, "mult_vec", "mult_basis")
+        assert verify_cdga_axioms(square).passed and verify_cdga_axioms(cube).passed
+        assert calls == {}
+
+    def test_square_morphism_check_multiplies_no_basis_vectors(self, count_calls):
+        line = builder_projective_line_marked(5)
+        witness = extract_kernel_model(build_model(kunneth_product(line, line)), INF)
+        calls = count_calls(BigradedModel, "mult_vec", "mult_basis")
+        assert witness.morphism.violations() == []
+        assert calls == {}
 
     def test_square_quasi_iso_check_makes_no_matrix_products(self, count_calls):
         line = builder_projective_line_marked(5)
