@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals and the integers.
 
-Dense immutable matrices with ``Fraction`` entries.  Gaussian elimination
-pivots on the first nonzero entry in row order; Smith normal form pivots
-on the entry of smallest absolute value, ties broken by lowest (row,
-column); Hermite bases are row-style with positive pivots and the entries
-above each pivot reduced into [0, pivot).  These fixed rules make every
-result deterministic.  All comparisons are exact; no tolerance parameter
-exists anywhere in this package.
+Dense immutable matrices with ``Fraction`` entries.  Gauss-Jordan
+elimination (`Matrix.rref`) pivots on the first nonzero entry in row order
+and runs in integers; Smith normal form pivots on the entry of smallest
+absolute value, ties broken by lowest (row, column); Hermite bases are
+row-style with positive pivots and the entries above each pivot reduced
+into [0, pivot).  These fixed rules make every result deterministic.  All
+comparisons are exact; no tolerance parameter exists anywhere in this
+package.
 
 The lattice code is integer-only.  One Smith core, `_smith_core`, works
 on lists of ints and carries the inverse of its right transform along
@@ -21,6 +22,7 @@ takes ranks with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -38,6 +40,15 @@ def _frac(x) -> Fraction:
 
 def vector(entries: Iterable) -> Vector:
     return tuple(_frac(x) for x in entries)
+
+
+def _primitive(row: Sequence[Fraction]) -> list[int]:
+    """The rational `row` times the positive rational that makes it a
+    primitive integer row (a zero row stays zero)."""
+    den = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
@@ -174,29 +185,43 @@ class Matrix:
         """Reduced row echelon form and pivot columns.
 
         The pivot of each step is the first row (in row order) with a
-        nonzero entry in the leftmost unfinished column.
+        nonzero entry in the leftmost unfinished column.  The elimination
+        is fraction-free: each row is scaled to primitive integers, each
+        row combination is integral and divided by the gcd of its entries,
+        and the pivot rows are divided by their pivots once, at the end.
+        Every working row is a nonzero multiple of the row the rational
+        elimination would hold, so the pivots are the same, and the RREF
+        is unique.
         """
         if self._rref is not None:
             return self._rref
-        rows = [list(r) for r in self.rows]
+        rows = [_primitive(r) for r in self.rows]
+        nrows = self.nrows
         pivots: list[int] = []
         r = 0
         for c in range(self.ncols):
-            if r == self.nrows:
+            if r == nrows:
                 break
-            p = next((i for i in range(r, self.nrows) if rows[i][c] != 0), None)
+            p = next((i for i in range(r, nrows) if rows[i][c]), None)
             if p is None:
                 continue
             rows[r], rows[p] = rows[p], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            prow = rows[r]
+            pv = prow[c]
+            for i in range(nrows):
+                f = rows[i][c]
+                if f and i != r:
+                    g = math.gcd(pv, f)
+                    a, b = pv // g, f // g
+                    row = [a * x - b * y for x, y in zip(rows[i], prow)]
+                    g = math.gcd(*row)
+                    rows[i] = [x // g for x in row] if g > 1 else row
             pivots.append(c)
             r += 1
-        self._rref = (Matrix(rows, ncols=self.ncols), tuple(pivots))
+        zero = Fraction(0)
+        reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
+        reduced += [[zero] * self.ncols for _ in range(nrows - r)]
+        self._rref = (Matrix(reduced, ncols=self.ncols), tuple(pivots))
         return self._rref
 
     def rank(self) -> int:

@@ -15,7 +15,9 @@ resolution of singularities is attempted.  All checks are exact
 identities.  The cdga axioms, the cup axioms of a datum and the product
 compatibility of a morphism are swept over the keys of the sparse product
 tables in integer arithmetic, with every stored value scaled by the lcm of
-their denominators; the other checks are exact matrix identities.
+their denominators; the other checks are exact matrix identities.  The
+witnesses multiply cocycles and representatives by the same kind of sweep,
+and build column cohomology only where it is nonzero.
 """
 
 from __future__ import annotations
@@ -98,8 +100,38 @@ def _apply_columns(cols: Sequence[Mapping[int, Fraction]], vec: Mapping[int, Fra
         if c == 0:
             continue
         for i, v in cols[j].items():
-            out[i] = out.get(i, Fraction(0)) + c * v
+            prev = out.get(i)
+            out[i] = c * v if prev is None else prev + c * v
     return {i: v for i, v in out.items() if v}
+
+
+def _pair_products(table: Mapping, rows1: Mapping, rows2: Mapping) -> dict[tuple[int, int], Sparse]:
+    """The nonzero products of the vectors a and b whose sparse rows are
+    `rows1` and `rows2` ({basis index: {vector: coefficient}}), under the
+    product `table`, keyed by (a, b) ascending.  Sweeps the keys (i, j) of
+    the table and joins them with row i of `rows1` and row j of `rows2`; a
+    pair that meets no key has product 0 and is left out."""
+    acc: dict = {}
+    for (i, j), ij in table.items():
+        left, right = rows1.get(i), rows2.get(j)
+        if left and right:
+            for a, x in left.items():
+                for b, y in right.items():
+                    out = acc.setdefault((a, b), {})
+                    xy = x * y
+                    for c, v in ij.items():
+                        prev = out.get(c)
+                        out[c] = xy * v if prev is None else prev + xy * v
+    products = {}
+    for ab in sorted(acc):
+        vec = {c: v for c, v in acc[ab].items() if v}
+        if vec:
+            products[ab] = vec
+    return products
+
+
+def _dense_to_sparse(vec: Sequence[Fraction]) -> Sparse:
+    return {i: x for i, x in enumerate(vec) if x}
 
 
 def _sparse_rows(cols) -> dict[int, dict[int, int]]:
@@ -157,6 +189,18 @@ class _IntegerColumns(dict):
             cols = [{i: v.numerator * (scale // v.denominator) for i, v in col.items()} for col in cols]
         self[kq] = cols
         return cols
+
+
+def _rational(v):
+    """A structure constant as an int or a Fraction, which both carry a
+    numerator and a denominator."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _scaled(v, scale: int) -> int:
+    """The constant v times `scale`, a multiple of its denominator."""
+    v = _rational(v)
+    return v.numerator * (scale // v.denominator)
 
 
 def _nonzero_keys(acc: Mapping) -> list:
@@ -224,8 +268,10 @@ class CompactificationDatum:
 
     def _block(self, maps: Mapping, name: str, i_key, x: int, p: int, tgt_key, tgt_p: int) -> Matrix:
         """Block p of `maps[(i_key, x)]` into H^tgt_p(D_tgt_key), zero if either
-        space has no classes; `name` % (i_key, x, p) names it in errors."""
-        src, tgt = self.dim(i_key, p), self.dim(tgt_key, tgt_p)
+        space has no classes; `name` % (i_key, x, p) names it in errors.  Both
+        keys are sorted."""
+        cohomology = self.cohomology
+        src, tgt = cohomology.get(i_key, {}).get(p, 0), cohomology.get(tgt_key, {}).get(tgt_p, 0)
         if src == 0 or tgt == 0:
             return Matrix.zero(tgt, src)
         block = maps.get((i_key, x), {}).get(p)
@@ -235,9 +281,11 @@ class CompactificationDatum:
             raise DatumError("%s has shape %r, expected %r" % (name % (i_key, x, p), block.shape, (tgt, src)))
         return block
 
-    def _step(self, i_set: tuple[int, ...], j: int, p: int) -> Matrix:
+    def _step(self, i_key: tuple[int, ...], j: int, p: int, tgt_key: tuple[int, ...]) -> Matrix:
+        """The restriction from D_I to D_{I+j} in degree p; `i_key` and
+        `tgt_key`, the sorted I + j, are sorted."""
         return self._block(self.restrictions, "restriction for I=%r, j=%d, degree %d",
-                           i_set, j, p, i_set + (j,), p)
+                           i_key, j, p, tgt_key, p)
 
     def restriction(self, i_set: Sequence[int], j_set: Sequence[int], p: int) -> Matrix:
         """Composite restriction H^p(D_I) -> H^p(D_J) along sorted steps."""
@@ -266,23 +314,28 @@ class CompactificationDatum:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Functoriality of restrictions and cup-product axioms per stratum."""
+        """Functoriality of restrictions and cup-product axioms per stratum.
+        The sorted index tuples I + j and I + j1 + j2 are built once each."""
         issues = []
+        cohomology = self.cohomology
         for i_key in self.subsets():
+            degrees = sorted(cohomology[i_key])
             remaining = [j for j in range(1, self.components + 1) if j not in i_key]
+            above = {j: tuple(sorted(i_key + (j,))) for j in remaining}
             for a_pos in range(len(remaining)):
                 for b_pos in range(a_pos + 1, len(remaining)):
                     j1, j2 = remaining[a_pos], remaining[b_pos]
-                    for p in self.degrees(i_key):
+                    top = cohomology.get(tuple(sorted(i_key + (j1, j2))), {})
+                    for p in degrees:
                         try:
-                            if not self.dim(i_key + (j1, j2), p):
+                            if not top.get(p, 0):
                                 # both composites end in a space without
                                 # classes, so they agree; only a first step
                                 # into a space with classes can be missing
                                 # or misshapen
                                 for j in (j1, j2):
-                                    if self.dim(i_key + (j,), p):
-                                        self._step(i_key, j, p)
+                                    if cohomology.get(above[j], {}).get(p, 0):
+                                        self._step(i_key, j, p, above[j])
                                 continue
                             via1 = self._compose_steps(i_key, (j1, j2), p)
                             via2 = self._compose_steps(i_key, (j2, j1), p)
@@ -303,9 +356,10 @@ class CompactificationDatum:
             return Matrix.identity(self.dim(i_key, p))
         cur, mat = i_key, None
         for j in js:
-            step = self._step(cur, j, p)
+            nxt = tuple(sorted(cur + (j,)))
+            step = self._step(cur, j, p, nxt)
             mat = step if mat is None else step @ mat
-            cur = tuple(sorted(cur + (j,)))
+            cur = nxt
         return mat
 
     def _check_cup(self, i_key) -> list[str]:
@@ -313,11 +367,13 @@ class CompactificationDatum:
         the ring check of `verify_cdga_axioms` on H^p(D_I) in bidegree (p, 0),
         with zero constants dropped, faults in the order of the loop over the
         labels (p, a)."""
-        products = {((p, 0), (p2, 0)): {ab: {c: Fraction(v) for c, v in vec.items() if v}
-                                        for ab, vec in entries.items()}
-                    for (p, p2), entries in self.cups.get(i_key, {}).items()}
-        tables = _integer_tables(products, _common_denominator(products.values()))
-        span = {(p, 0): range(self.dim(i_key, p)) for p in self.degrees(i_key)}
+        cups = self.cups.get(i_key, {})
+        scale = math.lcm(*(_rational(v).denominator
+                           for entries in cups.values() for vec in entries.values() for v in vec.values() if v))
+        tables = {((p, 0), (p2, 0)): {ab: {c: _scaled(v, scale) for c, v in vec.items() if v}
+                                      for ab, vec in entries.items()}
+                  for (p, p2), entries in cups.items()}
+        span = {(p, 0): range(d) for p, d in sorted(self.cohomology.get(i_key, {}).items())}
         commutativity, associativity = _ring_faults(tables, span)
         # a fault ((p, 0), a, (p2, 0), b, ...) sorts as its labels (p, a), (p2, b), ...
         issues = ["cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)" % (i_key, p, a, p2, b)
@@ -362,6 +418,8 @@ class BigradedModel:
         }
         self._diff_cols_cache: dict[Bidegree, list[Sparse]] = {}
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
+        self._ranks: dict[Bidegree, int] = {}
+        self._cohomology_dims: dict[Bidegree, int] = {}
 
     def dim(self, kq: Bidegree) -> int:
         return len(self.spaces.get(kq, ()))
@@ -412,6 +470,36 @@ class BigradedModel:
         if col is None:
             col = self._cohomology_cache[kq] = _ColumnCohomology(self, kq)
         return col
+
+    def _rank(self, kq: Bidegree) -> int:
+        """The rank of d on M^k_q, once per bidegree; 0 where none is stored."""
+        rank = self._ranks.get(kq)
+        if rank is None:
+            stored = self.diff.get(kq)
+            rank = self._ranks[kq] = 0 if stored is None else stored.rank()
+        return rank
+
+    def _rank_formula(self, kq: Bidegree) -> int:
+        """dim M^k_q - rank d_out - rank d_in, refused unless both
+        differentials fit the spaces around `kq`."""
+        self._fitted_differentials(kq)
+        return self.dim(kq) - self._rank(kq) - self._rank((kq[0] - 1, kq[1]))
+
+    def _cohomology_dim(self, kq: Bidegree) -> int:
+        """The dimension of the column cohomology at `kq`, once per
+        bidegree: the rank formula where d o d = 0 on the sparse columns of
+        d into `kq`, and otherwise the column data's, which then differs
+        from it."""
+        h = self._cohomology_dims.get(kq)
+        if h is None:
+            h = 0
+            if self.dim(kq):
+                h = self._rank_formula(kq)
+                out = self._diff_cols(kq)
+                if any(_apply_columns(out, col) for col in self._diff_cols((kq[0] - 1, kq[1]))):
+                    h = self._column_cohomology(kq).dim
+            self._cohomology_dims[kq] = h
+        return h
 
     def diff_vec(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
         return _apply_columns(self._diff_cols(kq), vec)
@@ -691,8 +779,7 @@ def cohomology_of_model(model: BigradedModel) -> dict[Bidegree, int]:
     stored differential that does not map between its spaces."""
     out: dict[Bidegree, int] = {}
     for kq in model.bidegrees():
-        d_in, d_out = model._fitted_differentials(kq)
-        h = model.dim(kq) - d_out.rank() - d_in.rank()
+        h = model._rank_formula(kq)
         if h:
             out[kq] = h
     return out
@@ -710,7 +797,9 @@ class _ColumnCohomology:
     for every d_out, so one rref of [phi(B) | I] has the pivots of [B | Z]
     among its first columns, and its right block E maps the chosen
     columns S to E phi(S) = [I; 0].  When d o d = 0, R B = 0, and only the
-    z rows at the free columns take part in reducing phi(B).
+    z rows at the free columns take part in reducing phi(B).  Without
+    boundaries, as at every (k, 2k) of a model built from a datum and in a
+    model with d = 0, nothing is eliminated.
     """
 
     def __init__(self, model: BigradedModel, kq: Bidegree):
@@ -737,6 +826,11 @@ class _ColumnCohomology:
                 col[position[j]] = Fraction(1)
             self._phi_cols.append(col)
         boundaries = [_apply_columns(self._phi_cols, col) for col in model._diff_cols((k - 1, q))]
+        if not any(boundaries):
+            # [phi(B) | I] is reduced already: every cocycle is chosen, and E = I
+            self.representatives = [list(v) for v in cocycles]
+            self._inverse_cols = [{i: Fraction(1)} for i in range(n)]
+            return
         b = len(boundaries)
         rows = [[col.get(i, Fraction(0)) for col in boundaries] + [Fraction(i == j) for j in range(n)]
                 for i in range(n)]
@@ -881,7 +975,9 @@ class QuasiIsoVerdict:
 def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
     """Verdict: induced cohomology maps are isomorphisms for k <= r and
     injective for k = r + 1.  Raises MorphismError when f is not a cdga
-    morphism, naming the violated identity."""
+    morphism, naming the violated identity.  Column data, with its
+    elimination, is built only at the bidegrees where the source or the
+    target has cohomology."""
     problems = f.violations()
     if problems:
         raise MorphismError(problems[0])
@@ -897,12 +993,13 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
         iso = True
         injective = True
         for q in weights:
+            dims = (f.source._cohomology_dim((k, q)), f.target._cohomology_dim((k, q)))
+            h_src += dims[0]
+            h_tgt += dims[1]
+            if dims == (0, 0):
+                continue
             src = f.source._column_cohomology((k, q))
             tgt = f.target._column_cohomology((k, q))
-            h_src += src.dim
-            h_tgt += tgt.dim
-            if src.dim == 0 and tgt.dim == 0:
-                continue
             cols = []
             for rep in src.representatives:
                 image = f.apply((k, q), dict(enumerate(rep)))
@@ -942,7 +1039,8 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     the witnesses.  The basis of K^k and the coordinates of products in it
     come from the model's cached column cohomology at (k, 2k), which the
     check of the inclusion, a cdga morphism and an r-quasi-isomorphism,
-    reads again.
+    reads again.  Products of cocycles are swept over the keys of the
+    model's product tables, pairs in ascending order.
     """
     cohom = cohomology_of_model(model)
     bad = sorted(kq for kq, h in cohom.items() if h and kq[1] != 2 * kq[0] and kq[0] <= r)
@@ -957,31 +1055,29 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
         (k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(col.cocycles)))
         for k, col in kernels.items()
     }
+    rows = {k: _sparse_rows(col.cocycles) for k, col in kernels.items()}
     products: dict = {}
-    for k1, col1 in kernels.items():
-        for k2, col2 in kernels.items():
+    for k1 in kernels:
+        for k2 in kernels:
             k3 = k1 + k2
             table: dict = {}
-            for a, va in enumerate(col1.cocycles):
-                for b, vb in enumerate(col2.cocycles):
-                    prod = model.mult_vec((k1, 2 * k1), va, (k2, 2 * k2), vb)
-                    if k3 in kernels:
-                        vec = kernels[k3].cocycle_coordinates(prod)
-                    else:
-                        # the product of cocycles must vanish if K^{k3} is trivial
-                        vec = None if prod else {}
-                    if vec is None:
-                        raise ClosureError(
-                            "kernel product escapes at K^%d x K^%d pair (%d, %d)"
-                            % (k1, k2, a, b)
-                        )
-                    if vec:
-                        table[(a, b)] = vec
+            pairs = _pair_products(model.products.get(((k1, 2 * k1), (k2, 2 * k2)), {}), rows[k1], rows[k2])
+            for (a, b), prod in pairs.items():
+                # the product of cocycles must vanish if K^{k3} is trivial
+                vec = kernels[k3].cocycle_coordinates(prod) if k3 in kernels else None
+                if vec is None:
+                    raise ClosureError(
+                        "kernel product escapes at K^%d x K^%d pair (%d, %d)"
+                        % (k1, k2, a, b)
+                    )
+                if vec:
+                    table[(a, b)] = vec
             if table:
                 products[((k1, 2 * k1), (k2, 2 * k2))] = table
     witness_model = BigradedModel(spaces, {}, products)
-    blocks = {(k, 2 * k): Matrix.from_columns([[v.get(i, Fraction(0)) for i in range(col.length)]
-                                               for v in col.cocycles], nrows=col.length)
+    zero = Fraction(0)
+    blocks = {(k, 2 * k): Matrix([[v.get(i, zero) for v in col.cocycles] for i in range(col.length)],
+                                 ncols=len(col.cocycles))
               for k, col in kernels.items()}
     inclusion = CdgaMorphism(witness_model, model, blocks)
     verdict = check_r_quasi_iso(inclusion, r)
@@ -994,7 +1090,9 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     Requires H^k(M_q) = 0 for q != k and k <= r + 1.  The projection from
     the model is checked to be a cdga morphism and an r-quasi-isomorphism;
     products of boundaries with anything must project to zero, otherwise
-    the induced product is ill-defined and extraction fails.
+    the induced product is ill-defined and extraction fails.  Products are
+    swept over the keys of the model's product tables, as in
+    `extract_kernel_model`.
     """
     cohom = cohomology_of_model(model)
     bound = r if r == INF else r + 1
@@ -1020,24 +1118,25 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
         cols = [list(col.coordinates({j: Fraction(1)})) for j in range(model.dim((k, k)))]
         projections[(k, k)] = Matrix.from_columns(cols, nrows=col.dim)
 
-    # well-definedness: boundaries must multiply into boundaries
+    # well-definedness: boundaries must multiply into boundaries, checked
+    # in the order of the loop over (k, boundary, k2, basis vector j)
+    units = {k: {j: {j: Fraction(1)} for j in range(model.dim((k, k)))} for k in data}
     for k, col in data.items():
-        for u in col.boundary_basis:
-            for k2, col2 in data.items():
-                k3 = k + k2
-                if k3 not in data or not data[k3].dim:
-                    continue
-                n2 = model.dim((k2, k2))
-                for j in range(n2):
-                    prod = model.mult_vec(
-                        (k, k), dict(enumerate(u)), (k2, k2), {j: Fraction(1)}
-                    )
-                    if any(x for x in data[k3].coordinates(prod)):
-                        raise ClosureError(
-                            "boundary times basis vector survives in C^%d (from C^%d x C^%d)"
-                            % (k3, k, k2)
-                        )
+        rows = _sparse_rows(_dense_to_sparse(u) for u in col.boundary_basis)
+        checks = []
+        for k2 in data:
+            k3 = k + k2
+            if k3 in data and data[k3].dim:
+                pairs = _pair_products(model.products.get(((k, k), (k2, k2)), {}), rows, units[k2])
+                checks += [(u, k2, j, prod) for (u, j), prod in pairs.items()]
+        for _, k2, _, prod in sorted(checks, key=lambda check: check[:3]):
+            if any(x for x in data[k + k2].coordinates(prod)):
+                raise ClosureError(
+                    "boundary times basis vector survives in C^%d (from C^%d x C^%d)"
+                    % (k + k2, k, k2)
+                )
 
+    rows = {k: _sparse_rows(_dense_to_sparse(v) for v in col.representatives) for k, col in data.items()}
     products: dict = {}
     for k1, col1 in data.items():
         for k2, col2 in data.items():
@@ -1045,14 +1144,11 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
             if not col1.dim or not col2.dim or k3 not in data or not data[k3].dim:
                 continue
             table: dict = {}
-            for a, ra in enumerate(col1.representatives):
-                for b, rb in enumerate(col2.representatives):
-                    prod = model.mult_vec(
-                        (k1, k1), dict(enumerate(ra)), (k2, k2), dict(enumerate(rb))
-                    )
-                    vec = {c: v for c, v in enumerate(data[k3].coordinates(prod)) if v}
-                    if vec:
-                        table[(a, b)] = vec
+            pairs = _pair_products(model.products.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2])
+            for ab, prod in pairs.items():
+                vec = {c: v for c, v in enumerate(data[k3].coordinates(prod)) if v}
+                if vec:
+                    table[ab] = vec
             if table:
                 products[((k1, k1), (k2, k2))] = table
     witness_model = BigradedModel(spaces, {}, products)

@@ -3,6 +3,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from stratiform.cli import (
 )
 
 F = Fraction
+GOLDEN_EXPECTED = Path(__file__).resolve().parent / "golden" / "expected"
 
 Z2 = "toric 1\neq 2 : 0/1\n"
 COORD2 = "toric 2\neq 1 0 : 0/1\neq 0 1 : 0/1\n"
@@ -228,6 +230,14 @@ class TestCommands:
         assert code == 0
         assert "selftest: pass" in out
         assert "ok=false" not in out
+
+    @pytest.mark.parametrize("fmt", ["text", "kv"])
+    def test_model_selftest_matches_golden(self, fmt):
+        # every witness check of the selftest, byte for byte; rewritten
+        # with the golden corpus by `python tests/test_golden.py`
+        code, out = invoke(["model-selftest", "--format", fmt])
+        assert code == 0
+        assert out == (GOLDEN_EXPECTED / ("model-selftest." + fmt)).read_text(encoding="utf-8")
 
     def test_model_selftest_runs_its_checks_in_order(self):
         # the selftest's share of the checks of acceptance criteria 4 to 6

@@ -305,3 +305,109 @@ def test_inverse_roundtrip():
     m = Matrix([[1, 2], [3, 7]])
     assert m @ inverse(m) == Matrix.identity(2)
     assert det(m) == 1
+
+
+# -- rref against a rational Gauss-Jordan reference ------------------------------
+
+
+def reference_rref(rows, ncols):
+    """Gauss-Jordan elimination in Fractions with the pivot rule of
+    `Matrix.rref` (first row with a nonzero entry in the leftmost unfinished
+    column), normalizing each pivot row as it is found."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def reference_kernel(rows, ncols):
+    red, pivots = reference_rref(rows, ncols)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def reference_solve(rows, ncols, b):
+    red, pivots = reference_rref([list(r) + [x] for r, x in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = red[i][ncols]
+    return tuple(x)
+
+
+big_denominator = st.sampled_from([1, 2, 3, 7, 10**9 + 7, 2**61 - 1, 10**30 + 57])
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), big_denominator),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Shapes down to 0 x n and n x 0, zero columns, negative pivots, large
+    denominators, and rows that combine earlier rows (rank deficiency)."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)) if ncols else set()
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+            row = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(ncols)]
+        else:
+            row = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rows.append([Fraction(0) if j in zero_cols else x for j, x in enumerate(row)])
+    return rows, ncols
+
+
+class TestRrefOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices(), st.data())
+    def test_rows_pivots_kernel_and_solve(self, matrix, data):
+        rows, ncols = matrix
+        m = Matrix(rows, ncols=ncols)
+        red, pivots = m.rref()
+        want_rows, want_pivots = reference_rref(rows, ncols)
+        assert red.rows == want_rows and red.shape == (len(rows), ncols)
+        assert all(type(x) is Fraction for row in red.rows for x in row)
+        assert pivots == want_pivots and m.rank() == len(want_pivots)
+        assert m.right_kernel() == reference_kernel(rows, ncols)
+        b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        x = m.solve(b)
+        assert x == reference_solve(rows, ncols, b)
+        if x is not None:
+            assert m.apply(x) == tuple(b)
+
+    @pytest.mark.parametrize("rows,ncols", [
+        ([], 0), ([], 4), ([[], [], []], 0),
+        ([[0, 0], [0, 0]], 2),
+        ([[0, -3, 6], [0, -1, 2], [0, 2, 5]], 3),
+        ([[Fraction(-2, 10**30 + 57), Fraction(1, 3)], [Fraction(4, 10**30 + 57), Fraction(-2, 3)]], 2),
+    ])
+    def test_edge_shapes(self, rows, ncols):
+        m = Matrix(rows, ncols=ncols)
+        red, pivots = m.rref()
+        assert (red.rows, pivots) == reference_rref(rows, ncols)
+        assert m.right_kernel() == reference_kernel(rows, ncols)

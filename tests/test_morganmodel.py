@@ -1173,6 +1173,172 @@ class TestColumnCohomologyOnComplexes:
                 assert col.coordinates(sparse) == tuple(sol[len(col.boundary_basis):])
 
 
+# -- witnesses against their pairwise reference ----------------------------------
+#
+# The quasi-isomorphism check and the witness products as they were first
+# written: column data built at every bidegree of both models, and every
+# pair of basis vectors multiplied with the dense `mult_vec`.
+
+
+def reference_quasi_iso(f, r):
+    """`check_r_quasi_iso` with fresh column data at every bidegree."""
+    problems = f.violations()
+    if problems:
+        raise MorphismError(problems[0])
+    weights = sorted({q for (_, q) in set(f.source.bidegrees()) | set(f.target.bidegrees())})
+    max_k = max([k for (k, _) in f.source.bidegrees()] + [k for (k, _) in f.target.bidegrees()], default=0)
+    per_degree, failures = [], []
+    for k in range(max_k + 2):
+        h_src = h_tgt = rank_total = 0
+        iso = injective = True
+        for q in weights:
+            src, tgt = _ColumnCohomology(f.source, (k, q)), _ColumnCohomology(f.target, (k, q))
+            h_src += src.dim
+            h_tgt += tgt.dim
+            if src.dim == 0 and tgt.dim == 0:
+                continue
+            cols = [list(tgt.coordinates(f.apply((k, q), dict(enumerate(rep))))) for rep in src.representatives]
+            rk = Matrix.from_columns(cols, nrows=tgt.dim).rank()
+            rank_total += rk
+            injective = injective and rk == src.dim
+            iso = iso and rk == src.dim == tgt.dim
+        per_degree.append((k, h_src, h_tgt, rank_total))
+        if k <= r and not iso:
+            failures.append("not an isomorphism on H^%d" % k)
+        if r != INF and k == r + 1 and not injective:
+            failures.append("not injective on H^%d" % k)
+    return (r, not failures, tuple(per_degree), tuple(failures))
+
+
+def reference_kernel_products(model):
+    """The kernel witness's tables from pairwise products of cocycles."""
+    cols = {k: _ColumnCohomology(model, (k, 2 * k)) for k in range(model.max_degree() + 1)}
+    kernels = {k: col for k, col in cols.items() if col.cocycles}
+    products = {}
+    for k1, col1 in kernels.items():
+        for k2, col2 in kernels.items():
+            table = {}
+            for a, va in enumerate(col1.cocycles):
+                for b, vb in enumerate(col2.cocycles):
+                    prod = model.mult_vec((k1, 2 * k1), va, (k2, 2 * k2), vb)
+                    vec = kernels[k1 + k2].cocycle_coordinates(prod) if k1 + k2 in kernels else None
+                    if vec is None and prod:
+                        raise ClosureError("kernel product escapes at K^%d x K^%d pair (%d, %d)" % (k1, k2, a, b))
+                    if vec:
+                        table[(a, b)] = vec
+            if table:
+                products[((k1, 2 * k1), (k2, 2 * k2))] = table
+    return products
+
+
+def reference_cokernel_products(model):
+    """The cokernel witness's tables from pairwise products of
+    representatives, after the boundary-times-basis check."""
+    data = {k: _ColumnCohomology(model, (k, k)) for k in range(model.max_degree() + 1) if model.dim((k, k))}
+    for k, col in data.items():
+        for u in col.boundary_basis:
+            for k2 in data:
+                if k + k2 in data and data[k + k2].dim:
+                    for j in range(model.dim((k2, k2))):
+                        prod = model.mult_vec((k, k), dict(enumerate(u)), (k2, k2), {j: F(1)})
+                        if any(data[k + k2].coordinates(prod)):
+                            raise ClosureError("boundary times basis vector survives in C^%d (from C^%d x C^%d)"
+                                               % (k + k2, k, k2))
+    products = {}
+    for k1, col1 in data.items():
+        for k2, col2 in data.items():
+            if not col1.dim or not col2.dim or k1 + k2 not in data or not data[k1 + k2].dim:
+                continue
+            table = {}
+            for a, ra in enumerate(col1.representatives):
+                for b, rb in enumerate(col2.representatives):
+                    prod = model.mult_vec((k1, k1), dict(enumerate(ra)), (k2, k2), dict(enumerate(rb)))
+                    vec = {c: v for c, v in enumerate(data[k1 + k2].coordinates(prod)) if v}
+                    if vec:
+                        table[(a, b)] = vec
+            if table:
+                products[((k1, k1), (k2, k2))] = table
+    return products
+
+
+def builder_and_kunneth_models():
+    lines = {s: builder_projective_line_marked(s) for s in range(6)}
+    data = {"point": builder_point(), "torus-like": torus_like_compact_datum(),
+            **{"line-%d" % s: cd for s, cd in lines.items()}}
+    for s1 in range(6):
+        for s2 in range(s1, 6):
+            data["square-%d-%d" % (s1, s2)] = kunneth_product(lines[s1], lines[s2])
+    for sizes in [(0, 0, 0), (1, 0, 2), (2, 2, 2), (3, 3, 3)]:
+        data["cube-%d-%d-%d" % sizes] = functools.reduce(kunneth_product, [lines[s] for s in sizes])
+    data["torus-like-x-line-2"] = kunneth_product(torus_like_compact_datum(), lines[2])
+    for name, cd in data.items():
+        yield pytest.param(cd, id=name)
+
+
+def broken_square_model():
+    """A chain complex M^0 -> M^1 -> M^2 in weight 0 with d o d != 0:
+    d(w) = u and d(u) = t.  At (1, 0) the rank formula gives 2 - 1 - 1 = 0,
+    but the cocycle v is independent of the boundary u, so the column
+    cohomology there has dimension 1."""
+    spaces = {(0, 0): ("w",), (1, 0): ("u", "v"), (2, 0): ("t",)}
+    diff = {(0, 0): Matrix([[1], [0]]), (1, 0): Matrix([[1, 0]])}
+    return BigradedModel(spaces, diff, {})
+
+
+class TestWitnessesAgainstReference:
+    @pytest.mark.parametrize("cd", builder_and_kunneth_models())
+    @pytest.mark.parametrize("r", [0, 1, INF])
+    def test_verdicts_and_tables(self, cd, r):
+        model = build_model(cd)
+        for extract, reference in [(extract_kernel_model, reference_kernel_products),
+                                   (extract_cokernel_model, reference_cokernel_products)]:
+            try:
+                witness = extract(BigradedModel(model.spaces, model.diff, model.products), r)
+            except ModelPurityError:
+                continue
+            verdict = witness.quasi_iso
+            assert (verdict.r, verdict.ok, verdict.per_degree, verdict.failures) == reference_quasi_iso(
+                witness.morphism, r)
+            assert repr(witness.model.products) == repr(reference(model))
+
+    def test_rank_formula_fallback_where_d_squared_is_nonzero(self):
+        model = broken_square_model()
+        identity = CdgaMorphism(model, model, {kq: Matrix.identity(model.dim(kq)) for kq in model.bidegrees()})
+        want = reference_quasi_iso(identity, INF)
+        assert want[2] == ((0, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0), (3, 0, 0, 0))
+        verdict = check_r_quasi_iso(identity, INF)
+        assert (verdict.r, verdict.ok, verdict.per_degree, verdict.failures) == want
+        # cohomology_of_model keeps the rank formula, which reads 0 at (1, 0)
+        assert cohomology_of_model(model) == {}
+
+    def test_first_kernel_escape_in_pair_order(self):
+        # x0, x1 span K^1 and y0 spans K^2, since d(y1) = z; x0 x0 = y0, and
+        # every other pair gives y1, the table listing (0, 1) last
+        spaces = {(1, 2): ("x0", "x1"), (2, 4): ("y0", "y1"), (3, 4): ("z",)}
+        table = {(1, 1): {1: F(1)}, (1, 0): {1: F(-1)}, (0, 0): {0: F(1)}, (0, 1): {1: F(1)}}
+        model = model_with_products(spaces, {((1, 2), (1, 2)): table}, {(2, 4): Matrix([[0, 1]])})
+        with pytest.raises(ClosureError, match=r"K\^1 x K\^1 pair \(0, 1\)$"):
+            reference_kernel_products(model)
+        with pytest.raises(ClosureError, match=r"K\^1 x K\^1 pair \(0, 1\)$"):
+            extract_kernel_model(model, INF)
+
+    def test_first_boundary_escape_in_loop_order(self):
+        # u0 = d(w0) and u1 = d(w1) are boundaries; u1 v = t survives in C^2,
+        # but u0 t = s survives in C^3, and u0 comes first
+        spaces = {(0, 0): ("1",), (0, 1): ("w0", "w1"), (1, 1): ("u0", "u1", "v"), (2, 2): ("t",),
+                  (3, 3): ("s",)}
+        model = model_with_products(
+            spaces,
+            {((1, 1), (1, 1)): {(1, 2): {0: F(1)}}, ((1, 1), (2, 2)): {(0, 0): {0: F(1)}}},
+            {(0, 1): Matrix([[1, 0], [0, 1], [0, 0]])},
+        )
+        message = r"survives in C\^3 \(from C\^1 x C\^2\)$"
+        with pytest.raises(ClosureError, match=message):
+            reference_cokernel_products(model)
+        with pytest.raises(ClosureError, match=message):
+            extract_cokernel_model(model, INF)
+
+
 # -- Kunneth reference ----------------------------------------------------------
 #
 # The product as it was first written: one tensor-with-identity loop per
@@ -1481,6 +1647,15 @@ class TestBudgets:
         assert square.validate() == []
         assert calls == {}
 
+    def test_square_validate_sorts_no_index_tuple_per_lookup(self, count_calls):
+        # I + j and I + j1 + j2 are sorted once each, not inside the 5,923
+        # `dim` and 1,141 `degrees` calls that used to look them up
+        line = builder_projective_line_marked(5)
+        square = kunneth_product(line, line)
+        calls = count_calls(CompactificationDatum, "dim", "degrees")
+        assert square.validate() == []
+        assert calls == {}
+
     def test_axioms_make_no_matrix_products(self, count_calls):
         # d o d is applied to the sparse columns of d
         line5, line3 = builder_projective_line_marked(5), builder_projective_line_marked(3)
@@ -1528,3 +1703,43 @@ class TestBudgets:
         verdict = check_r_quasi_iso(CdgaMorphism(witness.model, target, witness.morphism.blocks), INF)
         assert verdict == witness.quasi_iso and verdict.ok
         assert products == []
+
+    def test_witnesses_multiply_no_basis_vectors(self, count_calls):
+        # cocycle, boundary and representative products are swept over the
+        # keys of the product tables
+        line5, line0 = builder_projective_line_marked(5), builder_projective_line_marked(0)
+        square = build_model(kunneth_product(line5, line5))
+        compact = build_model(kunneth_product(kunneth_product(line0, line0), line0))
+        calls = count_calls(BigradedModel, "mult_vec", "mult_basis")
+        assert extract_kernel_model(square, INF).quasi_iso.ok
+        assert extract_cokernel_model(compact, INF).quasi_iso.ok
+        assert calls == {}
+
+    @pytest.mark.parametrize("sizes,built", [
+        # the kernel bidegrees (k, 2k) for k up to the top degree, spaceless
+        # ones included, then the witness's nonzero bidegrees; no other
+        # bidegree of the model has cohomology
+        ((5, 5), [(0, 0), (1, 2), (2, 4), (3, 6), (4, 8)] + [(0, 0), (1, 2), (2, 4)]),
+        ((3, 3, 3), [(k, 2 * k) for k in range(7)] + [(0, 0), (1, 2), (2, 4), (3, 6)]),
+    ])
+    def test_column_cohomology_only_where_nonzero(self, count_calls, sizes, built):
+        cd = functools.reduce(kunneth_product, [builder_projective_line_marked(s) for s in sizes])
+        model = build_model(cd)
+        inits = count_calls(_ColumnCohomology, "__init__").args["__init__"]
+        witness = extract_kernel_model(model, INF)
+        assert witness.quasi_iso.ok
+        assert [kq for _, _, kq in inits] == built
+        assert [id(m) for _, m, _ in inits] == [id(model)] * (len(built) - len(witness.model.spaces)) + [
+            id(witness.model)] * len(witness.model.spaces)
+
+    def test_cube_kernel_witness_refeeds_without_pair_products(self, count_calls):
+        # the witness has d = 0, the shape of an Orlik-Solomon model; its own
+        # kernel witness is itself
+        line = builder_projective_line_marked(3)
+        witness = extract_kernel_model(build_model(kunneth_product(kunneth_product(line, line), line)), INF)
+        assert witness.model.diff == {}
+        assert all(witness.model.differential(kq).is_zero() for kq in witness.model.bidegrees())
+        calls = count_calls(BigradedModel, "mult_vec", "mult_basis")
+        again = extract_kernel_model(witness.model, INF)
+        assert again.quasi_iso.ok and calls == {}
+        assert again.model.spaces == witness.model.spaces and again.model.products == witness.model.products
