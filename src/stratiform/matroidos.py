@@ -16,9 +16,11 @@ partition the hyperplanes not containing X, so once a cover is found
 the hyperplanes through it are not intersected with X again.  Covers
 are recorded while the flats are enumerated, and `mobius_from_covers`,
 shared with the toric layer poset, turns them into mu(ambient, X).  The
-interval below X is the lattice of flats of the central arrangement of
-normals through X, so |mu(ambient, X)| is the local dimension at X
-without building that lattice.
+flats are ordered and the covers indexed on the integer keys too; the
+`Fraction` key is built for output only.  The interval below X is the
+lattice of flats of the central arrangement of normals through X, so
+|mu(ambient, X)| is the local dimension at X without building that
+lattice.
 """
 
 from __future__ import annotations
@@ -224,10 +226,10 @@ class AffineFlat:
 
     `key` is the reduced row echelon form of the augmented system [A | b]
     cutting the flat out; `hyperplanes` lists the input hyperplanes that
-    contain it.  `affine_intersection_poset` searches on integer keys
-    (each echelon row scaled to a primitive integer row with a positive
-    pivot) and divides each row by its pivot only once, when it builds
-    the flat.
+    contain it.  `affine_intersection_poset` searches and orders on
+    integer keys (each echelon row scaled to a primitive integer row with
+    a positive pivot) and divides each distinct row by its pivot once,
+    when it builds the flats.
     """
 
     key: tuple[tuple[Fraction, ...], ...]
@@ -255,20 +257,16 @@ class AffinePoset:
     """
 
     def __init__(self, ambient_dim: int, flats: Sequence[AffineFlat],
-                 covers: Iterable[tuple[tuple, tuple]]):
-        """`covers` holds (key of X, key of Y) pairs with Y covering X."""
+                 covers: Sequence[tuple[int, int]]):
+        """`flats` in their final order; `covers` as sorted index pairs."""
         self.ambient_dim = ambient_dim
-        self.flats = tuple(sorted(flats, key=lambda f: (f.codim, f.key)))
-        index = {f.key: i for i, f in enumerate(self.flats)}
-        self.covers = tuple(sorted({(index[x], index[y]) for x, y in covers}))
+        self.flats = tuple(flats)
+        self.covers = tuple(covers)
         self.mobius = mobius_from_covers(len(self.flats), self.covers)
 
     def leq(self, i: int, j: int) -> bool:
         """flats[i] <= flats[j]: the stratum of j is inside the stratum of i."""
         return self.flats[i].hyperplanes <= self.flats[j].hyperplanes
-
-    def flats_of_codim(self, q: int) -> tuple[AffineFlat, ...]:
-        return tuple(f for f in self.flats if f.codim == q)
 
     @property
     def max_codim(self) -> int:
@@ -414,12 +412,30 @@ def affine_intersection_poset(
                 seen |= cover_inside
         frontier = new
 
-    flats = {}
-    for key, (pivots, inside) in found.items():
-        fraction_key = tuple(tuple(Fraction(x, r[p]) for x in r) for p, r in zip(pivots, key))
-        flats[key] = AffineFlat(fraction_key, len(pivots), n - len(pivots), inside)
-    return AffinePoset(n, tuple(flats.values()),
-                       [(flats[x].key, flats[y].key) for x, y in covers])
+    # The Fraction key divides each row r by its pivot r[p] > 0.  Scaled by
+    # the common multiple L of all pivots, r / r[p] becomes the integer row
+    # r * (L // r[p]) in the same lexicographic order, so the flats sort on
+    # integers.  Each distinct row, and each distinct quotient in it, is
+    # divided once.
+    pivot_of = {r: p for key, (pivots, _) in found.items() for p, r in zip(pivots, key)}
+    scale = lcm(1, *(r[p] for r, p in pivot_of.items()))
+    scaled = {r: tuple(x * (scale // r[p]) for x in r) for r, p in pivot_of.items()}
+    order = sorted(found, key=lambda key: (len(key), [scaled[r] for r in key]))
+    quotients: dict[tuple[int, int], Fraction] = {}
+    fraction_row = {}
+    for r, p in pivot_of.items():
+        row = []
+        for x in r:
+            f = quotients.get((x, r[p]))
+            if f is None:
+                f = quotients[x, r[p]] = Fraction(x, r[p])
+            row.append(f)
+        fraction_row[r] = tuple(row)
+
+    flats = [AffineFlat(tuple(fraction_row[r] for r in key), len(key), n - len(key), found[key][1])
+             for key in order]
+    index = {key: i for i, key in enumerate(order)}
+    return AffinePoset(n, flats, sorted((index[x], index[y]) for x, y in covers))
 
 
 def poset_characteristic_polynomial(poset: AffinePoset) -> tuple[int, ...]:

@@ -109,7 +109,9 @@ def _affine_poset_reference(
     codimension q+1 are the nonempty intersections of a codimension-q
     flat X with a hyperplane not containing X.  Each of these covers X,
     and every cover arises this way, so the BFS records the covers.
-    Finding more than `max_flats` flats raises ValueError.
+    Finding more than `max_flats` flats raises ValueError.  The flats are
+    sorted by (codimension, Fraction key) here, and the covers indexed by
+    Fraction keys, independently of the integer order of the search.
     """
     n = ambient_dim
     eqs = []
@@ -160,7 +162,9 @@ def _affine_poset_reference(
                     new.append(new_key)
                 covers.add((key, new_key))
         frontier = new
-    return AffinePoset(n, tuple(flats.values()), covers)
+    order = sorted(flats.values(), key=lambda f: (f.codim, f.key))
+    index = {f.key: i for i, f in enumerate(order)}
+    return AffinePoset(n, order, sorted((index[x], index[y]) for x, y in covers))
 
 
 def assert_same_poset(n, hyperplanes):
@@ -216,6 +220,8 @@ REFERENCE_CASES = {
     "rational normals and constants": (3, [((F(1, 3), 1, 0), F(-2, 5)), ((1, F(-2, 5), 0), F(1, 3)),
                                            ((0, F(1, 3), F(-2, 5)), F(0)), ((F(1, 6), 0, F(5, 4)), F(7, 6)),
                                            ((F(2, 3), 2, 0), F(-4, 5)), ((1, 1, 1), F(-1, 2))]),
+    # primitive rows (2, 1 | 0) > (1, 1 | 0), but (1, 1/2 | 0) < (1, 1 | 0)
+    "pivots scaled to a common multiple": (2, [((2, 1), F(0)), ((1, 1), F(0))]),
 }
 
 
@@ -238,6 +244,24 @@ _FRACTIONS = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
     )
 )
 def test_random_affine_posets_match_fraction_reference(arrangement):
+    assert_same_poset(*arrangement)
+
+
+_INTEGERS = st.integers(-9, 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.tuples(*[_INTEGERS] * n).filter(any), _INTEGERS),
+            min_size=1,
+            max_size=6,
+        ).map(lambda hyperplanes: (n, hyperplanes))
+    )
+)
+def test_random_integer_affine_posets_match_fraction_reference(arrangement):
+    """Integer entries in [-9, 9], so that the pivots and their lcm vary widely."""
     assert_same_poset(*arrangement)
 
 
@@ -581,3 +605,22 @@ def test_braid7_betti_within_one_second():
     elapsed = perf_counter() - start
     assert result.betti == (1, 21, 175, 735, 1624, 1764, 720)
     assert elapsed < 1.0, "braid-7 betti took %.2f s" % elapsed
+
+
+def test_affine_poset_hashes_and_orders_no_fractions(count_calls):
+    """Work gate: the flats are ordered and the covers indexed on integer
+    keys, so braid-6's poset neither hashes a `Fraction` nor compares two
+    by order."""
+    calls = count_calls(Fraction, "__hash__", "__lt__")
+    assert hash(F(1, 2)) and F(1, 2) < F(1)
+    assert set(calls) == {"__hash__", "__lt__"}  # the counters count
+    calls.clear()
+    assert len(affine_intersection_poset(6, braid(6)).flats) == 203
+    assert calls == {}
+
+
+def test_braid8_betti_is_the_product_formula():
+    data = strata_data_from_hyperplanes(8, braid(8))
+    assert len(data.strata) == 4140
+    result = betti_and_poincare(assemble_e2(data))
+    assert result.betti == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
