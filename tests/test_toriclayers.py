@@ -16,7 +16,6 @@ from stratiform.toriclayers import (
     Layer,
     ToricHypersurface,
     build_layer_poset,
-    intersect_hypersurfaces,
     layer_cohomology,
     layer_contains,
     layers_from_equations,
@@ -72,23 +71,22 @@ def brute_force_components(n, equations, grid_denominator):
 
 class TestIntersect:
     def test_square_roots_of_unity(self):
-        layers = intersect_hypersurfaces(1, [H((2,), F(0))], [0])
+        layers = layers_from_equations(1, [((2,), F(0))])
         assert len(layers) == 2
         assert all(l.span == ((1,),) for l in layers)
         assert sorted(l.phases[0] for l in layers) == [F(0), F(1, 2)]
 
     def test_disjoint_translates(self):
-        arr = [H((1,), F(0)), H((1,), F(1, 2))]
-        assert intersect_hypersurfaces(1, arr, [0, 1]) == []
+        assert layers_from_equations(1, [((1,), F(0)), ((1,), F(1, 2))]) == []
 
     def test_primitive_character_connected(self):
-        layers = intersect_hypersurfaces(2, [H((1, 1), F(0))], [0])
+        layers = layers_from_equations(2, [((1, 1), F(0))])
         assert len(layers) == 1
         (l,) = layers
         assert l.dim == 1 and l.span == ((1, 1),) and l.phases == (F(0),)
 
     def test_empty_subset_gives_ambient(self):
-        layers = intersect_hypersurfaces(2, [H((1, 0), F(0))], [])
+        layers = layers_from_equations(2, [])
         assert len(layers) == 1 and layers[0].key == "ambient"
 
     def test_component_count_is_torsion_product(self):
