@@ -6,29 +6,18 @@ produces machine-checkable formality certificates via bigraded cdga
 models built from compactification data.
 """
 
-from stratiform.exactalg import (
-    Matrix,
-    SmithDecomposition,
-    hermite_basis,
-    saturate,
-    smith_normal_form,
-    torsion_invariants,
-)
+from stratiform.exactalg import Matrix, hermite_basis
 from stratiform.toriclayers import (
     Layer,
     LayerPoset,
     ToricHypersurface,
     build_layer_poset,
     layer_cohomology,
-    local_subarrangement,
 )
 from stratiform.matroidos import (
     AffinePoset,
-    FlatLattice,
     LinearMatroid,
     affine_intersection_poset,
-    characteristic_polynomial,
-    local_component_dims,
     nbc_basis,
 )
 from stratiform.leraymodel import (

@@ -12,18 +12,15 @@ package.
 The lattice code is integer-only.  One Smith core, `_smith_core`, works
 on lists of ints and carries the inverse of its right transform along
 with it (each column operation is mirrored by the inverse row
-operation), so saturation and the toric layers need no rational
-elimination; `smith_normal_form` wraps it for `Matrix` callers.  The
-affine intersection poset is integer-only as well, so on the production
-paths rational elimination (`Matrix.rref` and what calls it) remains
-only in `morganmodel`; `LinearMatroid`, the flat-lattice oracle, still
-takes ranks with it.
+operation), so the toric layers need no rational elimination.  The
+affine intersection poset is integer-only as well, so rational
+elimination (`Matrix.rref` and what calls it) remains only in
+`morganmodel`, and in the ranks of `LinearMatroid`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -255,72 +252,7 @@ class Matrix:
         return tuple(x)
 
 
-def det(m: Matrix) -> Fraction:
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    rows = [list(r) for r in m.rows]
-    n = m.nrows
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return sign * result
-
-
-def inverse(m: Matrix) -> Matrix:
-    if m.nrows != m.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    aug = m.hstack(Matrix.identity(m.nrows))
-    red, pivots = aug.rref()
-    if len(pivots) != m.nrows or any(p >= m.nrows for p in pivots):
-        raise ValueError("matrix is singular")
-    return Matrix([r[m.nrows:] for r in red.rows], ncols=m.nrows)
-
-
 # -- Smith normal form -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """left @ original @ right is diagonal with a divisibility chain.
-
-    `left` and `right` are unimodular; `diag` lists the nonnegative
-    invariants d_1 | d_2 | ... with trailing zeros kept.
-    """
-
-    left: Matrix
-    diag: tuple[int, ...]
-    right: Matrix
-
-    def diagonal_matrix(self, nrows: int, ncols: int) -> Matrix:
-        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-        for i, d in enumerate(self.diag):
-            rows[i][i] = Fraction(d)
-        return Matrix(rows, ncols=ncols)
-
-    def verify(self, original: Matrix) -> bool:
-        d = self.left @ original @ self.right
-        if d != self.diagonal_matrix(original.nrows, original.ncols):
-            return False
-        if any(x < 0 for x in self.diag):
-            return False
-        for a, b in zip(self.diag, self.diag[1:]):
-            if a == 0 and b != 0:
-                return False
-            if a != 0 and b % a != 0:
-                return False
-        return abs(det(self.left)) == 1 and abs(det(self.right)) == 1
 
 
 class _IntSmith(NamedTuple):
@@ -426,21 +358,6 @@ def _smith_core(rows: Sequence[Sequence[int]], ncols: int) -> _IntSmith:
     return _IntSmith(left, diag, right, right_inv)
 
 
-def smith_normal_form(m: Matrix) -> SmithDecomposition:
-    """Smith normal form of an integer matrix (pivot rule of `_smith_core`)."""
-    if not m.is_integral():
-        raise ValueError("smith_normal_form requires integer entries")
-    core = _smith_core([[int(x) for x in row] for row in m.rows], m.ncols)
-    return SmithDecomposition(
-        Matrix(core.left, ncols=m.nrows), core.diag, Matrix(core.right, ncols=m.ncols)
-    )
-
-
-def torsion_invariants(m: Matrix) -> tuple[int, ...]:
-    """Smith invariants exceeding 1: the torsion of coker(m) between free lattices."""
-    return tuple(d for d in smith_normal_form(m).diag if d > 1)
-
-
 # -- Hermite bases and lattices -----------------------------------------
 
 
@@ -501,58 +418,3 @@ def hermite_basis(rows: Iterable[Sequence]) -> tuple[tuple[int, ...], ...]:
                     b[i] = [x - q * y for x, y in zip(b[i], b[r])]
             r += 1
     return tuple(tuple(row) for row in b[:r])
-
-
-def lattice_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...] | None:
-    """Integer coordinates of v over a row-echelon integer basis, or None.
-
-    The basis must be in echelon form (as produced by hermite_basis).
-    """
-    work = [int(x) for x in v]
-    coeffs = []
-    for row in basis:
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            continue
-        q, rem = divmod(work[p], row[p])
-        if rem:
-            return None
-        if q:
-            work = [x - q * y for x, y in zip(work, row)]
-        coeffs.append(q)
-    if any(work):
-        return None
-    return tuple(coeffs)
-
-
-def lattice_contains(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
-    return lattice_coordinates(basis, v) is not None
-
-
-def saturate(rows: Iterable[Sequence]) -> tuple[tuple[int, ...], ...]:
-    """Hermite basis of {v : d*v in the lattice of `rows` for some d >= 1}.
-
-    Requires independent rows; the index of the input lattice in its
-    saturation is the product of the nonzero Smith invariants.  With
-    left @ B @ right = diag, the first rank rows of right^-1 span the
-    saturation.
-    """
-    b = _int_rows(rows)
-    if not b:
-        return ()
-    core = _smith_core(b, len(b[0]))
-    if sum(1 for d in core.diag if d) != len(b):
-        raise ValueError("saturate expects independent rows")
-    return hermite_basis(core.right_inverse[:len(b)])
-
-
-def lattice_index_in_saturation(rows: Iterable[Sequence]) -> int:
-    """Index of the lattice spanned by independent `rows` in its saturation."""
-    b = _int_rows(rows)
-    if not b:
-        return 1
-    idx = 1
-    for d in _smith_core(b, len(b[0])).diag:
-        if d:
-            idx *= d
-    return idx

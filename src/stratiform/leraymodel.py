@@ -108,9 +108,6 @@ class LerayTable:
     def dim(self, p: int, q: int) -> int:
         return sum(self.entries.get((p, q), {}).values())
 
-    def weights_at(self, p: int, q: int) -> tuple[int, ...]:
-        return tuple(sorted(self.entries.get((p, q), {})))
-
     def rows(self) -> tuple[tuple[int, int, int, int], ...]:
         """(p, q, weight, dim) rows, sorted."""
         out = []

@@ -1,11 +1,10 @@
-"""Linear matroids, lattices of flats, no-broken-circuit bases.
+"""Linear matroids, no-broken-circuit bases, affine intersection posets.
 
-The matroid of a list of rational vectors drives everything: flats are
-enumerated by closure and the Moebius function is computed by the
-defining recursion.  No-broken-circuit sets count the same numbers
-without the lattice: there are |w_k| of size k, and |mu(bottom, X)|
-whose support closes to the flat X, which makes them an independent
-check of `FlatLattice`.
+A linear matroid is a list of rational vectors; the rank of a subset is
+the rank of its vectors, and closures and circuits follow from ranks.
+No-broken-circuit sets count the Moebius values of the lattice of flats
+without building the lattice: there are |w_k| of size k, and
+|mu(bottom, X)| whose support closes to the flat X.
 
 Affine intersection posets of hyperplane arrangements live here too.
 Their search is integer-only: each equation is cleared to a primitive
@@ -31,7 +30,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from stratiform.exactalg import Matrix, vector
+from stratiform.exactalg import Matrix, _primitive, vector
 
 
 class LinearMatroid:
@@ -103,80 +102,6 @@ class LinearMatroid:
                         found.append(s)
             self._circuits = tuple(found)
         return self._circuits
-
-
-# -- lattice of flats ---------------------------------------------------
-
-
-class FlatLattice:
-    """All flats of a matroid with ranks, covers and Moebius values."""
-
-    def __init__(self, matroid: LinearMatroid):
-        self.matroid = matroid
-        bottom = matroid.closure(())
-        flats = {bottom}
-        frontier = [bottom]
-        while frontier:
-            new = []
-            for f in frontier:
-                for e in matroid.ground:
-                    if e in f:
-                        continue
-                    g = matroid.closure(f | {e})
-                    if g not in flats:
-                        flats.add(g)
-                        new.append(g)
-            frontier = new
-        self.flats = tuple(sorted(flats, key=lambda f: (matroid.rank_of(f), sorted(f))))
-        self.rank_of = {f: matroid.rank_of(f) for f in self.flats}
-        self.bottom = bottom
-        self.top = self.flats[-1] if self.flats else bottom
-        self.mobius = self._mobius()
-        self.covers = tuple(
-            (f, g)
-            for f in self.flats
-            for g in self.flats
-            if f < g and self.rank_of[g] == self.rank_of[f] + 1
-        )
-
-    @property
-    def rank(self) -> int:
-        return self.rank_of[self.top]
-
-    def flats_of_rank(self, k: int) -> tuple[frozenset[int], ...]:
-        return tuple(f for f in self.flats if self.rank_of[f] == k)
-
-    def _mobius(self) -> dict[frozenset[int], int]:
-        mob: dict[frozenset[int], int] = {}
-        for f in self.flats:  # sorted by rank, so all g < f come first
-            if f == self.bottom:
-                mob[f] = 1
-            else:
-                mob[f] = -sum(mob[g] for g in self.flats if g < f)
-        return mob
-
-
-def local_component_dims(lattice: FlatLattice) -> dict[frozenset[int], int]:
-    """Dimension of the local component at each flat: |mu(bottom, flat)|."""
-    return {f: abs(m) for f, m in lattice.mobius.items()}
-
-
-def characteristic_polynomial(lattice: FlatLattice) -> tuple[int, ...]:
-    """Coefficients, ascending in t, of sum_X mu(X) t^(rank - rank X)."""
-    r = lattice.rank
-    coeffs = [0] * (r + 1)
-    for f in lattice.flats:
-        coeffs[r - lattice.rank_of[f]] += lattice.mobius[f]
-    return tuple(coeffs)
-
-
-def whitney_numbers(lattice: FlatLattice) -> tuple[int, ...]:
-    """|w_k| for k = 0..rank: unsigned sums of mu over flats of rank k."""
-    r = lattice.rank
-    out = [0] * (r + 1)
-    for f in lattice.flats:
-        out[lattice.rank_of[f]] += abs(lattice.mobius[f])
-    return tuple(out)
 
 
 # -- no-broken-circuit bases ---------------------------------------------
@@ -297,14 +222,6 @@ def mobius_from_covers(size: int, covers: Iterable[tuple[int, int]]) -> tuple[in
     return tuple(mobius)
 
 
-def _integer_row(entries: Sequence[Fraction]) -> tuple[int, ...]:
-    """The rational row cleared of denominators and divided by its content."""
-    scale = lcm(*(x.denominator for x in entries))
-    row = [x.numerator * (scale // x.denominator) for x in entries]
-    content = gcd(*row)
-    return tuple(x // content for x in row)
-
-
 def _clear(target: Sequence[int], row: Sequence[int], p: int) -> list[int]:
     """row[p] * target - target[p] * row, divided by its content.
 
@@ -377,7 +294,7 @@ def affine_intersection_poset(
             raise ValueError("normal of wrong length")
         if all(x == 0 for x in row):
             raise ValueError("hyperplane needs a nonzero normal")
-        eqs.append(_integer_row(row + [Fraction(c)]))
+        eqs.append(_primitive(row + [Fraction(c)]))
 
     # integer key -> (pivot columns, hyperplanes through the flat)
     found: dict[tuple, tuple[tuple[int, ...], frozenset[int]]] = {(): ((), frozenset())}
@@ -436,19 +353,3 @@ def affine_intersection_poset(
              for key in order]
     index = {key: i for i, key in enumerate(order)}
     return AffinePoset(n, flats, sorted((index[x], index[y]) for x, y in covers))
-
-
-def poset_characteristic_polynomial(poset: AffinePoset) -> tuple[int, ...]:
-    """Coefficients, ascending in t, of sum_X mu(X) t^(dim X)."""
-    coeffs = [0] * (poset.ambient_dim + 1)
-    for i, f in enumerate(poset.flats):
-        coeffs[f.dim] += poset.mobius[i]
-    return tuple(coeffs)
-
-
-def poset_whitney_numbers(poset: AffinePoset) -> tuple[int, ...]:
-    """|w_q| by codimension q: unsigned Moebius sums over codim-q flats."""
-    out = [0] * (poset.max_codim + 1)
-    for i, f in enumerate(poset.flats):
-        out[f.codim] += abs(poset.mobius[i])
-    return tuple(out)

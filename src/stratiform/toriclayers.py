@@ -34,11 +34,7 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from stratiform.exactalg import (
-    _smith_core,
-    hermite_basis,
-    lattice_coordinates,
-)
+from stratiform.exactalg import _smith_core, hermite_basis
 from stratiform.matroidos import mobius_from_covers
 
 
@@ -111,34 +107,8 @@ class Layer:
     def sort_key(self):
         return (self.codim, self.span, self.phases)
 
-    def phase_of(self, chi: Sequence[int]) -> Fraction | None:
-        """Value of the phase homomorphism on chi, or None when chi is
-        outside the span lattice."""
-        coords = lattice_coordinates(self.span, chi)
-        if coords is None:
-            return None
-        total = Fraction(0)
-        for c, t in zip(coords, self.phases):
-            total += c * t
-        return mod1(total)
-
     def equations(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return list(zip(self.span, self.phases))
-
-
-def layer_contains(outer: Layer, inner: Layer) -> bool:
-    """True when inner is a subvariety of outer.
-
-    Requires span(outer) inside span(inner) as lattices with matching
-    phase values on span(outer).
-    """
-    if outer.ambient_dim != inner.ambient_dim:
-        raise ValueError("layers in different ambient tori")
-    for row, t in zip(outer.span, outer.phases):
-        got = inner.phase_of(row)
-        if got is None or got != t:
-            return False
-    return True
 
 
 def _check_component_count(count: int, max_layers: int | None) -> None:
@@ -413,19 +383,3 @@ def layer_cohomology(layer: Layer) -> tuple[tuple[int, int, int], ...]:
     """
     d = layer.dim
     return tuple((p, comb(d, p), 2 * p) for p in range(d + 1))
-
-
-def local_subarrangement(
-    arrangement: Sequence[ToricHypersurface], layer: Layer
-) -> list[ToricHypersurface]:
-    """Hypersurfaces with a connected component containing the layer.
-
-    Selected by chi in the span lattice with matching phase; parallel and
-    repeated characters are kept, with original labels.
-    """
-    out = []
-    for h in arrangement:
-        got = layer.phase_of(h.exponents)
-        if got is not None and got == h.phase:
-            out.append(h)
-    return out

@@ -1,0 +1,323 @@
+"""Reference implementations the tests compare the package against.
+
+Nothing here is on a path the `stratiform` command line runs.  Each
+function is an independent oracle for a production computation:
+
+- `exactalg`: a `Matrix` Smith form with its decomposition, torsion
+  invariants, saturation, membership and coordinates in an echelon
+  lattice, determinant and inverse;
+- `matroidos`: the lattice of flats of a linear matroid with its Moebius
+  function, characteristic polynomial and Whitney numbers, and the same
+  numbers read off an affine intersection poset;
+- `toriclayers`: the phase of a layer on a character, containment of
+  layers, the local subarrangement at a layer, and a brute-force count
+  of the components of a toric system on a grid of torsion points.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from typing import Iterable, Sequence
+
+from stratiform.exactalg import Matrix, _int_rows, _smith_core, hermite_basis
+from stratiform.matroidos import AffinePoset, LinearMatroid
+from stratiform.toriclayers import Layer, ToricHypersurface, mod1
+
+# -- exact linear algebra ------------------------------------------------
+
+
+def det(m: Matrix) -> Fraction:
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    rows = [list(r) for r in m.rows]
+    n = m.nrows
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            sign = -sign
+        pv = rows[c][c]
+        result *= pv
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / pv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return sign * result
+
+
+def inverse(m: Matrix) -> Matrix:
+    if m.nrows != m.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    aug = m.hstack(Matrix.identity(m.nrows))
+    red, pivots = aug.rref()
+    if len(pivots) != m.nrows or any(p >= m.nrows for p in pivots):
+        raise ValueError("matrix is singular")
+    return Matrix([r[m.nrows:] for r in red.rows], ncols=m.nrows)
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """left @ original @ right is diagonal with a divisibility chain.
+
+    `left` and `right` are unimodular; `diag` lists the nonnegative
+    invariants d_1 | d_2 | ... with trailing zeros kept.
+    """
+
+    left: Matrix
+    diag: tuple[int, ...]
+    right: Matrix
+
+    def diagonal_matrix(self, nrows: int, ncols: int) -> Matrix:
+        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+        for i, d in enumerate(self.diag):
+            rows[i][i] = Fraction(d)
+        return Matrix(rows, ncols=ncols)
+
+    def verify(self, original: Matrix) -> bool:
+        d = self.left @ original @ self.right
+        if d != self.diagonal_matrix(original.nrows, original.ncols):
+            return False
+        if any(x < 0 for x in self.diag):
+            return False
+        for a, b in zip(self.diag, self.diag[1:]):
+            if a == 0 and b != 0:
+                return False
+            if a != 0 and b % a != 0:
+                return False
+        return abs(det(self.left)) == 1 and abs(det(self.right)) == 1
+
+
+def smith_normal_form(m: Matrix) -> SmithDecomposition:
+    """Smith normal form of an integer matrix (pivot rule of `_smith_core`)."""
+    if not m.is_integral():
+        raise ValueError("smith_normal_form requires integer entries")
+    core = _smith_core([[int(x) for x in row] for row in m.rows], m.ncols)
+    return SmithDecomposition(
+        Matrix(core.left, ncols=m.nrows), core.diag, Matrix(core.right, ncols=m.ncols)
+    )
+
+
+def torsion_invariants(m: Matrix) -> tuple[int, ...]:
+    """Smith invariants exceeding 1: the torsion of coker(m) between free lattices."""
+    return tuple(d for d in smith_normal_form(m).diag if d > 1)
+
+
+def lattice_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...] | None:
+    """Integer coordinates of v over a row-echelon integer basis, or None.
+
+    The basis must be in echelon form (as produced by hermite_basis).
+    """
+    work = [int(x) for x in v]
+    coeffs = []
+    for row in basis:
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            continue
+        q, rem = divmod(work[p], row[p])
+        if rem:
+            return None
+        if q:
+            work = [x - q * y for x, y in zip(work, row)]
+        coeffs.append(q)
+    if any(work):
+        return None
+    return tuple(coeffs)
+
+
+def lattice_contains(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
+    return lattice_coordinates(basis, v) is not None
+
+
+def saturate(rows: Iterable[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """Hermite basis of {v : d*v in the lattice of `rows` for some d >= 1}.
+
+    Requires independent rows; the index of the input lattice in its
+    saturation is the product of the nonzero Smith invariants.  With
+    left @ B @ right = diag, the first rank rows of right^-1 span the
+    saturation.
+    """
+    b = _int_rows(rows)
+    if not b:
+        return ()
+    core = _smith_core(b, len(b[0]))
+    if sum(1 for d in core.diag if d) != len(b):
+        raise ValueError("saturate expects independent rows")
+    return hermite_basis(core.right_inverse[:len(b)])
+
+
+# -- lattices of flats ---------------------------------------------------
+
+
+class FlatLattice:
+    """All flats of a matroid with ranks, covers and Moebius values."""
+
+    def __init__(self, matroid: LinearMatroid):
+        self.matroid = matroid
+        bottom = matroid.closure(())
+        flats = {bottom}
+        frontier = [bottom]
+        while frontier:
+            new = []
+            for f in frontier:
+                for e in matroid.ground:
+                    if e in f:
+                        continue
+                    g = matroid.closure(f | {e})
+                    if g not in flats:
+                        flats.add(g)
+                        new.append(g)
+            frontier = new
+        self.flats = tuple(sorted(flats, key=lambda f: (matroid.rank_of(f), sorted(f))))
+        self.rank_of = {f: matroid.rank_of(f) for f in self.flats}
+        self.bottom = bottom
+        self.top = self.flats[-1] if self.flats else bottom
+        self.mobius = self._mobius()
+        self.covers = tuple(
+            (f, g)
+            for f in self.flats
+            for g in self.flats
+            if f < g and self.rank_of[g] == self.rank_of[f] + 1
+        )
+
+    @property
+    def rank(self) -> int:
+        return self.rank_of[self.top]
+
+    def _mobius(self) -> dict[frozenset[int], int]:
+        mob: dict[frozenset[int], int] = {}
+        for f in self.flats:  # sorted by rank, so all g < f come first
+            if f == self.bottom:
+                mob[f] = 1
+            else:
+                mob[f] = -sum(mob[g] for g in self.flats if g < f)
+        return mob
+
+
+def local_component_dims(lattice: FlatLattice) -> dict[frozenset[int], int]:
+    """Dimension of the local component at each flat: |mu(bottom, flat)|."""
+    return {f: abs(m) for f, m in lattice.mobius.items()}
+
+
+def characteristic_polynomial(lattice: FlatLattice) -> tuple[int, ...]:
+    """Coefficients, ascending in t, of sum_X mu(X) t^(rank - rank X)."""
+    r = lattice.rank
+    coeffs = [0] * (r + 1)
+    for f in lattice.flats:
+        coeffs[r - lattice.rank_of[f]] += lattice.mobius[f]
+    return tuple(coeffs)
+
+
+def whitney_numbers(lattice: FlatLattice) -> tuple[int, ...]:
+    """|w_k| for k = 0..rank: unsigned sums of mu over flats of rank k."""
+    r = lattice.rank
+    out = [0] * (r + 1)
+    for f in lattice.flats:
+        out[lattice.rank_of[f]] += abs(lattice.mobius[f])
+    return tuple(out)
+
+
+def poset_characteristic_polynomial(poset: AffinePoset) -> tuple[int, ...]:
+    """Coefficients, ascending in t, of sum_X mu(X) t^(dim X)."""
+    coeffs = [0] * (poset.ambient_dim + 1)
+    for i, f in enumerate(poset.flats):
+        coeffs[f.dim] += poset.mobius[i]
+    return tuple(coeffs)
+
+
+def poset_whitney_numbers(poset: AffinePoset) -> tuple[int, ...]:
+    """|w_q| by codimension q: unsigned Moebius sums over codim-q flats."""
+    out = [0] * (poset.max_codim + 1)
+    for i, f in enumerate(poset.flats):
+        out[f.codim] += abs(poset.mobius[i])
+    return tuple(out)
+
+
+# -- toric layers ----------------------------------------------------------
+
+
+def phase_of(layer: Layer, chi: Sequence[int]) -> Fraction | None:
+    """Value of the layer's phase homomorphism on chi, or None when chi is
+    outside the span lattice."""
+    coords = lattice_coordinates(layer.span, chi)
+    if coords is None:
+        return None
+    total = Fraction(0)
+    for c, t in zip(coords, layer.phases):
+        total += c * t
+    return mod1(total)
+
+
+def layer_contains(outer: Layer, inner: Layer) -> bool:
+    """True when inner is a subvariety of outer.
+
+    Requires span(outer) inside span(inner) as lattices with matching
+    phase values on span(outer).
+    """
+    if outer.ambient_dim != inner.ambient_dim:
+        raise ValueError("layers in different ambient tori")
+    for row, t in zip(outer.span, outer.phases):
+        got = phase_of(inner, row)
+        if got is None or got != t:
+            return False
+    return True
+
+
+def local_subarrangement(
+    arrangement: Sequence[ToricHypersurface], layer: Layer
+) -> list[ToricHypersurface]:
+    """Hypersurfaces with a connected component containing the layer.
+
+    Selected by chi in the span lattice with matching phase; parallel and
+    repeated characters are kept, with original labels.
+    """
+    out = []
+    for h in arrangement:
+        got = phase_of(layer, h.exponents)
+        if got is not None and got == h.phase:
+            out.append(h)
+    return out
+
+
+def _reduce_mod_lattice(basis, v):
+    work = [int(x) for x in v]
+    for row in basis:
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            continue
+        q = work[p] // row[p]
+        if q:
+            work = [x - q * y for x, y in zip(work, row)]
+    return tuple(work)
+
+
+def brute_force_components(n, equations, grid):
+    """Count connected components by enumerating torsion points.
+
+    Solutions on the (1/grid)-grid are grouped by the class of C.w - t in
+    the lattice generated by the columns of the exponent matrix C; two
+    grid solutions lie in the same component exactly when those classes
+    agree.
+    """
+    chis = [tuple(chi) for chi, _ in equations]
+    ts = [mod1(t) for _, t in equations]
+    col_lattice = hermite_basis([[chis[i][j] for i in range(len(chis))] for j in range(n)])
+    signatures = set()
+    for point in product(range(grid), repeat=n):
+        w = [Fraction(a, grid) for a in point]
+        residues = []
+        for chi, t in zip(chis, ts):
+            val = sum(Fraction(c) * x for c, x in zip(chi, w)) - t
+            if val.denominator != 1:
+                residues = None
+                break
+            residues.append(int(val))
+        if residues is None:
+            continue
+        signatures.add(_reduce_mod_lattice(col_lattice, residues))
+    return len(signatures)

@@ -9,10 +9,8 @@ import math
 import sys
 import time
 from fractions import Fraction
-from itertools import product
 
 from stratiform.cli import main as cli_main, model_checks
-from stratiform.exactalg import hermite_basis
 from stratiform.leraymodel import (
     StrataData,
     Stratum,
@@ -22,20 +20,21 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import (
-    FlatLattice,
-    LinearMatroid,
-    characteristic_polynomial,
-    poset_whitney_numbers,
-    affine_intersection_poset,
-)
+from stratiform.matroidos import LinearMatroid, affine_intersection_poset
 from stratiform.morganmodel import (
     build_model,
     builder_projective_line_marked,
     cohomology_of_model,
     localization_betti,
 )
-from stratiform.toriclayers import ToricHypersurface, mod1
+from stratiform.toriclayers import ToricHypersurface
+
+from reference import (
+    FlatLattice,
+    brute_force_components,
+    characteristic_polynomial,
+    poset_whitney_numbers,
+)
 
 F = Fraction
 INF = math.inf
@@ -127,38 +126,6 @@ def test_criterion_2_hyperplane_whitney_oracle():
 # -- criterion 3 -----------------------------------------------------------
 
 
-def _reduce_mod_lattice(basis, v):
-    work = [int(x) for x in v]
-    for row in basis:
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            continue
-        q = work[p] // row[p]
-        if q:
-            work = [x - q * y for x, y in zip(work, row)]
-    return tuple(work)
-
-
-def _brute_force_components(n, equations, grid):
-    chis = [tuple(chi) for chi, _ in equations]
-    ts = [mod1(t) for _, t in equations]
-    col_lattice = hermite_basis([[chis[i][j] for i in range(len(chis))] for j in range(n)])
-    signatures = set()
-    for point in product(range(grid), repeat=n):
-        w = [F(a, grid) for a in point]
-        residues = []
-        for chi, t in zip(chis, ts):
-            val = sum(F(c) * x for c, x in zip(chi, w)) - t
-            if val.denominator != 1:
-                residues = None
-                break
-            residues.append(int(val))
-        if residues is None:
-            continue
-        signatures.add(_reduce_mod_lattice(col_lattice, residues))
-    return len(signatures)
-
-
 def test_criterion_3_toric_small_cases():
     def body():
         b1 = betti_and_poincare(
@@ -196,7 +163,7 @@ def test_criterion_3_toric_small_cases():
 
         for n, eqs, grid in instances:
             engine = len(layers_from_equations(n, eqs))
-            assert engine == _brute_force_components(n, eqs, grid), (n, eqs)
+            assert engine == brute_force_components(n, eqs, grid), (n, eqs)
 
     _report(3, "toric Betti tables and brute-force component counts", 10.0, body)
 

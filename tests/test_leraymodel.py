@@ -18,13 +18,10 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import (
-    FlatLattice,
-    LinearMatroid,
-    characteristic_polynomial,
-    whitney_numbers,
-)
+from stratiform.matroidos import LinearMatroid
 from stratiform.toriclayers import ToricHypersurface
+
+from reference import FlatLattice, whitney_numbers
 
 F = Fraction
 H = ToricHypersurface

@@ -2,13 +2,12 @@ from itertools import combinations, permutations
 
 import pytest
 
-from stratiform.matroidos import (
+from stratiform.matroidos import LinearMatroid, affine_intersection_poset, nbc_basis
+
+from reference import (
     FlatLattice,
-    LinearMatroid,
-    affine_intersection_poset,
     characteristic_polynomial,
     local_component_dims,
-    nbc_basis,
     poset_characteristic_polynomial,
     poset_whitney_numbers,
     whitney_numbers,

