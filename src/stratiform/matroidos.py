@@ -24,7 +24,7 @@ lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -161,14 +161,19 @@ class AffineFlat:
     codim: int
     dim: int
     hyperplanes: frozenset[int]
+    name: str = field(default="", compare=False)
 
-    @property
-    def name(self) -> str:
-        if not self.key:
-            return "ambient"
-        return ";".join(
-            "(%s|%s)" % (",".join(str(x) for x in row[:-1]), row[-1]) for row in self.key
-        )
+    def __post_init__(self):
+        """The name joins the texts of the key's rows with ";", and is
+        "ambient" for the empty key.  A poset passes it in, built from the
+        text of each distinct row, formatted once."""
+        if not self.name:
+            object.__setattr__(self, "name", ";".join(_row_text(row) for row in self.key) or "ambient")
+
+
+def _row_text(row: Sequence[Fraction]) -> str:
+    """An echelon row [a | c] of the augmented system as "(a1,...,an|c)"."""
+    return "(%s|%s)" % (",".join(str(x) for x in row[:-1]), row[-1])
 
 
 class AffinePoset:
@@ -204,21 +209,25 @@ def mobius_from_covers(size: int, covers: Iterable[tuple[int, int]]) -> tuple[in
     `covers` holds the pairs (i, j) with j covering i, and the elements
     are numbered along a linear extension (i < j whenever i is below j),
     as a sort by rank gives.  The strict down-set of x is the union of
-    its lower covers and their down-sets, and mu(bottom, x) is minus the
-    sum of mu over that down-set.
+    its lower covers and their down-sets, held as an int with bit y set
+    for each y in it, and mu(bottom, x) is minus the sum of mu over that
+    down-set: the sum over the values v of mu so far of v times the
+    number of elements with that value in the down-set.
     """
     lower: list[list[int]] = [[] for _ in range(size)]
     for i, j in covers:
         lower[j].append(i)
-    below: list[set[int]] = []
+    below: list[int] = []
     mobius: list[int] = []
+    having: dict[int, int] = {}  # v -> the elements y with mu(bottom, y) = v, as bits
     for x in range(size):
-        down: set[int] = set()
+        down = 0
         for y in lower[x]:
-            down.add(y)
-            down |= below[y]
+            down |= below[y] | (1 << y)
         below.append(down)
-        mobius.append(-sum(mobius[y] for y in down) if down else 1)
+        mu = -sum(v * (down & ys).bit_count() for v, ys in having.items()) if down else 1
+        mobius.append(mu)
+        having[mu] = having.get(mu, 0) | (1 << x)
     return tuple(mobius)
 
 
@@ -333,7 +342,7 @@ def affine_intersection_poset(
     # the common multiple L of all pivots, r / r[p] becomes the integer row
     # r * (L // r[p]) in the same lexicographic order, so the flats sort on
     # integers.  Each distinct row, and each distinct quotient in it, is
-    # divided once.
+    # divided once, and each distinct row is formatted for the names once.
     pivot_of = {r: p for key, (pivots, _) in found.items() for p, r in zip(pivots, key)}
     scale = lcm(1, *(r[p] for r, p in pivot_of.items()))
     scaled = {r: tuple(x * (scale // r[p]) for x in r) for r, p in pivot_of.items()}
@@ -349,7 +358,9 @@ def affine_intersection_poset(
             row.append(f)
         fraction_row[r] = tuple(row)
 
-    flats = [AffineFlat(tuple(fraction_row[r] for r in key), len(key), n - len(key), found[key][1])
+    text = {r: _row_text(row) for r, row in fraction_row.items()}
+    flats = [AffineFlat(tuple(fraction_row[r] for r in key), len(key), n - len(key), found[key][1],
+                        ";".join(text[r] for r in key) or "ambient")
              for key in order]
     index = {key: i for i, key in enumerate(order)}
     return AffinePoset(n, flats, sorted((index[x], index[y]) for x, y in covers))

@@ -11,13 +11,19 @@ an exact check that it is an r-quasi-isomorphism.
 
 Compactification data is explicit input built by the provided
 constructors (marked projective lines and their Kunneth products); no
-resolution of singularities is attempted.  All checks are exact
-identities.  The cdga axioms, the cup axioms of a datum and the product
-compatibility of a morphism are swept over the keys of the sparse product
-tables in integer arithmetic, with every stored value scaled by the lcm of
-their denominators; the other checks are exact matrix identities.  The
-witnesses multiply cocycles and representatives by the same kind of sweep,
-and build column cohomology only where it is nonzero.
+resolution of singularities is attempted.  Composite restrictions are
+held as sparse rows and extended one step at a time in a memo owned by
+the caller: validation compares the two orders of each pair of steps on
+them, and the model is assembled block by block, a block being the
+summand of one stratum and degree, from the nonzero entries of its Gysin
+blocks and by sweeping the cup tables' keys against the composites' rows.
+All checks are exact identities.  The cdga axioms, the cup axioms of a
+datum and the product compatibility of a morphism are swept over the keys
+of the sparse product tables in integer arithmetic, with every stored
+value scaled by the lcm of their denominators; the other checks are exact
+matrix identities.  The witnesses multiply cocycles and representatives
+by the same kind of sweep, and build column cohomology only where it is
+nonzero.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from stratiform.exactalg import Matrix
@@ -144,6 +151,19 @@ def _sparse_rows(cols) -> dict[int, dict[int, int]]:
     return rows
 
 
+def _compose_rows(after: Mapping[int, Sparse], before: Mapping[int, Sparse]) -> dict[int, Sparse]:
+    """The product `after` times `before` of two matrices held as sparse rows
+    {row: {column: value}}, zeros dropped: row t is the combination of the
+    rows of `before`, which omits its zero rows, with the coefficients of
+    row t of `after`."""
+    out: dict[int, Sparse] = {}
+    for t, coeffs in after.items():
+        row = _apply_columns(before, {r: x for r, x in coeffs.items() if r in before})
+        if row:
+            out[t] = row
+    return out
+
+
 # -- integer form of the identity checks ---------------------------------------
 #
 # A sparse product table maps basis pairs (a, b) to the sparse vector ab.
@@ -251,7 +271,6 @@ class CompactificationDatum:
             for (i_set, i), blocks in (gysins or {}).items()
         }
         self.cups = {_sorted_subset(i_set): dict(table) for i_set, table in (cups or {}).items()}
-        self._restriction_cache: dict = {}
 
     # -- dimensions ------------------------------------------------------
 
@@ -287,26 +306,67 @@ class CompactificationDatum:
         return self._block(self.restrictions, "restriction for I=%r, j=%d, degree %d",
                            i_key, j, p, tgt_key, p)
 
+    def _gysin(self, i_key: tuple[int, ...], i: int, p: int, tgt_key: tuple[int, ...]) -> Matrix:
+        """The Gysin map from D_I to D_{I-i} in degree p; both keys sorted."""
+        return self._block(self.gysins, "Gysin map for I=%r, i=%d, degree %d", i_key, i, p, tgt_key, p + 2)
+
+    def _step_rows(self, memo: dict, i_key, j: int, p: int, tgt_key) -> dict[int, Sparse]:
+        """`_step` as sparse rows {row: {column: value}}, zeros dropped, read
+        once per `memo`; empty, and neither looked up nor kept, when either
+        space has no classes."""
+        cohomology = self.cohomology
+        if not (cohomology.get(i_key, {}).get(p, 0) and cohomology.get(tgt_key, {}).get(p, 0)):
+            return {}
+        rows = memo.get((i_key, (j,), p))
+        if rows is None:
+            rows = memo[(i_key, (j,), p)] = {t: {a: v for a, v in enumerate(row) if v} for t, row in
+                                             enumerate(self._step(i_key, j, p, tgt_key).rows) if any(row)}
+        return rows
+
+    def _composite(self, memo: dict, i_key, js: tuple[int, ...], p: int) -> dict[int, Sparse]:
+        """The one-step restrictions from D_I along `js`, composed in that
+        order, as sparse rows with zeros dropped; the identity when `js` is
+        empty.  Each prefix of `js` is the one before it extended by one
+        step, and a nonzero one is kept in `memo` under (I, prefix, p), so a
+        step is read once per memo and a missing or misshapen one raises
+        where the dense product of the steps did.  Every step's shape is
+        checked, so two composites of the same I, p and end stratum are
+        equal exactly when their dense matrices are."""
+        rows = memo.get((i_key, js, p))
+        if rows is None:
+            if not js:
+                rows = memo[(i_key, js, p)] = {
+                    a: {a: Fraction(1)} for a in range(self.cohomology.get(i_key, {}).get(p, 0))}
+                return rows
+            cur = i_key
+            for n, j in enumerate(js):
+                nxt = tuple(sorted(cur + (j,)))
+                prefix = memo.get((i_key, js[:n + 1], p)) if n else None
+                if prefix is None:
+                    prefix = self._step_rows(memo, cur, j, p, nxt)
+                    if n:
+                        prefix = _compose_rows(prefix, rows)
+                        if prefix:
+                            memo[(i_key, js[:n + 1], p)] = prefix
+                rows, cur = prefix, nxt
+        return rows
+
     def restriction(self, i_set: Sequence[int], j_set: Sequence[int], p: int) -> Matrix:
         """Composite restriction H^p(D_I) -> H^p(D_J) along sorted steps."""
-        cache_key = (tuple(sorted(i_set)), tuple(sorted(j_set)), p)
-        cached = self._restriction_cache.get(cache_key)
-        if cached is None:
-            i_key, j_key = _sorted_subset(i_set), _sorted_subset(j_set)
-            if not set(i_key) <= set(j_key):
-                raise ValueError("restriction requires I inside J")
-            cached = self._restriction_cache[cache_key] = self._compose_steps(
-                i_key, sorted(set(j_key) - set(i_key)), p
-            )
-        return cached
+        i_key, j_key = _sorted_subset(i_set), _sorted_subset(j_set)
+        if not set(i_key) <= set(j_key):
+            raise ValueError("restriction requires I inside J")
+        rows = self._composite({}, i_key, tuple(j for j in j_key if j not in i_key), p)
+        src, tgt = (self.cohomology.get(key, {}).get(p, 0) for key in (i_key, j_key))
+        zero = Fraction(0)
+        return Matrix([[rows.get(b, {}).get(a, zero) for a in range(src)] for b in range(tgt)], ncols=src)
 
     def gysin(self, i_set: Sequence[int], i: int, p: int) -> Matrix:
         """Gysin map H^p(D_I) -> H^{p+2}(D_{I-i}) for i in I."""
         i_key = tuple(sorted(i_set))
         if i not in i_key:
             raise ValueError("Gysin index must lie in the component set")
-        tgt_key = tuple(x for x in i_key if x != i)
-        return self._block(self.gysins, "Gysin map for I=%r, i=%d, degree %d", i_key, i, p, tgt_key, p + 2)
+        return self._gysin(i_key, i, p, tuple(x for x in i_key if x != i))
 
     def cup_entries(self, i_set: Sequence[int], p: int, p2: int) -> dict:
         return self.cups.get(tuple(sorted(i_set)), {}).get((p, p2), {})
@@ -314,53 +374,63 @@ class CompactificationDatum:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Functoriality of restrictions and cup-product axioms per stratum.
-        The sorted index tuples I + j and I + j1 + j2 are built once each."""
+        """Functoriality of restrictions and cup-product axioms per stratum."""
+        return self._issues({})
+
+    def _issues(self, memo: dict) -> list[str]:
+        """`validate` with its composites kept in `memo`, faults in the order
+        of the loop over (I, j1 < j2, p).
+
+        When D_{I+j1+j2} has no classes in degree p, both composites are
+        zero, so they agree, and only a first step (I, j1) or (I, j2) into a
+        space with classes can be missing or misshapen; the first of the two
+        is the fault.  Those first steps are read once per (I, j, p).  Only
+        the pairs whose D_{I+j1+j2} is a stratum compose, and the other
+        pairs are visited only when a first step from I is at fault."""
         issues = []
         cohomology = self.cohomology
+        tops: dict = {}  # I -> [(j1, j2, H^*(D_{I+j1+j2}))] for the strata I + j1 + j2
+        for t_key, top in cohomology.items():
+            for j1, j2 in combinations(t_key, 2):
+                i_key = tuple(x for x in t_key if x != j1 and x != j2)
+                if i_key in cohomology and 0 < j1 and j2 <= self.components:
+                    tops.setdefault(i_key, []).append((j1, j2, top))
         for i_key in self.subsets():
             degrees = sorted(cohomology[i_key])
             remaining = [j for j in range(1, self.components + 1) if j not in i_key]
-            above = {j: tuple(sorted(i_key + (j,))) for j in remaining}
-            for a_pos in range(len(remaining)):
-                for b_pos in range(a_pos + 1, len(remaining)):
-                    j1, j2 = remaining[a_pos], remaining[b_pos]
-                    top = cohomology.get(tuple(sorted(i_key + (j1, j2))), {})
-                    for p in degrees:
-                        try:
-                            if not top.get(p, 0):
-                                # both composites end in a space without
-                                # classes, so they agree; only a first step
-                                # into a space with classes can be missing
-                                # or misshapen
-                                for j in (j1, j2):
-                                    if cohomology.get(above[j], {}).get(p, 0):
-                                        self._step(i_key, j, p, above[j])
-                                continue
-                            via1 = self._compose_steps(i_key, (j1, j2), p)
-                            via2 = self._compose_steps(i_key, (j2, j1), p)
-                        except DatumError as err:
-                            issues.append(str(err))
-                            continue
-                        if via1 != via2:
-                            issues.append(
-                                "restrictions from I=%r through %d and %d do not commute at degree %d"
-                                % (i_key, j1, j2, p)
-                            )
+            faults = {}
+            for j in remaining if len(remaining) > 1 else ():
+                above = tuple(sorted(i_key + (j,)))
+                for p in degrees:
+                    try:
+                        self._step_rows(memo, i_key, j, p, above)
+                    except DatumError as err:
+                        faults[(j, p)] = str(err)
+            if faults:
+                pairs = [(j1, j2, cohomology.get(tuple(sorted(i_key + (j1, j2))), {}))
+                         for j1, j2 in combinations(remaining, 2)]
+            else:
+                pairs = sorted(tops.get(i_key, ()), key=lambda pair: pair[:2])
+            for j1, j2, top in pairs:
+                for p in degrees:
+                    if not top.get(p, 0):
+                        fault = faults.get((j1, p)) or faults.get((j2, p))
+                        if fault:
+                            issues.append(fault)
+                        continue
+                    try:
+                        via1 = self._composite(memo, i_key, (j1, j2), p)
+                        via2 = self._composite(memo, i_key, (j2, j1), p)
+                    except DatumError as err:
+                        issues.append(str(err))
+                        continue
+                    if via1 != via2:
+                        issues.append(
+                            "restrictions from I=%r through %d and %d do not commute at degree %d"
+                            % (i_key, j1, j2, p)
+                        )
             issues.extend(self._check_cup(i_key))
         return issues
-
-    def _compose_steps(self, i_key, js, p) -> Matrix:
-        """The one-step restrictions from D_I along `js`, composed in that order."""
-        if not js:
-            return Matrix.identity(self.dim(i_key, p))
-        cur, mat = i_key, None
-        for j in js:
-            nxt = tuple(sorted(cur + (j,)))
-            step = self._step(cur, j, p, nxt)
-            mat = step if mat is None else step @ mat
-            cur = nxt
-        return mat
 
     def _check_cup(self, i_key) -> list[str]:
         """Graded commutativity and associativity of the cup product on D_I:
@@ -528,20 +598,33 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     p + 2|I|); negative p never occurs, so degenerate summands are
     excluded structurally.  Raises DatumError when a required map is
     missing or the datum fails validation.
+
+    The model is assembled block by block, a block being the summand of one
+    (I, p).  The differential adds the nonzero entries of the Gysin blocks,
+    one sign per (I, i).  The product of two blocks with disjoint I1, I2
+    restricts both to D_{I1+I2} as sparse composites, one sign per block
+    pair, and sweeps the keys (a2, b2) of the cup table in ascending order
+    against row a2 and row b2 of the composites.  Validation and assembly
+    share one memo of composites, dropped on return.  Every disjoint pair
+    whose product bidegree has a space takes its composites, as each basis
+    pair did, so a step validation does not reach raises the same first
+    DatumError.
     """
-    issues = cd.validate()
+    composites: dict = {}
+    issues = cd._issues(composites)
     if issues:
         raise DatumError("; ".join(issues))
+    cohomology = cd.cohomology
     spaces: dict[Bidegree, list] = {}
+    blocks: dict[Bidegree, list] = {}  # (k, q) -> [(I, p, offset, dim)] in basis order
+    offsets: dict = {}  # (I, p) -> offset of its block
     for i_key in cd.subsets():
-        for p in cd.degrees(i_key):
-            k, q = p + len(i_key), p + 2 * len(i_key)
-            labels = spaces.setdefault((k, q), [])
-            for j in range(cd.dim(i_key, p)):
-                labels.append((i_key, p, j))
-    index: dict[Bidegree, dict] = {
-        kq: {lab: i for i, lab in enumerate(labels)} for kq, labels in spaces.items()
-    }
+        for p, n in sorted(cohomology[i_key].items()):
+            kq = (p + len(i_key), p + 2 * len(i_key))
+            labels = spaces.setdefault(kq, [])
+            blocks.setdefault(kq, []).append((i_key, p, len(labels), n))
+            offsets[(i_key, p)] = len(labels)
+            labels.extend((i_key, p, j) for j in range(n))
 
     diff: dict[Bidegree, Matrix] = {}
     for kq, labels in spaces.items():
@@ -549,54 +632,59 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
         target = spaces.get((k + 1, q))
         if not target:
             continue
-        columns = []
-        for (i_key, p, j) in labels:
-            col = [Fraction(0)] * len(target)
-            for i in i_key:
-                rest = tuple(x for x in i_key if x != i)
-                gys = cd.gysin(i_key, i, p)
-                if gys.nrows == 0:
-                    continue
-                sign = (-1) ** q * shuffle_sign((i,), rest)
-                for t in range(gys.nrows):
-                    v = gys.rows[t][j]
-                    if v:
-                        pos = index[(k + 1, q)][(rest, p + 2, t)]
-                        col[pos] += sign * v
-            columns.append(col)
-        diff[kq] = Matrix.from_columns(columns, nrows=len(target))
+        rows = [[Fraction(0)] * len(labels) for _ in target]
+        for i_key, p, off, _ in blocks[kq]:
+            for pos, i in enumerate(i_key):
+                rest = i_key[:pos] + i_key[pos + 1:]
+                row_off = offsets.get((rest, p + 2))
+                if row_off is None:
+                    continue  # D_{I-i} has no classes in degree p + 2
+                sign = (-1) ** (q + pos)  # pos components of I - i precede i
+                for t, gys_row in enumerate(cd._gysin(i_key, i, p, rest).rows):
+                    out = rows[row_off + t]
+                    for j, v in enumerate(gys_row):
+                        if v:
+                            out[off + j] += sign * v
+        diff[kq] = Matrix(rows, ncols=len(labels))
 
     products: dict[tuple[Bidegree, Bidegree], dict] = {}
-    for kq1, labels1 in spaces.items():
-        for kq2, labels2 in spaces.items():
-            k3, q3 = kq1[0] + kq2[0], kq1[1] + kq2[1]
-            target = spaces.get((k3, q3))
-            if not target:
+    for kq1 in spaces:
+        for kq2 in spaces:
+            kq3 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
+            if kq3 not in spaces:
                 continue
-            table: dict = {}
-            for a, (i1, p1, j1) in enumerate(labels1):
-                for b, (i2, p2, j2) in enumerate(labels2):
-                    if set(i1) & set(i2):
+            acc: dict = {}  # (a, b) -> ab, each key filled by one block pair
+            for i1, p1, off1, _ in blocks[kq1]:
+                for i2, p2, off2, _ in blocks[kq2]:
+                    if not set(i1).isdisjoint(i2):
                         continue
                     union = tuple(sorted(i1 + i2))
-                    sign = (-1) ** (len(i1) * kq2[1]) * shuffle_sign(i1, i2)
-                    res1 = cd.restriction(i1, union, p1)
-                    res2 = cd.restriction(i2, union, p2)
-                    vec: Sparse = {}
-                    for a2 in range(res1.nrows):
-                        ca = res1.rows[a2][j1]
-                        if ca == 0:
-                            continue
-                        for b2 in range(res2.nrows):
-                            cb = res2.rows[b2][j2]
-                            if cb == 0:
-                                continue
-                            for c, v in cd.cup_entries(union, p1, p2).get((a2, b2), {}).items():
-                                pos = index[(k3, q3)][(union, p1 + p2, c)]
-                                vec[pos] = vec.get(pos, Fraction(0)) + sign * ca * cb * v
-                    vec = {c: v for c, v in vec.items() if v}
-                    if vec:
-                        table[(a, b)] = vec
+                    rows1 = cd._composite(composites, i1, tuple(x for x in union if x not in i1), p1)
+                    rows2 = cd._composite(composites, i2, tuple(x for x in union if x not in i2), p2)
+                    entries = cd.cups.get(union, {}).get((p1, p2))
+                    if not entries or not rows1 or not rows2:
+                        continue
+                    negate = (-1) ** (len(i1) * kq2[1]) * shuffle_sign(i1, i2) < 0
+                    base, n = offsets.get((union, p1 + p2)), cohomology[union].get(p1 + p2, 0)
+                    for a2, b2 in sorted(entries):
+                        left, right = rows1.get(a2), rows2.get(b2)
+                        if left and right:
+                            vec = entries[(a2, b2)]
+                            for j1, x in left.items():
+                                for j2, y in right.items():
+                                    out = acc.setdefault((off1 + j1, off2 + j2), {})
+                                    xy = -(x * y) if negate else x * y
+                                    for c, v in vec.items():
+                                        if not 0 <= c < n:
+                                            raise KeyError((union, p1 + p2, c))
+                                        pos = base + c
+                                        prev = out.get(pos)
+                                        out[pos] = xy * v if prev is None else prev + xy * v
+            table = {}
+            for ab in sorted(acc):
+                vec = {c: v for c, v in acc[ab].items() if v}
+                if vec:
+                    table[ab] = vec
             if table:
                 products[(kq1, kq2)] = table
     return BigradedModel(spaces, diff, products)
@@ -1198,17 +1286,18 @@ def builder_projective_line_marked(s: int) -> CompactificationDatum:
     return CompactificationDatum(s, cohomology, restrictions, gysins, cups)
 
 
-def _lift(factor_map, left: bool, shift: int, src: Mapping, tgt: Mapping) -> dict[int, Matrix]:
+def _lift(factor_map, left: bool, shift: int, src: Mapping, tgt: Mapping, maps: dict) -> dict[int, Matrix]:
     """A map f of one factor as f (x) id (`left`) or id (x) f on the product.
 
     `factor_map(p)` is f on degree p of its factor, raising the degree by
-    `shift` (0 for a restriction, 2 for a Gysin map).  `src` maps each
-    degree to the product labels (p1, p2, a1, a2) of the source stratum,
-    and `tgt` each degree to the label -> index dict of the target.  f has
-    even degree, so it commutes with the other factor without a sign.
+    `shift` (0 for a restriction, 2 for a Gysin map), and is called once
+    per degree: `maps` keeps its results, and the caller shares it between
+    the product strata that lift the same f.  `src` maps each degree to the
+    product labels (p1, p2, a1, a2) of the source stratum, and `tgt` each
+    degree to the label -> index dict of the target.  f has even degree, so
+    it commutes with the other factor without a sign.
     """
     blocks: dict[int, Matrix] = {}
-    maps: dict[int, Matrix] = {}
     for p, labels in src.items():
         index = tgt.get(p + shift)
         if index is None:
@@ -1261,6 +1350,7 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
 
     restrictions: dict = {}
     gysins: dict = {}
+    lifted: dict = {}  # (left, shift, own, local) -> the factor's map by degree
     for key, (i1, i2) in factors.items():
         for j in range(1, s1 + s2 + 1):
             tgt_key = tuple(sorted(key + (j,)))
@@ -1268,7 +1358,7 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
                 continue
             left, cd, own, local = side(j, i1, i2)
             step = functools.partial(cd.restriction, own, own + (local,))
-            blocks = _lift(step, left, 0, bases[key], index[tgt_key])
+            blocks = _lift(step, left, 0, bases[key], index[tgt_key], lifted.setdefault((left, 0, own, local), {}))
             if blocks:
                 restrictions[(key, j)] = blocks
         for i in key:
@@ -1276,7 +1366,8 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
             if tgt_key not in index:
                 continue
             left, cd, own, local = side(i, i1, i2)
-            blocks = _lift(functools.partial(cd.gysin, own, local), left, 2, bases[key], index[tgt_key])
+            blocks = _lift(functools.partial(cd.gysin, own, local), left, 2, bases[key], index[tgt_key],
+                           lifted.setdefault((left, 2, own, local), {}))
             if blocks:
                 gysins[(key, i)] = blocks
 

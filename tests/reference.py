@@ -11,7 +11,10 @@ function is an independent oracle for a production computation:
   numbers read off an affine intersection poset;
 - `toriclayers`: the phase of a layer on a character, containment of
   layers, the local subarrangement at a layer, and a brute-force count
-  of the components of a toric system on a grid of torsion points.
+  of the components of a toric system on a grid of torsion points;
+- `morganmodel`: a datum's restriction-functoriality check on dense
+  composite matrices, and the model assembled one basis pair at a time
+  from dense composite restrictions.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Iterable, Sequence
 
 from stratiform.exactalg import Matrix, _int_rows, _smith_core, hermite_basis
 from stratiform.matroidos import AffinePoset, LinearMatroid
+from stratiform.morganmodel import BigradedModel, CompactificationDatum, DatumError, shuffle_sign
 from stratiform.toriclayers import Layer, ToricHypersurface, mod1
 
 # -- exact linear algebra ------------------------------------------------
@@ -321,3 +325,124 @@ def brute_force_components(n, equations, grid):
             continue
         signatures.add(_reduce_mod_lattice(col_lattice, residues))
     return len(signatures)
+
+
+# -- the model of a compactification datum -------------------------------------
+
+
+def compose_steps(cd: CompactificationDatum, i_key, js, p) -> Matrix:
+    """The one-step restrictions from D_I along `js`, composed in that order
+    as dense matrices; the identity when `js` is empty."""
+    if not js:
+        return Matrix.identity(cd.cohomology.get(tuple(i_key), {}).get(p, 0))
+    cur, mat = tuple(i_key), None
+    for j in js:
+        nxt = tuple(sorted(cur + (j,)))
+        step = cd._step(cur, j, p, nxt)
+        mat = step if mat is None else step @ mat
+        cur = nxt
+    return mat
+
+
+def restriction(cd: CompactificationDatum, i_set, j_set, p) -> Matrix:
+    """Composite restriction H^p(D_I) -> H^p(D_J) along sorted steps."""
+    i_key, j_key = tuple(sorted(i_set)), tuple(sorted(j_set))
+    return compose_steps(cd, i_key, sorted(set(j_key) - set(i_key)), p)
+
+
+def validate(cd: CompactificationDatum) -> list[str]:
+    """Functoriality of the restrictions, both orders of every (I, j1, j2, p)
+    composed densely, and the cup axioms of each stratum."""
+    issues = []
+    cohomology = cd.cohomology
+    for i_key in cd.subsets():
+        remaining = [j for j in range(1, cd.components + 1) if j not in i_key]
+        for a_pos in range(len(remaining)):
+            for b_pos in range(a_pos + 1, len(remaining)):
+                j1, j2 = remaining[a_pos], remaining[b_pos]
+                for p in sorted(cohomology[i_key]):
+                    try:
+                        via1 = compose_steps(cd, i_key, (j1, j2), p)
+                        via2 = compose_steps(cd, i_key, (j2, j1), p)
+                    except DatumError as err:
+                        issues.append(str(err))
+                        continue
+                    if via1 != via2:
+                        issues.append(
+                            "restrictions from I=%r through %d and %d do not commute at degree %d"
+                            % (i_key, j1, j2, p)
+                        )
+        issues.extend(cd._check_cup(i_key))
+    return issues
+
+
+def build_model(cd: CompactificationDatum) -> BigradedModel:
+    """The model of the complement, assembled one basis pair at a time: each
+    Gysin entry is added into a dense column, and each disjoint pair of basis
+    vectors restricts both factors densely to the union and cups there."""
+    issues = validate(cd)
+    if issues:
+        raise DatumError("; ".join(issues))
+    spaces: dict = {}
+    for i_key in cd.subsets():
+        for p in cd.degrees(i_key):
+            labels = spaces.setdefault((p + len(i_key), p + 2 * len(i_key)), [])
+            for j in range(cd.dim(i_key, p)):
+                labels.append((i_key, p, j))
+    index = {kq: {lab: i for i, lab in enumerate(labels)} for kq, labels in spaces.items()}
+
+    diff = {}
+    for kq, labels in spaces.items():
+        k, q = kq
+        target = spaces.get((k + 1, q))
+        if not target:
+            continue
+        columns = []
+        for (i_key, p, j) in labels:
+            col = [Fraction(0)] * len(target)
+            for i in i_key:
+                rest = tuple(x for x in i_key if x != i)
+                gys = cd.gysin(i_key, i, p)
+                if gys.nrows == 0:
+                    continue
+                sign = (-1) ** q * shuffle_sign((i,), rest)
+                for t in range(gys.nrows):
+                    v = gys.rows[t][j]
+                    if v:
+                        col[index[(k + 1, q)][(rest, p + 2, t)]] += sign * v
+            columns.append(col)
+        diff[kq] = Matrix.from_columns(columns, nrows=len(target))
+
+    products: dict = {}
+    for kq1, labels1 in spaces.items():
+        for kq2, labels2 in spaces.items():
+            k3, q3 = kq1[0] + kq2[0], kq1[1] + kq2[1]
+            if not spaces.get((k3, q3)):
+                continue
+            table: dict = {}
+            for a, (i1, p1, j1) in enumerate(labels1):
+                for b, (i2, p2, j2) in enumerate(labels2):
+                    if set(i1) & set(i2):
+                        continue
+                    union = tuple(sorted(i1 + i2))
+                    sign = (-1) ** (len(i1) * kq2[1]) * shuffle_sign(i1, i2)
+                    res1 = restriction(cd, i1, union, p1)
+                    res2 = restriction(cd, i2, union, p2)
+                    vec: dict = {}
+                    for a2 in range(res1.nrows):
+                        ca = res1.rows[a2][j1]
+                        if ca == 0:
+                            continue
+                        for b2 in range(res2.nrows):
+                            cb = res2.rows[b2][j2]
+                            if cb == 0:
+                                continue
+                            for c, v in cd.cup_entries(union, p1, p2).get((a2, b2), {}).items():
+                                pos = index[(k3, q3)][(union, p1 + p2, c)]
+                                vec[pos] = vec.get(pos, Fraction(0)) + sign * ca * cb * v
+                    vec = {c: v for c, v in vec.items() if v}
+                    if vec:
+                        table[(a, b)] = vec
+            if table:
+                products[(kq1, kq2)] = table
+    return BigradedModel(spaces, diff, products)

@@ -1,11 +1,14 @@
 import functools
 import math
+import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import reference
 
 from stratiform.exactalg import Matrix
 from stratiform.morganmodel import (
@@ -1616,6 +1619,150 @@ class TestKunnethAgainstReference:
         assert_matches_reference(*factors)
 
 
+# -- model assembly reference ------------------------------------------------------
+#
+# `reference.build_model` assembles the model one basis pair at a time from
+# dense composite restrictions, and `reference.validate` composes both orders
+# of every (I, j1, j2, p) densely.  The production assembly must give the
+# same spaces, differential rows and product tables, dict orders and entry
+# types included, and on malformed data the same faults and the same first
+# DatumError.
+
+
+def model_items(model):
+    """Everything a model holds, as nested lists in dict order; reprs of two
+    such lists are equal exactly when the models, their orders and the types
+    of their entries agree."""
+    return [
+        list(model.spaces.items()),
+        [(kq, d.shape, d.rows) for kq, d in model.diff.items()],
+        [(key, [(ab, list(vec.items())) for ab, vec in table.items()]) for key, table in model.products.items()],
+    ]
+
+
+def assembly_outcome(build, cd):
+    try:
+        return "model", repr(model_items(build(cd)))
+    except DatumError as err:
+        return "DatumError", str(err)
+
+
+def assert_assembly_matches_reference(cd):
+    fresh = CompactificationDatum(cd.components, cd.cohomology, cd.restrictions, cd.gysins, cd.cups)
+    assert fresh.validate() == reference.validate(cd)
+    got = assembly_outcome(build_model, fresh)
+    assert got == assembly_outcome(reference.build_model, cd)
+    return got
+
+
+def scale_draw(rng):
+    """A nonzero scale a/b with a, b <= 30, of either sign."""
+    return F(rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 30))
+
+
+def without(maps, key, p):
+    """`maps` with block p of `maps[key]` removed."""
+    out = {k: dict(blocks) for k, blocks in maps.items()}
+    del out[key][p]
+    return out
+
+
+def widened(maps, key, p):
+    """`maps` with one zero column appended to block p of `maps[key]`."""
+    out = {k: dict(blocks) for k, blocks in maps.items()}
+    blk = out[key][p]
+    out[key][p] = Matrix([list(row) + [F(0)] for row in blk.rows], ncols=blk.ncols + 1)
+    return out
+
+
+def malformed_variants(cd):
+    """Every datum made from `cd` by dropping one restriction block, widening
+    one restriction block, or dropping one Gysin block."""
+    def datum(restrictions=cd.restrictions, gysins=cd.gysins):
+        return CompactificationDatum(cd.components, cd.cohomology, restrictions, gysins, cd.cups)
+
+    for key, blocks in cd.restrictions.items():
+        for p in blocks:
+            yield datum(restrictions=without(cd.restrictions, key, p))
+            yield datum(restrictions=widened(cd.restrictions, key, p))
+    for key, blocks in cd.gysins.items():
+        for p in blocks:
+            yield datum(gysins=without(cd.gysins, key, p))
+
+
+def marked_lines(*sizes):
+    return functools.reduce(kunneth_product, [builder_projective_line_marked(s) for s in sizes])
+
+
+class TestModelAssemblyAgainstReference:
+    @pytest.mark.parametrize("name", sorted(KUNNETH_FACTORS))
+    def test_builders(self, name):
+        assert assert_assembly_matches_reference(KUNNETH_FACTORS[name]())[0] == "model"
+
+    @pytest.mark.parametrize("s1", range(6))
+    @pytest.mark.parametrize("s2", range(6))
+    def test_squares(self, s1, s2):
+        assert assert_assembly_matches_reference(marked_lines(s1, s2))[0] == "model"
+
+    @pytest.mark.parametrize("sizes", list(combinations_with_replacement(range(4), 3)) + [(3, 0, 1), (2, 3, 1)])
+    def test_cubes(self, sizes):
+        assert assert_assembly_matches_reference(marked_lines(*sizes))[0] == "model"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rescaled(self, seed):
+        rng = random.Random("model-assembly:%d" % seed)
+        sizes = [rng.randint(0, 5) for _ in range(2)] if seed % 3 else [rng.randint(0, 3) for _ in range(3)]
+        factors = [rescaled(builder_projective_line_marked(s), [scale_draw(rng) for _ in range(s + 2)])
+                   for s in sizes]
+        assert assert_assembly_matches_reference(functools.reduce(kunneth_product, factors))[0] == "model"
+        # the product datum rescaled as a whole, not factor by factor
+        whole = rescaled(marked_lines(*sizes), [scale_draw(rng) for _ in range(7)])
+        assert assert_assembly_matches_reference(whole)[0] == "model"
+
+    def test_negated_gysin_blocks(self):
+        square = marked_lines(2, 2)
+        for (i_set, i), blocks in sorted(square.gysins.items()):
+            for p in sorted(blocks):
+                assert assert_assembly_matches_reference(negate_gysin_block(square, i_set, i, p))[0] == "model"
+
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (1, 1), (2, 1), (1, 2), (1, 0, 1)])
+    def test_malformed_data(self, sizes):
+        # a missing or misshapen step or a missing Gysin block; validate
+        # reads no Gysin block, nor a step that no pair of steps from a
+        # smaller stratum passes, so those faults show in the assembly
+        assembled = []
+        for cd in malformed_variants(marked_lines(*sizes)):
+            assert assert_assembly_matches_reference(cd)[0] == "DatumError"
+            assembled.append(cd.validate() == [])
+        assert any(assembled)
+
+    @pytest.mark.parametrize("sizes", [(1,), (1, 0), (0, 1), (1, 1), (2, 1), (1, 0, 1)])
+    def test_missing_step_into_a_stratum_without_products(self, sizes):
+        # the product of two blocks restricts to D_{I1+I2} even where its
+        # cup table is empty, so a missing step there still shows, as it
+        # did when each basis pair restricted
+        cd = marked_lines(*sizes)
+        for (i_key, j), blocks in cd.restrictions.items():
+            target = tuple(sorted(i_key + (j,)))
+            cups = {key: table for key, table in cd.cups.items() if key != target}
+            for p in blocks:
+                broken = CompactificationDatum(cd.components, cd.cohomology,
+                                               without(cd.restrictions, (i_key, j), p), cd.gysins, cups)
+                assert assert_assembly_matches_reference(broken)[0] == "DatumError"
+
+    @pytest.mark.parametrize("sizes", [(2,), (1, 1), (2, 1), (1, 0, 1)])
+    def test_restrictions(self, sizes):
+        cd = marked_lines(*sizes)
+        strata = cd.subsets()
+        for i_key in strata:
+            for j_key in strata:
+                if set(i_key) <= set(j_key):
+                    for p in range(5):
+                        got = cd.restriction(i_key, j_key, p)
+                        want = reference.restriction(cd, i_key, j_key, p)
+                        assert (got.shape, got.rows) == (want.shape, want.rows)
+
+
 class TestBudgets:
     def test_kunneth_cube_axioms_and_kernel_witness(self):
         cd = builder_projective_line_marked(3)
@@ -1635,7 +1782,7 @@ class TestBudgets:
         # a space with classes; only those compose their two orders
         line = builder_projective_line_marked(5)
         square = kunneth_product(line, line)
-        calls = count_calls(CompactificationDatum, "_compose_steps").args["_compose_steps"]
+        calls = count_calls(CompactificationDatum, "_composite").args["_composite"]
         assert square.validate() == []
         assert len(calls) == 2 * 25
 
@@ -1655,6 +1802,22 @@ class TestBudgets:
         calls = count_calls(CompactificationDatum, "dim", "degrees")
         assert square.validate() == []
         assert calls == {}
+
+    def test_square_build_model_reads_each_step_once(self, count_calls):
+        # validation and assembly share one memo of sparse composites, each
+        # extended by one step at a time, and the memo is dropped on return
+        line = builder_projective_line_marked(5)
+        square = kunneth_product(line, line)
+        held = dict(vars(square))
+        sizes = {name: len(value) for name, value in held.items() if isinstance(value, dict)}
+        dense = count_calls(Matrix, "__matmul__", "zero")
+        steps = count_calls(CompactificationDatum, "_step").args["_step"]
+        model = build_model(square)
+        assert dense == {}
+        assert steps and len(steps) == len({(i_key, j, p) for _, i_key, j, p, _ in steps})
+        assert vars(square) == held
+        assert {name: len(value) for name, value in held.items() if isinstance(value, dict)} == sizes
+        assert model.total_dimension() == 49 and verify_cdga_axioms(model).passed
 
     def test_axioms_make_no_matrix_products(self, count_calls):
         # d o d is applied to the sparse columns of d
