@@ -17,13 +17,12 @@ the caller: validation compares the two orders of each pair of steps on
 them, and the model is assembled block by block, a block being the
 summand of one stratum and degree, from the nonzero entries of its Gysin
 blocks and by sweeping the cup tables' keys against the composites' rows.
-All checks are exact identities.  The cdga axioms, the cup axioms of a
-datum and the product compatibility of a morphism are swept over the keys
-of the sparse product tables in integer arithmetic, with every stored
-value scaled by the lcm of their denominators; the other checks are exact
-matrix identities.  The witnesses multiply cocycles and representatives
-by the same kind of sweep, and build column cohomology only where it is
-nonzero.
+All checks are exact identities.  Each model and each morphism keeps one
+integer form of what it stores, built on first use; the cdga axioms, the
+morphism checks and both witnesses run on it, sweeping the keys of the
+sparse product tables, and make a Fraction only for a value they return
+or store.  A datum's cup axioms are swept the same way.  The witnesses
+build column cohomology only where it is nonzero.
 """
 
 from __future__ import annotations
@@ -88,20 +87,27 @@ class _NoRows:
         return iter(())
 
 
-def _sparse_columns(mat: Matrix) -> list[Sparse] | _NoRows:
-    """The nonzero entries of each column of `mat`, keyed by row."""
+def _sparse_columns(mat: Matrix, scale: int) -> list[dict[int, int]] | _NoRows:
+    """The nonzero entries of each column of `mat`, keyed by row, each entry
+    v as the integer v * scale; `scale` is a multiple of their denominators."""
     if not mat.nrows:
         return _NoRows()
-    cols: list[Sparse] = [{} for _ in range(mat.ncols)]
+    cols: list[dict[int, int]] = [{} for _ in range(mat.ncols)]
     for i, row in enumerate(mat.rows):
         for j, v in enumerate(row):
             if v:
-                cols[j][i] = v
+                cols[j][i] = v.numerator * (scale // v.denominator)
     return cols
 
 
+def _denominator(rows: Iterable[Iterable]) -> int:
+    """The lcm of the denominators of the values in `rows`."""
+    return math.lcm(*{v.denominator for row in rows for v in row})
+
+
 def _apply_columns(cols: Sequence[Mapping[int, Fraction]], vec: Mapping[int, Fraction]) -> Sparse:
-    """Sparse mat-vec: the matrix given by its sparse columns times `vec`."""
+    """Sparse mat-vec: the matrix given by its sparse columns times `vec`,
+    in the arithmetic of their entries, ints or Fractions."""
     out: Sparse = {}
     for j, c in vec.items():
         if c == 0:
@@ -137,10 +143,6 @@ def _pair_products(table: Mapping, rows1: Mapping, rows2: Mapping) -> dict[tuple
     return products
 
 
-def _dense_to_sparse(vec: Sequence[Fraction]) -> Sparse:
-    return {i: x for i, x in enumerate(vec) if x}
-
-
 def _sparse_rows(cols) -> dict[int, dict[int, int]]:
     """The sparse columns `cols` as sparse rows: {row: {column: value}},
     columns ascending."""
@@ -164,51 +166,46 @@ def _compose_rows(after: Mapping[int, Sparse], before: Mapping[int, Sparse]) -> 
     return out
 
 
-# -- integer form of the identity checks ---------------------------------------
+# -- the integer form of a model ---------------------------------------------
 #
 # A sparse product table maps basis pairs (a, b) to the sparse vector ab.
-# The identity checks run on integer copies of the tables and matrices
-# they read: with D the lcm of the denominators of every stored value,
-# each value v becomes the integer v * D.  An identity whose terms are all
-# products of the same number of stored values fails exactly where its
-# scaled form does.  Each check sweeps the keys of the tables, adds the
+# Each model, and each morphism, holds one integer form of what it stores,
+# built on first use: with D the lcm of the denominators of every stored
+# value, each value v becomes the integer v * D.  An identity whose terms
+# are all products of the same number of values over the same D fails
+# exactly where its scaled form does; other terms are multiplied by the
+# missing denominators.  Each check sweeps the keys of the tables, adds the
 # terms of both sides of its identity into one difference per basis tuple,
 # and reports the tuples, in ascending order, whose difference is nonzero.
 # A tuple that meets no key has two empty sums, so the sweep is exhaustive.
-# Keys whose basis indices lie outside the spaces are skipped.
+# Keys whose basis indices lie outside the spaces are skipped.  Integer
+# vectors carry their own denominator, and a Fraction is made only for a
+# value that is returned or stored.
 
 
-def _common_denominator(tables: Iterable[Mapping], matrices: Iterable[Matrix] = ()) -> int:
-    """The lcm of the denominators of the constants in `tables` and of the
-    entries of `matrices`."""
-    dens = {v.denominator for table in tables for vec in table.values() for v in vec.values()}
-    dens.update(v.denominator for mat in matrices for row in mat.rows for v in row)
-    return math.lcm(*dens)
+class _IntegerForm:
+    """The integer form of a model's product tables and stored maps, or of a
+    morphism's blocks: `scale` is D, `tables` holds each product constant
+    v as the integer v * D, explicit zeros kept, and `cols(kq)` the sparse
+    columns of the map `matrix(kq)` likewise, built once per bidegree."""
 
+    def __init__(self, products: Mapping, maps: Mapping[Bidegree, Matrix], matrix):
+        rows = [vec.values() for table in products.values() for vec in table.values()]
+        self.scale = scale = _denominator(rows + [row for mat in maps.values() for row in mat.rows])
+        self.tables = {key: {ab: {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
+                             for ab, vec in table.items()}
+                       for key, table in products.items()}
+        self._matrix, self._cols = matrix, {}
 
-def _integer_tables(products: Mapping, scale: int) -> dict:
-    """The product tables with each constant v as the integer v * scale,
-    explicit zeros kept."""
-    return {key: {ab: {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
-                  for ab, vec in table.items()}
-            for key, table in products.items()}
-
-
-class _IntegerColumns(dict):
-    """Sparse columns of the maps at each bidegree with every entry v as the
-    integer v * scale, built on first use from `columns(kq)`."""
-
-    def __init__(self, columns, scale: int):
-        super().__init__()
-        self.columns, self.scale = columns, scale
-
-    def __missing__(self, kq: Bidegree):
-        cols = self.columns(kq)
-        if not isinstance(cols, _NoRows):
-            scale = self.scale
-            cols = [{i: v.numerator * (scale // v.denominator) for i, v in col.items()} for col in cols]
-        self[kq] = cols
+    def cols(self, kq: Bidegree) -> list[dict[int, int]] | _NoRows:
+        cols = self._cols.get(kq)
+        if cols is None:
+            cols = self._cols[kq] = _sparse_columns(self._matrix(kq), self.scale)
         return cols
+
+    def image(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
+        """The map at `kq` applied to the rational vector `vec`."""
+        return {i: Fraction(v, self.scale) for i, v in _apply_columns(self.cols(kq), vec).items()}
 
 
 def _rational(v):
@@ -444,6 +441,10 @@ class CompactificationDatum:
                                       for ab, vec in entries.items()}
                   for (p, p2), entries in cups.items()}
         span = {(p, 0): range(d) for p, d in sorted(self.cohomology.get(i_key, {}).items())}
+        if self.cohomology.get(i_key) == {0: 1} and tables.get(((0, 0), (0, 0)), {}).keys() <= {(0, 0)}:
+            # H^0 = <e> is all, and ee = v the only product: commutativity
+            # compares v with itself, and both sides of associativity are v_0 v
+            return []
         commutativity, associativity = _ring_faults(tables, span)
         # a fault ((p, 0), a, (p2, 0), b, ...) sorts as its labels (p, a), (p2, b), ...
         issues = ["cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)" % (i_key, p, a, p2, b)
@@ -486,7 +487,7 @@ class BigradedModel:
             key: {ab: dict(vec) for ab, vec in table.items() if vec}
             for key, table in products.items()
         }
-        self._diff_cols_cache: dict[Bidegree, list[Sparse]] = {}
+        self._form: _IntegerForm | None = None
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
         self._ranks: dict[Bidegree, int] = {}
         self._cohomology_dims: dict[Bidegree, int] = {}
@@ -526,12 +527,11 @@ class BigradedModel:
             maps.append(d)
         return maps[0], maps[1]
 
-    def _diff_cols(self, kq: Bidegree) -> list[Sparse]:
-        """Sparse columns of d on M^k_q, built once per bidegree."""
-        cols = self._diff_cols_cache.get(kq)
-        if cols is None:
-            cols = self._diff_cols_cache[kq] = _sparse_columns(self.differential(kq))
-        return cols
+    def _integers(self) -> _IntegerForm:
+        """The integer form of the products and of d, built once."""
+        if self._form is None:
+            self._form = _IntegerForm(self.products, self.diff, self.differential)
+        return self._form
 
     def _column_cohomology(self, kq: Bidegree) -> _ColumnCohomology:
         """Cohomology representatives and coordinates at `kq`, built once
@@ -565,14 +565,14 @@ class BigradedModel:
             h = 0
             if self.dim(kq):
                 h = self._rank_formula(kq)
-                out = self._diff_cols(kq)
-                if any(_apply_columns(out, col) for col in self._diff_cols((kq[0] - 1, kq[1]))):
+                dcols = self._integers().cols
+                if any(_apply_columns(dcols(kq), col) for col in dcols((kq[0] - 1, kq[1]))):
                     h = self._column_cohomology(kq).dim
             self._cohomology_dims[kq] = h
         return h
 
     def diff_vec(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
-        return _apply_columns(self._diff_cols(kq), vec)
+        return self._integers().image(kq, vec)
 
     def mult_basis(self, kq1: Bidegree, a: int, kq2: Bidegree, b: int) -> Sparse:
         return dict(self.products.get((kq1, kq2), {}).get((a, b), {}))
@@ -709,42 +709,32 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     """d o d = 0, then Leibniz, graded commutativity and associativity, each
     as an exact identity on every basis pair or triple.
 
-    The checks run in the integer form above, with D the lcm of the
-    denominators of the structure constants and the differential entries:
-    every term of d o d, of Leibniz and of associativity is a product of
-    two stored values, and commutativity compares single constants, so
-    each scaled identity fails exactly where the rational one does.  d o d
-    is applied to the sparse columns of d.  Leibniz
-    sweeps three tables for each (kq1, kq2): d(ab) from the keys (a, b) of
-    t(kq1, kq2), (da)b from the keys (m, b) of t(d kq1, kq2) through the
-    columns a that d on kq1 has at row m, and a(db) from the keys (a, n) of
-    t(kq1, d kq2) likewise.  The ring axioms are `_ring_faults`, which also
+    The checks run on the model's integer form: every term of d o d, of
+    Leibniz and of associativity is a product of two stored values, and
+    commutativity compares single constants, so each scaled identity fails
+    exactly where the rational one does.  d o d is applied to the sparse
+    columns of d.  Leibniz sweeps three tables for each (kq1, kq2): d(ab)
+    from the keys (a, b) of t(kq1, kq2), (da)b from the keys (m, b) of
+    t(d kq1, kq2) through the columns a that d on kq1 has at row m, and
+    a(db) from the keys (a, n) of t(kq1, d kq2) likewise.  The ring axioms are `_ring_faults`, which also
     checks a datum's cup rings.  Table keys outside the basis are ignored,
     and violations come in the order of the loop over all tuples
     (bidegrees, then basis indices).
     """
     violations: list[tuple[str, str]] = []
-    scale = _common_denominator(model.products.values(), model.diff.values())
-    dcols = _IntegerColumns(model._diff_cols, scale)
+    tables, dcols = model._integers().tables, model._integers().cols
 
     for kq in model.bidegrees():
         k, q = kq
         up = (k + 1, q)
         if model.differential(up).ncols != model.differential(kq).nrows:
             raise ValueError("shape mismatch in matrix product")
-        for col in dcols[kq]:
-            second: dict = {}
-            for i, v in col.items():
-                for r, w in dcols[up][i].items():
-                    second[r] = second.get(r, 0) + v * w
-            if any(second.values()):
-                violations.append(("d_squared", "d o d nonzero on M^%d_%d" % (k, q)))
-                break
+        if any(_apply_columns(dcols(up), col) for col in dcols(kq)):
+            violations.append(("d_squared", "d o d nonzero on M^%d_%d" % (k, q)))
 
-    tables = _integer_tables(model.products, scale)
     bidegs = model.bidegrees()
     span = {kq: range(model.dim(kq)) for kq in bidegs}
-    rows = {kq: _sparse_rows(dcols[kq]) for kq in bidegs}
+    rows = {kq: _sparse_rows(dcols(kq)) for kq in bidegs}
     for kq1 in bidegs:
         r1, rows1, d_kq1 = span[kq1], rows[kq1], (kq1[0] + 1, kq1[1])
         sign = (-1) ** kq1[0]
@@ -753,14 +743,8 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
             acc: dict = {}  # (a, b) -> d(ab) - (da)b - (-1)^k1 a(db)
             t12 = tables.get((kq1, kq2))
             if t12:
-                d12 = dcols[(kq1[0] + kq2[0], kq1[1] + kq2[1])]
-                for (a, b), ab in t12.items():
-                    if a in r1 and b in r2:
-                        out = acc.setdefault((a, b), {})
-                        for m, v in ab.items():
-                            if v:
-                                for c, w in d12[m].items():
-                                    out[c] = out.get(c, 0) + v * w
+                d12 = dcols((kq1[0] + kq2[0], kq1[1] + kq2[1]))
+                acc = {(a, b): _apply_columns(d12, ab) for (a, b), ab in t12.items() if a in r1 and b in r2}
             for (m, b), mb in tables.get((d_kq1, kq2), {}).items():
                 if b in r2:
                     for a, x in rows1.get(m, {}).items():
@@ -884,57 +868,72 @@ class _ColumnCohomology:
     R = rref(d_out), and Z is the first z unit vectors.  phi is invertible
     for every d_out, so one rref of [phi(B) | I] has the pivots of [B | Z]
     among its first columns, and its right block E maps the chosen
-    columns S to E phi(S) = [I; 0].  When d o d = 0, R B = 0, and only the
-    z rows at the free columns take part in reducing phi(B).  Without
-    boundaries, as at every (k, 2k) of a model built from a datum and in a
-    model with d = 0, nothing is eliminated.
+    columns S to E phi(S) = [I; 0].  Scaling B by a positive integer
+    changes neither the pivots nor the coordinates on the chosen
+    cocycles.  When d o d = 0, R B = 0, and only the z rows at the free
+    columns take part in reducing phi(B).  Without boundaries, as at every
+    (k, 2k) of a model built from a datum and in a model with d = 0,
+    nothing is eliminated.
+
+    phi, E and the cocycles are sparse integer columns, each over its own
+    denominator, and the chosen boundaries are columns of the model's
+    integer form.  Where d_out is zero, phi is the identity, and where there is no
+    boundary, so is E: None stands for either, which is then not applied.
     """
 
+    _phi_cols = _inverse_cols = None
+    _phi_scale = _inverse_scale = cocycle_scale = 1
+    cocycle_cols = representative_cols = boundary_cols = ()
+
     def __init__(self, model: BigradedModel, kq: Bidegree):
-        n = model.dim(kq)
-        self.length = n
-        self.boundary_basis: list[list[Fraction]] = []
-        self.representatives: list[list[Fraction]] = []
-        self.cocycles: list[Sparse] = []
-        self._phi_cols: list[Sparse] = []
-        self._inverse_cols: list[Sparse] = []
+        n = self.length = model.dim(kq)
         if not n:
             return
-        k, q = kq
-        d_in, d_out = model._fitted_differentials(kq)
+        _, d_out = model._fitted_differentials(kq)
         red, pivots = d_out.rref()
         cocycles = d_out.right_kernel()
-        self.cocycles = [{i: x for i, x in enumerate(v) if x} for v in cocycles]
-        pivot_set = set(pivots)
-        position = {j: c for c, j in enumerate(j for j in range(n) if j not in pivot_set)}
-        z = len(position)
-        for j in range(n):
-            col = {z + i: row[j] for i, row in enumerate(red.rows[: len(pivots)]) if row[j]}
-            if j in position:
-                col[position[j]] = Fraction(1)
-            self._phi_cols.append(col)
-        boundaries = [_apply_columns(self._phi_cols, col) for col in model._diff_cols((k - 1, q))]
+        self.cocycle_scale = scale = _denominator(cocycles)
+        self.cocycle_cols = self.representative_cols = [
+            {i: x.numerator * (scale // x.denominator) for i, x in enumerate(v) if x} for v in cocycles]
+        d_in_cols = model._integers().cols((kq[0] - 1, kq[1]))
+        boundaries = list(d_in_cols)
+        if pivots:
+            reduced_rows = red.rows[: len(pivots)]
+            self._phi_scale = scale = _denominator(reduced_rows)
+            free = sorted(set(range(n)) - set(pivots))
+            self._phi_cols = [{len(free) + i: row[j].numerator * (scale // row[j].denominator)
+                               for i, row in enumerate(reduced_rows) if row[j]} for j in range(n)]
+            for c, j in enumerate(free):
+                self._phi_cols[j][c] = scale
+            boundaries = [_apply_columns(self._phi_cols, col) for col in d_in_cols]
         if not any(boundaries):
-            # [phi(B) | I] is reduced already: every cocycle is chosen, and E = I
-            self.representatives = [list(v) for v in cocycles]
-            self._inverse_cols = [{i: Fraction(1)} for i in range(n)]
-            return
-        b = len(boundaries)
-        rows = [[col.get(i, Fraction(0)) for col in boundaries] + [Fraction(i == j) for j in range(n)]
-                for i in range(n)]
+            return  # [phi(B) | I] is reduced already: every cocycle is chosen, and E = I
+        b, z = len(boundaries), len(cocycles)
+        rows = [[col.get(i, 0) for col in boundaries] + [int(i == j) for j in range(n)] for i in range(n)]
         reduced, chosen = Matrix(rows, ncols=b + n).rref()
         chosen = [p for p in chosen if p < b + z]
-        self.boundary_basis = [list(d_in.column(p)) for p in chosen if p < b]
-        self.representatives = [list(cocycles[p - b]) for p in chosen if p >= b]
-        self._inverse_cols = _sparse_columns(Matrix([r[b:] for r in reduced.rows], ncols=n))
+        self.boundary_cols = [d_in_cols[p] for p in chosen if p < b]
+        self.representative_cols = [self.cocycle_cols[p - b] for p in chosen if p >= b]
+        inverse = [r[b:] for r in reduced.rows]
+        self._inverse_scale = _denominator(inverse)
+        self._inverse_cols = _sparse_columns(Matrix(inverse, ncols=n), self._inverse_scale)
 
     @property
     def dim(self) -> int:
-        return len(self.representatives)
+        return len(self.representative_cols)
 
-    def coordinates(self, vec: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of the sparse cocycle `vec` on the representatives,
-        modulo boundaries.
+    def _phi(self, vec: Mapping[int, int]) -> dict[int, int]:
+        """phi(vec) in the scale of phi, zeros dropped."""
+        if self._phi_cols is None:
+            out = {i: x for i, x in vec.items() if x}
+            if out and not (0 <= min(out) and max(out) < self.length):
+                raise IndexError("basis index outside the space")
+            return out
+        return _apply_columns(self._phi_cols, vec)
+
+    def coordinates(self, vec: Mapping[int, int], scale: int = 1) -> tuple[Fraction, ...]:
+        """Coordinates of the sparse cocycle `vec` / `scale` on the
+        representatives, modulo boundaries.
 
         The chosen columns S are independent and E phi(S) = [I; 0] with E
         invertible, so S x = v has the unique solution x = (E phi(v))[:s]
@@ -942,20 +941,26 @@ class _ColumnCohomology:
         """
         if self.length == 0:
             return ()
-        s = len(self.boundary_basis) + self.dim
-        ev = _apply_columns(self._inverse_cols, _apply_columns(self._phi_cols, vec))
+        s = len(self.boundary_cols) + self.dim
+        ev = self._phi(vec)
+        if self._inverse_cols is not None:
+            ev = _apply_columns(self._inverse_cols, ev)
         if any(i >= s for i in ev):
             raise ValueError("vector is not a cocycle class representative")
-        return tuple(ev.get(i, Fraction(0)) for i in range(len(self.boundary_basis), s))
+        scale *= self._phi_scale * self._inverse_scale
+        zero = Fraction(0)
+        return tuple(Fraction(ev[i], scale) if i in ev else zero for i in range(len(self.boundary_cols), s))
 
-    def cocycle_coordinates(self, vec: Mapping[int, Fraction]) -> Sparse | None:
-        """Sparse coordinates of `vec` on `cocycles` in ascending order, or None
-        if d_out vec != 0.  Each cocycle is 1 at its own free column and 0 at
-        the others, so v is a cocycle iff R v = 0, and then phi(v) holds them."""
-        phi = _apply_columns(self._phi_cols, vec)
-        if any(i >= len(self.cocycles) for i in phi):
+    def cocycle_coordinates(self, vec: Mapping[int, int], scale: int = 1) -> Sparse | None:
+        """Sparse coordinates of `vec` / `scale` on `cocycles` in ascending
+        order, or None if d_out vec != 0.  Each cocycle is 1 at its own free
+        column and 0 at the others, so v is a cocycle iff R v = 0, and then
+        phi(v) holds them."""
+        phi = self._phi(vec)
+        if any(i >= len(self.cocycle_cols) for i in phi):
             return None
-        return dict(sorted(phi.items()))
+        scale *= self._phi_scale
+        return {i: Fraction(x, scale) for i, x in sorted(phi.items())}
 
 
 # -- morphisms and quasi-isomorphisms --------------------------------------
@@ -969,7 +974,7 @@ class CdgaMorphism:
         self.source = source
         self.target = target
         self.blocks = dict(blocks)
-        self._block_cols_cache: dict[Bidegree, list[Sparse]] = {}
+        self._form: _IntegerForm | None = None
 
     def block(self, kq: Bidegree) -> Matrix:
         stored = self.blocks.get(kq)
@@ -977,15 +982,14 @@ class CdgaMorphism:
             return stored
         return Matrix.zero(self.target.dim(kq), self.source.dim(kq))
 
-    def _block_cols(self, kq: Bidegree) -> list[Sparse]:
-        """Sparse columns of the block at `kq`, built once per bidegree."""
-        cols = self._block_cols_cache.get(kq)
-        if cols is None:
-            cols = self._block_cols_cache[kq] = _sparse_columns(self.block(kq))
-        return cols
+    def _integers(self) -> _IntegerForm:
+        """The integer form of the blocks, built once."""
+        if self._form is None:
+            self._form = _IntegerForm({}, self.blocks, self.block)
+        return self._form
 
     def apply(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
-        return _apply_columns(self._block_cols(kq), vec)
+        return self._integers().image(kq, vec)
 
     def violations(self) -> list[str]:
         out = []
@@ -995,9 +999,13 @@ class CdgaMorphism:
                 out.append("block at %r has shape %r, expected %r" % (kq, mat.shape, want))
         if out:
             return out
-        # d o f = f o d is compared column by column on sparse columns; the
+        # both identities run on the integer forms of the two models and of
+        # the blocks, over Ds, Dt and Df.  d o f = f o d is compared column
+        # by column, f d_src carrying Df Ds and d_tgt f carrying Dt Df; the
         # blocks fit the spaces, so only a differential of another shape
         # keeps the two composites from existing or from matching in shape
+        src_form, tgt_form, f_form = self.source._integers(), self.target._integers(), self._integers()
+        fcols = f_form.cols
         degrees = set(self.source.bidegrees()) | set(self.target.bidegrees())
         for kq in sorted(degrees):
             k, q = kq
@@ -1005,46 +1013,35 @@ class CdgaMorphism:
             d_src, d_tgt = self.source.differential(kq), self.target.differential(kq)
             if d_src.nrows != self.source.dim(up) or d_tgt.ncols != self.target.dim(kq):
                 raise ValueError("shape mismatch in matrix product")
-            src_cols, f_cols = self.source._diff_cols(kq), self._block_cols(kq)
+            src_cols, f_cols, f_up, tgt_cols = src_form.cols(kq), fcols(kq), fcols(up), tgt_form.cols(kq)
             if (d_src.ncols, d_tgt.nrows) != (self.source.dim(kq), self.target.dim(up)) or any(
-                self.apply(up, src_cols[j]) != self.target.diff_vec(kq, f_cols[j])
+                {i: tgt_form.scale * v for i, v in _apply_columns(f_up, src_cols[j]).items()}
+                != {i: src_form.scale * v for i, v in _apply_columns(tgt_cols, f_cols[j]).items()}
                 for j in range(self.source.dim(kq))
             ):
                 out.append("differential compatibility fails at %r" % (kq,))
-        # f(ab) = f(a)f(b) in the integer form of `verify_cdga_axioms`: its
-        # left side has two stored factors and its right side three, so the
-        # left side is scaled by D once more.  f(ab) sweeps the keys (a, b) of
-        # the source table, and f(a)f(b) the keys (m, n) of the target table
-        # through the columns a and b that f has at rows m and n.
-        scale = _common_denominator([*self.source.products.values(), *self.target.products.values()],
-                                    self.blocks.values())
-        src, tgt = _integer_tables(self.source.products, scale), _integer_tables(self.target.products, scale)
-        fcols = _IntegerColumns(self._block_cols, scale)
+        # f(ab) = f(a)f(b): f(ab), from the keys (a, b) of the source table,
+        # carries Df Ds, and f(a)f(b), from the keys (m, n) of the target
+        # table through the rows m and n of f, carries Df^2 Dt
+        left, right = f_form.scale * tgt_form.scale, src_form.scale
+        src, tgt = src_form.tables, tgt_form.tables
         bidegs = self.source.bidegrees()
         span = {kq: range(self.source.dim(kq)) for kq in bidegs}
-        rows = {kq: _sparse_rows(fcols[kq]) for kq in bidegs}
+        rows = {kq: _sparse_rows(fcols(kq)) for kq in bidegs}
         for kq1 in bidegs:
             r1, rows1 = span[kq1], rows[kq1]
             for kq2 in bidegs:
                 r2, rows2 = span[kq2], rows[kq2]
-                acc: dict = {}  # (a, b) -> D f(ab) - f(a)f(b)
+                acc: dict = {}  # (a, b) -> Df Dt f(ab) - Ds f(a)f(b)
                 t12 = src.get((kq1, kq2))
                 if t12:
-                    f3 = fcols[(kq1[0] + kq2[0], kq1[1] + kq2[1])]
-                    for (a, b), ab in t12.items():
-                        if a in r1 and b in r2:
-                            diff = acc.setdefault((a, b), {})
-                            for c, v in ab.items():
-                                if v:
-                                    for i, w in f3[c].items():
-                                        diff[i] = diff.get(i, 0) + scale * v * w
-                for (m, n), mn in tgt.get((kq1, kq2), {}).items():
-                    for a, x in rows1.get(m, {}).items():
-                        for b, y in rows2.get(n, {}).items():
-                            diff = acc.setdefault((a, b), {})
-                            xy = x * y
-                            for i, w in mn.items():
-                                diff[i] = diff.get(i, 0) - xy * w
+                    f3 = fcols((kq1[0] + kq2[0], kq1[1] + kq2[1]))
+                    acc = {(a, b): {i: left * x for i, x in _apply_columns(f3, ab).items()}
+                           for (a, b), ab in t12.items() if a in r1 and b in r2}
+                for ab, vec in _pair_products(tgt.get((kq1, kq2), {}), rows1, rows2).items():
+                    diff = acc.setdefault(ab, {})
+                    for i, w in vec.items():
+                        diff[i] = diff.get(i, 0) - right * w
                 out += ["product compatibility fails for (%r, %d) x (%r, %d)" % (kq1, a, kq2, b)
                         for a, b in _nonzero_keys(acc)]
         return out
@@ -1088,10 +1085,8 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
                 continue
             src = f.source._column_cohomology((k, q))
             tgt = f.target._column_cohomology((k, q))
-            cols = []
-            for rep in src.representatives:
-                image = f.apply((k, q), dict(enumerate(rep)))
-                cols.append(list(tgt.coordinates(image)))
+            fcols, scale = f._integers().cols((k, q)), f._integers().scale * src.cocycle_scale
+            cols = [list(tgt.coordinates(_apply_columns(fcols, rep), scale)) for rep in src.representative_cols]
             induced = Matrix.from_columns(cols, nrows=tgt.dim)
             rk = induced.rank()
             rank_total += rk
@@ -1137,22 +1132,24 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     kernels: dict[int, _ColumnCohomology] = {}
     for k in range(model.max_degree() + 1):
         col = model._column_cohomology((k, 2 * k))
-        if col.cocycles:
+        if col.cocycle_cols:
             kernels[k] = col
     spaces = {
-        (k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(col.cocycles)))
+        (k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(col.cocycle_cols)))
         for k, col in kernels.items()
     }
-    rows = {k: _sparse_rows(col.cocycles) for k, col in kernels.items()}
+    form = model._integers()
+    rows = {k: _sparse_rows(col.cocycle_cols) for k, col in kernels.items()}
     products: dict = {}
     for k1 in kernels:
         for k2 in kernels:
             k3 = k1 + k2
             table: dict = {}
-            pairs = _pair_products(model.products.get(((k1, 2 * k1), (k2, 2 * k2)), {}), rows[k1], rows[k2])
+            pairs = _pair_products(form.tables.get(((k1, 2 * k1), (k2, 2 * k2)), {}), rows[k1], rows[k2])
+            scale = form.scale * kernels[k1].cocycle_scale * kernels[k2].cocycle_scale
             for (a, b), prod in pairs.items():
                 # the product of cocycles must vanish if K^{k3} is trivial
-                vec = kernels[k3].cocycle_coordinates(prod) if k3 in kernels else None
+                vec = kernels[k3].cocycle_coordinates(prod, scale) if k3 in kernels else None
                 if vec is None:
                     raise ClosureError(
                         "kernel product escapes at K^%d x K^%d pair (%d, %d)"
@@ -1164,8 +1161,8 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
                 products[((k1, 2 * k1), (k2, 2 * k2))] = table
     witness_model = BigradedModel(spaces, {}, products)
     zero = Fraction(0)
-    blocks = {(k, 2 * k): Matrix([[v.get(i, zero) for v in col.cocycles] for i in range(col.length)],
-                                 ncols=len(col.cocycles))
+    blocks = {(k, 2 * k): Matrix([[Fraction(v[i], col.cocycle_scale) if i in v else zero for v in col.cocycle_cols]
+                                  for i in range(col.length)], ncols=len(col.cocycle_cols))
               for k, col in kernels.items()}
     inclusion = CdgaMorphism(witness_model, model, blocks)
     verdict = check_r_quasi_iso(inclusion, r)
@@ -1203,28 +1200,29 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     for k, col in data.items():
         if not col.dim:
             continue
-        cols = [list(col.coordinates({j: Fraction(1)})) for j in range(model.dim((k, k)))]
+        cols = [list(col.coordinates({j: 1})) for j in range(model.dim((k, k)))]
         projections[(k, k)] = Matrix.from_columns(cols, nrows=col.dim)
 
     # well-definedness: boundaries must multiply into boundaries, checked
     # in the order of the loop over (k, boundary, k2, basis vector j)
-    units = {k: {j: {j: Fraction(1)} for j in range(model.dim((k, k)))} for k in data}
+    form = model._integers()
+    units = {k: {j: {j: 1} for j in range(model.dim((k, k)))} for k in data}
     for k, col in data.items():
-        rows = _sparse_rows(_dense_to_sparse(u) for u in col.boundary_basis)
+        rows = _sparse_rows(col.boundary_cols)
         checks = []
         for k2 in data:
             k3 = k + k2
             if k3 in data and data[k3].dim:
-                pairs = _pair_products(model.products.get(((k, k), (k2, k2)), {}), rows, units[k2])
+                pairs = _pair_products(form.tables.get(((k, k), (k2, k2)), {}), rows, units[k2])
                 checks += [(u, k2, j, prod) for (u, j), prod in pairs.items()]
         for _, k2, _, prod in sorted(checks, key=lambda check: check[:3]):
-            if any(x for x in data[k + k2].coordinates(prod)):
+            if any(x for x in data[k + k2].coordinates(prod, form.scale ** 2)):
                 raise ClosureError(
                     "boundary times basis vector survives in C^%d (from C^%d x C^%d)"
                     % (k + k2, k, k2)
                 )
 
-    rows = {k: _sparse_rows(_dense_to_sparse(v) for v in col.representatives) for k, col in data.items()}
+    rows = {k: _sparse_rows(col.representative_cols) for k, col in data.items()}
     products: dict = {}
     for k1, col1 in data.items():
         for k2, col2 in data.items():
@@ -1232,9 +1230,10 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
             if not col1.dim or not col2.dim or k3 not in data or not data[k3].dim:
                 continue
             table: dict = {}
-            pairs = _pair_products(model.products.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2])
+            pairs = _pair_products(form.tables.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2])
+            scale = form.scale * col1.cocycle_scale * col2.cocycle_scale
             for ab, prod in pairs.items():
-                vec = {c: v for c, v in enumerate(data[k3].coordinates(prod)) if v}
+                vec = {c: v for c, v in enumerate(data[k3].coordinates(prod, scale)) if v}
                 if vec:
                     table[ab] = vec
             if table:

@@ -367,7 +367,18 @@ def build_layer_poset(
                     next_frontier.append(j)
                 covers.add((y, j))
         frontier = next_frontier
-    order = sorted(range(len(layers)), key=lambda i: layers[i].sort_key)
+    # the order of `Layer.sort_key` without comparing Fractions: the phases
+    # p/q, all in [0, 1), are the digits p * (M // q) of one integer in base
+    # M, their common modulus, and layers of one codimension have as many
+    modulus = lcm(*{t.denominator for layer in layers for t in layer.phases})
+
+    def sort_key(i):
+        layer, phases = layers[i], 0
+        for t in layer.phases:
+            phases = phases * modulus + t.numerator * (modulus // t.denominator)
+        return layer.codim, layer.span, phases
+
+    order = sorted(range(len(layers)), key=sort_key)
     rank = {i: r for r, i in enumerate(order)}
     return LayerPoset(
         n,

@@ -604,6 +604,15 @@ def test_layer_poset_makes_no_rational_elimination(count_calls):
     assert calls == {}
 
 
+def test_layer_poset_compares_no_fractions(count_calls):
+    """Work gate: the layers are sorted on integer phase numerators over one
+    modulus, in the order of `Layer.sort_key`."""
+    calls = count_calls(F, "__eq__", "__lt__")
+    poset = build_layer_poset(*b3_translate())
+    assert calls == {}
+    assert [layer.sort_key for layer in poset.layers] == sorted(layer.sort_key for layer in poset.layers)
+
+
 def test_affine_poset_makes_no_rational_elimination(count_calls):
     """Work gate: the affine BFS is integer-only too."""
     calls = count_matrix_work(count_calls)

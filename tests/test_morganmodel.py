@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 
+from stratiform import morganmodel
 from stratiform.exactalg import Matrix
 from stratiform.morganmodel import (
     AxiomReport,
@@ -33,6 +34,7 @@ from stratiform.morganmodel import (
     shuffle_sign,
     verify_cdga_axioms,
     _ColumnCohomology,
+    _IntegerForm,
 )
 
 F = Fraction
@@ -808,6 +810,24 @@ class TestSparseAxiomsAgainstDenseOracle:
                 "cup product on D_() not graded-commutative at " + pair for pair in pairs
             ]
 
+    def test_point_stratum_with_a_stray_key_is_checked(self):
+        # beside (0, 0), the key (5, 0) makes (ee)e = 2e + e_5 differ from
+        # e(ee) = e + e_5 on a point stratum
+        cd = builder_projective_line_marked(1)
+        cups = {**cd.cups, (1,): {(0, 0): {(0, 0): {0: F(1), 5: F(1)}, (5, 0): {0: F(1)}}}}
+        bad = CompactificationDatum(cd.components, cd.cohomology, cd.restrictions, cd.gysins, cups)
+        issues = bad._check_cup((1,))
+        assert issues == dense_cup_issues(bad, (1,))
+        assert issues == ["cup product on D_(1,) not associative at (0,0),(0,0),(0,0)"]
+
+    def test_point_stratum_refuses_an_unusable_constant(self):
+        cd = builder_projective_line_marked(1)
+        for table in ({(0, 0): {(0, 0): {0: "one"}}}, {(0, 0): {(0, 0): {0: F(1)}}, (0, 2): {(0, 0): {0: "one"}}}):
+            bad = CompactificationDatum(cd.components, cd.cohomology, cd.restrictions, cd.gysins,
+                                        {**cd.cups, (1,): table})
+            with pytest.raises(ValueError, match="one"):
+                bad._check_cup((1,))
+
     def test_morphism_checks_match_dense(self):
         cd2 = builder_projective_line_marked(2)
         maps = []
@@ -1072,6 +1092,25 @@ class TestWitnessClosure:
             extract_cokernel_model(model, INF)
 
 
+def cocycles(col):
+    """The cocycle basis of column data as sparse rational vectors."""
+    return [{i: F(x, col.cocycle_scale) for i, x in v.items()} for v in col.cocycle_cols]
+
+
+def dense(cols, scale, n):
+    return [[F(v.get(i, 0), scale) for i in range(n)] for v in cols]
+
+
+def representatives(col):
+    """The chosen cocycles of column data, as dense rational vectors."""
+    return dense(col.representative_cols, col.cocycle_scale, col.length)
+
+
+def boundary_basis(col, model):
+    """The chosen boundaries of column data on `model`, as dense rational vectors."""
+    return dense(col.boundary_cols, model._integers().scale, col.length)
+
+
 class TestFastCoordinatesAgainstSolve:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
@@ -1085,11 +1124,11 @@ class TestFastCoordinatesAgainstSolve:
         d = Matrix(rows, ncols=n)
         spaces = {(0, 0): tuple(range(n)), (1, 0): tuple(range(len(rows)))}
         col = _ColumnCohomology(BigradedModel(spaces, {(0, 0): d}, {}), (0, 0))
-        if not col.cocycles:
+        if not col.cocycle_cols:
             return
-        basis = Matrix.from_columns([[v.get(i, F(0)) for i in range(n)] for v in col.cocycles], nrows=n)
+        basis = Matrix.from_columns([[v.get(i, F(0)) for i in range(n)] for v in cocycles(col)], nrows=n)
         # a vector in the span, and one that may lie outside it
-        inside = basis.apply([F(c) for c in coeffs[: len(col.cocycles)]])
+        inside = basis.apply([F(c) for c in coeffs[: len(col.cocycle_cols)]])
         for vec in (inside, tuple(F(x) for x in outside)):
             sol = basis.solve(vec)
             got = col.cocycle_coordinates({i: v for i, v in enumerate(vec) if v})
@@ -1113,14 +1152,15 @@ class TestFastCoordinatesAgainstSolve:
         m = len(d_in_rows[0])
         spaces = {(0, 0): tuple(range(m)), (1, 0): tuple(range(n)), (2, 0): tuple(range(len(d_out_rows)))}
         diff = {(0, 0): Matrix(d_in_rows, ncols=m), (1, 0): Matrix(d_out_rows, ncols=n)}
-        col = _ColumnCohomology(BigradedModel(spaces, diff, {}), (1, 0))
+        model = BigradedModel(spaces, diff, {})
+        col = _ColumnCohomology(model, (1, 0))
 
         # greedy selection by rank, boundaries first, then cocycles
         chosen = []
         for v in [list(c) for c in diff[(0, 0)].columns()] + [list(c) for c in diff[(1, 0)].right_kernel()]:
             if Matrix.from_columns(chosen + [v], nrows=n).rank() == len(chosen) + 1:
                 chosen.append(v)
-        assert col.boundary_basis + col.representatives == chosen
+        assert boundary_basis(col, model) + representatives(col) == chosen
 
         solve_matrix = Matrix.from_columns(chosen, nrows=n)
         inside = solve_matrix.apply([F(c) for c in coeffs[: len(chosen)]])
@@ -1131,7 +1171,7 @@ class TestFastCoordinatesAgainstSolve:
                 with pytest.raises(ValueError):
                     col.coordinates(sparse)
             else:
-                assert col.coordinates(sparse) == tuple(sol[len(col.boundary_basis):])
+                assert col.coordinates(sparse) == tuple(sol[len(col.boundary_cols):])
 
 
 class TestColumnCohomologyOnComplexes:
@@ -1155,14 +1195,15 @@ class TestColumnCohomologyOnComplexes:
         d_in = Matrix.from_columns(boundaries, nrows=n)
         assert (d_out @ d_in).is_zero()
         spaces = {(0, 0): tuple(range(d_in.ncols)), (1, 0): tuple(range(n)), (2, 0): tuple(range(d_out.nrows))}
-        col = _ColumnCohomology(BigradedModel(spaces, {(0, 0): d_in, (1, 0): d_out}, {}), (1, 0))
+        model = BigradedModel(spaces, {(0, 0): d_in, (1, 0): d_out}, {})
+        col = _ColumnCohomology(model, (1, 0))
 
         # greedy selection by rank, boundaries first, then cocycles
         chosen = []
         for v in [list(c) for c in d_in.columns()] + [list(c) for c in kernel]:
             if Matrix.from_columns(chosen + [v], nrows=n).rank() == len(chosen) + 1:
                 chosen.append(v)
-        assert col.boundary_basis + col.representatives == chosen
+        assert boundary_basis(col, model) + representatives(col) == chosen
 
         solve_matrix = Matrix.from_columns(chosen, nrows=n)
         inside = solve_matrix.apply([F(c) for c in coeffs[: len(chosen)]])
@@ -1173,7 +1214,7 @@ class TestColumnCohomologyOnComplexes:
                 with pytest.raises(ValueError):
                     col.coordinates(sparse)
             else:
-                assert col.coordinates(sparse) == tuple(sol[len(col.boundary_basis):])
+                assert col.coordinates(sparse) == tuple(sol[len(col.boundary_cols):])
 
 
 # -- witnesses against their pairwise reference ----------------------------------
@@ -1200,7 +1241,7 @@ def reference_quasi_iso(f, r):
             h_tgt += tgt.dim
             if src.dim == 0 and tgt.dim == 0:
                 continue
-            cols = [list(tgt.coordinates(f.apply((k, q), dict(enumerate(rep))))) for rep in src.representatives]
+            cols = [list(tgt.coordinates(f.apply((k, q), dict(enumerate(rep))))) for rep in representatives(src)]
             rk = Matrix.from_columns(cols, nrows=tgt.dim).rank()
             rank_total += rk
             injective = injective and rk == src.dim
@@ -1216,13 +1257,13 @@ def reference_quasi_iso(f, r):
 def reference_kernel_products(model):
     """The kernel witness's tables from pairwise products of cocycles."""
     cols = {k: _ColumnCohomology(model, (k, 2 * k)) for k in range(model.max_degree() + 1)}
-    kernels = {k: col for k, col in cols.items() if col.cocycles}
+    kernels = {k: col for k, col in cols.items() if col.cocycle_cols}
     products = {}
     for k1, col1 in kernels.items():
         for k2, col2 in kernels.items():
             table = {}
-            for a, va in enumerate(col1.cocycles):
-                for b, vb in enumerate(col2.cocycles):
+            for a, va in enumerate(cocycles(col1)):
+                for b, vb in enumerate(cocycles(col2)):
                     prod = model.mult_vec((k1, 2 * k1), va, (k2, 2 * k2), vb)
                     vec = kernels[k1 + k2].cocycle_coordinates(prod) if k1 + k2 in kernels else None
                     if vec is None and prod:
@@ -1239,7 +1280,7 @@ def reference_cokernel_products(model):
     representatives, after the boundary-times-basis check."""
     data = {k: _ColumnCohomology(model, (k, k)) for k in range(model.max_degree() + 1) if model.dim((k, k))}
     for k, col in data.items():
-        for u in col.boundary_basis:
+        for u in boundary_basis(col, model):
             for k2 in data:
                 if k + k2 in data and data[k + k2].dim:
                     for j in range(model.dim((k2, k2))):
@@ -1253,8 +1294,8 @@ def reference_cokernel_products(model):
             if not col1.dim or not col2.dim or k1 + k2 not in data or not data[k1 + k2].dim:
                 continue
             table = {}
-            for a, ra in enumerate(col1.representatives):
-                for b, rb in enumerate(col2.representatives):
+            for a, ra in enumerate(representatives(col1)):
+                for b, rb in enumerate(representatives(col2)):
                     prod = model.mult_vec((k1, k1), dict(enumerate(ra)), (k2, k2), dict(enumerate(rb)))
                     vec = {c: v for c, v in enumerate(data[k1 + k2].coordinates(prod)) if v}
                     if vec:
@@ -1262,6 +1303,50 @@ def reference_cokernel_products(model):
             if table:
                 products[((k1, k1), (k2, k2))] = table
     return products
+
+
+def rescaled(cd, scales):
+    """The datum in the basis where basis vector a of H^p(D_I) is multiplied
+    by a nonzero scale; the scales are taken from `scales` in turn."""
+    labels = [(key, p, a) for key in cd.subsets() for p in cd.degrees(key) for a in range(cd.dim(key, p))]
+    scale = {lab: F(scales[i % len(scales)]) for i, lab in enumerate(labels)}
+
+    def conj(blk, src, p, tgt, q):
+        return Matrix(
+            [[blk.rows[b][a] * scale[(src, p, a)] / scale[(tgt, q, b)] for a in range(blk.ncols)]
+             for b in range(blk.nrows)],
+            ncols=blk.ncols,
+        )
+
+    restrictions = {
+        (key, j): {p: conj(blk, key, p, tuple(sorted(key + (j,))), p) for p, blk in blocks.items()}
+        for (key, j), blocks in cd.restrictions.items()
+    }
+    gysins = {
+        (key, i): {p: conj(blk, key, p, tuple(x for x in key if x != i), p + 2) for p, blk in blocks.items()}
+        for (key, i), blocks in cd.gysins.items()
+    }
+    cups = {
+        key: {
+            (p, p2): {
+                (a, b): {c: F(v) * scale[(key, p, a)] * scale[(key, p2, b)] / scale[(key, p + p2, c)]
+                         for c, v in vec.items()}
+                for (a, b), vec in entries.items()
+            }
+            for (p, p2), entries in table.items()
+        }
+        for key, table in cd.cups.items()
+    }
+    return CompactificationDatum(cd.components, cd.cohomology, restrictions, gysins, cups)
+
+
+def scale_draw(rng):
+    """A nonzero scale a/b with a, b <= 30, of either sign."""
+    return F(rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 30))
+
+
+def marked_lines(*sizes):
+    return functools.reduce(kunneth_product, [builder_projective_line_marked(s) for s in sizes])
 
 
 def builder_and_kunneth_models():
@@ -1278,6 +1363,45 @@ def builder_and_kunneth_models():
         yield pytest.param(cd, id=name)
 
 
+def exterior_algebra(n, scale=None):
+    """The exterior algebra on n generators of bidegree (1, 2), with d = 0:
+    the basis of (k, 2k) is the k-subsets S in `combinations` order, and
+    e_S e_T = sgn(S, T) e_{S+T} for disjoint S and T.  `scale`, if given,
+    maps each S to the scale of e_S."""
+    index, spaces = {}, {}
+    for k in range(n + 1):
+        subsets = list(combinations(range(n), k))
+        spaces[(k, 2 * k)] = tuple("e%r" % (s,) for s in subsets)
+        index.update((s, (k, i)) for i, s in enumerate(subsets))
+    products = {}
+    for s, (k1, a) in index.items():
+        for t, (k2, b) in index.items():
+            if not set(s) & set(t):
+                u = tuple(sorted(s + t))
+                v = F(shuffle_sign(s, t))
+                if scale:
+                    v *= scale[s] * scale[t] / scale[u]
+                products.setdefault(((k1, 2 * k1), (k2, 2 * k2)), {})[(a, b)] = {index[u][1]: v}
+    return BigradedModel(spaces, {}, products)
+
+
+def rational_witness_data():
+    """Data whose integer forms have D > 1: Kunneth squares, cubes and
+    compact data rescaled by scales a/b with a, b <= 30, and d = 0 exterior
+    algebras on 3 to 5 generators, as they are and rescaled."""
+    data = {"x".join(map(str, sizes)): marked_lines(*sizes)
+            for sizes in [(2, 3), (5, 1), (1, 1, 2), (2, 2, 2), (0, 0), (0, 0, 0)]}
+    data["torus-like-x-0"] = kunneth_product(torus_like_compact_datum(), marked_lines(0))
+    for seed, (name, cd) in enumerate(data.items()):
+        rng = random.Random(seed)
+        yield pytest.param(rescaled(cd, [scale_draw(rng) for _ in range(12)]), id="rescaled-" + name)
+    for n in (3, 4, 5):
+        rng = random.Random(n)
+        yield pytest.param(exterior_algebra(n), id="exterior-%d" % n)
+        scale = {s: scale_draw(rng) for k in range(n + 1) for s in combinations(range(n), k)}
+        yield pytest.param(exterior_algebra(n, scale), id="exterior-%d-rescaled" % n)
+
+
 def broken_square_model():
     """A chain complex M^0 -> M^1 -> M^2 in weight 0 with d o d != 0:
     d(w) = u and d(u) = t.  At (1, 0) the rank formula gives 2 - 1 - 1 = 0,
@@ -1289,10 +1413,10 @@ def broken_square_model():
 
 
 class TestWitnessesAgainstReference:
-    @pytest.mark.parametrize("cd", builder_and_kunneth_models())
+    @pytest.mark.parametrize("data", [*builder_and_kunneth_models(), *rational_witness_data()])
     @pytest.mark.parametrize("r", [0, 1, INF])
-    def test_verdicts_and_tables(self, cd, r):
-        model = build_model(cd)
+    def test_verdicts_and_tables(self, data, r):
+        model = data if isinstance(data, BigradedModel) else build_model(data)
         for extract, reference in [(extract_kernel_model, reference_kernel_products),
                                    (extract_cokernel_model, reference_cokernel_products)]:
             try:
@@ -1514,41 +1638,6 @@ def datum_items(cd):
     return [cd.components, list(cd.cohomology.items()), maps(cd.restrictions), maps(cd.gysins), cups]
 
 
-def rescaled(cd, scales):
-    """The datum in the basis where basis vector a of H^p(D_I) is multiplied
-    by a nonzero scale; the scales are taken from `scales` in turn."""
-    labels = [(key, p, a) for key in cd.subsets() for p in cd.degrees(key) for a in range(cd.dim(key, p))]
-    scale = {lab: F(scales[i % len(scales)]) for i, lab in enumerate(labels)}
-
-    def conj(blk, src, p, tgt, q):
-        return Matrix(
-            [[blk.rows[b][a] * scale[(src, p, a)] / scale[(tgt, q, b)] for a in range(blk.ncols)]
-             for b in range(blk.nrows)],
-            ncols=blk.ncols,
-        )
-
-    restrictions = {
-        (key, j): {p: conj(blk, key, p, tuple(sorted(key + (j,))), p) for p, blk in blocks.items()}
-        for (key, j), blocks in cd.restrictions.items()
-    }
-    gysins = {
-        (key, i): {p: conj(blk, key, p, tuple(x for x in key if x != i), p + 2) for p, blk in blocks.items()}
-        for (key, i), blocks in cd.gysins.items()
-    }
-    cups = {
-        key: {
-            (p, p2): {
-                (a, b): {c: F(v) * scale[(key, p, a)] * scale[(key, p2, b)] / scale[(key, p + p2, c)]
-                         for c, v in vec.items()}
-                for (a, b), vec in entries.items()
-            }
-            for (p, p2), entries in table.items()
-        }
-        for key, table in cd.cups.items()
-    }
-    return CompactificationDatum(cd.components, cd.cohomology, restrictions, gysins, cups)
-
-
 KUNNETH_FACTORS = {"point": builder_point, "torus-like": torus_like_compact_datum, **{
     "line-%d" % s: (lambda s=s: builder_projective_line_marked(s)) for s in range(5)
 }}
@@ -1655,11 +1744,6 @@ def assert_assembly_matches_reference(cd):
     return got
 
 
-def scale_draw(rng):
-    """A nonzero scale a/b with a, b <= 30, of either sign."""
-    return F(rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 30))
-
-
 def without(maps, key, p):
     """`maps` with block p of `maps[key]` removed."""
     out = {k: dict(blocks) for k, blocks in maps.items()}
@@ -1688,10 +1772,6 @@ def malformed_variants(cd):
     for key, blocks in cd.gysins.items():
         for p in blocks:
             yield datum(gysins=without(cd.gysins, key, p))
-
-
-def marked_lines(*sizes):
-    return functools.reduce(kunneth_product, [builder_projective_line_marked(s) for s in sizes])
 
 
 class TestModelAssemblyAgainstReference:
@@ -1764,18 +1844,51 @@ class TestModelAssemblyAgainstReference:
 
 
 class TestBudgets:
-    def test_kunneth_cube_axioms_and_kernel_witness(self):
+    def test_kunneth_cube_axioms_and_kernel_witness(self, count_calls):
         cd = builder_projective_line_marked(3)
         model = build_model(kunneth_product(kunneth_product(cd, cd), cd))
         assert model.total_dimension() == 125
+        forms = count_calls(_IntegerForm, "__init__").args["__init__"]
+        products = count_calls(Fraction, "__mul__", "__rmul__")
         start = time.perf_counter()
         report = verify_cdga_axioms(model)
         elapsed = time.perf_counter() - start
         assert report.passed
         assert elapsed < 2.0, "cube axioms took %.2fs" % elapsed
-        assert extract_kernel_model(model, INF).quasi_iso.ok
+        assert products == {}
+        # the witness reads the model's integer form again, and the
+        # inclusion check builds one for the witness model and one for the
+        # inclusion's blocks
+        witness = extract_kernel_model(model, INF)
+        assert witness.quasi_iso.ok
+        assert len(forms) == 3
+        assert forms[0][1] is model.products and forms[1][1] is witness.model.products
+        assert forms[2][2] is witness.morphism.blocks
 
     # work counts, which do not move with the host's speed
+
+    def test_exterior_algebra_kernel_witness_multiplies_integers(self, count_calls):
+        # d = 0 on 256 basis vectors with 6,561 nonzero products: the
+        # cocycles are the standard basis, so the witness is the model
+        # itself, and its products, coordinates and checks run on integers
+        model = exterior_algebra(8)
+        assert model.total_dimension() == 256 and sum(map(len, model.products.values())) == 6561
+        products = count_calls(Fraction, "__mul__", "__rmul__")
+        witness = extract_kernel_model(model, INF)
+        assert sum(products.values()) < 1000
+        assert witness.quasi_iso.ok
+        assert model_dims(witness.model) == model_dims(model)
+        assert witness.model.products == model.products
+
+    def test_square_validate_sweeps_no_point_ring(self, count_calls):
+        # 25 of the (5, 5) square's 36 strata are points whose only class
+        # is H^0, with its only product at (0, 0): their rings cannot fail
+        line = builder_projective_line_marked(5)
+        square = kunneth_product(line, line)
+        calls = count_calls(morganmodel, "_ring_faults")
+        assert square.validate() == []
+        assert calls["_ring_faults"] == 11
+        assert all(square._check_cup(i_key) == dense_cup_issues(square, i_key) for i_key in square.subsets())
 
     def test_square_validate_composes_only_where_classes_land(self, count_calls):
         # 25 of the 1,555 (I, j1, j2, p) cases of the (5, 5) square end in
