@@ -27,7 +27,7 @@ from stratiform import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected"
 EXIT_CODES = GOLDEN / "exit_codes.json"
-COMMANDS = ("strata", "poset", "e2", "betti", "certificate")
+COMMANDS = ("strata", "poset", "e2", "betti", "purity", "certificate")
 FORMATS = ("text", "kv")
 
 SELFTEST = tuple("model-selftest.%s" % fmt for fmt in FORMATS)
