@@ -12,7 +12,7 @@ from stratiform.toriclayers import (
     LayerPoset,
     ToricHypersurface,
     build_layer_poset,
-    layer_cohomology,
+    torus_cohomology,
 )
 from stratiform.matroidos import (
     AffinePoset,

@@ -7,16 +7,22 @@ is pure of weight 2k in degree k, all entries at (p, q) sit in weight
 2(p+q); every differential would shift that weight by 2 and is therefore
 forced to vanish, so the table computes Betti numbers exactly, and the
 purity report upgrades to a formality certificate.
+
+An arrangement's strata are read off the integer keys of the poset
+searches, in the posets' order, with no `Layer` or `AffineFlat` built;
+a stratum's key, its name, is formatted on first read, which only
+`strata` rows and purity witnesses do.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
-from stratiform.matroidos import affine_intersection_poset
-from stratiform.toriclayers import ToricHypersurface, build_layer_poset, layer_cohomology
+from stratiform.matroidos import _flat_name, flat_search, mobius_from_covers
+from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_search, torus_cohomology
 
 INF = math.inf
 
@@ -34,6 +40,19 @@ class Stratum:
     codim: int
     cohomology: tuple[tuple[int, int, int], ...]
     local_dim: int
+
+    @classmethod
+    def _named_later(cls, name: Callable[[], str], codim: int, cohomology, local_dim: int) -> Stratum:
+        """A stratum whose key is `name()`, called on the key's first read."""
+        stratum = object.__new__(cls)
+        stratum.__dict__.update(_name=name, codim=codim, cohomology=cohomology, local_dim=local_dim)
+        return stratum
+
+    def __getattr__(self, attr):  # only reached for an attribute the instance lacks
+        if attr != "key" or "_name" not in self.__dict__:
+            raise AttributeError("'Stratum' object has no attribute %r" % attr)
+        key = self.__dict__["key"] = self.__dict__.pop("_name")()
+        return key
 
 
 @dataclass(frozen=True)
@@ -59,13 +78,15 @@ def strata_data_from_toric(
     Every layer of dimension d contributes binomial dims, pure of weight
     2p in degree p; the local dimension is |mu(ambient, layer)| in the
     layer poset, whose interval below the layer is the lattice of flats
-    of the characters of hypersurfaces through it.  More than
-    `max_strata` layers raise ValueError.
+    of the characters of hypersurfaces through it.  The layers of one
+    codimension share one cohomology tuple.  More than `max_strata`
+    layers raise ValueError.
     """
-    poset = build_layer_poset(ambient_dim, arrangement, max_strata)
+    keys, covers = layer_search(ambient_dim, arrangement, max_strata)
+    cohomology = [torus_cohomology(ambient_dim - q) for q in range(ambient_dim + 1)]
     sd = StrataData(tuple(
-        Stratum(layer.key, layer.codim, layer_cohomology(layer), abs(mu))
-        for layer, mu in zip(poset.layers, poset.mobius)
+        Stratum._named_later(partial(_layer_name, *key), len(key[0]), cohomology[len(key[0])], abs(mu))
+        for key, mu in zip(keys, mobius_from_covers(len(keys), covers))
     ))
     sd.validate()
     return sd
@@ -82,10 +103,10 @@ def strata_data_from_hyperplanes(
     the normals of hyperplanes containing it.  More than `max_strata`
     strata raise ValueError.
     """
-    poset = affine_intersection_poset(ambient_dim, hyperplanes, max_strata)
+    keys, _, covers = flat_search(ambient_dim, hyperplanes, max_strata)
     sd = StrataData(tuple(
-        Stratum(f.name, f.codim, ((0, 1, 0),), abs(mu))
-        for f, mu in zip(poset.flats, poset.mobius)
+        Stratum._named_later(partial(_flat_name, key), len(key), ((0, 1, 0),), abs(mu))
+        for key, mu in zip(keys, mobius_from_covers(len(keys), covers))
     ))
     sd.validate()
     return sd
@@ -153,22 +174,15 @@ class PurityReport:
     r: float
     passed: bool
     witnesses: tuple[tuple[str, int, int], ...]
-    checked: tuple[tuple[str, int, bool], ...] = field(default=(), repr=False)
 
 
 def purity_hypothesis_check(sd: StrataData, r: float) -> PurityReport:
     witnesses = []
-    checked = []
     for s in sd.strata:
         for (k, d, w) in s.cohomology:
-            if d == 0:
-                continue
-            constrained = s.codim + k <= r
-            ok = (not constrained) or w == 2 * k
-            checked.append((s.key, k, ok))
-            if not ok:
+            if d and w != 2 * k and s.codim + k <= r:
                 witnesses.append((s.key, k, w))
-    return PurityReport(r, not witnesses, tuple(witnesses), tuple(checked))
+    return PurityReport(r, not witnesses, tuple(witnesses))
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ partition the hyperplanes not containing X, so once a cover is found
 the hyperplanes through it are not intersected with X again.  Covers
 are recorded while the flats are enumerated, and `mobius_from_covers`,
 shared with the toric layer poset, turns them into mu(ambient, X).  The
-flats are ordered and the covers indexed on the integer keys too; the
-`Fraction` key is built for output only.  The interval below X is the
-lattice of flats of the central arrangement of normals through X, so
-|mu(ambient, X)| is the local dimension at X without building that
-lattice.
+flats are ordered and the covers indexed on the integer keys too
+(`flat_search`); only `affine_intersection_poset`, for `poset` and the
+tests, makes them `AffineFlat`s with `Fraction` rows and names, and the
+E2 route reads the keys.  The interval below X is the lattice of flats
+of the central arrangement of normals through X, so |mu(ambient, X)| is
+the local dimension at X without building that lattice.
 """
 
 from __future__ import annotations
@@ -272,28 +273,30 @@ def _meet(key, pivots, rest: list[int], q: int):
     return tuple(r for _, r in rows), tuple(p for p, _ in rows)
 
 
-def affine_intersection_poset(
+def flat_search(
     ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]], max_flats: int | None = None
-) -> AffinePoset:
-    """Poset of nonempty intersections of affine hyperplanes {a.x = c}.
+) -> tuple[list[tuple], dict[tuple, tuple[tuple[int, ...], frozenset[int]]], list[tuple[int, int]]]:
+    """Nonempty intersections of affine hyperplanes {a.x = c} as integer keys.
 
     Hyperplanes are (normal, constant) pairs with rational entries and a
-    nonzero normal.  Deduplication is by the canonical echelon form of
-    the defining system; empty intersections are dropped.  The flats of
-    codimension q+1 are the nonempty intersections of a codimension-q
-    flat X with a hyperplane not containing X.  Each of these covers X,
-    and every cover arises this way, so the BFS records the covers.
-    Finding more than `max_flats` flats raises ValueError.
+    nonzero normal.  A flat's key is its reduced echelon rows, each a
+    primitive integer row with a positive pivot, which is in bijection
+    with the rational echelon form of the system cutting it out.
+    Returns the keys in the order of (codimension, rational echelon
+    form), the pivot columns and the hyperplanes through each flat by
+    key, and the covers as sorted index pairs (i, j), flat j a maximal
+    proper subspace of flat i.  Finding more than `max_flats` flats
+    raises ValueError.
 
-    The search runs on integers.  A flat is held as its reduced echelon
-    rows, each a primitive integer row with a positive pivot, which is in
-    bijection with the rational echelon form.  X cut by H costs one
-    fraction-free reduction of H's row against X's rows; a remainder
-    whose only nonzero entry is the constant means an empty
-    intersection.  Every H through a cover Y but not through X gives
-    the same Y, so once Y is found those hyperplanes are skipped for X,
-    and the hyperplanes of a new Y are X's and those not yet seen for X
-    whose rows reduce to zero against Y.
+    The flats of codimension q+1 are the nonempty intersections of a
+    codimension-q flat X with a hyperplane not containing X.  Each of
+    these covers X, and every cover arises this way, so the BFS records
+    the covers.  X cut by H costs one fraction-free reduction of H's row
+    against X's rows; a remainder whose only nonzero entry is the
+    constant means an empty intersection.  Every H through a cover Y but
+    not through X gives the same Y, so once Y is found those hyperplanes
+    are skipped for X, and the hyperplanes of a new Y are X's and those
+    not yet seen for X whose rows reduce to zero against Y.
     """
     n = ambient_dim
     eqs = []
@@ -338,29 +341,46 @@ def affine_intersection_poset(
                 seen |= cover_inside
         frontier = new
 
-    # The Fraction key divides each row r by its pivot r[p] > 0.  Scaled by
-    # the common multiple L of all pivots, r / r[p] becomes the integer row
-    # r * (L // r[p]) in the same lexicographic order, so the flats sort on
-    # integers.  Each distinct row, and each distinct quotient in it, is
-    # divided once, and each distinct row is formatted for the names once.
-    pivot_of = {r: p for key, (pivots, _) in found.items() for p, r in zip(pivots, key)}
-    scale = lcm(1, *(r[p] for r, p in pivot_of.items()))
-    scaled = {r: tuple(x * (scale // r[p]) for x in r) for r, p in pivot_of.items()}
+    # The rational echelon form divides each row r by its pivot, its first
+    # nonzero entry.  Scaled by the common multiple L of all pivots, r / pivot
+    # becomes the integer row r * (L // pivot) in the same lexicographic
+    # order, so the flats sort on integers.
+    pivot = {r: next(filter(None, r)) for key in found for r in key}
+    scale = lcm(1, *pivot.values())
+    scaled = {r: tuple(x * (scale // d) for x in r) for r, d in pivot.items()}
     order = sorted(found, key=lambda key: (len(key), [scaled[r] for r in key]))
+    index = {key: i for i, key in enumerate(order)}
+    return order, found, sorted((index[x], index[y]) for x, y in covers)
+
+
+def _flat_name(key: Sequence[Sequence[int]]) -> str:
+    """`AffineFlat.name` of the flat with integer echelon rows `key`."""
+    return ";".join(_row_text([Fraction(x, next(filter(None, r))) for x in r]) for r in key) or "ambient"
+
+
+def affine_intersection_poset(
+    ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]], max_flats: int | None = None
+) -> AffinePoset:
+    """Poset of nonempty intersections of affine hyperplanes {a.x = c}: the
+    keys of `flat_search` made `AffineFlat`s, in its order, with its
+    covers.  Each distinct row, and each distinct quotient in it, is
+    divided once, and each distinct row is formatted for the names once."""
+    keys, found, covers = flat_search(ambient_dim, hyperplanes, max_flats)
     quotients: dict[tuple[int, int], Fraction] = {}
     fraction_row = {}
-    for r, p in pivot_of.items():
+    for r in {r for key in keys for r in key}:
+        d = next(filter(None, r))
         row = []
         for x in r:
-            f = quotients.get((x, r[p]))
+            f = quotients.get((x, d))
             if f is None:
-                f = quotients[x, r[p]] = Fraction(x, r[p])
+                f = quotients[x, d] = Fraction(x, d)
             row.append(f)
         fraction_row[r] = tuple(row)
 
     text = {r: _row_text(row) for r, row in fraction_row.items()}
+    n = ambient_dim
     flats = [AffineFlat(tuple(fraction_row[r] for r in key), len(key), n - len(key), found[key][1],
                         ";".join(text[r] for r in key) or "ambient")
-             for key in order]
-    index = {key: i for i, key in enumerate(order)}
-    return AffinePoset(n, flats, sorted((index[x], index[y]) for x, y in covers))
+             for key in keys]
+    return AffinePoset(n, flats, covers)

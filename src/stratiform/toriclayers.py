@@ -7,8 +7,8 @@ intersection of hypersurfaces: a translate of a subtorus, encoded by a
 saturated character lattice in canonical Hermite form together with one
 phase per basis row.  Phases live in Q/Z, represented in [0, 1).
 
-`layers_from_equations` solves a whole system at once.  The layer poset
-is built breadth first instead, one hypersurface at a time, in quotient
+`layers_from_equations` solves a whole system at once.  The layers are
+searched breadth first instead (`layer_search`), one hypersurface at a time, in quotient
 coordinates of the layer being cut (De Concini-Procesi 2005: a layer is
 a translate of a subtorus with a saturated character lattice).  The
 lattice half of a cut depends on the layer's span only, so it is done
@@ -21,6 +21,11 @@ integer numerators over one modulus, and a hypersurface that repeats the
 skipped.  B5 (1,539 layers, 647 distinct spans) takes about 0.5 s for
 `betti` on a two-core host under Python 3.11, against about 1.0 s with
 one Smith form per layer.
+
+The search runs and sorts on integer keys: a span and its phases as
+reduced (num, den) pairs.  Only `build_layer_poset`, for `poset` and
+the tests, makes them `Layer`s with `Fraction` phases, each named on
+first read of `Layer.key`; the E2 route reads the keys.
 """
 
 from __future__ import annotations
@@ -45,8 +50,14 @@ def mod1(x) -> Fraction:
     return f - q if q else f
 
 
-def _phase_str(t: Fraction) -> str:
-    return "%d/%d" % (t.numerator, t.denominator)
+def _phase_str(num: int, den: int) -> str:
+    return "%d/%d" % (num, den)
+
+
+def _layer_name(span: tuple[tuple[int, ...], ...], phases: Sequence[tuple[int, int]]) -> str:
+    """`Layer.key` of the layer with this span and these (num, den) phases."""
+    parts = ("(%s)@%s" % (",".join(map(str, row)), _phase_str(*t)) for row, t in zip(span, phases))
+    return ";".join(parts) or "ambient"
 
 
 @dataclass(frozen=True)
@@ -96,12 +107,7 @@ class Layer:
 
     @cached_property
     def key(self) -> str:
-        if not self.span:
-            return "ambient"
-        parts = []
-        for row, t in zip(self.span, self.phases):
-            parts.append("(%s)@%s" % (",".join(map(str, row)), _phase_str(t)))
-        return ";".join(parts)
+        return _layer_name(self.span, [(t.numerator, t.denominator) for t in self.phases])
 
     @property
     def sort_key(self):
@@ -263,15 +269,16 @@ def _cut_plan(
 
 
 def _sublayers(
-    layer: Layer, plan: tuple, max_layers: int | None
+    phases: Sequence[tuple[int, int]], plan: tuple, max_layers: int | None
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]]:
     """The components of layer ∩ H, for each hypersurface H that cuts the
     layer, in the order of the hypersurfaces and, within one H, in the
-    order of their phase tuples.  Each is given as its dedup key: the
-    Hermite basis of its span and its phases as reduced (num, den) pairs.
+    order of their phase tuples.  The layer's phases, and each component,
+    are given as keys: the Hermite basis of a span and (num, den) pairs.
 
     This is the phase pass over `plan`, the `_cut_plan` of the layer's
-    span, which is built once per distinct span, per BFS level.  With phi the layer's phases over their common denominator, the
+    span, which is built once per distinct span, per BFS level.  With phi
+    the layer's phases over their common denominator, the
     rows of L S have phases psi = L phi, so chi's part in the span has
     phase a.psi, and the phase of gamma on the |m| components runs
     through the solutions of m phi(gamma) = t - a.psi; a Hermite row h
@@ -282,8 +289,8 @@ def _sublayers(
     nothing new and is skipped, after its component count is checked.
     """
     left, cuts = plan
-    den = lcm(*(t.denominator for t in layer.phases))
-    phi = [t.numerator * (den // t.denominator) for t in layer.phases]
+    den = lcm(*(q for _, q in phases))
+    phi = [p * (den // q) for p, q in phases]
     psi = [sum(map(mul, row, phi)) for row in left]
     seen = set()
     for a, m, g, new_span, rows, num, dnm in cuts:
@@ -317,16 +324,19 @@ def _sublayers(
             yield new_span, tuple(phases)
 
 
-def build_layer_poset(
+def layer_search(
     n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None
-) -> LayerPoset:
-    """Poset of all layers, with covers recorded during the BFS.
+) -> tuple[list[tuple], list[tuple[int, int]]]:
+    """All layers as integer keys, in the order of `Layer.sort_key`, and
+    the covers as sorted index pairs (i, j), layer j a maximal proper
+    sublayer of layer i.  A key is a layer's span and its phases as
+    reduced (num, den) pairs.
 
     Layers of codimension q+1 arise by intersecting codimension-q layers
-    with single hypersurfaces; canonical spans and phases deduplicate,
-    so no subset enumeration happens.  A hypersurface whose character
-    lies in the span of a layer either contains the layer or misses it,
-    so it is skipped.  Any other one cuts the layer in components of one
+    with single hypersurfaces; the keys deduplicate, so no subset
+    enumeration happens.  A hypersurface whose character lies in the
+    span of a layer either contains the layer or misses it, so it is
+    skipped.  Any other one cuts the layer in components of one
     codimension more; each of them covers the layer, and every cover
     arises this way.  Each layer is cut in its quotient coordinates, not
     by solving the whole system again: one Smith form per distinct span,
@@ -342,55 +352,60 @@ def build_layer_poset(
         if h.dim != n:
             raise ValueError("hypersurface of wrong ambient dimension")
     hypersurfaces = [(h.exponents, h.phase.numerator, h.phase.denominator) for h in arrangement]
-    layers = [Layer(n, (), ())]
+    keys: list[tuple] = [((), ())]
     covers: set[tuple[int, int]] = set()
     frontier = [0]
     for _ in range(n):  # codimensions 0..n-1: a point lies on or off each hypersurface
-        users = Counter(layers[y].span for y in frontier)
+        users = Counter(keys[y][0] for y in frontier)
         plans: dict[tuple[tuple[int, ...], ...], tuple] = {}
         index: dict[tuple, int] = {}
         next_frontier = []
         for y in frontier:
-            span = layers[y].span
+            span, phases = keys[y]
             users[span] -= 1
             plan = plans.pop(span, None) or _cut_plan(span, n, hypersurfaces)
             if users[span]:  # another layer of this level has the span
                 plans[span] = plan
-            for key in _sublayers(layers[y], plan, max_layers):
+            for key in _sublayers(phases, plan, max_layers):
                 j = index.get(key)
                 if j is None:
-                    if max_layers is not None and len(layers) >= max_layers:
+                    if max_layers is not None and len(keys) >= max_layers:
                         raise ValueError("the arrangement has more than %d layers" % max_layers)
-                    j = index[key] = len(layers)
-                    sub_span, phases = key
-                    layers.append(Layer(n, sub_span, tuple(Fraction(p, q) for p, q in phases)))
+                    j = index[key] = len(keys)
+                    keys.append(key)
                     next_frontier.append(j)
                 covers.add((y, j))
         frontier = next_frontier
     # the order of `Layer.sort_key` without comparing Fractions: the phases
     # p/q, all in [0, 1), are the digits p * (M // q) of one integer in base
     # M, their common modulus, and layers of one codimension have as many
-    modulus = lcm(*{t.denominator for layer in layers for t in layer.phases})
+    modulus = lcm(*{q for _, phases in keys for _, q in phases})
 
     def sort_key(i):
-        layer, phases = layers[i], 0
-        for t in layer.phases:
-            phases = phases * modulus + t.numerator * (modulus // t.denominator)
-        return layer.codim, layer.span, phases
+        span, phases = keys[i]
+        value = 0
+        for p, q in phases:
+            value = value * modulus + p * (modulus // q)
+        return len(span), span, value
 
-    order = sorted(range(len(layers)), key=sort_key)
+    order = sorted(range(len(keys)), key=sort_key)
     rank = {i: r for r, i in enumerate(order)}
-    return LayerPoset(
-        n,
-        tuple(layers[i] for i in order),
-        tuple(sorted((rank[a], rank[b]) for a, b in covers)),
-    )
+    return [keys[i] for i in order], sorted((rank[a], rank[b]) for a, b in covers)
 
 
-def layer_cohomology(layer: Layer) -> tuple[tuple[int, int, int], ...]:
+def build_layer_poset(
+    n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None
+) -> LayerPoset:
+    """Poset of all layers: the keys of `layer_search` made `Layer`s with
+    `Fraction` phases, in its order, with its covers."""
+    keys, covers = layer_search(n, arrangement, max_layers)
+    layers = tuple(Layer(n, span, tuple(Fraction(p, q) for p, q in phases)) for span, phases in keys)
+    return LayerPoset(n, layers, tuple(covers))
+
+
+def torus_cohomology(d: int) -> tuple[tuple[int, int, int], ...]:
     """Graded cohomology of a d-torus: dim H^p = C(d, p), pure weight 2p.
 
     Returned as (degree, dimension, weight) triples.
     """
-    d = layer.dim
     return tuple((p, comb(d, p), 2 * p) for p in range(d + 1))

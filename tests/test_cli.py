@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from stratiform import matroidos, toriclayers
 from stratiform.cli import (
     ArrangementFile,
     ParseError,
@@ -19,7 +20,8 @@ from stratiform.cli import (
 )
 
 F = Fraction
-GOLDEN_EXPECTED = Path(__file__).resolve().parent / "golden" / "expected"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_EXPECTED = GOLDEN / "expected"
 
 Z2 = "toric 1\neq 2 : 0/1\n"
 COORD2 = "toric 2\neq 1 0 : 0/1\neq 0 1 : 0/1\n"
@@ -371,3 +373,46 @@ def test_run_command_rejects_unknown():
     af = parse_arrangement_file(Z2)
     with pytest.raises(ValueError):
         run_command("bogus", af)
+
+
+# two toric files, one with points of the circle, and a hyperplane one
+E2_GATE_FILES = ("b3.arr", "circle150.arr", "braid5.arr")
+
+
+def _keys(command, name):
+    """The `key` column of `command`'s kv output on the golden file `name`."""
+    code, out = invoke([command, str(GOLDEN / name), "--format", "kv"])
+    assert code == 0
+    return [line.split(" = ", 1)[1] for line in out.splitlines()
+            if re.match(r"(node|stratum)\.\d+\.key = ", line)]
+
+
+def test_e2_commands_build_no_layer_flat_or_name(count_calls):
+    """Work gate: `betti`, `e2`, `purity` and `certificate` read codimension
+    and |mu| off the posets' integer keys, so they build no `Layer` or
+    `AffineFlat` and format no stratum name.  `poset` does all four, which
+    shows that the counters count."""
+    calls = [
+        count_calls(toriclayers.Layer, "__init__"),
+        count_calls(matroidos.AffineFlat, "__init__"),
+        count_calls(toriclayers, "_phase_str"),
+        count_calls(matroidos, "_row_text"),
+    ]
+    for name in ("b3.arr", "braid5.arr"):
+        _keys("poset", name)
+    assert all(sum(c.values()) for c in calls)
+    for c in calls:
+        c.clear()
+    for name in E2_GATE_FILES:
+        for command in ("betti", "e2", "purity", "certificate"):
+            code, _ = invoke([command, str(GOLDEN / name)])
+            assert code == 0
+    assert [dict(c) for c in calls] == [{}, {}, {}, {}]
+
+
+@pytest.mark.parametrize("name", E2_GATE_FILES)
+def test_strata_and_poset_print_the_same_names(name):
+    """`strata` names its rows lazily off the integer keys; `poset` names
+    the `Layer` and `AffineFlat` objects: the same names, in one order."""
+    names = _keys("poset", name)
+    assert len(names) > 1 and names == _keys("strata", name)

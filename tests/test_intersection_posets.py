@@ -18,7 +18,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratiform import matroidos, toriclayers
+from stratiform import leraymodel, matroidos, toriclayers
 from stratiform.cli import parse_arrangement_file
 from stratiform.exactalg import Matrix
 from stratiform.leraymodel import (
@@ -568,6 +568,22 @@ def test_b5_lattice_work(count_calls):
     poset = build_layer_poset(*_toric(5, [(chi, F(0)) for chi in b_type_characters(5)]))
     assert (len(poset.layers), len(poset.covers)) == (1539, 9062)
     assert (calls["_smith_core"], calls["hermite_basis"]) == (647, 3396)
+
+
+def test_b6_betti_and_lattice_work(count_calls):
+    """B6 (10,299 layers, 79,030 covers) through the E2 route, with its
+    work counted in the same run: one Smith form per distinct span of a
+    layer that is not a point and one Hermite basis per pair of such a
+    span and the span of a cover.  No wall-clock bound: the counters
+    show a regression that the host's speed would hide."""
+    calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
+    mobius = count_calls(leraymodel, "mobius_from_covers")
+    data = strata_data_from_toric(*_toric(6, [(chi, F(0)) for chi in b_type_characters(6)]))
+    result = betti_and_poincare(assemble_e2(data))
+    assert result.betti == (1, 48, 925, 9120, 48259, 129072, 135135)
+    ((size, covers),) = mobius.args["mobius_from_covers"]
+    assert (len(data.strata), size, len(covers)) == (10299, 10299, 79030)
+    assert (calls["_smith_core"], calls["hermite_basis"]) == (4087, 28384)
 
 
 def test_layer_poset_lattice_work_on_b4(count_calls):
