@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -193,7 +194,11 @@ class AffinePoset:
         self.ambient_dim = ambient_dim
         self.flats = tuple(flats)
         self.covers = tuple(covers)
-        self.mobius = mobius_from_covers(len(self.flats), self.covers)
+
+    @cached_property
+    def mobius(self) -> tuple[int, ...]:
+        """Computed on first read: the `poset` command never reads it."""
+        return mobius_from_covers(len(self.flats), self.covers)
 
     def leq(self, i: int, j: int) -> bool:
         """flats[i] <= flats[j]: the stratum of j is inside the stratum of i."""

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import LinearMatroid
-from stratiform.toriclayers import ToricHypersurface
+from stratiform.matroidos import LinearMatroid, affine_intersection_poset
+from stratiform.toriclayers import ToricHypersurface, build_layer_poset, torus_cohomology
 
 from reference import FlatLattice, whitney_numbers
 
@@ -78,6 +79,29 @@ class TestStrataFromHyperplanes:
         sd = strata_data_from_hyperplanes(2, [((1, 0), 0), ((0, 1), 0)])
         for s in sd.strata:
             assert s.cohomology == ((0, 1, 0),)
+
+
+@pytest.mark.parametrize("kind", ["toric", "hyperplane"])
+def test_strata_named_on_first_read_match_the_poset(kind):
+    """Strata read off the integer keys are named on the first read of
+    their key; before and after it they pickle, compare, hash and print
+    as strata built from the poset's `Layer` and `AffineFlat` names."""
+    if kind == "toric":
+        arr = [H((1, 1), F(0)), H((1, -1), F(1, 2)), H((2, 0), F(0))]
+        sd, poset = strata_data_from_toric(2, arr), build_layer_poset(2, arr)
+        want = tuple(Stratum(l.key, l.codim, torus_cohomology(l.dim), abs(mu))
+                     for l, mu in zip(poset.layers, poset.mobius))
+    else:
+        lines = [((1, 0), F(1, 2)), ((1, 1), 0), ((0, 2), F(-1, 3))]
+        sd, poset = strata_data_from_hyperplanes(2, lines), affine_intersection_poset(2, lines)
+        want = tuple(Stratum(f.name, f.codim, ((0, 1, 0),), abs(mu))
+                     for f, mu in zip(poset.flats, poset.mobius))
+    unread = pickle.loads(pickle.dumps(sd))
+    assert unread.strata == want and sd.strata == want
+    assert [hash(s) for s in sd.strata] == [hash(s) for s in want]
+    assert repr(sd) == repr(StrataData(want))
+    with pytest.raises(AttributeError, match="no attribute 'name'"):
+        sd.strata[0].name
 
 
 class TestAssembleE2:
