@@ -8,18 +8,16 @@ is pure of weight 2k in degree k, all entries at (p, q) sit in weight
 forced to vanish, so the table computes Betti numbers exactly, and the
 purity report upgrades to a formality certificate.
 
-An arrangement's strata are read off the integer keys of the poset
-searches, in the posets' order, with no `Layer` or `AffineFlat` built;
-a stratum's key, its name, is formatted on first read, which only
-`strata` rows and purity witnesses do.
+An arrangement's strata are read off the poset searches' integer keys,
+with no `Layer` or `AffineFlat` built; a stratum's name is formatted on
+first read, which only `strata` rows and purity witnesses do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from stratiform.matroidos import _flat_name, flat_search, mobius_from_covers
 from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_search, torus_cohomology
@@ -42,8 +40,8 @@ class Stratum:
     local_dim: int
 
     @classmethod
-    def _named_later(cls, name: Callable[[], str], codim: int, cohomology, local_dim: int) -> Stratum:
-        """A stratum whose key is `name()`, called on the key's first read."""
+    def _named_later(cls, name: tuple, codim: int, cohomology, local_dim: int) -> Stratum:
+        """A stratum whose key is `name[0](*name[1:])`, formatted on first read."""
         stratum = object.__new__(cls)
         stratum.__dict__.update(_name=name, codim=codim, cohomology=cohomology, local_dim=local_dim)
         return stratum
@@ -51,7 +49,8 @@ class Stratum:
     def __getattr__(self, attr):  # only reached for an attribute the instance lacks
         if attr != "key" or "_name" not in self.__dict__:
             raise AttributeError("'Stratum' object has no attribute %r" % attr)
-        key = self.__dict__["key"] = self.__dict__.pop("_name")()
+        format_name, *args = self.__dict__.pop("_name")
+        key = self.__dict__["key"] = format_name(*args)
         return key
 
 
@@ -85,7 +84,7 @@ def strata_data_from_toric(
     keys, covers = layer_search(ambient_dim, arrangement, max_strata)
     cohomology = [torus_cohomology(ambient_dim - q) for q in range(ambient_dim + 1)]
     sd = StrataData(tuple(
-        Stratum._named_later(partial(_layer_name, *key), len(key[0]), cohomology[len(key[0])], abs(mu))
+        Stratum._named_later((_layer_name, *key), len(key[0]), cohomology[len(key[0])], abs(mu))
         for key, mu in zip(keys, mobius_from_covers(len(keys), covers))
     ))
     sd.validate()
@@ -103,9 +102,10 @@ def strata_data_from_hyperplanes(
     the normals of hyperplanes containing it.  More than `max_strata`
     strata raise ValueError.
     """
-    keys, _, covers = flat_search(ambient_dim, hyperplanes, max_strata)
+    keys, found, covers = flat_search(ambient_dim, hyperplanes, max_strata)
+    del found  # the pivots and hyperplanes of each flat: unread here, and most of the heap
     sd = StrataData(tuple(
-        Stratum._named_later(partial(_flat_name, key), len(key), ((0, 1, 0),), abs(mu))
+        Stratum._named_later((_flat_name, key), len(key), ((0, 1, 0),), abs(mu))
         for key, mu in zip(keys, mobius_from_covers(len(keys), covers))
     ))
     sd.validate()

@@ -367,9 +367,8 @@ def affine_intersection_poset(
     ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]], max_flats: int | None = None
 ) -> AffinePoset:
     """Poset of nonempty intersections of affine hyperplanes {a.x = c}: the
-    keys of `flat_search` made `AffineFlat`s, in its order, with its
-    covers.  Each distinct row, and each distinct quotient in it, is
-    divided once, and each distinct row is formatted for the names once."""
+    keys of `flat_search` made `AffineFlat`s, each distinct row divided
+    and formatted once, in its order, with its covers."""
     keys, found, covers = flat_search(ambient_dim, hyperplanes, max_flats)
     quotients: dict[tuple[int, int], Fraction] = {}
     fraction_row = {}

@@ -22,10 +22,9 @@ layer is skipped.  B5 (1,539 layers, 647 distinct spans) takes about 0.5 s for
 `betti` on a two-core host under Python 3.11, against about 1.0 s with
 one Smith form per layer.
 
-The search runs and sorts on integer keys: a span and its phases as
-reduced (num, den) pairs.  Only `build_layer_poset`, for `poset` and
-the tests, makes them `Layer`s with `Fraction` phases, each named on
-first read of `Layer.key`; the E2 route reads the keys.
+The search runs and sorts on integer keys, spans with (num, den) phase
+pairs, which the E2 route reads; only `build_layer_poset` makes them
+`Layer`s, with `Fraction` phases and a name built on first read.
 """
 
 from __future__ import annotations
