@@ -275,6 +275,8 @@ class RunReport:
 
 
 def _format_value(v) -> str:
+    if type(v) is int or type(v) is str:  # the exact type: a bool prints as true/false
+        return str(v)
     if isinstance(v, Fraction):
         return "%d/%d" % (v.numerator, v.denominator)
     if isinstance(v, float) and math.isinf(v):

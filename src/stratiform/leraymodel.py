@@ -102,8 +102,7 @@ def strata_data_from_hyperplanes(
     the normals of hyperplanes containing it.  More than `max_strata`
     strata raise ValueError.
     """
-    keys, found, covers = flat_search(ambient_dim, hyperplanes, max_strata)
-    del found  # the pivots and hyperplanes of each flat: unread here, and most of the heap
+    keys, _, covers = flat_search(ambient_dim, hyperplanes, max_strata)
     sd = StrataData(tuple(
         Stratum._named_later((_flat_name, key), len(key), ((0, 1, 0),), abs(mu))
         for key, mu in zip(keys, mobius_from_covers(len(keys), covers))

@@ -7,20 +7,21 @@ without building the lattice: there are |w_k| of size k, and
 |mu(bottom, X)| whose support closes to the flat X.
 
 Affine intersection posets of hyperplane arrangements live here too.
-Their search is integer-only: each equation is cleared to a primitive
-integer row, each flat is keyed by its reduced echelon rows scaled to
-primitive integer rows, and intersecting a flat with a hyperplane is one
-fraction-free reduction of the hyperplane's row.  The covers of a flat X
-partition the hyperplanes not containing X, so once a cover is found
-the hyperplanes through it are not intersected with X again.  Covers
-are recorded while the flats are enumerated, and `mobius_from_covers`,
-shared with the toric layer poset, turns them into mu(ambient, X).  The
-flats are ordered and the covers indexed on the integer keys too
-(`flat_search`); only `affine_intersection_poset`, for `poset` and the
-tests, makes them `AffineFlat`s with `Fraction` rows and names, and the
-E2 route reads the keys.  The interval below X is the lattice of flats
-of the central arrangement of normals through X, so |mu(ambient, X)| is
-the local dimension at X without building that lattice.
+Their search (`flat_search`) is integer-only.  Each flat is keyed by its
+reduced echelon rows scaled to primitive integer rows, and identified by
+the bitmask of the hyperplanes through it, as a flat is their
+intersection.  A flat X carries the restriction of the arrangement to X
+(Orlik-Terao 1992, 1.3): the rows of the hyperplanes not through X
+reduced against X's rows, one row per cover of X, so the covers are read
+off it.  A new flat costs one fraction-free step on X's key and one on
+each of X's rows that is nonzero in its pivot column.
+`mobius_from_covers`, shared with the toric layer poset, turns the
+covers into mu(ambient, X).  Only `affine_intersection_poset`, for
+`poset` and the tests, makes the keys `AffineFlat`s with `Fraction` rows
+and names; the E2 route reads the keys.  The interval below X is the
+lattice of flats of the central arrangement of normals through X, so
+|mu(ambient, X)| is the local dimension at X without building that
+lattice.
 """
 
 from __future__ import annotations
@@ -237,50 +238,35 @@ def mobius_from_covers(size: int, covers: Iterable[tuple[int, int]]) -> tuple[in
     return tuple(mobius)
 
 
-def _clear(target: Sequence[int], row: Sequence[int], p: int) -> list[int]:
-    """row[p] * target - target[p] * row, divided by its content.
-
-    Fraction-free elimination of column p from `target`; with row[p] > 0
-    the signs of target's other entries are kept.
+def _clear(target: Sequence[int], row: Sequence[int], p: int) -> tuple[int, ...]:
+    """row[p] * target - target[p] * row, made primitive with its first
+    nonzero entry positive: fraction-free elimination of column p from
+    `target`, for row[p] > 0 and `target` not a multiple of `row`.
     """
     a, f = row[p], target[p]
     out = [a * x - f * y for x, y in zip(target, row)]
     content = gcd(*out)
-    return [x // content for x in out] if content > 1 else out
+    if next(filter(None, out)) < 0:
+        content = -content
+    return tuple(x // content for x in out) if content != 1 else tuple(out)
 
 
-def _reduce(row: Sequence[int], key: Sequence[Sequence[int]],
-            pivots: Sequence[int]) -> list[int]:
-    """`row` with the pivot columns of the echelon rows `key` cleared.
-
-    The rows of `key` vanish in each other's pivot columns, so one pass
-    in any order clears them all.
-    """
-    rest = list(row)
-    for p, r in zip(pivots, key):
-        if rest[p]:
-            rest = _clear(rest, r, p)
-    return rest
-
-
-def _meet(key, pivots, rest: list[int], q: int):
+def _meet(key, pivots, rest: tuple[int, ...], q: int):
     """Integer echelon key and pivots of X cut by one more equation.
 
-    `rest` is the equation reduced against X's rows `key`, with its first
-    nonzero entry in column q < n.  It is made primitive with a positive
-    pivot, its pivot is cleared from X's rows, and it goes in by pivot.
+    `rest` is the equation reduced against X's rows `key`, a primitive
+    row with its first nonzero entry, positive, in column q < n.  Its
+    pivot is cleared from X's rows, and it goes in by pivot.
     """
-    if rest[q] < 0:
-        rest = [-x for x in rest]
-    rows = [(p, tuple(_clear(r, rest, q)) if r[q] else r) for p, r in zip(pivots, key)]
-    rows.append((q, tuple(rest)))
+    rows = [(p, _clear(r, rest, q) if r[q] else r) for p, r in zip(pivots, key)]
+    rows.append((q, rest))
     rows.sort()
     return tuple(r for _, r in rows), tuple(p for p, _ in rows)
 
 
 def flat_search(
     ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]], max_flats: int | None = None
-) -> tuple[list[tuple], dict[tuple, tuple[tuple[int, ...], frozenset[int]]], list[tuple[int, int]]]:
+) -> tuple[list[tuple], list[int], list[tuple[int, int]]]:
     """Nonempty intersections of affine hyperplanes {a.x = c} as integer keys.
 
     Hyperplanes are (normal, constant) pairs with rational entries and a
@@ -288,74 +274,82 @@ def flat_search(
     primitive integer row with a positive pivot, which is in bijection
     with the rational echelon form of the system cutting it out.
     Returns the keys in the order of (codimension, rational echelon
-    form), the pivot columns and the hyperplanes through each flat by
-    key, and the covers as sorted index pairs (i, j), flat j a maximal
-    proper subspace of flat i.  Finding more than `max_flats` flats
-    raises ValueError.
+    form), in the same order the hyperplanes through each flat as an int
+    with bit j set for hyperplane j, and the covers as sorted index pairs
+    (i, j), flat j a maximal proper subspace of flat i.  Finding more
+    than `max_flats` flats raises ValueError.
 
-    The flats of codimension q+1 are the nonempty intersections of a
-    codimension-q flat X with a hyperplane not containing X.  Each of
-    these covers X, and every cover arises this way, so the BFS records
-    the covers.  X cut by H costs one fraction-free reduction of H's row
-    against X's rows; a remainder whose only nonzero entry is the
-    constant means an empty intersection.  Every H through a cover Y but
-    not through X gives the same Y, so once Y is found those hyperplanes
-    are skipped for X, and the hyperplanes of a new Y are X's and those
-    not yet seen for X whose rows reduce to zero against Y.
+    The covers of X are the nonempty X cut by H, H not through X.  Each
+    flat of the BFS frontier carries the rows of the hyperplanes not
+    through it, reduced against its key (zero in its pivot columns,
+    primitive, first nonzero entry positive), one row for all the
+    hyperplanes that share it.  Two hyperplanes cut X in the same cover
+    exactly when their rows on X are equal, so each row gives one cover,
+    through X's hyperplanes and the row's.  A row whose only nonzero
+    entry is the constant misses X and every flat inside it, and is
+    dropped.  A new cover Y = X cut by H gets its key from one `_meet`,
+    and its rows from X's by one `_clear` against H's row where they are
+    nonzero in its pivot column.
     """
     n = ambient_dim
-    eqs = []
-    for normal, c in hyperplanes:
+    empty = (0,) * n + (1,)  # the row of a hyperplane parallel to the flat
+    rows: dict[tuple, int] = {}
+    for j, (normal, c) in enumerate(hyperplanes):
         row = [Fraction(x) for x in normal]
         if len(row) != n:
             raise ValueError("normal of wrong length")
         if all(x == 0 for x in row):
             raise ValueError("hyperplane needs a nonzero normal")
-        eqs.append(_primitive(row + [Fraction(c)]))
+        row = _primitive(row + [Fraction(c)])
+        if next(filter(None, row)) < 0:
+            row = [-x for x in row]
+        row = tuple(row)
+        rows[row] = rows.get(row, 0) | 1 << j
 
-    # integer key -> (pivot columns, hyperplanes through the flat)
-    found: dict[tuple, tuple[tuple[int, ...], frozenset[int]]] = {(): ((), frozenset())}
-    covers: list[tuple[tuple, tuple]] = []
-    frontier = [()]
+    keys: list[tuple] = [()]
+    masks = [0]
+    index = {0: 0}  # mask -> position in keys
+    covers: list[tuple[int, int]] = []
+    frontier = [((), (), 0, rows)]
     while frontier:
         new = []
-        for key in frontier:
-            pivots, inside = found[key]
-            seen = set(inside)
-            for j, eq in enumerate(eqs):
-                if j in seen:
-                    continue
-                seen.add(j)
-                rest = _reduce(eq, key, pivots)
-                q = next((c for c in range(n) if rest[c]), None)
-                if q is None:
-                    continue  # only the constant is left: empty intersection
-                cover, cover_pivots = _meet(key, pivots, rest, q)
-                if cover in found:
-                    cover_inside = found[cover][1]
-                else:
-                    if max_flats is not None and len(found) >= max_flats:
+        for key, pivots, mask, rows in frontier:
+            i = index[mask]
+            for row, bits in rows.items():
+                cover_mask = mask | bits
+                k = index.get(cover_mask)
+                if k is None:
+                    if max_flats is not None and len(keys) >= max_flats:
                         raise ValueError("the arrangement has more than %d flats" % max_flats)
-                    cover_inside = inside.union([j], (
-                        k for k in range(j + 1, len(eqs))
-                        if k not in seen and not any(_reduce(eqs[k], cover, cover_pivots))
-                    ))
-                    found[cover] = (cover_pivots, cover_inside)
-                    new.append(cover)
-                covers.append((key, cover))
-                seen |= cover_inside
+                    q = next(c for c, x in enumerate(row) if x)
+                    cover, cover_pivots = _meet(key, pivots, row, q)
+                    cover_rows: dict[tuple, int] = {}
+                    for other, other_bits in rows.items():
+                        if other is row:
+                            continue
+                        if other[q]:
+                            other = _clear(other, row, q)
+                            if other == empty:
+                                continue
+                        cover_rows[other] = cover_rows.get(other, 0) | other_bits
+                    k = index[cover_mask] = len(keys)
+                    keys.append(cover)
+                    masks.append(cover_mask)
+                    new.append((cover, cover_pivots, cover_mask, cover_rows))
+                covers.append((i, k))
         frontier = new
 
     # The rational echelon form divides each row r by its pivot, its first
     # nonzero entry.  Scaled by the common multiple L of all pivots, r / pivot
     # becomes the integer row r * (L // pivot) in the same lexicographic
     # order, so the flats sort on integers.
-    pivot = {r: next(filter(None, r)) for key in found for r in key}
+    pivot = {r: next(filter(None, r)) for key in keys for r in key}
     scale = lcm(1, *pivot.values())
     scaled = {r: tuple(x * (scale // d) for x in r) for r, d in pivot.items()}
-    order = sorted(found, key=lambda key: (len(key), [scaled[r] for r in key]))
-    index = {key: i for i, key in enumerate(order)}
-    return order, found, sorted((index[x], index[y]) for x, y in covers)
+    order = sorted(range(len(keys)), key=lambda i: (len(keys[i]), [scaled[r] for r in keys[i]]))
+    position = {i: p for p, i in enumerate(order)}
+    return ([keys[i] for i in order], [masks[i] for i in order],
+            sorted((position[x], position[y]) for x, y in covers))
 
 
 def _flat_name(key: Sequence[Sequence[int]]) -> str:
@@ -369,7 +363,7 @@ def affine_intersection_poset(
     """Poset of nonempty intersections of affine hyperplanes {a.x = c}: the
     keys of `flat_search` made `AffineFlat`s, each distinct row divided
     and formatted once, in its order, with its covers."""
-    keys, found, covers = flat_search(ambient_dim, hyperplanes, max_flats)
+    keys, masks, covers = flat_search(ambient_dim, hyperplanes, max_flats)
     quotients: dict[tuple[int, int], Fraction] = {}
     fraction_row = {}
     for r in {r for key in keys for r in key}:
@@ -384,7 +378,9 @@ def affine_intersection_poset(
 
     text = {r: _row_text(row) for r, row in fraction_row.items()}
     n = ambient_dim
-    flats = [AffineFlat(tuple(fraction_row[r] for r in key), len(key), n - len(key), found[key][1],
+    through = range(len(hyperplanes))
+    flats = [AffineFlat(tuple(fraction_row[r] for r in key), len(key), n - len(key),
+                        frozenset(j for j in through if mask >> j & 1),
                         ";".join(text[r] for r in key) or "ambient")
-             for key in keys]
+             for key, mask in zip(keys, masks)]
     return AffinePoset(n, flats, covers)
