@@ -7,19 +7,7 @@ models built from compactification data.
 """
 
 from stratiform.exactalg import Matrix, hermite_basis
-from stratiform.toriclayers import (
-    Layer,
-    LayerPoset,
-    ToricHypersurface,
-    build_layer_poset,
-    torus_cohomology,
-)
-from stratiform.matroidos import (
-    AffinePoset,
-    LinearMatroid,
-    affine_intersection_poset,
-    nbc_basis,
-)
+from stratiform.toriclayers import Layer, ToricHypersurface, torus_cohomology
 from stratiform.leraymodel import (
     FormalityCertificate,
     LerayTable,

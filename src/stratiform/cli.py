@@ -45,7 +45,7 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import affine_intersection_poset
+from stratiform.matroidos import _flat_name, flat_search
 from stratiform.morganmodel import (
     build_model,
     builder_point,
@@ -57,7 +57,7 @@ from stratiform.morganmodel import (
     negate_gysin_block,
     verify_cdga_axioms,
 )
-from stratiform.toriclayers import ToricHypersurface, build_layer_poset, mod1
+from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_search, mod1
 
 INF = math.inf
 DEFAULT_MAX_STRATA = 100_000
@@ -240,16 +240,16 @@ def _strata_data(af: ArrangementFile, max_strata: int) -> StrataData:
 
 
 def _poset_nodes_and_covers(af: ArrangementFile, max_strata: int):
+    """(codim, dim, name) of each layer or flat, in the order of its search,
+    and the covers, read off the searches' integer keys like the strata."""
+    n = af.dim
     if af.kind == "toric":
-        poset = build_layer_poset(af.dim, _toric_hypersurfaces(af), max_strata)
-        nodes = [(l.codim, l.dim, l.key) for l in poset.layers]
-        return nodes, list(poset.covers)
+        keys, covers = layer_search(n, _toric_hypersurfaces(af), max_strata)
+        return [(len(key[0]), n - len(key[0]), _layer_name(*key)) for key in keys], covers
     if af.kind == "hyperplane":
-        poset = affine_intersection_poset(
-            af.dim, [(e.coeffs, e.constant) for e in af.equations], max_strata
-        )
-        nodes = [(f.codim, f.dim, f.name) for f in poset.flats]
-        return nodes, list(poset.covers)
+        keys, _, covers = flat_search(n, [(e.coeffs, e.constant) for e in af.equations], max_strata)
+        text: dict = {}  # each distinct echelon row is formatted once
+        return [(len(key), n - len(key), _flat_name(key, text)) for key in keys], covers
     raise ValueError("poset requires a toric or hyperplane file")
 
 
@@ -431,8 +431,8 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
 
 def _dim1_toric_point_count(equations) -> int:
     hyps = [ToricHypersurface(chi, t, i) for i, (chi, t) in enumerate(equations)]
-    poset = build_layer_poset(1, hyps)
-    return len(poset.by_codim(1))
+    keys, _ = layer_search(1, hyps)
+    return sum(1 for span, _ in keys if span)  # the layers of codimension 1
 
 
 def _leray_graded_dims(ambient_dim, hyps) -> dict:

@@ -15,7 +15,7 @@ with it (each column operation is mirrored by the inverse row
 operation), so the toric layers need no rational elimination.  The
 affine intersection poset is integer-only as well, so rational
 elimination (`Matrix.rref` and what calls it) remains only in
-`morganmodel`, and in the ranks of `LinearMatroid`.
+`morganmodel`.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ def vector(entries: Iterable) -> Vector:
     return tuple(_frac(x) for x in entries)
 
 
-def _primitive(row: Sequence[Fraction]) -> list[int]:
-    """The rational `row` times the positive rational that makes it a
-    primitive integer row (a zero row stays zero)."""
+def _primitive(row: Sequence[int | Fraction]) -> list[int]:
+    """The rational `row`, of ints or `Fraction`s, times the positive
+    rational that makes it a primitive integer row (a zero row stays
+    zero)."""
     den = math.lcm(*(x.denominator for x in row))
     ints = [x.numerator * (den // x.denominator) for x in row]
     g = math.gcd(*ints)

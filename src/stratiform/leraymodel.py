@@ -8,9 +8,10 @@ is pure of weight 2k in degree k, all entries at (p, q) sit in weight
 forced to vanish, so the table computes Betti numbers exactly, and the
 purity report upgrades to a formality certificate.
 
-An arrangement's strata are read off the poset searches' integer keys,
-with no `Layer` or `AffineFlat` built; a stratum's name is formatted on
-first read, which only `strata` rows and purity witnesses do.
+An arrangement's strata are read off the integer keys of `layer_search`
+and `flat_search`, as the `poset` command's nodes are.  A stratum's name
+is formatted by the same `_layer_name` or `_flat_name`, on first read,
+which only `strata` rows and purity witnesses do.
 """
 
 from __future__ import annotations

@@ -23,14 +23,15 @@ layer is skipped.  B5 (1,539 layers, 647 distinct spans) takes about 0.5 s for
 one Smith form per layer.
 
 The search runs and sorts on integer keys, spans with (num, den) phase
-pairs, which the E2 route reads; only `build_layer_poset` makes them
-`Layer`s, with `Fraction` phases and a name built on first read.
+pairs, which every command reads; `_layer_name` prints a layer's name
+from its key.  Only `layers_from_equations`, the whole-system solve,
+returns `Layer`s, with `Fraction` phases.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -39,7 +40,6 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from stratiform.exactalg import _smith_core, hermite_basis
-from stratiform.matroidos import mobius_from_covers
 
 
 def mod1(x) -> Fraction:
@@ -54,7 +54,8 @@ def _phase_str(num: int, den: int) -> str:
 
 
 def _layer_name(span: tuple[tuple[int, ...], ...], phases: Sequence[tuple[int, int]]) -> str:
-    """`Layer.key` of the layer with this span and these (num, den) phases."""
+    """The name of the layer with this span and these (num, den) phases:
+    "(chi)@num/den" for each span row, joined by ";", or "ambient"."""
     parts = ("(%s)@%s" % (",".join(map(str, row)), _phase_str(*t)) for row, t in zip(span, phases))
     return ";".join(parts) or "ambient"
 
@@ -181,36 +182,6 @@ def layers_from_equations(
         for k in product(*(range(d) for d in diag))
     )
     return [Layer(n, span, tuple(Fraction(x, modulus) for x in num)) for num in numerators]
-
-
-@dataclass(frozen=True)
-class LayerPoset:
-    """All layers of an arrangement with their covering relations.
-
-    Layers are sorted by (codimension, canonical key); `covers` holds
-    index pairs (i, j) with layers[i] covering layers[j], i.e. layers[j]
-    is a maximal proper sublayer of layers[i].
-    """
-
-    ambient_dim: int
-    layers: tuple[Layer, ...]
-    covers: tuple[tuple[int, int], ...] = field(default=())
-
-    def by_codim(self, q: int) -> tuple[Layer, ...]:
-        return tuple(l for l in self.layers if l.codim == q)
-
-    @property
-    def max_codim(self) -> int:
-        return max((l.codim for l in self.layers), default=0)
-
-    @cached_property
-    def mobius(self) -> tuple[int, ...]:
-        """mu(ambient, layers[i]) for each i, from the covers.
-
-        The interval below a layer is the lattice of flats of its local
-        central arrangement, so |mu| is the layer's local dimension.
-        """
-        return mobius_from_covers(len(self.layers), self.covers)
 
 
 def _cut_plan(
@@ -390,16 +361,6 @@ def layer_search(
     order = sorted(range(len(keys)), key=sort_key)
     rank = {i: r for r, i in enumerate(order)}
     return [keys[i] for i in order], sorted((rank[a], rank[b]) for a, b in covers)
-
-
-def build_layer_poset(
-    n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None
-) -> LayerPoset:
-    """Poset of all layers: the keys of `layer_search` made `Layer`s with
-    `Fraction` phases, in its order, with its covers."""
-    keys, covers = layer_search(n, arrangement, max_layers)
-    layers = tuple(Layer(n, span, tuple(Fraction(p, q) for p, q in phases)) for span, phases in keys)
-    return LayerPoset(n, layers, tuple(covers))
 
 
 def torus_cohomology(d: int) -> tuple[tuple[int, int, int], ...]:

@@ -6,12 +6,17 @@ function is an independent oracle for a production computation:
 - `exactalg`: a `Matrix` Smith form with its decomposition, torsion
   invariants, saturation, membership and coordinates in an echelon
   lattice, determinant and inverse;
-- `matroidos`: the lattice of flats of a linear matroid with its Moebius
-  function, characteristic polynomial and Whitney numbers, and the same
-  numbers read off an affine intersection poset;
+- `matroidos`: linear matroids, their no-broken-circuit bases, the
+  lattice of flats with its Moebius function, characteristic polynomial
+  and Whitney numbers, and the same numbers read off an affine
+  intersection poset;
 - `toriclayers`: the phase of a layer on a character, containment of
   layers, the local subarrangement at a layer, and a brute-force count
   of the components of a toric system on a grid of torsion points;
+- the intersection posets as objects, for the tests that read flats and
+  layers: `affine_poset` and `layer_poset` turn the integer keys of
+  `flat_search` and `layer_search` into rational echelon rows and
+  `Layer`s, with the covers and mu;
 - `morganmodel`: a datum's restriction-functoriality check on dense
   composite matrices, and the model assembled one basis pair at a time
   from dense composite restrictions.
@@ -21,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Sequence
+from itertools import combinations, product
+from typing import Iterable, NamedTuple, Sequence
 
-from stratiform.exactalg import Matrix, _int_rows, _smith_core, hermite_basis
-from stratiform.matroidos import AffinePoset, LinearMatroid
+from stratiform.exactalg import Matrix, _int_rows, _smith_core, hermite_basis, vector
+from stratiform.matroidos import _flat_name, flat_search, mobius_from_covers
 from stratiform.morganmodel import BigradedModel, CompactificationDatum, DatumError, shuffle_sign
-from stratiform.toriclayers import Layer, ToricHypersurface, mod1
+from stratiform.toriclayers import Layer, ToricHypersurface, layer_search, mod1
 
 # -- exact linear algebra ------------------------------------------------
 
@@ -155,7 +160,114 @@ def saturate(rows: Iterable[Sequence]) -> tuple[tuple[int, ...], ...]:
     return hermite_basis(core.right_inverse[:len(b)])
 
 
-# -- lattices of flats ---------------------------------------------------
+# -- linear matroids and lattices of flats --------------------------------
+
+
+class LinearMatroid:
+    """Matroid of a multiset of rational vectors.
+
+    Parallel and repeated vectors are kept as distinct elements; the rank
+    of a subset is the matrix rank of the corresponding vectors.
+    """
+
+    def __init__(self, vectors: Iterable[Sequence]):
+        vecs = tuple(vector(v) for v in vectors)
+        if vecs:
+            width = len(vecs[0])
+            if any(len(v) != width for v in vecs):
+                raise ValueError("vectors of unequal length")
+            self.ambient_dim = width
+        else:
+            self.ambient_dim = 0
+        self.vectors = vecs
+        self._rank_cache: dict[frozenset[int], int] = {}
+        self._circuits: tuple[frozenset[int], ...] | None = None
+
+    @property
+    def size(self) -> int:
+        return len(self.vectors)
+
+    @property
+    def ground(self) -> range:
+        return range(self.size)
+
+    def rank_of(self, subset: Iterable[int]) -> int:
+        key = frozenset(subset)
+        cached = self._rank_cache.get(key)
+        if cached is None:
+            rows = [list(self.vectors[i]) for i in sorted(key)]
+            cached = Matrix(rows, ncols=self.ambient_dim).rank() if rows else 0
+            self._rank_cache[key] = cached
+        return cached
+
+    @property
+    def full_rank(self) -> int:
+        return self.rank_of(self.ground)
+
+    def is_independent(self, subset: Iterable[int]) -> bool:
+        subset = frozenset(subset)
+        return self.rank_of(subset) == len(subset)
+
+    def closure(self, subset: Iterable[int]) -> frozenset[int]:
+        subset = frozenset(subset)
+        r = self.rank_of(subset)
+        return frozenset(
+            e for e in self.ground
+            if e in subset or self.rank_of(subset | {e}) == r
+        )
+
+    def circuits(self) -> tuple[frozenset[int], ...]:
+        """Minimal dependent subsets; circuit size is at most rank + 1."""
+        if self._circuits is None:
+            found: list[frozenset[int]] = []
+            for size in range(1, self.full_rank + 2):
+                for combo in combinations(self.ground, size):
+                    s = frozenset(combo)
+                    if any(c <= s for c in found):
+                        continue
+                    if not self.is_independent(s):
+                        found.append(s)
+            self._circuits = tuple(found)
+        return self._circuits
+
+
+def nbc_basis(
+    matroid: LinearMatroid, order: Sequence[int] | None = None
+) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """No-broken-circuit subsets graded by size.
+
+    They count the Moebius values of the lattice of flats without building
+    it: there are |w_k| of size k, and |mu(bottom, X)| whose support
+    closes to the flat X.  `order` is a precedence list of element ids
+    (default: input order); a broken circuit is a circuit minus its first
+    element in that order.  Monomials are returned as id tuples sorted
+    ascending by id.
+    """
+    order = tuple(order) if order is not None else tuple(matroid.ground)
+    if sorted(order) != list(matroid.ground):
+        raise ValueError("order must be a permutation of the ground set")
+    position = {e: i for i, e in enumerate(order)}
+    broken = [
+        frozenset(c) - {min(c, key=position.__getitem__)}
+        for c in matroid.circuits()
+    ]
+    out: dict[int, list[tuple[int, ...]]] = {0: [()]}
+
+    def extend(current: tuple[int, ...], current_set: frozenset[int]):
+        start = current[-1] + 1 if current else 0
+        for e in range(start, matroid.size):
+            cand = current_set | {e}
+            if not matroid.is_independent(cand):
+                continue
+            if any(b <= cand for b in broken):
+                continue
+            mono = current + (e,)
+            out.setdefault(len(mono), []).append(mono)
+            extend(mono, cand)
+
+    extend((), frozenset())
+    return {k: tuple(sorted(v)) for k, v in out.items()}
+
 
 
 class FlatLattice:
@@ -226,20 +338,79 @@ def whitney_numbers(lattice: FlatLattice) -> tuple[int, ...]:
     return tuple(out)
 
 
+# -- intersection posets as objects ------------------------------------------
+
+
+class Flat(NamedTuple):
+    """A flat: its rational echelon rows [A | b], its codimension and
+    dimension, the hyperplanes through it, and its name."""
+
+    key: tuple[tuple[Fraction, ...], ...]
+    codim: int
+    dim: int
+    hyperplanes: frozenset[int]
+    name: str
+
+
+class AffinePoset(NamedTuple):
+    """Flats in order, the covers as index pairs (i, j) with flats[j] a
+    maximal proper subspace of flats[i], and mu(ambient, flats[i])."""
+
+    flats: tuple[Flat, ...]
+    covers: tuple[tuple[int, int], ...]
+    mobius: tuple[int, ...]
+
+
+def affine_poset(ambient_dim: int, hyperplanes: Sequence, max_flats: int | None = None) -> AffinePoset:
+    """The flats of `flat_search`, each integer row divided by its pivot and
+    each flat named as `poset` names it, with their covers and mu."""
+
+    def divided(row):
+        pivot = next(filter(None, row))
+        return tuple(Fraction(x, pivot) for x in row)
+
+    keys, masks, covers = flat_search(ambient_dim, hyperplanes, max_flats)
+    text: dict = {}
+    flats = tuple(
+        Flat(tuple(map(divided, key)), len(key), ambient_dim - len(key),
+             frozenset(j for j in range(len(hyperplanes)) if mask >> j & 1),
+             _flat_name(key, text))
+        for key, mask in zip(keys, masks)
+    )
+    return AffinePoset(flats, tuple(covers), mobius_from_covers(len(flats), covers))
+
+
 def poset_characteristic_polynomial(poset: AffinePoset) -> tuple[int, ...]:
     """Coefficients, ascending in t, of sum_X mu(X) t^(dim X)."""
-    coeffs = [0] * (poset.ambient_dim + 1)
-    for i, f in enumerate(poset.flats):
-        coeffs[f.dim] += poset.mobius[i]
+    coeffs = [0] * (poset.flats[0].dim + 1)  # flats[0] is the ambient space
+    for f, mu in zip(poset.flats, poset.mobius):
+        coeffs[f.dim] += mu
     return tuple(coeffs)
 
 
 def poset_whitney_numbers(poset: AffinePoset) -> tuple[int, ...]:
     """|w_q| by codimension q: unsigned Moebius sums over codim-q flats."""
-    out = [0] * (poset.max_codim + 1)
-    for i, f in enumerate(poset.flats):
-        out[f.codim] += abs(poset.mobius[i])
+    out = [0] * (poset.flats[-1].codim + 1)  # the flats go up in codimension
+    for f, mu in zip(poset.flats, poset.mobius):
+        out[f.codim] += abs(mu)
     return tuple(out)
+
+
+class LayerPoset(NamedTuple):
+    """Layers in order, the covers as index pairs (i, j) with layers[j] a
+    maximal proper sublayer of layers[i], and mu(ambient, layers[i])."""
+
+    layers: tuple[Layer, ...]
+    covers: tuple[tuple[int, int], ...]
+    mobius: tuple[int, ...]
+
+
+def layer_poset(n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None) -> LayerPoset:
+    """The layers of `layer_search` as `Layer`s with `Fraction` phases, with
+    their covers and mu."""
+    keys, covers = layer_search(n, arrangement, max_layers)
+    layers = tuple(Layer(n, span, tuple(Fraction(p, q) for p, q in phases)) for span, phases in keys)
+    return LayerPoset(layers, tuple(covers), mobius_from_covers(len(layers), covers))
 
 
 # -- toric layers ----------------------------------------------------------

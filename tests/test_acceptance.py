@@ -20,7 +20,6 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import LinearMatroid, affine_intersection_poset
 from stratiform.morganmodel import (
     build_model,
     builder_projective_line_marked,
@@ -31,6 +30,8 @@ from stratiform.toriclayers import ToricHypersurface
 
 from reference import (
     FlatLattice,
+    LinearMatroid,
+    affine_poset,
     brute_force_components,
     characteristic_polynomial,
     poset_whitney_numbers,
@@ -113,7 +114,7 @@ def test_criterion_2_hyperplane_whitney_oracle():
         for count in (3, 4, 5):
             lines = _generic_lines(count)
             betti = betti_and_poincare(assemble_e2(strata_data_from_hyperplanes(2, lines))).betti
-            whitney = poset_whitney_numbers(affine_intersection_poset(2, lines))
+            whitney = poset_whitney_numbers(affine_poset(2, lines))
             assert betti == whitney, "generic-%d" % count
         braid3 = betti_and_poincare(
             assemble_e2(strata_data_from_hyperplanes(3, _braid_hyperplanes(3)))

@@ -388,31 +388,42 @@ def _keys(command, name):
 
 
 def test_e2_commands_build_no_layer_flat_or_name(count_calls):
-    """Work gate: `betti`, `e2`, `purity` and `certificate` read codimension
-    and |mu| off the posets' integer keys, so they build no `Layer` or
-    `AffineFlat` and format no stratum name.  `poset` does all four, which
-    shows that the counters count."""
-    calls = [
-        count_calls(toriclayers.Layer, "__init__"),
-        count_calls(matroidos.AffineFlat, "__init__"),
-        count_calls(toriclayers, "_phase_str"),
-        count_calls(matroidos, "_row_text"),
-    ]
+    """Work gate: every command reads codimension and |mu| off the
+    searches' integer keys, so none builds a `Layer`, and `betti`, `e2`,
+    `purity` and `certificate` format no stratum name either.  `poset`
+    names its nodes, which shows that the name counters count."""
+    layers = count_calls(toriclayers.Layer, "__init__")
+    names = [count_calls(toriclayers, "_phase_str"), count_calls(matroidos, "_row_text")]
+    toriclayers.Layer(1, (), ())
+    assert layers == {"__init__": 1}  # the counter counts
+    layers.clear()
     for name in ("b3.arr", "braid5.arr"):
         _keys("poset", name)
-    assert all(sum(c.values()) for c in calls)
-    for c in calls:
+    assert all(sum(c.values()) for c in names)
+    for c in names:
         c.clear()
     for name in E2_GATE_FILES:
         for command in ("betti", "e2", "purity", "certificate"):
             code, _ = invoke([command, str(GOLDEN / name)])
             assert code == 0
-    assert [dict(c) for c in calls] == [{}, {}, {}, {}]
+    assert [dict(c) for c in [layers, *names]] == [{}, {}, {}]
+
+
+def test_poset_formats_each_distinct_row_once(count_calls):
+    """Work gate: `poset braid5.arr` formats each of the 10 distinct echelon
+    rows of its flats once, not once for each of the 109 rows of its 52
+    flats' keys."""
+    af = parse_arrangement_file((GOLDEN / "braid5.arr").read_text())
+    keys, _, _ = matroidos.flat_search(af.dim, [(e.coeffs, e.constant) for e in af.equations])
+    assert (len(keys), sum(map(len, keys))) == (52, 109)
+    calls = count_calls(matroidos, "_row_text")
+    assert len(_keys("poset", "braid5.arr")) == 52
+    assert calls["_row_text"] == len({row for key in keys for row in key}) == 10
 
 
 @pytest.mark.parametrize("name", E2_GATE_FILES)
 def test_strata_and_poset_print_the_same_names(name):
-    """`strata` names its rows lazily off the integer keys; `poset` names
-    the `Layer` and `AffineFlat` objects: the same names, in one order."""
+    """`strata` names its rows lazily off the integer keys, and `poset` names
+    its nodes off the same keys at once: the same names, in one order."""
     names = _keys("poset", name)
     assert len(names) > 1 and names == _keys("strata", name)

