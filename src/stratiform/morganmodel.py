@@ -21,8 +21,10 @@ All checks are exact identities.  Each model and each morphism keeps one
 integer form of what it stores, built on first use; the cdga axioms, the
 morphism checks and both witnesses run on it, sweeping the keys of the
 sparse product tables, and make a Fraction only for a value they return
-or store.  A datum's cup axioms are swept the same way.  The witnesses
-build column cohomology only where it is nonzero.
+or store.  A datum's cup axioms are swept the same way.  The ring and
+Leibniz sweeps visit only the bidegree tuples some table reaches, and no
+tuple holding a verified unit.  The witnesses build column cohomology
+only where it is nonzero.
 """
 
 from __future__ import annotations
@@ -445,7 +447,7 @@ class CompactificationDatum:
             # H^0 = <e> is all, and ee = v the only product: commutativity
             # compares v with itself, and both sides of associativity are v_0 v
             return []
-        commutativity, associativity = _ring_faults(tables, span)
+        commutativity, associativity = _ring_faults(tables, span, _has_unit(tables, span))
         # a fault ((p, 0), a, (p2, 0), b, ...) sorts as its labels (p, a), (p2, b), ...
         issues = ["cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)" % (i_key, p, a, p2, b)
                   for (p, _), a, (p2, _), b in sorted(commutativity)]
@@ -491,6 +493,15 @@ class BigradedModel:
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
         self._ranks: dict[Bidegree, int] = {}
         self._cohomology_dims: dict[Bidegree, int] = {}
+        self._zeros: dict[Bidegree, Matrix] = {}
+
+    @classmethod
+    def _adopt(cls, spaces: dict, diff: dict, products: dict) -> BigradedModel:
+        """A model over tables its caller has just built, held without the
+        copy `__init__` makes: label tuples nonempty, no product vector empty."""
+        model = cls({}, diff, {})
+        model.spaces, model.products = spaces, products
+        return model
 
     def dim(self, kq: Bidegree) -> int:
         return len(self.spaces.get(kq, ()))
@@ -509,10 +520,11 @@ class BigradedModel:
 
     def differential(self, kq: Bidegree) -> Matrix:
         stored = self.diff.get(kq)
-        if stored is not None:
-            return stored
-        k, q = kq
-        return Matrix.zero(self.dim((k + 1, q)), self.dim(kq))
+        if stored is None:
+            stored = self._zeros.get(kq)
+            if stored is None:
+                stored = self._zeros[kq] = Matrix.zero(self.dim((kq[0] + 1, kq[1])), self.dim(kq))
+        return stored
 
     def _fitted_differentials(self, kq: Bidegree) -> tuple[Matrix, Matrix]:
         """d into and d out of M^k_q, refused unless each maps between the
@@ -687,7 +699,7 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                     table[ab] = vec
             if table:
                 products[(kq1, kq2)] = table
-    return BigradedModel(spaces, diff, products)
+    return BigradedModel._adopt({kq: tuple(labels) for kq, labels in spaces.items()}, diff, products)
 
 
 # -- axioms and cohomology -------------------------------------------------
@@ -716,53 +728,66 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     columns of d.  Leibniz sweeps three tables for each (kq1, kq2): d(ab)
     from the keys (a, b) of t(kq1, kq2), (da)b from the keys (m, b) of
     t(d kq1, kq2) through the columns a that d on kq1 has at row m, and
-    a(db) from the keys (a, n) of t(kq1, d kq2) likewise.  The ring axioms are `_ring_faults`, which also
-    checks a datum's cup rings.  Table keys outside the basis are ignored,
-    and violations come in the order of the loop over all tuples
-    (bidegrees, then basis indices).
+    a(db) from the keys (a, n) of t(kq1, d kq2) likewise, so only the
+    pairs (kq1, kq2) that one of those tables reaches are swept.  The ring
+    axioms are `_ring_faults`, which also checks a datum's cup rings.
+
+    Where `_has_unit` verifies a unit e spanning M^0_0 (ex = xe = s x as
+    stored, and every stored product inside its target space), no ring
+    tuple holding e can fail; if also d(e) = 0 and every d maps M^k_q into
+    M^{k+1}_q, no Leibniz pair holding e can fail either: d(ex) = s dx =
+    e(dx) and d(xe) = s dx = (dx)e.  Those tuples are not swept.  Table
+    keys outside the basis are ignored, and violations come in the order
+    of the loop over all tuples (bidegrees, then basis indices).
     """
     violations: list[tuple[str, str]] = []
     tables, dcols = model._integers().tables, model._integers().cols
-
-    for kq in model.bidegrees():
+    bidegs = model.bidegrees()
+    span = {kq: range(model.dim(kq)) for kq in bidegs}
+    fitted = True
+    for kq in bidegs:
         k, q = kq
         up = (k + 1, q)
-        if model.differential(up).ncols != model.differential(kq).nrows:
+        d = model.differential(kq)
+        if model.differential(up).ncols != d.nrows:
             raise ValueError("shape mismatch in matrix product")
+        fitted = fitted and d.shape == (model.dim(up), len(span[kq]))
         if any(_apply_columns(dcols(up), col) for col in dcols(kq)):
             violations.append(("d_squared", "d o d nonzero on M^%d_%d" % (k, q)))
 
-    bidegs = model.bidegrees()
-    span = {kq: range(model.dim(kq)) for kq in bidegs}
+    unit = _has_unit(tables, span)
+    swept = span.keys() - {(0, 0)} if unit and fitted and not dcols((0, 0))[0] else span.keys()
     rows = {kq: _sparse_rows(dcols(kq)) for kq in bidegs}
-    for kq1 in bidegs:
+    pairs = {pair for kq1, kq2 in tables
+             for pair in ((kq1, kq2), ((kq1[0] - 1, kq1[1]), kq2), (kq1, (kq2[0] - 1, kq2[1])))
+             if pair[0] in swept and pair[1] in swept}
+    for kq1, kq2 in sorted(pairs):
         r1, rows1, d_kq1 = span[kq1], rows[kq1], (kq1[0] + 1, kq1[1])
+        r2, rows2, d_kq2 = span[kq2], rows[kq2], (kq2[0] + 1, kq2[1])
         sign = (-1) ** kq1[0]
-        for kq2 in bidegs:
-            r2, rows2, d_kq2 = span[kq2], rows[kq2], (kq2[0] + 1, kq2[1])
-            acc: dict = {}  # (a, b) -> d(ab) - (da)b - (-1)^k1 a(db)
-            t12 = tables.get((kq1, kq2))
-            if t12:
-                d12 = dcols((kq1[0] + kq2[0], kq1[1] + kq2[1]))
-                acc = {(a, b): _apply_columns(d12, ab) for (a, b), ab in t12.items() if a in r1 and b in r2}
-            for (m, b), mb in tables.get((d_kq1, kq2), {}).items():
-                if b in r2:
-                    for a, x in rows1.get(m, {}).items():
-                        if a in r1:
-                            out = acc.setdefault((a, b), {})
-                            for c, w in mb.items():
-                                out[c] = out.get(c, 0) - x * w
-            for (a, n), an in tables.get((kq1, d_kq2), {}).items():
-                if a in r1:
-                    for b, x in rows2.get(n, {}).items():
-                        if b in r2:
-                            out = acc.setdefault((a, b), {})
-                            for c, w in an.items():
-                                out[c] = out.get(c, 0) - sign * x * w
-            violations += [("leibniz", "Leibniz fails for basis pair (%r, %d) x (%r, %d)" % (kq1, a, kq2, b))
-                           for a, b in _nonzero_keys(acc)]
+        acc: dict = {}  # (a, b) -> d(ab) - (da)b - (-1)^k1 a(db)
+        t12 = tables.get((kq1, kq2))
+        if t12:
+            d12 = dcols((kq1[0] + kq2[0], kq1[1] + kq2[1]))
+            acc = {(a, b): _apply_columns(d12, ab) for (a, b), ab in t12.items() if a in r1 and b in r2}
+        for (m, b), mb in tables.get((d_kq1, kq2), {}).items():
+            if b in r2:
+                for a, x in rows1.get(m, {}).items():
+                    if a in r1:
+                        out = acc.setdefault((a, b), {})
+                        for c, w in mb.items():
+                            out[c] = out.get(c, 0) - x * w
+        for (a, n), an in tables.get((kq1, d_kq2), {}).items():
+            if a in r1:
+                for b, x in rows2.get(n, {}).items():
+                    if b in r2:
+                        out = acc.setdefault((a, b), {})
+                        for c, w in an.items():
+                            out[c] = out.get(c, 0) - sign * x * w
+        violations += [("leibniz", "Leibniz fails for basis pair (%r, %d) x (%r, %d)" % (kq1, a, kq2, b))
+                       for a, b in _nonzero_keys(acc)]
 
-    commutativity, associativity = _ring_faults(tables, span)
+    commutativity, associativity = _ring_faults(tables, span, unit)
     violations += [("graded_commutativity", "commutativity fails for (%r, %d) x (%r, %d)" % fault)
                    for fault in commutativity]
     violations += [("associativity", "associativity fails for (%r,%d),(%r,%d),(%r,%d)" % fault)
@@ -770,7 +795,31 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     return AxiomReport(tuple(violations))
 
 
-def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range]) -> tuple[list[tuple], list[tuple]]:
+def _has_unit(tables: Mapping, span: Mapping[Bidegree, range]) -> bool:
+    """Whether basis vector 0 of (0, 0) is a unit e that `_ring_faults` may
+    leave out: (0, 0) is spanned by e; for one s != 0 the stored vectors ex
+    and xe are {x: s} for every basis vector x, with no other entry and no
+    explicit zero; and every vector stored in a table of two spaces lies
+    inside its target space.  Without that closure a product ab could name
+    an m outside its space, where me is not s m, and (ab)e would differ
+    from a(be) = s ab."""
+    s = tables.get(((0, 0), (0, 0)), {}).get((0, 0), {}).get(0)
+    if len(span.get((0, 0), ())) != 1 or not s:
+        return False
+    for kq, r in span.items():
+        left, right = tables.get(((0, 0), kq), {}), tables.get((kq, (0, 0)), {})
+        for x in r:
+            if left.get((0, x)) != {x: s} or right.get((x, 0)) != {x: s}:
+                return False
+    for (kq1, kq2), table in tables.items():
+        if kq1 in span and kq2 in span:
+            target = span.get((kq1[0] + kq2[0], kq1[1] + kq2[1]), range(0))
+            if not all(map(target.__contains__, set().union(*table.values()))):
+                return False
+    return True
+
+
+def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range], unit: bool) -> tuple[list[tuple], list[tuple]]:
     """The pairs (kq1, a, kq2, b) where graded commutativity fails and the
     triples (kq1, a, kq2, b, kq3, c) where associativity fails, in loop order,
     for the integer product `tables` on the basis `span` of each bidegree.
@@ -780,69 +829,80 @@ def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range]) -> tuple[list[
     fault.  Associativity, for each (kq1, kq2, kq3), joins the keys (a, b)
     of t(kq1, kq2) with the keys (m, c) of t(kq12, kq3) on m to add up
     (ab)c, and the keys (b, c) of t(kq2, kq3) with the keys (a, m) of
-    t(kq1, kq23) on m to subtract a(bc).
-    """
-    bidegs = sorted(span)
-    commutativity = []
-    for kq1 in bidegs:
-        r1 = span[kq1]
-        for kq2 in bidegs:
-            r2 = span[kq2]
-            t12, t21 = tables.get((kq1, kq2), {}), tables.get((kq2, kq1), {})
-            pairs = {(a, b) for a, b in t12 if a in r1 and b in r2}
-            pairs.update((a, b) for b, a in t21 if b in r2 and a in r1)
-            negate = kq1[0] * kq2[0] % 2
-            for a, b in sorted(pairs):
-                ab, ba = t12.get((a, b), {}), t21.get((b, a), {})
-                if ab != ({c: -v for c, v in ba.items()} if negate else ba):
-                    commutativity.append((kq1, a, kq2, b))
+    t(kq1, kq23) on m to subtract a(bc).  Only the bidegree pairs and
+    triples that those tables reach are swept, in ascending order.
 
+    With `unit`, `_has_unit` holds: ex = xe = s x as stored, and every
+    stored product lies in its space, so each sum the sweep forms for a
+    tuple holding e is s times one stored product on both sides, (ex)y =
+    e(xy), (xe)y = x(ey) and (xy)e = x(ye), and the sweep leaves out
+    (0, 0), which e spans.
+    """
+    swept = span.keys() - {(0, 0)} if unit else span.keys()
+    live = [key for key, table in tables.items() if table and key[0] in swept and key[1] in swept]
+    commutativity = []
+    for kq1, kq2 in sorted({pair for kq1, kq2 in live for pair in ((kq1, kq2), (kq2, kq1))}):
+        r1, r2 = span[kq1], span[kq2]
+        t12, t21 = tables.get((kq1, kq2), {}), tables.get((kq2, kq1), {})
+        pairs = {(a, b) for a, b in t12 if a in r1 and b in r2}
+        pairs.update((a, b) for b, a in t21 if b in r2 and a in r1)
+        negate = kq1[0] * kq2[0] % 2
+        for a, b in sorted(pairs):
+            ab, ba = t12.get((a, b), {}), t21.get((b, a), {})
+            if ab != ({c: -v for c, v in ba.items()} if negate else ba):
+                commutativity.append((kq1, a, kq2, b))
+
+    # a triple is reached by t(kq1, kq2) and t(kq12, kq3), or by t(kq2, kq3)
+    # and t(kq1, kq23)
+    triples = set()
+    for kq1, kq2 in live:
+        kq12 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
+        for kq in swept:
+            if tables.get((kq12, kq)):
+                triples.add((kq1, kq2, kq))
+            if tables.get((kq, kq12)):
+                triples.add((kq, kq1, kq2))
     # follow[(kq12, kq3)][m] maps c to the vector of the key (m, c) of
     # t(kq12, kq3), and lead[(kq1, kq23)][m] maps a to that of the key
     # (a, m) of t(kq1, kq23), for c and a inside their spaces
     follow: dict = {}
     lead: dict = {}
     associativity = []
-    for kq1 in bidegs:
-        r1 = span[kq1]
-        for kq2 in bidegs:
-            r2 = span[kq2]
-            t12 = tables.get((kq1, kq2))
-            kq12 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
-            for kq3 in bidegs:
-                r3 = span[kq3]
-                t23 = tables.get((kq2, kq3))
-                kq23 = (kq2[0] + kq3[0], kq2[1] + kq3[1])
-                acc: dict = {}  # (a, b, c) -> (ab)c - a(bc)
-                if t12 and (kq12, kq3) in tables:
-                    after = follow.get((kq12, kq3))
-                    if after is None:
-                        after = follow[(kq12, kq3)] = {}
-                        for (m, c), mc in tables[(kq12, kq3)].items():
-                            if c in r3:
-                                after.setdefault(m, {})[c] = mc
-                    for (a, b), ab in t12.items():
-                        if a in r1 and b in r2:
-                            for m, v in ab.items():
-                                for c, mc in after.get(m, {}).items():
-                                    out = acc.setdefault((a, b, c), {})
-                                    for t, w in mc.items():
-                                        out[t] = out.get(t, 0) + v * w
-                if t23 and (kq1, kq23) in tables:
-                    before = lead.get((kq1, kq23))
-                    if before is None:
-                        before = lead[(kq1, kq23)] = {}
-                        for (a, m), am in tables[(kq1, kq23)].items():
-                            if a in r1:
-                                before.setdefault(m, {})[a] = am
-                    for (b, c), bc in t23.items():
-                        if b in r2 and c in r3:
-                            for m, v in bc.items():
-                                for a, am in before.get(m, {}).items():
-                                    out = acc.setdefault((a, b, c), {})
-                                    for t, w in am.items():
-                                        out[t] = out.get(t, 0) - v * w
-                associativity += [(kq1, a, kq2, b, kq3, c) for a, b, c in _nonzero_keys(acc)]
+    for kq1, kq2, kq3 in sorted(triples):
+        r1, r2, r3 = span[kq1], span[kq2], span[kq3]
+        t12, t23 = tables.get((kq1, kq2)), tables.get((kq2, kq3))
+        kq12 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
+        kq23 = (kq2[0] + kq3[0], kq2[1] + kq3[1])
+        acc: dict = {}  # (a, b, c) -> (ab)c - a(bc)
+        if t12 and (kq12, kq3) in tables:
+            after = follow.get((kq12, kq3))
+            if after is None:
+                after = follow[(kq12, kq3)] = {}
+                for (m, c), mc in tables[(kq12, kq3)].items():
+                    if c in r3:
+                        after.setdefault(m, {})[c] = mc
+            for (a, b), ab in t12.items():
+                if a in r1 and b in r2:
+                    for m, v in ab.items():
+                        for c, mc in after.get(m, {}).items():
+                            out = acc.setdefault((a, b, c), {})
+                            for t, w in mc.items():
+                                out[t] = out.get(t, 0) + v * w
+        if t23 and (kq1, kq23) in tables:
+            before = lead.get((kq1, kq23))
+            if before is None:
+                before = lead[(kq1, kq23)] = {}
+                for (a, m), am in tables[(kq1, kq23)].items():
+                    if a in r1:
+                        before.setdefault(m, {})[a] = am
+            for (b, c), bc in t23.items():
+                if b in r2 and c in r3:
+                    for m, v in bc.items():
+                        for a, am in before.get(m, {}).items():
+                            out = acc.setdefault((a, b, c), {})
+                            for t, w in am.items():
+                                out[t] = out.get(t, 0) - v * w
+        associativity += [(kq1, a, kq2, b, kq3, c) for a, b, c in _nonzero_keys(acc)]
     return commutativity, associativity
 
 
@@ -879,6 +939,7 @@ class _ColumnCohomology:
     denominator, and the chosen boundaries are columns of the model's
     integer form.  Where d_out is zero, phi is the identity, and where there is no
     boundary, so is E: None stands for either, which is then not applied.
+    Where no d_out is stored, Z is the standard basis, taken without an rref.
     """
 
     _phi_cols = _inverse_cols = None
@@ -890,11 +951,16 @@ class _ColumnCohomology:
         if not n:
             return
         _, d_out = model._fitted_differentials(kq)
-        red, pivots = d_out.rref()
-        cocycles = d_out.right_kernel()
-        self.cocycle_scale = scale = _denominator(cocycles)
-        self.cocycle_cols = self.representative_cols = [
-            {i: x.numerator * (scale // x.denominator) for i, x in enumerate(v) if x} for v in cocycles]
+        pivots = ()
+        if kq in model.diff:
+            red, pivots = d_out.rref()
+            cocycles = d_out.right_kernel()
+            self.cocycle_scale = scale = _denominator(cocycles)
+            self.cocycle_cols = [{i: x.numerator * (scale // x.denominator) for i, x in enumerate(v) if x}
+                                 for v in cocycles]
+        else:
+            self.cocycle_cols = [{i: 1} for i in range(n)]  # no d_out: the standard basis
+        self.representative_cols = self.cocycle_cols
         d_in_cols = model._integers().cols((kq[0] - 1, kq[1]))
         boundaries = list(d_in_cols)
         if pivots:
@@ -908,7 +974,7 @@ class _ColumnCohomology:
             boundaries = [_apply_columns(self._phi_cols, col) for col in d_in_cols]
         if not any(boundaries):
             return  # [phi(B) | I] is reduced already: every cocycle is chosen, and E = I
-        b, z = len(boundaries), len(cocycles)
+        b, z = len(boundaries), len(self.cocycle_cols)
         rows = [[col.get(i, 0) for col in boundaries] + [int(i == j) for j in range(n)] for i in range(n)]
         reduced, chosen = Matrix(rows, ncols=b + n).rref()
         chosen = [p for p in chosen if p < b + z]
@@ -1159,7 +1225,7 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
                     table[(a, b)] = vec
             if table:
                 products[((k1, 2 * k1), (k2, 2 * k2))] = table
-    witness_model = BigradedModel(spaces, {}, products)
+    witness_model = BigradedModel._adopt(spaces, {}, products)
     zero = Fraction(0)
     blocks = {(k, 2 * k): Matrix([[Fraction(v[i], col.cocycle_scale) if i in v else zero for v in col.cocycle_cols]
                                   for i in range(col.length)], ncols=len(col.cocycle_cols))
@@ -1238,7 +1304,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
                     table[ab] = vec
             if table:
                 products[((k1, k1), (k2, k2))] = table
-    witness_model = BigradedModel(spaces, {}, products)
+    witness_model = BigradedModel._adopt(spaces, {}, products)
     surjection = CdgaMorphism(model, witness_model, projections)
     verdict = check_r_quasi_iso(surjection, r)
     return FormalityWitness("cokernel", witness_model, surjection, verdict)

@@ -103,6 +103,26 @@ class TestBuilders:
             build_model(broken)
 
 
+class TestModelTables:
+    def test_constructor_copies_its_input(self):
+        # the builders and the witnesses hand over the tables they have just
+        # built; a caller's dicts stay the caller's
+        spaces = {(0, 0): ["1"], (1, 2): ["x"]}
+        diff = {}
+        vec = {0: F(1)}
+        products = {((0, 0), (1, 2)): {(0, 0): vec}}
+        model = BigradedModel(spaces, diff, products)
+        spaces[(1, 2)].append("y")
+        spaces[(2, 4)] = ["z"]
+        diff[(0, 0)] = Matrix([[1]])
+        vec[0] = F(2)
+        products[((0, 0), (1, 2))][(0, 1)] = {1: F(1)}
+        products[((1, 2), (0, 0))] = {(0, 0): {0: F(1)}}
+        assert model.spaces == {(0, 0): ("1",), (1, 2): ("x",)}
+        assert model.diff == {}
+        assert model.products == {((0, 0), (1, 2)): {(0, 0): {0: F(1)}}}
+
+
 class TestAxioms:
     @pytest.mark.parametrize("s", [0, 1, 2, 3, 5])
     def test_marked_lines_pass(self, s):
@@ -724,6 +744,19 @@ class TestSparseAxiomsAgainstDenseOracle:
             ("associativity", "associativity fails for ((2, 4),1),((2, 4),0),((2, 4),0)"),
         )
 
+    def test_tall_differential_keeps_the_unit_pairs(self):
+        # d(w) has an entry in a row past the one-dimensional M^1_2, and d
+        # on M^1_2 takes two columns, so d o d composes: e(dw) = x misses
+        # that row while d(ew) = dw has it, so the unit's pairs are swept
+        spaces = {(0, 0): ("1",), (0, 2): ("w",), (1, 2): ("x",)}
+        model = model_with_products(spaces, {}, {(0, 2): Matrix([[1], [1]]), (1, 2): Matrix([], ncols=2)})
+        report = verify_cdga_axioms(model)
+        assert report == dense_cdga_axioms(model)
+        assert report.violations == (
+            ("leibniz", "Leibniz fails for basis pair ((0, 0), 0) x ((0, 2), 0)"),
+            ("leibniz", "Leibniz fails for basis pair ((0, 2), 0) x ((0, 0), 0)"),
+        )
+
     def test_stray_product_keys_ignored(self):
         model = stray_product_keys()
         report = verify_cdga_axioms(model)
@@ -1041,6 +1074,78 @@ def draw_cup_datum(data):
     return CompactificationDatum(0, {(): dims}, {}, {}, {(): cups})
 
 
+# The unit e of M^0_0, scaled by a drawn s, lets the axiom checks leave out
+# every tuple holding e.  Each variant but "unit" breaks one condition of
+# that shortcut, so that the checks must sweep those tuples as well.
+UNIT_VARIANTS = ("unit", "stray", "zero", "escape", "d(e)", "two units")
+
+
+def unit_variant(data, model, variant):
+    """A copy of the rescaled `model`, whose e x = x e = s x, changed by
+    `variant`: "unit" plants constants and differential entries away from
+    e, "stray" and "zero" add an entry, nonzero or an explicit zero, to e x,
+    x e or both, "escape" puts a product outside its space, "d(e)" adds a
+    space M^1_0 = <u> with d(e) = t u, and "two units" a second basis
+    vector f of M^0_0 with drawn products."""
+    e = (0, 0)
+    spaces = {kq: list(labels) for kq, labels in model.spaces.items()}
+    diff = dict(model.diff)
+    products = {key: {ab: dict(vec) for ab, vec in table.items()} for key, table in model.products.items()}
+    s = products[(e, e)][(0, 0)][0]
+    others = [kq for kq in model.bidegrees() if kq != e]
+    kq1 = data.draw(st.sampled_from(others))
+    a = data.draw(st.integers(0, model.dim(kq1) - 1))
+    value = data.draw(PLANTED_VALUES.filter(bool))
+    if variant == "unit":
+        for _ in range(data.draw(st.integers(0, 3))):
+            kq1, kq2 = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
+            kq3 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
+            if model.dim(kq3):
+                a, b = data.draw(st.integers(0, model.dim(kq1) - 1)), data.draw(st.integers(0, model.dim(kq2) - 1))
+                c = data.draw(st.integers(0, model.dim(kq3) - 1))
+                products.setdefault((kq1, kq2), {}).setdefault((a, b), {})[c] = data.draw(PLANTED_VALUES)
+        if diff and data.draw(st.booleans()):
+            kq = data.draw(st.sampled_from(sorted(diff)))
+            diff[kq] = perturbed(data, diff[kq])
+    elif variant in ("stray", "zero"):
+        # outside the space only where d has no rows to look up
+        c = data.draw(st.integers(0, model.dim(kq1) - bool(model.differential(kq1).nrows)))
+        sides = data.draw(st.sampled_from([[(e, kq1)], [(kq1, e)], [(e, kq1), (kq1, e)]]))
+        for key in sides:
+            vec = products[key][(0, a) if key[0] == e else (a, 0)]
+            vec[c] = F(0) if variant == "zero" and c != a else vec.get(c, 0) + value
+    elif variant == "escape":
+        # into a bidegree where d has no rows, so that no column of d is
+        # looked up for the entry outside the space
+        kq1, kq2 = data.draw(st.sampled_from([(x, y) for x in others for y in others
+                                              if not model.differential((x[0] + y[0], x[1] + y[1])).nrows]))
+        a, b = data.draw(st.integers(0, model.dim(kq1) - 1)), data.draw(st.integers(0, model.dim(kq2) - 1))
+        c = model.dim((kq1[0] + kq2[0], kq1[1] + kq2[1])) + data.draw(st.integers(0, 1))
+        products.setdefault((kq1, kq2), {}).setdefault((a, b), {})[c] = value
+    elif variant == "d(e)":
+        spaces[(1, 0)] = ["u"]
+        products[(e, (1, 0))], products[((1, 0), e)] = {(0, 0): {0: s}}, {(0, 0): {0: s}}
+        diff[e] = Matrix([[value]])
+    else:
+        spaces[e].append("f")
+        products[(e, e)][(0, 1)] = products[(e, e)][(1, 0)] = {1: s}
+        products[(e, e)][(1, 1)] = {1: data.draw(PLANTED_VALUES)}
+        for key, ab in [((e, kq1), (1, a)), ((kq1, e), (a, 1))][: data.draw(st.integers(1, 2))]:
+            products.setdefault(key, {})[ab] = {a: value}
+    return BigradedModel(spaces, diff, products)
+
+
+def as_cup_datum(model):
+    """The product of `model` as the cup ring of D_() of a compact datum,
+    (k, q) in degree k + 10q: additive, one-to-one on the drawn bidegrees,
+    and of the parity of k, so the ring axioms are the model's."""
+    def degree(kq):
+        return kq[0] + 10 * kq[1]
+
+    cups = {(degree(kq1), degree(kq2)): table for (kq1, kq2), table in model.products.items()}
+    return CompactificationDatum(0, {(): {degree(kq): model.dim(kq) for kq in model.bidegrees()}}, {}, {}, {(): cups})
+
+
 class TestDrawnRationalModels:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -1053,6 +1158,21 @@ class TestDrawnRationalModels:
     @given(st.data())
     def test_cup_check_matches_dense(self, data):
         cd = draw_cup_datum(data)
+        assert cd._check_cup(()) == dense_cup_issues(cd, ())
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_unit_shortcut_matches_dense(self, data):
+        _, base = draw_base(data)
+        variant = data.draw(st.sampled_from(UNIT_VARIANTS))
+        model = unit_variant(data, in_rescaled_basis(base, draw_scales(data, base)), variant)
+        span = {kq: range(model.dim(kq)) for kq in model.bidegrees()}
+        assert morganmodel._has_unit(model._integers().tables, span) == (variant in ("unit", "d(e)"))
+        report = verify_cdga_axioms(model)
+        assert report == dense_cdga_axioms(model)
+        if variant == "d(e)":
+            assert ("leibniz", "Leibniz fails for basis pair ((0, 0), 0) x ((0, 0), 0)") in report.violations
+        cd = as_cup_datum(model)
         assert cd._check_cup(()) == dense_cup_issues(cd, ())
 
     @settings(max_examples=60, deadline=None)
@@ -1890,6 +2010,29 @@ class TestBudgets:
         assert calls["_ring_faults"] == 11
         assert all(square._check_cup(i_key) == dense_cup_issues(square, i_key) for i_key in square.subsets())
 
+    def test_axioms_sweep_only_live_tuples_without_the_unit(self, count_calls):
+        # the (5, 5) square's 361 associativity triples all hold the unit;
+        # the (3, 3, 3) cube sweeps 8 of its 1,000 bidegree triples (384
+        # basis triples of 2,197) and 16 of its 100 bidegree pairs
+        line5, line3 = builder_projective_line_marked(5), builder_projective_line_marked(3)
+        square = build_model(kunneth_product(line5, line5))
+        cube = build_model(kunneth_product(kunneth_product(line3, line3), line3))
+        calls = count_calls(morganmodel, "_nonzero_keys").args["_nonzero_keys"]
+        for model, tuples, triples in [(square, 4, 0), (cube, 24, 384)]:
+            calls.clear()
+            assert verify_cdga_axioms(model).passed
+            assert len(calls) == tuples
+            assert sum(len(acc) for (acc,) in calls if any(len(key) == 3 for key in acc)) == triples
+
+    def test_square_validate_sweeps_no_unit_triple(self, count_calls):
+        # every cup ring of the (5, 5) square has a unit: its 56 associativity
+        # triples all hold it
+        line = builder_projective_line_marked(5)
+        square = kunneth_product(line, line)
+        calls = count_calls(morganmodel, "_nonzero_keys")
+        assert square.validate() == []
+        assert calls == {}
+
     def test_square_validate_composes_only_where_classes_land(self, count_calls):
         # 25 of the 1,555 (I, j1, j2, p) cases of the (5, 5) square end in
         # a space with classes; only those compose their two orders
@@ -1943,15 +2086,29 @@ class TestBudgets:
 
     def test_square_kernel_witness_one_kernel_basis_per_bidegree(self, count_calls):
         # the witness reads the cocycles of the model's cached column data,
-        # so each right_kernel call is that of one nonempty column
+        # so each right_kernel call is that of one nonempty column, and only
+        # a column with a stored d_out makes one: elsewhere the cocycles are
+        # the standard basis (the model's (0, 0) and the witness's columns)
         line = builder_projective_line_marked(5)
         model = build_model(kunneth_product(line, line))
         kernels = count_calls(Matrix, "right_kernel")
         inits = count_calls(_ColumnCohomology, "__init__").args["__init__"]
         assert extract_kernel_model(model, INF).quasi_iso.ok
         built = [(id(m), kq) for _, m, kq in inits if m.dim(kq)]
-        assert len(built) == len(set(built))
-        assert kernels["right_kernel"] == len(built)
+        assert len(built) == len(set(built)) == 6
+        assert kernels["right_kernel"] == sum(kq in m.diff for _, m, kq in inits if m.dim(kq)) == 2
+
+    def test_zero_differentials_built_once(self, count_calls):
+        # a bidegree without a stored d keeps the zero matrix it got first
+        line = builder_projective_line_marked(3)
+        model = build_model(kunneth_product(kunneth_product(line, line), line))
+        witness = extract_kernel_model(model, INF).model
+        assert verify_cdga_axioms(model).passed and verify_cdga_axioms(witness).passed
+        zeros = count_calls(Matrix, "zero")
+        assert verify_cdga_axioms(model).passed and verify_cdga_axioms(witness).passed
+        assert cohomology_of_model(model) and cohomology_of_model(witness)
+        assert zeros == {}
+        assert all(m.differential(kq) is m.differential(kq) for m in (model, witness) for kq in m.bidegrees())
 
     def test_axioms_multiply_no_basis_vectors(self, count_calls):
         # the identities are swept over the keys of the product tables
