@@ -87,6 +87,14 @@ class Matrix:
         return cls([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
 
     @classmethod
+    def _of_fractions(cls, rows: Sequence[tuple[Fraction, ...]], ncols: int) -> "Matrix":
+        """A matrix over rows its caller has just built, each a tuple of
+        `ncols` Fractions, held without the conversions of `__init__`."""
+        mat = cls.__new__(cls)
+        mat.rows, mat.nrows, mat.ncols, mat._rref = tuple(rows), len(rows), ncols, None
+        return mat
+
+    @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
         cols = [vector(c) for c in cols]
         if cols:

@@ -23,13 +23,14 @@ morphism checks and both witnesses run on it, sweeping the keys of the
 sparse product tables, and make a Fraction only for a value they return
 or store.  A datum's cup axioms are swept the same way.  The ring and
 Leibniz sweeps visit only the bidegree tuples some table reaches, and no
-tuple holding a verified unit.  The witnesses build column cohomology
-only where it is nonzero.
+tuple holding a verified unit; a stored product with an entry outside
+its space is a named fault and is left out of them.  The witnesses build
+column cohomology only where it is nonzero, hold their comparison maps
+as integer columns, and rank induced maps on sparse integer columns.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,10 +147,11 @@ def _pair_products(table: Mapping, rows1: Mapping, rows2: Mapping) -> dict[tuple
 
 
 def _sparse_rows(cols) -> dict[int, dict[int, int]]:
-    """The sparse columns `cols` as sparse rows: {row: {column: value}},
-    columns ascending."""
+    """The sparse columns `cols`, a sequence or a dict {column: {row:
+    value}}, as sparse rows {row: {column: value}}, columns in the order of
+    `cols`; applied to sparse rows, it gives sparse columns."""
     rows: dict[int, dict[int, int]] = {}
-    for j, col in enumerate(cols):
+    for j, col in cols.items() if isinstance(cols, dict) else enumerate(cols):
         for i, v in col.items():
             rows.setdefault(i, {})[j] = v
     return rows
@@ -197,12 +199,22 @@ class _IntegerForm:
         self.tables = {key: {ab: {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
                              for ab, vec in table.items()}
                        for key, table in products.items()}
-        self._matrix, self._cols = matrix, {}
+        self._cols: dict = {}
+        self._missing = lambda kq: _sparse_columns(matrix(kq), scale)
+
+    @classmethod
+    def _of_columns(cls, scale: int, cols: Mapping[Bidegree, list], missing) -> _IntegerForm:
+        """The integer form of maps given as sparse integer columns over
+        `scale`, without products; `missing(kq)` gives the columns of any
+        other map."""
+        form = cls.__new__(cls)
+        form.scale, form.tables, form._cols, form._missing = scale, {}, dict(cols), missing
+        return form
 
     def cols(self, kq: Bidegree) -> list[dict[int, int]] | _NoRows:
         cols = self._cols.get(kq)
         if cols is None:
-            cols = self._cols[kq] = _sparse_columns(self._matrix(kq), self.scale)
+            cols = self._cols[kq] = self._missing(kq)
         return cols
 
     def image(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
@@ -490,6 +502,7 @@ class BigradedModel:
             for key, table in products.items()
         }
         self._form: _IntegerForm | None = None
+        self._closure: tuple | None = None
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
         self._ranks: dict[Bidegree, int] = {}
         self._cohomology_dims: dict[Bidegree, int] = {}
@@ -544,6 +557,22 @@ class BigradedModel:
         if self._form is None:
             self._form = _IntegerForm(self.products, self.diff, self.differential)
         return self._form
+
+    def _closed(self) -> tuple[list[tuple], Mapping, bool]:
+        """What the checks sweep, found once: the entries c of stored
+        products ab of basis vectors that are nonzero and lie outside the
+        target space, as (kq1, kq2, a, b, c) ascending; the integer tables
+        without those products; and whether `_has_unit` holds on them."""
+        if self._closure is None:
+            tables = self._integers().tables
+            span = {kq: range(self.dim(kq)) for kq in self.bidegrees()}
+            escapes = _escapes(tables, span)
+            if escapes:
+                out = {(kq1, kq2, a, b) for kq1, kq2, a, b, _ in escapes}
+                tables = {(kq1, kq2): {(a, b): vec for (a, b), vec in table.items() if (kq1, kq2, a, b) not in out}
+                          for (kq1, kq2), table in tables.items()}
+            self._closure = (escapes, tables, _has_unit(tables, span))
+        return self._closure
 
     def _column_cohomology(self, kq: Bidegree) -> _ColumnCohomology:
         """Cohomology representatives and coordinates at `kq`, built once
@@ -616,11 +645,12 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     one sign per (I, i).  The product of two blocks with disjoint I1, I2
     restricts both to D_{I1+I2} as sparse composites, one sign per block
     pair, and sweeps the keys (a2, b2) of the cup table in ascending order
-    against row a2 and row b2 of the composites.  Validation and assembly
-    share one memo of composites, dropped on return.  Every disjoint pair
-    whose product bidegree has a space takes its composites, as each basis
-    pair did, so a step validation does not reach raises the same first
-    DatumError.
+    against row a2 and row b2 of the composites.  Disjointness is tested on
+    bitmasks of the index sets, and each cup vector's range once.
+    Validation and assembly share one memo of composites, dropped on
+    return.  Every disjoint pair whose product bidegree has a space takes
+    its composites, as each basis pair did, so a step validation does not
+    reach raises the same first DatumError.
     """
     composites: dict = {}
     issues = cd._issues(composites)
@@ -628,23 +658,26 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
         raise DatumError("; ".join(issues))
     cohomology = cd.cohomology
     spaces: dict[Bidegree, list] = {}
-    blocks: dict[Bidegree, list] = {}  # (k, q) -> [(I, p, offset, dim)] in basis order
+    blocks: dict[Bidegree, list] = {}  # (k, q) -> [(I, p, offset, mask of I)] in basis order
     offsets: dict = {}  # (I, p) -> offset of its block
+    bits = {x: 1 << n for n, x in enumerate(sorted({x for i_key in cohomology for x in i_key}))}
     for i_key in cd.subsets():
+        mask = sum(bits[x] for x in i_key)
         for p, n in sorted(cohomology[i_key].items()):
             kq = (p + len(i_key), p + 2 * len(i_key))
             labels = spaces.setdefault(kq, [])
-            blocks.setdefault(kq, []).append((i_key, p, len(labels), n))
+            blocks.setdefault(kq, []).append((i_key, p, len(labels), mask))
             offsets[(i_key, p)] = len(labels)
             labels.extend((i_key, p, j) for j in range(n))
 
     diff: dict[Bidegree, Matrix] = {}
+    zero = Fraction(0)
     for kq, labels in spaces.items():
         k, q = kq
         target = spaces.get((k + 1, q))
         if not target:
             continue
-        rows = [[Fraction(0)] * len(labels) for _ in target]
+        rows = [[zero] * len(labels) for _ in target]
         for i_key, p, off, _ in blocks[kq]:
             for pos, i in enumerate(i_key):
                 rest = i_key[:pos] + i_key[pos + 1:]
@@ -657,7 +690,7 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                     for j, v in enumerate(gys_row):
                         if v:
                             out[off + j] += sign * v
-        diff[kq] = Matrix(rows, ncols=len(labels))
+        diff[kq] = Matrix._of_fractions([tuple(row) for row in rows], len(labels))
 
     products: dict[tuple[Bidegree, Bidegree], dict] = {}
     for kq1 in spaces:
@@ -666,9 +699,9 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
             if kq3 not in spaces:
                 continue
             acc: dict = {}  # (a, b) -> ab, each key filled by one block pair
-            for i1, p1, off1, _ in blocks[kq1]:
-                for i2, p2, off2, _ in blocks[kq2]:
-                    if not set(i1).isdisjoint(i2):
+            for i1, p1, off1, mask1 in blocks[kq1]:
+                for i2, p2, off2, mask2 in blocks[kq2]:
+                    if mask1 & mask2:
                         continue
                     union = tuple(sorted(i1 + i2))
                     rows1 = cd._composite(composites, i1, tuple(x for x in union if x not in i1), p1)
@@ -682,14 +715,15 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                         left, right = rows1.get(a2), rows2.get(b2)
                         if left and right:
                             vec = entries[(a2, b2)]
+                            for c in vec:
+                                if not 0 <= c < n:
+                                    raise KeyError((union, p1 + p2, c))
+                            vec = [(base + c, v) for c, v in vec.items()]
                             for j1, x in left.items():
                                 for j2, y in right.items():
                                     out = acc.setdefault((off1 + j1, off2 + j2), {})
                                     xy = -(x * y) if negate else x * y
-                                    for c, v in vec.items():
-                                        if not 0 <= c < n:
-                                            raise KeyError((union, p1 + p2, c))
-                                        pos = base + c
+                                    for pos, v in vec:
                                         prev = out.get(pos)
                                         out[pos] = xy * v if prev is None else prev + xy * v
             table = {}
@@ -732,7 +766,10 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     pairs (kq1, kq2) that one of those tables reaches are swept.  The ring
     axioms are `_ring_faults`, which also checks a datum's cup rings.
 
-    Where `_has_unit` verifies a unit e spanning M^0_0 (ex = xe = s x as
+    Closure is checked first: each nonzero entry of a stored product ab
+    of basis vectors that lies outside the target space is a "closure"
+    fault, and that product is left out of every sweep.  Where `_has_unit`
+    verifies a unit e spanning M^0_0 on what is left (ex = xe = s x as
     stored, and every stored product inside its target space), no ring
     tuple holding e can fail; if also d(e) = 0 and every d maps M^k_q into
     M^{k+1}_q, no Leibniz pair holding e can fail either: d(ex) = s dx =
@@ -740,8 +777,9 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     keys outside the basis are ignored, and violations come in the order
     of the loop over all tuples (bidegrees, then basis indices).
     """
-    violations: list[tuple[str, str]] = []
-    tables, dcols = model._integers().tables, model._integers().cols
+    escapes, tables, unit = model._closed()
+    violations = [("closure", _escape_message(escape)) for escape in escapes]
+    dcols = model._integers().cols
     bidegs = model.bidegrees()
     span = {kq: range(model.dim(kq)) for kq in bidegs}
     fitted = True
@@ -755,7 +793,6 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
         if any(_apply_columns(dcols(up), col) for col in dcols(kq)):
             violations.append(("d_squared", "d o d nonzero on M^%d_%d" % (k, q)))
 
-    unit = _has_unit(tables, span)
     swept = span.keys() - {(0, 0)} if unit and fitted and not dcols((0, 0))[0] else span.keys()
     rows = {kq: _sparse_rows(dcols(kq)) for kq in bidegs}
     pairs = {pair for kq1, kq2 in tables
@@ -793,6 +830,25 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     violations += [("associativity", "associativity fails for (%r,%d),(%r,%d),(%r,%d)" % fault)
                    for fault in associativity]
     return AxiomReport(tuple(violations))
+
+
+def _escapes(tables: Mapping, span: Mapping[Bidegree, range]) -> list[tuple]:
+    """The nonzero entries c of stored products ab, a and b basis vectors,
+    that lie outside the target space, as (kq1, kq2, a, b, c) ascending."""
+    out = []
+    for (kq1, kq2), table in tables.items():
+        r1, r2 = span.get(kq1), span.get(kq2)
+        target = span.get((kq1[0] + kq2[0], kq1[1] + kq2[1]), range(0))
+        if r1 and r2 and not all(map(target.__contains__, set().union(*table.values()))):
+            out += [(kq1, kq2, a, b, c) for (a, b), vec in table.items() if a in r1 and b in r2
+                    for c, v in vec.items() if v and c not in target]
+    return sorted(out)
+
+
+def _escape_message(escape: tuple) -> str:
+    kq1, kq2, a, b, c = escape
+    return "product (%r, %d) x (%r, %d) has entry %d outside M^%d_%d" % (
+        kq1, a, kq2, b, c, kq1[0] + kq2[0], kq1[1] + kq2[1])
 
 
 def _has_unit(tables: Mapping, span: Mapping[Bidegree, range]) -> bool:
@@ -997,25 +1053,29 @@ class _ColumnCohomology:
             return out
         return _apply_columns(self._phi_cols, vec)
 
-    def coordinates(self, vec: Mapping[int, int], scale: int = 1) -> tuple[Fraction, ...]:
-        """Coordinates of the sparse cocycle `vec` / `scale` on the
-        representatives, modulo boundaries.
+    @property
+    def class_scale(self) -> int:
+        """The scale of the integers `class_coordinates` returns."""
+        return self._phi_scale * self._inverse_scale
+
+    def class_coordinates(self, vec: Mapping[int, int]) -> dict[int, int]:
+        """Coordinates of the sparse cocycle `vec` on the representatives,
+        modulo boundaries, as integers over `class_scale` times the scale
+        of `vec`: {representative: value}, ascending, zeros dropped.
 
         The chosen columns S are independent and E phi(S) = [I; 0] with E
         invertible, so S x = v has the unique solution x = (E phi(v))[:s]
         exactly when (E phi(v))[s:] = 0, the solution `solve` returns.
         """
         if self.length == 0:
-            return ()
-        s = len(self.boundary_cols) + self.dim
+            return {}
+        b = len(self.boundary_cols)
         ev = self._phi(vec)
         if self._inverse_cols is not None:
             ev = _apply_columns(self._inverse_cols, ev)
-        if any(i >= s for i in ev):
+        if any(i >= b + self.dim for i in ev):
             raise ValueError("vector is not a cocycle class representative")
-        scale *= self._phi_scale * self._inverse_scale
-        zero = Fraction(0)
-        return tuple(Fraction(ev[i], scale) if i in ev else zero for i in range(len(self.boundary_cols), s))
+        return {i - b: ev[i] for i in sorted(ev) if i >= b}
 
     def cocycle_coordinates(self, vec: Mapping[int, int], scale: int = 1) -> Sparse | None:
         """Sparse coordinates of `vec` / `scale` on `cocycles` in ascending
@@ -1039,8 +1099,37 @@ class CdgaMorphism:
     def __init__(self, source: BigradedModel, target: BigradedModel, blocks: Mapping[Bidegree, Matrix]):
         self.source = source
         self.target = target
-        self.blocks = dict(blocks)
+        self._blocks: dict[Bidegree, Matrix] | None = dict(blocks)
+        self._columns: Mapping[Bidegree, list] = {}
         self._form: _IntegerForm | None = None
+
+    @classmethod
+    def _of_columns(cls, source: BigradedModel, target: BigradedModel, scale: int,
+                    cols: Mapping[Bidegree, list]) -> CdgaMorphism:
+        """The morphism whose block at each bidegree kq of `cols` has the
+        sparse integer columns cols[kq] over `scale`, the lcm of the
+        denominators of its entries, with target.dim(kq) rows, and whose
+        other blocks are zero.  They are its integer form as they are."""
+        f = cls(source, target, {})
+        f._blocks, f._columns = None, cols
+        f._form = _IntegerForm._of_columns(scale, cols, f._zero_columns)
+        return f
+
+    @property
+    def blocks(self) -> dict[Bidegree, Matrix]:
+        """The stored blocks by bidegree.  A morphism built on integer
+        columns makes them on first read, entry i of column j at kq being
+        cols[kq][j][i] / scale."""
+        if self._blocks is None:
+            scale = self._form.scale
+            self._blocks = {kq: Matrix([[Fraction(col.get(i, 0), scale) for col in cols]
+                                        for i in range(self.target.dim(kq))], ncols=len(cols))
+                            for kq, cols in self._columns.items()}
+        return self._blocks
+
+    def _zero_columns(self, kq: Bidegree) -> list[dict] | _NoRows:
+        """The sparse columns of the zero block at `kq`."""
+        return [{} for _ in range(self.source.dim(kq))] if self.target.dim(kq) else _NoRows()
 
     def block(self, kq: Bidegree) -> Matrix:
         stored = self.blocks.get(kq)
@@ -1051,20 +1140,48 @@ class CdgaMorphism:
     def _integers(self) -> _IntegerForm:
         """The integer form of the blocks, built once."""
         if self._form is None:
-            self._form = _IntegerForm({}, self.blocks, self.block)
+            self._form = _IntegerForm({}, self._blocks, self.block)
         return self._form
 
     def apply(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
         return self._integers().image(kq, vec)
 
+    def _keeps_unit(self) -> bool:
+        """Whether every pair holding the source's unit passes f(ab) =
+        f(a)f(b): `_has_unit` holds on both models, with ex = sigma x and
+        e'y = tau y, f(e) = u e' is one entry, and sigma = u tau.  Then
+        f(ex) = sigma f(x) = u tau f(x) = f(e)f(x), and f(xe) likewise.  In
+        integer form sigma = u tau reads s_src Df Dt = u s_tgt Ds."""
+        (_, src, src_unit), (_, tgt, tgt_unit) = self.source._closed(), self.target._closed()
+        if not (src_unit and tgt_unit):
+            return False
+        e = (0, 0)
+        form = self._integers()
+        u = form.cols(e)[0].get(0, 0)
+        return (src[(e, e)][(0, 0)][0] * form.scale * self.target._integers().scale
+                == u * tgt[(e, e)][(0, 0)][0] * self.source._integers().scale)
+
     def violations(self) -> list[str]:
+        """The identities of a cdga morphism that f breaks, in this order:
+        block shapes (alone, if any fails); entries of stored products of
+        either model outside their target spaces, whose products the
+        product check leaves out; d o f = f o d per bidegree; and f(ab) =
+        f(a)f(b) per pair of basis vectors of the source.
+
+        The product check sweeps only the live bidegree pairs, those with a
+        table on the source or the target side, as no other pair has a
+        term; and none holding the source's unit (0, 0) when `_keeps_unit`
+        holds.  Faults come in the order of the loop over all pairs."""
         out = []
-        for kq, mat in self.blocks.items():
+        for kq, mat in (self._blocks or {}).items():  # blocks built from columns fit by construction
             want = (self.target.dim(kq), self.source.dim(kq))
             if mat.shape != want:
                 out.append("block at %r has shape %r, expected %r" % (kq, mat.shape, want))
         if out:
             return out
+        (src_escapes, src, _), (tgt_escapes, tgt, _) = self.source._closed(), self.target._closed()
+        out += ["source " + _escape_message(escape) for escape in src_escapes]
+        out += ["target " + _escape_message(escape) for escape in tgt_escapes]
         # both identities run on the integer forms of the two models and of
         # the blocks, over Ds, Dt and Df.  d o f = f o d is compared column
         # by column, f d_src carrying Df Ds and d_tgt f carrying Dt Df; the
@@ -1090,26 +1207,26 @@ class CdgaMorphism:
         # carries Df Ds, and f(a)f(b), from the keys (m, n) of the target
         # table through the rows m and n of f, carries Df^2 Dt
         left, right = f_form.scale * tgt_form.scale, src_form.scale
-        src, tgt = src_form.tables, tgt_form.tables
-        bidegs = self.source.bidegrees()
-        span = {kq: range(self.source.dim(kq)) for kq in bidegs}
-        rows = {kq: _sparse_rows(fcols(kq)) for kq in bidegs}
-        for kq1 in bidegs:
-            r1, rows1 = span[kq1], rows[kq1]
-            for kq2 in bidegs:
-                r2, rows2 = span[kq2], rows[kq2]
-                acc: dict = {}  # (a, b) -> Df Dt f(ab) - Ds f(a)f(b)
-                t12 = src.get((kq1, kq2))
-                if t12:
-                    f3 = fcols((kq1[0] + kq2[0], kq1[1] + kq2[1]))
-                    acc = {(a, b): {i: left * x for i, x in _apply_columns(f3, ab).items()}
-                           for (a, b), ab in t12.items() if a in r1 and b in r2}
-                for ab, vec in _pair_products(tgt.get((kq1, kq2), {}), rows1, rows2).items():
-                    diff = acc.setdefault(ab, {})
-                    for i, w in vec.items():
-                        diff[i] = diff.get(i, 0) - right * w
-                out += ["product compatibility fails for (%r, %d) x (%r, %d)" % (kq1, a, kq2, b)
-                        for a, b in _nonzero_keys(acc)]
+        span = {kq: range(self.source.dim(kq)) for kq in self.source.bidegrees()}
+        pairs = {key for tables in (src, tgt) for key, table in tables.items()
+                 if table and key[0] in span and key[1] in span}
+        if self._keeps_unit():
+            pairs = {key for key in pairs if (0, 0) not in key}
+        rows = {kq: _sparse_rows(fcols(kq)) for kq in {kq for pair in pairs for kq in pair}}
+        for kq1, kq2 in sorted(pairs):
+            r1, r2 = span[kq1], span[kq2]
+            acc: dict = {}  # (a, b) -> Df Dt f(ab) - Ds f(a)f(b)
+            t12 = src.get((kq1, kq2))
+            if t12:
+                f3 = fcols((kq1[0] + kq2[0], kq1[1] + kq2[1]))
+                acc = {(a, b): {i: left * x for i, x in _apply_columns(f3, ab).items()}
+                       for (a, b), ab in t12.items() if a in r1 and b in r2}
+            for ab, vec in _pair_products(tgt.get((kq1, kq2), {}), rows[kq1], rows[kq2]).items():
+                diff = acc.setdefault(ab, {})
+                for i, w in vec.items():
+                    diff[i] = diff.get(i, 0) - right * w
+            out += ["product compatibility fails for (%r, %d) x (%r, %d)" % (kq1, a, kq2, b)
+                    for a, b in _nonzero_keys(acc)]
         return out
 
 
@@ -1128,7 +1245,9 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
     injective for k = r + 1.  Raises MorphismError when f is not a cdga
     morphism, naming the violated identity.  Column data, with its
     elimination, is built only at the bidegrees where the source or the
-    target has cohomology."""
+    target has cohomology.  The induced map at (k, q) is ranked on the
+    integer coordinates, in the target's classes, of the images of the
+    source's representatives, by `_sparse_rank`."""
     problems = f.violations()
     if problems:
         raise MorphismError(problems[0])
@@ -1151,10 +1270,8 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
                 continue
             src = f.source._column_cohomology((k, q))
             tgt = f.target._column_cohomology((k, q))
-            fcols, scale = f._integers().cols((k, q)), f._integers().scale * src.cocycle_scale
-            cols = [list(tgt.coordinates(_apply_columns(fcols, rep), scale)) for rep in src.representative_cols]
-            induced = Matrix.from_columns(cols, nrows=tgt.dim)
-            rk = induced.rank()
+            fcols = f._integers().cols((k, q))
+            rk = _sparse_rank([tgt.class_coordinates(_apply_columns(fcols, rep)) for rep in src.representative_cols])
             rank_total += rk
             if rk != src.dim:
                 injective = False
@@ -1166,6 +1283,35 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
         if r != INF and k == r + 1 and not injective:
             failures.append("not injective on H^%d" % k)
     return QuasiIsoVerdict(r, not failures, tuple(per_degree), tuple(failures))
+
+
+def _sparse_rank(cols: Iterable[Mapping[int, int]]) -> int:
+    """The rank of the integer matrix with the sparse columns `cols`.
+
+    Fraction-free elimination: each column is reduced on its lowest row
+    against the pivot column kept for that row, v -> (p/g) v - (v_r/g) p
+    with g = gcd(p_r, v_r), and divided by the gcd of its entries, until it
+    vanishes or its lowest row has no pivot column; then it becomes one.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in cols:
+        vec = {i: x for i, x in col.items() if x}
+        while vec:
+            r = min(vec)
+            pivot = pivots.get(r)
+            if pivot is None:
+                pivots[r] = vec
+                break
+            g = math.gcd(pivot[r], vec[r])
+            a, b = pivot[r] // g, vec[r] // g
+            out = {i: a * x for i, x in vec.items()}
+            for i, y in pivot.items():
+                out[i] = out.get(i, 0) - b * y
+            vec = {i: x for i, x in out.items() if x}
+            g = math.gcd(*vec.values())
+            if g > 1:
+                vec = {i: x // g for i, x in vec.items()}
+    return len(pivots)
 
 
 # -- formality witnesses ------------------------------------------------------
@@ -1185,7 +1331,8 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     """Sub-cdga K^k = ker(M^k_{2k} -> M^{k+1}_{2k}) in the weight-2k regime.
 
     Requires H^k(M_q) = 0 for q != 2k and k <= r; refuses otherwise with
-    the witnesses.  The basis of K^k and the coordinates of products in it
+    the witnesses, and with a ClosureError a model with a stored product
+    outside its target space (see `verify_cdga_axioms`).  The basis of K^k and the coordinates of products in it
     come from the model's cached column cohomology at (k, 2k), which the
     check of the inclusion, a cdga morphism and an r-quasi-isomorphism,
     reads again.  Products of cocycles are swept over the keys of the
@@ -1195,6 +1342,9 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     bad = sorted(kq for kq, h in cohom.items() if h and kq[1] != 2 * kq[0] and kq[0] <= r)
     if bad:
         raise ModelPurityError("kernel model", bad)
+    escapes = model._closed()[0]
+    if escapes:
+        raise ClosureError("kernel model refused: " + _escape_message(escapes[0]))
     kernels: dict[int, _ColumnCohomology] = {}
     for k in range(model.max_degree() + 1):
         col = model._column_cohomology((k, 2 * k))
@@ -1226,11 +1376,12 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
             if table:
                 products[((k1, 2 * k1), (k2, 2 * k2))] = table
     witness_model = BigradedModel._adopt(spaces, {}, products)
-    zero = Fraction(0)
-    blocks = {(k, 2 * k): Matrix([[Fraction(v[i], col.cocycle_scale) if i in v else zero for v in col.cocycle_cols]
-                                  for i in range(col.length)], ncols=len(col.cocycle_cols))
-              for k, col in kernels.items()}
-    inclusion = CdgaMorphism(witness_model, model, blocks)
+    # the inclusion's columns are the cocycles over the lcm of their scales
+    scale = math.lcm(*(col.cocycle_scale for col in kernels.values()))
+    cols = {(k, 2 * k): col.cocycle_cols if col.cocycle_scale == scale else
+            [{i: x * (scale // col.cocycle_scale) for i, x in v.items()} for v in col.cocycle_cols]
+            for k, col in kernels.items()}
+    inclusion = CdgaMorphism._of_columns(witness_model, model, scale, cols)
     verdict = check_r_quasi_iso(inclusion, r)
     return FormalityWitness("kernel", witness_model, inclusion, verdict)
 
@@ -1238,7 +1389,9 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
 def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     """Quotient cdga C^k = M^k_k / d(M^{k-1}_k) in the weight-k regime.
 
-    Requires H^k(M_q) = 0 for q != k and k <= r + 1.  The projection from
+    Requires H^k(M_q) = 0 for q != k and k <= r + 1, and refuses a model
+    with a stored product outside its target space, as
+    `extract_kernel_model` does.  The projection from
     the model is checked to be a cdga morphism and an r-quasi-isomorphism;
     products of boundaries with anything must project to zero, otherwise
     the induced product is ill-defined and extraction fails.  Products are
@@ -1250,6 +1403,9 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     bad = sorted(kq for kq, h in cohom.items() if h and kq[1] != kq[0] and kq[0] <= bound)
     if bad:
         raise ModelPurityError("cokernel model", bad)
+    escapes = model._closed()[0]
+    if escapes:
+        raise ClosureError("cokernel model refused: " + _escape_message(escapes[0]))
     data: dict[int, _ColumnCohomology] = {}
     for k in range(model.max_degree() + 1):
         kq = (k, k)
@@ -1262,12 +1418,14 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
         for k, col in data.items()
         if col.dim
     }
-    projections: dict[Bidegree, Matrix] = {}
-    for k, col in data.items():
-        if not col.dim:
-            continue
-        cols = [list(col.coordinates({j: 1})) for j in range(model.dim((k, k)))]
-        projections[(k, k)] = Matrix.from_columns(cols, nrows=col.dim)
+    # the projection's column j at (k, k) holds the class coordinates of
+    # basis vector j, over D, the lcm of the denominators of its entries
+    coordinates = {(k, k): [col.class_coordinates({j: 1}) for j in range(model.dim((k, k)))]
+                   for k, col in data.items() if col.dim}
+    scales = {kq: data[kq[0]].class_scale for kq in coordinates}
+    den = math.lcm(*(s // math.gcd(x, s) for kq, s in scales.items() for v in coordinates[kq] for x in v.values()))
+    projections = {kq: [{i: x * den // scales[kq] for i, x in v.items()} for v in cols]
+                   for kq, cols in coordinates.items()}
 
     # well-definedness: boundaries must multiply into boundaries, checked
     # in the order of the loop over (k, boundary, k2, basis vector j)
@@ -1282,7 +1440,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
                 pairs = _pair_products(form.tables.get(((k, k), (k2, k2)), {}), rows, units[k2])
                 checks += [(u, k2, j, prod) for (u, j), prod in pairs.items()]
         for _, k2, _, prod in sorted(checks, key=lambda check: check[:3]):
-            if any(x for x in data[k + k2].coordinates(prod, form.scale ** 2)):
+            if data[k + k2].class_coordinates(prod):
                 raise ClosureError(
                     "boundary times basis vector survives in C^%d (from C^%d x C^%d)"
                     % (k + k2, k, k2)
@@ -1297,15 +1455,15 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
                 continue
             table: dict = {}
             pairs = _pair_products(form.tables.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2])
-            scale = form.scale * col1.cocycle_scale * col2.cocycle_scale
+            scale = form.scale * col1.cocycle_scale * col2.cocycle_scale * data[k3].class_scale
             for ab, prod in pairs.items():
-                vec = {c: v for c, v in enumerate(data[k3].coordinates(prod, scale)) if v}
+                vec = {c: Fraction(v, scale) for c, v in data[k3].class_coordinates(prod).items()}
                 if vec:
                     table[ab] = vec
             if table:
                 products[((k1, k1), (k2, k2))] = table
     witness_model = BigradedModel._adopt(spaces, {}, products)
-    surjection = CdgaMorphism(model, witness_model, projections)
+    surjection = CdgaMorphism._of_columns(model, witness_model, den, projections)
     verdict = check_r_quasi_iso(surjection, r)
     return FormalityWitness("cokernel", witness_model, surjection, verdict)
 
@@ -1351,32 +1509,33 @@ def builder_projective_line_marked(s: int) -> CompactificationDatum:
     return CompactificationDatum(s, cohomology, restrictions, gysins, cups)
 
 
-def _lift(factor_map, left: bool, shift: int, src: Mapping, tgt: Mapping, maps: dict) -> dict[int, Matrix]:
+def _lift(factor_cols, left: bool, shift: int, src: Mapping, tgt: Mapping, maps: dict) -> dict[int, Matrix]:
     """A map f of one factor as f (x) id (`left`) or id (x) f on the product.
 
-    `factor_map(p)` is f on degree p of its factor, raising the degree by
-    `shift` (0 for a restriction, 2 for a Gysin map), and is called once
-    per degree: `maps` keeps its results, and the caller shares it between
-    the product strata that lift the same f.  `src` maps each degree to the
-    product labels (p1, p2, a1, a2) of the source stratum, and `tgt` each
-    degree to the label -> index dict of the target.  f has even degree, so
-    it commutes with the other factor without a sign.
+    `factor_cols(p)` is f on degree p of its factor, raising the degree by
+    `shift` (0 for a restriction, 2 for a Gysin map), as sparse columns
+    {column: {row: value}} with Fraction values and no zeros, and is called
+    once per degree: `maps` keeps its results, and the caller shares it
+    between the product strata that lift the same f.  `src` maps each
+    degree to the product labels (p1, p2, a1, a2) of the source stratum,
+    and `tgt` each degree to the label -> index dict of the target.  f has
+    even degree, so it commutes with the other factor without a sign.
     """
+    zero = Fraction(0)
     blocks: dict[int, Matrix] = {}
     for p, labels in src.items():
         index = tgt.get(p + shift)
         if index is None:
             continue
-        rows = [[Fraction(0)] * len(labels) for _ in index]
+        rows = [[zero] * len(labels) for _ in index]
         for col, (p1, p2, a1, a2) in enumerate(labels):
             q = p1 if left else p2
-            mat = maps.get(q)
-            if mat is None:
-                mat = maps[q] = factor_map(q)
-            for b, row in enumerate(mat.rows):
-                label = (p1 + shift, p2, b, a2) if left else (p1, p2 + shift, a1, b)
-                rows[index[label]][col] = row[a1 if left else a2]
-        blocks[p] = Matrix(rows, ncols=len(labels))
+            cols = maps.get(q)
+            if cols is None:
+                cols = maps[q] = factor_cols(q)
+            for b, v in cols.get(a1 if left else a2, {}).items():
+                rows[index[(p1 + shift, p2, b, a2) if left else (p1, p2 + shift, a1, b)]][col] = v
+        blocks[p] = Matrix._of_fractions([tuple(row) for row in rows], len(labels))
     return blocks
 
 
@@ -1384,7 +1543,14 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
     """Product datum: divisor components of the first factor crossed with
     the second variety, then the first variety crossed with components of
     the second.  Cohomology, restrictions, Gysin maps and cups are graded
-    tensors with Koszul signs."""
+    tensors with Koszul signs.
+
+    Each factor map is read once per degree as sparse columns: a
+    restriction step through `_step_rows`, a Gysin block from its rows.
+    The lifted blocks are `Matrix` rows of the factors' Fractions and one
+    shared zero.  The cups of a product stratum look up each factor's cup
+    table of that stratum once.
+    """
     s1, s2 = cd1.components, cd2.components
 
     # the basis of H^p(D_I x D_I') is (p1, p2, a1, a2) with p1 ascending,
@@ -1413,6 +1579,15 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
         datum and stratum, and its index there."""
         return (True, cd1, i1, x) if x <= s1 else (False, cd2, i2, x - s1)
 
+    def step_cols(cd, own, local):
+        above = tuple(sorted(own + (local,)))
+        return lambda p: _sparse_rows(cd._step_rows({}, own, local, p, above))
+
+    def gysin_cols(cd, own, local):
+        rest = tuple(x for x in own if x != local)
+        return lambda p: _sparse_rows({b: {a: v for a, v in enumerate(row) if v}
+                                       for b, row in enumerate(cd._gysin(own, local, p, rest).rows)})
+
     restrictions: dict = {}
     gysins: dict = {}
     lifted: dict = {}  # (left, shift, own, local) -> the factor's map by degree
@@ -1422,8 +1597,8 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
             if j in key or tgt_key not in index:
                 continue
             left, cd, own, local = side(j, i1, i2)
-            step = functools.partial(cd.restriction, own, own + (local,))
-            blocks = _lift(step, left, 0, bases[key], index[tgt_key], lifted.setdefault((left, 0, own, local), {}))
+            blocks = _lift(step_cols(cd, own, local), left, 0, bases[key], index[tgt_key],
+                           lifted.setdefault((left, 0, own, local), {}))
             if blocks:
                 restrictions[(key, j)] = blocks
         for i in key:
@@ -1431,14 +1606,16 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
             if tgt_key not in index:
                 continue
             left, cd, own, local = side(i, i1, i2)
-            blocks = _lift(functools.partial(cd.gysin, own, local), left, 2, bases[key], index[tgt_key],
+            blocks = _lift(gysin_cols(cd, own, local), left, 2, bases[key], index[tgt_key],
                            lifted.setdefault((left, 2, own, local), {}))
             if blocks:
                 gysins[(key, i)] = blocks
 
     cups: dict = {}
+    zero = Fraction(0)
     for key, (i1, i2) in factors.items():
         basis, lookup = bases[key], index[key]
+        cups1, cups2 = cd1.cups.get(i1, {}), cd2.cups.get(i2, {})
         table: dict = {}
         degrees = sorted(basis)
         for p in degrees:
@@ -1447,19 +1624,19 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
                 entries: dict = {}
                 for a, (pa1, pa2, a1, a2) in enumerate(basis[p]):
                     for b, (pb1, pb2, b1, b2) in enumerate(basis[p2]):
+                        c1 = cups1.get((pa1, pb1), {}).get((a1, b1))
+                        c2 = cups2.get((pa2, pb2), {}).get((a2, b2)) if c1 else None
+                        if not c2:
+                            continue
                         # Koszul sign: the left part of b passes the right part of a
                         sign = (-1) ** (pa2 * pb1)
-                        c1 = cd1.cup_entries(i1, pa1, pb1).get((a1, b1), {})
-                        c2 = cd2.cup_entries(i2, pa2, pb2).get((a2, b2), {})
-                        if not c1 or not c2:
-                            continue
                         vec: Sparse = {}
                         for t1_idx, v1 in c1.items():
                             for t2_idx, v2 in c2.items():
                                 pos = target.get((pa1 + pb1, pa2 + pb2, t1_idx, t2_idx))
                                 if pos is None:
                                     continue
-                                vec[pos] = vec.get(pos, Fraction(0)) + sign * v1 * v2
+                                vec[pos] = vec.get(pos, zero) + sign * v1 * v2
                         vec = {c: v for c, v in vec.items() if v}
                         if vec:
                             entries[(a, b)] = vec

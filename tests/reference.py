@@ -18,8 +18,9 @@ function is an independent oracle for a production computation:
   `flat_search` and `layer_search` into rational echelon rows and
   `Layer`s, with the covers and mu;
 - `morganmodel`: a datum's restriction-functoriality check on dense
-  composite matrices, and the model assembled one basis pair at a time
-  from dense composite restrictions.
+  composite matrices, the model assembled one basis pair at a time
+  from dense composite restrictions, and the dense blocks of the
+  witnesses' kernel inclusion and cokernel projection.
 """
 
 from __future__ import annotations
@@ -617,3 +618,41 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
             if table:
                 products[(kq1, kq2)] = table
     return BigradedModel(spaces, diff, products)
+
+
+def kernel_inclusion_blocks(model: BigradedModel) -> dict:
+    """The blocks of the kernel witness's inclusion K^k -> M^k_{2k}: the
+    basis of ker d at each (k, 2k) where it is not zero, one column per free
+    column of the rref of d, as `right_kernel` gives it."""
+    blocks = {}
+    for k in range(model.max_degree() + 1):
+        kq = (k, 2 * k)
+        basis = model.differential(kq).right_kernel() if model.dim(kq) else ()
+        if basis:
+            blocks[kq] = Matrix.from_columns(basis)
+    return blocks
+
+
+def cokernel_projection_blocks(model: BigradedModel) -> dict:
+    """The blocks of the cokernel witness's projection M^k_k -> C^k: the
+    columns of d into (k, k), then the basis of ker d there, each kept when
+    independent of those kept before; column j holds the coordinates of
+    basis vector j on the kept columns, solved densely, without those on
+    the kept boundaries.  Only the (k, k) with classes have a block."""
+    blocks = {}
+    for k in range(model.max_degree() + 1):
+        kq = (k, k)
+        n = model.dim(kq)
+        if not n:
+            continue
+        boundaries = [list(c) for c in model.differential((k - 1, k)).columns()]
+        chosen, kept = [], 0
+        for i, v in enumerate(boundaries + [list(c) for c in model.differential(kq).right_kernel()]):
+            if Matrix.from_columns(chosen + [v], nrows=n).rank() == len(chosen) + 1:
+                chosen.append(v)
+                kept += i < len(boundaries)
+        if len(chosen) > kept:
+            solver = Matrix.from_columns(chosen, nrows=n)
+            cols = [solver.solve([Fraction(i == j) for i in range(n)])[kept:] for j in range(n)]
+            blocks[kq] = Matrix.from_columns(cols, nrows=len(chosen) - kept)
+    return blocks

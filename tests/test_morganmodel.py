@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -463,8 +464,30 @@ class TestRestrictionFunctoriality:
 # the same violations in the same order.
 
 
+def dense_closure(model):
+    """The closure faults of `model`, each nonzero entry of a product of
+    basis vectors outside its target space, in loop order, and the model
+    without those products."""
+    faults, out = [], set()
+    bidegs = model.bidegrees()
+    for kq1 in bidegs:
+        for kq2 in bidegs:
+            k3, q3 = kq1[0] + kq2[0], kq1[1] + kq2[1]
+            for a in range(model.dim(kq1)):
+                for b in range(model.dim(kq2)):
+                    for c, v in sorted(model.mult_basis(kq1, a, kq2, b).items()):
+                        if v and not 0 <= c < model.dim((k3, q3)):
+                            faults.append("product (%r, %d) x (%r, %d) has entry %d outside M^%d_%d"
+                                          % (kq1, a, kq2, b, c, k3, q3))
+                            out.add((kq1, kq2, a, b))
+    products = {(kq1, kq2): {(a, b): vec for (a, b), vec in table.items() if (kq1, kq2, a, b) not in out}
+                for (kq1, kq2), table in model.products.items()}
+    return faults, BigradedModel(model.spaces, model.diff, products)
+
+
 def dense_cdga_axioms(model):
-    violations = []
+    faults, model = dense_closure(model)
+    violations = [("closure", fault) for fault in faults]
     for kq in model.bidegrees():
         k, q = kq
         second = model.differential((k + 1, q)) @ model.differential(kq)
@@ -564,7 +587,12 @@ def dense_cup_issues(cd, i_key):
 
 
 def dense_product_compatibility(f):
-    out = []
+    """The closure faults of the source and of the target, then f(ab) =
+    f(a)f(b) on every pair of basis vectors, without those products."""
+    src_faults, source = dense_closure(f.source)
+    tgt_faults, target = dense_closure(f.target)
+    out = ["source " + fault for fault in src_faults] + ["target " + fault for fault in tgt_faults]
+    f = CdgaMorphism(source, target, f.blocks)
     for kq1 in f.source.bidegrees():
         for kq2 in f.source.bidegrees():
             kq3 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
@@ -578,6 +606,11 @@ def dense_product_compatibility(f):
                             "product compatibility fails for (%r, %d) x (%r, %d)" % (kq1, a, kq2, b)
                         )
     return out
+
+
+def product_issues(f):
+    """The closure and product faults that `violations` reports."""
+    return [v for v in f.violations() if v.startswith(("source product", "target product", "product compatibility"))]
 
 
 def dense_differential_compatibility(f):
@@ -764,13 +797,42 @@ class TestSparseAxiomsAgainstDenseOracle:
         assert report.passed
 
     def test_product_outside_its_space(self):
-        # xx names index 3 of the one-dimensional M^2_4; d on M^2_4 has no
-        # rows, so the entry meets no row of d and the report is a report
+        # xx names index 3 of the one-dimensional M^2_4: a closure fault,
+        # and xx is left out of the ring sweeps, so no other fault follows
         spaces = {(0, 0): ("1",), (1, 2): ("x",), (2, 4): ("z",)}
         model = model_with_products(spaces, {((1, 2), (1, 2)): {(0, 0): {3: F(1)}}})
         report = verify_cdga_axioms(model)
         assert report == dense_cdga_axioms(model)
-        assert report.axioms_failing() == ("associativity", "graded_commutativity")
+        assert report.violations == (
+            ("closure", "product ((1, 2), 0) x ((1, 2), 0) has entry 3 outside M^2_4"),
+        )
+
+    def test_product_outside_a_space_with_differential(self):
+        # e times basis vector 0 of M^1_2 (dim 3, d there 1 x 3) also names
+        # index 3: applying d's columns to it, or f's, or the witnesses'
+        # column data, raised IndexError
+        m = build_model(builder_projective_line_marked(3))
+        products = {key: {ab: dict(vec) for ab, vec in table.items()} for key, table in m.products.items()}
+        products[((0, 0), (1, 2))][(0, 0)][3] = F(1)
+        model = BigradedModel(m.spaces, m.diff, products)
+        fault = "product ((0, 0), 0) x ((1, 2), 0) has entry 3 outside M^1_2"
+        report = verify_cdga_axioms(model)
+        assert report == dense_cdga_axioms(model)
+        assert report.violations[0] == ("closure", fault)
+        assert "closure" not in [name for name, _ in report.violations[1:]]
+        identity = CdgaMorphism(model, model, {kq: Matrix.identity(model.dim(kq)) for kq in model.bidegrees()})
+        assert identity.violations()[:2] == ["source " + fault, "target " + fault]
+        assert product_issues(identity) == dense_product_compatibility(identity)
+        with pytest.raises(MorphismError, match=re.escape("source " + fault)):
+            check_r_quasi_iso(identity, INF)
+        with pytest.raises(ClosureError, match="^kernel model refused: " + re.escape(fault)):
+            extract_kernel_model(model, INF)
+        # the compact square's cokernel witness likewise
+        m = build_model(kunneth_product(builder_projective_line_marked(0), builder_projective_line_marked(0)))
+        products = {key: {ab: dict(vec) for ab, vec in table.items()} for key, table in m.products.items()}
+        products[((0, 0), (2, 2))][(0, 0)][5] = F(1)
+        with pytest.raises(ClosureError, match=re.escape("refused: product ((0, 0), 0) x ((2, 2), 0) has entry 5")):
+            extract_cokernel_model(BigradedModel(m.spaces, m.diff, products), INF)
 
     def test_zero_constant_outside_its_space(self):
         # an explicit zero at index 5 of the two-dimensional M^1_2, where d
@@ -1025,13 +1087,19 @@ def planted(data, model, kinds=("constant", "zero", "stray", "differential")):
             # a zero term is no term, even at an index outside the space
             a, b = data.draw(st.integers(0, n1 - 1)), data.draw(st.integers(0, n2 - 1))
             table.setdefault((a, b), {})[data.draw(st.integers(0, n3 + 1))] = F(0)
+        elif kind == "escape":
+            # a nonzero entry before or past the target space
+            a, b = data.draw(st.integers(0, n1 - 1)), data.draw(st.integers(0, n2 - 1))
+            c = data.draw(st.sampled_from([-1, n3, n3 + 1]))
+            table.setdefault((a, b), {})[c] = data.draw(PLANTED_VALUES.filter(bool))
     return BigradedModel(model.spaces, diff, products)
 
 
-def draw_morphism(data):
-    """A cdga map into a rescaled model, with drawn faults: the rescaling
-    from another rescaling of the same model, or, for a model of weight 2k,
-    the inclusion of its kernel witness."""
+def draw_morphism(data, kinds=("constant", "zero", "stray")):
+    """A cdga map into a rescaled model, with drawn faults of the `planted`
+    kinds `kinds` and in one block: the rescaling from another rescaling of
+    the same model, or, for a model of weight 2k, the inclusion of its
+    kernel witness."""
     sizes, base = draw_base(data)
     scales = draw_scales(data, base)
     target = in_rescaled_basis(base, scales)
@@ -1045,7 +1113,6 @@ def draw_morphism(data):
         source = in_rescaled_basis(base, other)
         blocks = {kq: Matrix([[other[kq, i] / scales[kq, i] if i == j else 0 for j in range(base.dim(kq))]
                               for i in range(base.dim(kq))]) for kq in base.bidegrees()}
-    kinds = ("constant", "zero", "stray")
     source, target = planted(data, source, kinds), planted(data, target, kinds)
     if blocks and data.draw(st.booleans()):
         kq = data.draw(st.sampled_from(sorted(blocks)))
@@ -1146,6 +1213,42 @@ def as_cup_datum(model):
     return CompactificationDatum(0, {(): {degree(kq): model.dim(kq) for kq in model.bidegrees()}}, {}, {}, {(): cups})
 
 
+# The product check of a morphism leaves out the pairs holding the source's
+# unit when f maps it to the target's unit times u with sigma = u tau.  Each
+# variant but "unit" breaks one condition of that shortcut.
+MORPHISM_UNIT_VARIANTS = ("unit", "scaled f(e)", "stray f(e)", "no target unit", "two source units")
+
+
+def draw_unit_morphism(data, variant):
+    """The identity of a drawn model as a map between two rescalings of it,
+    changed by `variant`: "unit" plants constants and differential entries
+    away from the units, "scaled f(e)" multiplies f(e) by t != 1, so that
+    sigma != u tau, "stray f(e)" gives the target a second basis vector g
+    of M^0_0 and f(e) an entry on g, "no target unit" adds an entry to e'y
+    or ye', as `unit_variant` does, and "two source units" gives the source a
+    second basis vector of M^0_0, mapped to a drawn multiple of e'."""
+    _, base = draw_base(data)
+    other, scales = draw_scales(data, base), draw_scales(data, base)
+    source, target = in_rescaled_basis(base, other), in_rescaled_basis(base, scales)
+    blocks = {kq: [[other[kq, i] / scales[kq, i] if i == j else F(0) for j in range(base.dim(kq))]
+                   for i in range(base.dim(kq))] for kq in base.bidegrees()}
+    e = (0, 0)
+    value = data.draw(PLANTED_VALUES.filter(bool))
+    if variant == "unit":
+        source, target = unit_variant(data, source, "unit"), unit_variant(data, target, "unit")
+    elif variant == "scaled f(e)":
+        blocks[e][0][0] *= data.draw(st.sampled_from([x for x in RESCALINGS if x != 1]))
+    elif variant == "stray f(e)":
+        target = unit_variant(data, target, "two units")
+        blocks[e].append([value])
+    elif variant == "no target unit":
+        target = unit_variant(data, target, data.draw(st.sampled_from(["stray", "zero"])))
+    else:
+        source = unit_variant(data, source, "two units")
+        blocks[e][0].append(value)
+    return CdgaMorphism(source, target, {kq: Matrix(rows) for kq, rows in blocks.items()})
+
+
 class TestDrawnRationalModels:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -1181,6 +1284,30 @@ class TestDrawnRationalModels:
         f = draw_morphism(data)
         issues = [v for v in f.violations() if v.startswith("product compatibility")]
         assert issues == dense_product_compatibility(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_escaping_products_match_dense(self, data):
+        _, base = draw_base(data)
+        model = planted(data, in_rescaled_basis(base, draw_scales(data, base)), ("escape", "constant", "differential"))
+        assert verify_cdga_axioms(model) == dense_cdga_axioms(model)
+        f = draw_morphism(data, ("escape", "constant", "zero", "stray"))
+        assert product_issues(f) == dense_product_compatibility(f)
+        problems = f.violations()
+        if problems:
+            with pytest.raises(MorphismError, match="^%s$" % re.escape(problems[0])):
+                check_r_quasi_iso(f, INF)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_morphism_unit_shortcut_matches_dense(self, data):
+        variant = data.draw(st.sampled_from(MORPHISM_UNIT_VARIANTS))
+        f = draw_unit_morphism(data, variant)
+        assert f._keeps_unit() == (variant == "unit")
+        issues = product_issues(f)
+        assert issues == dense_product_compatibility(f)
+        if variant == "scaled f(e)":
+            assert "product compatibility fails for ((0, 0), 0) x ((0, 0), 0)" in issues
 
 
 class TestWitnessClosure:
@@ -1229,6 +1356,13 @@ def representatives(col):
 def boundary_basis(col, model):
     """The chosen boundaries of column data on `model`, as dense rational vectors."""
     return dense(col.boundary_cols, model._integers().scale, col.length)
+
+
+def coordinates(col, vec):
+    """The coordinates of the cocycle `vec` on the representatives of column
+    data, modulo boundaries, as a dense rational tuple."""
+    coords = col.class_coordinates(vec)
+    return tuple(F(coords.get(i, 0), col.class_scale) for i in range(col.dim))
 
 
 class TestFastCoordinatesAgainstSolve:
@@ -1289,9 +1423,9 @@ class TestFastCoordinatesAgainstSolve:
             sparse = {i: v for i, v in enumerate(vec) if v}
             if sol is None:
                 with pytest.raises(ValueError):
-                    col.coordinates(sparse)
+                    coordinates(col, sparse)
             else:
-                assert col.coordinates(sparse) == tuple(sol[len(col.boundary_cols):])
+                assert coordinates(col, sparse) == tuple(sol[len(col.boundary_cols):])
 
 
 class TestColumnCohomologyOnComplexes:
@@ -1332,9 +1466,25 @@ class TestColumnCohomologyOnComplexes:
             sparse = {i: v for i, v in enumerate(vec) if v}
             if sol is None:
                 with pytest.raises(ValueError):
-                    col.coordinates(sparse)
+                    coordinates(col, sparse)
             else:
-                assert col.coordinates(sparse) == tuple(sol[len(col.boundary_cols):])
+                assert coordinates(col, sparse) == tuple(sol[len(col.boundary_cols):])
+
+
+class TestSparseRank:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_dense_rank(self, data):
+        n = data.draw(st.integers(0, 6))
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3]) | st.integers(-10 ** 40, 10 ** 40)
+        cols = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+        # repeated columns and multiples of drawn ones
+        for _ in range(data.draw(st.integers(0, 3)) if cols else 0):
+            factor = data.draw(st.sampled_from([1, -1, 7, -(10 ** 20)]))
+            cols.append([factor * x for x in data.draw(st.sampled_from(cols))])
+        # explicit zeros are no entries
+        sparse = [{i: x for i, x in enumerate(col) if x or data.draw(st.booleans())} for col in cols]
+        assert morganmodel._sparse_rank(sparse) == Matrix.from_columns(cols, nrows=n).rank()
 
 
 # -- witnesses against their pairwise reference ----------------------------------
@@ -1361,7 +1511,7 @@ def reference_quasi_iso(f, r):
             h_tgt += tgt.dim
             if src.dim == 0 and tgt.dim == 0:
                 continue
-            cols = [list(tgt.coordinates(f.apply((k, q), dict(enumerate(rep))))) for rep in representatives(src)]
+            cols = [list(coordinates(tgt, f.apply((k, q), dict(enumerate(rep))))) for rep in representatives(src)]
             rk = Matrix.from_columns(cols, nrows=tgt.dim).rank()
             rank_total += rk
             injective = injective and rk == src.dim
@@ -1405,7 +1555,7 @@ def reference_cokernel_products(model):
                 if k + k2 in data and data[k + k2].dim:
                     for j in range(model.dim((k2, k2))):
                         prod = model.mult_vec((k, k), dict(enumerate(u)), (k2, k2), {j: F(1)})
-                        if any(data[k + k2].coordinates(prod)):
+                        if any(coordinates(data[k + k2], prod)):
                             raise ClosureError("boundary times basis vector survives in C^%d (from C^%d x C^%d)"
                                                % (k + k2, k, k2))
     products = {}
@@ -1417,7 +1567,7 @@ def reference_cokernel_products(model):
             for a, ra in enumerate(representatives(col1)):
                 for b, rb in enumerate(representatives(col2)):
                     prod = model.mult_vec((k1, k1), dict(enumerate(ra)), (k2, k2), dict(enumerate(rb)))
-                    vec = {c: v for c, v in enumerate(data[k1 + k2].coordinates(prod)) if v}
+                    vec = {c: v for c, v in enumerate(coordinates(data[k1 + k2], prod)) if v}
                     if vec:
                         table[(a, b)] = vec
             if table:
@@ -1547,6 +1697,17 @@ class TestWitnessesAgainstReference:
             assert (verdict.r, verdict.ok, verdict.per_degree, verdict.failures) == reference_quasi_iso(
                 witness.morphism, r)
             assert repr(witness.model.products) == repr(reference(model))
+
+    @pytest.mark.parametrize("data", [*builder_and_kunneth_models(), *rational_witness_data()])
+    def test_materialized_blocks(self, data):
+        model = data if isinstance(data, BigradedModel) else build_model(data)
+        for extract, blocks in [(extract_kernel_model, reference.kernel_inclusion_blocks),
+                                (extract_cokernel_model, reference.cokernel_projection_blocks)]:
+            try:
+                morphism = extract(BigradedModel(model.spaces, model.diff, model.products), INF).morphism
+            except ModelPurityError:
+                continue
+            assert list(morphism.blocks.items()) == list(blocks(model).items())
 
     def test_rank_formula_fallback_where_d_squared_is_nonzero(self):
         model = broken_square_model()
@@ -1969,6 +2130,7 @@ class TestBudgets:
         model = build_model(kunneth_product(kunneth_product(cd, cd), cd))
         assert model.total_dimension() == 125
         forms = count_calls(_IntegerForm, "__init__").args["__init__"]
+        columns = count_calls(_IntegerForm, "_of_columns").args["_of_columns"]
         products = count_calls(Fraction, "__mul__", "__rmul__")
         start = time.perf_counter()
         report = verify_cdga_axioms(model)
@@ -1976,14 +2138,19 @@ class TestBudgets:
         assert report.passed
         assert elapsed < 2.0, "cube axioms took %.2fs" % elapsed
         assert products == {}
-        # the witness reads the model's integer form again, and the
-        # inclusion check builds one for the witness model and one for the
-        # inclusion's blocks
+        # the witness reads the model's integer form again, the inclusion
+        # check builds one for the witness model, and the inclusion's form
+        # is made once, on the cocycle columns of the model's column data
+        # over the lcm of their scales (all 1 here), without a copy
         witness = extract_kernel_model(model, INF)
         assert witness.quasi_iso.ok
-        assert len(forms) == 3
+        assert len(forms) == 2 and len(columns) == 1
         assert forms[0][1] is model.products and forms[1][1] is witness.model.products
-        assert forms[2][2] is witness.morphism.blocks
+        kernels = {kq: model._column_cohomology(kq) for kq in witness.model.spaces}
+        assert [col.cocycle_scale for col in kernels.values()] == [1] * 4
+        form = witness.morphism._integers()
+        assert columns[0][0] == form.scale == 1 and list(columns[0][1]) == list(kernels)
+        assert all(form.cols(kq) is col.cocycle_cols for kq, col in kernels.items())
 
     # work counts, which do not move with the host's speed
 
@@ -1999,6 +2166,46 @@ class TestBudgets:
         assert witness.quasi_iso.ok
         assert model_dims(witness.model) == model_dims(model)
         assert witness.model.products == model.products
+
+    def test_exterior_algebra_kernel_witness_builds_no_dense_matrix(self, count_calls, monkeypatch):
+        # the inclusion is held as the cocycle columns and its induced maps
+        # are ranked on sparse integer columns; the dense route built
+        # 38,610 Matrix cells here
+        model = exterior_algebra(8)
+        cells = []
+        init = Matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            cells.append(self.nrows * self.ncols)
+
+        monkeypatch.setattr(Matrix, "__init__", counting)
+        wrapped = count_calls(Matrix, "_of_fractions")
+        witness = extract_kernel_model(model, INF)
+        assert witness.quasi_iso.ok
+        assert sum(cells) == 0 and wrapped == {}
+
+    def test_square_kunneth_reads_factor_maps_sparsely(self, count_calls):
+        # restriction steps are read through `_step_rows` and Gysin blocks
+        # as sparse columns, not as dense `restriction`/`gysin` matrices
+        line = builder_projective_line_marked(5)
+        calls = count_calls(CompactificationDatum, "restriction", "gysin")
+        steps = count_calls(CompactificationDatum, "_step_rows")
+        square = kunneth_product(line, line)
+        assert calls == {} and steps["_step_rows"] > 0
+        assert datum_items(square) == datum_items(_kunneth_reference(line, line))
+
+    def test_square_morphism_check_sweeps_live_pairs(self, count_calls):
+        # of the 9 bidegree pairs of the (5, 5) square's kernel witness, 5
+        # hold the unit and 3 meet no table: one is swept
+        line = builder_projective_line_marked(5)
+        f = extract_kernel_model(build_model(kunneth_product(line, line)), INF).morphism
+        spaces = f.source.spaces
+        live = {key for m in (f.source, f.target) for key, table in m.products.items()
+                if table and key[0] in spaces and key[1] in spaces and (0, 0) not in key}
+        calls = count_calls(morganmodel, "_pair_products")
+        assert f.violations() == []
+        assert calls["_pair_products"] == len(live) == 1
 
     def test_square_validate_sweeps_no_point_ring(self, count_calls):
         # 25 of the (5, 5) square's 36 strata are points whose only class
