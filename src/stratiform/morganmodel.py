@@ -191,16 +191,17 @@ class _IntegerForm:
     """The integer form of a model's product tables and stored maps, or of a
     morphism's blocks: `scale` is D, `tables` holds each product constant
     v as the integer v * D, explicit zeros kept, and `cols(kq)` the sparse
-    columns of the map `matrix(kq)` likewise, built once per bidegree."""
+    columns of the map `maps[kq]` likewise, or `zero_columns(kq)` where
+    none is stored, built once per bidegree."""
 
-    def __init__(self, products: Mapping, maps: Mapping[Bidegree, Matrix], matrix):
+    def __init__(self, products: Mapping, maps: Mapping[Bidegree, Matrix], zero_columns):
         rows = [vec.values() for table in products.values() for vec in table.values()]
         self.scale = scale = _denominator(rows + [row for mat in maps.values() for row in mat.rows])
         self.tables = {key: {ab: {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
                              for ab, vec in table.items()}
                        for key, table in products.items()}
         self._cols: dict = {}
-        self._missing = lambda kq: _sparse_columns(matrix(kq), scale)
+        self._missing = lambda kq: _sparse_columns(maps[kq], scale) if kq in maps else zero_columns(kq)
 
     @classmethod
     def _of_columns(cls, scale: int, cols: Mapping[Bidegree, list], missing) -> _IntegerForm:
@@ -536,26 +537,32 @@ class BigradedModel:
         if stored is None:
             stored = self._zeros.get(kq)
             if stored is None:
-                stored = self._zeros[kq] = Matrix.zero(self.dim((kq[0] + 1, kq[1])), self.dim(kq))
+                stored = self._zeros[kq] = Matrix.zero(*self._d_shape(kq))
         return stored
 
-    def _fitted_differentials(self, kq: Bidegree) -> tuple[Matrix, Matrix]:
-        """d into and d out of M^k_q, refused unless each maps between the
+    def _d_shape(self, kq: Bidegree) -> tuple[int, int]:
+        """The shape of d on M^k_q: the stored matrix's, or else that of the
+        zero map into M^{k+1}_q, which is not built."""
+        stored = self.diff.get(kq)
+        return stored.shape if stored is not None else (self.dim((kq[0] + 1, kq[1])), self.dim(kq))
+
+    def _zero_columns(self, kq: Bidegree) -> list[dict] | _NoRows:
+        """The sparse columns of the zero map on M^k_q."""
+        return [{} for _ in range(self.dim(kq))] if self.dim((kq[0] + 1, kq[1])) else _NoRows()
+
+    def _check_fitted(self, kq: Bidegree) -> None:
+        """Refuse d into or d out of M^k_q unless each maps between the
         spaces around `kq`."""
         k, q = kq
-        maps = []
         for at in ((k - 1, q), kq):
-            d = self.differential(at)
-            want = (self.dim((at[0] + 1, q)), self.dim(at))
-            if d.shape != want:
-                raise ValueError("differential at %r has shape %r, expected %r" % (at, d.shape, want))
-            maps.append(d)
-        return maps[0], maps[1]
+            shape, want = self._d_shape(at), (self.dim((at[0] + 1, q)), self.dim(at))
+            if shape != want:
+                raise ValueError("differential at %r has shape %r, expected %r" % (at, shape, want))
 
     def _integers(self) -> _IntegerForm:
         """The integer form of the products and of d, built once."""
         if self._form is None:
-            self._form = _IntegerForm(self.products, self.diff, self.differential)
+            self._form = _IntegerForm(self.products, self.diff, self._zero_columns)
         return self._form
 
     def _closed(self) -> tuple[list[tuple], Mapping, bool]:
@@ -593,7 +600,7 @@ class BigradedModel:
     def _rank_formula(self, kq: Bidegree) -> int:
         """dim M^k_q - rank d_out - rank d_in, refused unless both
         differentials fit the spaces around `kq`."""
-        self._fitted_differentials(kq)
+        self._check_fitted(kq)
         return self.dim(kq) - self._rank(kq) - self._rank((kq[0] - 1, kq[1]))
 
     def _cohomology_dim(self, kq: Bidegree) -> int:
@@ -786,10 +793,10 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     for kq in bidegs:
         k, q = kq
         up = (k + 1, q)
-        d = model.differential(kq)
-        if model.differential(up).ncols != d.nrows:
+        shape = model._d_shape(kq)
+        if model._d_shape(up)[1] != shape[0]:
             raise ValueError("shape mismatch in matrix product")
-        fitted = fitted and d.shape == (model.dim(up), len(span[kq]))
+        fitted = fitted and shape == (model.dim(up), len(span[kq]))
         if any(_apply_columns(dcols(up), col) for col in dcols(kq)):
             violations.append(("d_squared", "d o d nonzero on M^%d_%d" % (k, q)))
 
@@ -1006,9 +1013,10 @@ class _ColumnCohomology:
         n = self.length = model.dim(kq)
         if not n:
             return
-        _, d_out = model._fitted_differentials(kq)
+        model._check_fitted(kq)
         pivots = ()
-        if kq in model.diff:
+        d_out = model.diff.get(kq)
+        if d_out is not None:
             red, pivots = d_out.rref()
             cocycles = d_out.right_kernel()
             self.cocycle_scale = scale = _denominator(cocycles)
@@ -1140,7 +1148,7 @@ class CdgaMorphism:
     def _integers(self) -> _IntegerForm:
         """The integer form of the blocks, built once."""
         if self._form is None:
-            self._form = _IntegerForm({}, self._blocks, self.block)
+            self._form = _IntegerForm({}, self._blocks, self._zero_columns)
         return self._form
 
     def apply(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
@@ -1193,11 +1201,11 @@ class CdgaMorphism:
         for kq in sorted(degrees):
             k, q = kq
             up = (k + 1, q)
-            d_src, d_tgt = self.source.differential(kq), self.target.differential(kq)
-            if d_src.nrows != self.source.dim(up) or d_tgt.ncols != self.target.dim(kq):
+            (src_rows, src_width), (tgt_rows, tgt_width) = self.source._d_shape(kq), self.target._d_shape(kq)
+            if src_rows != self.source.dim(up) or tgt_width != self.target.dim(kq):
                 raise ValueError("shape mismatch in matrix product")
             src_cols, f_cols, f_up, tgt_cols = src_form.cols(kq), fcols(kq), fcols(up), tgt_form.cols(kq)
-            if (d_src.ncols, d_tgt.nrows) != (self.source.dim(kq), self.target.dim(up)) or any(
+            if (src_width, tgt_rows) != (self.source.dim(kq), self.target.dim(up)) or any(
                 {i: tgt_form.scale * v for i, v in _apply_columns(f_up, src_cols[j]).items()}
                 != {i: src_form.scale * v for i, v in _apply_columns(tgt_cols, f_cols[j]).items()}
                 for j in range(self.source.dim(kq))

@@ -14,13 +14,15 @@ time, in quotient coordinates of the layer being cut (De Concini-Procesi
 lattice).  The lattice half of a cut depends on the layer's span only,
 so it is done once per distinct span, per BFS level: one Smith form of
 the span splits every character into a part in the span and an image in
-the quotient lattice, and one Hermite basis per new direction gives the
-span of the components.  The phase half runs per layer: the components'
+the quotient lattice.  A span is a flat, the saturation of the
+characters it contains, so there is one Hermite basis per flat, keyed by
+its hypersurface bitmask.  The phase half runs per layer: the components'
 phases are integer numerators over one modulus, and a hypersurface that
 repeats the (direction, count, phase) class of one already cut at the
-layer is skipped.  B5 (1,539 layers, 647 distinct spans) takes about 0.5 s for
-`betti` on a two-core host under Python 3.11, against about 1.0 s with
-one Smith form per layer.
+layer is skipped.  B5 (1,539 layers, 647 distinct spans, 646 Hermite
+bases) takes 0.3 to 0.5 s for `betti` on a shared two-core host under
+Python 3.11; in paired runs its search takes about 13% less time than
+with one Hermite basis per new direction of each span.
 
 The search runs and sorts on integer keys, spans with (num, den) phase
 pairs, which every command reads; `_layer_name` prints a layer's name
@@ -186,65 +188,84 @@ def layers_from_equations(
 
 def _cut_plan(
     span: tuple[tuple[int, ...], ...],
+    mask: int,
     n: int,
     hypersurfaces: Sequence[tuple[tuple[int, ...], int, int]],
+    flats: dict[int, tuple[tuple[int, ...], ...]],
 ) -> tuple:
     """The phase-free half of cutting a layer with this span, which the
-    layers with the same span share: the left Smith transform L, and for
-    each hypersurface H that cuts such a layer, in arrangement order,
-    (a, m, g, new_span, rows, num, dnm) with num/dnm the phase of H.
+    layers with the same span share: the left Smith transform L, for each
+    hypersurface H that cuts such a layer, in arrangement order,
+    (a, m, g, num, dnm) with num/dnm the phase of H, and for each
+    direction g, (flat, new_span, rows).
 
     The span S (c rows) is saturated, so one Smith form L S R = [I | 0]
     gives quotient coordinates: chi R = (a, v), where a are the
     coordinates of chi's part in the span over the rows of L S, and v is
     chi's image in Z^n / span(S).  With v = 0 the character lies in the
-    span, and H contains the layer or misses it, so it is left out.
-    Otherwise v = m g with g primitive, its first nonzero entry positive;
-    the saturation of span(S) + Z chi is span(S) + Z gamma with
-    gamma = g R^-1[c:].  The new Hermite basis, and the coordinates
-    h R = (alpha, beta g) of each of its rows h as `rows`, are computed
-    once per direction g.
+    span, and H contains the layer or misses it, so it is left out; those
+    H are the bits of `mask`.  Otherwise v = m g with g primitive, its
+    first nonzero entry positive; the saturation of span(S) + Z chi is
+    span(S) + Z gamma with gamma = g R^-1[c:], and its flat, the H whose
+    characters it contains, is `mask` and the H of direction g.  A span is
+    the saturation of its flat's characters, so its Hermite basis is
+    computed once per flat, in `flats`, and Z^n (c + 1 = n) is the
+    identity; the coordinates h R = (alpha, beta g) of its rows, as
+    `rows`, once per direction g.
     """
     c = len(span)
     smith = _smith_core(span, n)
     assert all(d == 1 for d in smith.diag), "layer span is not saturated"
     cols = list(zip(*smith.right))
     inside, quotient = cols[:c], cols[c:]  # chi -> a, chi -> v
-    gamma_cols = list(zip(*smith.right_inverse[c:]))
-    directions: dict[tuple[int, ...], tuple] = {}
+    inside_bits = 0
+    bits: dict[tuple[int, ...], int] = {}
     cuts = []
-    for chi, num, dnm in hypersurfaces:
+    for i, (chi, num, dnm) in enumerate(hypersurfaces):
         v = [sum(map(mul, chi, col)) for col in quotient]
         if not any(v):
+            inside_bits |= 1 << i
             continue
         m = gcd(*v)
-        if next(x for x in v if x) < 0:
+        for x in v:  # the first nonzero entry of v gives g its sign
+            if x:
+                break
+        if x < 0:
             m = -m
-        g = tuple(x // m for x in v)
-        known = directions.get(g)
-        if known is None:
-            gamma = [sum(map(mul, g, col)) for col in gamma_cols]
-            new_span = hermite_basis([*span, gamma])
-            p = next(i for i, x in enumerate(g) if x)
-            rows = []
-            for h in new_span:
-                hv = [sum(map(mul, h, col)) for col in quotient]
-                beta = hv[p] // g[p]
-                assert hv == [beta * x for x in g], "Hermite row outside the new span"
-                rows.append(([sum(map(mul, h, col)) for col in inside], beta))
-            known = directions[g] = (new_span, rows)
-        a = [sum(map(mul, chi, col)) for col in inside]
-        cuts.append((a, m, g, *known, num, dnm))
-    return smith.left, cuts
+        g = tuple([x // m for x in v])
+        bits[g] = bits.get(g, 0) | 1 << i
+        cuts.append(([sum(map(mul, chi, col)) for col in inside], m, g, num, dnm))
+    assert inside_bits == mask, "the span holds other characters than its flat's"
+    directions = {}
+    for g, g_bits in bits.items():
+        flat = mask | g_bits
+        new_span = flats.get(flat)
+        if new_span is None:
+            if c + 1 < n:
+                gamma = [sum(map(mul, g, col)) for col in zip(*smith.right_inverse[c:])]
+                new_span = hermite_basis([*span, gamma])
+            else:
+                new_span = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            flats[flat] = new_span
+        p = next(i for i, x in enumerate(g) if x)
+        rows = []
+        for h in new_span:
+            hr = [sum(map(mul, h, col)) for col in cols]
+            beta = hr[c + p] // g[p]
+            assert hr[c:] == [beta * x for x in g], "Hermite row outside the new span"
+            rows.append((hr[:c], beta))
+        directions[g] = (flat, new_span, rows)
+    return smith.left, cuts, directions
 
 
 def _sublayers(
     phases: Sequence[tuple[int, int]], plan: tuple, max_layers: int | None
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]]:
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]]:
     """The components of layer ∩ H, for each hypersurface H that cuts the
     layer, in the order of the hypersurfaces and, within one H, in the
-    order of their phase tuples.  The layer's phases, and each component,
-    are given as keys: the Hermite basis of a span and (num, den) pairs.
+    order of their phase tuples.  The layer's phases are given as (num,
+    den) pairs, and each component as its flat's bitmask and its key:
+    the Hermite basis of its span and (num, den) pairs.
 
     This is the phase pass over `plan`, the `_cut_plan` of the layer's
     span, which is built once per distinct span, per BFS level.  With phi
@@ -258,12 +279,12 @@ def _sublayers(
     so a hypersurface whose class was already cut at this layer gives
     nothing new and is skipped, after its component count is checked.
     """
-    left, cuts = plan
+    left, cuts, directions = plan
     den = lcm(*(q for _, q in phases))
     phi = [p * (den // q) for p, q in phases]
     psi = [sum(map(mul, row, phi)) for row in left]
     seen = set()
-    for a, m, g, new_span, rows, num, dnm in cuts:
+    for a, m, g, num, dnm in cuts:
         count = abs(m)
         _check_component_count(count, max_layers)
         # m phi(gamma) = base / d mod 1: phi(gamma) = (sign(m) base + k d) / (d |m|), 0 <= k < |m|
@@ -278,6 +299,7 @@ def _sublayers(
         if cut in seen:
             continue
         seen.add(cut)
+        flat, new_span, rows = directions[g]
         modulus = d * count
         terms = [
             (s * count * sum(map(mul, alpha, psi)) + beta * base, beta * d) for alpha, beta in rows
@@ -291,7 +313,7 @@ def _sublayers(
             for x in numerators:
                 q = gcd(x, modulus)
                 phases.append((x // q, modulus // q))
-            yield new_span, tuple(phases)
+            yield flat, new_span, tuple(phases)
 
 
 def layer_search(
@@ -310,42 +332,50 @@ def layer_search(
     codimension more; each of them covers the layer, and every cover
     arises this way.  Each layer is cut in its quotient coordinates, not
     by solving the whole system again: one Smith form per distinct span,
-    per BFS level, and one Hermite basis per new direction of it
-    (`_cut_plan`), then one integer phase pass per layer (`_sublayers`).
-    All layers of one level share a codimension, and so do the layers
-    they cut, so the dedup index lives for one level, and a plan until
-    the last layer of the level with its span is cut.  An intersection
-    with more than `max_layers` components, or finding more than
-    `max_layers` layers, raises ValueError.
+    per BFS level, and one Hermite basis per flat, keyed by its
+    hypersurface bitmask (`_cut_plan`), then one integer phase pass per
+    layer (`_sublayers`).  A layer carries its flat's bitmask, which keys
+    its plan and, with its phases, the dedup index.  All layers of one
+    level share a codimension, and so do the layers they cut, so the
+    dedup index lives for one level, a plan until the last layer of the
+    level with its span is cut, and the Hermite bases until the sort.
+    An intersection with more than `max_layers` components, or finding
+    more than `max_layers` layers, raises ValueError.
     """
     for h in arrangement:
         if h.dim != n:
             raise ValueError("hypersurface of wrong ambient dimension")
     hypersurfaces = [(h.exponents, h.phase.numerator, h.phase.denominator) for h in arrangement]
     keys: list[tuple] = [((), ())]
+    masks = [0]  # the bits of the hypersurfaces whose characters lie in each key's span
+    flats: dict[int, tuple[tuple[int, ...], ...]] = {}  # a flat's mask -> its Hermite basis
+    index: dict[tuple, int] = {}  # (mask, phases) -> a layer's index, for one level
     covers: set[tuple[int, int]] = set()
     frontier = [0]
     for _ in range(n):  # codimensions 0..n-1: a point lies on or off each hypersurface
-        users = Counter(keys[y][0] for y in frontier)
-        plans: dict[tuple[tuple[int, ...], ...], tuple] = {}
-        index: dict[tuple, int] = {}
+        users = Counter(masks[y] for y in frontier)
+        plans: dict[int, tuple] = {}
+        index.clear()
         next_frontier = []
         for y in frontier:
             span, phases = keys[y]
-            users[span] -= 1
-            plan = plans.pop(span, None) or _cut_plan(span, n, hypersurfaces)
-            if users[span]:  # another layer of this level has the span
-                plans[span] = plan
-            for key in _sublayers(phases, plan, max_layers):
-                j = index.get(key)
+            mask = masks[y]
+            users[mask] -= 1
+            plan = plans.pop(mask, None) or _cut_plan(span, mask, n, hypersurfaces, flats)
+            if users[mask]:  # another layer of this level has the span
+                plans[mask] = plan
+            for cut_mask, cut_span, cut_phases in _sublayers(phases, plan, max_layers):
+                j = index.get((cut_mask, cut_phases))
                 if j is None:
                     if max_layers is not None and len(keys) >= max_layers:
                         raise ValueError("the arrangement has more than %d layers" % max_layers)
-                    j = index[key] = len(keys)
-                    keys.append(key)
+                    j = index[cut_mask, cut_phases] = len(keys)
+                    keys.append((cut_span, cut_phases))
+                    masks.append(cut_mask)
                     next_frontier.append(j)
                 covers.add((y, j))
         frontier = next_frontier
+    del flats, masks, index
     # the order of `Layer.sort_key` without comparing Fractions: the phases
     # p/q, all in [0, 1), are the digits p * (M // q) of one integer in base
     # M, their common modulus, and layers of one codimension have as many

@@ -14,6 +14,7 @@ from math import lcm
 from pathlib import Path
 from time import perf_counter
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,7 @@ from reference import (
     layer_contains,
     layer_poset,
     local_subarrangement,
+    saturate,
 )
 
 F = Fraction
@@ -588,6 +590,96 @@ def test_drawn_layer_posets_match_whole_system_reference(torus, max_layers):
     assert_same_layer_poset(*torus, max_layers)
 
 
+# -- path independence of the flat bitmask that names a span in the search
+
+
+def independent_rows(rows):
+    """A maximal independent subset of `rows`, taken greedily in order."""
+    chosen = []
+    for row in rows:
+        if Matrix([*chosen, row]).rank() > len(chosen):
+            chosen.append(row)
+    return chosen
+
+
+def flats_of_search(n, arrangement):
+    """The keys and covers of `layer_search`, and the Hermite bases it kept
+    by flat bitmask, read from the last argument of its `_cut_plan` calls."""
+    with mock.patch.object(toriclayers, "_cut_plan", wraps=toriclayers._cut_plan) as cut_plan:
+        keys, covers = layer_search(n, arrangement)
+    flats = cut_plan.call_args.args[-1] if cut_plan.called else {}
+    return keys, covers, flats
+
+
+def assert_spans_are_flats(n, arrangement):
+    """Every span the search meets is the saturation of the characters of
+    the hypersurfaces in its flat, so one bitmask names one span whichever
+    layer and direction reach it: for each key's span, and for each
+    bitmask the search kept a Hermite basis under, with the flat's bits
+    recomputed from scratch by lattice membership."""
+    keys, _, flats = flats_of_search(n, arrangement)
+    characters = [h.exponents for h in arrangement]
+
+    def flat(span):
+        return sum(1 << i for i, chi in enumerate(characters) if lattice_contains(span, chi))
+
+    def saturation(bits):
+        return saturate(independent_rows([chi for i, chi in enumerate(characters) if bits >> i & 1]))
+
+    spans = {span for span, _ in keys}
+    for span in spans:
+        assert saturation(flat(span)) == span
+    for bits, span in flats.items():
+        assert flat(span) == bits and saturation(bits) == span
+    assert set(flats.values()) == spans - {()}
+
+
+# two parents of different spans reach the plane of x and y, by y from
+# x = 1, by x from y = -1, and by y from xy = i
+TWO_PARENTS = _toric(3, [((1, 0, 0), F(0)), ((0, 1, 0), F(1, 2)), ((1, 1, 0), F(1, 4)),
+                         ((0, 0, 1), F(0))])
+# x, x^2 and x^-3 share one direction, so their flat holds all three bits
+PARALLEL = _toric(2, [((1, 0), F(0)), ((0, 1), F(1, 3)), ((2, 0), F(1, 2)), ((-3, 0), F(1, 3))])
+
+
+@pytest.mark.parametrize(
+    "name, torus",
+    [("B3 translate", b3_translate()), ("B4", LAYER_REFERENCE_CASES["B4"]),
+     ("two parents", TWO_PARENTS), ("parallel characters", PARALLEL)],
+)
+def test_spans_are_flats(name, torus):
+    assert_spans_are_flats(*torus)
+
+
+def test_two_parents_reach_one_flat(count_calls):
+    """The plane of x and y covers layers of three spans, and its Hermite
+    basis is computed once: one per span strictly between the ambient
+    and the full lattice."""
+    calls = count_calls(toriclayers, "hermite_basis")
+    keys, covers, flats = flats_of_search(*TWO_PARENTS)
+    plane = ((1, 0, 0), (0, 1, 0))
+    parents = {keys[i][0] for i, j in covers if keys[j][0] == plane}
+    assert parents == {((1, 0, 0),), ((0, 1, 0),), ((1, 1, 0),)}
+    assert flats[0b0111] == plane
+    assert calls["hermite_basis"] == len({span for span, _ in keys if 0 < len(span) < 3})
+
+
+def test_parallel_characters_share_a_flat(count_calls):
+    """From the ambient, x, x^2 and x^-3 have one direction: one flat,
+    bits 0, 2 and 3, and one Hermite basis, as for y alone."""
+    calls = count_calls(toriclayers, "hermite_basis")
+    keys, _, flats = flats_of_search(*PARALLEL)
+    assert flats == {0b1101: ((1, 0),), 0b0010: ((0, 1),), 0b1111: ((1, 0), (0, 1))}
+    assert calls["hermite_basis"] == 2  # Z^2 is the identity rows
+    assert sum(1 for span, _ in keys if span == ((1, 0),)) == 6  # x = 1, x^2 = -1, x^-3 = w
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_tori())
+def test_drawn_spans_are_flats(torus):
+    assert_spans_are_flats(*torus)
+
+
 def test_b5_betti_within_two_seconds():
     """Gate: the toric arrangement B5 (1,539 layers, 9,062 covers)."""
     start = perf_counter()
@@ -601,20 +693,23 @@ def test_b5_betti_within_two_seconds():
 def test_b5_lattice_work(count_calls):
     """Work gate beside the wall-clock one, which moves with the host: one
     Smith form per distinct span of a layer that is not a point (647 spans
-    for 1,507 such layers) and one Hermite basis per pair of such a span
-    and the span of a cover (3,396)."""
+    for 1,507 such layers) and one Hermite basis per distinct span
+    strictly between the ambient and the full lattice (646, against 3,396
+    pairs of such a span and the span of a cover)."""
     calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
     keys, covers = layer_search(*_toric(5, [(chi, F(0)) for chi in b_type_characters(5)]))
     assert (len(keys), len(covers)) == (1539, 9062)
-    assert (calls["_smith_core"], calls["hermite_basis"]) == (647, 3396)
+    assert (calls["_smith_core"], calls["hermite_basis"]) == (647, 646)
 
 
 def test_b6_betti_and_lattice_work(count_calls):
     """B6 (10,299 layers, 79,030 covers) through the E2 route, with its
     work counted in the same run: one Smith form per distinct span of a
-    layer that is not a point and one Hermite basis per pair of such a
-    span and the span of a cover.  No wall-clock bound: the counters
-    show a regression that the host's speed would hide."""
+    layer that is not a point and one Hermite basis per distinct span
+    strictly between the ambient and the full lattice (4,086, against
+    28,384 pairs of such a span and the span of a cover).  No wall-clock
+    bound: the counters show a regression that the host's speed would
+    hide."""
     calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
     mobius = count_calls(leraymodel, "mobius_from_covers")
     data = strata_data_from_toric(*_toric(6, [(chi, F(0)) for chi in b_type_characters(6)]))
@@ -622,14 +717,15 @@ def test_b6_betti_and_lattice_work(count_calls):
     assert result.betti == (1, 48, 925, 9120, 48259, 129072, 135135)
     ((size, covers),) = mobius.args["mobius_from_covers"]
     assert (len(data.strata), size, len(covers)) == (10299, 10299, 79030)
-    assert (calls["_smith_core"], calls["hermite_basis"]) == (4087, 28384)
+    assert (calls["_smith_core"], calls["hermite_basis"]) == (4087, 4086)
 
 
 def test_layer_poset_lattice_work_on_b4(count_calls):
     """Work gate: the whole-system solve is off the BFS path; there is one
     Smith form per distinct span of a layer that is not a point (115 spans
-    for 241 such layers), and one Hermite basis per pair of such a span and
-    the span of a cover (432, against 716 pairs of a layer and a cover
+    for 241 such layers), and one Hermite basis per distinct span strictly
+    between the ambient and the full lattice (114, against 432 pairs of
+    such a span and the span of a cover, 716 pairs of a layer and a cover
     span, and 1,100 covers)."""
     calls = count_calls(toriclayers, "_smith_core", "hermite_basis", "layers_from_equations")
     keys, covers = layer_search(*LAYER_REFERENCE_CASES["B4"])
@@ -637,8 +733,19 @@ def test_layer_poset_lattice_work_on_b4(count_calls):
     assert calls["layers_from_equations"] == 0
     spans = {span for span, _ in keys if len(span) < 4}
     assert calls["_smith_core"] == len(spans) == 115
-    span_pairs = {(keys[i][0], keys[j][0]) for i, j in covers}
-    assert calls["hermite_basis"] == len(span_pairs) == 432
+    assert calls["hermite_basis"] == len(spans - {()}) == 114
+
+
+def test_layer_poset_lattice_work_on_b3_translate(count_calls):
+    """Work gate: one Smith form per distinct span of a layer that is not
+    a point (23), and one Hermite basis per distinct span strictly between
+    the ambient and the full lattice (22), for B3 moved off the identity."""
+    calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
+    keys, covers = layer_search(*b3_translate())
+    assert (len(keys), len(covers)) == (49, 140)
+    spans = {span for span, _ in keys if len(span) < 3}
+    assert calls["_smith_core"] == len(spans) == 23
+    assert calls["hermite_basis"] == len(spans - {()}) == 22
 
 
 def count_matrix_work(count_calls):

@@ -2317,6 +2317,22 @@ class TestBudgets:
         assert zeros == {}
         assert all(m.differential(kq) is m.differential(kq) for m in (model, witness) for kq in m.bidegrees())
 
+    def test_checks_build_no_zero_differentials(self, count_calls):
+        # the checks, the witness and the morphism check read a missing d's
+        # shape and its empty columns, and build no matrix for it; the
+        # public differential() still returns one
+        line = builder_projective_line_marked(3)
+        model = build_model(kunneth_product(kunneth_product(line, line), line))
+        zeros = count_calls(Matrix, "zero")
+        witness = extract_kernel_model(model, INF)
+        assert verify_cdga_axioms(model).passed and verify_cdga_axioms(witness.model).passed
+        assert witness.quasi_iso.ok and witness.morphism.violations() == []
+        assert cohomology_of_model(model) and cohomology_of_model(witness.model)
+        assert zeros == {}
+        missing = [kq for kq in model.bidegrees() if kq not in model.diff]
+        assert missing and all(model.differential(kq).is_zero() for kq in missing)
+        assert zeros["zero"] == len(missing)
+
     def test_axioms_multiply_no_basis_vectors(self, count_calls):
         # the identities are swept over the keys of the product tables
         line5, line3 = builder_projective_line_marked(5), builder_projective_line_marked(3)
