@@ -30,6 +30,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd
 from typing import Callable
 
@@ -45,7 +46,7 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import _flat_name, flat_search
+from stratiform.matroidos import _flat_name, flat_order, flat_search, mobius_from_covers
 from stratiform.morganmodel import (
     build_model,
     builder_point,
@@ -202,7 +203,11 @@ def canonicalize(af: ArrangementFile) -> ArrangementFile:
 
 def render_arrangement(af: ArrangementFile) -> str:
     """Canonical text form; parse(render(parse(t))) == parse(t)."""
-    af = canonicalize(af)
+    return _render_canonical(canonicalize(af))
+
+
+def _render_canonical(af: ArrangementFile) -> str:
+    """The text form of a file that is already canonical."""
     lines = ["%s %d" % (af.kind, af.dim)]
     for e in af.equations:
         lines.append(
@@ -247,7 +252,8 @@ def _poset_nodes_and_covers(af: ArrangementFile, max_strata: int):
         keys, covers = layer_search(n, _toric_hypersurfaces(af), max_strata)
         return [(len(key[0]), n - len(key[0]), _layer_name(*key)) for key in keys], covers
     if af.kind == "hyperplane":
-        keys, _, covers = flat_search(n, [(e.coeffs, e.constant) for e in af.equations], max_strata)
+        search = flat_search(n, [(e.coeffs, e.constant) for e in af.equations], max_strata)
+        keys, _, covers = flat_order(search)
         text: dict = {}  # each distinct echelon row is formatted once
         return [(len(key), n - len(key), _flat_name(key, text)) for key in keys], covers
     raise ValueError("poset requires a toric or hyperplane file")
@@ -288,32 +294,47 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def render_structured(report: RunReport, fmt: str) -> str:
-    lines: list[str] = []
-    if fmt == "kv":
-        lines.append("command = %s" % report.command)
-        lines.append("digest = %s" % report.digest)
-        for name, payload in report.sections:
-            if isinstance(payload, list) and payload and isinstance(payload[0], dict):
-                for i, row in enumerate(payload):
-                    for k, v in row.items():
-                        lines.append("%s.%d.%s = %s" % (name, i, k, _format_value(v)))
-            else:
-                lines.append("%s = %s" % (name, _format_value(payload)))
-        for i, w in enumerate(report.warnings):
-            lines.append("warning.%d = %s" % (i, w))
+def _row_template(name: str, keys, kv: bool) -> str:
+    """The %-template of a row with these keys; a kv template takes the
+    row's index once per key first, and then the values."""
+    if kv:
+        return "\n".join("%s.%%d.%s = %%%%s" % (name, k) for k in keys)
+    return "%s %s" % (name, " ".join("%s=%%s" % k for k in keys))
+
+
+def _row_lines(name: str, rows: list, kv: bool) -> list[str]:
+    """The lines of a section of dict rows, one template for the section
+    when its rows share their keys.  Only a value that is not an exact
+    int or str goes through `_format_value`."""
+    values = [tuple(row.values()) for row in rows]
+    if not _PLAIN.issuperset(map(type, chain.from_iterable(values))):
+        values = [tuple(v if type(v) in _PLAIN else _format_value(v) for v in row) for row in values]
+    keys = list(rows[0])
+    if list(map(list, rows)).count(keys) == len(rows):
+        templates = repeat(_row_template(name, keys, kv))
     else:
-        lines.append("command: %s" % report.command)
-        lines.append("digest: %s" % report.digest)
-        for name, payload in report.sections:
-            if isinstance(payload, list) and payload and isinstance(payload[0], dict):
-                for row in payload:
-                    parts = " ".join("%s=%s" % (k, _format_value(v)) for k, v in row.items())
-                    lines.append("%s %s" % (name, parts))
-            else:
-                lines.append("%s: %s" % (name, _format_value(payload)))
-        for w in report.warnings:
-            lines.append("warning: %s" % w)
+        templates = [_row_template(name, row, kv) for row in rows]
+    if kv:  # a row without keys has no lines
+        return [t % ((i,) * len(row)) % row for i, (t, row) in enumerate(zip(templates, values)) if row]
+    return [t % row for t, row in zip(templates, values)]
+
+
+_PLAIN = frozenset((int, str))  # the exact types that print as str(v)
+
+
+def render_structured(report: RunReport, fmt: str) -> str:
+    kv = fmt == "kv"
+    sep = " = " if kv else ": "
+    lines = ["command%s%s" % (sep, report.command), "digest%s%s" % (sep, report.digest)]
+    for name, payload in report.sections:
+        if isinstance(payload, list) and payload and isinstance(payload[0], dict):
+            lines += _row_lines(name, payload, kv)
+        else:
+            lines.append("%s%s%s" % (name, sep, _format_value(payload)))
+    if kv:
+        lines += ["warning.%d = %s" % (i, w) for i, w in enumerate(report.warnings)]
+    else:
+        lines += ["warning: %s" % w for w in report.warnings]
     return "\n".join(lines) + "\n"
 
 
@@ -321,7 +342,8 @@ _CANONICAL_NOTE = "equations canonicalized: sorted, labels renumbered"
 
 
 def _digest(af: ArrangementFile) -> str:
-    return "sha256:" + hashlib.sha256(render_arrangement(af).encode()).hexdigest()
+    """The digest of a canonical file."""
+    return "sha256:" + hashlib.sha256(_render_canonical(af).encode()).hexdigest()
 
 
 def _e2_rows(table) -> list[dict]:
@@ -356,15 +378,15 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
     code = 0
 
     if command == "strata":
-        sd = _strata_data(af, max_strata)
+        if af.kind == "hyperplane":  # the flats in the order of the poset's nodes
+            nodes, covers = _poset_nodes_and_covers(af, max_strata)
+            strata = [(codim, abs(mu), ((0, 1, 0),), key)
+                      for (codim, _, key), mu in zip(nodes, mobius_from_covers(len(nodes), covers))]
+        else:
+            strata = [(s.codim, s.local_dim, s.cohomology, s.key) for s in _strata_data(af, max_strata).strata]
         rows = [
-            {
-                "codim": s.codim,
-                "a": s.local_dim,
-                "h": ",".join("%d:%d:%d" % e for e in s.cohomology),
-                "key": s.key,
-            }
-            for s in sd.strata
+            {"codim": codim, "a": a, "h": ",".join("%d:%d:%d" % e for e in h), "key": key}
+            for codim, a, h, key in strata
         ]
         sections.append(("stratum", rows))
     elif command == "poset":

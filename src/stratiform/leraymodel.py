@@ -8,10 +8,13 @@ is pure of weight 2k in degree k, all entries at (p, q) sit in weight
 forced to vanish, so the table computes Betti numbers exactly, and the
 purity report upgrades to a formality certificate.
 
-An arrangement's strata are read off the integer keys of `layer_search`
-and `flat_search`, as the `poset` command's nodes are.  A stratum's name
+A toric arrangement's strata are read off the integer keys of
+`layer_search`, as the `poset` command's nodes are, and an affine
+arrangement's off `flat_search` alone, unkeyed and unordered: the E2
+commands need only each flat's codimension and |mu|.  A stratum's name
 is formatted by the same `_layer_name` or `_flat_name`, on first read,
-which only `strata` rows and purity witnesses do.
+which only `strata` rows and purity witnesses do; an affine flat's key
+is made then, from the step that found it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from stratiform.matroidos import _flat_name, flat_search, mobius_from_covers
+from stratiform.matroidos import _search_name, flat_search, mobius_from_covers
 from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_search, torus_cohomology
 
 INF = math.inf
@@ -100,13 +103,17 @@ def strata_data_from_hyperplanes(
     Each stratum has one dimension of cohomology in degree 0, weight 0;
     the local dimension is |mu(ambient, stratum)| in the intersection
     poset, whose interval below the stratum is the lattice of flats of
-    the normals of hyperplanes containing it.  More than `max_strata`
-    strata raise ValueError.
+    the normals of hyperplanes containing it.  The strata come by
+    codimension, in the order `flat_search` finds them, not in the
+    order `poset` prints them.  A stratum's name is the flat's name,
+    made on first read through one memo of keys shared by the strata.
+    More than `max_strata` strata raise ValueError.
     """
-    keys, _, covers = flat_search(ambient_dim, hyperplanes, max_strata)
+    _, codims, steps, covers = flat_search(ambient_dim, hyperplanes, max_strata)
+    memo: dict = {}
     sd = StrataData(tuple(
-        Stratum._named_later((_flat_name, key), len(key), ((0, 1, 0),), abs(mu))
-        for key, mu in zip(keys, mobius_from_covers(len(keys), covers))
+        Stratum._named_later((_search_name, steps, memo, k), codim, ((0, 1, 0),), abs(mu))
+        for k, (codim, mu) in enumerate(zip(codims, mobius_from_covers(len(codims), covers)))
     ))
     sd.validate()
     return sd

@@ -1,18 +1,23 @@
-"""Affine intersection posets of hyperplane arrangements, on integer keys.
+"""Affine intersection posets of hyperplane arrangements, on integer rows.
 
-The search (`flat_search`) is integer-only.  Each flat is keyed by its
-reduced echelon rows scaled to primitive integer rows, and identified by
-the bitmask of the hyperplanes through it, as a flat is their
-intersection.  A flat X carries the restriction of the arrangement to X
-(Orlik-Terao 1992, 1.3): the rows of the hyperplanes not through X
-reduced against X's rows, one row per cover of X, so the covers are read
-off it.  A new flat costs one fraction-free step on X's key and one on
-each of X's rows that is nonzero in its pivot column.
-`mobius_from_covers`, shared with the toric layers, turns the covers
-into mu(ambient, X).  The interval below X is the lattice of flats of
-the central arrangement of normals through X, so |mu(ambient, X)| is the
-local dimension at X without building that lattice.  Every command reads
-the keys; `_flat_name` prints a flat's name from its key.
+The search (`flat_search`) is integer-only and unordered.  It identifies
+each flat by the bitmask of the hyperplanes through it, as a flat is
+their intersection, numbers the flats codimension by codimension as the
+BFS finds them, and records the step that found each.  A flat X carries
+the restriction of the arrangement to X (Orlik-Terao 1992, 1.3): the
+rows of the hyperplanes not through X reduced against X's equations,
+one row per cover of X, so the covers are read off it, and a new flat
+costs one fraction-free step on each of X's rows that is nonzero in its
+pivot column.  `mobius_from_covers`, shared with the toric layers, turns
+the covers into mu(ambient, X).  The interval below X is the lattice of
+flats of the central arrangement of normals through X, so
+|mu(ambient, X)| is the local dimension at X without building that
+lattice.  The E2 commands read codimension and |mu| off the search
+alone.  A flat's key, its reduced echelon rows scaled to primitive
+integer rows, is made only where a flat is named or printed in order:
+`_flat_key` makes it along the recorded steps, one `_meet` per flat,
+`flat_order` sorts the flats for `poset` and `strata`, and
+`_flat_name` prints a flat's name from its key.
 """
 
 from __future__ import annotations
@@ -79,30 +84,33 @@ def _meet(key, pivots, rest: tuple[int, ...], q: int):
 
 def flat_search(
     ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]], max_flats: int | None = None
-) -> tuple[list[tuple], list[int], list[tuple[int, int]]]:
-    """Nonempty intersections of affine hyperplanes {a.x = c} as integer keys.
+) -> tuple[list[int], list[int], list, list[tuple[int, int]]]:
+    """Nonempty intersections of affine hyperplanes {a.x = c}, unkeyed.
 
     Hyperplanes are (normal, constant) pairs with a nonzero normal, their
-    entries ints or `Fraction`s.  A flat's key is its reduced echelon
-    rows, each a primitive integer row with a positive pivot, which is in
-    bijection with the rational echelon form of the system cutting it out.
-    Returns the keys in the order of (codimension, rational echelon
-    form), in the same order the hyperplanes through each flat as an int
-    with bit j set for hyperplane j, and the covers as sorted index pairs
-    (i, j), flat j a maximal proper subspace of flat i.  Finding more
-    than `max_flats` flats raises ValueError.
+    entries ints or `Fraction`s.  The flats are numbered from the ambient
+    space 0, codimension by codimension in the order the BFS finds them,
+    which is a linear extension.  Returns, by flat, the hyperplanes
+    through it as an int with bit j set for hyperplane j, its
+    codimension and the step that found it, and the covers as index
+    pairs (i, j), flat j a maximal proper subspace of flat i.  The step
+    of a flat other than the ambient (whose step is None) is (i, row, q):
+    flat i cut by the hyperplanes whose row on flat i is `row`, with
+    pivot column q.  `_flat_key` makes a flat's key from the steps, and
+    `flat_order` orders the flats.  Finding more than `max_flats` flats
+    raises ValueError.
 
     The covers of X are the nonempty X cut by H, H not through X.  Each
     flat of the BFS frontier carries the rows of the hyperplanes not
-    through it, reduced against its key (zero in its pivot columns,
-    primitive, first nonzero entry positive), one row for all the
+    through it, reduced against its equations (zero in their pivot
+    columns, primitive, first nonzero entry positive), one row for all the
     hyperplanes that share it.  Two hyperplanes cut X in the same cover
     exactly when their rows on X are equal, so each row gives one cover,
     through X's hyperplanes and the row's.  A row whose only nonzero
     entry is the constant misses X and every flat inside it, and is
-    dropped.  A new cover Y = X cut by H gets its key from one `_meet`,
-    and its rows from X's by one `_clear` against H's row where they are
-    nonzero in its pivot column.
+    dropped.  A new cover Y = X cut by H gets its rows from X's by one
+    `_clear` against H's row where they are nonzero in its pivot column,
+    unless Y is a point: a point misses every hyperplane not through it.
     """
     n = ambient_dim
     empty = (0,) * n + (1,)  # the row of a hyperplane parallel to the flat
@@ -119,39 +127,66 @@ def flat_search(
         row = tuple(row)
         rows[row] = rows.get(row, 0) | 1 << j
 
-    keys: list[tuple] = [()]
-    masks = [0]
-    index = {0: 0}  # mask -> position in keys
+    masks, codims, steps = [0], [0], [None]
+    index = {0: 0}  # mask -> flat
     covers: list[tuple[int, int]] = []
-    frontier = [((), (), 0, rows)]
+    frontier = [(0, rows)]
+    codim = 0
     while frontier:
+        codim += 1
         new = []
-        for key, pivots, mask, rows in frontier:
-            i = index[mask]
+        for i, rows in frontier:
+            mask = masks[i]
             for row, bits in rows.items():
                 cover_mask = mask | bits
                 k = index.get(cover_mask)
                 if k is None:
-                    if max_flats is not None and len(keys) >= max_flats:
+                    if max_flats is not None and len(masks) >= max_flats:
                         raise ValueError("the arrangement has more than %d flats" % max_flats)
                     q = next(c for c, x in enumerate(row) if x)
-                    cover, cover_pivots = _meet(key, pivots, row, q)
-                    cover_rows: dict[tuple, int] = {}
-                    for other, other_bits in rows.items():
-                        if other is row:
-                            continue
-                        if other[q]:
-                            other = _clear(other, row, q)
-                            if other == empty:
-                                continue
-                        cover_rows[other] = cover_rows.get(other, 0) | other_bits
-                    k = index[cover_mask] = len(keys)
-                    keys.append(cover)
+                    k = index[cover_mask] = len(masks)
                     masks.append(cover_mask)
-                    new.append((cover, cover_pivots, cover_mask, cover_rows))
+                    codims.append(codim)
+                    steps.append((i, row, q))
+                    if codim < n:  # a point carries no rows
+                        cover_rows: dict[tuple, int] = {}
+                        for other, other_bits in rows.items():
+                            if other is row:
+                                continue
+                            if other[q]:
+                                other = _clear(other, row, q)
+                                if other == empty:
+                                    continue
+                            cover_rows[other] = cover_rows.get(other, 0) | other_bits
+                        new.append((k, cover_rows))
                 covers.append((i, k))
         frontier = new
+    return masks, codims, steps, covers
 
+
+def _flat_key(steps, memo: dict, k: int):
+    """The integer echelon key and pivots of flat k of a `flat_search`, by
+    one `_meet` on the key of the flat its step cuts.  A flat's key is its
+    reduced echelon rows, each a primitive integer row with a positive
+    pivot, which is in bijection with the rational echelon form of the
+    system cutting it out.  `memo` holds the keys made so far for these
+    steps, so each flat costs one `_meet` however often it is read."""
+    if not k:
+        return (), ()  # the ambient space
+    if k not in memo:
+        i, row, q = steps[k]
+        memo[k] = _meet(*_flat_key(steps, memo, i), row, q)
+    return memo[k]
+
+
+def flat_order(search) -> tuple[list[tuple], list[int], list[tuple[int, int]]]:
+    """The flats of `search`, a `flat_search` result, in the order they are
+    printed: their keys in the order of (codimension, rational echelon
+    form), in the same order their masks, and the covers as sorted index
+    pairs."""
+    masks, _, steps, covers = search
+    memo: dict = {}
+    keys = [_flat_key(steps, memo, k)[0] for k in range(len(masks))]
     # The rational echelon form divides each row r by its pivot, its first
     # nonzero entry.  Scaled by the common multiple L of all pivots, r / pivot
     # becomes the integer row r * (L // pivot) in the same lexicographic
@@ -188,3 +223,9 @@ def _flat_name(key: Sequence[tuple[int, ...]], text: dict | None = None) -> str:
         if r not in text:
             text[r] = _row_text(r)
     return ";".join(text[r] for r in key) or "ambient"
+
+
+def _search_name(steps, memo: dict, k: int) -> str:
+    """The name of flat k of a `flat_search` with these steps, its key made
+    through `memo` (see `_flat_key`)."""
+    return _flat_name(_flat_key(steps, memo, k)[0])

@@ -15,7 +15,7 @@ function is an independent oracle for a production computation:
   of the components of a toric system on a grid of torsion points;
 - the intersection posets as objects, for the tests that read flats and
   layers: `affine_poset` and `layer_poset` turn the integer keys of
-  `flat_search` and `layer_search` into rational echelon rows and
+  `flat_order` and `layer_search` into rational echelon rows and
   `Layer`s, with the covers and mu;
 - `morganmodel`: a datum's restriction-functoriality check on dense
   composite matrices, the model assembled one basis pair at a time
@@ -31,7 +31,7 @@ from itertools import combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from stratiform.exactalg import Matrix, _int_rows, _smith_core, hermite_basis, vector
-from stratiform.matroidos import _flat_name, flat_search, mobius_from_covers
+from stratiform.matroidos import _flat_name, flat_order, flat_search, mobius_from_covers
 from stratiform.morganmodel import BigradedModel, CompactificationDatum, DatumError, shuffle_sign
 from stratiform.toriclayers import Layer, ToricHypersurface, layer_search, mod1
 
@@ -363,14 +363,15 @@ class AffinePoset(NamedTuple):
 
 
 def affine_poset(ambient_dim: int, hyperplanes: Sequence, max_flats: int | None = None) -> AffinePoset:
-    """The flats of `flat_search`, each integer row divided by its pivot and
-    each flat named as `poset` names it, with their covers and mu."""
+    """The flats of `flat_search` in the order of `flat_order`, each integer
+    row divided by its pivot and each flat named as `poset` names it, with
+    their covers and mu."""
 
     def divided(row):
         pivot = next(filter(None, row))
         return tuple(Fraction(x, pivot) for x in row)
 
-    keys, masks, covers = flat_search(ambient_dim, hyperplanes, max_flats)
+    keys, masks, covers = flat_order(flat_search(ambient_dim, hyperplanes, max_flats))
     text: dict = {}
     flats = tuple(
         Flat(tuple(map(divided, key)), len(key), ambient_dim - len(key),

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import sys
 import time
@@ -7,15 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from stratiform import matroidos, toriclayers
+from stratiform import cli, matroidos, toriclayers
 from stratiform.cli import (
     ArrangementFile,
     ParseError,
+    RunReport,
     canonicalize,
     main,
     parse_arrangement_file,
     render_arrangement,
     render_poset_dot,
+    render_structured,
     run_command,
 )
 
@@ -414,7 +417,7 @@ def test_poset_formats_each_distinct_row_once(count_calls):
     rows of its flats once, not once for each of the 109 rows of its 52
     flats' keys."""
     af = parse_arrangement_file((GOLDEN / "braid5.arr").read_text())
-    keys, _, _ = matroidos.flat_search(af.dim, [(e.coeffs, e.constant) for e in af.equations])
+    keys, _, _ = matroidos.flat_order(matroidos.flat_search(af.dim, [(e.coeffs, e.constant) for e in af.equations]))
     assert (len(keys), sum(map(len, keys))) == (52, 109)
     calls = count_calls(matroidos, "_row_text")
     assert len(_keys("poset", "braid5.arr")) == 52
@@ -427,3 +430,93 @@ def test_strata_and_poset_print_the_same_names(name):
     its nodes off the same keys at once: the same names, in one order."""
     names = _keys("poset", name)
     assert len(names) > 1 and names == _keys("strata", name)
+
+
+HYPERPLANE_FILES = tuple(sorted(
+    path.name for path in GOLDEN.glob("*.arr") if parse_arrangement_file(path.read_text()).kind == "hyperplane"
+))
+
+
+def test_e2_commands_make_no_flat_key(count_calls):
+    """Work gate: `betti`, `e2`, `purity` and `certificate` read codimension
+    and |mu| off the unordered flat search, so they make no flat's key (no
+    `_meet`; 51 on braid5 before).  `poset` and `strata` print the flats
+    in order, and make one `_meet` per flat other than the ambient."""
+    calls = count_calls(matroidos, "_meet")
+    assert len(HYPERPLANE_FILES) == 4
+    for name in HYPERPLANE_FILES:
+        for command in ("betti", "e2", "purity", "certificate"):
+            code, _ = invoke([command, str(GOLDEN / name)])
+            assert code == 0
+    assert calls == {}
+    for command in ("poset", "strata"):
+        assert len(_keys(command, "braid5.arr")) == 52
+        assert calls["_meet"] == 51
+        calls.clear()
+
+
+def test_points_carry_no_rows(count_calls):
+    """Work gate: a point misses every hyperplane not through it, so the
+    search builds no rows at the six points of generic_lines.arr: 8
+    `_clear` steps for `betti`, and 2 more on the keys that `poset` makes
+    (22 on both paths before)."""
+    af = parse_arrangement_file((GOLDEN / "generic_lines.arr").read_text())
+    calls = count_calls(matroidos, "_clear")
+    for command, clears in (("betti", 8), ("poset", 10)):
+        run_command(command, af)
+        assert calls["_clear"] == clears
+        calls.clear()
+
+
+@pytest.mark.parametrize("name", ["braid4.arr", "b3.arr", "impure_strata.arr"])
+def test_one_canonical_sort_per_command(count_calls, name):
+    """Work gate: `run_command` canonicalizes the file once and digests the
+    canonical file it holds (twice before, once more for the digest)."""
+    af = parse_arrangement_file((GOLDEN / name).read_text())
+    calls = count_calls(cli, "canonicalize")
+    for command in ("strata", "betti", "certificate"):
+        run_command(command, af)
+        assert calls["canonicalize"] == 1
+        calls.clear()
+
+
+def _generic_rendering(report, fmt):
+    """The structured report with every value of every row formatted pair
+    by pair through `_format_value`."""
+    fv = cli._format_value
+    kv = fmt == "kv"
+    lines = ["command%s%s" % (" = " if kv else ": ", report.command),
+             "digest%s%s" % (" = " if kv else ": ", report.digest)]
+    for name, payload in report.sections:
+        if isinstance(payload, list) and payload and isinstance(payload[0], dict):
+            for i, row in enumerate(payload):
+                if kv:
+                    lines += ["%s.%d.%s = %s" % (name, i, k, fv(v)) for k, v in row.items()]
+                else:
+                    lines.append("%s %s" % (name, " ".join("%s=%s" % (k, fv(v)) for k, v in row.items())))
+        else:
+            lines.append("%s%s%s" % (name, " = " if kv else ": ", fv(payload)))
+    for i, w in enumerate(report.warnings):
+        lines.append("warning.%d = %s" % (i, w) if kv else "warning: %s" % w)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "kv"])
+def test_render_structured_matches_the_generic_formatter(fmt):
+    """Rows that share their keys share one template; values that are not
+    an exact int or str still print as `_format_value` prints them, and
+    rows whose keys differ, or come in another order, get their own."""
+    rows = [
+        {"a": 1, "b": "x", "c": True},
+        {"a": F(-3, 4), "b": math.inf, "c": [1, F(1, 2), False]},
+        {"a": -7, "b": "", "c": (2, 3)},
+        {"b": 0, "a": 1, "c": False},
+        {"a": 2, "d": math.inf},
+        {},
+        {"a": 3, "b": "y", "c": None},
+    ]
+    report = RunReport("poset", "sha256:00", (
+        ("kind", "hyperplane"), ("row", rows), ("cover", [{"from": 0, "to": 1}, {"from": 0, "to": 2}]),
+        ("r", math.inf), ("formal", True), ("betti", [1, 6, 9]), ("empty", []),
+    ), ("a warning", "another"))
+    assert render_structured(report, fmt) == _generic_rendering(report, fmt)

@@ -8,6 +8,7 @@ of the local normals or characters at X.  Toric layers and their mu are
 also checked against finite-field point counts, which use no Smith form.
 """
 
+import pickle
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -28,7 +29,7 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import flat_search, mobius_from_covers
+from stratiform.matroidos import flat_order, flat_search, mobius_from_covers
 from stratiform.toriclayers import Layer, ToricHypersurface, layer_search, layers_from_equations
 
 from reference import (
@@ -279,11 +280,11 @@ def affine_poset_or_error(build, n, hyperplanes, max_flats=None):
 
 
 @st.composite
-def drawn_arrangements(draw):
-    """n = 1..4, entries in [-3, 3]; a row may repeat an earlier one scaled
-    by +-1, +-2 or 3, with its constant scaled alike (an exact or scaled
-    duplicate) or then shifted (a parallel hyperplane)."""
-    n = draw(st.integers(1, 4))
+def drawn_arrangements(draw, lowest_dim=1):
+    """n = lowest_dim..4, entries in [-3, 3]; a row may repeat an earlier
+    one scaled by +-1, +-2 or 3, with its constant scaled alike (an exact
+    or scaled duplicate) or then shifted (a parallel hyperplane)."""
+    n = draw(st.integers(lowest_dim, 4))
     normals = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
     hyperplanes = []
     for _ in range(draw(st.integers(1, 6))):
@@ -302,6 +303,24 @@ def test_drawn_affine_posets_match_fraction_reference_at_a_limit(arrangement, ma
     """The same flats, names, covers and mu, or the same refusal."""
     got = affine_poset_or_error(affine_poset, *arrangement, max_flats)
     assert got == affine_poset_or_error(_affine_poset_reference, *arrangement, max_flats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_arrangements(lowest_dim=2))
+def test_drawn_strata_in_search_order_match_the_poset(arrangement):
+    """The E2 commands' strata come in the order the search finds the
+    flats.  Matched one to one by mask, each has the name, read after a
+    pickle round trip, the codimension and the |mu| of the reference
+    poset's flat with the same hyperplanes."""
+    n, hyperplanes = arrangement
+    masks = flat_search(n, hyperplanes)[0]
+    strata = pickle.loads(pickle.dumps(strata_data_from_hyperplanes(n, hyperplanes))).strata
+    poset = affine_poset(n, hyperplanes)
+    by_mask = {sum(1 << j for j in f.hyperplanes): (f, mu) for f, mu in zip(poset.flats, poset.mobius)}
+    assert len(strata) == len(masks) == len(set(masks)) == len(by_mask) == len(poset.flats)
+    for stratum, mask in zip(strata, masks):
+        flat, mu = by_mask[mask]
+        assert (stratum.key, stratum.codim, stratum.local_dim) == (flat.name, flat.codim, abs(mu))
 
 
 AFFINE_CASES = {
@@ -777,11 +796,12 @@ def test_layer_poset_compares_no_fractions(count_calls):
 
 
 def test_affine_poset_makes_no_rational_elimination(count_calls):
-    """Work gate: the affine BFS is integer-only too."""
+    """Work gate: the affine BFS, and the keys and order made from it, are
+    integer-only too."""
     calls = count_matrix_work(count_calls)
-    assert len(flat_search(5, braid(5))[0]) == 52
+    assert len(flat_order(flat_search(5, braid(5)))[0]) == 52
     rational = REFERENCE_CASES["rational normals and constants"]
-    assert len(flat_search(*rational)[0]) > 1
+    assert len(flat_order(flat_search(*rational))[0]) > 1
     assert calls == {}
 
 
@@ -810,19 +830,23 @@ def test_braid6_betti_is_the_product_formula():
 
 def test_braid7_betti_within_one_second(count_calls):
     """The wall-clock bound moves with the host, so a work gate stands
-    beside it, counted outside the timed run: one `_meet` per flat other
-    than the ambient, and 2,897 `_clear` steps, each on a row of a flat's
-    key or a row a new flat inherits from the flat it covers, only where
-    that row is nonzero in the new pivot column (517 and 2,380)."""
+    beside it, counted outside the timed run.  The search makes no `_meet`
+    and 2,380 `_clear` steps, each on a row a new flat inherits from the
+    flat it covers, only where that row is nonzero in the new pivot
+    column.  Ordering the flats makes one `_meet` per flat other than the
+    ambient, with 517 `_clear` steps on the rows of the keys."""
     start = perf_counter()
     result = betti_and_poincare(assemble_e2(strata_data_from_hyperplanes(7, braid(7))))
     elapsed = perf_counter() - start
     assert result.betti == (1, 21, 175, 735, 1624, 1764, 720)
     assert elapsed < 1.0, "braid-7 betti took %.2f s" % elapsed
     calls = count_calls(matroidos, "_meet", "_clear")
-    keys, _, covers = flat_search(7, braid(7))
-    assert (len(keys), len(covers)) == (877, 4802)
-    assert (calls["_meet"], calls["_clear"]) == (876, 2897)
+    search = flat_search(7, braid(7))
+    assert (len(search[0]), len(search[3])) == (877, 4802)
+    assert (calls["_meet"], calls["_clear"]) == (0, 2380)
+    calls.clear()
+    flat_order(search)
+    assert (calls["_meet"], calls["_clear"]) == (876, 517)
 
 
 def test_affine_poset_hashes_and_orders_no_fractions(count_calls):
@@ -833,7 +857,7 @@ def test_affine_poset_hashes_and_orders_no_fractions(count_calls):
     assert hash(F(1, 2)) and F(1, 2) < F(1)
     assert set(calls) == {"__hash__", "__lt__"}  # the counters count
     calls.clear()
-    keys, _, _ = flat_search(6, braid(6))
+    keys, _, _ = flat_order(flat_search(6, braid(6)))
     text = {}
     assert len({matroidos._flat_name(key, text) for key in keys}) == 203
     assert calls == {}

@@ -19,6 +19,7 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
+from stratiform.matroidos import flat_search
 from stratiform.toriclayers import ToricHypersurface, torus_cohomology
 
 from reference import FlatLattice, LinearMatroid, affine_poset, layer_poset, whitney_numbers
@@ -82,10 +83,12 @@ class TestStrataFromHyperplanes:
 
 @pytest.mark.parametrize("kind", ["toric", "hyperplane"])
 def test_strata_named_on_first_read_match_the_poset(kind):
-    """Strata read off the integer keys are named on the first read of
-    their key; before and after it they pickle, compare, hash and print
-    as strata built from the names of the reference posets' layers and
-    flats."""
+    """Strata read off the searches are named on the first read of their
+    key; before and after it they pickle, compare, hash and print as
+    strata built from the names of the reference posets' layers and
+    flats.  The layers come in the poset's order; the flats come in the
+    order the search finds them, each matched to the poset's flat with
+    the same hyperplanes."""
     if kind == "toric":
         arr = [H((1, 1), F(0)), H((1, -1), F(1, 2)), H((2, 0), F(0))]
         sd, poset = strata_data_from_toric(2, arr), layer_poset(2, arr)
@@ -94,8 +97,12 @@ def test_strata_named_on_first_read_match_the_poset(kind):
     else:
         lines = [((1, 0), F(1, 2)), ((1, 1), 0), ((0, 2), F(-1, 3))]
         sd, poset = strata_data_from_hyperplanes(2, lines), affine_poset(2, lines)
+        by_mask = {sum(1 << j for j in f.hyperplanes): (f, mu) for f, mu in zip(poset.flats, poset.mobius)}
+        masks = flat_search(2, lines)[0]
+        assert sorted(masks) == sorted(by_mask) and len(masks) == len(poset.flats) == 7
         want = tuple(Stratum(f.name, f.codim, ((0, 1, 0),), abs(mu))
-                     for f, mu in zip(poset.flats, poset.mobius))
+                     for f, mu in map(by_mask.get, masks))
+        assert [s.key for s in want] != [f.name for f in poset.flats]  # the two orders differ here
     unread = pickle.loads(pickle.dumps(sd))
     assert unread.strata == want and sd.strata == want
     assert [hash(s) for s in sd.strata] == [hash(s) for s in want]
