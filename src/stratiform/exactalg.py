@@ -13,9 +13,10 @@ The lattice code is integer-only.  One Smith core, `_smith_core`, works
 on lists of ints and carries the inverse of its right transform along
 with it (each column operation is mirrored by the inverse row
 operation), so the toric layers need no rational elimination.  The
-affine intersection poset is integer-only as well, so rational
-elimination (`Matrix.rref` and what calls it) remains only in
-`morganmodel`.
+affine intersection poset is integer-only as well, and `morganmodel`
+eliminates sparse integer columns of its own, so no production path
+calls `Matrix.rref`: it stays as the public elimination and as the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
 class Matrix:
     """Dense rational matrix; rows stored as tuples of reduced Fractions."""
 
-    __slots__ = ("rows", "nrows", "ncols", "_rref")
+    __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         rows = tuple(tuple(_frac(x) for x in row) for row in rows)
@@ -74,7 +75,6 @@ class Matrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
-        self._rref = None
 
     # -- constructors -------------------------------------------------
 
@@ -91,7 +91,7 @@ class Matrix:
         """A matrix over rows its caller has just built, each a tuple of
         `ncols` Fractions, held without the conversions of `__init__`."""
         mat = cls.__new__(cls)
-        mat.rows, mat.nrows, mat.ncols, mat._rref = tuple(rows), len(rows), ncols, None
+        mat.rows, mat.nrows, mat.ncols = tuple(rows), len(rows), ncols
         return mat
 
     @classmethod
@@ -199,8 +199,6 @@ class Matrix:
         elimination would hold, so the pivots are the same, and the RREF
         is unique.
         """
-        if self._rref is not None:
-            return self._rref
         rows = [_primitive(r) for r in self.rows]
         nrows = self.nrows
         pivots: list[int] = []
@@ -227,8 +225,7 @@ class Matrix:
         zero = Fraction(0)
         reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
         reduced += [[zero] * self.ncols for _ in range(nrows - r)]
-        self._rref = (Matrix(reduced, ncols=self.ncols), tuple(pivots))
-        return self._rref
+        return Matrix(reduced, ncols=self.ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])

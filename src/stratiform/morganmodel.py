@@ -25,8 +25,11 @@ or store.  A datum's cup axioms are swept the same way.  The ring and
 Leibniz sweeps visit only the bidegree tuples some table reaches, and no
 tuple holding a verified unit; a stored product with an entry outside
 its space is a named fault and is left out of them.  The witnesses build
-column cohomology only where it is nonzero, hold their comparison maps
-as integer columns, and rank induced maps on sparse integer columns.
+column cohomology only where it is nonzero and hold their comparison maps
+as integer columns.  Ranks of d and of induced maps, cocycles,
+representatives and class coordinates all come from one fraction-free
+elimination of sparse integer columns, each carrying its history
+(`_reduce`); nothing on the model route eliminates a dense `Matrix`.
 """
 
 from __future__ import annotations
@@ -101,11 +104,6 @@ def _sparse_columns(mat: Matrix, scale: int) -> list[dict[int, int]] | _NoRows:
             if v:
                 cols[j][i] = v.numerator * (scale // v.denominator)
     return cols
-
-
-def _denominator(rows: Iterable[Iterable]) -> int:
-    """The lcm of the denominators of the values in `rows`."""
-    return math.lcm(*{v.denominator for row in rows for v in row})
 
 
 def _apply_columns(cols: Sequence[Mapping[int, Fraction]], vec: Mapping[int, Fraction]) -> Sparse:
@@ -196,7 +194,8 @@ class _IntegerForm:
 
     def __init__(self, products: Mapping, maps: Mapping[Bidegree, Matrix], zero_columns):
         rows = [vec.values() for table in products.values() for vec in table.values()]
-        self.scale = scale = _denominator(rows + [row for mat in maps.values() for row in mat.rows])
+        rows += [row for mat in maps.values() for row in mat.rows]
+        self.scale = scale = math.lcm(*{v.denominator for row in rows for v in row})
         self.tables = {key: {ab: {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
                              for ab, vec in table.items()}
                        for key, table in products.items()}
@@ -445,10 +444,13 @@ class CompactificationDatum:
         return issues
 
     def _check_cup(self, i_key) -> list[str]:
-        """Graded commutativity and associativity of the cup product on D_I:
-        the ring check of `verify_cdga_axioms` on H^p(D_I) in bidegree (p, 0),
-        with zero constants dropped, faults in the order of the loop over the
-        labels (p, a)."""
+        """Closure, graded commutativity and associativity of the cup product
+        on D_I: the checks of `verify_cdga_axioms` on H^p(D_I) in bidegree
+        (p, 0), with zero constants dropped.  Each nonzero entry c of a
+        stored product of classes (p, a) and (p2, b) outside H^{p+p2}(D_I)
+        is a fault first, in the order of (p, p2, a, b, c); the ring faults
+        follow in the order of the loop over the labels (p, a), and sweep
+        such a product as it is."""
         cups = self.cups.get(i_key, {})
         scale = math.lcm(*(_rational(v).denominator
                            for entries in cups.values() for vec in entries.values() for v in vec.values() if v))
@@ -456,14 +458,16 @@ class CompactificationDatum:
                                       for ab, vec in entries.items()}
                   for (p, p2), entries in cups.items()}
         span = {(p, 0): range(d) for p, d in sorted(self.cohomology.get(i_key, {}).items())}
+        issues = ["cup product on D_%r at (%d,%d)x(%d,%d) has entry %d outside H^%d" % (i_key, p, a, p2, b, c, p + p2)
+                  for (p, _), (p2, _), a, b, c in _escapes(tables, span)]
         if self.cohomology.get(i_key) == {0: 1} and tables.get(((0, 0), (0, 0)), {}).keys() <= {(0, 0)}:
             # H^0 = <e> is all, and ee = v the only product: commutativity
             # compares v with itself, and both sides of associativity are v_0 v
-            return []
+            return issues
         commutativity, associativity = _ring_faults(tables, span, _has_unit(tables, span))
         # a fault ((p, 0), a, (p2, 0), b, ...) sorts as its labels (p, a), (p2, b), ...
-        issues = ["cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)" % (i_key, p, a, p2, b)
-                  for (p, _), a, (p2, _), b in sorted(commutativity)]
+        issues += ["cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)" % (i_key, p, a, p2, b)
+                   for (p, _), a, (p2, _), b in sorted(commutativity)]
         issues += ["cup product on D_%r not associative at (%d,%d),(%d,%d),(%d,%d)"
                    % (i_key, p, a, p2, b, p3, c) for (p, _), a, (p2, _), b, (p3, _), c in sorted(associativity)]
         return issues
@@ -593,8 +597,7 @@ class BigradedModel:
         """The rank of d on M^k_q, once per bidegree; 0 where none is stored."""
         rank = self._ranks.get(kq)
         if rank is None:
-            stored = self.diff.get(kq)
-            rank = self._ranks[kq] = 0 if stored is None else stored.rank()
+            rank = self._ranks[kq] = _sparse_rank(self._integers().cols(kq)) if kq in self.diff else 0
         return rank
 
     def _rank_formula(self, kq: Bidegree) -> int:
@@ -717,15 +720,12 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                     if not entries or not rows1 or not rows2:
                         continue
                     negate = (-1) ** (len(i1) * kq2[1]) * shuffle_sign(i1, i2) < 0
-                    base, n = offsets.get((union, p1 + p2)), cohomology[union].get(p1 + p2, 0)
+                    base = offsets.get((union, p1 + p2))
                     for a2, b2 in sorted(entries):
                         left, right = rows1.get(a2), rows2.get(b2)
                         if left and right:
-                            vec = entries[(a2, b2)]
-                            for c in vec:
-                                if not 0 <= c < n:
-                                    raise KeyError((union, p1 + p2, c))
-                            vec = [(base + c, v) for c, v in vec.items()]
+                            # validation has refused a nonzero entry outside the space
+                            vec = [(base + c, v) for c, v in entries[(a2, b2)].items() if v]
                             for j1, x in left.items():
                                 for j2, y in right.items():
                                     out = acc.setdefault((off1 + j1, off2 + j2), {})
@@ -980,121 +980,171 @@ def cohomology_of_model(model: BigradedModel) -> dict[Bidegree, int]:
     return out
 
 
+def _reduce(pivots: Mapping[int, tuple[dict, dict]], vec: Mapping[int, int], hist: dict) -> tuple:
+    """The sparse integer column `vec`, with its history `hist`, reduced
+    against `pivots` until it vanishes or its lowest row has no pivot:
+    (that row, or None if it vanished, the vector, its history), zeros
+    dropped.
+
+    This is the one elimination of the model route.  A history holds the
+    integer coefficients h with v = sum h[l] col_l of the vector v a
+    column has been reduced to, over columns labelled l; an empty one
+    carries nothing.  `pivots` maps a row r to the kept (vector, history)
+    whose lowest row is r.  Fraction-free: v is reduced on its lowest row
+    r against the pivot p kept for r, v -> (p_r/g) v - (v_r/g) p with
+    g = gcd(p_r, v_r), h likewise, and both are divided by the gcd of all
+    their entries.  Columns added in turn by `_add_column` are kept
+    exactly when they are independent of the ones before them, so the
+    kept columns are the pivot columns of the rref, and a column that
+    vanishes leaves a relation sum h[l] col_l = 0 whose h is primitive.
+    """
+    vec = {i: x for i, x in vec.items() if x}
+    while vec:
+        r = min(vec)
+        pivot = pivots.get(r)
+        if pivot is None:
+            return r, vec, hist
+        pvec, phist = pivot
+        g = math.gcd(pvec[r], vec[r])
+        a, b = pvec[r] // g, vec[r] // g
+        out = {i: a * x for i, x in vec.items()}
+        for i, y in pvec.items():
+            out[i] = out.get(i, 0) - b * y
+        vec = {i: x for i, x in out.items() if x}
+        if hist:
+            out = {l: a * x for l, x in hist.items()}
+            for l, y in phist.items():
+                out[l] = out.get(l, 0) - b * y
+            hist = {l: x for l, x in out.items() if x}
+        g = math.gcd(*vec.values(), *hist.values())
+        if g > 1:
+            vec = {i: x // g for i, x in vec.items()}
+            hist = {l: x // g for l, x in hist.items()}
+    return None, vec, hist
+
+
+def _add_column(pivots: dict, vec: Mapping[int, int], hist: dict) -> dict | None:
+    """Reduce `vec` against `pivots` and keep it there, returning None, or
+    return the relation it leaves when it vanishes."""
+    r, vec, hist = _reduce(pivots, vec, hist)
+    if r is None:
+        return hist
+    pivots[r] = (vec, hist)
+    return None
+
+
+def _sparse_rank(cols: Iterable[Mapping[int, int]]) -> int:
+    """The rank of the integer matrix with the sparse columns `cols`."""
+    pivots: dict = {}
+    for col in cols:
+        _add_column(pivots, col, {})
+    return len(pivots)
+
+
+def _relations(cols: Sequence[Mapping[int, int]]) -> dict[int, dict[int, int]]:
+    """The primitive relation h that each column f of `cols` dependent on
+    the columns before it leaves, by f ascending: h[f] != 0, and the rest
+    of its support lies in the kept columns before f.  These are the free
+    columns of the rref, and h / h[f] is its right-kernel vector at f."""
+    pivots: dict = {}
+    return {f: h for f, col in enumerate(cols) if (h := _add_column(pivots, col, {f: 1})) is not None}
+
+
 class _ColumnCohomology:
-    """Representatives and quotient coordinates for one (k, q) column.
+    """Representatives and quotient coordinates for one (k, q) column, from
+    `_reduce` over the integer columns of d.
+
+    The cocycle basis Z is the rref right kernel of d_out: a free column f
+    of d_out leaves a primitive relation h (`_relations`), so z_f = h /
+    h[f], which is 1 at f and 0 at the other free columns, and its
+    denominator is |h[f]|.  The cocycles are held as the integer
+    columns `cocycle_scale` z_f, over the lcm of those denominators.  Where
+    no d_out is stored, Z is the standard basis.
 
     Greedy selection of independent columns, first from the boundaries B
-    and then from the cocycle basis Z = `right_kernel` of d_out, keeps
-    exactly the pivot columns of one rref of [B | Z].  The elimination
-    runs in the basis Z + {e_p : p a pivot column of d_out}, where v has
-    the coordinates phi(v) = (v at the free columns of d_out, R v) with
-    R = rref(d_out), and Z is the first z unit vectors.  phi is invertible
-    for every d_out, so one rref of [phi(B) | I] has the pivots of [B | Z]
-    among its first columns, and its right block E maps the chosen
-    columns S to E phi(S) = [I; 0].  Scaling B by a positive integer
-    changes neither the pivots nor the coordinates on the chosen
-    cocycles.  When d o d = 0, R B = 0, and only the z rows at the free
-    columns take part in reducing phi(B).  Without boundaries, as at every
-    (k, 2k) of a model built from a datum and in a model with d = 0,
-    nothing is eliminated.
-
-    phi, E and the cocycles are sparse integer columns, each over its own
-    denominator, and the chosen boundaries are columns of the model's
-    integer form.  Where d_out is zero, phi is the identity, and where there is no
-    boundary, so is E: None stands for either, which is then not applied.
-    Where no d_out is stored, Z is the standard basis, taken without an rref.
+    (the columns of d_in in the model's integer form) and then from Z,
+    keeps exactly the columns that one elimination of [B | Z] keeps: the
+    chosen boundaries, which carry no history, and the chosen cocycles,
+    the representatives, each with the history {its index among them: 1}.
+    A cocycle v reduced against them vanishes with a relation c v + sum
+    h[l] z'_l + (boundaries) = 0 over the integer representatives z'_l,
+    which gives its class coordinates.
+    Without a nonzero boundary, as at every (k, 2k) of a model built from a
+    datum and in a model with d = 0, nothing is eliminated: every cocycle
+    is a representative, and the coordinates of a cocycle are its entries
+    at the free columns.
     """
 
-    _phi_cols = _inverse_cols = None
-    _phi_scale = _inverse_scale = cocycle_scale = 1
+    cocycle_scale = 1
     cocycle_cols = representative_cols = boundary_cols = ()
+    _d_out = _pivots = None
+    _free: Mapping[int, int] | range = range(0)
 
     def __init__(self, model: BigradedModel, kq: Bidegree):
         n = self.length = model.dim(kq)
         if not n:
             return
         model._check_fitted(kq)
-        pivots = ()
-        d_out = model.diff.get(kq)
-        if d_out is not None:
-            red, pivots = d_out.rref()
-            cocycles = d_out.right_kernel()
-            self.cocycle_scale = scale = _denominator(cocycles)
-            self.cocycle_cols = [{i: x.numerator * (scale // x.denominator) for i, x in enumerate(v) if x}
-                                 for v in cocycles]
+        form = model._integers()
+        if kq in model.diff:
+            d_out = self._d_out = form.cols(kq)
+            relations = _relations([d_out[f] for f in range(n)])
+            self.cocycle_scale = scale = math.lcm(*(abs(h[f]) for f, h in relations.items()))
+            self.cocycle_cols = [{l: x * (scale // h[f]) for l, x in sorted(h.items())} for f, h in relations.items()]
+            self._free = {f: c for c, f in enumerate(relations)}
         else:
             self.cocycle_cols = [{i: 1} for i in range(n)]  # no d_out: the standard basis
+            self._free = range(n)
         self.representative_cols = self.cocycle_cols
-        d_in_cols = model._integers().cols((kq[0] - 1, kq[1]))
-        boundaries = list(d_in_cols)
-        if pivots:
-            reduced_rows = red.rows[: len(pivots)]
-            self._phi_scale = scale = _denominator(reduced_rows)
-            free = sorted(set(range(n)) - set(pivots))
-            self._phi_cols = [{len(free) + i: row[j].numerator * (scale // row[j].denominator)
-                               for i, row in enumerate(reduced_rows) if row[j]} for j in range(n)]
-            for c, j in enumerate(free):
-                self._phi_cols[j][c] = scale
-            boundaries = [_apply_columns(self._phi_cols, col) for col in d_in_cols]
-        if not any(boundaries):
-            return  # [phi(B) | I] is reduced already: every cocycle is chosen, and E = I
-        b, z = len(boundaries), len(self.cocycle_cols)
-        rows = [[col.get(i, 0) for col in boundaries] + [int(i == j) for j in range(n)] for i in range(n)]
-        reduced, chosen = Matrix(rows, ncols=b + n).rref()
-        chosen = [p for p in chosen if p < b + z]
-        self.boundary_cols = [d_in_cols[p] for p in chosen if p < b]
-        self.representative_cols = [self.cocycle_cols[p - b] for p in chosen if p >= b]
-        inverse = [r[b:] for r in reduced.rows]
-        self._inverse_scale = _denominator(inverse)
-        self._inverse_cols = _sparse_columns(Matrix(inverse, ncols=n), self._inverse_scale)
+        d_in_cols = form.cols((kq[0] - 1, kq[1]))
+        if not any(d_in_cols):
+            return
+        pivots = self._pivots = {}
+        self.boundary_cols = [col for col in d_in_cols if _add_column(pivots, col, {}) is None]
+        reps = self.representative_cols = []
+        for z in self.cocycle_cols:  # a cocycle left out leaves no pivot to carry its label
+            if _add_column(pivots, z, {len(reps): 1}) is None:
+                reps.append(z)
 
     @property
     def dim(self) -> int:
         return len(self.representative_cols)
 
-    def _phi(self, vec: Mapping[int, int]) -> dict[int, int]:
-        """phi(vec) in the scale of phi, zeros dropped."""
-        if self._phi_cols is None:
-            out = {i: x for i, x in vec.items() if x}
-            if out and not (0 <= min(out) and max(out) < self.length):
-                raise IndexError("basis index outside the space")
-            return out
-        return _apply_columns(self._phi_cols, vec)
+    def _at_free_columns(self, vec: Mapping[int, int]) -> dict[int, int] | None:
+        """The entries of `vec` at the free columns, keyed by cocycle and
+        ascending, or None if d_out vec != 0; zeros dropped."""
+        vec = {i: x for i, x in vec.items() if x}
+        if vec and not (0 <= min(vec) and max(vec) < self.length):
+            raise IndexError("basis index outside the space")
+        if self._d_out is not None and _apply_columns(self._d_out, vec):
+            return None
+        free = self._free
+        return {free[i]: x for i, x in sorted(vec.items()) if i in free}
 
-    @property
-    def class_scale(self) -> int:
-        """The scale of the integers `class_coordinates` returns."""
-        return self._phi_scale * self._inverse_scale
-
-    def class_coordinates(self, vec: Mapping[int, int]) -> dict[int, int]:
-        """Coordinates of the sparse cocycle `vec` on the representatives,
-        modulo boundaries, as integers over `class_scale` times the scale
-        of `vec`: {representative: value}, ascending, zeros dropped.
-
-        The chosen columns S are independent and E phi(S) = [I; 0] with E
-        invertible, so S x = v has the unique solution x = (E phi(v))[:s]
-        exactly when (E phi(v))[s:] = 0, the solution `solve` returns.
-        """
-        if self.length == 0:
-            return {}
-        b = len(self.boundary_cols)
-        ev = self._phi(vec)
-        if self._inverse_cols is not None:
-            ev = _apply_columns(self._inverse_cols, ev)
-        if any(i >= b + self.dim for i in ev):
+    def class_coordinates(self, vec: Mapping[int, int]) -> tuple[int, dict[int, int]]:
+        """Coordinates of the sparse integer cocycle `vec` on the
+        representatives, modulo boundaries, as a positive denominator and
+        the integers over it: (den, {representative: value}), ascending,
+        zeros dropped.  Raises ValueError unless `vec` lies in the span of
+        the chosen boundaries and representatives."""
+        if self._pivots is None:
+            coords = self._at_free_columns(vec)
+            if coords is None:
+                raise ValueError("vector is not a cocycle class representative")
+            return 1, coords
+        r, _, hist = _reduce(self._pivots, vec, {-1: 1})
+        if r is not None:
             raise ValueError("vector is not a cocycle class representative")
-        return {i - b: ev[i] for i in sorted(ev) if i >= b}
+        c = hist.pop(-1)  # c vec = -sum h[l] z'_l, and z'_l = cocycle_scale z_l
+        scale = -self.cocycle_scale if c > 0 else self.cocycle_scale
+        return abs(c), {l: scale * x for l, x in sorted(hist.items())}
 
     def cocycle_coordinates(self, vec: Mapping[int, int], scale: int = 1) -> Sparse | None:
         """Sparse coordinates of `vec` / `scale` on `cocycles` in ascending
-        order, or None if d_out vec != 0.  Each cocycle is 1 at its own free
-        column and 0 at the others, so v is a cocycle iff R v = 0, and then
-        phi(v) holds them."""
-        phi = self._phi(vec)
-        if any(i >= len(self.cocycle_cols) for i in phi):
-            return None
-        scale *= self._phi_scale
-        return {i: Fraction(x, scale) for i, x in sorted(phi.items())}
+        order, or None if d_out vec != 0: each cocycle is 1 at its own free
+        column and 0 at the others."""
+        coords = self._at_free_columns(vec)
+        return None if coords is None else {c: Fraction(x, scale) for c, x in coords.items()}
 
 
 # -- morphisms and quasi-isomorphisms --------------------------------------
@@ -1253,9 +1303,11 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
     injective for k = r + 1.  Raises MorphismError when f is not a cdga
     morphism, naming the violated identity.  Column data, with its
     elimination, is built only at the bidegrees where the source or the
-    target has cohomology.  The induced map at (k, q) is ranked on the
-    integer coordinates, in the target's classes, of the images of the
-    source's representatives, by `_sparse_rank`."""
+    target has cohomology.  The induced map at (k, q) is ranked by
+    `_sparse_rank`, the pivot count of `_reduce`, on the integer class
+    coordinates in the target of the images of the source's
+    representatives; each column is over its own denominator, which does
+    not change the rank."""
     problems = f.violations()
     if problems:
         raise MorphismError(problems[0])
@@ -1279,7 +1331,7 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
             src = f.source._column_cohomology((k, q))
             tgt = f.target._column_cohomology((k, q))
             fcols = f._integers().cols((k, q))
-            rk = _sparse_rank([tgt.class_coordinates(_apply_columns(fcols, rep)) for rep in src.representative_cols])
+            rk = _sparse_rank([tgt.class_coordinates(_apply_columns(fcols, rep))[1] for rep in src.representative_cols])
             rank_total += rk
             if rk != src.dim:
                 injective = False
@@ -1291,35 +1343,6 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
         if r != INF and k == r + 1 and not injective:
             failures.append("not injective on H^%d" % k)
     return QuasiIsoVerdict(r, not failures, tuple(per_degree), tuple(failures))
-
-
-def _sparse_rank(cols: Iterable[Mapping[int, int]]) -> int:
-    """The rank of the integer matrix with the sparse columns `cols`.
-
-    Fraction-free elimination: each column is reduced on its lowest row
-    against the pivot column kept for that row, v -> (p/g) v - (v_r/g) p
-    with g = gcd(p_r, v_r), and divided by the gcd of its entries, until it
-    vanishes or its lowest row has no pivot column; then it becomes one.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for col in cols:
-        vec = {i: x for i, x in col.items() if x}
-        while vec:
-            r = min(vec)
-            pivot = pivots.get(r)
-            if pivot is None:
-                pivots[r] = vec
-                break
-            g = math.gcd(pivot[r], vec[r])
-            a, b = pivot[r] // g, vec[r] // g
-            out = {i: a * x for i, x in vec.items()}
-            for i, y in pivot.items():
-                out[i] = out.get(i, 0) - b * y
-            vec = {i: x for i, x in out.items() if x}
-            g = math.gcd(*vec.values())
-            if g > 1:
-                vec = {i: x // g for i, x in vec.items()}
-    return len(pivots)
 
 
 # -- formality witnesses ------------------------------------------------------
@@ -1430,9 +1453,8 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     # basis vector j, over D, the lcm of the denominators of its entries
     coordinates = {(k, k): [col.class_coordinates({j: 1}) for j in range(model.dim((k, k)))]
                    for k, col in data.items() if col.dim}
-    scales = {kq: data[kq[0]].class_scale for kq in coordinates}
-    den = math.lcm(*(s // math.gcd(x, s) for kq, s in scales.items() for v in coordinates[kq] for x in v.values()))
-    projections = {kq: [{i: x * den // scales[kq] for i, x in v.items()} for v in cols]
+    den = math.lcm(*(c // math.gcd(x, c) for cols in coordinates.values() for c, v in cols for x in v.values()))
+    projections = {kq: [{i: x * den // c for i, x in v.items()} for c, v in cols]
                    for kq, cols in coordinates.items()}
 
     # well-definedness: boundaries must multiply into boundaries, checked
@@ -1448,7 +1470,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
                 pairs = _pair_products(form.tables.get(((k, k), (k2, k2)), {}), rows, units[k2])
                 checks += [(u, k2, j, prod) for (u, j), prod in pairs.items()]
         for _, k2, _, prod in sorted(checks, key=lambda check: check[:3]):
-            if data[k + k2].class_coordinates(prod):
+            if data[k + k2].class_coordinates(prod)[1]:
                 raise ClosureError(
                     "boundary times basis vector survives in C^%d (from C^%d x C^%d)"
                     % (k + k2, k, k2)
@@ -1463,9 +1485,10 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
                 continue
             table: dict = {}
             pairs = _pair_products(form.tables.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2])
-            scale = form.scale * col1.cocycle_scale * col2.cocycle_scale * data[k3].class_scale
+            scale = form.scale * col1.cocycle_scale * col2.cocycle_scale
             for ab, prod in pairs.items():
-                vec = {c: Fraction(v, scale) for c, v in data[k3].class_coordinates(prod).items()}
+                den, coords = data[k3].class_coordinates(prod)
+                vec = {c: Fraction(v, scale * den) for c, v in coords.items()}
                 if vec:
                     table[ab] = vec
             if table:

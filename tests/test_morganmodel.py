@@ -555,6 +555,13 @@ def cup_vec(cd, i_key, p, a, p2, b):
 def dense_cup_issues(cd, i_key):
     issues = []
     basis = [(p, a) for p in cd.degrees(i_key) for a in range(cd.dim(i_key, p))]
+    # entries outside their space first, by (p, p2, a, b, c)
+    for p, p2 in ((p, p2) for p in cd.degrees(i_key) for p2 in cd.degrees(i_key)):
+        for a, b in ((a, b) for a in range(cd.dim(i_key, p)) for b in range(cd.dim(i_key, p2))):
+            for c in sorted(cup_vec(cd, i_key, p, a, p2, b)):
+                if not 0 <= c < cd.dim(i_key, p + p2):
+                    issues.append("cup product on D_%r at (%d,%d)x(%d,%d) has entry %d outside H^%d"
+                                  % (i_key, p, a, p2, b, c, p + p2))
     for p, a in basis:
         for p2, b in basis:
             left = cup_vec(cd, i_key, p, a, p2, b)
@@ -913,7 +920,22 @@ class TestSparseAxiomsAgainstDenseOracle:
         bad = CompactificationDatum(cd.components, cd.cohomology, cd.restrictions, cd.gysins, cups)
         issues = bad._check_cup((1,))
         assert issues == dense_cup_issues(bad, (1,))
-        assert issues == ["cup product on D_(1,) not associative at (0,0),(0,0),(0,0)"]
+        assert issues == ["cup product on D_(1,) at (0,0)x(0,0) has entry 5 outside H^0",
+                          "cup product on D_(1,) not associative at (0,0),(0,0),(0,0)"]
+
+    @pytest.mark.parametrize("i_key", [(), (1,)])
+    def test_cup_entry_outside_its_space_is_a_datum_fault(self, i_key):
+        # a constant naming index 3 of the one-dimensional H^0 passed
+        # validate(), and build_model then raised a bare KeyError; on the
+        # point stratum (1,) the ring checks take their shortcut, so only
+        # the closure fault names it
+        cd = builder_projective_line_marked(2)
+        cd.cups[i_key][(0, 0)][(0, 0)] = {0: F(1), 3: F(2)}
+        fault = "cup product on D_%r at (0,0)x(0,0) has entry 3 outside H^0" % (i_key,)
+        assert cd.validate() == [fault]
+        assert cd._check_cup(i_key) == dense_cup_issues(cd, i_key)
+        with pytest.raises(DatumError, match="^" + re.escape(fault) + "$"):
+            build_model(cd)
 
     def test_point_stratum_refuses_an_unusable_constant(self):
         cd = builder_projective_line_marked(1)
@@ -1360,9 +1382,11 @@ def boundary_basis(col, model):
 
 def coordinates(col, vec):
     """The coordinates of the cocycle `vec` on the representatives of column
-    data, modulo boundaries, as a dense rational tuple."""
-    coords = col.class_coordinates(vec)
-    return tuple(F(coords.get(i, 0), col.class_scale) for i in range(col.dim))
+    data, modulo boundaries, as a dense rational tuple.  A rational `vec` is
+    scaled to integers first, as `class_coordinates` takes integer vectors."""
+    scale = math.lcm(*(F(v).denominator for v in vec.values()))
+    den, coords = col.class_coordinates({i: int(v * scale) for i, v in vec.items()})
+    return tuple(F(coords.get(i, 0), den * scale) for i in range(col.dim))
 
 
 class TestFastCoordinatesAgainstSolve:
@@ -1472,19 +1496,38 @@ class TestColumnCohomologyOnComplexes:
 
 
 class TestSparseRank:
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_matches_dense_rank(self, data):
+    """`_reduce`, the one elimination of the model route, against the dense
+    `Matrix` elimination: its pivot count against `rank`, and the relations
+    of the dependent columns against `right_kernel`."""
+
+    @staticmethod
+    def draw_columns(data):
         n = data.draw(st.integers(0, 6))
         entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3]) | st.integers(-10 ** 40, 10 ** 40)
         cols = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
         # repeated columns and multiples of drawn ones
         for _ in range(data.draw(st.integers(0, 3)) if cols else 0):
             factor = data.draw(st.sampled_from([1, -1, 7, -(10 ** 20)]))
-            cols.append([factor * x for x in data.draw(st.sampled_from(cols))])
+            cols.insert(data.draw(st.integers(0, len(cols))), [factor * x for x in data.draw(st.sampled_from(cols))])
         # explicit zeros are no entries
         sparse = [{i: x for i, x in enumerate(col) if x or data.draw(st.booleans())} for col in cols]
-        assert morganmodel._sparse_rank(sparse) == Matrix.from_columns(cols, nrows=n).rank()
+        return Matrix(list(zip(*cols)) if cols else [[] for _ in range(n)], ncols=len(cols)), sparse
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_dense_rank(self, data):
+        dense, sparse = self.draw_columns(data)
+        assert morganmodel._sparse_rank(sparse) == dense.rank()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_relations_match_dense_kernel(self, data):
+        dense, sparse = self.draw_columns(data)
+        relations = morganmodel._relations(sparse)
+        # one primitive relation per free column, h / h[f] its kernel vector
+        assert all(h[f] and math.gcd(*h.values()) == 1 and max(h) == f for f, h in relations.items())
+        kernel = tuple(tuple(F(h.get(i, 0), h[f]) for i in range(dense.ncols)) for f, h in relations.items())
+        assert kernel == dense.right_kernel()
 
 
 # -- witnesses against their pairwise reference ----------------------------------
@@ -2293,17 +2336,31 @@ class TestBudgets:
 
     def test_square_kernel_witness_one_kernel_basis_per_bidegree(self, count_calls):
         # the witness reads the cocycles of the model's cached column data,
-        # so each right_kernel call is that of one nonempty column, and only
+        # so each kernel elimination is that of one nonempty column, and only
         # a column with a stored d_out makes one: elsewhere the cocycles are
         # the standard basis (the model's (0, 0) and the witness's columns)
         line = builder_projective_line_marked(5)
         model = build_model(kunneth_product(line, line))
-        kernels = count_calls(Matrix, "right_kernel")
+        kernels = count_calls(morganmodel, "_relations")
         inits = count_calls(_ColumnCohomology, "__init__").args["__init__"]
         assert extract_kernel_model(model, INF).quasi_iso.ok
         built = [(id(m), kq) for _, m, kq in inits if m.dim(kq)]
         assert len(built) == len(set(built)) == 6
-        assert kernels["right_kernel"] == sum(kq in m.diff for _, m, kq in inits if m.dim(kq)) == 2
+        assert kernels["_relations"] == sum(kq in m.diff for _, m, kq in inits if m.dim(kq)) == 2
+
+    @pytest.mark.parametrize("sizes, extract", [((5, 5), extract_kernel_model), ((0, 0), extract_cokernel_model)])
+    def test_model_route_makes_no_dense_matrix(self, count_calls, sizes, extract):
+        # ranks, cocycles, representatives and class coordinates come from
+        # one sparse elimination on integer columns; on the dense
+        # elimination, these calls on the (5, 5) square made 7 `rref` calls
+        # (3 of them fresh) and 3 Matrix constructions
+        square = kunneth_product(*map(builder_projective_line_marked, sizes))
+        calls = count_calls(Matrix, "rref", "__init__")
+        model = build_model(square)
+        assert verify_cdga_axioms(model).passed
+        witness = extract(model, INF)
+        assert witness.quasi_iso.ok and check_r_quasi_iso(witness.morphism, 1).ok
+        assert calls == {}
 
     def test_zero_differentials_built_once(self, count_calls):
         # a bidegree without a stored d keeps the zero matrix it got first
