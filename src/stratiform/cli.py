@@ -46,7 +46,7 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import _flat_name, flat_order, flat_search, mobius_from_covers
+from stratiform.matroidos import _flat_name, flat_mobius, flat_order, flat_search
 from stratiform.morganmodel import (
     build_model,
     builder_point,
@@ -113,10 +113,9 @@ def parse_arrangement_file(text: str) -> ArrangementFile:
     equations: list[Equation] = []
     strata: list[SyntheticStratum] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if kind is None:
             if tokens[0] not in ("toric", "hyperplane", "strata") or len(tokens) != 2:
                 raise ParseError(line_no, "expected header 'toric <n>', 'hyperplane <n>' or 'strata <n>'")
@@ -131,23 +130,21 @@ def parse_arrangement_file(text: str) -> ArrangementFile:
         if kind in ("toric", "hyperplane"):
             if tokens[0] != "eq":
                 raise ParseError(line_no, "expected an 'eq' line")
-            if ":" not in tokens:
-                raise ParseError(line_no, "missing constant after ':'")
-            sep = tokens.index(":")
-            coeff_tokens, tail = tokens[1:sep], tokens[sep + 1:]
-            if len(coeff_tokens) != dim:
-                raise ParseError(
-                    line_no, "expected %d coefficients, got %d" % (dim, len(coeff_tokens))
-                )
-            if len(tail) != 1:
+            try:
+                sep = tokens.index(":")
+            except ValueError:
+                raise ParseError(line_no, "missing constant after ':'") from None
+            if sep != dim + 1:
+                raise ParseError(line_no, "expected %d coefficients, got %d" % (dim, sep - 1))
+            if len(tokens) != sep + 2:
                 raise ParseError(line_no, "expected exactly one constant after ':'")
             try:
-                coeffs = tuple(int(t) for t in coeff_tokens)
+                coeffs = tuple(map(int, tokens[1:sep]))
             except ValueError:
                 raise ParseError(line_no, "coefficients must be integers") from None
-            if all(c == 0 for c in coeffs):
+            if not any(coeffs):
                 raise ParseError(line_no, "zero coefficient row")
-            constant = _parse_fraction(tail[0], line_no)
+            constant = _parse_fraction(tokens[-1], line_no)
             if kind == "toric":
                 constant = mod1(constant)
             equations.append(Equation(coeffs, constant, len(equations)))
@@ -244,18 +241,26 @@ def _strata_data(af: ArrangementFile, max_strata: int) -> StrataData:
     return sd
 
 
+def _flat_nodes(af: ArrangementFile, max_strata: int):
+    """(codim, dim, name) of each flat of a hyperplane file, in the order
+    of `flat_order`, the hyperplanes through each as bits, and the covers."""
+    n = af.dim
+    search = flat_search(n, [(e.coeffs, e.constant) for e in af.equations], max_strata)
+    keys, masks, covers = flat_order(search)
+    text: dict = {}  # each distinct echelon row is formatted once
+    return [(len(key), n - len(key), _flat_name(key, text)) for key in keys], masks, covers
+
+
 def _poset_nodes_and_covers(af: ArrangementFile, max_strata: int):
     """(codim, dim, name) of each layer or flat, in the order of its search,
     and the covers, read off the searches' integer keys like the strata."""
     n = af.dim
     if af.kind == "toric":
-        keys, covers = layer_search(n, _toric_hypersurfaces(af), max_strata)
+        keys, covers, _ = layer_search(n, _toric_hypersurfaces(af), max_strata)
         return [(len(key[0]), n - len(key[0]), _layer_name(*key)) for key in keys], covers
     if af.kind == "hyperplane":
-        search = flat_search(n, [(e.coeffs, e.constant) for e in af.equations], max_strata)
-        keys, _, covers = flat_order(search)
-        text: dict = {}  # each distinct echelon row is formatted once
-        return [(len(key), n - len(key), _flat_name(key, text)) for key in keys], covers
+        nodes, _, covers = _flat_nodes(af, max_strata)
+        return nodes, covers
     raise ValueError("poset requires a toric or hyperplane file")
 
 
@@ -379,9 +384,9 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
 
     if command == "strata":
         if af.kind == "hyperplane":  # the flats in the order of the poset's nodes
-            nodes, covers = _poset_nodes_and_covers(af, max_strata)
+            nodes, masks, covers = _flat_nodes(af, max_strata)
             strata = [(codim, abs(mu), ((0, 1, 0),), key)
-                      for (codim, _, key), mu in zip(nodes, mobius_from_covers(len(nodes), covers))]
+                      for (codim, _, key), mu in zip(nodes, flat_mobius(masks, covers))]
         else:
             strata = [(s.codim, s.local_dim, s.cohomology, s.key) for s in _strata_data(af, max_strata).strata]
         rows = [
@@ -453,7 +458,7 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
 
 def _dim1_toric_point_count(equations) -> int:
     hyps = [ToricHypersurface(chi, t, i) for i, (chi, t) in enumerate(equations)]
-    keys, _ = layer_search(1, hyps)
+    keys, _, _ = layer_search(1, hyps)
     return sum(1 for span, _ in keys if span)  # the layers of codimension 1
 
 

@@ -11,10 +11,18 @@ purity report upgrades to a formality certificate.
 A toric arrangement's strata are read off the integer keys of
 `layer_search`, as the `poset` command's nodes are, and an affine
 arrangement's off `flat_search` alone, unkeyed and unordered: the E2
-commands need only each flat's codimension and |mu|.  A stratum's name
-is formatted by the same `_layer_name` or `_flat_name`, on first read,
-which only `strata` rows and purity witnesses do; an affine flat's key
-is made then, from the step that found it.
+commands need only each flat's codimension and |mu|.  Each lower
+interval of either poset is a geometric lattice, the lattice of flats
+of a central arrangement, so mu comes from the covers by Weisner's
+theorem, mu(X) = -sum mu(Y) over the Y that X covers and that do not lie
+on one fixed hypersurface through X, the atom of X (`weisner_step`).
+A flat's mask is the set of hyperplanes through it, and its atom the
+lowest of them; a layer's mask is the set of hypersurfaces whose
+characters lie in its span, and its atom the hypersurface whose cut
+found it.  A stratum's name is formatted by the same `_layer_name` or
+`_flat_name`, on first read, which only `strata` rows and purity
+witnesses do; an affine flat's key is made then, from the step that
+found it.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from stratiform.matroidos import _search_name, flat_search, mobius_from_covers
+from stratiform.matroidos import _search_name, flat_mobius, flat_search
 from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_search, torus_cohomology
 
 INF = math.inf
@@ -85,11 +93,11 @@ def strata_data_from_toric(
     codimension share one cohomology tuple.  More than `max_strata`
     layers raise ValueError.
     """
-    keys, covers = layer_search(ambient_dim, arrangement, max_strata)
+    keys, _, mobius = layer_search(ambient_dim, arrangement, max_strata)
     cohomology = [torus_cohomology(ambient_dim - q) for q in range(ambient_dim + 1)]
     sd = StrataData(tuple(
         Stratum._named_later((_layer_name, *key), len(key[0]), cohomology[len(key[0])], abs(mu))
-        for key, mu in zip(keys, mobius_from_covers(len(keys), covers))
+        for key, mu in zip(keys, mobius)
     ))
     sd.validate()
     return sd
@@ -109,11 +117,11 @@ def strata_data_from_hyperplanes(
     made on first read through one memo of keys shared by the strata.
     More than `max_strata` strata raise ValueError.
     """
-    _, codims, steps, covers = flat_search(ambient_dim, hyperplanes, max_strata)
+    masks, codims, steps, covers = flat_search(ambient_dim, hyperplanes, max_strata)
     memo: dict = {}
     sd = StrataData(tuple(
         Stratum._named_later((_search_name, steps, memo, k), codim, ((0, 1, 0),), abs(mu))
-        for k, (codim, mu) in enumerate(zip(codims, mobius_from_covers(len(codims), covers)))
+        for k, (codim, mu) in enumerate(zip(codims, flat_mobius(masks, covers)))
     ))
     sd.validate()
     return sd

@@ -8,16 +8,21 @@ the restriction of the arrangement to X (Orlik-Terao 1992, 1.3): the
 rows of the hyperplanes not through X reduced against X's equations,
 one row per cover of X, so the covers are read off it, and a new flat
 costs one fraction-free step on each of X's rows that is nonzero in its
-pivot column.  `mobius_from_covers`, shared with the toric layers, turns
-the covers into mu(ambient, X).  The interval below X is the lattice of
-flats of the central arrangement of normals through X, so
-|mu(ambient, X)| is the local dimension at X without building that
-lattice.  The E2 commands read codimension and |mu| off the search
-alone.  A flat's key, its reduced echelon rows scaled to primitive
-integer rows, is made only where a flat is named or printed in order:
-`_flat_key` makes it along the recorded steps, one `_meet` per flat,
-`flat_order` sorts the flats for `poset` and `strata`, and
-`_flat_name` prints a flat's name from its key.
+pivot column.  The interval below X is the lattice of flats of the
+central arrangement of normals through X, a geometric lattice, so
+|mu(ambient, X)| is the local dimension at X, and Weisner's theorem
+gives it from the covers alone: mu(ambient, X) = -sum mu(ambient, Y)
+over the flats Y that X covers and that do not lie on the atom of X,
+one fixed hyperplane through X.  A flat's mask is the set of
+hyperplanes through it, its atom the lowest bit of that mask, and
+`flat_mobius` walks the covers once, in the order the search finds
+them, through `weisner_step`, which the toric layer search shares.  The
+E2 commands read codimension and |mu| off the search alone.  A flat's
+key, its reduced echelon rows scaled to primitive integer rows, is made
+only where a flat is named or printed in order: `_flat_key` makes it
+along the recorded steps, one `_meet` per flat, `flat_order` sorts the
+flats for `poset` and `strata`, and `_flat_name` prints a flat's name
+from its key.
 """
 
 from __future__ import annotations
@@ -28,32 +33,37 @@ from typing import Iterable, Sequence
 from stratiform.exactalg import _primitive
 
 
-def mobius_from_covers(size: int, covers: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """mu(bottom, x) for the elements 0..size-1 of a poset with a bottom.
+def weisner_step(mobius: list[int], masks: Sequence[int], atoms, covers: Iterable[tuple[int, int]]) -> None:
+    """Add the covers (i, k) to mu(bottom, k) by Weisner's theorem.
 
-    `covers` holds the pairs (i, j) with j covering i, and the elements
-    are numbered along a linear extension (i < j whenever i is below j),
-    as a sort by rank gives.  The strict down-set of x is the union of
-    its lower covers and their down-sets, held as an int with bit y set
-    for each y in it, and mu(bottom, x) is minus the sum of mu over that
-    down-set: the sum over the values v of mu so far of v times the
-    number of elements with that value in the down-set.
+    The poset is one of strata, each lower interval of which is a
+    geometric lattice, the lattice of flats of a central arrangement.
+    There, with a an atom below x, Weisner's theorem (Weisner 1935) reads
+    mu(bottom, x) = -sum mu(bottom, y) over the lower covers y of x that
+    are not above a.  Here the atoms are hypersurfaces: `atoms[k]` is the
+    bit of one hypersurface through stratum k, and `masks[i]` has the bit
+    of a hypersurface through a stratum below i exactly when it contains
+    stratum i (for a flat, the hyperplanes through it; for a layer, the
+    hypersurfaces whose characters lie in its span).  Each cover (i, k)
+    takes mu(bottom, i) off `mobius[k]`, which starts at 0, unless the
+    atom of k contains stratum i too.  `covers` holds each cover once,
+    and the covers of i before any cover (i, k): mu(bottom, i) is
+    complete when it is read.
     """
-    lower: list[list[int]] = [[] for _ in range(size)]
-    for i, j in covers:
-        lower[j].append(i)
-    below: list[int] = []
-    mobius: list[int] = []
-    having: dict[int, int] = {}  # v -> the elements y with mu(bottom, y) = v, as bits
-    for x in range(size):
-        down = 0
-        for y in lower[x]:
-            down |= below[y] | (1 << y)
-        below.append(down)
-        mu = -sum(v * (down & ys).bit_count() for v, ys in having.items()) if down else 1
-        mobius.append(mu)
-        having[mu] = having.get(mu, 0) | (1 << x)
-    return tuple(mobius)
+    for i, k in covers:
+        if not atoms[k] & masks[i]:
+            mobius[k] -= mobius[i]
+
+
+def flat_mobius(masks: Sequence[int], covers: Iterable[tuple[int, int]]) -> list[int]:
+    """mu(ambient, X) for the flats X with these masks, the hyperplanes
+    through each as bits, and these covers (i, j), flat j a maximal proper
+    subspace of flat i, in the order of a `flat_search` or `flat_order`.
+    The atom of a flat is the lowest bit of its mask."""
+    mobius = [0] * len(masks)
+    mobius[0] = 1  # the ambient space
+    weisner_step(mobius, masks, [m & -m for m in masks], covers)
+    return mobius
 
 
 def _clear(target: Sequence[int], row: Sequence[int], p: int) -> tuple[int, ...]:

@@ -24,6 +24,18 @@ bases) takes 0.3 to 0.5 s for `betti` on a shared two-core host under
 Python 3.11; in paired runs its search takes about 13% less time than
 with one Hermite basis per new direction of each span.
 
+The search also gives mu(ambient, layer), whose absolute value is the
+local dimension of the E2 table.  The interval below a layer is the
+lattice of flats of the central arrangement the hypersurfaces through
+it make near one of its points (De Concini-Procesi 2005), a geometric
+lattice, so Weisner's theorem gives mu from the covers alone: minus the
+sum of mu over the layers a layer covers that do not lie on its atom.
+A layer's mask is its flat's bitmask, and its atom the bit of the
+hypersurface whose cut found it, which contains a layer above it
+exactly when the character lies in that layer's span.  The search
+feeds each level's covers, once each, to `weisner_step`, the one
+Moebius recursion it shares with the affine flats.
+
 The search runs and sorts on integer keys, spans with (num, den) phase
 pairs, which every command reads; `_layer_name` prints a layer's name
 from its key.  Only `layers_from_equations`, the whole-system solve,
@@ -42,6 +54,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from stratiform.exactalg import _smith_core, hermite_basis
+from stratiform.matroidos import weisner_step
 
 
 def mod1(x) -> Fraction:
@@ -196,8 +209,8 @@ def _cut_plan(
     """The phase-free half of cutting a layer with this span, which the
     layers with the same span share: the left Smith transform L, for each
     hypersurface H that cuts such a layer, in arrangement order,
-    (a, m, g, num, dnm) with num/dnm the phase of H, and for each
-    direction g, (flat, new_span, rows).
+    (bit, a, m, g, num, dnm) with bit the bit of H and num/dnm its phase,
+    and for each direction g, (flat, new_span, rows).
 
     The span S (c rows) is saturated, so one Smith form L S R = [I | 0]
     gives quotient coordinates: chi R = (a, v), where a are the
@@ -234,7 +247,7 @@ def _cut_plan(
             m = -m
         g = tuple([x // m for x in v])
         bits[g] = bits.get(g, 0) | 1 << i
-        cuts.append(([sum(map(mul, chi, col)) for col in inside], m, g, num, dnm))
+        cuts.append((1 << i, [sum(map(mul, chi, col)) for col in inside], m, g, num, dnm))
     assert inside_bits == mask, "the span holds other characters than its flat's"
     directions = {}
     for g, g_bits in bits.items():
@@ -260,12 +273,12 @@ def _cut_plan(
 
 def _sublayers(
     phases: Sequence[tuple[int, int]], plan: tuple, max_layers: int | None
-) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]]:
+) -> Iterator[tuple[int, int, tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]]:
     """The components of layer ∩ H, for each hypersurface H that cuts the
     layer, in the order of the hypersurfaces and, within one H, in the
     order of their phase tuples.  The layer's phases are given as (num,
-    den) pairs, and each component as its flat's bitmask and its key:
-    the Hermite basis of its span and (num, den) pairs.
+    den) pairs, and each component as the bit of H, its flat's bitmask
+    and its key: the Hermite basis of its span and (num, den) pairs.
 
     This is the phase pass over `plan`, the `_cut_plan` of the layer's
     span, which is built once per distinct span, per BFS level.  With phi
@@ -284,7 +297,7 @@ def _sublayers(
     phi = [p * (den // q) for p, q in phases]
     psi = [sum(map(mul, row, phi)) for row in left]
     seen = set()
-    for a, m, g, num, dnm in cuts:
+    for bit, a, m, g, num, dnm in cuts:
         count = abs(m)
         _check_component_count(count, max_layers)
         # m phi(gamma) = base / d mod 1: phi(gamma) = (sign(m) base + k d) / (d |m|), 0 <= k < |m|
@@ -313,16 +326,16 @@ def _sublayers(
             for x in numerators:
                 q = gcd(x, modulus)
                 phases.append((x // q, modulus // q))
-            yield flat, new_span, tuple(phases)
+            yield bit, flat, new_span, tuple(phases)
 
 
 def layer_search(
     n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None
-) -> tuple[list[tuple], list[tuple[int, int]]]:
-    """All layers as integer keys, in the order of `Layer.sort_key`, and
-    the covers as sorted index pairs (i, j), layer j a maximal proper
-    sublayer of layer i.  A key is a layer's span and its phases as
-    reduced (num, den) pairs.
+) -> tuple[list[tuple], list[tuple[int, int]], list[int]]:
+    """All layers as integer keys, in the order of `Layer.sort_key`, the
+    covers as sorted index pairs (i, j), layer j a maximal proper
+    sublayer of layer i, and mu(ambient, layer) in the order of the keys.
+    A key is a layer's span and its phases as reduced (num, den) pairs.
 
     Layers of codimension q+1 arise by intersecting codimension-q layers
     with single hypersurfaces; the keys deduplicate, so no subset
@@ -341,6 +354,15 @@ def layer_search(
     level with its span is cut, and the Hermite bases until the sort.
     An intersection with more than `max_layers` components, or finding
     more than `max_layers` layers, raises ValueError.
+
+    The interval below a layer Z is the lattice of flats of the central
+    arrangement that the hypersurfaces through Z make near a point of Z
+    (De Concini-Procesi 2005), a geometric lattice, so mu comes from
+    the covers by `weisner_step`, one level at a time, once the level's
+    covers are all found.  A layer's mask is its flat's bitmask, and the
+    atom of a new layer is the bit of the hypersurface H whose cut found
+    it.  H contains a layer Y above the new layer exactly when H's
+    character lies in Y's span, that is, when H's bit is in Y's mask.
     """
     for h in arrangement:
         if h.dim != n:
@@ -348,14 +370,18 @@ def layer_search(
     hypersurfaces = [(h.exponents, h.phase.numerator, h.phase.denominator) for h in arrangement]
     keys: list[tuple] = [((), ())]
     masks = [0]  # the bits of the hypersurfaces whose characters lie in each key's span
+    mobius = [1]  # mu(ambient, layer), by key
     flats: dict[int, tuple[tuple[int, ...], ...]] = {}  # a flat's mask -> its Hermite basis
     index: dict[tuple, int] = {}  # (mask, phases) -> a layer's index, for one level
-    covers: set[tuple[int, int]] = set()
+    atoms: dict[int, int] = {}  # a layer's index -> its atom, for one level
+    covers: list[tuple[int, int]] = []
     frontier = [0]
     for _ in range(n):  # codimensions 0..n-1: a point lies on or off each hypersurface
         users = Counter(masks[y] for y in frontier)
         plans: dict[int, tuple] = {}
         index.clear()
+        atoms.clear()
+        found: set[tuple[int, int]] = set()  # the covers (y, j), y of this level
         next_frontier = []
         for y in frontier:
             span, phases = keys[y]
@@ -364,7 +390,7 @@ def layer_search(
             plan = plans.pop(mask, None) or _cut_plan(span, mask, n, hypersurfaces, flats)
             if users[mask]:  # another layer of this level has the span
                 plans[mask] = plan
-            for cut_mask, cut_span, cut_phases in _sublayers(phases, plan, max_layers):
+            for bit, cut_mask, cut_span, cut_phases in _sublayers(phases, plan, max_layers):
                 j = index.get((cut_mask, cut_phases))
                 if j is None:
                     if max_layers is not None and len(keys) >= max_layers:
@@ -372,10 +398,14 @@ def layer_search(
                     j = index[cut_mask, cut_phases] = len(keys)
                     keys.append((cut_span, cut_phases))
                     masks.append(cut_mask)
+                    mobius.append(0)
+                    atoms[j] = bit
                     next_frontier.append(j)
-                covers.add((y, j))
+                found.add((y, j))
+        weisner_step(mobius, masks, atoms, found)
+        covers += found
         frontier = next_frontier
-    del flats, masks, index
+    del flats, masks, index, atoms
     # the order of `Layer.sort_key` without comparing Fractions: the phases
     # p/q, all in [0, 1), are the digits p * (M // q) of one integer in base
     # M, their common modulus, and layers of one codimension have as many
@@ -389,8 +419,11 @@ def layer_search(
         return len(span), span, value
 
     order = sorted(range(len(keys)), key=sort_key)
-    rank = {i: r for r, i in enumerate(order)}
-    return [keys[i] for i in order], sorted((rank[a], rank[b]) for a, b in covers)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return ([keys[i] for i in order], sorted((rank[a], rank[b]) for a, b in covers),
+            [mobius[i] for i in order])
 
 
 def torus_cohomology(d: int) -> tuple[tuple[int, int, int], ...]:

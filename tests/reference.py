@@ -13,10 +13,13 @@ function is an independent oracle for a production computation:
 - `toriclayers`: the phase of a layer on a character, containment of
   layers, the local subarrangement at a layer, and a brute-force count
   of the components of a toric system on a grid of torsion points;
+- the Moebius function of any finite poset from its covers, by down-sets
+  (`mobius_by_down_sets`), against which the Weisner step of the two
+  searches is checked;
 - the intersection posets as objects, for the tests that read flats and
   layers: `affine_poset` and `layer_poset` turn the integer keys of
   `flat_order` and `layer_search` into rational echelon rows and
-  `Layer`s, with the covers and mu;
+  `Layer`s, with the covers and the searches' mu;
 - `morganmodel`: a datum's restriction-functoriality check on dense
   composite matrices, the model assembled one basis pair at a time
   from dense composite restrictions, and the dense blocks of the
@@ -31,7 +34,7 @@ from itertools import combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from stratiform.exactalg import Matrix, _int_rows, _smith_core, hermite_basis, vector
-from stratiform.matroidos import _flat_name, flat_order, flat_search, mobius_from_covers
+from stratiform.matroidos import _flat_name, flat_mobius, flat_order, flat_search
 from stratiform.morganmodel import BigradedModel, CompactificationDatum, DatumError, shuffle_sign
 from stratiform.toriclayers import Layer, ToricHypersurface, layer_search, mod1
 
@@ -342,6 +345,35 @@ def whitney_numbers(lattice: FlatLattice) -> tuple[int, ...]:
 # -- intersection posets as objects ------------------------------------------
 
 
+def mobius_by_down_sets(size: int, covers: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """mu(bottom, x) for the elements 0..size-1 of a poset with a bottom.
+
+    `covers` holds the pairs (i, j) with j covering i, and the elements
+    are numbered along a linear extension (i < j whenever i is below j),
+    as a sort by rank gives.  The strict down-set of x is the union of
+    its lower covers and their down-sets, held as an int with bit y set
+    for each y in it, and mu(bottom, x) is minus the sum of mu over that
+    down-set: the sum over the values v of mu so far of v times the
+    number of elements with that value in the down-set.  It holds for
+    any poset, with no lattice structure assumed.
+    """
+    lower: list[list[int]] = [[] for _ in range(size)]
+    for i, j in covers:
+        lower[j].append(i)
+    below: list[int] = []
+    mobius: list[int] = []
+    having: dict[int, int] = {}  # v -> the elements y with mu(bottom, y) = v, as bits
+    for x in range(size):
+        down = 0
+        for y in lower[x]:
+            down |= below[y] | (1 << y)
+        below.append(down)
+        mu = -sum(v * (down & ys).bit_count() for v, ys in having.items()) if down else 1
+        mobius.append(mu)
+        having[mu] = having.get(mu, 0) | (1 << x)
+    return tuple(mobius)
+
+
 class Flat(NamedTuple):
     """A flat: its rational echelon rows [A | b], its codimension and
     dimension, the hyperplanes through it, and its name."""
@@ -365,7 +397,7 @@ class AffinePoset(NamedTuple):
 def affine_poset(ambient_dim: int, hyperplanes: Sequence, max_flats: int | None = None) -> AffinePoset:
     """The flats of `flat_search` in the order of `flat_order`, each integer
     row divided by its pivot and each flat named as `poset` names it, with
-    their covers and mu."""
+    their covers and mu by `flat_mobius` on `flat_order`'s masks."""
 
     def divided(row):
         pivot = next(filter(None, row))
@@ -379,7 +411,7 @@ def affine_poset(ambient_dim: int, hyperplanes: Sequence, max_flats: int | None 
              _flat_name(key, text))
         for key, mask in zip(keys, masks)
     )
-    return AffinePoset(flats, tuple(covers), mobius_from_covers(len(flats), covers))
+    return AffinePoset(flats, tuple(covers), tuple(flat_mobius(masks, covers)))
 
 
 def poset_characteristic_polynomial(poset: AffinePoset) -> tuple[int, ...]:
@@ -409,10 +441,10 @@ class LayerPoset(NamedTuple):
 
 def layer_poset(n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None) -> LayerPoset:
     """The layers of `layer_search` as `Layer`s with `Fraction` phases, with
-    their covers and mu."""
-    keys, covers = layer_search(n, arrangement, max_layers)
+    their covers and the search's mu."""
+    keys, covers, mobius = layer_search(n, arrangement, max_layers)
     layers = tuple(Layer(n, span, tuple(Fraction(p, q) for p, q in phases)) for span, phases in keys)
-    return LayerPoset(layers, tuple(covers), mobius_from_covers(len(layers), covers))
+    return LayerPoset(layers, tuple(covers), tuple(mobius))
 
 
 # -- toric layers ----------------------------------------------------------

@@ -104,6 +104,72 @@ class TestParse:
             parse_arrangement_file("strata 1\nstratum 0 1 : x\n")
 
 
+# Malformed files and the exact error each raises, the first fault in
+# reading order winning where a line has two.
+MALFORMED = [
+    ("toric", "line 1: expected header 'toric <n>', 'hyperplane <n>' or 'strata <n>'"),
+    ("torus 2", "line 1: expected header 'toric <n>', 'hyperplane <n>' or 'strata <n>'"),
+    ("toric 2 3", "line 1: expected header 'toric <n>', 'hyperplane <n>' or 'strata <n>'"),
+    ("toric x", "line 1: ambient dimension must be an integer"),
+    ("hyperplane 0", "line 1: ambient dimension must be at least 1"),
+    ("# nothing\n\n", "line 1: empty file: missing header line"),
+    ("toric 2\nstratum 0 1 : 0:1:0", "line 2: expected an 'eq' line"),
+    ("toric 2\neq1 0 : 0/1", "line 2: expected an 'eq' line"),
+    ("toric 2\neq 1 1", "line 2: missing constant after ':'"),
+    ("toric 2\neq 1 0 :0/1", "line 2: missing constant after ':'"),
+    ("toric 2\neq 1 0 # : 0/1", "line 2: missing constant after ':'"),
+    # no ':' and a wrong count
+    ("toric 2\neq 1", "line 2: missing constant after ':'"),
+    ("hyperplane 2\neq 1 : 0/1", "line 2: expected 2 coefficients, got 1"),
+    ("hyperplane 2\neq 1 0 1 : 0/1", "line 2: expected 2 coefficients, got 3"),
+    # ':' among the coefficients
+    ("hyperplane 2\neq 1 : 0 : 0/1", "line 2: expected 2 coefficients, got 1"),
+    ("hyperplane 2\neq 1 0 : : 0/1", "line 2: expected exactly one constant after ':'"),
+    ("hyperplane 2\neq 1 0 :", "line 2: expected exactly one constant after ':'"),
+    # two constants
+    ("toric 2\neq 1 0 : 0/1 1/2", "line 2: expected exactly one constant after ':'"),
+    ("toric 2\neq 1 : 0/1 1/2", "line 2: expected 2 coefficients, got 1"),
+    ("toric 2\neq x 0 : 0/1 0/1", "line 2: expected exactly one constant after ':'"),
+    # a non-integer coefficient
+    ("toric 2\neq 1 x : 0/1", "line 2: coefficients must be integers"),
+    ("toric 2\neq 1/2 0 : 0/1", "line 2: coefficients must be integers"),
+    ("hyperplane 2\neq 1.0 0 : 0/1", "line 2: coefficients must be integers"),
+    ("hyperplane 2\neq 0 x : 1/0", "line 2: coefficients must be integers"),
+    # a zero row
+    ("toric 2\neq 0 0 : 0/1", "line 2: zero coefficient row"),
+    ("hyperplane 2\neq 0 -0 : 2/4", "line 2: zero coefficient row"),
+    # a bad, unreduced or zero-denominator fraction
+    ("toric 1\neq 1 : pi", "line 2: expected a fraction p/q, got 'pi'"),
+    ("toric 1\neq 1 : 1", "line 2: expected a fraction p/q, got '1'"),
+    ("toric 1\neq 1 : 1/-2", "line 2: expected a fraction p/q, got '1/-2'"),
+    ("hyperplane 1\neq 1 : 0.5", "line 2: expected a fraction p/q, got '0.5'"),
+    ("toric 1\neq 1 : 2/4", "line 2: fraction 2/4 is not reduced"),
+    ("hyperplane 1\neq 1 : -2/4", "line 2: fraction -2/4 is not reduced"),
+    ("toric 1\neq 1 : 0/2", "line 2: fraction 0/2 is not reduced"),
+    ("toric 1\neq 1 : 1/0", "line 2: fraction with denominator 0"),
+    ("hyperplane 1\neq 1 : 0/0", "line 2: fraction with denominator 0"),
+    ("# lead\ntoric 1\n\neq 1 : 0/1\neq 1 : 3/6 # late", "line 5: fraction 3/6 is not reduced"),
+    # strata lines
+    ("strata 1\neq 1 : 0/1", "line 2: expected a 'stratum' line"),
+    ("strata 1\nstratum 0 1 0:1:0", "line 2: missing ':' before cohomology entries"),
+    ("strata 1\nstratum 0 : 0:1:0", "line 2: expected 'stratum <codim> <localdim> : ...'"),
+    ("strata 1\nstratum 0 x : 0:1:0", "line 2: codim and localdim must be integers"),
+    ("strata 1\nstratum -1 1 : 0:1:0", "line 2: codim and localdim must be nonnegative"),
+    ("strata 1\nstratum 2 1 : 0:1:0", "line 2: codim 2 exceeds the ambient dimension 1"),
+    ("strata 1\nstratum 0 1 : x", "line 2: expected cohomology entry p:dim:weight, got 'x'"),
+    ("strata 1\nstratum 1 1 : 1:1:2",
+     "line 2: degree 1 exceeds 2 * (dim - codim) = 0, the real dimension of the stratum"),
+    ("strata 1\nstratum 0 1 :", "line 2: stratum needs at least one cohomology entry"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED)
+def test_malformed_file_message(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_arrangement_file(text)
+    assert str(err.value) == message
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [Z2, COORD2, BRAID3, SYNTH_FAIL])
     def test_parse_render_parse(self, text):

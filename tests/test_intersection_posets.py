@@ -1,11 +1,13 @@
 """Intersection posets against independent oracles.
 
 The posets record their covers during the search and take mu from the
-covers.  Here the order is recomputed from scratch (rank tests for
-flats, `layer_contains` for layers) and transitively reduced, and each
-|mu(ambient, X)| is compared with the Moebius value of the flat lattice
-of the local normals or characters at X.  Toric layers and their mu are
-also checked against finite-field point counts, which use no Smith form.
+covers by Weisner's theorem.  Here the order is recomputed from scratch
+(rank tests for flats, `layer_contains` for layers) and transitively
+reduced, and each |mu(ambient, X)| is compared with the Moebius value of
+the flat lattice of the local normals or characters at X, and each mu
+with the down-set Moebius function of the covers, which assumes no
+lattice.  Toric layers and their mu are also checked against
+finite-field point counts, which use no Smith form.
 """
 
 import pickle
@@ -29,7 +31,7 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import flat_order, flat_search, mobius_from_covers
+from stratiform.matroidos import flat_mobius, flat_order, flat_search
 from stratiform.toriclayers import Layer, ToricHypersurface, layer_search, layers_from_equations
 
 from reference import (
@@ -43,6 +45,7 @@ from reference import (
     layer_contains,
     layer_poset,
     local_subarrangement,
+    mobius_by_down_sets,
     saturate,
 )
 
@@ -170,7 +173,7 @@ def _affine_poset_reference(
     order = tuple(sorted(flats.values(), key=lambda f: (f.codim, f.key)))
     index = {f.key: i for i, f in enumerate(order)}
     covers = tuple(sorted((index[x], index[y]) for x, y in covers))
-    return AffinePoset(order, covers, mobius_from_covers(len(order), covers))
+    return AffinePoset(order, covers, mobius_by_down_sets(len(order), covers))
 
 
 def assert_same_poset(n, hyperplanes):
@@ -511,7 +514,7 @@ def _layer_poset_reference(
     layers = tuple(sorted(found.values(), key=lambda l: l.sort_key))
     index = {l.key: i for i, l in enumerate(layers)}
     covers = tuple(sorted((index[a], index[b]) for a, b in covers))
-    return LayerPoset(layers, covers, mobius_from_covers(len(layers), covers))
+    return LayerPoset(layers, covers, mobius_by_down_sets(len(layers), covers))
 
 
 def layer_poset_or_error(build, n, arrangement, max_layers=None):
@@ -625,7 +628,7 @@ def flats_of_search(n, arrangement):
     """The keys and covers of `layer_search`, and the Hermite bases it kept
     by flat bitmask, read from the last argument of its `_cut_plan` calls."""
     with mock.patch.object(toriclayers, "_cut_plan", wraps=toriclayers._cut_plan) as cut_plan:
-        keys, covers = layer_search(n, arrangement)
+        keys, covers, _ = layer_search(n, arrangement)
     flats = cut_plan.call_args.args[-1] if cut_plan.called else {}
     return keys, covers, flats
 
@@ -716,26 +719,33 @@ def test_b5_lattice_work(count_calls):
     strictly between the ambient and the full lattice (646, against 3,396
     pairs of such a span and the span of a cover)."""
     calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
-    keys, covers = layer_search(*_toric(5, [(chi, F(0)) for chi in b_type_characters(5)]))
+    keys, covers, _ = layer_search(*_toric(5, [(chi, F(0)) for chi in b_type_characters(5)]))
     assert (len(keys), len(covers)) == (1539, 9062)
     assert (calls["_smith_core"], calls["hermite_basis"]) == (647, 646)
 
 
-def test_b6_betti_and_lattice_work(count_calls):
+def test_b6_betti_and_lattice_work(count_calls, monkeypatch):
     """B6 (10,299 layers, 79,030 covers) through the E2 route, with its
     work counted in the same run: one Smith form per distinct span of a
     layer that is not a point and one Hermite basis per distinct span
     strictly between the ambient and the full lattice (4,086, against
-    28,384 pairs of such a span and the span of a cover).  No wall-clock
+    28,384 pairs of such a span and the span of a cover).  The layers and
+    covers are read from the search the E2 route runs.  No wall-clock
     bound: the counters show a regression that the host's speed would
     hide."""
     calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
-    mobius = count_calls(leraymodel, "mobius_from_covers")
+    searches = []
+
+    def search(*args):
+        searches.append(layer_search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(leraymodel, "layer_search", search)
     data = strata_data_from_toric(*_toric(6, [(chi, F(0)) for chi in b_type_characters(6)]))
     result = betti_and_poincare(assemble_e2(data))
     assert result.betti == (1, 48, 925, 9120, 48259, 129072, 135135)
-    ((size, covers),) = mobius.args["mobius_from_covers"]
-    assert (len(data.strata), size, len(covers)) == (10299, 10299, 79030)
+    ((keys, covers, mobius),) = searches
+    assert (len(data.strata), len(keys), len(mobius), len(covers)) == (10299, 10299, 10299, 79030)
     assert (calls["_smith_core"], calls["hermite_basis"]) == (4087, 4086)
 
 
@@ -747,7 +757,7 @@ def test_layer_poset_lattice_work_on_b4(count_calls):
     such a span and the span of a cover, 716 pairs of a layer and a cover
     span, and 1,100 covers)."""
     calls = count_calls(toriclayers, "_smith_core", "hermite_basis", "layers_from_equations")
-    keys, covers = layer_search(*LAYER_REFERENCE_CASES["B4"])
+    keys, covers, _ = layer_search(*LAYER_REFERENCE_CASES["B4"])
     assert (len(keys), len(covers)) == (257, 1100)
     assert calls["layers_from_equations"] == 0
     spans = {span for span, _ in keys if len(span) < 4}
@@ -760,7 +770,7 @@ def test_layer_poset_lattice_work_on_b3_translate(count_calls):
     a point (23), and one Hermite basis per distinct span strictly between
     the ambient and the full lattice (22), for B3 moved off the identity."""
     calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
-    keys, covers = layer_search(*b3_translate())
+    keys, covers, _ = layer_search(*b3_translate())
     assert (len(keys), len(covers)) == (49, 140)
     spans = {span for span, _ in keys if len(span) < 3}
     assert calls["_smith_core"] == len(spans) == 23
@@ -780,7 +790,7 @@ def test_layer_poset_makes_no_rational_elimination(count_calls):
     """Work gate: the toric BFS is integer-only, so it builds no `Matrix`
     and runs no rref or solve."""
     calls = count_matrix_work(count_calls)
-    keys, _ = layer_search(*b3_translate())
+    keys, _, _ = layer_search(*b3_translate())
     assert len(keys) == 49
     assert calls == {}
 
@@ -805,19 +815,111 @@ def test_affine_poset_makes_no_rational_elimination(count_calls):
     assert calls == {}
 
 
-def test_mobius_from_covers_matches_flat_lattice():
-    for vectors in ([(1, 0), (0, 1), (1, 1)], [v for v, _ in b_type_hyperplanes(3)]):
+def test_flat_mobius_matches_flat_lattice():
+    """The Weisner step on a lattice of flats, each flat's mask the bits
+    of its elements, against the lattice's mu summed over whole intervals."""
+    for vectors in ([(1, 0), (0, 1), (1, 1)], [v for v, _ in b_type_hyperplanes(3)],
+                    [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)]):
         lattice = FlatLattice(LinearMatroid(vectors))
         index = {f: i for i, f in enumerate(lattice.flats)}
         covers = [(index[f], index[g]) for f, g in lattice.covers]
-        mobius = mobius_from_covers(len(lattice.flats), covers)
-        assert mobius == tuple(lattice.mobius[f] for f in lattice.flats)
+        masks = [sum(1 << e for e in f) for f in lattice.flats]
+        mobius = flat_mobius(masks, covers)
+        assert mobius == [lattice.mobius[f] for f in lattice.flats]
+        assert tuple(mobius) == mobius_by_down_sets(len(lattice.flats), covers)
 
 
-def test_mobius_from_covers_small_posets():
-    assert mobius_from_covers(1, []) == (1,)
-    assert mobius_from_covers(3, [(0, 1), (1, 2)]) == (1, -1, 0)  # a chain
-    assert mobius_from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]) == (1, -1, -1, 1)
+def test_mobius_by_down_sets_small_posets():
+    assert mobius_by_down_sets(1, []) == (1,)
+    assert mobius_by_down_sets(3, [(0, 1), (1, 2)]) == (1, -1, 0)  # a chain
+    assert mobius_by_down_sets(4, [(0, 1), (0, 2), (1, 3), (2, 3)]) == (1, -1, -1, 1)
+    # not a lattice: two minimal upper bounds of 1 and 2
+    assert mobius_by_down_sets(5, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)]) == (1, -1, -1, 1, 1)
+
+
+# -- the Weisner step against the down-set Moebius function -----------------
+
+
+def assert_flat_mobius_matches_down_sets(n, hyperplanes):
+    """mu by the Weisner step, over the search's covers in the order it
+    finds them (the E2 commands) and over `flat_order`'s (`strata`), is
+    the down-set mu of the same covers."""
+    search = flat_search(n, hyperplanes)
+    masks, _, _, covers = search
+    assert tuple(flat_mobius(masks, covers)) == mobius_by_down_sets(len(masks), covers)
+    _, masks, covers = flat_order(search)
+    assert tuple(flat_mobius(masks, covers)) == mobius_by_down_sets(len(masks), covers)
+
+
+def assert_layer_mobius_matches_down_sets(n, arrangement):
+    keys, covers, mobius = layer_search(n, arrangement)
+    assert tuple(mobius) == mobius_by_down_sets(len(keys), covers)
+
+
+@st.composite
+def drawn_rational_arrangements(draw):
+    """n = 1..4, entries p/q with |p| <= 4 and q <= 3; a hyperplane may
+    repeat an earlier one scaled by a nonzero p/q, with its constant
+    scaled alike (a repeat) or shifted (a parallel hyperplane)."""
+    n = draw(st.integers(1, 4))
+    entries = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    hyperplanes = []
+    for _ in range(draw(st.integers(1, 6))):
+        if hyperplanes and draw(st.booleans()):
+            normal, c = draw(st.sampled_from(hyperplanes))
+            scale = draw(entries.filter(bool))
+            shift = draw(st.sampled_from((0, 0, 1, F(-1, 2), F(2, 3))))
+            hyperplanes.append((tuple(scale * x for x in normal), scale * c + shift))
+        else:
+            hyperplanes.append((draw(st.tuples(*[entries] * n).filter(any)), draw(entries)))
+    return n, hyperplanes
+
+
+class TestWeisnerAgainstDownSets:
+    """Production mu, by the Weisner step, equals the down-set mu of the
+    same covers, which assumes no lattice.  The toric search hands the
+    step each level's covers as a set, so this must hold whatever order
+    the set iterates in; CI runs the class under two fixed hash seeds."""
+
+    @pytest.mark.parametrize("stem", sorted(stem for stem, af in GOLDEN_FILES.items() if af.kind != "strata"))
+    def test_golden_files(self, stem):
+        af = GOLDEN_FILES[stem]
+        if af.kind == "toric":
+            assert_layer_mobius_matches_down_sets(*GOLDEN_TORIC[stem])
+        else:
+            assert_flat_mobius_matches_down_sets(af.dim, [(e.coeffs, e.constant) for e in af.equations])
+
+    def test_braid6_and_hyperplane_b4(self):
+        assert_flat_mobius_matches_down_sets(6, braid(6))
+        assert_flat_mobius_matches_down_sets(4, b_type_hyperplanes(4))
+
+    def test_toric_b4(self):
+        assert_layer_mobius_matches_down_sets(*LAYER_REFERENCE_CASES["B4"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_rational_arrangements())
+    def test_drawn_affine_arrangements(self, arrangement):
+        assert_flat_mobius_matches_down_sets(*arrangement)
+
+    @settings(max_examples=400, deadline=None)
+    @given(drawn_tori())
+    def test_drawn_tori(self, torus):
+        assert_layer_mobius_matches_down_sets(*torus)
+
+
+def test_weisner_step_reads_each_cover_once(count_calls):
+    """Work gate: the Weisner step reads each distinct cover once, 140 on
+    the B3 translate, fed one level at a time, and 160 on braid-5."""
+    calls = count_calls(toriclayers, "weisner_step")
+    _, covers, _ = layer_search(*b3_translate())
+    read = [pair for *_, level in calls.args["weisner_step"] for pair in level]
+    assert calls["weisner_step"] == 3  # one per level above the points
+    assert len(read) == len(set(read)) == len(covers) == 140
+    calls = count_calls(matroidos, "weisner_step")
+    covers = flat_search(5, braid(5))[3]
+    strata_data_from_hyperplanes(5, braid(5))
+    ((*_, read),) = calls.args["weisner_step"]
+    assert len(read) == len(set(read)) == len(covers) == 160
 
 
 def test_braid6_betti_is_the_product_formula():
