@@ -1,22 +1,23 @@
 """Exact linear algebra over the rationals and the integers.
 
-Dense immutable matrices with ``Fraction`` entries.  Gauss-Jordan
-elimination (`Matrix.rref`) pivots on the first nonzero entry in row order
-and runs in integers; Smith normal form pivots on the entry of smallest
-absolute value, ties broken by lowest (row, column); Hermite bases are
-row-style with positive pivots and the entries above each pivot reduced
-into [0, pivot).  These fixed rules make every result deterministic.  All
-comparisons are exact; no tolerance parameter exists anywhere in this
-package.
+`Matrix` is a dense immutable matrix of reduced `Fraction`s with no
+arithmetic: it is the block format of `CompactificationDatum` and the
+type its accessors and the model's `differential()` return, so it keeps
+construction, shape and equality only.  The computations are integer-only.
+Smith normal form pivots on the entry of smallest absolute value, ties
+broken by lowest (row, column); Hermite bases are row-style with positive
+pivots and the entries above each pivot reduced into [0, pivot).  These
+fixed rules make every result deterministic.  All comparisons are exact;
+no tolerance parameter exists anywhere in this package.
 
-The lattice code is integer-only.  One Smith core, `_smith_core`, works
-on lists of ints and carries the inverse of its right transform along
-with it (each column operation is mirrored by the inverse row
-operation), so the toric layers need no rational elimination.  The
-affine intersection poset is integer-only as well, and `morganmodel`
-eliminates sparse integer columns of its own, so no production path
-calls `Matrix.rref`: it stays as the public elimination and as the
-tests' oracle.
+One Smith core, `_smith_core`, works on lists of ints and carries the
+inverse of its right transform along with it (each column operation is
+mirrored by the inverse row operation), so the toric layers need no
+rational elimination.  The affine intersection poset is integer-only as
+well, and `morganmodel` eliminates sparse integer columns of its own, so
+no production path eliminates or multiplies a dense matrix.  The dense
+rational elimination the tests use as an oracle lives in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
-
-Vector = tuple[Fraction, ...]
 
 
 def _frac(x) -> Fraction:
@@ -36,10 +35,6 @@ def _frac(x) -> Fraction:
     raise TypeError("matrix entries must be int or Fraction, got %r" % type(x).__name__)
 
 
-def vector(entries: Iterable) -> Vector:
-    return tuple(_frac(x) for x in entries)
-
-
 def _primitive(row: Sequence[int | Fraction]) -> list[int]:
     """The rational `row`, of ints or `Fraction`s, times the positive
     rational that makes it a primitive integer row (a zero row stays
@@ -48,12 +43,6 @@ def _primitive(row: Sequence[int | Fraction]) -> list[int]:
     ints = [x.numerator * (den // x.denominator) for x in row]
     g = math.gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
-
-
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("dot product of vectors of different lengths")
-    return sum((_frac(a) * _frac(b) for a, b in zip(u, v)), Fraction(0))
 
 
 class Matrix:
@@ -76,12 +65,6 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)], ncols=n)
-
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
         return cls([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
@@ -94,87 +77,9 @@ class Matrix:
         mat.rows, mat.nrows, mat.ncols = tuple(rows), len(rows), ncols
         return mat
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
-        cols = [vector(c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
-            nrows = 0
-        return cls([[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
-
-    # -- basic structure ----------------------------------------------
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def row(self, i: int) -> Vector:
-        return self.rows[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)], ncols=self.nrows)
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.rows for x in r)
-
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        if not self.is_integral():
-            raise ValueError("matrix is not integral")
-        return tuple(tuple(int(x) for x in r) for r in self.rows)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().rows
-        return Matrix([[dot(r, c) for c in ot] for r in self.rows], ncols=other.ncols)
-
-    def apply(self, v: Sequence) -> Vector:
-        """self @ v for a column vector v."""
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(dot(r, v) for r in self.rows)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in matrix sum")
-        return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-                      ncols=self.ncols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Matrix":
-        c = _frac(c)
-        return Matrix([[c * x for x in r] for r in self.rows], ncols=self.ncols)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows:
-            raise ValueError("hstack needs equal row counts")
-        return Matrix([r + s for r, s in zip(self.rows, other.rows)],
-                      ncols=self.ncols + other.ncols)
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("vstack needs equal column counts")
-        return Matrix(self.rows + other.rows, ncols=self.ncols)
-
-    # -- equality ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.shape == other.shape and self.rows == other.rows
@@ -184,78 +89,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return "Matrix(%s)" % (list(list(map(str, r)) for r in self.rows),)
-
-    # -- elimination -----------------------------------------------------
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot columns.
-
-        The pivot of each step is the first row (in row order) with a
-        nonzero entry in the leftmost unfinished column.  The elimination
-        is fraction-free: each row is scaled to primitive integers, each
-        row combination is integral and divided by the gcd of its entries,
-        and the pivot rows are divided by their pivots once, at the end.
-        Every working row is a nonzero multiple of the row the rational
-        elimination would hold, so the pivots are the same, and the RREF
-        is unique.
-        """
-        rows = [_primitive(r) for r in self.rows]
-        nrows = self.nrows
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            if r == nrows:
-                break
-            p = next((i for i in range(r, nrows) if rows[i][c]), None)
-            if p is None:
-                continue
-            rows[r], rows[p] = rows[p], rows[r]
-            prow = rows[r]
-            pv = prow[c]
-            for i in range(nrows):
-                f = rows[i][c]
-                if f and i != r:
-                    g = math.gcd(pv, f)
-                    a, b = pv // g, f // g
-                    row = [a * x - b * y for x, y in zip(rows[i], prow)]
-                    g = math.gcd(*row)
-                    rows[i] = [x // g for x in row] if g > 1 else row
-            pivots.append(c)
-            r += 1
-        zero = Fraction(0)
-        reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
-        reduced += [[zero] * self.ncols for _ in range(nrows - r)]
-        return Matrix(reduced, ncols=self.ncols), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def right_kernel(self) -> tuple[Vector, ...]:
-        """Basis of {v : self @ v = 0}, one vector per free column."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -red.rows[i][f]
-            basis.append(tuple(v))
-        return tuple(basis)
-
-    def solve(self, b: Sequence) -> Vector | None:
-        """A solution x of self @ x = b with free variables set to 0, or None."""
-        if len(b) != self.nrows:
-            raise ValueError("right-hand side length mismatch")
-        aug = self.hstack(Matrix([[x] for x in vector(b)], ncols=1) if self.nrows else Matrix([], ncols=1))
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [Fraction(0)] * self.ncols
-        for i, p in enumerate(pivots):
-            x[p] = red.rows[i][self.ncols]
-        return tuple(x)
 
 
 # -- Smith normal form -------------------------------------------------

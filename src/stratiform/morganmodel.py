@@ -479,7 +479,8 @@ def negate_gysin_block(cd: CompactificationDatum, i_set, i: int, p: int) -> Comp
     key = (tuple(sorted(i_set)), i)
     if key not in gysins or p not in gysins[key]:
         raise KeyError("no Gysin block to negate at %r degree %d" % (key, p))
-    gysins[key][p] = -gysins[key][p]
+    block = gysins[key][p]
+    gysins[key][p] = Matrix([[-x for x in row] for row in block.rows], ncols=block.ncols)
     return CompactificationDatum(cd.components, cd.cohomology, cd.restrictions, gysins, cd.cups)
 
 

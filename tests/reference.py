@@ -3,9 +3,11 @@
 Nothing here is on a path the `stratiform` command line runs.  Each
 function is an independent oracle for a production computation:
 
-- `exactalg`: a `Matrix` Smith form with its decomposition, torsion
-  invariants, saturation, membership and coordinates in an echelon
-  lattice, determinant and inverse;
+- `exactalg`: the dense rational elimination of a `Matrix` (`rref`,
+  with `rank`, `right_kernel` and `solve` built on it), its products
+  (`matmul`, `apply`, `dot`), a `Matrix` Smith form with its
+  decomposition, torsion invariants, saturation, membership and
+  coordinates in an echelon lattice, determinant and inverse;
 - `matroidos`: linear matroids, their no-broken-circuit bases, the
   lattice of flats with its Moebius function, characteristic polynomial
   and Whitney numbers, and the same numbers read off an affine
@@ -28,17 +30,123 @@ function is an independent oracle for a production computation:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
-from stratiform.exactalg import Matrix, _int_rows, _smith_core, hermite_basis, vector
+from stratiform.exactalg import Matrix, _frac, _int_rows, _primitive, _smith_core, hermite_basis
 from stratiform.matroidos import _flat_name, flat_mobius, flat_order, flat_search
 from stratiform.morganmodel import BigradedModel, CompactificationDatum, DatumError, shuffle_sign
 from stratiform.toriclayers import Layer, ToricHypersurface, layer_search, mod1
 
 # -- exact linear algebra ------------------------------------------------
+
+
+def vector(entries: Iterable) -> tuple[Fraction, ...]:
+    return tuple(_frac(x) for x in entries)
+
+
+def dot(u: Sequence, v: Sequence) -> Fraction:
+    if len(u) != len(v):
+        raise ValueError("dot product of vectors of different lengths")
+    return sum((_frac(a) * _frac(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def identity(n: int) -> Matrix:
+    return Matrix([[Fraction(i == j) for j in range(n)] for i in range(n)], ncols=n)
+
+
+def from_columns(cols: Sequence[Sequence], nrows: int | None = None) -> Matrix:
+    """The matrix with columns `cols`; `nrows` gives the height of no columns."""
+    cols = [vector(c) for c in cols]
+    return Matrix(list(zip(*cols)) if cols else [()] * (nrows or 0), ncols=len(cols))
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in matrix product")
+    cols = [[r[j] for r in b.rows] for j in range(b.ncols)]
+    return Matrix([[dot(r, c) for c in cols] for r in a.rows], ncols=b.ncols)
+
+
+def apply(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
+    """m @ v for a column vector v."""
+    if len(v) != m.ncols:
+        raise ValueError("vector length mismatch")
+    return tuple(dot(r, v) for r in m.rows)
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns.
+
+    The pivot of each step is the first row (in row order) with a
+    nonzero entry in the leftmost unfinished column.  The elimination
+    is fraction-free: each row is scaled to primitive integers, each
+    row combination is integral and divided by the gcd of its entries,
+    and the pivot rows are divided by their pivots once, at the end.
+    Every working row is a nonzero multiple of the row the rational
+    elimination would hold, so the pivots are the same, and the RREF
+    is unique.
+    """
+    rows = [_primitive(r) for r in m.rows]
+    nrows = m.nrows
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                g = math.gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    zero = Fraction(0)
+    reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
+    reduced += [[zero] * m.ncols for _ in range(nrows - r)]
+    return Matrix(reduced, ncols=m.ncols), tuple(pivots)
+
+
+def rank(m: Matrix) -> int:
+    return len(rref(m)[1])
+
+
+def right_kernel(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Basis of {v : m @ v = 0}, one vector per free column."""
+    red, pivots = rref(m)
+    basis = []
+    for f in (j for j in range(m.ncols) if j not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.rows[i][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def solve(m: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
+    """A solution x of m @ x = b with free variables set to 0, or None."""
+    if len(b) != m.nrows:
+        raise ValueError("right-hand side length mismatch")
+    red, pivots = rref(Matrix([r + (x,) for r, x in zip(m.rows, vector(b))], ncols=m.ncols + 1))
+    if m.ncols in pivots:
+        return None
+    x = [Fraction(0)] * m.ncols
+    for i, p in enumerate(pivots):
+        x[p] = red.rows[i][m.ncols]
+    return tuple(x)
 
 
 def det(m: Matrix) -> Fraction:
@@ -67,11 +175,11 @@ def det(m: Matrix) -> Fraction:
 def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise ValueError("inverse of a non-square matrix")
-    aug = m.hstack(Matrix.identity(m.nrows))
-    red, pivots = aug.rref()
-    if len(pivots) != m.nrows or any(p >= m.nrows for p in pivots):
+    n = m.nrows
+    red, pivots = rref(Matrix([r + e for r, e in zip(m.rows, identity(n).rows)], ncols=2 * n))
+    if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
-    return Matrix([r[m.nrows:] for r in red.rows], ncols=m.nrows)
+    return Matrix([r[n:] for r in red.rows], ncols=n)
 
 
 @dataclass(frozen=True)
@@ -93,7 +201,7 @@ class SmithDecomposition:
         return Matrix(rows, ncols=ncols)
 
     def verify(self, original: Matrix) -> bool:
-        d = self.left @ original @ self.right
+        d = matmul(matmul(self.left, original), self.right)
         if d != self.diagonal_matrix(original.nrows, original.ncols):
             return False
         if any(x < 0 for x in self.diag):
@@ -108,7 +216,7 @@ class SmithDecomposition:
 
 def smith_normal_form(m: Matrix) -> SmithDecomposition:
     """Smith normal form of an integer matrix (pivot rule of `_smith_core`)."""
-    if not m.is_integral():
+    if any(x.denominator != 1 for r in m.rows for x in r):
         raise ValueError("smith_normal_form requires integer entries")
     core = _smith_core([[int(x) for x in row] for row in m.rows], m.ncols)
     return SmithDecomposition(
@@ -200,7 +308,7 @@ class LinearMatroid:
         cached = self._rank_cache.get(key)
         if cached is None:
             rows = [list(self.vectors[i]) for i in sorted(key)]
-            cached = Matrix(rows, ncols=self.ambient_dim).rank() if rows else 0
+            cached = rank(Matrix(rows, ncols=self.ambient_dim)) if rows else 0
             self._rank_cache[key] = cached
         return cached
 
@@ -539,12 +647,12 @@ def compose_steps(cd: CompactificationDatum, i_key, js, p) -> Matrix:
     """The one-step restrictions from D_I along `js`, composed in that order
     as dense matrices; the identity when `js` is empty."""
     if not js:
-        return Matrix.identity(cd.cohomology.get(tuple(i_key), {}).get(p, 0))
+        return identity(cd.cohomology.get(tuple(i_key), {}).get(p, 0))
     cur, mat = tuple(i_key), None
     for j in js:
         nxt = tuple(sorted(cur + (j,)))
         step = cd._step(cur, j, p, nxt)
-        mat = step if mat is None else step @ mat
+        mat = step if mat is None else matmul(step, mat)
         cur = nxt
     return mat
 
@@ -616,7 +724,7 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                     if v:
                         col[index[(k + 1, q)][(rest, p + 2, t)]] += sign * v
             columns.append(col)
-        diff[kq] = Matrix.from_columns(columns, nrows=len(target))
+        diff[kq] = from_columns(columns, nrows=len(target))
 
     products: dict = {}
     for kq1, labels1 in spaces.items():
@@ -660,9 +768,9 @@ def kernel_inclusion_blocks(model: BigradedModel) -> dict:
     blocks = {}
     for k in range(model.max_degree() + 1):
         kq = (k, 2 * k)
-        basis = model.differential(kq).right_kernel() if model.dim(kq) else ()
+        basis = right_kernel(model.differential(kq)) if model.dim(kq) else ()
         if basis:
-            blocks[kq] = Matrix.from_columns(basis)
+            blocks[kq] = from_columns(basis)
     return blocks
 
 
@@ -678,14 +786,14 @@ def cokernel_projection_blocks(model: BigradedModel) -> dict:
         n = model.dim(kq)
         if not n:
             continue
-        boundaries = [list(c) for c in model.differential((k - 1, k)).columns()]
+        boundaries = [list(c) for c in zip(*model.differential((k - 1, k)).rows)]
         chosen, kept = [], 0
-        for i, v in enumerate(boundaries + [list(c) for c in model.differential(kq).right_kernel()]):
-            if Matrix.from_columns(chosen + [v], nrows=n).rank() == len(chosen) + 1:
+        for i, v in enumerate(boundaries + [list(c) for c in right_kernel(model.differential(kq))]):
+            if rank(from_columns(chosen + [v], nrows=n)) == len(chosen) + 1:
                 chosen.append(v)
                 kept += i < len(boundaries)
         if len(chosen) > kept:
-            solver = Matrix.from_columns(chosen, nrows=n)
-            cols = [solver.solve([Fraction(i == j) for i in range(n)])[kept:] for j in range(n)]
-            blocks[kq] = Matrix.from_columns(cols, nrows=len(chosen) - kept)
+            solver = from_columns(chosen, nrows=n)
+            cols = [solve(solver, [Fraction(i == j) for i in range(n)])[kept:] for j in range(n)]
+            blocks[kq] = from_columns(cols, nrows=len(chosen) - kept)
     return blocks

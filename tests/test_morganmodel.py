@@ -82,12 +82,12 @@ class TestBuilders:
     def test_marked_line_spaces(self):
         m = build_model(builder_projective_line_marked(2))
         assert model_dims(m) == {(0, 0): 1, (1, 2): 2, (2, 2): 1}
-        assert m.differential((1, 2)).rank() == 1
+        assert reference.rank(m.differential((1, 2))) == 1
 
     def test_no_divisor(self):
         m = build_model(builder_projective_line_marked(0))
         assert model_dims(m) == {(0, 0): 1, (2, 2): 1}
-        assert all(mat.is_zero() for mat in m.diff.values())
+        assert all(x == 0 for mat in m.diff.values() for row in mat.rows for x in row)
 
     def test_one_point_is_affine_line(self):
         m = build_model(builder_projective_line_marked(1))
@@ -289,7 +289,7 @@ class TestCokernelModel:
 class TestQuasiIso:
     def test_identity(self):
         m = build_model(builder_projective_line_marked(2))
-        blocks = {kq: Matrix.identity(m.dim(kq)) for kq in m.bidegrees()}
+        blocks = {kq: reference.identity(m.dim(kq)) for kq in m.bidegrees()}
         verdict = check_r_quasi_iso(CdgaMorphism(m, m, blocks), INF)
         assert verdict.ok
 
@@ -302,7 +302,7 @@ class TestQuasiIso:
     def test_invalid_morphism_rejected(self):
         m = build_model(builder_projective_line_marked(2))
         # a map violating product compatibility: swap sign on H^0 only
-        blocks = {kq: Matrix.identity(m.dim(kq)) for kq in m.bidegrees()}
+        blocks = {kq: reference.identity(m.dim(kq)) for kq in m.bidegrees()}
         blocks[(0, 0)] = Matrix([[-1]])
         with pytest.raises(MorphismError):
             check_r_quasi_iso(CdgaMorphism(m, m, blocks), INF)
@@ -402,7 +402,7 @@ class TestRestrictionFunctoriality:
         cd = square_of_points({((), 1): 2, ((), 2): 3, ((1,), 2): 3, ((2,), 1): 2})
         assert cd.validate() == []
         assert cd.restriction((), (1, 2), 0) == Matrix([[6]])
-        assert cd.restriction((), (), 0) == Matrix.identity(1)
+        assert cd.restriction((), (), 0) == reference.identity(1)
 
     def test_restriction_arguments_checked(self):
         cd = square_of_points({((), 1): 2, ((), 2): 3, ((1,), 2): 3, ((2,), 1): 2})
@@ -490,8 +490,8 @@ def dense_cdga_axioms(model):
     violations = [("closure", fault) for fault in faults]
     for kq in model.bidegrees():
         k, q = kq
-        second = model.differential((k + 1, q)) @ model.differential(kq)
-        if not second.is_zero():
+        second = reference.matmul(model.differential((k + 1, q)), model.differential(kq))
+        if any(x for row in second.rows for x in row):
             violations.append(("d_squared", "d o d nonzero on M^%d_%d" % (k, q)))
     bidegs = model.bidegrees()
     for kq1 in bidegs:
@@ -632,8 +632,8 @@ def dense_differential_compatibility(f):
         return out
     for kq in sorted(set(f.source.bidegrees()) | set(f.target.bidegrees())):
         k, q = kq
-        left = f.block((k + 1, q)) @ f.source.differential(kq)
-        right = f.target.differential(kq) @ f.block(kq)
+        left = reference.matmul(f.block((k + 1, q)), f.source.differential(kq))
+        right = reference.matmul(f.target.differential(kq), f.block(kq))
         if left != right:
             out.append("differential compatibility fails at %r" % (kq,))
     return out
@@ -827,7 +827,7 @@ class TestSparseAxiomsAgainstDenseOracle:
         assert report == dense_cdga_axioms(model)
         assert report.violations[0] == ("closure", fault)
         assert "closure" not in [name for name, _ in report.violations[1:]]
-        identity = CdgaMorphism(model, model, {kq: Matrix.identity(model.dim(kq)) for kq in model.bidegrees()})
+        identity = CdgaMorphism(model, model, {kq: reference.identity(model.dim(kq)) for kq in model.bidegrees()})
         assert identity.violations()[:2] == ["source " + fault, "target " + fault]
         assert product_issues(identity) == dense_product_compatibility(identity)
         with pytest.raises(MorphismError, match=re.escape("source " + fault)):
@@ -953,7 +953,7 @@ class TestSparseAxiomsAgainstDenseOracle:
         c0 = builder_projective_line_marked(0)
         maps.append(extract_cokernel_model(build_model(kunneth_product(c0, c0)), INF).morphism)
         m = build_model(cd2)
-        blocks = {kq: Matrix.identity(m.dim(kq)) for kq in m.bidegrees()}
+        blocks = {kq: reference.identity(m.dim(kq)) for kq in m.bidegrees()}
         maps.append(CdgaMorphism(m, m, blocks))
         blocks[(0, 0)] = Matrix([[-1]])
         maps.append(CdgaMorphism(m, m, blocks))
@@ -969,7 +969,7 @@ class TestSparseAxiomsAgainstDenseOracle:
         spaces = {(0, 0): ("1",), (1, 2): ("x", "y"), (2, 4): ("z",)}
         source = model_with_products(spaces, {})
         target = planted_commutativity_fault()
-        f = CdgaMorphism(source, target, {kq: Matrix.identity(len(v)) for kq, v in spaces.items()})
+        f = CdgaMorphism(source, target, {kq: reference.identity(len(v)) for kq, v in spaces.items()})
         assert f.violations() == dense_product_compatibility(f) == [
             "product compatibility fails for ((1, 2), 0) x ((1, 2), 1)",
             "product compatibility fails for ((1, 2), 1) x ((1, 2), 0)",
@@ -1008,7 +1008,7 @@ class TestSparseAxiomsAgainstDenseOracle:
         # another width or height either fails to compose or mismatches
         m = build_model(builder_projective_line_marked(2))
         assert m.differential((1, 2)).shape == (1, 2)
-        identity = {kq: Matrix.identity(m.dim(kq)) for kq in m.bidegrees()}
+        identity = {kq: reference.identity(m.dim(kq)) for kq in m.bidegrees()}
 
         def with_d12(rows):
             return BigradedModel(m.spaces, {**m.diff, (1, 2): Matrix(rows)}, m.products)
@@ -1404,11 +1404,11 @@ class TestFastCoordinatesAgainstSolve:
         col = _ColumnCohomology(BigradedModel(spaces, {(0, 0): d}, {}), (0, 0))
         if not col.cocycle_cols:
             return
-        basis = Matrix.from_columns([[v.get(i, F(0)) for i in range(n)] for v in cocycles(col)], nrows=n)
+        basis = reference.from_columns([[v.get(i, F(0)) for i in range(n)] for v in cocycles(col)], nrows=n)
         # a vector in the span, and one that may lie outside it
-        inside = basis.apply([F(c) for c in coeffs[: len(col.cocycle_cols)]])
+        inside = reference.apply(basis, [F(c) for c in coeffs[: len(col.cocycle_cols)]])
         for vec in (inside, tuple(F(x) for x in outside)):
-            sol = basis.solve(vec)
+            sol = reference.solve(basis, vec)
             got = col.cocycle_coordinates({i: v for i, v in enumerate(vec) if v})
             if sol is None:
                 assert got is None
@@ -1435,15 +1435,15 @@ class TestFastCoordinatesAgainstSolve:
 
         # greedy selection by rank, boundaries first, then cocycles
         chosen = []
-        for v in [list(c) for c in diff[(0, 0)].columns()] + [list(c) for c in diff[(1, 0)].right_kernel()]:
-            if Matrix.from_columns(chosen + [v], nrows=n).rank() == len(chosen) + 1:
+        for v in [list(c) for c in zip(*diff[(0, 0)].rows)] + [list(c) for c in reference.right_kernel(diff[(1, 0)])]:
+            if reference.rank(reference.from_columns(chosen + [v], nrows=n)) == len(chosen) + 1:
                 chosen.append(v)
         assert boundary_basis(col, model) + representatives(col) == chosen
 
-        solve_matrix = Matrix.from_columns(chosen, nrows=n)
-        inside = solve_matrix.apply([F(c) for c in coeffs[: len(chosen)]])
+        solve_matrix = reference.from_columns(chosen, nrows=n)
+        inside = reference.apply(solve_matrix, [F(c) for c in coeffs[: len(chosen)]])
         for vec in (inside, tuple(F(x) for x in outside)):
-            sol = solve_matrix.solve(vec)
+            sol = reference.solve(solve_matrix, vec)
             sparse = {i: v for i, v in enumerate(vec) if v}
             if sol is None:
                 with pytest.raises(ValueError):
@@ -1466,27 +1466,27 @@ class TestColumnCohomologyOnComplexes:
         n = len(coeffs)
         d_out = Matrix(d_out_rows, ncols=n)
         # each boundary is a combination of the cocycle basis: d_out d_in = 0
-        kernel = d_out.right_kernel()
+        kernel = reference.right_kernel(d_out)
         boundaries = [
             [sum((F(w) * v[i] for w, v in zip(ws, kernel)), F(0)) for i in range(n)] for ws in weights
         ]
-        d_in = Matrix.from_columns(boundaries, nrows=n)
-        assert (d_out @ d_in).is_zero()
+        d_in = reference.from_columns(boundaries, nrows=n)
+        assert all(x == 0 for row in reference.matmul(d_out, d_in).rows for x in row)
         spaces = {(0, 0): tuple(range(d_in.ncols)), (1, 0): tuple(range(n)), (2, 0): tuple(range(d_out.nrows))}
         model = BigradedModel(spaces, {(0, 0): d_in, (1, 0): d_out}, {})
         col = _ColumnCohomology(model, (1, 0))
 
         # greedy selection by rank, boundaries first, then cocycles
         chosen = []
-        for v in [list(c) for c in d_in.columns()] + [list(c) for c in kernel]:
-            if Matrix.from_columns(chosen + [v], nrows=n).rank() == len(chosen) + 1:
+        for v in [list(c) for c in zip(*d_in.rows)] + [list(c) for c in kernel]:
+            if reference.rank(reference.from_columns(chosen + [v], nrows=n)) == len(chosen) + 1:
                 chosen.append(v)
         assert boundary_basis(col, model) + representatives(col) == chosen
 
-        solve_matrix = Matrix.from_columns(chosen, nrows=n)
-        inside = solve_matrix.apply([F(c) for c in coeffs[: len(chosen)]])
+        solve_matrix = reference.from_columns(chosen, nrows=n)
+        inside = reference.apply(solve_matrix, [F(c) for c in coeffs[: len(chosen)]])
         for vec in (inside, tuple(F(x) for x in outside)):
-            sol = solve_matrix.solve(vec)
+            sol = reference.solve(solve_matrix, vec)
             sparse = {i: v for i, v in enumerate(vec) if v}
             if sol is None:
                 with pytest.raises(ValueError):
@@ -1497,8 +1497,8 @@ class TestColumnCohomologyOnComplexes:
 
 class TestSparseRank:
     """`_reduce`, the one elimination of the model route, against the dense
-    `Matrix` elimination: its pivot count against `rank`, and the relations
-    of the dependent columns against `right_kernel`."""
+    elimination of `reference`: its pivot count against `rank`, and the
+    relations of the dependent columns against `right_kernel`."""
 
     @staticmethod
     def draw_columns(data):
@@ -1517,7 +1517,7 @@ class TestSparseRank:
     @given(st.data())
     def test_matches_dense_rank(self, data):
         dense, sparse = self.draw_columns(data)
-        assert morganmodel._sparse_rank(sparse) == dense.rank()
+        assert morganmodel._sparse_rank(sparse) == reference.rank(dense)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -1527,7 +1527,7 @@ class TestSparseRank:
         # one primitive relation per free column, h / h[f] its kernel vector
         assert all(h[f] and math.gcd(*h.values()) == 1 and max(h) == f for f, h in relations.items())
         kernel = tuple(tuple(F(h.get(i, 0), h[f]) for i in range(dense.ncols)) for f, h in relations.items())
-        assert kernel == dense.right_kernel()
+        assert kernel == reference.right_kernel(dense)
 
 
 # -- witnesses against their pairwise reference ----------------------------------
@@ -1555,7 +1555,7 @@ def reference_quasi_iso(f, r):
             if src.dim == 0 and tgt.dim == 0:
                 continue
             cols = [list(coordinates(tgt, f.apply((k, q), dict(enumerate(rep))))) for rep in representatives(src)]
-            rk = Matrix.from_columns(cols, nrows=tgt.dim).rank()
+            rk = reference.rank(reference.from_columns(cols, nrows=tgt.dim))
             rank_total += rk
             injective = injective and rk == src.dim
             iso = iso and rk == src.dim == tgt.dim
@@ -1754,7 +1754,7 @@ class TestWitnessesAgainstReference:
 
     def test_rank_formula_fallback_where_d_squared_is_nonzero(self):
         model = broken_square_model()
-        identity = CdgaMorphism(model, model, {kq: Matrix.identity(model.dim(kq)) for kq in model.bidegrees()})
+        identity = CdgaMorphism(model, model, {kq: reference.identity(model.dim(kq)) for kq in model.bidegrees()})
         want = reference_quasi_iso(identity, INF)
         assert want[2] == ((0, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0), (3, 0, 0, 0))
         verdict = check_r_quasi_iso(identity, INF)
@@ -2316,23 +2316,23 @@ class TestBudgets:
         square = kunneth_product(line, line)
         held = dict(vars(square))
         sizes = {name: len(value) for name, value in held.items() if isinstance(value, dict)}
-        dense = count_calls(Matrix, "__matmul__", "zero")
+        zeros = count_calls(Matrix, "zero")
         steps = count_calls(CompactificationDatum, "_step").args["_step"]
         model = build_model(square)
-        assert dense == {}
+        assert zeros == {}
         assert steps and len(steps) == len({(i_key, j, p) for _, i_key, j, p, _ in steps})
         assert vars(square) == held
         assert {name: len(value) for name, value in held.items() if isinstance(value, dict)} == sizes
         assert model.total_dimension() == 49 and verify_cdga_axioms(model).passed
 
-    def test_axioms_make_no_matrix_products(self, count_calls):
-        # d o d is applied to the sparse columns of d
+    def test_axioms_make_no_matrix_products(self):
+        # d o d is applied to the sparse columns of d; `Matrix` defines no
+        # product, so the check runs only when it makes none
+        assert not hasattr(Matrix, "__matmul__")
         line5, line3 = builder_projective_line_marked(5), builder_projective_line_marked(3)
         square = build_model(kunneth_product(line5, line5))
         cube = build_model(kunneth_product(kunneth_product(line3, line3), line3))
-        calls = count_calls(Matrix, "__matmul__")
         assert verify_cdga_axioms(square).passed and verify_cdga_axioms(cube).passed
-        assert calls == {}
 
     def test_square_kernel_witness_one_kernel_basis_per_bidegree(self, count_calls):
         # the witness reads the cocycles of the model's cached column data,
@@ -2354,8 +2354,9 @@ class TestBudgets:
         # one sparse elimination on integer columns; on the dense
         # elimination, these calls on the (5, 5) square made 7 `rref` calls
         # (3 of them fresh) and 3 Matrix constructions
+        assert not hasattr(Matrix, "rref")
         square = kunneth_product(*map(builder_projective_line_marked, sizes))
-        calls = count_calls(Matrix, "rref", "__init__")
+        calls = count_calls(Matrix, "__init__")
         model = build_model(square)
         assert verify_cdga_axioms(model).passed
         witness = extract(model, INF)
@@ -2387,7 +2388,7 @@ class TestBudgets:
         assert cohomology_of_model(model) and cohomology_of_model(witness.model)
         assert zeros == {}
         missing = [kq for kq in model.bidegrees() if kq not in model.diff]
-        assert missing and all(model.differential(kq).is_zero() for kq in missing)
+        assert missing and all(x == 0 for kq in missing for row in model.differential(kq).rows for x in row)
         assert zeros["zero"] == len(missing)
 
     def test_axioms_multiply_no_basis_vectors(self, count_calls):
@@ -2406,16 +2407,16 @@ class TestBudgets:
         assert witness.morphism.violations() == []
         assert calls == {}
 
-    def test_square_quasi_iso_check_makes_no_matrix_products(self, count_calls):
+    def test_square_quasi_iso_check_makes_no_matrix_products(self):
+        # `Matrix` defines no product, so the check runs only when it makes none
+        assert not hasattr(Matrix, "__matmul__")
         line = builder_projective_line_marked(5)
         model = build_model(kunneth_product(line, line))
         witness = extract_kernel_model(model, INF)
-        products = count_calls(Matrix, "__matmul__").args["__matmul__"]
         # a fresh copy of the model, so that no column data is cached
         target = BigradedModel(model.spaces, model.diff, model.products)
         verdict = check_r_quasi_iso(CdgaMorphism(witness.model, target, witness.morphism.blocks), INF)
         assert verdict == witness.quasi_iso and verdict.ok
-        assert products == []
 
     def test_witnesses_multiply_no_basis_vectors(self, count_calls):
         # cocycle, boundary and representative products are swept over the
@@ -2451,7 +2452,8 @@ class TestBudgets:
         line = builder_projective_line_marked(3)
         witness = extract_kernel_model(build_model(kunneth_product(kunneth_product(line, line), line)), INF)
         assert witness.model.diff == {}
-        assert all(witness.model.differential(kq).is_zero() for kq in witness.model.bidegrees())
+        model = witness.model
+        assert all(x == 0 for kq in model.bidegrees() for row in model.differential(kq).rows for x in row)
         calls = count_calls(BigradedModel, "mult_vec", "mult_basis")
         again = extract_kernel_model(witness.model, INF)
         assert again.quasi_iso.ok and calls == {}

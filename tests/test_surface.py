@@ -3,9 +3,11 @@
 A module-level definition in the package is reachable when its name
 occurs, as a name or an attribute, in module-level code outside every
 definition or inside a reachable definition, starting from `cli.main`.
-Names are matched across modules, so the search over-approximates what
-runs.  What it cannot reach belongs in `tests/reference.py`, unless it is
-listed below with the reason it stays.
+A method of a reachable class is reachable when its name occurs as an
+attribute there.  Names are matched across modules and classes, so the
+search over-approximates what runs.  What it cannot reach belongs in
+`tests/reference.py`, unless it is listed below with the reason it stays;
+a method is listed as `Class.method`.
 """
 
 import ast
@@ -25,15 +27,33 @@ KEPT_UNREACHABLE = {
     # the canonical text form for library callers; the command line
     # digests the canonical file it already holds
     "render_arrangement",
+    # argparse calls it on a bad command line
+    "_Parser.error",
+    # public accessors returning a `Matrix` block, read by the tests' dense oracles
+    "BigradedModel.differential", "CdgaMorphism.block", "CdgaMorphism.blocks",
+    "CompactificationDatum.gysin", "CompactificationDatum.restriction",
+    # public accessors one vector or basis pair at a time, read by the tests' pairwise oracles
+    "BigradedModel.diff_vec", "BigradedModel.mult_basis", "BigradedModel.mult_vec",
+    "CdgaMorphism.apply", "CompactificationDatum.cup_entries",
+    # what `diff_vec` and `CdgaMorphism.apply` call
+    "_IntegerForm.image",
 }
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+OPERATORS = {ast.Add: "__add__", ast.Sub: "__sub__", ast.Mult: "__mul__", ast.MatMult: "__matmul__",
+             ast.USub: "__neg__"}
 
 
 def _names(node):
+    """(name, True) for each attribute that `node` reads, an operator reading
+    its method, and (name, False) for each plain name."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            yield sub.id
+            yield sub.id, False
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            yield sub.attr, True
+        elif isinstance(sub, (ast.BinOp, ast.UnaryOp, ast.AugAssign)) and type(sub.op) in OPERATORS:
+            yield OPERATORS[type(sub.op)], True
 
 
 def _modules():
@@ -41,29 +61,45 @@ def _modules():
 
 
 def unreachable_definitions():
-    """(module, name) of every module-level definition not reachable from `cli.main`."""
-    definitions = {}
-    roots = {("cli", "main")}
-    top_level_names = set()
+    """(module, name) of every module-level definition, and every method
+    (module, "Class.method") of a reachable class, not reachable from
+    `cli.main`.  A class stands for its body without its methods.  A dunder
+    method is a hook that Python calls itself, so it is reachable with its
+    class, except an arithmetic operator, which needs its operator."""
+    definitions, top_level = {}, []
     for module, tree in _modules().items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions[module, node.name] = node
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                methods = [n for n in node.body if isinstance(n, FUNCTIONS)] if isinstance(node, ast.ClassDef) else []
+                definitions[module, node.name] = [n for n in ast.iter_child_nodes(node) if n not in methods]
+                definitions.update({(module, "%s.%s" % (node.name, m.name)): [m] for m in methods})
             else:
-                top_level_names.update(_names(node))
+                top_level.append(node)
     by_name = {}
     for key in definitions:
-        by_name.setdefault(key[1], []).append(key)
-    roots.update(key for name in top_level_names for key in by_name.get(name, ()))
-    reached = set(roots)
-    todo = list(roots)
+        by_name.setdefault(key[1].rpartition(".")[2], []).append(key)
+    reached, seen, todo = set(), set(), [("cli", "main")]
+
+    def see(node):
+        for name, attribute in set(_names(node)) - seen:
+            seen.add((name, attribute))
+            todo.extend(by_name.get(name, ()))
+
+    for node in top_level:
+        see(node)
     while todo:
-        for name in _names(definitions[todo.pop()]):
-            for key in by_name.get(name, ()):
-                if key not in reached:
-                    reached.add(key)
-                    todo.append(key)
-    return set(definitions) - reached
+        key = todo.pop()
+        module, name = key
+        owner, _, method = name.rpartition(".")
+        hook = method.startswith("__") and method not in OPERATORS.values()
+        if key in reached or owner and ((module, owner) not in reached or not (hook or (method, True) in seen)):
+            continue
+        reached.add(key)
+        todo.extend(k for k in definitions if k[0] == module and k[1].startswith(name + "."))
+        for node in definitions[key]:
+            see(node)
+    return {(module, name) for module, name in set(definitions) - reached
+            if "." not in name or (module, name.rpartition(".")[0]) in reached}
 
 
 def test_every_other_definition_is_reachable_from_the_command_line():

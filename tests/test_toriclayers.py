@@ -16,14 +16,17 @@ from stratiform.toriclayers import (
 )
 
 from reference import (
+    apply,
     brute_force_components,
     inverse,
     layer_contains,
     layer_poset,
     local_subarrangement,
     phase_of,
+    rank,
     saturate,
     smith_normal_form,
+    solve,
     torsion_invariants,
 )
 
@@ -91,7 +94,7 @@ def _layers_reference(n, equations):
     """Rational reference for `layers_from_equations`.
 
     Smith form as a `Matrix`, the saturation basis from `inverse` of the
-    right transform, one `Matrix.solve` per Hermite row for its
+    right transform, one `solve` per Hermite row for its
     coordinates, and Fraction phases, one sum per component.
     """
     eqs = [(tuple(int(e) for e in chi), mod1(t)) for chi, t in equations]
@@ -99,17 +102,17 @@ def _layers_reference(n, equations):
         return [Layer(n, (), ())]
     snf = smith_normal_form(Matrix([list(chi) for chi, _ in eqs]))
     r = sum(1 for d in snf.diag if d)
-    ut = snf.left.apply([t for _, t in eqs])
+    ut = apply(snf.left, [t for _, t in eqs])
     for i in range(r, len(eqs)):
         if mod1(ut[i]) != 0:
             return []
     winv = inverse(snf.right)
     w = [tuple(int(x) for x in winv.rows[i]) for i in range(r)]
     span = hermite_basis(w)
-    wmat = Matrix([list(row) for row in w]).transpose()
+    wmat = Matrix(list(zip(*w)), ncols=len(w))
     coords = []
     for row in span:
-        sol = wmat.solve(list(row))
+        sol = solve(wmat, list(row))
         assert sol is not None and all(x.denominator == 1 for x in sol)
         coords.append([int(x) for x in sol])
     layers = []
@@ -246,7 +249,7 @@ class TestPoset:
         arr = [H((2, 0), F(0)), H((1, 1), F(1, 2))]
         poset = layer_poset(2, arr)
         for l in poset.layers:
-            assert l.codim == Matrix([list(r) for r in l.span]).rank() if l.span else l.codim == 0
+            assert l.codim == rank(Matrix([list(r) for r in l.span])) if l.span else l.codim == 0
 
     def test_spans_saturated_and_canonical(self):
         arr = [H((2, 4), F(1, 2)), H((0, 3), F(1, 3)), H((1, 1), F(0))]
