@@ -24,12 +24,16 @@ sparse product tables, and make a Fraction only for a value they return
 or store.  A datum's cup axioms are swept the same way.  The ring and
 Leibniz sweeps visit only the bidegree tuples some table reaches, and no
 tuple holding a verified unit; a stored product with an entry outside
-its space is a named fault and is left out of them.  The witnesses build
-column cohomology only where it is nonzero and hold their comparison maps
-as integer columns.  Ranks of d and of induced maps, cocycles,
-representatives and class coordinates all come from one fraction-free
-elimination of sparse integer columns, each carrying its history
-(`_reduce`); nothing on the model route eliminates a dense `Matrix`.
+its space is a named fault and is left out of them.  A map's shape is
+checked once, where it enters: `BigradedModel` refuses a differential and
+`CdgaMorphism` a block that does not map between its spaces, and
+`validate` lists a missing or misshapen restriction step once, so the
+sweeps take every shape as given.  The witnesses build column cohomology
+only where it is nonzero and hold their comparison maps as integer
+columns.  Ranks of d and of induced maps, cocycles, representatives and
+class coordinates all come from one fraction-free elimination of sparse
+integer columns, each carrying its history (`_reduce`); nothing on the
+model route eliminates a dense `Matrix`.
 """
 
 from __future__ import annotations
@@ -82,22 +86,9 @@ def shuffle_sign(i_set: Iterable[int], j_set: Iterable[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-class _NoRows:
-    """Sparse columns of a matrix without rows: every index, even one past
-    the width, names an empty column, as a loop over the rows finds."""
-
-    def __getitem__(self, j: int) -> Sparse:
-        return {}
-
-    def __iter__(self):
-        return iter(())
-
-
-def _sparse_columns(mat: Matrix, scale: int) -> list[dict[int, int]] | _NoRows:
+def _sparse_columns(mat: Matrix, scale: int) -> list[dict[int, int]]:
     """The nonzero entries of each column of `mat`, keyed by row, each entry
     v as the integer v * scale; `scale` is a multiple of their denominators."""
-    if not mat.nrows:
-        return _NoRows()
     cols: list[dict[int, int]] = [{} for _ in range(mat.ncols)]
     for i, row in enumerate(mat.rows):
         for j, v in enumerate(row):
@@ -189,10 +180,11 @@ class _IntegerForm:
     """The integer form of a model's product tables and stored maps, or of a
     morphism's blocks: `scale` is D, `tables` holds each product constant
     v as the integer v * D, explicit zeros kept, and `cols(kq)` the sparse
-    columns of the map `maps[kq]` likewise, or `zero_columns(kq)` where
-    none is stored, built once per bidegree."""
+    columns of the map `maps[kq]` likewise, or the `width(kq)` empty
+    columns of the zero map where none is stored, built once per
+    bidegree."""
 
-    def __init__(self, products: Mapping, maps: Mapping[Bidegree, Matrix], zero_columns):
+    def __init__(self, products: Mapping, maps: Mapping[Bidegree, Matrix], width):
         rows = [vec.values() for table in products.values() for vec in table.values()]
         rows += [row for mat in maps.values() for row in mat.rows]
         self.scale = scale = math.lcm(*{v.denominator for row in rows for v in row})
@@ -200,21 +192,22 @@ class _IntegerForm:
                              for ab, vec in table.items()}
                        for key, table in products.items()}
         self._cols: dict = {}
-        self._missing = lambda kq: _sparse_columns(maps[kq], scale) if kq in maps else zero_columns(kq)
+        self._maps, self._width = maps, width
 
     @classmethod
-    def _of_columns(cls, scale: int, cols: Mapping[Bidegree, list], missing) -> _IntegerForm:
+    def _of_columns(cls, scale: int, cols: Mapping[Bidegree, list], width) -> _IntegerForm:
         """The integer form of maps given as sparse integer columns over
-        `scale`, without products; `missing(kq)` gives the columns of any
-        other map."""
+        `scale`, without products; every other map is zero."""
         form = cls.__new__(cls)
-        form.scale, form.tables, form._cols, form._missing = scale, {}, dict(cols), missing
+        form.scale, form.tables, form._cols, form._maps, form._width = scale, {}, dict(cols), {}, width
         return form
 
-    def cols(self, kq: Bidegree) -> list[dict[int, int]] | _NoRows:
+    def cols(self, kq: Bidegree) -> list[dict[int, int]]:
         cols = self._cols.get(kq)
         if cols is None:
-            cols = self._cols[kq] = self._missing(kq)
+            mat = self._maps.get(kq)
+            cols = self._cols[kq] = (_sparse_columns(mat, self.scale) if mat is not None
+                                     else [{} for _ in range(self._width(kq))])
         return cols
 
     def image(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
@@ -385,19 +378,20 @@ class CompactificationDatum:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Functoriality of restrictions and cup-product axioms per stratum."""
+        """The faults of the datum, stratum by stratum in `subsets` order.
+        For each stratum I: each missing or misshapen restriction step from
+        I into a space with classes, once, by (j, degree); then each pair
+        j1 < j2 whose two composites differ at a degree where D_{I+j1+j2}
+        has classes; then the cup faults of D_I."""
         return self._issues({})
 
     def _issues(self, memo: dict) -> list[str]:
-        """`validate` with its composites kept in `memo`, faults in the order
-        of the loop over (I, j1 < j2, p).
+        """`validate` with its steps and composites kept in `memo`.
 
-        When D_{I+j1+j2} has no classes in degree p, both composites are
-        zero, so they agree, and only a first step (I, j1) or (I, j2) into a
-        space with classes can be missing or misshapen; the first of the two
-        is the fault.  Those first steps are read once per (I, j, p).  Only
-        the pairs whose D_{I+j1+j2} is a stratum compose, and the other
-        pairs are visited only when a first step from I is at fault."""
+        Only the pairs whose D_{I+j1+j2} is a stratum compose, since both
+        composites are zero otherwise.  A pair whose composite needs a
+        faulty step is skipped: that step is listed under its own stratum,
+        which has classes in that degree."""
         issues = []
         cohomology = self.cohomology
         tops: dict = {}  # I -> [(j1, j2, H^*(D_{I+j1+j2}))] for the strata I + j1 + j2
@@ -408,32 +402,22 @@ class CompactificationDatum:
                     tops.setdefault(i_key, []).append((j1, j2, top))
         for i_key in self.subsets():
             degrees = sorted(cohomology[i_key])
-            remaining = [j for j in range(1, self.components + 1) if j not in i_key]
-            faults = {}
-            for j in remaining if len(remaining) > 1 else ():
-                above = tuple(sorted(i_key + (j,)))
-                for p in degrees:
-                    try:
-                        self._step_rows(memo, i_key, j, p, above)
-                    except DatumError as err:
-                        faults[(j, p)] = str(err)
-            if faults:
-                pairs = [(j1, j2, cohomology.get(tuple(sorted(i_key + (j1, j2))), {}))
-                         for j1, j2 in combinations(remaining, 2)]
-            else:
-                pairs = sorted(tops.get(i_key, ()), key=lambda pair: pair[:2])
-            for j1, j2, top in pairs:
+            for j in range(1, self.components + 1):
+                if j not in i_key:
+                    above = tuple(sorted(i_key + (j,)))
+                    for p in degrees:
+                        try:
+                            self._step_rows(memo, i_key, j, p, above)
+                        except DatumError as err:
+                            issues.append(str(err))
+            for j1, j2, top in sorted(tops.get(i_key, ()), key=lambda pair: pair[:2]):
                 for p in degrees:
                     if not top.get(p, 0):
-                        fault = faults.get((j1, p)) or faults.get((j2, p))
-                        if fault:
-                            issues.append(fault)
                         continue
                     try:
                         via1 = self._composite(memo, i_key, (j1, j2), p)
                         via2 = self._composite(memo, i_key, (j2, j1), p)
-                    except DatumError as err:
-                        issues.append(str(err))
+                    except DatumError:
                         continue
                     if via1 != via2:
                         issues.append(
@@ -493,6 +477,11 @@ class BigradedModel:
     `spaces` maps (k, q) to a tuple of basis labels; `diff[(k, q)]` is the
     matrix of d: M^k_q -> M^{k+1}_q; `products[((k,q),(k',q'))][(a, b)]`
     is the sparse result vector in M^{k+k'}_{q+q'}.
+
+    Construction refuses, with ValueError("differential at (k, q) has
+    shape S, expected T"), the first stored d in sorted bidegree order
+    whose shape is not (dim M^{k+1}_q, dim M^k_q), so every check and
+    witness may take each d to map between its spaces.
     """
 
     def __init__(
@@ -507,6 +496,10 @@ class BigradedModel:
             key: {ab: dict(vec) for ab, vec in table.items() if vec}
             for key, table in products.items()
         }
+        for kq in sorted(self.diff):
+            shape, want = self.diff[kq].shape, (self.dim((kq[0] + 1, kq[1])), self.dim(kq))
+            if shape != want:
+                raise ValueError("differential at %r has shape %r, expected %r" % (kq, shape, want))
         self._form: _IntegerForm | None = None
         self._closure: tuple | None = None
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
@@ -517,9 +510,10 @@ class BigradedModel:
     @classmethod
     def _adopt(cls, spaces: dict, diff: dict, products: dict) -> BigradedModel:
         """A model over tables its caller has just built, held without the
-        copy `__init__` makes: label tuples nonempty, no product vector empty."""
-        model = cls({}, diff, {})
-        model.spaces, model.products = spaces, products
+        copy `__init__` makes, nor its shape check: label tuples nonempty, no
+        product vector empty, each d fitting its spaces."""
+        model = cls({}, {}, {})
+        model.spaces, model.diff, model.products = spaces, diff, products
         return model
 
     def dim(self, kq: Bidegree) -> int:
@@ -534,40 +528,18 @@ class BigradedModel:
     def max_degree(self) -> int:
         return max((k for (k, _) in self.spaces), default=0)
 
-    def weights(self) -> tuple[int, ...]:
-        return tuple(sorted({q for (_, q) in self.spaces}))
-
     def differential(self, kq: Bidegree) -> Matrix:
         stored = self.diff.get(kq)
         if stored is None:
             stored = self._zeros.get(kq)
             if stored is None:
-                stored = self._zeros[kq] = Matrix.zero(*self._d_shape(kq))
+                stored = self._zeros[kq] = Matrix.zero(self.dim((kq[0] + 1, kq[1])), self.dim(kq))
         return stored
-
-    def _d_shape(self, kq: Bidegree) -> tuple[int, int]:
-        """The shape of d on M^k_q: the stored matrix's, or else that of the
-        zero map into M^{k+1}_q, which is not built."""
-        stored = self.diff.get(kq)
-        return stored.shape if stored is not None else (self.dim((kq[0] + 1, kq[1])), self.dim(kq))
-
-    def _zero_columns(self, kq: Bidegree) -> list[dict] | _NoRows:
-        """The sparse columns of the zero map on M^k_q."""
-        return [{} for _ in range(self.dim(kq))] if self.dim((kq[0] + 1, kq[1])) else _NoRows()
-
-    def _check_fitted(self, kq: Bidegree) -> None:
-        """Refuse d into or d out of M^k_q unless each maps between the
-        spaces around `kq`."""
-        k, q = kq
-        for at in ((k - 1, q), kq):
-            shape, want = self._d_shape(at), (self.dim((at[0] + 1, q)), self.dim(at))
-            if shape != want:
-                raise ValueError("differential at %r has shape %r, expected %r" % (at, shape, want))
 
     def _integers(self) -> _IntegerForm:
         """The integer form of the products and of d, built once."""
         if self._form is None:
-            self._form = _IntegerForm(self.products, self.diff, self._zero_columns)
+            self._form = _IntegerForm(self.products, self.diff, self.dim)
         return self._form
 
     def _closed(self) -> tuple[list[tuple], Mapping, bool]:
@@ -602,9 +574,7 @@ class BigradedModel:
         return rank
 
     def _rank_formula(self, kq: Bidegree) -> int:
-        """dim M^k_q - rank d_out - rank d_in, refused unless both
-        differentials fit the spaces around `kq`."""
-        self._check_fitted(kq)
+        """dim M^k_q - rank d_out - rank d_in."""
         return self.dim(kq) - self._rank(kq) - self._rank((kq[0] - 1, kq[1]))
 
     def _cohomology_dim(self, kq: Bidegree) -> int:
@@ -660,8 +630,9 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     bitmasks of the index sets, and each cup vector's range once.
     Validation and assembly share one memo of composites, dropped on
     return.  Every disjoint pair whose product bidegree has a space takes
-    its composites, as each basis pair did, so a step validation does not
-    reach raises the same first DatumError.
+    its composites, as each basis pair did, so a step that validation does
+    not read, one of a component index outside 1..components, raises the
+    same first DatumError.
     """
     composites: dict = {}
     issues = cd._issues(composites)
@@ -779,29 +750,23 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     fault, and that product is left out of every sweep.  Where `_has_unit`
     verifies a unit e spanning M^0_0 on what is left (ex = xe = s x as
     stored, and every stored product inside its target space), no ring
-    tuple holding e can fail; if also d(e) = 0 and every d maps M^k_q into
-    M^{k+1}_q, no Leibniz pair holding e can fail either: d(ex) = s dx =
-    e(dx) and d(xe) = s dx = (dx)e.  Those tuples are not swept.  Table
-    keys outside the basis are ignored, and violations come in the order
-    of the loop over all tuples (bidegrees, then basis indices).
+    tuple holding e can fail; if also d(e) = 0, no Leibniz pair holding e
+    can fail either, as every d maps M^k_q into M^{k+1}_q (`BigradedModel`
+    refuses one that does not): d(ex) = s dx = e(dx) and d(xe) = s dx =
+    (dx)e.  Those tuples are not swept.  Table keys outside the basis are
+    ignored, and violations come in the order of the loop over all tuples
+    (bidegrees, then basis indices).
     """
     escapes, tables, unit = model._closed()
     violations = [("closure", _escape_message(escape)) for escape in escapes]
     dcols = model._integers().cols
     bidegs = model.bidegrees()
     span = {kq: range(model.dim(kq)) for kq in bidegs}
-    fitted = True
-    for kq in bidegs:
-        k, q = kq
-        up = (k + 1, q)
-        shape = model._d_shape(kq)
-        if model._d_shape(up)[1] != shape[0]:
-            raise ValueError("shape mismatch in matrix product")
-        fitted = fitted and shape == (model.dim(up), len(span[kq]))
-        if any(_apply_columns(dcols(up), col) for col in dcols(kq)):
+    for k, q in bidegs:
+        if any(_apply_columns(dcols((k + 1, q)), col) for col in dcols((k, q))):
             violations.append(("d_squared", "d o d nonzero on M^%d_%d" % (k, q)))
 
-    swept = span.keys() - {(0, 0)} if unit and fitted and not dcols((0, 0))[0] else span.keys()
+    swept = span.keys() - {(0, 0)} if unit and not dcols((0, 0))[0] else span.keys()
     rows = {kq: _sparse_rows(dcols(kq)) for kq in bidegs}
     pairs = {pair for kq1, kq2 in tables
              for pair in ((kq1, kq2), ((kq1[0] - 1, kq1[1]), kq2), (kq1, (kq2[0] - 1, kq2[1])))
@@ -971,8 +936,9 @@ def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range], unit: bool) ->
 
 
 def cohomology_of_model(model: BigradedModel) -> dict[Bidegree, int]:
-    """dim H^k(M_q) per (degree, weight), nonzero entries only; refuses a
-    stored differential that does not map between its spaces."""
+    """dim H^k(M_q) per (degree, weight), nonzero entries only, by the rank
+    formula; each d maps between its spaces, as `BigradedModel` refuses
+    one that does not."""
     out: dict[Bidegree, int] = {}
     for kq in model.bidegrees():
         h = model._rank_formula(kq)
@@ -1085,11 +1051,10 @@ class _ColumnCohomology:
         n = self.length = model.dim(kq)
         if not n:
             return
-        model._check_fitted(kq)
         form = model._integers()
         if kq in model.diff:
             d_out = self._d_out = form.cols(kq)
-            relations = _relations([d_out[f] for f in range(n)])
+            relations = _relations(d_out)
             self.cocycle_scale = scale = math.lcm(*(abs(h[f]) for f, h in relations.items()))
             self.cocycle_cols = [{l: x * (scale // h[f]) for l, x in sorted(h.items())} for f, h in relations.items()]
             self._free = {f: c for c, f in enumerate(relations)}
@@ -1115,8 +1080,6 @@ class _ColumnCohomology:
         """The entries of `vec` at the free columns, keyed by cocycle and
         ascending, or None if d_out vec != 0; zeros dropped."""
         vec = {i: x for i, x in vec.items() if x}
-        if vec and not (0 <= min(vec) and max(vec) < self.length):
-            raise IndexError("basis index outside the space")
         if self._d_out is not None and _apply_columns(self._d_out, vec):
             return None
         free = self._free
@@ -1153,12 +1116,20 @@ class _ColumnCohomology:
 
 class CdgaMorphism:
     """A weight-preserving map of bigraded models, given by blocks per
-    bidegree; missing blocks are zero."""
+    bidegree; missing blocks are zero.
+
+    Construction refuses, with ValueError("block at kq has shape S,
+    expected T"), the first block in sorted bidegree order whose shape is
+    not (target.dim(kq), source.dim(kq))."""
 
     def __init__(self, source: BigradedModel, target: BigradedModel, blocks: Mapping[Bidegree, Matrix]):
         self.source = source
         self.target = target
         self._blocks: dict[Bidegree, Matrix] | None = dict(blocks)
+        for kq in sorted(self._blocks):
+            shape, want = self._blocks[kq].shape, (target.dim(kq), source.dim(kq))
+            if shape != want:
+                raise ValueError("block at %r has shape %r, expected %r" % (kq, shape, want))
         self._columns: Mapping[Bidegree, list] = {}
         self._form: _IntegerForm | None = None
 
@@ -1171,7 +1142,7 @@ class CdgaMorphism:
         other blocks are zero.  They are its integer form as they are."""
         f = cls(source, target, {})
         f._blocks, f._columns = None, cols
-        f._form = _IntegerForm._of_columns(scale, cols, f._zero_columns)
+        f._form = _IntegerForm._of_columns(scale, cols, source.dim)
         return f
 
     @property
@@ -1186,10 +1157,6 @@ class CdgaMorphism:
                             for kq, cols in self._columns.items()}
         return self._blocks
 
-    def _zero_columns(self, kq: Bidegree) -> list[dict] | _NoRows:
-        """The sparse columns of the zero block at `kq`."""
-        return [{} for _ in range(self.source.dim(kq))] if self.target.dim(kq) else _NoRows()
-
     def block(self, kq: Bidegree) -> Matrix:
         stored = self.blocks.get(kq)
         if stored is not None:
@@ -1199,7 +1166,7 @@ class CdgaMorphism:
     def _integers(self) -> _IntegerForm:
         """The integer form of the blocks, built once."""
         if self._form is None:
-            self._form = _IntegerForm({}, self._blocks, self._zero_columns)
+            self._form = _IntegerForm({}, self._blocks, self.source.dim)
         return self._form
 
     def apply(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
@@ -1222,44 +1189,31 @@ class CdgaMorphism:
 
     def violations(self) -> list[str]:
         """The identities of a cdga morphism that f breaks, in this order:
-        block shapes (alone, if any fails); entries of stored products of
-        either model outside their target spaces, whose products the
-        product check leaves out; d o f = f o d per bidegree; and f(ab) =
-        f(a)f(b) per pair of basis vectors of the source.
+        entries of stored products of either model outside their target
+        spaces, whose products the product check leaves out; d o f = f o d
+        per bidegree of the source; and f(ab) = f(a)f(b) per pair of basis
+        vectors of the source.  The blocks and both differentials fit their
+        spaces, as construction refuses any that does not.
 
         The product check sweeps only the live bidegree pairs, those with a
         table on the source or the target side, as no other pair has a
         term; and none holding the source's unit (0, 0) when `_keeps_unit`
         holds.  Faults come in the order of the loop over all pairs."""
-        out = []
-        for kq, mat in (self._blocks or {}).items():  # blocks built from columns fit by construction
-            want = (self.target.dim(kq), self.source.dim(kq))
-            if mat.shape != want:
-                out.append("block at %r has shape %r, expected %r" % (kq, mat.shape, want))
-        if out:
-            return out
         (src_escapes, src, _), (tgt_escapes, tgt, _) = self.source._closed(), self.target._closed()
-        out += ["source " + _escape_message(escape) for escape in src_escapes]
+        out = ["source " + _escape_message(escape) for escape in src_escapes]
         out += ["target " + _escape_message(escape) for escape in tgt_escapes]
         # both identities run on the integer forms of the two models and of
         # the blocks, over Ds, Dt and Df.  d o f = f o d is compared column
-        # by column, f d_src carrying Df Ds and d_tgt f carrying Dt Df; the
-        # blocks fit the spaces, so only a differential of another shape
-        # keeps the two composites from existing or from matching in shape
+        # by column, f d_src carrying Df Ds and d_tgt f carrying Dt Df
         src_form, tgt_form, f_form = self.source._integers(), self.target._integers(), self._integers()
         fcols = f_form.cols
-        degrees = set(self.source.bidegrees()) | set(self.target.bidegrees())
-        for kq in sorted(degrees):
-            k, q = kq
-            up = (k + 1, q)
-            (src_rows, src_width), (tgt_rows, tgt_width) = self.source._d_shape(kq), self.target._d_shape(kq)
-            if src_rows != self.source.dim(up) or tgt_width != self.target.dim(kq):
-                raise ValueError("shape mismatch in matrix product")
-            src_cols, f_cols, f_up, tgt_cols = src_form.cols(kq), fcols(kq), fcols(up), tgt_form.cols(kq)
-            if (src_width, tgt_rows) != (self.source.dim(kq), self.target.dim(up)) or any(
-                {i: tgt_form.scale * v for i, v in _apply_columns(f_up, src_cols[j]).items()}
-                != {i: src_form.scale * v for i, v in _apply_columns(tgt_cols, f_cols[j]).items()}
-                for j in range(self.source.dim(kq))
+        for kq in self.source.bidegrees():
+            src_cols, tgt_cols = src_form.cols(kq), tgt_form.cols(kq)
+            f_cols, f_up = fcols(kq), fcols((kq[0] + 1, kq[1]))
+            if any(
+                {i: tgt_form.scale * v for i, v in _apply_columns(f_up, src_col).items()}
+                != {i: src_form.scale * v for i, v in _apply_columns(tgt_cols, f_col).items()}
+                for src_col, f_col in zip(src_cols, f_cols)
             ):
                 out.append("differential compatibility fails at %r" % (kq,))
         # f(ab) = f(a)f(b): f(ab), from the keys (a, b) of the source table,

@@ -664,12 +664,20 @@ def restriction(cd: CompactificationDatum, i_set, j_set, p) -> Matrix:
 
 
 def validate(cd: CompactificationDatum) -> list[str]:
-    """Functoriality of the restrictions, both orders of every (I, j1, j2, p)
-    composed densely, and the cup axioms of each stratum."""
+    """Per stratum I: each missing or misshapen step from I, by (j, p);
+    then functoriality, both orders of every (I, j1, j2, p) composed
+    densely, skipping a pair that needs a faulty step; then the cup axioms
+    of D_I."""
     issues = []
     cohomology = cd.cohomology
     for i_key in cd.subsets():
         remaining = [j for j in range(1, cd.components + 1) if j not in i_key]
+        for j in remaining:
+            for p in sorted(cohomology[i_key]):
+                try:
+                    cd._step(i_key, j, p, tuple(sorted(i_key + (j,))))
+                except DatumError as err:
+                    issues.append(str(err))
         for a_pos in range(len(remaining)):
             for b_pos in range(a_pos + 1, len(remaining)):
                 j1, j2 = remaining[a_pos], remaining[b_pos]
@@ -677,8 +685,7 @@ def validate(cd: CompactificationDatum) -> list[str]:
                     try:
                         via1 = compose_steps(cd, i_key, (j1, j2), p)
                         via2 = compose_steps(cd, i_key, (j2, j1), p)
-                    except DatumError as err:
-                        issues.append(str(err))
+                    except DatumError:
                         continue
                     if via1 != via2:
                         issues.append(

@@ -393,6 +393,16 @@ class TestCommands:
         code, out = invoke(["betti", str(f), "--max-strata", value])
         assert code == 1 and "error: argument --max-strata" in out
 
+    @pytest.mark.parametrize("value, reason", [
+        ("-1", "r must be nonnegative"),
+        ("many", "r must be a nonnegative integer or 'inf'"),
+    ])
+    def test_r_must_be_a_nonnegative_integer_or_inf(self, tmp_path, value, reason):
+        f = tmp_path / "z2.arr"
+        f.write_text(Z2)
+        code, out = invoke(["purity", str(f), "--r", value])
+        assert code == 1 and out.endswith("\nerror: argument --r: %s\n" % reason)
+
     def test_concurrent_lines_poset_shape(self, tmp_path):
         f = tmp_path / "conc.arr"
         f.write_text("hyperplane 2\neq 1 0 : 0/1\neq 0 1 : 0/1\neq 1 1 : 0/1\n")

@@ -289,9 +289,6 @@ def test_smith_core_carries_the_inverse_of_right(rows):
     right, right_inv = Matrix(core.right, ncols=ncols), Matrix(core.right_inverse, ncols=ncols)
     assert matmul(right_inv, right) == identity(ncols)
     assert matmul(right, right_inv) == identity(ncols)
-    snf = smith_normal_form(Matrix(rows))
-    assert (snf.left.rows, snf.diag, snf.right.rows) == (
-        tuple(map(tuple, core.left)), core.diag, tuple(map(tuple, core.right)))
 
 
 def test_integer_rows_keep_their_validation():
@@ -305,6 +302,8 @@ def test_integer_rows_keep_their_validation():
         hermite_basis([[1, 2], [3]])
     with pytest.raises(ValueError, match="ncols does not match row length"):
         Matrix([[1, 2]], ncols=3)
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        Matrix([[1, 2], [3]])
 
 
 def test_inverse_roundtrip():
