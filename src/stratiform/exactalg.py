@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals and the integers.
 
 `Matrix` is a dense immutable matrix of reduced `Fraction`s with no
-arithmetic: it is the block format of `CompactificationDatum` and the
-type its accessors and the model's `differential()` return, so it keeps
-construction, shape and equality only.  The computations are integer-only.
+arithmetic: it is the block format of `CompactificationDatum` and what
+the public `BigradedModel` and `CdgaMorphism` constructors take for d
+and for a morphism's blocks, which they convert once to the sparse
+integer columns they keep, so it keeps construction, shape and equality
+only.  The computations are integer-only.
 Smith normal form pivots on the entry of smallest absolute value, ties
 broken by lowest (row, column); Hermite bases are row-style with positive
 pivots and the entries above each pivot reduced into [0, pivot).  These

@@ -17,23 +17,31 @@ the caller: validation compares the two orders of each pair of steps on
 them, and the model is assembled block by block, a block being the
 summand of one stratum and degree, from the nonzero entries of its Gysin
 blocks and by sweeping the cup tables' keys against the composites' rows.
-All checks are exact identities.  Each model and each morphism keeps one
-integer form of what it stores, built on first use; the cdga axioms, the
-morphism checks and both witnesses run on it, sweeping the keys of the
-sparse product tables, and make a Fraction only for a value they return
-or store.  A datum's cup axioms are swept the same way.  The ring and
-Leibniz sweeps visit only the bidegree tuples some table reaches, and no
-tuple holding a verified unit; a stored product with an entry outside
-its space is a named fault and is left out of them.  A map's shape is
-checked once, where it enters: `BigradedModel` refuses a differential and
-`CdgaMorphism` a block that does not map between its spaces, and
-`validate` lists a missing or misshapen restriction step once, so the
-sweeps take every shape as given.  The witnesses build column cohomology
-only where it is nonzero and hold their comparison maps as integer
-columns.  Ranks of d and of induced maps, cocycles, representatives and
-class coordinates all come from one fraction-free elimination of sparse
-integer columns, each carrying its history (`_reduce`); nothing on the
-model route eliminates a dense `Matrix`.
+All checks are exact identities.  A model keeps its maps in one form
+only, the integer form that its constructor builds: a scale D, the
+product tables and the sparse columns of each stored d, every value v
+held as the integer v * D; a morphism keeps the sparse integer columns
+of its blocks over a scale of its own.  A `Matrix` given to either
+constructor is converted once, where it enters, and `build_model` and
+the witnesses hand over sparse columns they have just built.  No
+accessor renders a map as a `Matrix` or applies it to one vector; the
+tests' dense and pairwise oracles do that in `tests/reference.py`.  The
+cdga axioms, the morphism checks and both witnesses run on these forms,
+sweeping the keys of the sparse product tables, and make a Fraction only
+for a value they return or store.  A datum's cup axioms are swept the
+same way.  The ring and Leibniz sweeps visit only the bidegree tuples
+some table reaches, and no tuple holding a verified unit; a stored
+product with an entry outside its space is a named fault and is left
+out of them.  A map's shape is checked once, where it enters:
+`BigradedModel` refuses a differential and `CdgaMorphism` a block that
+does not map between its spaces, and `validate` lists a missing or
+misshapen restriction step once, so the sweeps take every shape as
+given.  The witnesses build column cohomology only where it is nonzero
+and hold their comparison maps as integer columns.  Ranks of d and of
+induced maps, cocycles, representatives and class coordinates all come
+from one fraction-free elimination of sparse integer columns, each
+carrying its history (`_reduce`).  Only a datum's blocks are matrices:
+from `build_model` to a verdict, nothing makes or eliminates a `Matrix`.
 """
 
 from __future__ import annotations
@@ -86,15 +94,23 @@ def shuffle_sign(i_set: Iterable[int], j_set: Iterable[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _sparse_columns(mat: Matrix, scale: int) -> list[dict[int, int]]:
-    """The nonzero entries of each column of `mat`, keyed by row, each entry
-    v as the integer v * scale; `scale` is a multiple of their denominators."""
-    cols: list[dict[int, int]] = [{} for _ in range(mat.ncols)]
+def _sparse_columns(mat: Matrix) -> list[Sparse]:
+    """The nonzero entries of each column of `mat`, keyed by row."""
+    cols: list[Sparse] = [{} for _ in range(mat.ncols)]
     for i, row in enumerate(mat.rows):
         for j, v in enumerate(row):
             if v:
-                cols[j][i] = v.numerator * (scale // v.denominator)
+                cols[j][i] = v
     return cols
+
+
+def _integer_form(maps: Mapping[Bidegree, list], dens: Iterable[int] = ()) -> tuple[int, dict]:
+    """(D, `maps` as integer columns) for maps given as sparse rational
+    columns: D is the lcm of `dens` and of the denominators of their
+    entries, and each entry v becomes the integer v * D."""
+    scale = math.lcm(*dens, *{v.denominator for cols in maps.values() for col in cols for v in col.values()})
+    return scale, {kq: [{i: v.numerator * (scale // v.denominator) for i, v in col.items()} for col in cols]
+                   for kq, cols in maps.items()}
 
 
 def _apply_columns(cols: Sequence[Mapping[int, Fraction]], vec: Mapping[int, Fraction]) -> Sparse:
@@ -157,62 +173,6 @@ def _compose_rows(after: Mapping[int, Sparse], before: Mapping[int, Sparse]) -> 
         if row:
             out[t] = row
     return out
-
-
-# -- the integer form of a model ---------------------------------------------
-#
-# A sparse product table maps basis pairs (a, b) to the sparse vector ab.
-# Each model, and each morphism, holds one integer form of what it stores,
-# built on first use: with D the lcm of the denominators of every stored
-# value, each value v becomes the integer v * D.  An identity whose terms
-# are all products of the same number of values over the same D fails
-# exactly where its scaled form does; other terms are multiplied by the
-# missing denominators.  Each check sweeps the keys of the tables, adds the
-# terms of both sides of its identity into one difference per basis tuple,
-# and reports the tuples, in ascending order, whose difference is nonzero.
-# A tuple that meets no key has two empty sums, so the sweep is exhaustive.
-# Keys whose basis indices lie outside the spaces are skipped.  Integer
-# vectors carry their own denominator, and a Fraction is made only for a
-# value that is returned or stored.
-
-
-class _IntegerForm:
-    """The integer form of a model's product tables and stored maps, or of a
-    morphism's blocks: `scale` is D, `tables` holds each product constant
-    v as the integer v * D, explicit zeros kept, and `cols(kq)` the sparse
-    columns of the map `maps[kq]` likewise, or the `width(kq)` empty
-    columns of the zero map where none is stored, built once per
-    bidegree."""
-
-    def __init__(self, products: Mapping, maps: Mapping[Bidegree, Matrix], width):
-        rows = [vec.values() for table in products.values() for vec in table.values()]
-        rows += [row for mat in maps.values() for row in mat.rows]
-        self.scale = scale = math.lcm(*{v.denominator for row in rows for v in row})
-        self.tables = {key: {ab: {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
-                             for ab, vec in table.items()}
-                       for key, table in products.items()}
-        self._cols: dict = {}
-        self._maps, self._width = maps, width
-
-    @classmethod
-    def _of_columns(cls, scale: int, cols: Mapping[Bidegree, list], width) -> _IntegerForm:
-        """The integer form of maps given as sparse integer columns over
-        `scale`, without products; every other map is zero."""
-        form = cls.__new__(cls)
-        form.scale, form.tables, form._cols, form._maps, form._width = scale, {}, dict(cols), {}, width
-        return form
-
-    def cols(self, kq: Bidegree) -> list[dict[int, int]]:
-        cols = self._cols.get(kq)
-        if cols is None:
-            mat = self._maps.get(kq)
-            cols = self._cols[kq] = (_sparse_columns(mat, self.scale) if mat is not None
-                                     else [{} for _ in range(self._width(kq))])
-        return cols
-
-    def image(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
-        """The map at `kq` applied to the rational vector `vec`."""
-        return {i: Fraction(v, self.scale) for i, v in _apply_columns(self.cols(kq), vec).items()}
 
 
 def _rational(v):
@@ -355,26 +315,6 @@ class CompactificationDatum:
                 rows, cur = prefix, nxt
         return rows
 
-    def restriction(self, i_set: Sequence[int], j_set: Sequence[int], p: int) -> Matrix:
-        """Composite restriction H^p(D_I) -> H^p(D_J) along sorted steps."""
-        i_key, j_key = _sorted_subset(i_set), _sorted_subset(j_set)
-        if not set(i_key) <= set(j_key):
-            raise ValueError("restriction requires I inside J")
-        rows = self._composite({}, i_key, tuple(j for j in j_key if j not in i_key), p)
-        src, tgt = (self.cohomology.get(key, {}).get(p, 0) for key in (i_key, j_key))
-        zero = Fraction(0)
-        return Matrix([[rows.get(b, {}).get(a, zero) for a in range(src)] for b in range(tgt)], ncols=src)
-
-    def gysin(self, i_set: Sequence[int], i: int, p: int) -> Matrix:
-        """Gysin map H^p(D_I) -> H^{p+2}(D_{I-i}) for i in I."""
-        i_key = tuple(sorted(i_set))
-        if i not in i_key:
-            raise ValueError("Gysin index must lie in the component set")
-        return self._gysin(i_key, i, p, tuple(x for x in i_key if x != i))
-
-    def cup_entries(self, i_set: Sequence[int], p: int, p2: int) -> dict:
-        return self.cups.get(tuple(sorted(i_set)), {}).get((p, p2), {})
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -475,8 +415,16 @@ class BigradedModel:
     """A finite bigraded cdga: spaces M^k_q, differential, sparse product.
 
     `spaces` maps (k, q) to a tuple of basis labels; `diff[(k, q)]` is the
-    matrix of d: M^k_q -> M^{k+1}_q; `products[((k,q),(k',q'))][(a, b)]`
-    is the sparse result vector in M^{k+k'}_{q+q'}.
+    matrix of d: M^k_q -> M^{k+1}_q, zero where none is given;
+    `products[((k,q),(k',q'))][(a, b)]` is the sparse result vector in
+    M^{k+k'}_{q+q'}.
+
+    The model keeps `spaces`, `products` and their integer form, built
+    here once, and no `Matrix`: `scale` is D, the lcm of the denominators
+    of every product constant and every entry of d; `tables` holds each
+    product constant v as the integer v * D, explicit zeros kept; and
+    `d[(k, q)]` holds the sparse columns {row: v * D} of each d given,
+    zeros dropped.
 
     Construction refuses, with ValueError("differential at (k, q) has
     shape S, expected T"), the first stored d in sorted bidegree order
@@ -491,30 +439,48 @@ class BigradedModel:
         products: Mapping[tuple[Bidegree, Bidegree], Mapping],
     ):
         self.spaces = {kq: tuple(labels) for kq, labels in spaces.items() if labels}
-        self.diff = dict(diff)
-        self.products = {
-            key: {ab: dict(vec) for ab, vec in table.items() if vec}
-            for key, table in products.items()
-        }
-        for kq in sorted(self.diff):
-            shape, want = self.diff[kq].shape, (self.dim((kq[0] + 1, kq[1])), self.dim(kq))
+        for kq in sorted(diff):
+            shape, want = diff[kq].shape, (self.dim((kq[0] + 1, kq[1])), self.dim(kq))
             if shape != want:
                 raise ValueError("differential at %r has shape %r, expected %r" % (kq, shape, want))
-        self._form: _IntegerForm | None = None
+        self._hold({kq: _sparse_columns(mat) for kq, mat in diff.items()},
+                   {key: {ab: dict(vec) for ab, vec in table.items() if vec} for key, table in products.items()})
+
+    @classmethod
+    def _adopt(cls, spaces: dict, d: dict, products: dict) -> BigradedModel:
+        """A model over tables its caller has just built, held without the
+        copy `__init__` makes, nor its shape check: label tuples nonempty, no
+        product vector empty, and d given as the sparse rational columns of
+        maps fitting their spaces."""
+        model = cls.__new__(cls)
+        model.spaces = spaces
+        model._hold(d, products)
+        return model
+
+    def _hold(self, d: Mapping[Bidegree, list], products: dict) -> None:
+        """Keep `products` and the integer form of them and of d, given as
+        sparse rational columns.
+
+        An identity whose terms are all products of the same number of
+        values over the same D fails exactly where its scaled form does;
+        other terms are multiplied by the missing denominators.  Each check
+        sweeps the keys of the tables, adds the terms of both sides of its
+        identity into one difference per basis tuple, and reports the
+        tuples, in ascending order, whose difference is nonzero.  A tuple
+        that meets no key has two empty sums, so the sweep is exhaustive.
+        Keys whose basis indices lie outside the spaces are skipped.
+        Integer vectors carry their own denominator, and a Fraction is made
+        only for a value that is returned or stored."""
+        dens = {v.denominator for table in products.values() for vec in table.values() for v in vec.values()}
+        scale, self.d = _integer_form(d, dens)
+        self.products, self.scale = products, scale
+        self.tables = {key: {ab: {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
+                             for ab, vec in table.items()}
+                       for key, table in products.items()}
         self._closure: tuple | None = None
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
         self._ranks: dict[Bidegree, int] = {}
         self._cohomology_dims: dict[Bidegree, int] = {}
-        self._zeros: dict[Bidegree, Matrix] = {}
-
-    @classmethod
-    def _adopt(cls, spaces: dict, diff: dict, products: dict) -> BigradedModel:
-        """A model over tables its caller has just built, held without the
-        copy `__init__` makes, nor its shape check: label tuples nonempty, no
-        product vector empty, each d fitting its spaces."""
-        model = cls({}, {}, {})
-        model.spaces, model.diff, model.products = spaces, diff, products
-        return model
 
     def dim(self, kq: Bidegree) -> int:
         return len(self.spaces.get(kq, ()))
@@ -528,19 +494,11 @@ class BigradedModel:
     def max_degree(self) -> int:
         return max((k for (k, _) in self.spaces), default=0)
 
-    def differential(self, kq: Bidegree) -> Matrix:
-        stored = self.diff.get(kq)
-        if stored is None:
-            stored = self._zeros.get(kq)
-            if stored is None:
-                stored = self._zeros[kq] = Matrix.zero(self.dim((kq[0] + 1, kq[1])), self.dim(kq))
-        return stored
-
-    def _integers(self) -> _IntegerForm:
-        """The integer form of the products and of d, built once."""
-        if self._form is None:
-            self._form = _IntegerForm(self.products, self.diff, self.dim)
-        return self._form
+    def _dcols(self, kq: Bidegree) -> list[dict[int, int]]:
+        """The integer columns of d on M^k_q, or dim M^k_q empty ones where
+        no d is stored."""
+        cols = self.d.get(kq)
+        return [{}] * self.dim(kq) if cols is None else cols
 
     def _closed(self) -> tuple[list[tuple], Mapping, bool]:
         """What the checks sweep, found once: the entries c of stored
@@ -548,7 +506,7 @@ class BigradedModel:
         target space, as (kq1, kq2, a, b, c) ascending; the integer tables
         without those products; and whether `_has_unit` holds on them."""
         if self._closure is None:
-            tables = self._integers().tables
+            tables = self.tables
             span = {kq: range(self.dim(kq)) for kq in self.bidegrees()}
             escapes = _escapes(tables, span)
             if escapes:
@@ -570,7 +528,7 @@ class BigradedModel:
         """The rank of d on M^k_q, once per bidegree; 0 where none is stored."""
         rank = self._ranks.get(kq)
         if rank is None:
-            rank = self._ranks[kq] = _sparse_rank(self._integers().cols(kq)) if kq in self.diff else 0
+            rank = self._ranks[kq] = _sparse_rank(self.d[kq]) if kq in self.d else 0
         return rank
 
     def _rank_formula(self, kq: Bidegree) -> int:
@@ -587,30 +545,11 @@ class BigradedModel:
             h = 0
             if self.dim(kq):
                 h = self._rank_formula(kq)
-                dcols = self._integers().cols
-                if any(_apply_columns(dcols(kq), col) for col in dcols((kq[0] - 1, kq[1]))):
+                d_out = self._dcols(kq)
+                if any(_apply_columns(d_out, col) for col in self.d.get((kq[0] - 1, kq[1]), ())):
                     h = self._column_cohomology(kq).dim
             self._cohomology_dims[kq] = h
         return h
-
-    def diff_vec(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
-        return self._integers().image(kq, vec)
-
-    def mult_basis(self, kq1: Bidegree, a: int, kq2: Bidegree, b: int) -> Sparse:
-        return dict(self.products.get((kq1, kq2), {}).get((a, b), {}))
-
-    def mult_vec(self, kq1: Bidegree, v1: Mapping, kq2: Bidegree, v2: Mapping) -> Sparse:
-        out: Sparse = {}
-        table = self.products.get((kq1, kq2), {})
-        for a, ca in v1.items():
-            if ca == 0:
-                continue
-            for b, cb in v2.items():
-                if cb == 0:
-                    continue
-                for c, v in table.get((a, b), {}).items():
-                    out[c] = out.get(c, Fraction(0)) + ca * cb * v
-        return {c: v for c, v in out.items() if v}
 
 
 def build_model(cd: CompactificationDatum) -> BigradedModel:
@@ -622,14 +561,15 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     missing or the datum fails validation.
 
     The model is assembled block by block, a block being the summand of one
-    (I, p).  The differential adds the nonzero entries of the Gysin blocks,
-    one sign per (I, i).  The product of two blocks with disjoint I1, I2
-    restricts both to D_{I1+I2} as sparse composites, one sign per block
-    pair, and sweeps the keys (a2, b2) of the cup table in ascending order
-    against row a2 and row b2 of the composites.  Disjointness is tested on
-    bitmasks of the index sets, and each cup vector's range once.
-    Validation and assembly share one memo of composites, dropped on
-    return.  Every disjoint pair whose product bidegree has a space takes
+    (I, p).  The differential is written as sparse columns, from the
+    nonzero entries of the Gysin blocks with one sign per (I, i), and the
+    model makes them its integer columns.  The product of two blocks with
+    disjoint I1, I2 restricts both to D_{I1+I2} as sparse composites, one
+    sign per block pair, and sweeps the keys (a2, b2) of the cup table in
+    ascending order against row a2 and row b2 of the composites.
+    Disjointness is tested on bitmasks of the index sets, and each cup
+    vector's range once.  Validation and assembly share one memo of
+    composites, dropped on return.  Every disjoint pair whose product bidegree has a space takes
     its composites, as each basis pair did, so a step that validation does
     not read, one of a component index outside 1..components, raises the
     same first DatumError.
@@ -652,14 +592,12 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
             offsets[(i_key, p)] = len(labels)
             labels.extend((i_key, p, j) for j in range(n))
 
-    diff: dict[Bidegree, Matrix] = {}
-    zero = Fraction(0)
+    d: dict[Bidegree, list[Sparse]] = {}
     for kq, labels in spaces.items():
         k, q = kq
-        target = spaces.get((k + 1, q))
-        if not target:
+        if not spaces.get((k + 1, q)):
             continue
-        rows = [[zero] * len(labels) for _ in target]
+        cols = d[kq] = [{} for _ in labels]
         for i_key, p, off, _ in blocks[kq]:
             for pos, i in enumerate(i_key):
                 rest = i_key[:pos] + i_key[pos + 1:]
@@ -667,12 +605,11 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                 if row_off is None:
                     continue  # D_{I-i} has no classes in degree p + 2
                 sign = (-1) ** (q + pos)  # pos components of I - i precede i
+                # no other i of I reaches the rows of D_{I-i}: each entry is set once
                 for t, gys_row in enumerate(cd._gysin(i_key, i, p, rest).rows):
-                    out = rows[row_off + t]
                     for j, v in enumerate(gys_row):
                         if v:
-                            out[off + j] += sign * v
-        diff[kq] = Matrix._of_fractions([tuple(row) for row in rows], len(labels))
+                            cols[off + j][row_off + t] = sign * v
 
     products: dict[tuple[Bidegree, Bidegree], dict] = {}
     for kq1 in spaces:
@@ -712,7 +649,7 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                     table[ab] = vec
             if table:
                 products[(kq1, kq2)] = table
-    return BigradedModel._adopt({kq: tuple(labels) for kq, labels in spaces.items()}, diff, products)
+    return BigradedModel._adopt({kq: tuple(labels) for kq, labels in spaces.items()}, d, products)
 
 
 # -- axioms and cohomology -------------------------------------------------
@@ -759,7 +696,7 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     """
     escapes, tables, unit = model._closed()
     violations = [("closure", _escape_message(escape)) for escape in escapes]
-    dcols = model._integers().cols
+    dcols = model._dcols
     bidegs = model.bidegrees()
     span = {kq: range(model.dim(kq)) for kq in bidegs}
     for k, q in bidegs:
@@ -1048,12 +985,11 @@ class _ColumnCohomology:
     _free: Mapping[int, int] | range = range(0)
 
     def __init__(self, model: BigradedModel, kq: Bidegree):
-        n = self.length = model.dim(kq)
+        n = model.dim(kq)
         if not n:
             return
-        form = model._integers()
-        if kq in model.diff:
-            d_out = self._d_out = form.cols(kq)
+        if kq in model.d:
+            d_out = self._d_out = model.d[kq]
             relations = _relations(d_out)
             self.cocycle_scale = scale = math.lcm(*(abs(h[f]) for f, h in relations.items()))
             self.cocycle_cols = [{l: x * (scale // h[f]) for l, x in sorted(h.items())} for f, h in relations.items()]
@@ -1062,7 +998,7 @@ class _ColumnCohomology:
             self.cocycle_cols = [{i: 1} for i in range(n)]  # no d_out: the standard basis
             self._free = range(n)
         self.representative_cols = self.cocycle_cols
-        d_in_cols = form.cols((kq[0] - 1, kq[1]))
+        d_in_cols = model.d.get((kq[0] - 1, kq[1]), ())
         if not any(d_in_cols):
             return
         pivots = self._pivots = {}
@@ -1118,20 +1054,23 @@ class CdgaMorphism:
     """A weight-preserving map of bigraded models, given by blocks per
     bidegree; missing blocks are zero.
 
+    The morphism keeps `source`, `target` and the integer form of its
+    blocks, built here once, and no `Matrix`: `scale` is Df, the lcm of
+    the denominators of their entries, and `cols[kq]` holds the sparse
+    columns {row: v * Df} of the block at kq, zeros dropped.
+
     Construction refuses, with ValueError("block at kq has shape S,
     expected T"), the first block in sorted bidegree order whose shape is
     not (target.dim(kq), source.dim(kq))."""
 
     def __init__(self, source: BigradedModel, target: BigradedModel, blocks: Mapping[Bidegree, Matrix]):
-        self.source = source
-        self.target = target
-        self._blocks: dict[Bidegree, Matrix] | None = dict(blocks)
-        for kq in sorted(self._blocks):
-            shape, want = self._blocks[kq].shape, (target.dim(kq), source.dim(kq))
+        for kq in sorted(blocks):
+            shape, want = blocks[kq].shape, (target.dim(kq), source.dim(kq))
             if shape != want:
                 raise ValueError("block at %r has shape %r, expected %r" % (kq, shape, want))
-        self._columns: Mapping[Bidegree, list] = {}
-        self._form: _IntegerForm | None = None
+        self.source = source
+        self.target = target
+        self.scale, self.cols = _integer_form({kq: _sparse_columns(mat) for kq, mat in blocks.items()})
 
     @classmethod
     def _of_columns(cls, source: BigradedModel, target: BigradedModel, scale: int,
@@ -1140,37 +1079,15 @@ class CdgaMorphism:
         sparse integer columns cols[kq] over `scale`, the lcm of the
         denominators of its entries, with target.dim(kq) rows, and whose
         other blocks are zero.  They are its integer form as they are."""
-        f = cls(source, target, {})
-        f._blocks, f._columns = None, cols
-        f._form = _IntegerForm._of_columns(scale, cols, source.dim)
+        f = cls.__new__(cls)
+        f.source, f.target, f.scale, f.cols = source, target, scale, cols
         return f
 
-    @property
-    def blocks(self) -> dict[Bidegree, Matrix]:
-        """The stored blocks by bidegree.  A morphism built on integer
-        columns makes them on first read, entry i of column j at kq being
-        cols[kq][j][i] / scale."""
-        if self._blocks is None:
-            scale = self._form.scale
-            self._blocks = {kq: Matrix([[Fraction(col.get(i, 0), scale) for col in cols]
-                                        for i in range(self.target.dim(kq))], ncols=len(cols))
-                            for kq, cols in self._columns.items()}
-        return self._blocks
-
-    def block(self, kq: Bidegree) -> Matrix:
-        stored = self.blocks.get(kq)
-        if stored is not None:
-            return stored
-        return Matrix.zero(self.target.dim(kq), self.source.dim(kq))
-
-    def _integers(self) -> _IntegerForm:
-        """The integer form of the blocks, built once."""
-        if self._form is None:
-            self._form = _IntegerForm({}, self._blocks, self.source.dim)
-        return self._form
-
-    def apply(self, kq: Bidegree, vec: Mapping[int, Fraction]) -> Sparse:
-        return self._integers().image(kq, vec)
+    def _fcols(self, kq: Bidegree) -> list[dict[int, int]]:
+        """The integer columns of the block at `kq`, or source.dim(kq) empty
+        ones where none is stored."""
+        cols = self.cols.get(kq)
+        return [{}] * self.source.dim(kq) if cols is None else cols
 
     def _keeps_unit(self) -> bool:
         """Whether every pair holding the source's unit passes f(ab) =
@@ -1182,10 +1099,9 @@ class CdgaMorphism:
         if not (src_unit and tgt_unit):
             return False
         e = (0, 0)
-        form = self._integers()
-        u = form.cols(e)[0].get(0, 0)
-        return (src[(e, e)][(0, 0)][0] * form.scale * self.target._integers().scale
-                == u * tgt[(e, e)][(0, 0)][0] * self.source._integers().scale)
+        u = self._fcols(e)[0].get(0, 0)
+        return (src[(e, e)][(0, 0)][0] * self.scale * self.target.scale
+                == u * tgt[(e, e)][(0, 0)][0] * self.source.scale)
 
     def violations(self) -> list[str]:
         """The identities of a cdga morphism that f breaks, in this order:
@@ -1205,22 +1121,21 @@ class CdgaMorphism:
         # both identities run on the integer forms of the two models and of
         # the blocks, over Ds, Dt and Df.  d o f = f o d is compared column
         # by column, f d_src carrying Df Ds and d_tgt f carrying Dt Df
-        src_form, tgt_form, f_form = self.source._integers(), self.target._integers(), self._integers()
-        fcols = f_form.cols
-        for kq in self.source.bidegrees():
-            src_cols, tgt_cols = src_form.cols(kq), tgt_form.cols(kq)
+        source, target, fcols = self.source, self.target, self._fcols
+        for kq in source.bidegrees():
+            src_cols, tgt_cols = source._dcols(kq), target._dcols(kq)
             f_cols, f_up = fcols(kq), fcols((kq[0] + 1, kq[1]))
             if any(
-                {i: tgt_form.scale * v for i, v in _apply_columns(f_up, src_col).items()}
-                != {i: src_form.scale * v for i, v in _apply_columns(tgt_cols, f_col).items()}
+                {i: target.scale * v for i, v in _apply_columns(f_up, src_col).items()}
+                != {i: source.scale * v for i, v in _apply_columns(tgt_cols, f_col).items()}
                 for src_col, f_col in zip(src_cols, f_cols)
             ):
                 out.append("differential compatibility fails at %r" % (kq,))
         # f(ab) = f(a)f(b): f(ab), from the keys (a, b) of the source table,
         # carries Df Ds, and f(a)f(b), from the keys (m, n) of the target
         # table through the rows m and n of f, carries Df^2 Dt
-        left, right = f_form.scale * tgt_form.scale, src_form.scale
-        span = {kq: range(self.source.dim(kq)) for kq in self.source.bidegrees()}
+        left, right = self.scale * target.scale, source.scale
+        span = {kq: range(source.dim(kq)) for kq in source.bidegrees()}
         pairs = {key for tables in (src, tgt) for key, table in tables.items()
                  if table and key[0] in span and key[1] in span}
         if self._keeps_unit():
@@ -1285,7 +1200,7 @@ def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
                 continue
             src = f.source._column_cohomology((k, q))
             tgt = f.target._column_cohomology((k, q))
-            fcols = f._integers().cols((k, q))
+            fcols = f._fcols((k, q))
             rk = _sparse_rank([tgt.class_coordinates(_apply_columns(fcols, rep))[1] for rep in src.representative_cols])
             rank_total += rk
             if rk != src.dim:
@@ -1340,15 +1255,14 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
         (k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(col.cocycle_cols)))
         for k, col in kernels.items()
     }
-    form = model._integers()
     rows = {k: _sparse_rows(col.cocycle_cols) for k, col in kernels.items()}
     products: dict = {}
     for k1 in kernels:
         for k2 in kernels:
             k3 = k1 + k2
             table: dict = {}
-            pairs = _pair_products(form.tables.get(((k1, 2 * k1), (k2, 2 * k2)), {}), rows[k1], rows[k2])
-            scale = form.scale * kernels[k1].cocycle_scale * kernels[k2].cocycle_scale
+            pairs = _pair_products(model.tables.get(((k1, 2 * k1), (k2, 2 * k2)), {}), rows[k1], rows[k2])
+            scale = model.scale * kernels[k1].cocycle_scale * kernels[k2].cocycle_scale
             for (a, b), prod in pairs.items():
                 # the product of cocycles must vanish if K^{k3} is trivial
                 vec = kernels[k3].cocycle_coordinates(prod, scale) if k3 in kernels else None
@@ -1414,7 +1328,6 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
 
     # well-definedness: boundaries must multiply into boundaries, checked
     # in the order of the loop over (k, boundary, k2, basis vector j)
-    form = model._integers()
     units = {k: {j: {j: 1} for j in range(model.dim((k, k)))} for k in data}
     for k, col in data.items():
         rows = _sparse_rows(col.boundary_cols)
@@ -1422,7 +1335,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
         for k2 in data:
             k3 = k + k2
             if k3 in data and data[k3].dim:
-                pairs = _pair_products(form.tables.get(((k, k), (k2, k2)), {}), rows, units[k2])
+                pairs = _pair_products(model.tables.get(((k, k), (k2, k2)), {}), rows, units[k2])
                 checks += [(u, k2, j, prod) for (u, j), prod in pairs.items()]
         for _, k2, _, prod in sorted(checks, key=lambda check: check[:3]):
             if data[k + k2].class_coordinates(prod)[1]:
@@ -1439,8 +1352,8 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
             if not col1.dim or not col2.dim or k3 not in data or not data[k3].dim:
                 continue
             table: dict = {}
-            pairs = _pair_products(form.tables.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2])
-            scale = form.scale * col1.cocycle_scale * col2.cocycle_scale
+            pairs = _pair_products(model.tables.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2])
+            scale = model.scale * col1.cocycle_scale * col2.cocycle_scale
             for ab, prod in pairs.items():
                 den, coords = data[k3].class_coordinates(prod)
                 vec = {c: Fraction(v, scale * den) for c, v in coords.items()}

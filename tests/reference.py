@@ -25,7 +25,14 @@ function is an independent oracle for a production computation:
 - `morganmodel`: a datum's restriction-functoriality check on dense
   composite matrices, the model assembled one basis pair at a time
   from dense composite restrictions, and the dense blocks of the
-  witnesses' kernel inclusion and cokernel projection.
+  witnesses' kernel inclusion and cokernel projection; and the
+  accessors the dense and pairwise oracles read, which the package
+  does not keep: a model's d and a morphism's blocks rendered as dense
+  matrices from their integer columns (`differential`, `differentials`,
+  `block`, `blocks`), applied to one vector (`diff_vec`, `image`), a
+  model's products one basis pair or vector pair at a time
+  (`mult_basis`, `mult_vec`), and a datum's Gysin blocks and cup
+  constants (`gysin`, `cup_entries`).
 """
 
 from __future__ import annotations
@@ -663,6 +670,17 @@ def restriction(cd: CompactificationDatum, i_set, j_set, p) -> Matrix:
     return compose_steps(cd, i_key, sorted(set(j_key) - set(i_key)), p)
 
 
+def gysin(cd: CompactificationDatum, i_set, i, p) -> Matrix:
+    """The Gysin block H^p(D_I) -> H^{p+2}(D_{I-i}) for i in I."""
+    i_key = tuple(sorted(i_set))
+    return cd._gysin(i_key, i, p, tuple(x for x in i_key if x != i))
+
+
+def cup_entries(cd: CompactificationDatum, i_set, p, p2) -> dict:
+    """The cup constants {(a, b): {c: value}} of H^p x H^p2 on D_I."""
+    return cd.cups.get(tuple(sorted(i_set)), {}).get((p, p2), {})
+
+
 def validate(cd: CompactificationDatum) -> list[str]:
     """Per stratum I: each missing or misshapen step from I, by (j, p);
     then functoriality, both orders of every (I, j1, j2, p) composed
@@ -722,7 +740,7 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
             col = [Fraction(0)] * len(target)
             for i in i_key:
                 rest = tuple(x for x in i_key if x != i)
-                gys = cd.gysin(i_key, i, p)
+                gys = gysin(cd, i_key, i, p)
                 if gys.nrows == 0:
                     continue
                 sign = (-1) ** q * shuffle_sign((i,), rest)
@@ -757,7 +775,7 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                             cb = res2.rows[b2][j2]
                             if cb == 0:
                                 continue
-                            for c, v in cd.cup_entries(union, p1, p2).get((a2, b2), {}).items():
+                            for c, v in cup_entries(cd, union, p1, p2).get((a2, b2), {}).items():
                                 pos = index[(k3, q3)][(union, p1 + p2, c)]
                                 vec[pos] = vec.get(pos, Fraction(0)) + sign * ca * cb * v
                     vec = {c: v for c, v in vec.items() if v}
@@ -768,6 +786,71 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     return BigradedModel(spaces, diff, products)
 
 
+def _rendered(cols, scale: int, nrows: int, ncols: int) -> Matrix:
+    """The `nrows` x `ncols` matrix whose sparse integer columns over `scale`
+    are `cols`, or the zero matrix if `cols` is None."""
+    if cols is None:
+        return Matrix.zero(nrows, ncols)
+    return Matrix([[Fraction(col.get(i, 0), scale) for col in cols] for i in range(nrows)], ncols=ncols)
+
+
+def differential(model: BigradedModel, kq) -> Matrix:
+    """d on M^k_q as a dense matrix, zero where the model stores none."""
+    return _rendered(model.d.get(kq), model.scale, model.dim((kq[0] + 1, kq[1])), model.dim(kq))
+
+
+def differentials(model: BigradedModel) -> dict:
+    """Each d the model stores, as a dense matrix, in the model's order."""
+    return {kq: differential(model, kq) for kq in model.d}
+
+
+def block(f, kq) -> Matrix:
+    """The block of the morphism `f` at `kq` as a dense matrix, zero where
+    `f` stores none."""
+    return _rendered(f.cols.get(kq), f.scale, f.target.dim(kq), f.source.dim(kq))
+
+
+def blocks(f) -> dict:
+    """Each block the morphism `f` stores, as a dense matrix, in its order."""
+    return {kq: block(f, kq) for kq in f.cols}
+
+
+def _applied(mat: Matrix, vec) -> dict:
+    """The dense `mat` times the sparse rational `vec`, as a sparse vector
+    without zeros; a nonzero entry of `vec` outside the columns raises."""
+    if any(v and not 0 <= j < mat.ncols for j, v in vec.items()):
+        raise IndexError("vector entry outside the space")
+    return {i: v for i, v in enumerate(apply(mat, [vec.get(j, 0) for j in range(mat.ncols)])) if v}
+
+
+def diff_vec(model: BigradedModel, kq, vec) -> dict:
+    """d applied to the sparse vector `vec` of M^k_q, densely."""
+    return _applied(differential(model, kq), vec)
+
+
+def image(f, kq, vec) -> dict:
+    """The morphism `f` applied to the sparse vector `vec` at `kq`, densely."""
+    return _applied(block(f, kq), vec)
+
+
+def mult_basis(model: BigradedModel, kq1, a, kq2, b) -> dict:
+    """The stored product of basis vector a of kq1 and b of kq2."""
+    return dict(model.products.get((kq1, kq2), {}).get((a, b), {}))
+
+
+def mult_vec(model: BigradedModel, kq1, v1, kq2, v2) -> dict:
+    """The product of the sparse vectors v1 of kq1 and v2 of kq2, one basis
+    pair at a time, zeros dropped."""
+    out: dict = {}
+    table = model.products.get((kq1, kq2), {})
+    for a, ca in v1.items():
+        for b, cb in v2.items():
+            if ca and cb:
+                for c, v in table.get((a, b), {}).items():
+                    out[c] = out.get(c, Fraction(0)) + ca * cb * v
+    return {c: v for c, v in out.items() if v}
+
+
 def kernel_inclusion_blocks(model: BigradedModel) -> dict:
     """The blocks of the kernel witness's inclusion K^k -> M^k_{2k}: the
     basis of ker d at each (k, 2k) where it is not zero, one column per free
@@ -775,7 +858,7 @@ def kernel_inclusion_blocks(model: BigradedModel) -> dict:
     blocks = {}
     for k in range(model.max_degree() + 1):
         kq = (k, 2 * k)
-        basis = right_kernel(model.differential(kq)) if model.dim(kq) else ()
+        basis = right_kernel(differential(model, kq)) if model.dim(kq) else ()
         if basis:
             blocks[kq] = from_columns(basis)
     return blocks
@@ -793,9 +876,9 @@ def cokernel_projection_blocks(model: BigradedModel) -> dict:
         n = model.dim(kq)
         if not n:
             continue
-        boundaries = [list(c) for c in zip(*model.differential((k - 1, k)).rows)]
+        boundaries = [list(c) for c in zip(*differential(model, (k - 1, k)).rows)]
         chosen, kept = [], 0
-        for i, v in enumerate(boundaries + [list(c) for c in right_kernel(model.differential(kq))]):
+        for i, v in enumerate(boundaries + [list(c) for c in right_kernel(differential(model, kq))]):
             if rank(from_columns(chosen + [v], nrows=n)) == len(chosen) + 1:
                 chosen.append(v)
                 kept += i < len(boundaries)

@@ -8,6 +8,11 @@ attribute there.  Names are matched across modules and classes, so the
 search over-approximates what runs.  What it cannot reach belongs in
 `tests/reference.py`, unless it is listed below with the reason it stays;
 a method is listed as `Class.method`.
+
+Because names are matched across classes, a method whose name another
+class also uses passes the search whenever the other member is read, so
+a dead method can hide behind it.  Those shared names are listed below
+as well, each with who reads it, and a new one fails until it is listed.
 """
 
 import ast
@@ -29,14 +34,33 @@ KEPT_UNREACHABLE = {
     "render_arrangement",
     # argparse calls it on a bad command line
     "_Parser.error",
-    # public accessors returning a `Matrix` block, read by the tests' dense oracles
-    "BigradedModel.differential", "CdgaMorphism.block", "CdgaMorphism.blocks",
-    "CompactificationDatum.gysin", "CompactificationDatum.restriction",
-    # public accessors one vector or basis pair at a time, read by the tests' pairwise oracles
-    "BigradedModel.diff_vec", "BigradedModel.mult_basis", "BigradedModel.mult_vec",
-    "CdgaMorphism.apply", "CompactificationDatum.cup_entries",
-    # what `diff_vec` and `CdgaMorphism.apply` call
-    "_IntegerForm.image",
+}
+
+# Method names, dunders aside, that another package class also defines as
+# a method, property, field or instance attribute.
+SHARED_METHOD_NAMES = {
+    # the property `Layer.codim`, which `Layer.dim` reads; the strata hold a field
+    "codim",
+    # the model route reads `BigradedModel.dim`, `CompactificationDatum.dim`
+    # and the property `_ColumnCohomology.dim`, and the layer search the
+    # property `ToricHypersurface.dim`; `Layer.dim` is a property of a
+    # class kept above, and `LerayTable.dim` is read only by
+    # tests/test_leraymodel.py; `ArrangementFile` holds a field
+    "dim",
+    # `Layer.equations` and `Layer.key`, methods of a class kept above,
+    # beside the fields `ArrangementFile.equations` and `Stratum.key`
+    "equations", "key",
+    # the property `AxiomReport.passed`, which `model-selftest` reads,
+    # beside the field `PurityReport.passed`
+    "passed",
+    # `LerayTable.rows`, which the `e2` command reads, beside `Matrix.rows`
+    "rows",
+    # `StrataData.validate`, which the E2 route calls, and
+    # `CompactificationDatum.validate`, which only the tests call
+    "validate",
+    # `CdgaMorphism.violations`, which `check_r_quasi_iso` calls, beside
+    # the field `AxiomReport.violations`
+    "violations",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -102,9 +126,38 @@ def unreachable_definitions():
             if "." not in name or (module, name.rpartition(".")[0]) in reached}
 
 
+def shared_method_names():
+    """Each method name, dunders aside, of a package class that another
+    package class also defines as a method, a property, a field (a name
+    bound in its body) or an instance attribute (set on a method's first
+    argument)."""
+    members = []
+    for tree in _modules().values():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            methods, others = set(), set()
+            for node in cls.body:
+                if isinstance(node, FUNCTIONS):
+                    methods.add(node.name)
+                    me = node.args.args[0].arg if node.args.args else None
+                    others.update(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                                  and isinstance(sub.ctx, ast.Store) and isinstance(sub.value, ast.Name)
+                                  and sub.value.id == me)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    others.update(sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name))
+            members.append((methods, methods | others))
+    return {name for n, (methods, _) in enumerate(members) for name in methods if not name.startswith("__")
+            and any(name in defined for m, (_, defined) in enumerate(members) if m != n)}
+
+
 def test_every_other_definition_is_reachable_from_the_command_line():
     unreachable = unreachable_definitions()
     assert {name for _, name in unreachable} == KEPT_UNREACHABLE, sorted(unreachable)
+
+
+def test_every_method_name_shared_between_classes_is_listed():
+    shared = shared_method_names()
+    assert shared == SHARED_METHOD_NAMES, sorted(shared ^ SHARED_METHOD_NAMES)
 
 
 def test_the_package_imports_nothing_from_the_tests():
