@@ -141,9 +141,6 @@ class LerayTable:
     entries: dict[tuple[int, int], dict[int, int]]
     note: str = LERAY_NOTE
 
-    def dim(self, p: int, q: int) -> int:
-        return sum(self.entries.get((p, q), {}).values())
-
     def rows(self) -> tuple[tuple[int, int, int, int], ...]:
         """(p, q, weight, dim) rows, sorted."""
         out = []

@@ -27,20 +27,25 @@ the witnesses hand over sparse columns they have just built.  No
 accessor renders a map as a `Matrix` or applies it to one vector; the
 tests' dense and pairwise oracles do that in `tests/reference.py`.  The
 cdga axioms, the morphism checks and both witnesses run on these forms,
-sweeping the keys of the sparse product tables, and make a Fraction only
-for a value they return or store.  A datum's cup axioms are swept the
-same way.  The ring and Leibniz sweeps visit only the bidegree tuples
-some table reaches, and no tuple holding a verified unit; a stored
-product with an entry outside its space is a named fault and is left
-out of them.  A map's shape is checked once, where it enters:
-`BigradedModel` refuses a differential and `CdgaMorphism` a block that
-does not map between its spaces, and `validate` lists a missing or
-misshapen restriction step once, so the sweeps take every shape as
-given.  The witnesses build column cohomology only where it is nonzero
-and hold their comparison maps as integer columns.  Ranks of d and of
-induced maps, cocycles, representatives and class coordinates all come
-from one fraction-free elimination of sparse integer columns, each
-carrying its history (`_reduce`).  Only a datum's blocks are matrices:
+and make a Fraction only for a value they return or store.  Every
+product on the model route, from the model's own tables to both sides
+of Leibniz, associativity and f(ab) = f(a)f(b) and the witnesses'
+products, is one join, `_accumulate`: it sweeps the keys (i, j) of a
+sparse product table against row i and row j of the sparse rows of the
+vectors on either side, identity rows where a side is the basis itself.
+A datum's cup axioms are swept the same way.  The ring and Leibniz
+sweeps visit only the bidegree tuples some table reaches, and no tuple
+holding a verified unit; a stored product with an entry outside its
+space is a named fault and is left out of them.  A map's shape is
+checked once, where it enters: `BigradedModel` refuses a differential
+and `CdgaMorphism` a block that does not map between its spaces, and a
+datum's validation (`_issues`) lists a missing or misshapen restriction
+step once, so the sweeps take every shape as given.  The witnesses build
+column cohomology only where it is nonzero and hold their comparison
+maps as integer columns.  Ranks of d and of induced maps, cocycles,
+representatives and class coordinates all come from one fraction-free
+elimination of sparse integer columns, each carrying its history
+(`_reduce`).  Only a datum's blocks are matrices:
 from `build_model` to a verdict, nothing makes or eliminates a `Matrix`.
 """
 
@@ -126,29 +131,47 @@ def _apply_columns(cols: Sequence[Mapping[int, Fraction]], vec: Mapping[int, Fra
     return {i: v for i, v in out.items() if v}
 
 
-def _pair_products(table: Mapping, rows1: Mapping, rows2: Mapping) -> dict[tuple[int, int], Sparse]:
-    """The nonzero products of the vectors a and b whose sparse rows are
-    `rows1` and `rows2` ({basis index: {vector: coefficient}}), under the
-    product `table`, keyed by (a, b) ascending.  Sweeps the keys (i, j) of
-    the table and joins them with row i of `rows1` and row j of `rows2`; a
-    pair that meets no key has product 0 and is left out."""
-    acc: dict = {}
+def _accumulate(acc: dict, table: Mapping, rows1: Mapping, rows2: Mapping, coeff=1) -> dict:
+    """Add coeff * x * y * t_ij into acc[(a, b)] for each key (i, j) of the
+    product `table`, each (a, x) in row i of `rows1` and each (b, y) in row
+    j of `rows2`, and return `acc`.
+
+    With the sparse rows {basis index: {vector: coefficient}} of vectors a
+    and b, this adds coeff times the product ab to acc[(a, b)].  It is the
+    one join of a product table with vectors on the model route: the
+    model's products, both sides of Leibniz and associativity, f(a)f(b) and
+    the witnesses' products.  A pair that meets no key gets no entry, and
+    zero sums are kept; `_pair_products` and `_nonzero_keys` read the
+    result."""
     for (i, j), ij in table.items():
         left, right = rows1.get(i), rows2.get(j)
         if left and right:
             for a, x in left.items():
+                if coeff != 1:
+                    x = coeff * x
                 for b, y in right.items():
                     out = acc.setdefault((a, b), {})
                     xy = x * y
                     for c, v in ij.items():
                         prev = out.get(c)
                         out[c] = xy * v if prev is None else prev + xy * v
+    return acc
+
+
+def _pair_products(acc: Mapping) -> dict[tuple[int, int], Sparse]:
+    """The vectors of `acc` by key (a, b) ascending, without their zero
+    entries, and without the keys whose vector is then empty."""
     products = {}
     for ab in sorted(acc):
         vec = {c: v for c, v in acc[ab].items() if v}
         if vec:
             products[ab] = vec
     return products
+
+
+def _identity_rows(span: Mapping) -> dict:
+    """The identity on each range of `span` as sparse rows {a: {a: 1}}."""
+    return {key: {a: {a: 1} for a in r} for key, r in span.items()}
 
 
 def _sparse_rows(cols) -> dict[int, dict[int, int]]:
@@ -206,7 +229,7 @@ class CompactificationDatum:
     H^*(D_I), with D_() the ambient compact variety; absent keys or
     degrees mean zero.  `restrictions[(I, j)][p]` is the one-step
     restriction H^p(D_I) -> H^p(D_{I+j}); longer restrictions compose in
-    increasing component order and functoriality is checked by validate().
+    increasing component order, and `build_model` checks functoriality.
     `gysins[(I, i)][p]` maps H^p(D_I) -> H^{p+2}(D_{I-i}).  `cups[I][(p, p')]`
     holds sparse structure constants {(a, b): {c: coeff}}.
     """
@@ -317,16 +340,13 @@ class CompactificationDatum:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self) -> list[str]:
-        """The faults of the datum, stratum by stratum in `subsets` order.
-        For each stratum I: each missing or misshapen restriction step from
-        I into a space with classes, once, by (j, degree); then each pair
-        j1 < j2 whose two composites differ at a degree where D_{I+j1+j2}
-        has classes; then the cup faults of D_I."""
-        return self._issues({})
-
     def _issues(self, memo: dict) -> list[str]:
-        """`validate` with its steps and composites kept in `memo`.
+        """The faults of the datum, stratum by stratum in `subsets` order,
+        with its steps and composites kept in `memo`.  For each stratum I:
+        each missing or misshapen restriction step from I into a space with
+        classes, once, by (j, degree); then each pair j1 < j2 whose two
+        composites differ at a degree where D_{I+j1+j2} has classes; then
+        the cup faults of D_I.  `build_model` refuses a datum with any.
 
         Only the pairs whose D_{I+j1+j2} is a stratum compose, since both
         composites are zero otherwise.  A pair whose composite needs a
@@ -563,16 +583,17 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     The model is assembled block by block, a block being the summand of one
     (I, p).  The differential is written as sparse columns, from the
     nonzero entries of the Gysin blocks with one sign per (I, i), and the
-    model makes them its integer columns.  The product of two blocks with
-    disjoint I1, I2 restricts both to D_{I1+I2} as sparse composites, one
-    sign per block pair, and sweeps the keys (a2, b2) of the cup table in
-    ascending order against row a2 and row b2 of the composites.
-    Disjointness is tested on bitmasks of the index sets, and each cup
-    vector's range once.  Validation and assembly share one memo of
-    composites, dropped on return.  Every disjoint pair whose product bidegree has a space takes
-    its composites, as each basis pair did, so a step that validation does
-    not read, one of a component index outside 1..components, raises the
-    same first DatumError.
+    model makes them its integer columns.  The products of two blocks with
+    disjoint I1, I2 are the join (`_accumulate`) of the cup table of
+    D_{I1+I2}, keys ascending, with the rows of both blocks' sparse
+    composites to D_{I1+I2}; they are placed at the blocks' offsets, with
+    one sign per block pair, and no other pair reaches those basis pairs.
+    Disjointness is tested on bitmasks of the index sets.  Validation and
+    assembly share one memo of composites, dropped on return.  Every
+    disjoint pair whose product bidegree has a space takes its composites,
+    as each basis pair did, so a step that validation does not read, one
+    of a component index outside 1..components, raises the same first
+    DatumError.
     """
     composites: dict = {}
     issues = cd._issues(composites)
@@ -626,27 +647,18 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                     rows1 = cd._composite(composites, i1, tuple(x for x in union if x not in i1), p1)
                     rows2 = cd._composite(composites, i2, tuple(x for x in union if x not in i2), p2)
                     entries = cd.cups.get(union, {}).get((p1, p2))
-                    if not entries or not rows1 or not rows2:
+                    base = offsets.get((union, p1 + p2))
+                    # validation has refused a nonzero entry outside the space,
+                    # so the product is zero where D_{I1+I2} has no classes
+                    if not entries or not rows1 or not rows2 or base is None:
                         continue
                     negate = (-1) ** (len(i1) * kq2[1]) * shuffle_sign(i1, i2) < 0
-                    base = offsets.get((union, p1 + p2))
-                    for a2, b2 in sorted(entries):
-                        left, right = rows1.get(a2), rows2.get(b2)
-                        if left and right:
-                            # validation has refused a nonzero entry outside the space
-                            vec = [(base + c, v) for c, v in entries[(a2, b2)].items() if v]
-                            for j1, x in left.items():
-                                for j2, y in right.items():
-                                    out = acc.setdefault((off1 + j1, off2 + j2), {})
-                                    xy = -(x * y) if negate else x * y
-                                    for pos, v in vec:
-                                        prev = out.get(pos)
-                                        out[pos] = xy * v if prev is None else prev + xy * v
-            table = {}
-            for ab in sorted(acc):
-                vec = {c: v for c, v in acc[ab].items() if v}
-                if vec:
-                    table[ab] = vec
+                    # the keys ascending, so that each vector lists its entries
+                    # in the order of the (a2, b2) that reach them
+                    pair = _accumulate({}, dict(sorted(entries.items())), rows1, rows2)
+                    for (j1, j2), vec in pair.items():
+                        acc[(off1 + j1, off2 + j2)] = {base + c: -v if negate else v for c, v in vec.items()}
+            table = _pair_products(acc)
             if table:
                 products[(kq1, kq2)] = table
     return BigradedModel._adopt({kq: tuple(labels) for kq, labels in spaces.items()}, d, products)
@@ -676,11 +688,12 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     commutativity compares single constants, so each scaled identity fails
     exactly where the rational one does.  d o d is applied to the sparse
     columns of d.  Leibniz sweeps three tables for each (kq1, kq2): d(ab)
-    from the keys (a, b) of t(kq1, kq2), (da)b from the keys (m, b) of
-    t(d kq1, kq2) through the columns a that d on kq1 has at row m, and
-    a(db) from the keys (a, n) of t(kq1, d kq2) likewise, so only the
-    pairs (kq1, kq2) that one of those tables reaches are swept.  The ring
-    axioms are `_ring_faults`, which also checks a datum's cup rings.
+    from the keys (a, b) of t(kq1, kq2); (da)b, the join (`_accumulate`)
+    of t(d kq1, kq2) with the rows of d on kq1 and the identity rows of
+    kq2; and a(db), the join of t(kq1, d kq2) with the identity rows of
+    kq1 and the rows of d on kq2.  Only the pairs (kq1, kq2) that one of
+    those tables reaches are swept.  The ring axioms are `_ring_faults`,
+    which also checks a datum's cup rings.
 
     Closure is checked first: each nonzero entry of a stored product ab
     of basis vectors that lies outside the target space is a "closure"
@@ -705,32 +718,19 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
 
     swept = span.keys() - {(0, 0)} if unit and not dcols((0, 0))[0] else span.keys()
     rows = {kq: _sparse_rows(dcols(kq)) for kq in bidegs}
+    units = _identity_rows(span)
     pairs = {pair for kq1, kq2 in tables
              for pair in ((kq1, kq2), ((kq1[0] - 1, kq1[1]), kq2), (kq1, (kq2[0] - 1, kq2[1])))
              if pair[0] in swept and pair[1] in swept}
     for kq1, kq2 in sorted(pairs):
-        r1, rows1, d_kq1 = span[kq1], rows[kq1], (kq1[0] + 1, kq1[1])
-        r2, rows2, d_kq2 = span[kq2], rows[kq2], (kq2[0] + 1, kq2[1])
-        sign = (-1) ** kq1[0]
+        r1, r2 = span[kq1], span[kq2]
         acc: dict = {}  # (a, b) -> d(ab) - (da)b - (-1)^k1 a(db)
         t12 = tables.get((kq1, kq2))
         if t12:
             d12 = dcols((kq1[0] + kq2[0], kq1[1] + kq2[1]))
             acc = {(a, b): _apply_columns(d12, ab) for (a, b), ab in t12.items() if a in r1 and b in r2}
-        for (m, b), mb in tables.get((d_kq1, kq2), {}).items():
-            if b in r2:
-                for a, x in rows1.get(m, {}).items():
-                    if a in r1:
-                        out = acc.setdefault((a, b), {})
-                        for c, w in mb.items():
-                            out[c] = out.get(c, 0) - x * w
-        for (a, n), an in tables.get((kq1, d_kq2), {}).items():
-            if a in r1:
-                for b, x in rows2.get(n, {}).items():
-                    if b in r2:
-                        out = acc.setdefault((a, b), {})
-                        for c, w in an.items():
-                            out[c] = out.get(c, 0) - sign * x * w
+        _accumulate(acc, tables.get(((kq1[0] + 1, kq1[1]), kq2), {}), rows[kq1], units[kq2], -1)
+        _accumulate(acc, tables.get((kq1, (kq2[0] + 1, kq2[1])), {}), units[kq1], rows[kq2], -(-1) ** kq1[0])
         violations += [("leibniz", "Leibniz fails for basis pair (%r, %d) x (%r, %d)" % (kq1, a, kq2, b))
                        for a, b in _nonzero_keys(acc)]
 
@@ -792,11 +792,13 @@ def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range], unit: bool) ->
 
     Commutativity compares the stored vectors ab and +-ba entry by entry,
     so an explicit zero constant in one order and none in the other is a
-    fault.  Associativity, for each (kq1, kq2, kq3), joins the keys (a, b)
-    of t(kq1, kq2) with the keys (m, c) of t(kq12, kq3) on m to add up
-    (ab)c, and the keys (b, c) of t(kq2, kq3) with the keys (a, m) of
-    t(kq1, kq23) on m to subtract a(bc).  Only the bidegree pairs and
-    triples that those tables reach are swept, in ascending order.
+    fault.  Associativity, for each (kq1, kq2, kq3), adds up (ab)c as the
+    join (`_accumulate`) of t(kq12, kq3) with the rows {m: {(a, b): v}} of
+    t(kq1, kq2) and the identity rows of kq3, and subtracts a(bc), the
+    join of t(kq1, kq23) with the identity rows of kq1 and the rows of
+    t(kq2, kq3); the rows of each table are built once.  Only the bidegree
+    pairs and triples that those tables reach are swept, in ascending
+    order.
 
     With `unit`, `_has_unit` holds: ex = xe = s x as stored, and every
     stored product lies in its space, so each sum the sweep forms for a
@@ -828,46 +830,23 @@ def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range], unit: bool) ->
                 triples.add((kq1, kq2, kq))
             if tables.get((kq, kq12)):
                 triples.add((kq, kq1, kq2))
-    # follow[(kq12, kq3)][m] maps c to the vector of the key (m, c) of
-    # t(kq12, kq3), and lead[(kq1, kq23)][m] maps a to that of the key
-    # (a, m) of t(kq1, kq23), for c and a inside their spaces
-    follow: dict = {}
-    lead: dict = {}
+    units = _identity_rows(span)
+    rows: dict = {}  # (kq1, kq2) -> {m: {(a, b): v}}, the entries m of ab for a and b inside their spaces
     associativity = []
     for kq1, kq2, kq3 in sorted(triples):
-        r1, r2, r3 = span[kq1], span[kq2], span[kq3]
-        t12, t23 = tables.get((kq1, kq2)), tables.get((kq2, kq3))
+        for x, y in ((kq1, kq2), (kq2, kq3)):
+            if (x, y) not in rows:
+                rows[(x, y)] = _sparse_rows({(a, b): ab for (a, b), ab in tables.get((x, y), {}).items()
+                                             if a in span[x] and b in span[y]})
         kq12 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
         kq23 = (kq2[0] + kq3[0], kq2[1] + kq3[1])
-        acc: dict = {}  # (a, b, c) -> (ab)c - a(bc)
-        if t12 and (kq12, kq3) in tables:
-            after = follow.get((kq12, kq3))
-            if after is None:
-                after = follow[(kq12, kq3)] = {}
-                for (m, c), mc in tables[(kq12, kq3)].items():
-                    if c in r3:
-                        after.setdefault(m, {})[c] = mc
-            for (a, b), ab in t12.items():
-                if a in r1 and b in r2:
-                    for m, v in ab.items():
-                        for c, mc in after.get(m, {}).items():
-                            out = acc.setdefault((a, b, c), {})
-                            for t, w in mc.items():
-                                out[t] = out.get(t, 0) + v * w
-        if t23 and (kq1, kq23) in tables:
-            before = lead.get((kq1, kq23))
-            if before is None:
-                before = lead[(kq1, kq23)] = {}
-                for (a, m), am in tables[(kq1, kq23)].items():
-                    if a in r1:
-                        before.setdefault(m, {})[a] = am
-            for (b, c), bc in t23.items():
-                if b in r2 and c in r3:
-                    for m, v in bc.items():
-                        for a, am in before.get(m, {}).items():
-                            out = acc.setdefault((a, b, c), {})
-                            for t, w in am.items():
-                                out[t] = out.get(t, 0) - v * w
+        # (a, b, c) -> (ab)c - a(bc)
+        acc = {(a, b, c): vec for ((a, b), c), vec in
+               _accumulate({}, tables.get((kq12, kq3), {}), rows[(kq1, kq2)], units[kq3]).items()}
+        for (a, (b, c)), vec in _accumulate({}, tables.get((kq1, kq23), {}), units[kq1], rows[(kq2, kq3)], -1).items():
+            out = acc.setdefault((a, b, c), {})
+            for t, w in vec.items():
+                out[t] = out.get(t, 0) + w
         associativity += [(kq1, a, kq2, b, kq3, c) for a, b, c in _nonzero_keys(acc)]
     return commutativity, associativity
 
@@ -1132,8 +1111,8 @@ class CdgaMorphism:
             ):
                 out.append("differential compatibility fails at %r" % (kq,))
         # f(ab) = f(a)f(b): f(ab), from the keys (a, b) of the source table,
-        # carries Df Ds, and f(a)f(b), from the keys (m, n) of the target
-        # table through the rows m and n of f, carries Df^2 Dt
+        # carries Df Ds, and f(a)f(b), the join of the target table with the
+        # rows of f, carries Df^2 Dt and goes into the difference times -Ds
         left, right = self.scale * target.scale, source.scale
         span = {kq: range(source.dim(kq)) for kq in source.bidegrees()}
         pairs = {key for tables in (src, tgt) for key, table in tables.items()
@@ -1149,10 +1128,7 @@ class CdgaMorphism:
                 f3 = fcols((kq1[0] + kq2[0], kq1[1] + kq2[1]))
                 acc = {(a, b): {i: left * x for i, x in _apply_columns(f3, ab).items()}
                        for (a, b), ab in t12.items() if a in r1 and b in r2}
-            for ab, vec in _pair_products(tgt.get((kq1, kq2), {}), rows[kq1], rows[kq2]).items():
-                diff = acc.setdefault(ab, {})
-                for i, w in vec.items():
-                    diff[i] = diff.get(i, 0) - right * w
+            _accumulate(acc, tgt.get((kq1, kq2), {}), rows[kq1], rows[kq2], -right)
             out += ["product compatibility fails for (%r, %d) x (%r, %d)" % (kq1, a, kq2, b)
                     for a, b in _nonzero_keys(acc)]
         return out
@@ -1261,7 +1237,8 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
         for k2 in kernels:
             k3 = k1 + k2
             table: dict = {}
-            pairs = _pair_products(model.tables.get(((k1, 2 * k1), (k2, 2 * k2)), {}), rows[k1], rows[k2])
+            pairs = _pair_products(_accumulate({}, model.tables.get(((k1, 2 * k1), (k2, 2 * k2)), {}),
+                                               rows[k1], rows[k2]))
             scale = model.scale * kernels[k1].cocycle_scale * kernels[k2].cocycle_scale
             for (a, b), prod in pairs.items():
                 # the product of cocycles must vanish if K^{k3} is trivial
@@ -1328,14 +1305,14 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
 
     # well-definedness: boundaries must multiply into boundaries, checked
     # in the order of the loop over (k, boundary, k2, basis vector j)
-    units = {k: {j: {j: 1} for j in range(model.dim((k, k)))} for k in data}
+    units = _identity_rows({k: range(model.dim((k, k))) for k in data})
     for k, col in data.items():
         rows = _sparse_rows(col.boundary_cols)
         checks = []
         for k2 in data:
             k3 = k + k2
             if k3 in data and data[k3].dim:
-                pairs = _pair_products(model.tables.get(((k, k), (k2, k2)), {}), rows, units[k2])
+                pairs = _pair_products(_accumulate({}, model.tables.get(((k, k), (k2, k2)), {}), rows, units[k2]))
                 checks += [(u, k2, j, prod) for (u, j), prod in pairs.items()]
         for _, k2, _, prod in sorted(checks, key=lambda check: check[:3]):
             if data[k + k2].class_coordinates(prod)[1]:
@@ -1352,7 +1329,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
             if not col1.dim or not col2.dim or k3 not in data or not data[k3].dim:
                 continue
             table: dict = {}
-            pairs = _pair_products(model.tables.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2])
+            pairs = _pair_products(_accumulate({}, model.tables.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2]))
             scale = model.scale * col1.cocycle_scale * col2.cocycle_scale
             for ab, prod in pairs.items():
                 den, coords = data[k3].class_coordinates(prod)

@@ -364,9 +364,9 @@ class TestLocalization:
 
 class TestDatumValidation:
     def test_builders_validate(self):
-        assert builder_projective_line_marked(3).validate() == []
+        assert builder_projective_line_marked(3)._issues({}) == []
         cd = builder_projective_line_marked(2)
-        assert kunneth_product(cd, cd).validate() == []
+        assert kunneth_product(cd, cd)._issues({}) == []
 
     def test_non_commutative_cup_detected(self):
         cups = {
@@ -379,7 +379,7 @@ class TestDatumValidation:
             (1, 1): {(0, 1): {0: F(1)}, (1, 0): {0: F(1)}},
         }
         cd = CompactificationDatum(0, {(): {0: 1, 1: 2, 2: 1}}, {}, {}, {(): cups})
-        issues = cd.validate()
+        issues = cd._issues({})
         assert any("graded-commutative" in msg for msg in issues)
 
 
@@ -394,7 +394,7 @@ def square_of_points(restrictions):
 class TestRestrictionFunctoriality:
     def test_commuting_square_passes(self):
         cd = square_of_points({((), 1): 2, ((), 2): 3, ((1,), 2): 3, ((2,), 1): 2})
-        assert cd.validate() == []
+        assert cd._issues({}) == []
         assert cd._composite({}, (), (1, 2), 0) == cd._composite({}, (), (2, 1), 0) == {0: {0: F(6)}}
         assert cd._composite({}, (), (), 0) == {0: {0: F(1)}}
 
@@ -406,7 +406,7 @@ class TestRestrictionFunctoriality:
 
     def test_non_commuting_square_named(self):
         cd = square_of_points({((), 1): 1, ((), 2): 1, ((1,), 2): 1, ((2,), 1): 2})
-        assert cd.validate() == [
+        assert cd._issues({}) == [
             "restrictions from I=() through 1 and 2 do not commute at degree 0"
         ]
         # the two orders of the steps compose to 1 and 2
@@ -417,15 +417,15 @@ class TestRestrictionFunctoriality:
 
     def test_missing_step_named_by_validate(self):
         cd = square_of_points({((), 1): 1, ((), 2): 1, ((1,), 2): 1})
-        assert cd.validate() == ["missing restriction for I=(2,), j=1, degree 0"]
+        assert cd._issues({}) == ["missing restriction for I=(2,), j=1, degree 0"]
 
     def test_missing_step_named_by_build_model(self):
-        # one component: validate has no pair of steps to compare, but it
+        # one component: validation has no pair of steps to compare, but it
         # reads each step into a space with classes, and build_model
         # refuses the datum with that fault
         line = builder_projective_line_marked(1)
         cd = CompactificationDatum(1, line.cohomology, {}, line.gysins, line.cups)
-        assert cd.validate() == ["missing restriction for I=(), j=1, degree 0"]
+        assert cd._issues({}) == ["missing restriction for I=(), j=1, degree 0"]
         with pytest.raises(DatumError, match=r"^missing restriction for I=\(\), j=1, degree 0$"):
             build_model(cd)
 
@@ -443,12 +443,12 @@ class TestRestrictionFunctoriality:
         }
         restrictions = {key: {p: Matrix(rows) for p, rows in blocks.items()} for key, blocks in steps.items()}
         cd = CompactificationDatum(3, cohomology, restrictions)
-        assert cd.validate() == [
+        assert cd._issues({}) == [
             "restrictions from I=() through 1 and 2 do not commute at degree 0",
             "restriction for I=(2,), j=3, degree 0 has shape (1, 2), expected (1, 1)",
             "missing restriction for I=(3,), j=1, degree 0",
         ]
-        assert cd.validate() == reference.validate(cd)
+        assert cd._issues({}) == reference.validate(cd)
 
 
 # -- dense reference oracles -------------------------------------------------
@@ -910,13 +910,13 @@ class TestSparseAxiomsAgainstDenseOracle:
     @pytest.mark.parametrize("i_key", [(), (1,)])
     def test_cup_entry_outside_its_space_is_a_datum_fault(self, i_key):
         # a constant naming index 3 of the one-dimensional H^0 passed
-        # validate(), and build_model then raised a bare KeyError; on the
+        # validation, and build_model then raised a bare KeyError; on the
         # point stratum (1,) the ring checks take their shortcut, so only
         # the closure fault names it
         cd = builder_projective_line_marked(2)
         cd.cups[i_key][(0, 0)][(0, 0)] = {0: F(1), 3: F(2)}
         fault = "cup product on D_%r at (0,0)x(0,0) has entry 3 outside H^0" % (i_key,)
-        assert cd.validate() == [fault]
+        assert cd._issues({}) == [fault]
         assert cd._check_cup(i_key) == dense_cup_issues(cd, i_key)
         with pytest.raises(DatumError, match="^" + re.escape(fault) + "$"):
             build_model(cd)
@@ -1503,6 +1503,43 @@ class TestSparseRank:
         assert kernel == reference.right_kernel(dense)
 
 
+class TestProductJoin:
+    """`_accumulate`, the one join of a product table with vectors, against
+    `reference.mult_vec`, which multiplies one pair of vectors at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_pairwise_products(self, data):
+        dims = [data.draw(st.integers(1, 4)) for _ in range(3)]
+        value = st.sampled_from([0, 1, -1, 2, F(1, 3), F(-5, 2)])
+        # keys one past a space, or at an index no vector uses, meet no row
+        keys = st.tuples(st.integers(0, dims[0]), st.integers(0, dims[1]))
+        table = data.draw(st.dictionaries(keys, st.dictionaries(st.integers(0, dims[2] - 1), value, max_size=3),
+                                          max_size=8))
+        identity = data.draw(st.sampled_from([None, 0, 1]))  # the side, if any, that is the basis itself
+        vectors, rows = [], []
+        for side, n in enumerate(dims[:2]):
+            if side == identity:
+                vectors.append([{a: 1} for a in range(n)])
+                rows.append(morganmodel._identity_rows({side: range(n)})[side])
+            else:
+                vectors.append(data.draw(st.lists(st.dictionaries(st.integers(0, n - 1), value, max_size=n),
+                                                  max_size=3)))
+                rows.append(morganmodel._sparse_rows(vectors[side]))
+        coeff = data.draw(st.sampled_from([1, -1, 3, F(-2, 7)]))
+        got = morganmodel._pair_products(morganmodel._accumulate({}, table, *rows, coeff))
+        kq1, kq2 = (1, 1), (2, 2)
+        spaces = {kq1: tuple(range(dims[0])), kq2: tuple(range(dims[1])), (3, 3): tuple(range(dims[2]))}
+        model = BigradedModel(spaces, {}, {(kq1, kq2): table})
+        want = {}
+        for a, v1 in enumerate(vectors[0]):
+            for b, v2 in enumerate(vectors[1]):
+                prod = reference.mult_vec(model, kq1, v1, kq2, v2)
+                if prod:
+                    want[(a, b)] = {c: coeff * v for c, v in prod.items()}
+        assert got == want and list(got) == list(want)
+
+
 # -- witnesses against their pairwise reference ----------------------------------
 #
 # The quasi-isomorphism check and the witness products as they were first
@@ -2040,7 +2077,7 @@ def assembly_outcome(build, cd):
 
 def assert_assembly_matches_reference(cd):
     fresh = CompactificationDatum(cd.components, cd.cohomology, cd.restrictions, cd.gysins, cd.cups)
-    assert fresh.validate() == reference.validate(cd)
+    assert fresh._issues({}) == reference.validate(cd)
     got = assembly_outcome(build_model, fresh)
     assert got == assembly_outcome(reference.build_model, cd)
     return got
@@ -2109,13 +2146,13 @@ class TestModelAssemblyAgainstReference:
 
     @pytest.mark.parametrize("sizes", [(1,), (3,), (1, 1), (2, 1), (1, 2), (1, 0, 1)])
     def test_malformed_data(self, sizes):
-        # a missing or misshapen step or a missing Gysin block; validate
+        # a missing or misshapen step or a missing Gysin block; validation
         # reads every step but no Gysin block, so that fault shows in the
         # assembly
         assembled = []
         for cd in malformed_variants(marked_lines(*sizes)):
             assert assert_assembly_matches_reference(cd)[0] == "DatumError"
-            assembled.append(cd.validate() == [])
+            assembled.append(cd._issues({}) == [])
         assert any(assembled)
 
     @pytest.mark.parametrize("sizes", [(1,), (1, 0), (0, 1), (1, 1), (2, 1), (1, 0, 1)])
@@ -2226,15 +2263,33 @@ class TestBudgets:
 
     def test_square_morphism_check_sweeps_live_pairs(self, count_calls):
         # of the 9 bidegree pairs of the (5, 5) square's kernel witness, 5
-        # hold the unit and 3 meet no table: one is swept
+        # hold the unit and 3 meet no table: one is swept, joining the
+        # target's table with the rows of f once
         line = builder_projective_line_marked(5)
         f = extract_kernel_model(build_model(kunneth_product(line, line)), INF).morphism
         spaces = f.source.spaces
         live = {key for m in (f.source, f.target) for key, table in m.products.items()
                 if table and key[0] in spaces and key[1] in spaces and (0, 0) not in key}
-        calls = count_calls(morganmodel, "_pair_products")
+        calls = count_calls(morganmodel, "_accumulate")
         assert f.violations() == []
-        assert calls["_pair_products"] == len(live) == 1
+        assert calls["_accumulate"] == len(live) == 1
+
+    def test_product_joins_per_run(self, count_calls):
+        # every product table meets its vectors in `_accumulate`: the
+        # (3, 3, 3) cube's axioms join two tables for each of their 16
+        # Leibniz pairs and 8 associativity triples, and assembling the
+        # (5, 5) square joins a cup table for 166 of its 206 disjoint block
+        # pairs whose product bidegree has a space, those with a cup table,
+        # nonzero composites and classes in the product's degree
+        line5, line3 = builder_projective_line_marked(5), builder_projective_line_marked(3)
+        square = kunneth_product(line5, line5)
+        cube = build_model(kunneth_product(kunneth_product(line3, line3), line3))
+        calls = count_calls(morganmodel, "_accumulate")
+        assert verify_cdga_axioms(cube).passed
+        assert calls["_accumulate"] == 2 * (16 + 8)
+        calls.clear()
+        assert build_model(square).total_dimension() == 49
+        assert calls["_accumulate"] == 166
 
     def test_square_validate_sweeps_no_point_ring(self, count_calls):
         # 25 of the (5, 5) square's 36 strata are points whose only class
@@ -2242,7 +2297,7 @@ class TestBudgets:
         line = builder_projective_line_marked(5)
         square = kunneth_product(line, line)
         calls = count_calls(morganmodel, "_ring_faults")
-        assert square.validate() == []
+        assert square._issues({}) == []
         assert calls["_ring_faults"] == 11
         assert all(square._check_cup(i_key) == dense_cup_issues(square, i_key) for i_key in square.subsets())
 
@@ -2266,7 +2321,7 @@ class TestBudgets:
         line = builder_projective_line_marked(5)
         square = kunneth_product(line, line)
         calls = count_calls(morganmodel, "_nonzero_keys")
-        assert square.validate() == []
+        assert square._issues({}) == []
         assert calls == {}
 
     def test_square_validate_composes_only_where_classes_land(self, count_calls):
@@ -2275,7 +2330,7 @@ class TestBudgets:
         line = builder_projective_line_marked(5)
         square = kunneth_product(line, line)
         calls = count_calls(CompactificationDatum, "_composite").args["_composite"]
-        assert square.validate() == []
+        assert square._issues({}) == []
         assert len(calls) == 2 * 25
 
     def test_square_validate_makes_no_zero_matrices(self, count_calls):
@@ -2283,7 +2338,7 @@ class TestBudgets:
         line = builder_projective_line_marked(5)
         square = kunneth_product(line, line)
         calls = count_calls(Matrix, "zero")
-        assert square.validate() == []
+        assert square._issues({}) == []
         assert calls == {}
 
     def test_square_validate_sorts_no_index_tuple_per_lookup(self, count_calls):
@@ -2292,7 +2347,7 @@ class TestBudgets:
         line = builder_projective_line_marked(5)
         square = kunneth_product(line, line)
         calls = count_calls(CompactificationDatum, "dim", "degrees")
-        assert square.validate() == []
+        assert square._issues({}) == []
         assert calls == {}
 
     def test_square_build_model_reads_each_step_once(self, count_calls):

@@ -44,8 +44,7 @@ SHARED_METHOD_NAMES = {
     # the model route reads `BigradedModel.dim`, `CompactificationDatum.dim`
     # and the property `_ColumnCohomology.dim`, and the layer search the
     # property `ToricHypersurface.dim`; `Layer.dim` is a property of a
-    # class kept above, and `LerayTable.dim` is read only by
-    # tests/test_leraymodel.py; `ArrangementFile` holds a field
+    # class kept above; `ArrangementFile` holds a field
     "dim",
     # `Layer.equations` and `Layer.key`, methods of a class kept above,
     # beside the fields `ArrangementFile.equations` and `Stratum.key`
@@ -55,9 +54,6 @@ SHARED_METHOD_NAMES = {
     "passed",
     # `LerayTable.rows`, which the `e2` command reads, beside `Matrix.rows`
     "rows",
-    # `StrataData.validate`, which the E2 route calls, and
-    # `CompactificationDatum.validate`, which only the tests call
-    "validate",
     # `CdgaMorphism.violations`, which `check_r_quasi_iso` calls, beside
     # the field `AxiomReport.violations`
     "violations",
