@@ -12,41 +12,38 @@ an exact check that it is an r-quasi-isomorphism.
 Compactification data is explicit input built by the provided
 constructors (marked projective lines and their Kunneth products); no
 resolution of singularities is attempted.  Composite restrictions are
-held as sparse rows and extended one step at a time in a memo owned by
-the caller: validation compares the two orders of each pair of steps on
-them, and the model is assembled block by block, a block being the
-summand of one stratum and degree, from the nonzero entries of its Gysin
-blocks and by sweeping the cup tables' keys against the composites' rows.
-All checks are exact identities.  A model keeps its maps in one form
-only, the integer form that its constructor builds: a scale D, the
-product tables and the sparse columns of each stored d, every value v
-held as the integer v * D; a morphism keeps the sparse integer columns
-of its blocks over a scale of its own.  A `Matrix` given to either
-constructor is converted once, where it enters, and `build_model` and
-the witnesses hand over sparse columns they have just built.  No
-accessor renders a map as a `Matrix` or applies it to one vector; the
-tests' dense and pairwise oracles do that in `tests/reference.py`.  The
-cdga axioms, the morphism checks and both witnesses run on these forms,
-and make a Fraction only for a value they return or store.  Every
-product on the model route, from the model's own tables to both sides
-of Leibniz, associativity and f(ab) = f(a)f(b) and the witnesses'
-products, is one join, `_accumulate`: it sweeps the keys (i, j) of a
-sparse product table against row i and row j of the sparse rows of the
-vectors on either side, identity rows where a side is the basis itself.
-A datum's cup axioms are swept the same way.  The ring and Leibniz
-sweeps visit only the bidegree tuples some table reaches, and no tuple
-holding a verified unit; a stored product with an entry outside its
-space is a named fault and is left out of them.  A map's shape is
-checked once, where it enters: `BigradedModel` refuses a differential
-and `CdgaMorphism` a block that does not map between its spaces, and a
-datum's validation (`_issues`) lists a missing or misshapen restriction
-step once, so the sweeps take every shape as given.  The witnesses build
-column cohomology only where it is nonzero and hold their comparison
-maps as integer columns.  Ranks of d and of induced maps, cocycles,
+held as integer rows over their own scale and extended one step at a
+time in a memo owned by the caller: validation compares the two orders
+of each pair of steps on them, and the model is assembled block by
+block, a block being the summand of one stratum and degree, from the
+nonzero entries of its Gysin blocks and by sweeping the cup tables' keys
+against the composites' rows.  All checks are exact identities.  A model
+keeps its maps in one form only, integers over one scale D (the product
+tables and the sparse columns of each stored d), with `products` a
+rational view made on each read; a morphism keeps the sparse integer
+columns of its blocks over a scale of its own.  What a public
+constructor is given is converted once, where it enters; `build_model`
+and the witnesses write integer tables, which `_integer_form` brings to
+one D.  No accessor renders a map as a `Matrix` or applies it to one
+vector: the tests' oracles in `tests/reference.py` do.  The checks and
+both witnesses run on these forms and make a Fraction only for a value
+they return.  Every product on the model route, from the model's own
+tables to both sides of Leibniz, associativity and f(ab) = f(a)f(b) and
+the witnesses' products, is one join, `_accumulate`, of a sparse
+product table with the sparse rows of the vectors on either side,
+labelled by basis tuples, or identity rows where a side is the basis.
+The ring and Leibniz sweeps visit only the bidegree tuples some table
+reaches, and no tuple holding a verified unit; a stored product with an
+entry outside its space is a named fault, left out of them.  A map's
+shape is checked once, where it enters: `BigradedModel` refuses a
+differential and `CdgaMorphism` a block that does not map between its
+spaces, and a datum's validation (`_issues`) lists a missing or
+misshapen restriction step once.  The witnesses build column cohomology
+only where it is nonzero.  Ranks of d and of induced maps, cocycles,
 representatives and class coordinates all come from one fraction-free
 elimination of sparse integer columns, each carrying its history
-(`_reduce`).  Only a datum's blocks are matrices:
-from `build_model` to a verdict, nothing makes or eliminates a `Matrix`.
+(`_reduce`).  Only a datum's blocks are matrices: from `build_model` to
+a verdict, nothing makes or eliminates a `Matrix`.
 """
 
 from __future__ import annotations
@@ -109,11 +106,21 @@ def _sparse_columns(mat: Matrix) -> list[Sparse]:
     return cols
 
 
-def _integer_form(maps: Mapping[Bidegree, list], dens: Iterable[int] = ()) -> tuple[int, dict]:
+def _integer_form(maps: Mapping[Bidegree, list], groups: Iterable[tuple[int, Iterable[dict]]] = ()) -> tuple[int, dict]:
     """(D, `maps` as integer columns) for maps given as sparse rational
-    columns: D is the lcm of `dens` and of the denominators of their
-    entries, and each entry v becomes the integer v * D."""
-    scale = math.lcm(*dens, *{v.denominator for cols in maps.values() for col in cols for v in col.values()})
+    columns, and `groups` (den, vectors) of integer vectors whose values
+    stand for v / den, rescaled in place: D is the lcm of the denominators
+    of the entries of `maps` and of the reduced ones of the groups' values,
+    and each value v becomes the integer v * D."""
+    groups = list(groups)
+    scale = math.lcm(*{v.denominator for cols in maps.values() for col in cols for v in col.values()},
+                     *(den // math.gcd(den, *(v for vec in vecs for v in vec.values())) for den, vecs in groups))
+    for den, vecs in groups:
+        g = math.gcd(scale, den)  # den // g divides every value of the group
+        if den != scale:
+            for vec in vecs:
+                for c, v in vec.items():
+                    vec[c] = v // (den // g) * (scale // g)
     return scale, {kq: [{i: v.numerator * (scale // v.denominator) for i, v in col.items()} for col in cols]
                    for kq, cols in maps.items()}
 
@@ -132,16 +139,16 @@ def _apply_columns(cols: Sequence[Mapping[int, Fraction]], vec: Mapping[int, Fra
 
 
 def _accumulate(acc: dict, table: Mapping, rows1: Mapping, rows2: Mapping, coeff=1) -> dict:
-    """Add coeff * x * y * t_ij into acc[(a, b)] for each key (i, j) of the
+    """Add coeff * x * y * t_ij into acc[a + b] for each key (i, j) of the
     product `table`, each (a, x) in row i of `rows1` and each (b, y) in row
     j of `rows2`, and return `acc`.
 
-    With the sparse rows {basis index: {vector: coefficient}} of vectors a
-    and b, this adds coeff times the product ab to acc[(a, b)].  It is the
-    one join of a product table with vectors on the model route: the
-    model's products, both sides of Leibniz and associativity, f(a)f(b) and
-    the witnesses' products.  A pair that meets no key gets no entry, and
-    zero sums are kept; `_pair_products` and `_nonzero_keys` read the
+    With the sparse rows {basis index: {label: coefficient}} of vectors
+    labelled by tuples a and b, this adds coeff times ab to acc[a + b]:
+    labels (a,) and (b,) give the key (a, b), and (a, b) and (c,), or (a,)
+    and (b, c), give (a, b, c).  It is the one join of a product table with
+    vectors on the model route.  A pair that meets no key gets no entry,
+    and zero sums are kept; `_pair_products` and `_nonzero_keys` read the
     result."""
     for (i, j), ij in table.items():
         left, right = rows1.get(i), rows2.get(j)
@@ -150,7 +157,7 @@ def _accumulate(acc: dict, table: Mapping, rows1: Mapping, rows2: Mapping, coeff
                 if coeff != 1:
                     x = coeff * x
                 for b, y in right.items():
-                    out = acc.setdefault((a, b), {})
+                    out = acc.setdefault(a + b, {})
                     xy = x * y
                     for c, v in ij.items():
                         prev = out.get(c)
@@ -170,32 +177,35 @@ def _pair_products(acc: Mapping) -> dict[tuple[int, int], Sparse]:
 
 
 def _identity_rows(span: Mapping) -> dict:
-    """The identity on each range of `span` as sparse rows {a: {a: 1}}."""
-    return {key: {a: {a: 1} for a in r} for key, r in span.items()}
+    """The identity on each range of `span` as sparse rows {a: {(a,): 1}}."""
+    return {key: {a: {(a,): 1} for a in r} for key, r in span.items()}
 
 
-def _sparse_rows(cols) -> dict[int, dict[int, int]]:
-    """The sparse columns `cols`, a sequence or a dict {column: {row:
-    value}}, as sparse rows {row: {column: value}}, columns in the order of
-    `cols`; applied to sparse rows, it gives sparse columns."""
-    rows: dict[int, dict[int, int]] = {}
-    for j, col in cols.items() if isinstance(cols, dict) else enumerate(cols):
+def _sparse_rows(cols) -> dict[int, dict]:
+    """The sparse columns `cols`, a sequence or a dict {label: {row:
+    value}}, as sparse rows {row: {label: value}}, in the order of `cols`;
+    column j of a sequence is labelled (j,).  Applied to sparse rows, it
+    gives sparse columns."""
+    rows: dict[int, dict] = {}
+    for label, col in cols.items() if isinstance(cols, dict) else (((j,), col) for j, col in enumerate(cols)):
         for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
+            rows.setdefault(i, {})[label] = v
     return rows
 
 
-def _compose_rows(after: Mapping[int, Sparse], before: Mapping[int, Sparse]) -> dict[int, Sparse]:
-    """The product `after` times `before` of two matrices held as sparse rows
-    {row: {column: value}}, zeros dropped: row t is the combination of the
-    rows of `before`, which omits its zero rows, with the coefficients of
-    row t of `after`."""
-    out: dict[int, Sparse] = {}
-    for t, coeffs in after.items():
-        row = _apply_columns(before, {r: x for r, x in coeffs.items() if r in before})
+def _compose_rows(after: tuple[int, dict], before: tuple[int, dict]) -> tuple[int, dict[int, dict[int, int]]]:
+    """The product `after` times `before` of two matrices held as (D, their
+    sparse integer rows {row: {column: value * D}}), zeros dropped, over the
+    least D: row t is the combination of the rows of `before`, which omits
+    its zero rows, with the coefficients of row t of `after`."""
+    rows, out = before[1], {}
+    for t, coeffs in after[1].items():
+        row = _apply_columns(rows, {r: x for r, x in coeffs.items() if r in rows})
         if row:
             out[t] = row
-    return out
+    den = after[0] * before[0]
+    g = math.gcd(den, *(v for row in out.values() for v in row.values()))
+    return den // g, ({t: {a: v // g for a, v in row.items()} for t, row in out.items()} if g > 1 else out)
 
 
 def _rational(v):
@@ -297,34 +307,35 @@ class CompactificationDatum:
         """The Gysin map from D_I to D_{I-i} in degree p; both keys sorted."""
         return self._block(self.gysins, "Gysin map for I=%r, i=%d, degree %d", i_key, i, p, tgt_key, p + 2)
 
-    def _step_rows(self, memo: dict, i_key, j: int, p: int, tgt_key) -> dict[int, Sparse]:
-        """`_step` as sparse rows {row: {column: value}}, zeros dropped, read
-        once per `memo`; empty, and neither looked up nor kept, when either
-        space has no classes."""
+    def _step_rows(self, memo: dict, i_key, j: int, p: int, tgt_key) -> tuple[int, dict[int, dict[int, int]]]:
+        """`_step` as (D, its integer rows {row: {column: value * D}}), D the
+        lcm of its denominators, zeros dropped, read once per `memo`; (1,
+        {}), neither looked up nor kept, when either space has no classes."""
         cohomology = self.cohomology
         if not (cohomology.get(i_key, {}).get(p, 0) and cohomology.get(tgt_key, {}).get(p, 0)):
-            return {}
-        rows = memo.get((i_key, (j,), p))
-        if rows is None:
-            rows = memo[(i_key, (j,), p)] = {t: {a: v for a, v in enumerate(row) if v} for t, row in
-                                             enumerate(self._step(i_key, j, p, tgt_key).rows) if any(row)}
-        return rows
+            return 1, {}
+        got = memo.get((i_key, (j,), p))
+        if got is None:
+            rows = [(t, row) for t, row in enumerate(self._step(i_key, j, p, tgt_key).rows) if any(row)]
+            den = math.lcm(*(v.denominator for _, row in rows for v in row))
+            got = memo[(i_key, (j,), p)] = (den, {t: {a: v.numerator * (den // v.denominator) for a, v in enumerate(row)
+                                                      if v} for t, row in rows})
+        return got
 
-    def _composite(self, memo: dict, i_key, js: tuple[int, ...], p: int) -> dict[int, Sparse]:
+    def _composite(self, memo: dict, i_key, js: tuple[int, ...], p: int) -> tuple[int, dict[int, dict[int, int]]]:
         """The one-step restrictions from D_I along `js`, composed in that
-        order, as sparse rows with zeros dropped; the identity when `js` is
-        empty.  Each prefix of `js` is the one before it extended by one
-        step, and a nonzero one is kept in `memo` under (I, prefix, p), so a
-        step is read once per memo and a missing or misshapen one raises
-        where the dense product of the steps did.  Every step's shape is
-        checked, so two composites of the same I, p and end stratum are
-        equal exactly when their dense matrices are."""
-        rows = memo.get((i_key, js, p))
-        if rows is None:
+        order, as (D, integer rows) like `_step_rows`, D least; (1, {a: {a:
+        1}}) when `js` is empty.  Each prefix of `js` is the one before it
+        extended by one step, and a nonzero one is kept in `memo` under (I,
+        prefix, p), so a step is read once per memo and a missing or
+        misshapen one raises where the dense product of the steps did.
+        Every step's shape is checked, so two composites of the same I, p
+        and end stratum are equal exactly when their dense matrices are."""
+        got = memo.get((i_key, js, p))
+        if got is None:
             if not js:
-                rows = memo[(i_key, js, p)] = {
-                    a: {a: Fraction(1)} for a in range(self.cohomology.get(i_key, {}).get(p, 0))}
-                return rows
+                got = memo[(i_key, js, p)] = (1, {a: {a: 1} for a in range(self.cohomology.get(i_key, {}).get(p, 0))})
+                return got
             cur = i_key
             for n, j in enumerate(js):
                 nxt = tuple(sorted(cur + (j,)))
@@ -332,11 +343,11 @@ class CompactificationDatum:
                 if prefix is None:
                     prefix = self._step_rows(memo, cur, j, p, nxt)
                     if n:
-                        prefix = _compose_rows(prefix, rows)
-                        if prefix:
+                        prefix = _compose_rows(prefix, got)
+                        if prefix[1]:
                             memo[(i_key, js[:n + 1], p)] = prefix
-                rows, cur = prefix, nxt
-        return rows
+                got, cur = prefix, nxt
+        return got
 
     # -- validation ----------------------------------------------------------
 
@@ -434,17 +445,13 @@ def negate_gysin_block(cd: CompactificationDatum, i_set, i: int, p: int) -> Comp
 class BigradedModel:
     """A finite bigraded cdga: spaces M^k_q, differential, sparse product.
 
-    `spaces` maps (k, q) to a tuple of basis labels; `diff[(k, q)]` is the
-    matrix of d: M^k_q -> M^{k+1}_q, zero where none is given;
-    `products[((k,q),(k',q'))][(a, b)]` is the sparse result vector in
-    M^{k+k'}_{q+q'}.
-
-    The model keeps `spaces`, `products` and their integer form, built
-    here once, and no `Matrix`: `scale` is D, the lcm of the denominators
-    of every product constant and every entry of d; `tables` holds each
-    product constant v as the integer v * D, explicit zeros kept; and
-    `d[(k, q)]` holds the sparse columns {row: v * D} of each d given,
-    zeros dropped.
+    `spaces` maps (k, q) to a tuple of basis labels.  The maps are kept in
+    integers over one scale, with no `Matrix` or Fraction: `scale` is D,
+    the lcm of the reduced denominators of every product constant and
+    entry of d; `tables[((k,q),(k',q'))][(a, b)]` is the product of basis
+    vectors a and b in M^{k+k'}_{q+q'}, each constant v held as v * D,
+    explicit zeros kept; `d[(k, q)]` holds the sparse columns {row: v * D}
+    of each d: M^k_q -> M^{k+1}_q given.  `products` is a rational view.
 
     Construction refuses, with ValueError("differential at (k, q) has
     shape S, expected T"), the first stored d in sorted bidegree order
@@ -452,55 +459,45 @@ class BigradedModel:
     witness may take each d to map between its spaces.
     """
 
-    def __init__(
-        self,
-        spaces: Mapping[Bidegree, Sequence],
-        diff: Mapping[Bidegree, Matrix],
-        products: Mapping[tuple[Bidegree, Bidegree], Mapping],
-    ):
+    def __init__(self, spaces: Mapping[Bidegree, Sequence], diff: Mapping[Bidegree, Matrix],
+                 products: Mapping[tuple[Bidegree, Bidegree], Mapping]):
         self.spaces = {kq: tuple(labels) for kq, labels in spaces.items() if labels}
         for kq in sorted(diff):
             shape, want = diff[kq].shape, (self.dim((kq[0] + 1, kq[1])), self.dim(kq))
             if shape != want:
                 raise ValueError("differential at %r has shape %r, expected %r" % (kq, shape, want))
-        self._hold({kq: _sparse_columns(mat) for kq, mat in diff.items()},
-                   {key: {ab: dict(vec) for ab, vec in table.items() if vec} for key, table in products.items()})
+        tables = {key: {ab: dict(vec) for ab, vec in table.items() if vec} for key, table in products.items()}
+        groups = []  # each product vector in integers over the lcm of its denominators
+        for vec in [vec for table in tables.values() for vec in table.values()]:
+            den = math.lcm(*(_rational(v).denominator for v in vec.values()))
+            vec.update({c: _scaled(v, den) for c, v in vec.items()})
+            groups.append((den, (vec,)))
+        self._hold(*_integer_form({kq: _sparse_columns(mat) for kq, mat in diff.items()}, groups), tables)
 
     @classmethod
-    def _adopt(cls, spaces: dict, d: dict, products: dict) -> BigradedModel:
-        """A model over tables its caller has just built, held without the
-        copy `__init__` makes, nor its shape check: label tuples nonempty, no
-        product vector empty, and d given as the sparse rational columns of
-        maps fitting their spaces."""
+    def _adopt(cls, spaces: dict, scale: int, d: dict, tables: dict) -> BigradedModel:
+        """A model over the integer form its caller has just built, held
+        without the copy `__init__` makes, nor its shape check: label tuples
+        nonempty, no product vector empty, and each d fitting its spaces."""
         model = cls.__new__(cls)
         model.spaces = spaces
-        model._hold(d, products)
+        model._hold(scale, d, tables)
         return model
 
-    def _hold(self, d: Mapping[Bidegree, list], products: dict) -> None:
-        """Keep `products` and the integer form of them and of d, given as
-        sparse rational columns.
-
-        An identity whose terms are all products of the same number of
-        values over the same D fails exactly where its scaled form does;
-        other terms are multiplied by the missing denominators.  Each check
-        sweeps the keys of the tables, adds the terms of both sides of its
-        identity into one difference per basis tuple, and reports the
-        tuples, in ascending order, whose difference is nonzero.  A tuple
-        that meets no key has two empty sums, so the sweep is exhaustive.
-        Keys whose basis indices lie outside the spaces are skipped.
-        Integer vectors carry their own denominator, and a Fraction is made
-        only for a value that is returned or stored."""
-        dens = {v.denominator for table in products.values() for vec in table.values() for v in vec.values()}
-        scale, self.d = _integer_form(d, dens)
-        self.products, self.scale = products, scale
-        self.tables = {key: {ab: {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
-                             for ab, vec in table.items()}
-                       for key, table in products.items()}
+    def _hold(self, scale: int, d: dict, tables: dict) -> None:
+        """Keep the integer form as given, with empty caches of what is derived from it."""
+        self.scale, self.d, self.tables = scale, d, tables
         self._closure: tuple | None = None
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
         self._ranks: dict[Bidegree, int] = {}
         self._cohomology_dims: dict[Bidegree, int] = {}
+
+    @property
+    def products(self) -> dict:
+        """The tables as Fractions, {((k,q),(k',q')): {(a, b): {c: v}}} in
+        their order, each v the stored integer over D: made on each read."""
+        return {key: {ab: {c: Fraction(v, self.scale) for c, v in vec.items()} for ab, vec in table.items()}
+                for key, table in self.tables.items()}
 
     def dim(self, kq: Bidegree) -> int:
         return len(self.spaces.get(kq, ()))
@@ -580,20 +577,21 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     excluded structurally.  Raises DatumError when a required map is
     missing or the datum fails validation.
 
-    The model is assembled block by block, a block being the summand of one
-    (I, p).  The differential is written as sparse columns, from the
-    nonzero entries of the Gysin blocks with one sign per (I, i), and the
-    model makes them its integer columns.  The products of two blocks with
-    disjoint I1, I2 are the join (`_accumulate`) of the cup table of
-    D_{I1+I2}, keys ascending, with the rows of both blocks' sparse
-    composites to D_{I1+I2}; they are placed at the blocks' offsets, with
-    one sign per block pair, and no other pair reaches those basis pairs.
+    The model is assembled in integers, block by block, a block being the
+    summand of one (I, p).  The differential is written as sparse columns,
+    from the nonzero entries of the Gysin blocks with one sign per (I, i).
+    The products of two blocks with disjoint I1, I2 are the join
+    (`_accumulate`) of the cup table of D_{I1+I2}, keys ascending, with the
+    rows of both blocks' composites to D_{I1+I2}, each over its own scale
+    and labelled by model indices, with the pair's sign as coefficient; no
+    other pair reaches those basis pairs, so they share one denominator,
+    and `_integer_form` brings them and d to the model's D once.
     Disjointness is tested on bitmasks of the index sets.  Validation and
-    assembly share one memo of composites, dropped on return.  Every
-    disjoint pair whose product bidegree has a space takes its composites,
-    as each basis pair did, so a step that validation does not read, one
-    of a component index outside 1..components, raises the same first
-    DatumError.
+    assembly share one memo of composites, released before the model is
+    made.  Every disjoint pair whose product bidegree has a space takes its
+    composites, as each basis pair did, so a step that validation does not
+    read, one of a component index outside 1..components, raises the same
+    first DatumError.
     """
     composites: dict = {}
     issues = cd._issues(composites)
@@ -625,43 +623,57 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                 row_off = offsets.get((rest, p + 2))
                 if row_off is None:
                     continue  # D_{I-i} has no classes in degree p + 2
-                sign = (-1) ** (q + pos)  # pos components of I - i precede i
+                negate = (q + pos) % 2  # pos components of I - i precede i
                 # no other i of I reaches the rows of D_{I-i}: each entry is set once
                 for t, gys_row in enumerate(cd._gysin(i_key, i, p, rest).rows):
                     for j, v in enumerate(gys_row):
                         if v:
-                            cols[off + j][row_off + t] = sign * v
+                            cols[off + j][row_off + t] = -v if negate else v
 
     products: dict[tuple[Bidegree, Bidegree], dict] = {}
+    groups: dict[int, list] = {}  # denominator -> the vectors of the block pairs over it
     for kq1 in spaces:
         for kq2 in spaces:
             kq3 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
             if kq3 not in spaces:
                 continue
-            acc: dict = {}  # (a, b) -> ab, each key filled by one block pair
+            table: dict = {}
             for i1, p1, off1, mask1 in blocks[kq1]:
+                acc: dict = {}  # (a, b) -> ab for the a of this block, each key filled by one block pair
                 for i2, p2, off2, mask2 in blocks[kq2]:
                     if mask1 & mask2:
                         continue
                     union = tuple(sorted(i1 + i2))
-                    rows1 = cd._composite(composites, i1, tuple(x for x in union if x not in i1), p1)
-                    rows2 = cd._composite(composites, i2, tuple(x for x in union if x not in i2), p2)
-                    entries = cd.cups.get(union, {}).get((p1, p2))
+                    den1, rows1 = cd._composite(composites, i1, tuple(x for x in union if x not in i1), p1)
+                    den2, rows2 = cd._composite(composites, i2, tuple(x for x in union if x not in i2), p2)
                     base = offsets.get((union, p1 + p2))
                     # validation has refused a nonzero entry outside the space,
                     # so the product is zero where D_{I1+I2} has no classes
-                    if not entries or not rows1 or not rows2 or base is None:
+                    if not rows1 or not rows2 or base is None:
                         continue
-                    negate = (-1) ** (len(i1) * kq2[1]) * shuffle_sign(i1, i2) < 0
-                    # the keys ascending, so that each vector lists its entries
+                    entries = cd.cups.get(union, {}).get((p1, p2))
+                    if not entries:
+                        continue
+                    den = math.lcm(*(v.denominator for vec in entries.values() for v in vec.values()))
+                    vecs = groups.setdefault(den * den1 * den2, [])
+                    # the keys ascend, so that each vector lists its entries
                     # in the order of the (a2, b2) that reach them
-                    pair = _accumulate({}, dict(sorted(entries.items())), rows1, rows2)
-                    for (j1, j2), vec in pair.items():
-                        acc[(off1 + j1, off2 + j2)] = {base + c: -v if negate else v for c, v in vec.items()}
-            table = _pair_products(acc)
+                    for ab, vec in _accumulate(
+                            {}, {ab: {base + c: v.numerator * (den // v.denominator) for c, v in vec.items()}
+                                 for ab, vec in sorted(entries.items())},
+                            {t: {(off1 + a,): x for a, x in row.items()} for t, row in rows1.items()},
+                            {t: {(off2 + b,): y for b, y in row.items()} for t, row in rows2.items()},
+                            (-1) ** (len(i1) * kq2[1]) * shuffle_sign(i1, i2)).items():
+                        vec = {c: v for c, v in vec.items() if v}
+                        if vec:
+                            acc[ab] = vec
+                            vecs.append(vec)
+                table.update(sorted(acc.items()))  # the blocks of kq1 ascend
             if table:
                 products[(kq1, kq2)] = table
-    return BigradedModel._adopt({kq: tuple(labels) for kq, labels in spaces.items()}, d, products)
+    del composites
+    return BigradedModel._adopt({kq: tuple(labels) for kq, labels in spaces.items()},
+                                *_integer_form(d, groups.items()), products)
 
 
 # -- axioms and cohomology -------------------------------------------------
@@ -686,7 +698,10 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     The checks run on the model's integer form: every term of d o d, of
     Leibniz and of associativity is a product of two stored values, and
     commutativity compares single constants, so each scaled identity fails
-    exactly where the rational one does.  d o d is applied to the sparse
+    exactly where the rational one does.  Each sweep adds the terms of both
+    sides into one difference per basis tuple and reports the tuples, in
+    ascending order, whose difference is nonzero; a tuple that meets no
+    table key has two empty sums.  d o d is applied to the sparse
     columns of d.  Leibniz sweeps three tables for each (kq1, kq2): d(ab)
     from the keys (a, b) of t(kq1, kq2); (da)b, the join (`_accumulate`)
     of t(d kq1, kq2) with the rows of d on kq1 and the identity rows of
@@ -792,13 +807,13 @@ def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range], unit: bool) ->
 
     Commutativity compares the stored vectors ab and +-ba entry by entry,
     so an explicit zero constant in one order and none in the other is a
-    fault.  Associativity, for each (kq1, kq2, kq3), adds up (ab)c as the
-    join (`_accumulate`) of t(kq12, kq3) with the rows {m: {(a, b): v}} of
-    t(kq1, kq2) and the identity rows of kq3, and subtracts a(bc), the
-    join of t(kq1, kq23) with the identity rows of kq1 and the rows of
-    t(kq2, kq3); the rows of each table are built once.  Only the bidegree
-    pairs and triples that those tables reach are swept, in ascending
-    order.
+    fault.  Associativity, for each (kq1, kq2, kq3), adds (ab)c, the join
+    (`_accumulate`) of t(kq12, kq3) with the rows {m: {(a, b): v}} of
+    t(kq1, kq2) and the identity rows of kq3, and minus a(bc), the join of
+    t(kq1, kq23) with the identity rows of kq1 and the rows of t(kq2, kq3),
+    into one accumulator keyed (a, b, c); the rows of each table are built
+    once.  Only the bidegree pairs and triples those tables reach are
+    swept, in ascending order.
 
     With `unit`, `_has_unit` holds: ex = xe = s x as stored, and every
     stored product lies in its space, so each sum the sweep forms for a
@@ -840,13 +855,8 @@ def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range], unit: bool) ->
                                              if a in span[x] and b in span[y]})
         kq12 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
         kq23 = (kq2[0] + kq3[0], kq2[1] + kq3[1])
-        # (a, b, c) -> (ab)c - a(bc)
-        acc = {(a, b, c): vec for ((a, b), c), vec in
-               _accumulate({}, tables.get((kq12, kq3), {}), rows[(kq1, kq2)], units[kq3]).items()}
-        for (a, (b, c)), vec in _accumulate({}, tables.get((kq1, kq23), {}), units[kq1], rows[(kq2, kq3)], -1).items():
-            out = acc.setdefault((a, b, c), {})
-            for t, w in vec.items():
-                out[t] = out.get(t, 0) + w
+        acc = _accumulate({}, tables.get((kq12, kq3), {}), rows[(kq1, kq2)], units[kq3])  # (a, b, c) -> (ab)c
+        _accumulate(acc, tables.get((kq1, kq23), {}), units[kq1], rows[(kq2, kq3)], -1)  # minus a(bc)
         associativity += [(kq1, a, kq2, b, kq3, c) for a, b, c in _nonzero_keys(acc)]
     return commutativity, associativity
 
@@ -991,9 +1001,11 @@ class _ColumnCohomology:
     def dim(self) -> int:
         return len(self.representative_cols)
 
-    def _at_free_columns(self, vec: Mapping[int, int]) -> dict[int, int] | None:
-        """The entries of `vec` at the free columns, keyed by cocycle and
-        ascending, or None if d_out vec != 0; zeros dropped."""
+    def cocycle_coordinates(self, vec: Mapping[int, int]) -> dict[int, int] | None:
+        """Sparse coordinates of `vec` on `cocycles` in ascending order, or
+        None if d_out vec != 0: each cocycle is 1 at its own free column and
+        0 at the others, so they are the entries of `vec` there, zeros
+        dropped."""
         vec = {i: x for i, x in vec.items() if x}
         if self._d_out is not None and _apply_columns(self._d_out, vec):
             return None
@@ -1007,7 +1019,7 @@ class _ColumnCohomology:
         zeros dropped.  Raises ValueError unless `vec` lies in the span of
         the chosen boundaries and representatives."""
         if self._pivots is None:
-            coords = self._at_free_columns(vec)
+            coords = self.cocycle_coordinates(vec)
             if coords is None:
                 raise ValueError("vector is not a cocycle class representative")
             return 1, coords
@@ -1017,13 +1029,6 @@ class _ColumnCohomology:
         c = hist.pop(-1)  # c vec = -sum h[l] z'_l, and z'_l = cocycle_scale z_l
         scale = -self.cocycle_scale if c > 0 else self.cocycle_scale
         return abs(c), {l: scale * x for l, x in sorted(hist.items())}
-
-    def cocycle_coordinates(self, vec: Mapping[int, int], scale: int = 1) -> Sparse | None:
-        """Sparse coordinates of `vec` / `scale` on `cocycles` in ascending
-        order, or None if d_out vec != 0: each cocycle is 1 at its own free
-        column and 0 at the others."""
-        coords = self._at_free_columns(vec)
-        return None if coords is None else {c: Fraction(x, scale) for c, x in coords.items()}
 
 
 # -- morphisms and quasi-isomorphisms --------------------------------------
@@ -1227,32 +1232,27 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
         col = model._column_cohomology((k, 2 * k))
         if col.cocycle_cols:
             kernels[k] = col
-    spaces = {
-        (k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(col.cocycle_cols)))
-        for k, col in kernels.items()
-    }
+    spaces = {(k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(col.cocycle_cols))) for k, col in kernels.items()}
     rows = {k: _sparse_rows(col.cocycle_cols) for k, col in kernels.items()}
     products: dict = {}
+    groups = []  # the integer coordinates of products of cocycles, over D Dz1 Dz2
     for k1 in kernels:
         for k2 in kernels:
             k3 = k1 + k2
             table: dict = {}
             pairs = _pair_products(_accumulate({}, model.tables.get(((k1, 2 * k1), (k2, 2 * k2)), {}),
                                                rows[k1], rows[k2]))
-            scale = model.scale * kernels[k1].cocycle_scale * kernels[k2].cocycle_scale
             for (a, b), prod in pairs.items():
                 # the product of cocycles must vanish if K^{k3} is trivial
-                vec = kernels[k3].cocycle_coordinates(prod, scale) if k3 in kernels else None
+                vec = kernels[k3].cocycle_coordinates(prod) if k3 in kernels else None
                 if vec is None:
-                    raise ClosureError(
-                        "kernel product escapes at K^%d x K^%d pair (%d, %d)"
-                        % (k1, k2, a, b)
-                    )
+                    raise ClosureError("kernel product escapes at K^%d x K^%d pair (%d, %d)" % (k1, k2, a, b))
                 if vec:
                     table[(a, b)] = vec
             if table:
                 products[((k1, 2 * k1), (k2, 2 * k2))] = table
-    witness_model = BigradedModel._adopt(spaces, {}, products)
+                groups.append((model.scale * kernels[k1].cocycle_scale * kernels[k2].cocycle_scale, table.values()))
+    witness_model = BigradedModel._adopt(spaces, *_integer_form({}, groups), products)
     # the inclusion's columns are the cocycles over the lcm of their scales
     scale = math.lcm(*(col.cocycle_scale for col in kernels.values()))
     cols = {(k, 2 * k): col.cocycle_cols if col.cocycle_scale == scale else
@@ -1290,18 +1290,13 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
             continue
         # M^{k+1}_k vanishes structurally, so every vector is a cocycle
         data[k] = model._column_cohomology(kq)
-    spaces = {
-        (k, k): tuple("C^%d_%d" % (k, j) for j in range(col.dim))
-        for k, col in data.items()
-        if col.dim
-    }
+    spaces = {(k, k): tuple("C^%d_%d" % (k, j) for j in range(col.dim)) for k, col in data.items() if col.dim}
     # the projection's column j at (k, k) holds the class coordinates of
     # basis vector j, over D, the lcm of the denominators of its entries
     coordinates = {(k, k): [col.class_coordinates({j: 1}) for j in range(model.dim((k, k)))]
                    for k, col in data.items() if col.dim}
-    den = math.lcm(*(c // math.gcd(x, c) for cols in coordinates.values() for c, v in cols for x in v.values()))
-    projections = {kq: [{i: x * den // c for i, x in v.items()} for c, v in cols]
-                   for kq, cols in coordinates.items()}
+    den = _integer_form({}, [(c, (v,)) for cols in coordinates.values() for c, v in cols])[0]
+    projections = {kq: [v for _, v in cols] for kq, cols in coordinates.items()}
 
     # well-definedness: boundaries must multiply into boundaries, checked
     # in the order of the loop over (k, boundary, k2, basis vector j)
@@ -1323,6 +1318,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
 
     rows = {k: _sparse_rows(col.representative_cols) for k, col in data.items()}
     products: dict = {}
+    groups = []  # the class coordinates of each product of representatives, over D Dz1 Dz2 and their den
     for k1, col1 in data.items():
         for k2, col2 in data.items():
             k3 = k1 + k2
@@ -1332,13 +1328,13 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
             pairs = _pair_products(_accumulate({}, model.tables.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2]))
             scale = model.scale * col1.cocycle_scale * col2.cocycle_scale
             for ab, prod in pairs.items():
-                den, coords = data[k3].class_coordinates(prod)
-                vec = {c: Fraction(v, scale * den) for c, v in coords.items()}
+                prod_den, vec = data[k3].class_coordinates(prod)  # not `den`, the projection's scale
                 if vec:
                     table[ab] = vec
+                    groups.append((scale * prod_den, (vec,)))
             if table:
                 products[((k1, k1), (k2, k2))] = table
-    witness_model = BigradedModel._adopt(spaces, {}, products)
+    witness_model = BigradedModel._adopt(spaces, *_integer_form({}, groups), products)
     surjection = CdgaMorphism._of_columns(model, witness_model, den, projections)
     verdict = check_r_quasi_iso(surjection, r)
     return FormalityWitness("cokernel", witness_model, surjection, verdict)
@@ -1422,10 +1418,10 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
     tensors with Koszul signs.
 
     Each factor map is read once per degree as sparse columns: a
-    restriction step through `_step_rows`, a Gysin block from its rows.
-    The lifted blocks are `Matrix` rows of the factors' Fractions and one
-    shared zero.  The cups of a product stratum look up each factor's cup
-    table of that stratum once.
+    restriction step through `_step_rows`, its integers over its scale
+    made Fractions again, a Gysin block from its rows.  The lifted blocks
+    are `Matrix` rows of those Fractions and one shared zero.  The cups of
+    a product stratum look up each factor's cup table of that stratum once.
     """
     s1, s2 = cd1.components, cd2.components
 
@@ -1457,7 +1453,11 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
 
     def step_cols(cd, own, local):
         above = tuple(sorted(own + (local,)))
-        return lambda p: _sparse_rows(cd._step_rows({}, own, local, p, above))
+
+        def cols(p):
+            den, rows = cd._step_rows({}, own, local, p, above)
+            return _sparse_rows({t: {a: Fraction(v, den) for a, v in row.items()} for t, row in rows.items()})
+        return cols
 
     def gysin_cols(cd, own, local):
         rest = tuple(x for x in own if x != local)

@@ -834,19 +834,21 @@ def image(f, kq, vec) -> dict:
 
 
 def mult_basis(model: BigradedModel, kq1, a, kq2, b) -> dict:
-    """The stored product of basis vector a of kq1 and b of kq2."""
-    return dict(model.products.get((kq1, kq2), {}).get((a, b), {}))
+    """The stored product of basis vector a of kq1 and b of kq2, each entry
+    the stored integer over the model's scale; read from `tables`, as
+    `products` renders every table on each read."""
+    vec = model.tables.get((kq1, kq2), {}).get((a, b), {})
+    return {c: Fraction(v, model.scale) for c, v in vec.items()}
 
 
 def mult_vec(model: BigradedModel, kq1, v1, kq2, v2) -> dict:
     """The product of the sparse vectors v1 of kq1 and v2 of kq2, one basis
     pair at a time, zeros dropped."""
     out: dict = {}
-    table = model.products.get((kq1, kq2), {})
     for a, ca in v1.items():
         for b, cb in v2.items():
             if ca and cb:
-                for c, v in table.get((a, b), {}).items():
+                for c, v in mult_basis(model, kq1, a, kq2, b).items():
                     out[c] = out.get(c, Fraction(0)) + ca * cb * v
     return {c: v for c, v in out.items() if v}
 

@@ -395,8 +395,9 @@ class TestRestrictionFunctoriality:
     def test_commuting_square_passes(self):
         cd = square_of_points({((), 1): 2, ((), 2): 3, ((1,), 2): 3, ((2,), 1): 2})
         assert cd._issues({}) == []
-        assert cd._composite({}, (), (1, 2), 0) == cd._composite({}, (), (2, 1), 0) == {0: {0: F(6)}}
-        assert cd._composite({}, (), (), 0) == {0: {0: F(1)}}
+        # composites are (D, integer rows over D), D least
+        assert cd._composite({}, (), (1, 2), 0) == cd._composite({}, (), (2, 1), 0) == (1, {0: {0: 6}})
+        assert cd._composite({}, (), (), 0) == (1, {0: {0: 1}})
 
     def test_restriction_arguments_checked(self):
         # a restriction keyed by a stratum that names a component twice is
@@ -410,8 +411,8 @@ class TestRestrictionFunctoriality:
             "restrictions from I=() through 1 and 2 do not commute at degree 0"
         ]
         # the two orders of the steps compose to 1 and 2
-        assert cd._composite({}, (), (1, 2), 0) == {0: {0: F(1)}}
-        assert cd._composite({}, (), (2, 1), 0) == {0: {0: F(2)}}
+        assert cd._composite({}, (), (1, 2), 0) == (1, {0: {0: 1}})
+        assert cd._composite({}, (), (2, 1), 0) == (1, {0: {0: 2}})
         with pytest.raises(DatumError, match=r"do not commute"):
             build_model(cd)
 
@@ -1803,6 +1804,74 @@ class TestWitnessesAgainstReference:
             extract_cokernel_model(model, INF)
 
 
+def rational_tables(data, spaces):
+    """Product tables on `spaces` drawn with int and Fraction constants,
+    explicit zeros and mixed denominators, and no empty vector, which the
+    constructor drops."""
+    value = st.sampled_from([0, 1, -3, F(0), F(2), F(1, 3), F(-5, 6), F(7, 4), F(-9, 14)])
+    tables = {}
+    for kq1, kq2 in data.draw(st.lists(st.sampled_from([(x, y) for x in spaces for y in spaces]), unique=True)):
+        n1, n2 = len(spaces[kq1]), len(spaces[kq2])
+        keys = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+        tables[(kq1, kq2)] = data.draw(st.dictionaries(keys, st.dictionaries(st.integers(0, 3), value, min_size=1,
+                                                                               max_size=3), max_size=5))
+    return tables
+
+
+def holds_fraction(obj, seen=None):
+    """Whether `obj`, or anything it holds in a container or an attribute,
+    is a Fraction."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, Fraction):
+        return True
+    if isinstance(obj, dict):
+        return any(holds_fraction(x, seen) for item in obj.items() for x in item)
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return any(holds_fraction(x, seen) for x in obj)
+    return hasattr(obj, "__dict__") and holds_fraction(vars(obj), seen)
+
+
+class TestProductsView:
+    """`BigradedModel.products` renders the integer tables as Fractions on
+    each read, and what a model keeps is its integer form alone."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_round_trip_through_the_constructor(self, data):
+        spaces = {(0, 0): ("e",), (1, 1): ("x", "y"), (1, 2): ("u", "v", "w"), (2, 3): tuple("abcd")}
+        products = rational_tables(data, spaces)
+        model = BigradedModel(spaces, {}, products)
+        got = model.products
+        assert not holds_fraction(vars(model))
+        # every entry back, in the order given, as a Fraction over D
+        assert list(got) == list(products)
+        for key, table in products.items():
+            assert list(got[key]) == list(table)
+            for ab, vec in table.items():
+                assert list(got[key][ab].items()) == list(vec.items())
+                assert all(type(v) is Fraction for v in got[key][ab].values())
+        assert model.scale == math.lcm(*(F(v).denominator for table in products.values()
+                                         for vec in table.values() for v in vec.values()))
+        # made on each read, and not kept
+        assert model.products == got and model.products is not model.products
+        assert "products" not in vars(model)
+
+    @pytest.mark.parametrize("sizes, extract, products_of", [
+        ((2, 3), extract_kernel_model, reference_kernel_products),
+        ((0, 0, 0), extract_cokernel_model, reference_cokernel_products),
+    ], ids=["kernel-square", "cokernel-compact-cube"])
+    def test_witness_digests_match_the_reference(self, sizes, extract, products_of):
+        # the bench digests repr(sorted(products.items())) of each witness
+        rng = random.Random("witness-digests:%r" % (sizes,))
+        model = build_model(rescaled(marked_lines(*sizes), [scale_draw(rng) for _ in range(9)]))
+        witness = extract(model, INF)
+        assert witness.quasi_iso.ok and witness.model.scale > 1
+        assert repr(sorted(witness.model.products.items())) == repr(sorted(products_of(model).items()))
+
+
 # -- Kunneth reference ----------------------------------------------------------
 #
 # The product as it was first written: one tensor-with-identity loop per
@@ -2178,9 +2247,9 @@ class TestModelAssemblyAgainstReference:
                 if set(i_key) <= set(j_key):
                     for p in range(5):
                         # the sparse composite along the sorted steps, as a dense matrix
-                        rows = cd._composite({}, i_key, tuple(j for j in j_key if j not in i_key), p)
+                        den, rows = cd._composite({}, i_key, tuple(j for j in j_key if j not in i_key), p)
                         src, tgt = cd.dim(i_key, p), cd.dim(j_key, p)
-                        got = Matrix([[rows.get(b, {}).get(a, F(0)) for a in range(src)] for b in range(tgt)],
+                        got = Matrix([[F(rows.get(b, {}).get(a, 0), den) for a in range(src)] for b in range(tgt)],
                                      ncols=src)
                         want = reference.restriction(cd, i_key, j_key, p)
                         assert (got.shape, got.rows) == (want.shape, want.rows)
@@ -2203,13 +2272,15 @@ class TestBudgets:
         assert products == {}
         # one integer form per model, built where it is made: the model's
         # in `build_model`, which the axioms and the witness read, and the
-        # witness model's; the inclusion is made once, on the cocycle
+        # witness model's, each held as the tables it was built in, with
+        # no rational copy; the inclusion is made once, on the cocycle
         # columns of the model's column data over the lcm of their scales
         # (all 1 here), without a copy, and builds no form
         witness = extract_kernel_model(model, INF)
         assert witness.quasi_iso.ok
         assert [args[0] for args in holds] == [model, witness.model] and forms["_integer_form"] == 2
-        assert holds[0][2] is model.products and holds[1][2] is witness.model.products
+        assert holds[0][3] is model.tables and holds[1][3] is witness.model.tables
+        assert all("products" not in vars(m) for m in (model, witness.model))
         assert len(columns) == 1
         kernels = {kq: model._column_cohomology(kq) for kq in witness.model.spaces}
         assert [col.cocycle_scale for col in kernels.values()] == [1] * 4
@@ -2217,6 +2288,19 @@ class TestBudgets:
         assert all(witness.morphism.cols[kq] is col.cocycle_cols for kq, col in kernels.items())
 
     # work counts, which do not move with the host's speed
+
+    def test_square_builds_in_integers_and_models_keep_no_fraction(self, count_calls):
+        # the model's products and d are assembled in integers (the rational
+        # assembly made 458 Fraction multiplications here), and neither the
+        # model nor a witness model keeps a Fraction anywhere
+        line = builder_projective_line_marked(5)
+        square = kunneth_product(line, line)
+        products = count_calls(Fraction, "__mul__", "__rmul__")
+        model = build_model(square)
+        assert products == {}
+        witnesses = [extract_kernel_model(model, INF), extract_cokernel_model(build_model(marked_lines(0, 0)), INF)]
+        assert all(w.quasi_iso.ok for w in witnesses)
+        assert not any(holds_fraction(vars(m)) for m in (model, *(w.model for w in witnesses)))
 
     def test_exterior_algebra_kernel_witness_multiplies_integers(self, count_calls):
         # d = 0 on 256 basis vectors with 6,561 nonzero products: the

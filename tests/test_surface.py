@@ -34,6 +34,9 @@ KEPT_UNREACHABLE = {
     "render_arrangement",
     # argparse calls it on a bad command line
     "_Parser.error",
+    # public API: the rational view of a model's integer tables, which
+    # library callers read and `bench/workloads.py` digests for witnesses
+    "BigradedModel.products",
 }
 
 # Method names, dunders aside, that another package class also defines as
