@@ -38,8 +38,13 @@ entry outside its space is a named fault, left out of them.  A map's
 shape is checked once, where it enters: `BigradedModel` refuses a
 differential and `CdgaMorphism` a block that does not map between its
 spaces, and a datum's validation (`_issues`) lists a missing or
-misshapen restriction step once.  The witnesses build column cohomology
-only where it is nonzero.  Ranks of d and of induced maps, cocycles,
+misshapen restriction step once.  Both witnesses refuse a model in one
+step (`_refuse`), in this order: d o d != 0, the ValueError of
+`cohomology_of_model`, which gives no dimensions for a sequence that is
+not a complex; then cohomology off the witness's line of bidegrees,
+(k, 2k) or (k, k); then a stored product outside its space.  Both sweep
+the products of their chosen vectors in one loop (`_line_model`), and
+build column cohomology only where it is nonzero.  Ranks of d and of induced maps, cocycles,
 representatives and class coordinates all come from one fraction-free
 elimination of sparse integer columns, each carrying its history
 (`_reduce`).  Only a datum's blocks are matrices: from `build_model` to
@@ -52,7 +57,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from stratiform.exactalg import Matrix
 
@@ -491,6 +496,7 @@ class BigradedModel:
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
         self._ranks: dict[Bidegree, int] = {}
         self._cohomology_dims: dict[Bidegree, int] = {}
+        self._d_squared_faults: list[Bidegree] | None = None
 
     @property
     def products(self) -> dict:
@@ -548,23 +554,27 @@ class BigradedModel:
             rank = self._ranks[kq] = _sparse_rank(self.d[kq]) if kq in self.d else 0
         return rank
 
-    def _rank_formula(self, kq: Bidegree) -> int:
-        """dim M^k_q - rank d_out - rank d_in."""
-        return self.dim(kq) - self._rank(kq) - self._rank((kq[0] - 1, kq[1]))
+    def _d_squared(self) -> list[Bidegree]:
+        """The (k, q), ascending, where d o d, applied to the sparse columns
+        of the two stored d it composes, is not zero on M^k_q, found once."""
+        if self._d_squared_faults is None:
+            self._d_squared_faults = [(k, q) for (k, q), cols in sorted(self.d.items()) if (k + 1, q) in self.d
+                                      and any(_apply_columns(self.d[(k + 1, q)], col) for col in cols)]
+        return self._d_squared_faults
 
     def _cohomology_dim(self, kq: Bidegree) -> int:
         """The dimension of the column cohomology at `kq`, once per
-        bidegree: the rank formula where d o d = 0 on the sparse columns of
-        d into `kq`, and otherwise the column data's, which then differs
-        from it."""
+        bidegree: the rank formula dim M^k_q - rank d_out - rank d_in where
+        d o d = 0 on M^{k-1}_q, and otherwise the column data's, which then
+        differs from it."""
         h = self._cohomology_dims.get(kq)
         if h is None:
             h = 0
             if self.dim(kq):
-                h = self._rank_formula(kq)
-                d_out = self._dcols(kq)
-                if any(_apply_columns(d_out, col) for col in self.d.get((kq[0] - 1, kq[1]), ())):
+                if (kq[0] - 1, kq[1]) in self._d_squared():
                     h = self._column_cohomology(kq).dim
+                else:
+                    h = self.dim(kq) - self._rank(kq) - self._rank((kq[0] - 1, kq[1]))
             self._cohomology_dims[kq] = h
         return h
 
@@ -724,12 +734,10 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     """
     escapes, tables, unit = model._closed()
     violations = [("closure", _escape_message(escape)) for escape in escapes]
+    violations += [("d_squared", "d o d nonzero on M^%d_%d" % kq) for kq in model._d_squared()]
     dcols = model._dcols
     bidegs = model.bidegrees()
     span = {kq: range(model.dim(kq)) for kq in bidegs}
-    for k, q in bidegs:
-        if any(_apply_columns(dcols((k + 1, q)), col) for col in dcols((k, q))):
-            violations.append(("d_squared", "d o d nonzero on M^%d_%d" % (k, q)))
 
     swept = span.keys() - {(0, 0)} if unit and not dcols((0, 0))[0] else span.keys()
     rows = {kq: _sparse_rows(dcols(kq)) for kq in bidegs}
@@ -864,13 +872,14 @@ def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range], unit: bool) ->
 def cohomology_of_model(model: BigradedModel) -> dict[Bidegree, int]:
     """dim H^k(M_q) per (degree, weight), nonzero entries only, by the rank
     formula; each d maps between its spaces, as `BigradedModel` refuses
-    one that does not."""
-    out: dict[Bidegree, int] = {}
-    for kq in model.bidegrees():
-        h = model._rank_formula(kq)
-        if h:
-            out[kq] = h
-    return out
+    one that does not.  A model whose d does not square to zero has no
+    cohomology: it raises ValueError("d o d nonzero on M^k_q"), the text
+    of the axiom check, at the first such (k, q) in sorted order, where
+    the rank formula could read a negative dimension."""
+    faults = model._d_squared()
+    if faults:
+        raise ValueError("d o d nonzero on M^%d_%d" % faults[0])
+    return {kq: h for kq in model.bidegrees() if (h := model._cohomology_dim(kq))}
 
 
 def _reduce(pivots: Mapping[int, tuple[dict, dict]], vec: Mapping[int, int], hist: dict) -> tuple:
@@ -1209,50 +1218,84 @@ class FormalityWitness:
     quasi_iso: QuasiIsoVerdict
 
 
+def _refuse(model: BigradedModel, kind: str, weight: int, bound: float) -> None:
+    """The refusals both witnesses make before they build anything, in this
+    order: the ValueError of `cohomology_of_model` where d o d != 0; a
+    ModelPurityError naming the bidegrees (k, q) with nonzero cohomology,
+    q != weight * k and k <= bound; and a ClosureError naming the first
+    entry of a stored product outside its target space (see
+    `verify_cdga_axioms`)."""
+    bad = [kq for kq in cohomology_of_model(model) if kq[1] != weight * kq[0] and kq[0] <= bound]
+    if bad:
+        raise ModelPurityError(kind + " model", bad)
+    escapes = model._closed()[0]
+    if escapes:
+        raise ClosureError(kind + " model refused: " + _escape_message(escapes[0]))
+
+
+def _line_model(model: BigradedModel, weight: int, letter: str, line: Mapping[int, tuple[int, list]],
+                coordinates: Callable[[int, int, tuple[int, int], dict], tuple[int, dict]]) -> BigradedModel:
+    """The zero-differential witness model on the line (k, weight * k):
+    `line` maps k to (Dz, the chosen integer vectors of M^k_{weight k} over
+    Dz), and basis vector letter^k_j stands for vector j.  The products of
+    the chosen vectors are swept over the keys of the model's tables
+    (`_accumulate`), pairs (k1, k2) in the order of `line` and basis pairs
+    ascending; coordinates(k1, k2, (a, b), product) gives each product's
+    (den, integer coordinates) on the basis of the witness, or raises.  A
+    product's coordinates stand for values over D Dz1 Dz2 den, and those
+    over one denominator are one group of `_integer_form`, which brings
+    them all to the least common D: for divisors g_v of a denominator n,
+    the lcm of the n / g_v is n / gcd(g_v), so grouping does not change it."""
+    spaces = {(k, weight * k): tuple("%s^%d_%d" % (letter, k, j) for j in range(len(vecs)))
+              for k, (_, vecs) in line.items()}
+    rows = {k: _sparse_rows(vecs) for k, (_, vecs) in line.items()}
+    products: dict = {}
+    groups: dict[int, list] = {}  # the products' coordinates by their denominator
+    for k1, (scale1, _) in line.items():
+        for k2, (scale2, _) in line.items():
+            key = ((k1, weight * k1), (k2, weight * k2))
+            if key not in model.tables:
+                continue
+            table: dict = {}
+            for ab, prod in _pair_products(_accumulate({}, model.tables[key], rows[k1], rows[k2])).items():
+                den, vec = coordinates(k1, k2, ab, prod)
+                if vec:
+                    table[ab] = vec
+                    groups.setdefault(model.scale * scale1 * scale2 * den, []).append(vec)
+            if table:
+                products[key] = table
+    return BigradedModel._adopt(spaces, *_integer_form({}, groups.items()), products)
+
+
 def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     """Sub-cdga K^k = ker(M^k_{2k} -> M^{k+1}_{2k}) in the weight-2k regime.
 
-    Requires H^k(M_q) = 0 for q != 2k and k <= r; refuses otherwise with
-    the witnesses, and with a ClosureError a model with a stored product
-    outside its target space (see `verify_cdga_axioms`).  The basis of K^k and the coordinates of products in it
-    come from the model's cached column cohomology at (k, 2k), which the
-    check of the inclusion, a cdga morphism and an r-quasi-isomorphism,
-    reads again.  Products of cocycles are swept over the keys of the
-    model's product tables, pairs in ascending order.
+    Refuses, in this order (`_refuse`): with ValueError a model with
+    d o d != 0; with ModelPurityError and the offending bidegrees one with
+    H^k(M_q) != 0 for some q != 2k and k <= r; with ClosureError one with
+    a stored product outside its target space; and with ClosureError,
+    naming the pair, one where a product of cocycles is not a cocycle.
+    The basis of K^k and the coordinates of products in it come from the
+    model's cached column cohomology at (k, 2k), which the check of the
+    inclusion, a cdga morphism and an r-quasi-isomorphism, reads again.
+    Products of cocycles are swept by `_line_model`.
     """
-    cohom = cohomology_of_model(model)
-    bad = sorted(kq for kq, h in cohom.items() if h and kq[1] != 2 * kq[0] and kq[0] <= r)
-    if bad:
-        raise ModelPurityError("kernel model", bad)
-    escapes = model._closed()[0]
-    if escapes:
-        raise ClosureError("kernel model refused: " + _escape_message(escapes[0]))
+    _refuse(model, "kernel", 2, r)
     kernels: dict[int, _ColumnCohomology] = {}
     for k in range(model.max_degree() + 1):
         col = model._column_cohomology((k, 2 * k))
         if col.cocycle_cols:
             kernels[k] = col
-    spaces = {(k, 2 * k): tuple("K^%d_%d" % (k, j) for j in range(len(col.cocycle_cols))) for k, col in kernels.items()}
-    rows = {k: _sparse_rows(col.cocycle_cols) for k, col in kernels.items()}
-    products: dict = {}
-    groups = []  # the integer coordinates of products of cocycles, over D Dz1 Dz2
-    for k1 in kernels:
-        for k2 in kernels:
-            k3 = k1 + k2
-            table: dict = {}
-            pairs = _pair_products(_accumulate({}, model.tables.get(((k1, 2 * k1), (k2, 2 * k2)), {}),
-                                               rows[k1], rows[k2]))
-            for (a, b), prod in pairs.items():
-                # the product of cocycles must vanish if K^{k3} is trivial
-                vec = kernels[k3].cocycle_coordinates(prod) if k3 in kernels else None
-                if vec is None:
-                    raise ClosureError("kernel product escapes at K^%d x K^%d pair (%d, %d)" % (k1, k2, a, b))
-                if vec:
-                    table[(a, b)] = vec
-            if table:
-                products[((k1, 2 * k1), (k2, 2 * k2))] = table
-                groups.append((model.scale * kernels[k1].cocycle_scale * kernels[k2].cocycle_scale, table.values()))
-    witness_model = BigradedModel._adopt(spaces, *_integer_form({}, groups), products)
+
+    def coordinates(k1, k2, ab, prod):
+        # the product of cocycles must vanish if K^{k1 + k2} is trivial
+        vec = kernels[k1 + k2].cocycle_coordinates(prod) if k1 + k2 in kernels else None
+        if vec is None:
+            raise ClosureError("kernel product escapes at K^%d x K^%d pair (%d, %d)" % (k1, k2, *ab))
+        return 1, vec
+
+    line = {k: (col.cocycle_scale, col.cocycle_cols) for k, col in kernels.items()}
+    witness_model = _line_model(model, 2, "K", line, coordinates)
     # the inclusion's columns are the cocycles over the lcm of their scales
     scale = math.lcm(*(col.cocycle_scale for col in kernels.values()))
     cols = {(k, 2 * k): col.cocycle_cols if col.cocycle_scale == scale else
@@ -1266,35 +1309,30 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
 def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     """Quotient cdga C^k = M^k_k / d(M^{k-1}_k) in the weight-k regime.
 
-    Requires H^k(M_q) = 0 for q != k and k <= r + 1, and refuses a model
-    with a stored product outside its target space, as
-    `extract_kernel_model` does.  The projection from
-    the model is checked to be a cdga morphism and an r-quasi-isomorphism;
-    products of boundaries with anything must project to zero, otherwise
-    the induced product is ill-defined and extraction fails.  Products are
-    swept over the keys of the model's product tables, as in
-    `extract_kernel_model`.
+    Refuses as `extract_kernel_model` does (`_refuse`), with the purity
+    condition H^k(M_q) = 0 for q != k and k <= r + 1, up to and including
+    the ClosureError for a stored product outside its target space.  The
+    quotient needs every vector of M^k_k to be a cocycle wherever C^k is
+    not zero.  That holds in a model built from a datum, which has no
+    M^{k+1}_k, but not in every model: where d does not vanish on such an
+    M^k_k, extraction fails with a ClosureError naming it.  The projection
+    from the model is checked to be a cdga morphism and an
+    r-quasi-isomorphism; products of boundaries with anything must project
+    to zero, otherwise the induced product is ill-defined and extraction
+    fails with a ClosureError.  Products of representatives are swept by
+    `_line_model`.
     """
-    cohom = cohomology_of_model(model)
-    bound = r if r == INF else r + 1
-    bad = sorted(kq for kq, h in cohom.items() if h and kq[1] != kq[0] and kq[0] <= bound)
-    if bad:
-        raise ModelPurityError("cokernel model", bad)
-    escapes = model._closed()[0]
-    if escapes:
-        raise ClosureError("cokernel model refused: " + _escape_message(escapes[0]))
-    data: dict[int, _ColumnCohomology] = {}
-    for k in range(model.max_degree() + 1):
-        kq = (k, k)
-        if model.dim(kq) == 0:
-            continue
-        # M^{k+1}_k vanishes structurally, so every vector is a cocycle
-        data[k] = model._column_cohomology(kq)
-    spaces = {(k, k): tuple("C^%d_%d" % (k, j) for j in range(col.dim)) for k, col in data.items() if col.dim}
+    _refuse(model, "cokernel", 1, r + 1)
+    data = {k: model._column_cohomology((k, k)) for k in range(model.max_degree() + 1) if model.dim((k, k))}
+    line = {k: (col.cocycle_scale, col.representative_cols) for k, col in data.items() if col.dim}
+    # C^k is a quotient of the cocycles, so the projection needs every
+    # vector of M^k_k to be one; then so is every product checked below
+    for k in line:
+        if any(v for col in model._dcols((k, k)) for v in col.values()):
+            raise ClosureError("cokernel model refused: d does not vanish on M^%d_%d" % (k, k))
     # the projection's column j at (k, k) holds the class coordinates of
     # basis vector j, over D, the lcm of the denominators of its entries
-    coordinates = {(k, k): [col.class_coordinates({j: 1}) for j in range(model.dim((k, k)))]
-                   for k, col in data.items() if col.dim}
+    coordinates = {(k, k): [data[k].class_coordinates({j: 1}) for j in range(model.dim((k, k)))] for k in line}
     den = _integer_form({}, [(c, (v,)) for cols in coordinates.values() for c, v in cols])[0]
     projections = {kq: [v for _, v in cols] for kq, cols in coordinates.items()}
 
@@ -1305,8 +1343,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
         rows = _sparse_rows(col.boundary_cols)
         checks = []
         for k2 in data:
-            k3 = k + k2
-            if k3 in data and data[k3].dim:
+            if k + k2 in line:
                 pairs = _pair_products(_accumulate({}, model.tables.get(((k, k), (k2, k2)), {}), rows, units[k2]))
                 checks += [(u, k2, j, prod) for (u, j), prod in pairs.items()]
         for _, k2, _, prod in sorted(checks, key=lambda check: check[:3]):
@@ -1316,25 +1353,9 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
                     % (k + k2, k, k2)
                 )
 
-    rows = {k: _sparse_rows(col.representative_cols) for k, col in data.items()}
-    products: dict = {}
-    groups = []  # the class coordinates of each product of representatives, over D Dz1 Dz2 and their den
-    for k1, col1 in data.items():
-        for k2, col2 in data.items():
-            k3 = k1 + k2
-            if not col1.dim or not col2.dim or k3 not in data or not data[k3].dim:
-                continue
-            table: dict = {}
-            pairs = _pair_products(_accumulate({}, model.tables.get(((k1, k1), (k2, k2)), {}), rows[k1], rows[k2]))
-            scale = model.scale * col1.cocycle_scale * col2.cocycle_scale
-            for ab, prod in pairs.items():
-                prod_den, vec = data[k3].class_coordinates(prod)  # not `den`, the projection's scale
-                if vec:
-                    table[ab] = vec
-                    groups.append((scale * prod_den, (vec,)))
-            if table:
-                products[((k1, k1), (k2, k2))] = table
-    witness_model = BigradedModel._adopt(spaces, *_integer_form({}, groups), products)
+    # a product landing where there is no class projects to zero
+    witness_model = _line_model(model, 1, "C", line, lambda k1, k2, ab, prod:
+                                data[k1 + k2].class_coordinates(prod) if k1 + k2 in line else (1, {}))
     surjection = CdgaMorphism._of_columns(model, witness_model, den, projections)
     verdict = check_r_quasi_iso(surjection, r)
     return FormalityWitness("cokernel", witness_model, surjection, verdict)

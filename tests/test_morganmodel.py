@@ -182,6 +182,17 @@ class TestCohomology:
         m = build_model(kunneth_product(cd, cd))
         assert cohomology_of_model(m) == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
 
+    def test_d_squared_nonzero_refused(self):
+        # d(w) = u and d(u) = t: the rank formula would read 1 - 1 - 1 = -1
+        # at (1, 0); both witnesses refuse the model with the same error
+        spaces = {(0, 0): ("w",), (1, 0): ("u",), (2, 0): ("t",)}
+        model = BigradedModel(spaces, {(0, 0): Matrix([[1]]), (1, 0): Matrix([[1]])}, {})
+        assert verify_cdga_axioms(model).axioms_failing() == ("d_squared",)
+        for refused in [cohomology_of_model, functools.partial(extract_kernel_model, r=INF),
+                        functools.partial(extract_cokernel_model, r=INF)]:
+            with pytest.raises(ValueError, match=r"^d o d nonzero on M\^0_0$"):
+                refused(model)
+
     def test_misfit_differential_refused(self):
         # a 2 x 2 d at the spaceless (1, 2) of the compact line has rank 2,
         # which would make dim H^2_2 negative; the model refuses it by name,
@@ -1332,6 +1343,55 @@ class TestWitnessClosure:
         with pytest.raises(ClosureError, match=r"survives in C\^2 \(from C\^1 x C\^1\)"):
             extract_cokernel_model(model, INF)
 
+    def test_cokernel_refuses_d_off_a_line_space_with_classes(self):
+        # d(x) = -z and d(y) = z: a cdga whose C^1 = H^1_1 is spanned by
+        # x + y, while x and y themselves are not cocycles and have no class
+        spaces = {(0, 0): ("e",), (1, 1): ("x", "y"), (2, 1): ("z",), (2, 2): ("w",)}
+        model = model_with_products(spaces, {}, {(1, 1): Matrix([[-1, 1]])})
+        assert verify_cdga_axioms(model).passed
+        assert cohomology_of_model(model) == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+        with pytest.raises(ClosureError, match=r"^cokernel model refused: d does not vanish on M\^1_1$"):
+            extract_cokernel_model(model, INF)
+
+
+def draw_small_model(rng):
+    """(0, 0), of dimension 1, and one to four further bidegrees (k, q) with
+    k, q <= 2, each of dimension 1 or 2; d from (k, q) to (k + 1, q)
+    wherever both are drawn, entries in [-2, 2]; and, half the time, a
+    two-sided unit spanning (0, 0).  Nothing keeps d o d at zero."""
+    others = rng.sample([(k, q) for k in range(3) for q in range(3) if (k, q) != (0, 0)], rng.randint(1, 4))
+    spaces = {(0, 0): ("e",)}
+    for k, q in sorted(others):
+        spaces[(k, q)] = tuple("m%d%d_%d" % (k, q, j) for j in range(rng.randint(1, 2)))
+    diff = {(k, q): Matrix([[rng.randint(-2, 2) for _ in spaces[(k, q)]] for _ in spaces[(k + 1, q)]])
+            for k, q in spaces if (k + 1, q) in spaces}
+    return BigradedModel(spaces, diff, unit_products(spaces) if rng.random() < 0.5 else {})
+
+
+class TestDrawnSmallModels:
+    def test_cohomology_and_witnesses_answer_or_refuse(self):
+        rng = random.Random(3)
+        refusals = (ModelPurityError, ClosureError, MorphismError)
+        for _ in range(3000):
+            model = draw_small_model(rng)
+            faults = [text for name, text in verify_cdga_axioms(model).violations if name == "d_squared"]
+            try:
+                cohomology = cohomology_of_model(model)
+            except ValueError as err:
+                assert faults and str(err) == faults[0]
+            else:
+                assert not faults and all(h > 0 for h in cohomology.values())
+            r = rng.choice((0, 1, INF))
+            for extract in (extract_kernel_model, extract_cokernel_model):
+                try:
+                    extract(model, r)
+                except refusals:
+                    continue
+                except ValueError as err:
+                    assert faults and str(err) == faults[0]
+                    continue
+                assert not faults
+
 
 def cocycles(col):
     """The cocycle basis of column data as sparse rational vectors."""
@@ -1753,6 +1813,9 @@ class TestWitnessesAgainstReference:
             assert (verdict.r, verdict.ok, verdict.per_degree, verdict.failures) == reference_quasi_iso(
                 witness.morphism, r)
             assert repr(witness.model.products) == repr(products_of(model))
+            # D is the least scale of the witness's tables
+            assert witness.model.scale == math.lcm(*(v.denominator for table in witness.model.products.values()
+                                                     for vec in table.values() for v in vec.values()))
 
     @pytest.mark.parametrize("data", [*builder_and_kunneth_models(), *rational_witness_data()])
     def test_materialized_blocks(self, data):
@@ -1773,8 +1836,9 @@ class TestWitnessesAgainstReference:
         assert want[2] == ((0, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0), (3, 0, 0, 0))
         verdict = check_r_quasi_iso(identity, INF)
         assert (verdict.r, verdict.ok, verdict.per_degree, verdict.failures) == want
-        # cohomology_of_model keeps the rank formula, which reads 0 at (1, 0)
-        assert cohomology_of_model(model) == {}
+        # cohomology_of_model refuses a sequence that is not a complex
+        with pytest.raises(ValueError, match=r"^d o d nonzero on M\^0_0$"):
+            cohomology_of_model(model)
 
     def test_first_kernel_escape_in_pair_order(self):
         # x0, x1 span K^1 and y0 spans K^2, since d(y1) = z; x0 x0 = y0, and
