@@ -646,7 +646,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             content = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:  # missing, unreadable or not UTF-8
         sys.stdout.write("error: %s\n" % err)
         return 1
     try:

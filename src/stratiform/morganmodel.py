@@ -38,13 +38,18 @@ entry outside its space is a named fault, left out of them.  A map's
 shape is checked once, where it enters: `BigradedModel` refuses a
 differential and `CdgaMorphism` a block that does not map between its
 spaces, and a datum's validation (`_issues`) lists a missing or
-misshapen restriction step once.  Both witnesses refuse a model in one
-step (`_refuse`), in this order: d o d != 0, the ValueError of
-`cohomology_of_model`, which gives no dimensions for a sequence that is
-not a complex; then cohomology off the witness's line of bidegrees,
-(k, 2k) or (k, k); then a stored product outside its space.  Both sweep
-the products of their chosen vectors in one loop (`_line_model`), and
-build column cohomology only where it is nonzero.  Ranks of d and of induced maps, cocycles,
+misshapen restriction step once.  `cohomology_of_model` is the one
+reader of a model's cohomology dimensions, ranking each stored d once
+and keeping the result on the model; it gives no dimensions for a
+sequence that is not a complex, but raises the ValueError "d o d
+nonzero on M^k_q".  `check_r_quasi_iso` reads it for its source and its
+target, so it refuses a non-complex too.  Both witnesses refuse a model
+in one step (`_refuse`), in this order: that ValueError; then
+cohomology off the witness's line of bidegrees, (k, 2k) or (k, k); then
+a stored product outside its space.  Both sweep the products of their
+chosen vectors in one loop (`_line_model`), and, like the
+quasi-isomorphism check, build column cohomology only where it is
+nonzero.  Ranks of d and of induced maps, cocycles,
 representatives and class coordinates all come from one fraction-free
 elimination of sparse integer columns, each carrying its history
 (`_reduce`).  Only a datum's blocks are matrices: from `build_model` to
@@ -494,8 +499,7 @@ class BigradedModel:
         self.scale, self.d, self.tables = scale, d, tables
         self._closure: tuple | None = None
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
-        self._ranks: dict[Bidegree, int] = {}
-        self._cohomology_dims: dict[Bidegree, int] = {}
+        self._cohomology: dict[Bidegree, int] | None = None
         self._d_squared_faults: list[Bidegree] | None = None
 
     @property
@@ -547,13 +551,6 @@ class BigradedModel:
             col = self._cohomology_cache[kq] = _ColumnCohomology(self, kq)
         return col
 
-    def _rank(self, kq: Bidegree) -> int:
-        """The rank of d on M^k_q, once per bidegree; 0 where none is stored."""
-        rank = self._ranks.get(kq)
-        if rank is None:
-            rank = self._ranks[kq] = _sparse_rank(self.d[kq]) if kq in self.d else 0
-        return rank
-
     def _d_squared(self) -> list[Bidegree]:
         """The (k, q), ascending, where d o d, applied to the sparse columns
         of the two stored d it composes, is not zero on M^k_q, found once."""
@@ -561,22 +558,6 @@ class BigradedModel:
             self._d_squared_faults = [(k, q) for (k, q), cols in sorted(self.d.items()) if (k + 1, q) in self.d
                                       and any(_apply_columns(self.d[(k + 1, q)], col) for col in cols)]
         return self._d_squared_faults
-
-    def _cohomology_dim(self, kq: Bidegree) -> int:
-        """The dimension of the column cohomology at `kq`, once per
-        bidegree: the rank formula dim M^k_q - rank d_out - rank d_in where
-        d o d = 0 on M^{k-1}_q, and otherwise the column data's, which then
-        differs from it."""
-        h = self._cohomology_dims.get(kq)
-        if h is None:
-            h = 0
-            if self.dim(kq):
-                if (kq[0] - 1, kq[1]) in self._d_squared():
-                    h = self._column_cohomology(kq).dim
-                else:
-                    h = self.dim(kq) - self._rank(kq) - self._rank((kq[0] - 1, kq[1]))
-            self._cohomology_dims[kq] = h
-        return h
 
 
 def build_model(cd: CompactificationDatum) -> BigradedModel:
@@ -870,16 +851,23 @@ def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range], unit: bool) ->
 
 
 def cohomology_of_model(model: BigradedModel) -> dict[Bidegree, int]:
-    """dim H^k(M_q) per (degree, weight), nonzero entries only, by the rank
-    formula; each d maps between its spaces, as `BigradedModel` refuses
-    one that does not.  A model whose d does not square to zero has no
-    cohomology: it raises ValueError("d o d nonzero on M^k_q"), the text
-    of the axiom check, at the first such (k, q) in sorted order, where
-    the rank formula could read a negative dimension."""
-    faults = model._d_squared()
-    if faults:
-        raise ValueError("d o d nonzero on M^%d_%d" % faults[0])
-    return {kq: h for kq in model.bidegrees() if (h := model._cohomology_dim(kq))}
+    """dim H^k(M_q) per (degree, weight), nonzero entries only, in sorted
+    order: dim M^k_q - rank d_out - rank d_in.  This is the one reader of
+    the model's cohomology dimensions: each stored d is ranked once by
+    `_sparse_rank`, the result is kept on the model, and every call
+    returns a fresh copy of it.  Each d maps between its spaces, as
+    `BigradedModel` refuses one that does not.  A model whose d does not
+    square to zero has no cohomology: it raises ValueError("d o d nonzero
+    on M^k_q"), the text of the axiom check, at the first such (k, q) in
+    sorted order, where the formula could read a negative dimension."""
+    if model._cohomology is None:
+        faults = model._d_squared()
+        if faults:
+            raise ValueError("d o d nonzero on M^%d_%d" % faults[0])
+        rank = {kq: _sparse_rank(cols) for kq, cols in model.d.items()}
+        model._cohomology = {(k, q): h for k, q in model.bidegrees()
+                             if (h := model.dim((k, q)) - rank.get((k, q), 0) - rank.get((k - 1, q), 0))}
+    return dict(model._cohomology)
 
 
 def _reduce(pivots: Mapping[int, tuple[dict, dict]], vec: Mapping[int, int], hist: dict) -> tuple:
@@ -1160,49 +1148,41 @@ class QuasiIsoVerdict:
 
 def check_r_quasi_iso(f: CdgaMorphism, r: float) -> QuasiIsoVerdict:
     """Verdict: induced cohomology maps are isomorphisms for k <= r and
-    injective for k = r + 1.  Raises MorphismError when f is not a cdga
-    morphism, naming the violated identity.  Column data, with its
-    elimination, is built only at the bidegrees where the source or the
-    target has cohomology.  The induced map at (k, q) is ranked by
-    `_sparse_rank`, the pivot count of `_reduce`, on the integer class
-    coordinates in the target of the images of the source's
-    representatives; each column is over its own denominator, which does
-    not change the rank."""
+    injective for k = r + 1.  Raises, in this order, MorphismError when f
+    is not a cdga morphism, naming the violated identity, then the
+    ValueError of `cohomology_of_model` when the source, then when the
+    target, is not a complex.  The dimensions are `cohomology_of_model`'s,
+    and column data, with its elimination, is built only at the bidegrees,
+    ascending, where the source or the target has cohomology.  The induced
+    map at (k, q) is ranked by `_sparse_rank`, the pivot count of
+    `_reduce`, on the integer class coordinates in the target of the
+    images of the source's representatives; each column is over its own
+    denominator, which does not change the rank."""
     problems = f.violations()
     if problems:
         raise MorphismError(problems[0])
-    weights = sorted({q for (_, q) in set(f.source.bidegrees()) | set(f.target.bidegrees())})
+    h_src, h_tgt = cohomology_of_model(f.source), cohomology_of_model(f.target)
     max_k = max(
         [k for (k, _) in f.source.bidegrees()] + [k for (k, _) in f.target.bidegrees()],
         default=0,
     )
-    per_degree = []
-    failures = []
-    for k in range(max_k + 2):
-        h_src = h_tgt = rank_total = 0
-        iso = True
-        injective = True
-        for q in weights:
-            dims = (f.source._cohomology_dim((k, q)), f.target._cohomology_dim((k, q)))
-            h_src += dims[0]
-            h_tgt += dims[1]
-            if dims == (0, 0):
-                continue
-            src = f.source._column_cohomology((k, q))
-            tgt = f.target._column_cohomology((k, q))
-            fcols = f._fcols((k, q))
-            rk = _sparse_rank([tgt.class_coordinates(_apply_columns(fcols, rep))[1] for rep in src.representative_cols])
-            rank_total += rk
-            if rk != src.dim:
-                injective = False
-            if not (rk == src.dim == tgt.dim):
-                iso = False
-        per_degree.append((k, h_src, h_tgt, rank_total))
-        if k <= r and not iso:
-            failures.append("not an isomorphism on H^%d" % k)
-        if r != INF and k == r + 1 and not injective:
-            failures.append("not injective on H^%d" % k)
-    return QuasiIsoVerdict(r, not failures, tuple(per_degree), tuple(failures))
+    per_degree = [[k, 0, 0, 0] for k in range(max_k + 2)]  # (k, h_src, h_tgt, rank)
+    not_iso, not_injective = set(), set()
+    for kq in sorted(h_src.keys() | h_tgt.keys()):
+        src, tgt = f.source._column_cohomology(kq), f.target._column_cohomology(kq)
+        fcols = f._fcols(kq)
+        rk = _sparse_rank([tgt.class_coordinates(_apply_columns(fcols, rep))[1] for rep in src.representative_cols])
+        k, hs, ht = kq[0], h_src.get(kq, 0), h_tgt.get(kq, 0)
+        per_degree[k][1] += hs
+        per_degree[k][2] += ht
+        per_degree[k][3] += rk
+        if rk != hs:
+            not_injective.add(k)
+        if not rk == hs == ht:
+            not_iso.add(k)
+    failures = ["not an isomorphism on H^%d" % k for k in sorted(not_iso) if k <= r]
+    failures += ["not injective on H^%d" % k for k in sorted(not_injective) if r != INF and k == r + 1]
+    return QuasiIsoVerdict(r, not failures, tuple(map(tuple, per_degree)), tuple(failures))
 
 
 # -- formality witnesses ------------------------------------------------------

@@ -238,6 +238,13 @@ class TestCommands:
         code, out = invoke(["betti", "/nonexistent/path.arr"])
         assert code == 1 and out.startswith("error:")
 
+    def test_non_utf8_file_exit_1(self, tmp_path):
+        # the byte 0xff starts no UTF-8 sequence, so the file cannot be decoded
+        f = tmp_path / "bad.arr"
+        f.write_bytes(b"hyperplane 2\neq 1 0 : 0/1 \xff\n")
+        code, out = invoke(["betti", str(f)])
+        assert code == 1 and out.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
     def test_unknown_command_exit_1(self):
         code, out = invoke(["frobnicate", "x"])
         assert code == 1 and "usage" in out

@@ -1787,13 +1787,13 @@ def rational_witness_data():
         yield pytest.param(exterior_algebra(n, scale), id="exterior-%d-rescaled" % n)
 
 
-def broken_square_model():
-    """A chain complex M^0 -> M^1 -> M^2 in weight 0 with d o d != 0:
-    d(w) = u and d(u) = t.  At (1, 0) the rank formula gives 2 - 1 - 1 = 0,
-    but the cocycle v is independent of the boundary u, so the column
-    cohomology there has dimension 1."""
-    spaces = {(0, 0): ("w",), (1, 0): ("u", "v"), (2, 0): ("t",)}
-    diff = {(0, 0): Matrix([[1], [0]]), (1, 0): Matrix([[1, 0]])}
+def broken_square_model(q=0):
+    """A sequence M^0 -> M^1 -> M^2 in weight q with d o d != 0 on M^0_q:
+    d(w) = u and d(u) = t.  It has no cohomology: at (1, q) the rank
+    formula gives 2 - 1 - 1 = 0, but the cocycle v is independent of the
+    boundary u, so the column data there has one class."""
+    spaces = {(0, q): ("w",), (1, q): ("u", "v"), (2, q): ("t",)}
+    diff = {(0, q): Matrix([[1], [0]]), (1, q): Matrix([[1, 0]])}
     return BigradedModel(spaces, diff, {})
 
 
@@ -1830,15 +1830,30 @@ class TestWitnessesAgainstReference:
             assert list(reference.blocks(morphism).items()) == list(blocks(model).items())
 
     def test_rank_formula_fallback_where_d_squared_is_nonzero(self):
-        model = broken_square_model()
+        # no quasi-isomorphism is verified between sequences that are not
+        # complexes: each morphism below is a cdga morphism, and the check
+        # refuses its source, else its target, with the error of
+        # `cohomology_of_model`
+        model, line = broken_square_model(), build_model(builder_projective_line_marked(1))
         identity = CdgaMorphism(model, model, {kq: reference.identity(model.dim(kq)) for kq in model.bidegrees()})
-        want = reference_quasi_iso(identity, INF)
-        assert want[2] == ((0, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0), (3, 0, 0, 0))
-        verdict = check_r_quasi_iso(identity, INF)
-        assert (verdict.r, verdict.ok, verdict.per_degree, verdict.failures) == want
-        # cohomology_of_model refuses a sequence that is not a complex
+        for f, message in [(identity, r"^d o d nonzero on M\^0_0$"),
+                           (CdgaMorphism(model, line, {}), r"^d o d nonzero on M\^0_0$"),
+                           (CdgaMorphism(line, model, {}), r"^d o d nonzero on M\^0_0$"),
+                           (CdgaMorphism(model, broken_square_model(1), {}), r"^d o d nonzero on M\^0_0$"),
+                           (CdgaMorphism(broken_square_model(1), model, {}), r"^d o d nonzero on M\^0_1$")]:
+            assert f.violations() == []
+            for r in (0, 1, INF):
+                with pytest.raises(ValueError, match=message):
+                    check_r_quasi_iso(f, r)
         with pytest.raises(ValueError, match=r"^d o d nonzero on M\^0_0$"):
             cohomology_of_model(model)
+        # a map that is not a cdga morphism is refused as such first
+        blocks = {kq: reference.identity(model.dim(kq)) for kq in model.bidegrees()}
+        blocks[(0, 0)] = Matrix([[2]])
+        f = CdgaMorphism(model, model, blocks)
+        assert f.violations() == ["differential compatibility fails at (0, 0)"]
+        with pytest.raises(MorphismError, match=r"^differential compatibility fails at \(0, 0\)$"):
+            check_r_quasi_iso(f, INF)
 
     def test_first_kernel_escape_in_pair_order(self):
         # x0, x1 span K^1 and y0 spans K^2, since d(y1) = z; x0 x0 = y0, and
@@ -1866,6 +1881,47 @@ class TestWitnessesAgainstReference:
             reference_cokernel_products(model)
         with pytest.raises(ClosureError, match=message):
             extract_cokernel_model(model, INF)
+
+
+class TestOneCohomologyReader:
+    """`cohomology_of_model` is the one reader of a model's cohomology
+    dimensions, cached on the model, and `check_r_quasi_iso` reads it for
+    both of its models."""
+
+    @pytest.mark.parametrize("sizes, extract, counts", [
+        # the ranks of the square's 3 stored d, then 3 induced maps, one per
+        # bidegree with cohomology; the compact cube stores no d
+        ((5, 5), extract_kernel_model, {"_sparse_rank": 6, "_relations": 2, "_reduce": 105}),
+        ((0, 0, 0), extract_cokernel_model, {"_sparse_rank": 4, "_reduce": 8}),
+    ])
+    def test_witness_elimination_counts(self, count_calls, sizes, extract, counts):
+        model = build_model(marked_lines(*sizes))
+        calls = count_calls(morganmodel, "_sparse_rank", "_relations", "_reduce")
+        assert extract(model, INF).quasi_iso.ok
+        assert dict(calls) == counts
+
+    def test_second_read_ranks_nothing(self, count_calls):
+        model = build_model(marked_lines(5, 5))
+        first = cohomology_of_model(model)
+        ranks = count_calls(morganmodel, "_sparse_rank")
+        assert cohomology_of_model(model) == first == {(0, 0): 1, (1, 2): 8, (2, 4): 16}
+        assert ranks == {}
+
+    def test_returned_dict_is_a_copy(self):
+        # a caller that edits what it was given changes neither a later
+        # read nor a later verdict, which would otherwise miss (1, 2) and
+        # (2, 4) and visit (9, 9)
+        model = build_model(marked_lines(5, 5))
+        witness = extract_kernel_model(model, INF)
+        for m in (model, witness.model):
+            read = cohomology_of_model(m)
+            read.clear()
+            read.update({(0, 0): 2, (9, 9): 1})
+        assert cohomology_of_model(model) == cohomology_of_model(witness.model) == {(0, 0): 1, (1, 2): 8, (2, 4): 16}
+        verdict = check_r_quasi_iso(witness.morphism, INF)
+        assert verdict == witness.quasi_iso and verdict.ok
+        assert (verdict.r, verdict.ok, verdict.per_degree, verdict.failures) == reference_quasi_iso(
+            witness.morphism, INF)
 
 
 def rational_tables(data, spaces):
