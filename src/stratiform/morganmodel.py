@@ -33,10 +33,10 @@ the witnesses' products, is one join, `_accumulate`, of a sparse
 product table with the sparse rows of the vectors on either side,
 labelled by basis tuples, or identity rows where a side is the basis.
 The ring and Leibniz sweeps visit only the bidegree tuples some table
-reaches, and no tuple holding a verified unit; a stored product with an
-entry outside its space is a named fault, left out of them.  A map's
-shape is checked once, where it enters: `BigradedModel` refuses a
-differential and `CdgaMorphism` a block that does not map between its
+reaches, and no tuple holding a verified unit.  A map is checked once,
+where it enters: `BigradedModel` refuses a differential that does not
+map between its spaces and a stored product with a nonzero entry
+outside its space, `CdgaMorphism` a block that does not map between its
 spaces, and a datum's validation (`_issues`) lists a missing or
 misshapen restriction step once.  `cohomology_of_model` is the one
 reader of a model's cohomology dimensions, ranking each stored d once
@@ -45,14 +45,13 @@ sequence that is not a complex, but raises the ValueError "d o d
 nonzero on M^k_q".  `check_r_quasi_iso` reads it for its source and its
 target, so it refuses a non-complex too.  Both witnesses refuse a model
 in one step (`_refuse`), in this order: that ValueError; then
-cohomology off the witness's line of bidegrees, (k, 2k) or (k, k); then
-a stored product outside its space.  Both sweep the products of their
-chosen vectors in one loop (`_line_model`), and, like the
-quasi-isomorphism check, build column cohomology only where it is
-nonzero.  Ranks of d and of induced maps, cocycles,
-representatives and class coordinates all come from one fraction-free
-elimination of sparse integer columns, each carrying its history
-(`_reduce`).  Only a datum's blocks are matrices: from `build_model` to
+cohomology off the witness's line of bidegrees, (k, 2k) or (k, k).
+Both sweep the products of their chosen vectors in one loop
+(`_line_model`), and, like the quasi-isomorphism check, build column
+cohomology only where it is nonzero.  Ranks of d and of induced maps,
+cocycles, representatives and class coordinates all come from one
+fraction-free elimination of sparse integer columns, each carrying its
+history (`_reduce`).  Only a datum's blocks are matrices: from `build_model` to
 a verdict, nothing makes or eliminates a `Matrix`.
 """
 
@@ -423,13 +422,14 @@ class CompactificationDatum:
                                       for ab, vec in entries.items()}
                   for (p, p2), entries in cups.items()}
         span = {(p, 0): range(d) for p, d in sorted(self.cohomology.get(i_key, {}).items())}
+        escapes = _escapes(tables, span)
         issues = ["cup product on D_%r at (%d,%d)x(%d,%d) has entry %d outside H^%d" % (i_key, p, a, p2, b, c, p + p2)
-                  for (p, _), (p2, _), a, b, c in _escapes(tables, span)]
+                  for (p, _), (p2, _), a, b, c in escapes]
         if self.cohomology.get(i_key) == {0: 1} and tables.get(((0, 0), (0, 0)), {}).keys() <= {(0, 0)}:
             # H^0 = <e> is all, and ee = v the only product: commutativity
             # compares v with itself, and both sides of associativity are v_0 v
             return issues
-        commutativity, associativity = _ring_faults(tables, span, _has_unit(tables, span))
+        commutativity, associativity = _ring_faults(tables, span, not escapes and _has_unit(tables, span))
         # a fault ((p, 0), a, (p2, 0), b, ...) sorts as its labels (p, a), (p2, b), ...
         issues += ["cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)" % (i_key, p, a, p2, b)
                    for (p, _), a, (p2, _), b in sorted(commutativity)]
@@ -465,8 +465,14 @@ class BigradedModel:
 
     Construction refuses, with ValueError("differential at (k, q) has
     shape S, expected T"), the first stored d in sorted bidegree order
-    whose shape is not (dim M^{k+1}_q, dim M^k_q), so every check and
-    witness may take each d to map between its spaces.
+    whose shape is not (dim M^{k+1}_q, dim M^k_q); then, with
+    ValueError("product (kq1, a) x (kq2, b) has entry c outside
+    M^k_q"), the first nonzero entry c outside its target space of a
+    stored product of basis vectors a and b, in the order of (kq1, kq2,
+    a, b, c).  So every check and witness may take each d and each
+    product to map into its space.  Keys outside the basis, tables on
+    bidegrees without a space and explicit zeros outside a space are
+    kept and ignored.
     """
 
     def __init__(self, spaces: Mapping[Bidegree, Sequence], diff: Mapping[Bidegree, Matrix],
@@ -482,6 +488,9 @@ class BigradedModel:
             den = math.lcm(*(_rational(v).denominator for v in vec.values()))
             vec.update({c: _scaled(v, den) for c, v in vec.items()})
             groups.append((den, (vec,)))
+        escapes = _escapes(tables, {kq: range(len(labels)) for kq, labels in self.spaces.items()})
+        if escapes:
+            raise ValueError(_escape_message(escapes[0]))
         self._hold(*_integer_form({kq: _sparse_columns(mat) for kq, mat in diff.items()}, groups), tables)
 
     @classmethod
@@ -495,9 +504,10 @@ class BigradedModel:
         return model
 
     def _hold(self, scale: int, d: dict, tables: dict) -> None:
-        """Keep the integer form as given, with empty caches of what is derived from it."""
+        """Keep the integer form as given, whether `_has_unit` holds on it,
+        and empty caches of the rest of what is derived from it."""
         self.scale, self.d, self.tables = scale, d, tables
-        self._closure: tuple | None = None
+        self._unit = _has_unit(tables, {kq: range(len(labels)) for kq, labels in self.spaces.items()})
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
         self._cohomology: dict[Bidegree, int] | None = None
         self._d_squared_faults: list[Bidegree] | None = None
@@ -526,22 +536,6 @@ class BigradedModel:
         no d is stored."""
         cols = self.d.get(kq)
         return [{}] * self.dim(kq) if cols is None else cols
-
-    def _closed(self) -> tuple[list[tuple], Mapping, bool]:
-        """What the checks sweep, found once: the entries c of stored
-        products ab of basis vectors that are nonzero and lie outside the
-        target space, as (kq1, kq2, a, b, c) ascending; the integer tables
-        without those products; and whether `_has_unit` holds on them."""
-        if self._closure is None:
-            tables = self.tables
-            span = {kq: range(self.dim(kq)) for kq in self.bidegrees()}
-            escapes = _escapes(tables, span)
-            if escapes:
-                out = {(kq1, kq2, a, b) for kq1, kq2, a, b, _ in escapes}
-                tables = {(kq1, kq2): {(a, b): vec for (a, b), vec in table.items() if (kq1, kq2, a, b) not in out}
-                          for (kq1, kq2), table in tables.items()}
-            self._closure = (escapes, tables, _has_unit(tables, span))
-        return self._closure
 
     def _column_cohomology(self, kq: Bidegree) -> _ColumnCohomology:
         """Cohomology representatives and coordinates at `kq`, built once
@@ -645,12 +639,12 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                     entries = cd.cups.get(union, {}).get((p1, p2))
                     if not entries:
                         continue
-                    den = math.lcm(*(v.denominator for vec in entries.values() for v in vec.values()))
+                    den = math.lcm(*(_rational(v).denominator for vec in entries.values() for v in vec.values()))
                     vecs = groups.setdefault(den * den1 * den2, [])
                     # the keys ascend, so that each vector lists its entries
                     # in the order of the (a2, b2) that reach them
                     for ab, vec in _accumulate(
-                            {}, {ab: {base + c: v.numerator * (den // v.denominator) for c, v in vec.items()}
+                            {}, {ab: {base + c: _scaled(v, den) for c, v in vec.items()}
                                  for ab, vec in sorted(entries.items())},
                             {t: {(off1 + a,): x for a, x in row.items()} for t, row in rows1.items()},
                             {t: {(off2 + b,): y for b, y in row.items()} for t, row in rows2.items()},
@@ -701,21 +695,18 @@ def verify_cdga_axioms(model: BigradedModel) -> AxiomReport:
     those tables reaches are swept.  The ring axioms are `_ring_faults`,
     which also checks a datum's cup rings.
 
-    Closure is checked first: each nonzero entry of a stored product ab
-    of basis vectors that lies outside the target space is a "closure"
-    fault, and that product is left out of every sweep.  Where `_has_unit`
-    verifies a unit e spanning M^0_0 on what is left (ex = xe = s x as
-    stored, and every stored product inside its target space), no ring
-    tuple holding e can fail; if also d(e) = 0, no Leibniz pair holding e
-    can fail either, as every d maps M^k_q into M^{k+1}_q (`BigradedModel`
+    Every stored product of basis vectors lies inside its target space, as
+    `BigradedModel` refuses one that does not.  Where `_has_unit` verifies
+    a unit e spanning M^0_0 (ex = xe = s x as stored), no ring tuple
+    holding e can fail; if also d(e) = 0, no Leibniz pair holding e can
+    fail either, as every d maps M^k_q into M^{k+1}_q (`BigradedModel`
     refuses one that does not): d(ex) = s dx = e(dx) and d(xe) = s dx =
     (dx)e.  Those tuples are not swept.  Table keys outside the basis are
     ignored, and violations come in the order of the loop over all tuples
     (bidegrees, then basis indices).
     """
-    escapes, tables, unit = model._closed()
-    violations = [("closure", _escape_message(escape)) for escape in escapes]
-    violations += [("d_squared", "d o d nonzero on M^%d_%d" % kq) for kq in model._d_squared()]
+    tables, unit = model.tables, model._unit
+    violations = [("d_squared", "d o d nonzero on M^%d_%d" % kq) for kq in model._d_squared()]
     dcols = model._dcols
     bidegs = model.bidegrees()
     span = {kq: range(model.dim(kq)) for kq in bidegs}
@@ -767,12 +758,14 @@ def _escape_message(escape: tuple) -> str:
 
 def _has_unit(tables: Mapping, span: Mapping[Bidegree, range]) -> bool:
     """Whether basis vector 0 of (0, 0) is a unit e that `_ring_faults` may
-    leave out: (0, 0) is spanned by e; for one s != 0 the stored vectors ex
-    and xe are {x: s} for every basis vector x, with no other entry and no
-    explicit zero; and every vector stored in a table of two spaces lies
-    inside its target space.  Without that closure a product ab could name
-    an m outside its space, where me is not s m, and (ab)e would differ
-    from a(be) = s ab."""
+    leave out: (0, 0) is spanned by e, and for one s != 0 the stored
+    vectors ex and xe are {x: s} for every basis vector x, with no other
+    entry and no explicit zero.  The caller holds that every nonzero entry
+    of a stored product of basis vectors lies inside its target space:
+    otherwise a product ab could name an m outside its space, where me is
+    not s m, and (ab)e would differ from a(be) = s ab.  `BigradedModel`
+    refuses such a product, and `_check_cup` takes no unit where it finds
+    one."""
     s = tables.get(((0, 0), (0, 0)), {}).get((0, 0), {}).get(0)
     if len(span.get((0, 0), ())) != 1 or not s:
         return False
@@ -780,11 +773,6 @@ def _has_unit(tables: Mapping, span: Mapping[Bidegree, range]) -> bool:
         left, right = tables.get(((0, 0), kq), {}), tables.get((kq, (0, 0)), {})
         for x in r:
             if left.get((0, x)) != {x: s} or right.get((x, 0)) != {x: s}:
-                return False
-    for (kq1, kq2), table in tables.items():
-        if kq1 in span and kq2 in span:
-            target = span.get((kq1[0] + kq2[0], kq1[1] + kq2[1]), range(0))
-            if not all(map(target.__contains__, set().union(*table.values()))):
                 return False
     return True
 
@@ -1076,33 +1064,31 @@ class CdgaMorphism:
         e'y = tau y, f(e) = u e' is one entry, and sigma = u tau.  Then
         f(ex) = sigma f(x) = u tau f(x) = f(e)f(x), and f(xe) likewise.  In
         integer form sigma = u tau reads s_src Df Dt = u s_tgt Ds."""
-        (_, src, src_unit), (_, tgt, tgt_unit) = self.source._closed(), self.target._closed()
-        if not (src_unit and tgt_unit):
+        source, target = self.source, self.target
+        if not (source._unit and target._unit):
             return False
         e = (0, 0)
         u = self._fcols(e)[0].get(0, 0)
-        return (src[(e, e)][(0, 0)][0] * self.scale * self.target.scale
-                == u * tgt[(e, e)][(0, 0)][0] * self.source.scale)
+        return (source.tables[(e, e)][(0, 0)][0] * self.scale * target.scale
+                == u * target.tables[(e, e)][(0, 0)][0] * source.scale)
 
     def violations(self) -> list[str]:
         """The identities of a cdga morphism that f breaks, in this order:
-        entries of stored products of either model outside their target
-        spaces, whose products the product check leaves out; d o f = f o d
-        per bidegree of the source; and f(ab) = f(a)f(b) per pair of basis
-        vectors of the source.  The blocks and both differentials fit their
-        spaces, as construction refuses any that does not.
+        d o f = f o d per bidegree of the source, and f(ab) = f(a)f(b) per
+        pair of basis vectors of the source.  The blocks, both differentials
+        and every stored product fit their spaces, as construction refuses
+        any that does not.
 
         The product check sweeps only the live bidegree pairs, those with a
         table on the source or the target side, as no other pair has a
         term; and none holding the source's unit (0, 0) when `_keeps_unit`
         holds.  Faults come in the order of the loop over all pairs."""
-        (src_escapes, src, _), (tgt_escapes, tgt, _) = self.source._closed(), self.target._closed()
-        out = ["source " + _escape_message(escape) for escape in src_escapes]
-        out += ["target " + _escape_message(escape) for escape in tgt_escapes]
+        out = []
         # both identities run on the integer forms of the two models and of
         # the blocks, over Ds, Dt and Df.  d o f = f o d is compared column
         # by column, f d_src carrying Df Ds and d_tgt f carrying Dt Df
         source, target, fcols = self.source, self.target, self._fcols
+        src, tgt = source.tables, target.tables
         for kq in source.bidegrees():
             src_cols, tgt_cols = source._dcols(kq), target._dcols(kq)
             f_cols, f_up = fcols(kq), fcols((kq[0] + 1, kq[1]))
@@ -1200,17 +1186,13 @@ class FormalityWitness:
 
 def _refuse(model: BigradedModel, kind: str, weight: int, bound: float) -> None:
     """The refusals both witnesses make before they build anything, in this
-    order: the ValueError of `cohomology_of_model` where d o d != 0; a
+    order: the ValueError of `cohomology_of_model` where d o d != 0, and a
     ModelPurityError naming the bidegrees (k, q) with nonzero cohomology,
-    q != weight * k and k <= bound; and a ClosureError naming the first
-    entry of a stored product outside its target space (see
-    `verify_cdga_axioms`)."""
+    q != weight * k and k <= bound.  A stored product outside its target
+    space never gets here: `BigradedModel` refuses it."""
     bad = [kq for kq in cohomology_of_model(model) if kq[1] != weight * kq[0] and kq[0] <= bound]
     if bad:
         raise ModelPurityError(kind + " model", bad)
-    escapes = model._closed()[0]
-    if escapes:
-        raise ClosureError(kind + " model refused: " + _escape_message(escapes[0]))
 
 
 def _line_model(model: BigradedModel, weight: int, letter: str, line: Mapping[int, tuple[int, list]],
@@ -1252,8 +1234,7 @@ def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
 
     Refuses, in this order (`_refuse`): with ValueError a model with
     d o d != 0; with ModelPurityError and the offending bidegrees one with
-    H^k(M_q) != 0 for some q != 2k and k <= r; with ClosureError one with
-    a stored product outside its target space; and with ClosureError,
+    H^k(M_q) != 0 for some q != 2k and k <= r; and with ClosureError,
     naming the pair, one where a product of cocycles is not a cocycle.
     The basis of K^k and the coordinates of products in it come from the
     model's cached column cohomology at (k, 2k), which the check of the
@@ -1290,8 +1271,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     """Quotient cdga C^k = M^k_k / d(M^{k-1}_k) in the weight-k regime.
 
     Refuses as `extract_kernel_model` does (`_refuse`), with the purity
-    condition H^k(M_q) = 0 for q != k and k <= r + 1, up to and including
-    the ClosureError for a stored product outside its target space.  The
+    condition H^k(M_q) = 0 for q != k and k <= r + 1.  The
     quotient needs every vector of M^k_k to be a cocycle wherever C^k is
     not zero.  That holds in a model built from a datum, which has no
     M^{k+1}_k, but not in every model: where d does not vanish on such an

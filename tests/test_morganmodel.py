@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference
 
@@ -393,6 +393,15 @@ class TestDatumValidation:
         issues = cd._issues({})
         assert any("graded-commutative" in msg for msg in issues)
 
+    @pytest.mark.parametrize("one", [1.0, "1"])
+    def test_cup_constant_read_as_a_rational(self, one):
+        # validation reads a float or string constant as a rational, and so
+        # does the assembly, which took its denominator from the value as given
+        cd = CompactificationDatum(0, {(): {0: 1}}, {}, {}, {(): {(0, 0): {(0, 0): {0: one}}}})
+        assert cd._issues({}) == []
+        model, point = build_model(cd), build_model(builder_point())
+        assert (model.spaces, model.scale, model.d, model.tables) == (point.spaces, point.scale, point.d, point.tables)
+
 
 def square_of_points(restrictions):
     """Two components meeting in a point, every stratum a point: the two
@@ -470,30 +479,37 @@ class TestRestrictionFunctoriality:
 # the same violations in the same order.
 
 
-def dense_closure(model):
-    """The closure faults of `model`, each nonzero entry of a product of
-    basis vectors outside its target space, in loop order, and the model
-    without those products."""
-    faults, out = [], set()
-    bidegs = model.bidegrees()
+def dense_closure(spaces, products):
+    """Each nonzero entry of a given product of basis vectors outside its
+    target space, in loop order: what `BigradedModel` refuses."""
+    faults = []
+    dim = {kq: len(labels) for kq, labels in spaces.items()}
+    bidegs = sorted(kq for kq, n in dim.items() if n)
     for kq1 in bidegs:
         for kq2 in bidegs:
             k3, q3 = kq1[0] + kq2[0], kq1[1] + kq2[1]
-            for a in range(model.dim(kq1)):
-                for b in range(model.dim(kq2)):
-                    for c, v in sorted(reference.mult_basis(model, kq1, a, kq2, b).items()):
-                        if v and not 0 <= c < model.dim((k3, q3)):
+            for a in range(dim[kq1]):
+                for b in range(dim[kq2]):
+                    for c, v in sorted(products.get((kq1, kq2), {}).get((a, b), {}).items()):
+                        if v and not 0 <= c < dim.get((k3, q3), 0):
                             faults.append("product (%r, %d) x (%r, %d) has entry %d outside M^%d_%d"
                                           % (kq1, a, kq2, b, c, k3, q3))
-                            out.add((kq1, kq2, a, b))
-    products = {(kq1, kq2): {(a, b): vec for (a, b), vec in table.items() if (kq1, kq2, a, b) not in out}
-                for (kq1, kq2), table in model.products.items()}
-    return faults, BigradedModel(model.spaces, reference.differentials(model), products)
+    return faults
+
+
+def built_or_refused(spaces, diff, products):
+    """The model of the given data, or None where `dense_closure` lists a
+    fault, after checking that construction refuses the first one."""
+    faults = dense_closure(spaces, products)
+    if not faults:
+        return BigradedModel(spaces, diff, products)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(faults[0])):
+        BigradedModel(spaces, diff, products)
+    return None
 
 
 def dense_cdga_axioms(model):
-    faults, model = dense_closure(model)
-    violations = [("closure", fault) for fault in faults]
+    violations = []
     for kq in model.bidegrees():
         k, q = kq
         second = reference.matmul(reference.differential(model, (k + 1, q)), reference.differential(model, kq))
@@ -600,12 +616,8 @@ def dense_cup_issues(cd, i_key):
 
 
 def dense_product_compatibility(f):
-    """The closure faults of the source and of the target, then f(ab) =
-    f(a)f(b) on every pair of basis vectors, without those products."""
-    src_faults, source = dense_closure(f.source)
-    tgt_faults, target = dense_closure(f.target)
-    out = ["source " + fault for fault in src_faults] + ["target " + fault for fault in tgt_faults]
-    f = CdgaMorphism(source, target, reference.blocks(f))
+    """f(ab) = f(a)f(b) on every pair of basis vectors."""
+    out = []
     for kq1 in f.source.bidegrees():
         for kq2 in f.source.bidegrees():
             kq3 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
@@ -622,8 +634,8 @@ def dense_product_compatibility(f):
 
 
 def product_issues(f):
-    """The closure and product faults that `violations` reports."""
-    return [v for v in f.violations() if v.startswith(("source product", "target product", "product compatibility"))]
+    """The product faults that `violations` reports."""
+    return [v for v in f.violations() if v.startswith("product compatibility")]
 
 
 def dense_differential_compatibility(f):
@@ -800,42 +812,45 @@ class TestSparseAxiomsAgainstDenseOracle:
         assert report.passed
 
     def test_product_outside_its_space(self):
-        # xx names index 3 of the one-dimensional M^2_4: a closure fault,
-        # and xx is left out of the ring sweeps, so no other fault follows
+        # xx names index 3 of the one-dimensional M^2_4: not a product of
+        # the model, which construction refuses
         spaces = {(0, 0): ("1",), (1, 2): ("x",), (2, 4): ("z",)}
-        model = model_with_products(spaces, {((1, 2), (1, 2)): {(0, 0): {3: F(1)}}})
-        report = verify_cdga_axioms(model)
-        assert report == dense_cdga_axioms(model)
-        assert report.violations == (
-            ("closure", "product ((1, 2), 0) x ((1, 2), 0) has entry 3 outside M^2_4"),
-        )
+        products = {**unit_products(spaces), ((1, 2), (1, 2)): {(0, 0): {3: F(1)}}}
+        fault = "product ((1, 2), 0) x ((1, 2), 0) has entry 3 outside M^2_4"
+        assert dense_closure(spaces, products) == [fault]
+        assert built_or_refused(spaces, {}, products) is None
 
     def test_product_outside_a_space_with_differential(self):
         # e times basis vector 0 of M^1_2 (dim 3, d there 1 x 3) also names
         # index 3: applying d's columns to it, or f's, or the witnesses'
-        # column data, raised IndexError
+        # column data, raised IndexError; a second entry outside, at -1 of
+        # the one-dimensional M^0_0, comes first in (kq1, kq2, a, b, c) order
         m = build_model(builder_projective_line_marked(3))
         products = {key: {ab: dict(vec) for ab, vec in table.items()} for key, table in m.products.items()}
         products[((0, 0), (1, 2))][(0, 0)][3] = F(1)
-        model = BigradedModel(m.spaces, reference.differentials(m), products)
         fault = "product ((0, 0), 0) x ((1, 2), 0) has entry 3 outside M^1_2"
-        report = verify_cdga_axioms(model)
-        assert report == dense_cdga_axioms(model)
-        assert report.violations[0] == ("closure", fault)
-        assert "closure" not in [name for name, _ in report.violations[1:]]
-        identity = CdgaMorphism(model, model, {kq: reference.identity(model.dim(kq)) for kq in model.bidegrees()})
-        assert identity.violations()[:2] == ["source " + fault, "target " + fault]
-        assert product_issues(identity) == dense_product_compatibility(identity)
-        with pytest.raises(MorphismError, match=re.escape("source " + fault)):
-            check_r_quasi_iso(identity, INF)
-        with pytest.raises(ClosureError, match="^kernel model refused: " + re.escape(fault)):
-            extract_kernel_model(model, INF)
-        # the compact square's cokernel witness likewise
+        assert dense_closure(m.spaces, products) == [fault]
+        assert built_or_refused(m.spaces, reference.differentials(m), products) is None
+        products[((0, 0), (0, 0))][(0, 0)][-1] = F(2)
+        assert dense_closure(m.spaces, products) == [
+            "product ((0, 0), 0) x ((0, 0), 0) has entry -1 outside M^0_0", fault]
+        assert built_or_refused(m.spaces, reference.differentials(m), products) is None
+        # the compact square's top class likewise
         m = build_model(kunneth_product(builder_projective_line_marked(0), builder_projective_line_marked(0)))
         products = {key: {ab: dict(vec) for ab, vec in table.items()} for key, table in m.products.items()}
         products[((0, 0), (2, 2))][(0, 0)][5] = F(1)
-        with pytest.raises(ClosureError, match=re.escape("refused: product ((0, 0), 0) x ((2, 2), 0) has entry 5")):
-            extract_cokernel_model(BigradedModel(m.spaces, reference.differentials(m), products), INF)
+        assert dense_closure(m.spaces, products) == ["product ((0, 0), 0) x ((2, 2), 0) has entry 5 outside M^2_2"]
+        assert built_or_refused(m.spaces, reference.differentials(m), products) is None
+
+    def test_misfit_differential_refused_before_a_product_outside_its_space(self):
+        # both faults at once: the shape of d is refused first
+        m = build_model(builder_projective_line_marked(2))
+        products = {key: {ab: dict(vec) for ab, vec in table.items()} for key, table in m.products.items()}
+        products[((0, 0), (1, 2))][(0, 0)][2] = F(1)
+        diff = {**reference.differentials(m), (1, 2): Matrix([[1, 1, 0]])}
+        with pytest.raises(ValueError, match=r"^differential at \(1, 2\) has shape \(1, 3\), expected \(1, 2\)$"):
+            BigradedModel(m.spaces, diff, products)
+        assert built_or_refused(m.spaces, reference.differentials(m), products) is None
 
     def test_zero_constant_outside_its_space(self):
         # an explicit zero at index 5 of the two-dimensional M^1_2, where d
@@ -955,9 +970,9 @@ class TestSparseAxiomsAgainstDenseOracle:
         maps.append(CdgaMorphism(m, m, blocks))
         failing = 0
         for f in maps:
-            product_issues = [v for v in f.violations() if v.startswith("product compatibility")]
-            assert product_issues == dense_product_compatibility(f)
-            failing += bool(product_issues)
+            issues = product_issues(f)
+            assert issues == dense_product_compatibility(f)
+            failing += bool(issues)
         assert failing == 1
 
     def test_product_only_in_target_detected(self):
@@ -1069,7 +1084,9 @@ def perturbed(data, mat):
 
 
 def planted(data, model, kinds=("constant", "zero", "stray", "differential")):
-    """A copy of `model` with up to four drawn faults of the given kinds."""
+    """A copy of `model` with up to four drawn faults of the given kinds,
+    or None where an "escape" puts a product outside its space, after
+    checking that construction refuses it (`built_or_refused`)."""
     products = {key: {ab: dict(vec) for ab, vec in table.items()} for key, table in model.products.items()}
     diff = reference.differentials(model)
     bidegs = model.bidegrees()
@@ -1097,14 +1114,14 @@ def planted(data, model, kinds=("constant", "zero", "stray", "differential")):
             a, b = data.draw(st.integers(0, n1 - 1)), data.draw(st.integers(0, n2 - 1))
             c = data.draw(st.sampled_from([-1, n3, n3 + 1]))
             table.setdefault((a, b), {})[c] = data.draw(PLANTED_VALUES.filter(bool))
-    return BigradedModel(model.spaces, diff, products)
+    return built_or_refused(model.spaces, diff, products)
 
 
 def draw_morphism(data, kinds=("constant", "zero", "stray")):
     """A cdga map into a rescaled model, with drawn faults of the `planted`
     kinds `kinds` and in one block: the rescaling from another rescaling of
     the same model, or, for a model of weight 2k, the inclusion of its
-    kernel witness."""
+    kernel witness; None where `planted` refuses either model."""
     sizes, base = draw_base(data)
     scales = draw_scales(data, base)
     target = in_rescaled_basis(base, scales)
@@ -1119,6 +1136,8 @@ def draw_morphism(data, kinds=("constant", "zero", "stray")):
         blocks = {kq: Matrix([[other[kq, i] / scales[kq, i] if i == j else 0 for j in range(base.dim(kq))]
                               for i in range(base.dim(kq))]) for kq in base.bidegrees()}
     source, target = planted(data, source, kinds), planted(data, target, kinds)
+    if source is None or target is None:
+        return None
     if blocks and data.draw(st.booleans()):
         kq = data.draw(st.sampled_from(sorted(blocks)))
         blocks[kq] = perturbed(data, blocks[kq])
@@ -1153,12 +1172,13 @@ UNIT_VARIANTS = ("unit", "stray", "zero", "escape", "d(e)", "two units")
 
 
 def unit_variant(data, model, variant):
-    """A copy of the rescaled `model`, whose e x = x e = s x, changed by
-    `variant`: "unit" plants constants and differential entries away from
-    e, "stray" and "zero" add an entry, nonzero or an explicit zero, to e x,
-    x e or both, "escape" puts a product outside its space, "d(e)" adds a
-    space M^1_0 = <u> with d(e) = t u, and "two units" a second basis
-    vector f of M^0_0 with drawn products."""
+    """The spaces, differentials and products of a copy of the rescaled
+    `model`, whose e x = x e = s x, changed by `variant`: "unit" plants
+    constants and differential entries away from e, "stray" and "zero" add
+    an entry, nonzero or an explicit zero, to e x, x e or both, inside or
+    just past the space of x, "escape" puts a product outside its space,
+    "d(e)" adds a space M^1_0 = <u> with d(e) = t u, and "two units" a
+    second basis vector f of M^0_0 with drawn products."""
     e = (0, 0)
     spaces = {kq: list(labels) for kq, labels in model.spaces.items()}
     diff = reference.differentials(model)
@@ -1204,18 +1224,19 @@ def unit_variant(data, model, variant):
         products[(e, e)][(1, 1)] = {1: data.draw(PLANTED_VALUES)}
         for key, ab in [((e, kq1), (1, a)), ((kq1, e), (a, 1))][: data.draw(st.integers(1, 2))]:
             products.setdefault(key, {})[ab] = {a: value}
-    return BigradedModel(spaces, diff, products)
+    return spaces, diff, products
 
 
-def as_cup_datum(model):
-    """The product of `model` as the cup ring of D_() of a compact datum,
-    (k, q) in degree k + 10q: additive, one-to-one on the drawn bidegrees,
-    and of the parity of k, so the ring axioms are the model's."""
+def as_cup_datum(spaces, products):
+    """The products on `spaces` as the cup ring of D_() of a compact
+    datum, (k, q) in degree k + 10q: additive, one-to-one on the drawn
+    bidegrees, and of the parity of k, so the ring axioms are a model's."""
     def degree(kq):
         return kq[0] + 10 * kq[1]
 
-    cups = {(degree(kq1), degree(kq2)): table for (kq1, kq2), table in model.products.items()}
-    return CompactificationDatum(0, {(): {degree(kq): model.dim(kq) for kq in model.bidegrees()}}, {}, {}, {(): cups})
+    cups = {(degree(kq1), degree(kq2)): table for (kq1, kq2), table in products.items()}
+    return CompactificationDatum(0, {(): {degree(kq): len(labels) for kq, labels in spaces.items()}}, {}, {},
+                                 {(): cups})
 
 
 # The product check of a morphism leaves out the pairs holding the source's
@@ -1240,16 +1261,19 @@ def draw_unit_morphism(data, variant):
     e = (0, 0)
     value = data.draw(PLANTED_VALUES.filter(bool))
     if variant == "unit":
-        source, target = unit_variant(data, source, "unit"), unit_variant(data, target, "unit")
+        source = BigradedModel(*unit_variant(data, source, "unit"))
+        target = BigradedModel(*unit_variant(data, target, "unit"))
     elif variant == "scaled f(e)":
         blocks[e][0][0] *= data.draw(st.sampled_from([x for x in RESCALINGS if x != 1]))
     elif variant == "stray f(e)":
-        target = unit_variant(data, target, "two units")
+        target = BigradedModel(*unit_variant(data, target, "two units"))
         blocks[e].append([value])
     elif variant == "no target unit":
-        target = unit_variant(data, target, data.draw(st.sampled_from(["stray", "zero"])))
+        # a "stray" entry past the space of x is refused with the model
+        target = built_or_refused(*unit_variant(data, target, data.draw(st.sampled_from(["stray", "zero"]))))
+        assume(target is not None)
     else:
-        source = unit_variant(data, source, "two units")
+        source = BigradedModel(*unit_variant(data, source, "two units"))
         blocks[e][0].append(value)
     return CdgaMorphism(source, target, {kq: Matrix(rows) for kq, rows in blocks.items()})
 
@@ -1273,30 +1297,41 @@ class TestDrawnRationalModels:
     def test_unit_shortcut_matches_dense(self, data):
         _, base = draw_base(data)
         variant = data.draw(st.sampled_from(UNIT_VARIANTS))
-        model = unit_variant(data, in_rescaled_basis(base, draw_scales(data, base)), variant)
+        spaces, diff, products = unit_variant(data, in_rescaled_basis(base, draw_scales(data, base)), variant)
+        # a datum's cup check lists a product outside its space and sweeps
+        # the ring without the unit shortcut
+        cd = as_cup_datum(spaces, products)
+        assert cd._check_cup(()) == dense_cup_issues(cd, ())
+        model = built_or_refused(spaces, diff, products)
+        if model is None:  # "escape", or a "stray" entry past the space of x
+            assert variant in ("escape", "stray")
+            return
+        assert variant != "escape"
         span = {kq: range(model.dim(kq)) for kq in model.bidegrees()}
-        assert morganmodel._has_unit(model.tables, span) == (variant in ("unit", "d(e)"))
+        assert morganmodel._has_unit(model.tables, span) == model._unit == (variant in ("unit", "d(e)"))
         report = verify_cdga_axioms(model)
         assert report == dense_cdga_axioms(model)
         if variant == "d(e)":
             assert ("leibniz", "Leibniz fails for basis pair ((0, 0), 0) x ((0, 0), 0)") in report.violations
-        cd = as_cup_datum(model)
-        assert cd._check_cup(()) == dense_cup_issues(cd, ())
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_product_compatibility_matches_dense(self, data):
         f = draw_morphism(data)
-        issues = [v for v in f.violations() if v.startswith("product compatibility")]
-        assert issues == dense_product_compatibility(f)
+        assert product_issues(f) == dense_product_compatibility(f)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_escaping_products_match_dense(self, data):
+        # `planted` checks that construction refuses a model with a product
+        # outside its space, at the first fault of the dense loop
         _, base = draw_base(data)
         model = planted(data, in_rescaled_basis(base, draw_scales(data, base)), ("escape", "constant", "differential"))
-        assert verify_cdga_axioms(model) == dense_cdga_axioms(model)
+        if model is not None:
+            assert verify_cdga_axioms(model) == dense_cdga_axioms(model)
         f = draw_morphism(data, ("escape", "constant", "zero", "stray"))
+        if f is None:
+            return
         assert product_issues(f) == dense_product_compatibility(f)
         problems = f.violations()
         if problems:
@@ -1927,14 +1962,18 @@ class TestOneCohomologyReader:
 def rational_tables(data, spaces):
     """Product tables on `spaces` drawn with int and Fraction constants,
     explicit zeros and mixed denominators, and no empty vector, which the
-    constructor drops."""
+    constructor drops; an entry at an index 0..3 outside the target space
+    is an explicit zero, as construction refuses a nonzero one."""
     value = st.sampled_from([0, 1, -3, F(0), F(2), F(1, 3), F(-5, 6), F(7, 4), F(-9, 14)])
+    zero = st.sampled_from([0, F(0)])
     tables = {}
     for kq1, kq2 in data.draw(st.lists(st.sampled_from([(x, y) for x in spaces for y in spaces]), unique=True)):
         n1, n2 = len(spaces[kq1]), len(spaces[kq2])
+        n3 = len(spaces.get((kq1[0] + kq2[0], kq1[1] + kq2[1]), ()))
         keys = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
-        tables[(kq1, kq2)] = data.draw(st.dictionaries(keys, st.dictionaries(st.integers(0, 3), value, min_size=1,
-                                                                               max_size=3), max_size=5))
+        entry = st.integers(0, 3).flatmap(lambda c: st.tuples(st.just(c), value if c < n3 else zero))
+        vec = st.lists(entry, min_size=1, max_size=3, unique_by=lambda cv: cv[0]).map(dict)
+        tables[(kq1, kq2)] = data.draw(st.dictionaries(keys, vec, max_size=5))
     return tables
 
 
