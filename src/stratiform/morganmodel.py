@@ -10,14 +10,17 @@ regimes (weights 2k resp. k) together with the comparison morphism and
 an exact check that it is an r-quasi-isomorphism.
 
 Compactification data is explicit input built by the provided
-constructors (marked projective lines and their Kunneth products); no
+constructors (marked projective lines and their Kunneth products, which
+hold the dicts they build without a second normalizing pass); no
 resolution of singularities is attempted.  Composite restrictions are
 held as integer rows over their own scale and extended one step at a
 time in a memo owned by the caller: validation compares the two orders
-of each pair of steps on them, and the model is assembled block by
-block, a block being the summand of one stratum and degree, from the
-nonzero entries of its Gysin blocks and by sweeping the cup tables' keys
-against the composites' rows.  All checks are exact identities.  A model
+of each pair of steps on them and keeps the ascending one, and the model
+is assembled block by block, a block being the summand of one stratum
+and degree: d from the nonzero entries of its Gysin blocks, and the
+products one target stratum U at a time, each cup table of U joined
+with the rows of the composites into U of the splits of U into two
+blocks.  All checks are exact identities.  A model
 keeps its maps in one form only, integers over one scale D (the product
 tables and the sparse columns of each stored d), with `products` a
 rational view made on each read; a morphism keeps the sparse integer
@@ -60,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from stratiform.exactalg import Matrix
@@ -278,6 +281,17 @@ class CompactificationDatum:
         }
         self.cups = {_sorted_subset(i_set): dict(table) for i_set, table in (cups or {}).items()}
 
+    @classmethod
+    def _adopt(cls, components: int, cohomology: dict, restrictions: dict, gysins: dict,
+               cups: dict) -> CompactificationDatum:
+        """A datum over the dicts its caller has just built in the form
+        `__init__` makes, held without that pass: keys sorted tuples and
+        ints, no zero dimension and no stratum without classes."""
+        cd = cls.__new__(cls)
+        cd.components, cd.cohomology, cd.restrictions, cd.gysins, cd.cups = (
+            components, cohomology, restrictions, gysins, cups)
+        return cd
+
     # -- dimensions ------------------------------------------------------
 
     def dim(self, i_set: Sequence[int], p: int) -> int:
@@ -367,6 +381,8 @@ class CompactificationDatum:
         classes, once, by (j, degree); then each pair j1 < j2 whose two
         composites differ at a degree where D_{I+j1+j2} has classes; then
         the cup faults of D_I.  `build_model` refuses a datum with any.
+        Once a pair's two composites are compared, the one along (j2, j1)
+        leaves `memo`: assembly composes in ascending order only.
 
         Only the pairs whose D_{I+j1+j2} is a stratum compose, since both
         composites are zero otherwise.  A pair whose composite needs a
@@ -399,6 +415,7 @@ class CompactificationDatum:
                         via2 = self._composite(memo, i_key, (j2, j1), p)
                     except DatumError:
                         continue
+                    memo.pop((i_key, (j2, j1), p), None)
                     if via1 != via2:
                         issues.append(
                             "restrictions from I=%r through %d and %d do not commute at degree %d"
@@ -509,6 +526,7 @@ class BigradedModel:
         self.scale, self.d, self.tables = scale, d, tables
         self._unit = _has_unit(tables, {kq: range(len(labels)) for kq, labels in self.spaces.items()})
         self._cohomology_cache: dict[Bidegree, _ColumnCohomology] = {}
+        self._relations_cache: dict[Bidegree, dict[int, dict[int, int]]] = {}
         self._cohomology: dict[Bidegree, int] | None = None
         self._d_squared_faults: list[Bidegree] | None = None
 
@@ -545,6 +563,14 @@ class BigradedModel:
             col = self._cohomology_cache[kq] = _ColumnCohomology(self, kq)
         return col
 
+    def _d_relations(self, kq: Bidegree) -> dict[int, dict[int, int]]:
+        """`_relations` of the stored d on M^k_q, found once: the rank of d
+        is its number of columns less theirs, and they give the cocycles."""
+        got = self._relations_cache.get(kq)
+        if got is None:
+            got = self._relations_cache[kq] = _relations(self.d[kq])
+        return got
+
     def _d_squared(self) -> list[Bidegree]:
         """The (k, q), ascending, where d o d, applied to the sparse columns
         of the two stored d it composes, is not zero on M^k_q, found once."""
@@ -565,18 +591,22 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     The model is assembled in integers, block by block, a block being the
     summand of one (I, p).  The differential is written as sparse columns,
     from the nonzero entries of the Gysin blocks with one sign per (I, i).
-    The products of two blocks with disjoint I1, I2 are the join
-    (`_accumulate`) of the cup table of D_{I1+I2}, keys ascending, with the
-    rows of both blocks' composites to D_{I1+I2}, each over its own scale
-    and labelled by model indices, with the pair's sign as coefficient; no
-    other pair reaches those basis pairs, so they share one denominator,
-    and `_integer_form` brings them and d to the model's D once.
-    Disjointness is tested on bitmasks of the index sets.  Validation and
+    The products are assembled one target stratum U at a time, in
+    `subsets` order: for each (p1, p2) of the cup table of D_U with a block
+    (U, p1 + p2), that table, scaled to integers once, is joined
+    (`_accumulate`, keys ascending) with the rows of the composites to U of
+    every split U = I1 + I2 whose parts have blocks at p1 and p2, each over
+    its own scale, lifted to model indices once per U, with the split's
+    sign as coefficient.  No other pair reaches those basis pairs, so they
+    share one denominator, and `_integer_form` brings them and d to the
+    model's D once.  The tables are collected by bidegree pair and written
+    at the end in the order of `spaces`, keys ascending.  Validation and
     assembly share one memo of composites, released before the model is
-    made.  Every disjoint pair whose product bidegree has a space takes its
-    composites, as each basis pair did, so a step that validation does not
-    read, one of a component index outside 1..components, raises the same
-    first DatumError.
+    made.  A step of a component index outside 1..components is one that
+    validation does not read; where a stratum has such an index, every
+    disjoint pair of blocks whose product bidegree has a space takes its
+    composites first, in the order of the basis pairs, so the first
+    DatumError is the one that restricting each basis pair raised.
     """
     composites: dict = {}
     issues = cd._issues(composites)
@@ -584,16 +614,14 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
         raise DatumError("; ".join(issues))
     cohomology = cd.cohomology
     spaces: dict[Bidegree, list] = {}
-    blocks: dict[Bidegree, list] = {}  # (k, q) -> [(I, p, offset, mask of I)] in basis order
-    offsets: dict = {}  # (I, p) -> offset of its block
-    bits = {x: 1 << n for n, x in enumerate(sorted({x for i_key in cohomology for x in i_key}))}
+    blocks: dict[Bidegree, list] = {}  # (k, q) -> [(I, p, offset)] in basis order
+    places: dict = {}  # (I, p) -> (its bidegree, the offset of its block)
     for i_key in cd.subsets():
-        mask = sum(bits[x] for x in i_key)
         for p, n in sorted(cohomology[i_key].items()):
             kq = (p + len(i_key), p + 2 * len(i_key))
             labels = spaces.setdefault(kq, [])
-            blocks.setdefault(kq, []).append((i_key, p, len(labels), mask))
-            offsets[(i_key, p)] = len(labels)
+            blocks.setdefault(kq, []).append((i_key, p, len(labels)))
+            places[(i_key, p)] = kq, len(labels)
             labels.extend((i_key, p, j) for j in range(n))
 
     d: dict[Bidegree, list[Sparse]] = {}
@@ -602,12 +630,13 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
         if not spaces.get((k + 1, q)):
             continue
         cols = d[kq] = [{} for _ in labels]
-        for i_key, p, off, _ in blocks[kq]:
+        for i_key, p, off in blocks[kq]:
             for pos, i in enumerate(i_key):
                 rest = i_key[:pos] + i_key[pos + 1:]
-                row_off = offsets.get((rest, p + 2))
-                if row_off is None:
+                place = places.get((rest, p + 2))
+                if place is None:
                     continue  # D_{I-i} has no classes in degree p + 2
+                row_off = place[1]
                 negate = (q + pos) % 2  # pos components of I - i precede i
                 # no other i of I reaches the rows of D_{I-i}: each entry is set once
                 for t, gys_row in enumerate(cd._gysin(i_key, i, p, rest).rows):
@@ -615,48 +644,65 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                         if v:
                             cols[off + j][row_off + t] = -v if negate else v
 
-    products: dict[tuple[Bidegree, Bidegree], dict] = {}
-    groups: dict[int, list] = {}  # denominator -> the vectors of the block pairs over it
-    for kq1 in spaces:
-        for kq2 in spaces:
-            kq3 = (kq1[0] + kq2[0], kq1[1] + kq2[1])
-            if kq3 not in spaces:
+    if any(not 0 < x <= cd.components for i_key in cohomology for x in i_key):
+        # validation reads no step along such an index, and the walk below
+        # only the composites it joins: read those of every pair first
+        for (kq1, blocks1), (kq2, blocks2) in product(blocks.items(), repeat=2):
+            if (kq1[0] + kq2[0], kq1[1] + kq2[1]) in spaces:
+                for (i1, p1, _), (i2, p2, _) in product(blocks1, blocks2):
+                    if not set(i1) & set(i2):
+                        union = tuple(sorted(i1 + i2))
+                        for i_key, p in ((i1, p1), (i2, p2)):
+                            cd._composite(composites, i_key, tuple(x for x in union if x not in i_key), p)
+    found: dict = {}  # (kq1, kq2) -> {(a, b): ab}, each key filled by one split
+    groups: dict[int, list] = {}  # denominator -> the vectors of the splits over it
+    for u_key in cd.subsets():
+        lifted: dict = {}  # (I, p) -> the composite to U as (D, its rows labelled by model index)
+
+        def lift(i_key, p, off):
+            got = lifted.get((i_key, p))
+            if got is None:
+                scale, rows = cd._composite(composites, i_key, tuple(x for x in u_key if x not in i_key), p)
+                got = lifted[(i_key, p)] = scale, {t: {(off + a,): x for a, x in row.items()} for t, row in rows.items()}
+            return got
+
+        for (p1, p2), entries in cd.cups.get(u_key, {}).items():
+            base = places.get((u_key, p1 + p2))
+            # validation has refused a nonzero entry outside the space,
+            # so the product is zero where D_U has no classes
+            if base is None or not entries:
                 continue
-            table: dict = {}
-            for i1, p1, off1, mask1 in blocks[kq1]:
-                acc: dict = {}  # (a, b) -> ab for the a of this block, each key filled by one block pair
-                for i2, p2, off2, mask2 in blocks[kq2]:
-                    if mask1 & mask2:
+            table = None
+            for n in range(len(u_key) + 1):
+                for i1 in combinations(u_key, n):
+                    i2 = tuple(x for x in u_key if x not in i1)
+                    place1, place2 = places.get((i1, p1)), places.get((i2, p2))
+                    if place1 is None or place2 is None:
                         continue
-                    union = tuple(sorted(i1 + i2))
-                    den1, rows1 = cd._composite(composites, i1, tuple(x for x in union if x not in i1), p1)
-                    den2, rows2 = cd._composite(composites, i2, tuple(x for x in union if x not in i2), p2)
-                    base = offsets.get((union, p1 + p2))
-                    # validation has refused a nonzero entry outside the space,
-                    # so the product is zero where D_{I1+I2} has no classes
-                    if not rows1 or not rows2 or base is None:
+                    (den1, rows1), (den2, rows2) = lift(i1, p1, place1[1]), lift(i2, p2, place2[1])
+                    if not rows1 or not rows2:
                         continue
-                    entries = cd.cups.get(union, {}).get((p1, p2))
-                    if not entries:
-                        continue
-                    den = math.lcm(*(_rational(v).denominator for vec in entries.values() for v in vec.values()))
+                    if table is None:
+                        den = math.lcm(*(_rational(v).denominator for vec in entries.values() for v in vec.values()))
+                        # the keys ascend, so that each vector lists its entries
+                        # in the order of the (a2, b2) that reach them
+                        table = {ab: {base[1] + c: _scaled(v, den) for c, v in vec.items()}
+                                 for ab, vec in sorted(entries.items())}
+                    kq1, kq2 = place1[0], place2[0]
+                    acc = found.setdefault((kq1, kq2), {})
                     vecs = groups.setdefault(den * den1 * den2, [])
-                    # the keys ascend, so that each vector lists its entries
-                    # in the order of the (a2, b2) that reach them
-                    for ab, vec in _accumulate(
-                            {}, {ab: {base + c: _scaled(v, den) for c, v in vec.items()}
-                                 for ab, vec in sorted(entries.items())},
-                            {t: {(off1 + a,): x for a, x in row.items()} for t, row in rows1.items()},
-                            {t: {(off2 + b,): y for b, y in row.items()} for t, row in rows2.items()},
-                            (-1) ** (len(i1) * kq2[1]) * shuffle_sign(i1, i2)).items():
+                    for ab, vec in _accumulate({}, table, rows1, rows2,
+                                               (-1) ** (len(i1) * kq2[1]) * shuffle_sign(i1, i2)).items():
                         vec = {c: v for c, v in vec.items() if v}
                         if vec:
                             acc[ab] = vec
                             vecs.append(vec)
-                table.update(sorted(acc.items()))  # the blocks of kq1 ascend
-            if table:
-                products[(kq1, kq2)] = table
     del composites
+    products: dict[tuple[Bidegree, Bidegree], dict] = {}
+    for key in product(spaces, repeat=2):
+        table = found.pop(key, None)  # so that at most one table is held twice
+        if table:
+            products[key] = dict(sorted(table.items()))
     return BigradedModel._adopt({kq: tuple(labels) for kq, labels in spaces.items()},
                                 *_integer_form(d, groups.items()), products)
 
@@ -841,9 +887,10 @@ def _ring_faults(tables: Mapping, span: Mapping[Bidegree, range], unit: bool) ->
 def cohomology_of_model(model: BigradedModel) -> dict[Bidegree, int]:
     """dim H^k(M_q) per (degree, weight), nonzero entries only, in sorted
     order: dim M^k_q - rank d_out - rank d_in.  This is the one reader of
-    the model's cohomology dimensions: each stored d is ranked once by
-    `_sparse_rank`, the result is kept on the model, and every call
-    returns a fresh copy of it.  Each d maps between its spaces, as
+    the model's cohomology dimensions: each stored d is eliminated once,
+    its rank being its number of columns less its `_relations`, which the
+    model keeps for the cocycles of `_ColumnCohomology`; the result is
+    kept on the model, and every call returns a fresh copy of it.  Each d maps between its spaces, as
     `BigradedModel` refuses one that does not.  A model whose d does not
     square to zero has no cohomology: it raises ValueError("d o d nonzero
     on M^k_q"), the text of the axiom check, at the first such (k, q) in
@@ -852,7 +899,7 @@ def cohomology_of_model(model: BigradedModel) -> dict[Bidegree, int]:
         faults = model._d_squared()
         if faults:
             raise ValueError("d o d nonzero on M^%d_%d" % faults[0])
-        rank = {kq: _sparse_rank(cols) for kq, cols in model.d.items()}
+        rank = {kq: len(cols) - len(model._d_relations(kq)) for kq, cols in model.d.items()}
         model._cohomology = {(k, q): h for k, q in model.bidegrees()
                              if (h := model.dim((k, q)) - rank.get((k, q), 0) - rank.get((k - 1, q), 0))}
     return dict(model._cohomology)
@@ -933,7 +980,8 @@ class _ColumnCohomology:
     `_reduce` over the integer columns of d.
 
     The cocycle basis Z is the rref right kernel of d_out: a free column f
-    of d_out leaves a primitive relation h (`_relations`), so z_f = h /
+    of d_out leaves a primitive relation h (`_relations`, read from the
+    model's `_d_relations`, which also rank d), so z_f = h /
     h[f], which is 1 at f and 0 at the other free columns, and its
     denominator is |h[f]|.  The cocycles are held as the integer
     columns `cocycle_scale` z_f, over the lcm of those denominators.  Where
@@ -964,7 +1012,7 @@ class _ColumnCohomology:
             return
         if kq in model.d:
             d_out = self._d_out = model.d[kq]
-            relations = _relations(d_out)
+            relations = model._d_relations(kq)
             self.cocycle_scale = scale = math.lcm(*(abs(h[f]) for f, h in relations.items()))
             self.cocycle_cols = [{l: x * (scale // h[f]) for l, x in sorted(h.items())} for f, h in relations.items()]
             self._free = {f: c for c, f in enumerate(relations)}
@@ -1403,6 +1451,8 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
     made Fractions again, a Gysin block from its rows.  The lifted blocks
     are `Matrix` rows of those Fractions and one shared zero.  The cups of
     a product stratum look up each factor's cup table of that stratum once.
+    The dicts are built in the constructor's form (sorted integer keys, no
+    zero dimension), and the datum holds them as they are (`_adopt`).
     """
     s1, s2 = cd1.components, cd2.components
 
@@ -1501,7 +1551,7 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
                     table[(p, p2)] = entries
         if table:
             cups[key] = table
-    return CompactificationDatum(s1 + s2, cohomology, restrictions, gysins, cups)
+    return CompactificationDatum._adopt(s1 + s2, cohomology, restrictions, gysins, cups)
 
 
 # -- localization ------------------------------------------------------------

@@ -1924,9 +1924,11 @@ class TestOneCohomologyReader:
     both of its models."""
 
     @pytest.mark.parametrize("sizes, extract, counts", [
-        # the ranks of the square's 3 stored d, then 3 induced maps, one per
-        # bidegree with cohomology; the compact cube stores no d
-        ((5, 5), extract_kernel_model, {"_sparse_rank": 6, "_relations": 2, "_reduce": 105}),
+        # one elimination of each of the square's 3 stored d, whose relations
+        # give both its rank and its cocycles (45 columns), then 3 induced
+        # maps, one per bidegree with cohomology (25); the compact cube
+        # stores no d
+        ((5, 5), extract_kernel_model, {"_sparse_rank": 3, "_relations": 3, "_reduce": 70}),
         ((0, 0, 0), extract_cokernel_model, {"_sparse_rank": 4, "_reduce": 8}),
     ])
     def test_witness_elimination_counts(self, count_calls, sizes, extract, counts):
@@ -2361,7 +2363,13 @@ class TestModelAssemblyAgainstReference:
         sizes = [rng.randint(0, 5) for _ in range(2)] if seed % 3 else [rng.randint(0, 3) for _ in range(3)]
         factors = [rescaled(builder_projective_line_marked(s), [scale_draw(rng) for _ in range(s + 2)])
                    for s in sizes]
-        assert assert_assembly_matches_reference(functools.reduce(kunneth_product, factors))[0] == "model"
+        product = functools.reduce(kunneth_product, factors)
+        assert assert_assembly_matches_reference(product)[0] == "model"
+        # the product holds its dicts as it built them, already in the form
+        # the constructor gives them
+        normalized = CompactificationDatum(product.components, product.cohomology, product.restrictions,
+                                           product.gysins, product.cups)
+        assert repr(datum_items(product)) == repr(datum_items(normalized))
         # the product datum rescaled as a whole, not factor by factor
         whole = rescaled(marked_lines(*sizes), [scale_draw(rng) for _ in range(7)])
         assert assert_assembly_matches_reference(whole)[0] == "model"
@@ -2382,6 +2390,27 @@ class TestModelAssemblyAgainstReference:
             assert assert_assembly_matches_reference(cd)[0] == "DatumError"
             assembled.append(cd._issues({}) == [])
         assert any(assembled)
+
+    @pytest.mark.parametrize("sizes, components", [((2, 2), 2), ((2, 2), 1), ((1, 1, 1), 1), ((2, 1), 1)])
+    def test_steps_along_indices_above_the_components(self, sizes, components):
+        # validation reads no step along a component index above
+        # `components`, so assembly is the first to read one: with one or
+        # two of them missing, with and without the cup tables of the
+        # strata of two or more components, the first DatumError is the one
+        # that restricting each basis pair raised, text included
+        cd = marked_lines(*sizes)
+        above = [(key, p) for key, blocks in cd.restrictions.items() if key[1] > components for p in blocks]
+        outcomes = set()
+        for drop in [()] + [(x,) for x in above] + list(combinations(above, 2)):
+            restrictions = {key: dict(blocks) for key, blocks in cd.restrictions.items()}
+            for key, p in drop:
+                del restrictions[key][p]
+            for cups in (cd.cups, {key: table for key, table in cd.cups.items() if len(key) < 2}):
+                broken = CompactificationDatum(components, cd.cohomology, restrictions, cd.gysins, cups)
+                assert broken._issues({}) == []
+                outcomes.add(assert_assembly_matches_reference(broken))
+        assert {kind for kind, _ in outcomes} == {"model", "DatumError"}
+        assert len([text for kind, text in outcomes if kind == "DatumError"]) > 1
 
     @pytest.mark.parametrize("sizes", [(1,), (1, 0), (0, 1), (1, 1), (2, 1), (1, 0, 1)])
     def test_missing_step_into_a_stratum_without_products(self, sizes):
@@ -2412,6 +2441,26 @@ class TestModelAssemblyAgainstReference:
                                      ncols=src)
                         want = reference.restriction(cd, i_key, j_key, p)
                         assert (got.shape, got.rows) == (want.shape, want.rows)
+
+
+class TestAssemblyWork:
+    """`build_model` assembles the products one target stratum U at a
+    time: each composite to U is read and lifted once per U, each cup table
+    of U scaled once, and each split of U with live rows joined once."""
+
+    @pytest.mark.parametrize("sizes, counts", [
+        # assembled one block pair at a time, the square made 462
+        # `_composite` and 233 `_scaled` calls and the cube 808 and 468;
+        # `_scaled` counts validation's cup checks too
+        ((5, 5), {"_composite": 193, "_scaled": 128, "_accumulate": 166}),
+        ((2, 2, 2), {"_composite": 296, "_scaled": 250, "_accumulate": 292}),
+    ])
+    def test_assembly_work_counts(self, count_calls, sizes, counts):
+        cd = marked_lines(*sizes)
+        calls = count_calls(morganmodel, "_scaled", "_accumulate")
+        composites = count_calls(CompactificationDatum, "_composite")
+        build_model(cd)
+        assert {**calls, **composites} == counts
 
 
 class TestBudgets:
@@ -2620,9 +2669,10 @@ class TestBudgets:
 
     def test_square_kernel_witness_one_kernel_basis_per_bidegree(self, count_calls):
         # the witness reads the cocycles of the model's cached column data,
-        # so each kernel elimination is that of one nonempty column, and only
-        # a column with a stored d_out makes one: elsewhere the cocycles are
-        # the standard basis (the model's (0, 0) and the witness's columns)
+        # and each stored d is eliminated once, when the refusal ranks it:
+        # a column with a stored d_out reads its relations, and elsewhere
+        # the cocycles are the standard basis (the model's (0, 0) and the
+        # witness's columns)
         line = builder_projective_line_marked(5)
         model = build_model(kunneth_product(line, line))
         kernels = count_calls(morganmodel, "_relations")
@@ -2630,7 +2680,8 @@ class TestBudgets:
         assert extract_kernel_model(model, INF).quasi_iso.ok
         built = [(id(m), kq) for _, m, kq in inits if m.dim(kq)]
         assert len(built) == len(set(built)) == 6
-        assert kernels["_relations"] == sum(kq in m.d for _, m, kq in inits if m.dim(kq)) == 2
+        assert sum(kq in m.d for _, m, kq in inits if m.dim(kq)) == 2
+        assert kernels["_relations"] == len(model.d) == 3
 
     @pytest.mark.parametrize("sizes, extract", [((5, 5), extract_kernel_model), ((0, 0), extract_cokernel_model)])
     def test_model_route_makes_no_dense_matrix(self, count_calls, sizes, extract):

@@ -42,6 +42,10 @@ KEPT_UNREACHABLE = {
 # Method names, dunders aside, that another package class also defines as
 # a method, property, field or instance attribute.
 SHARED_METHOD_NAMES = {
+    # `BigradedModel._adopt` and `CompactificationDatum._adopt`, the
+    # constructors that hold what `build_model`, the witnesses and
+    # `kunneth_product` have just built without the public one's pass
+    "_adopt",
     # the property `Layer.codim`, which `Layer.dim` reads; the strata hold a field
     "codim",
     # the model route reads `BigradedModel.dim`, `CompactificationDatum.dim`
