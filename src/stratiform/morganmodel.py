@@ -20,7 +20,8 @@ is assembled block by block, a block being the summand of one stratum
 and degree: d from the nonzero entries of its Gysin blocks, and the
 products one target stratum U at a time, each cup table of U joined
 with the rows of the composites into U of the splits of U into two
-blocks.  All checks are exact identities.  A model
+blocks, which is the only order assembly reads them in.  All checks are
+exact identities.  A model
 keeps its maps in one form only, integers over one scale D (the product
 tables and the sparse columns of each stored d), with `products` a
 rational view made on each read; a morphism keeps the sparse integer
@@ -40,8 +41,11 @@ reaches, and no tuple holding a verified unit.  A map is checked once,
 where it enters: `BigradedModel` refuses a differential that does not
 map between its spaces and a stored product with a nonzero entry
 outside its space, `CdgaMorphism` a block that does not map between its
-spaces, and a datum's validation (`_issues`) lists a missing or
-misshapen restriction step once.  `cohomology_of_model` is the one
+spaces, `CompactificationDatum` a stratum with a component index
+outside 1..components, a negative degree or a negative dimension (and
+it reads each cup constant once, as an int or a Fraction), and a
+datum's validation (`_issues`) lists a missing or misshapen restriction
+step once.  `cohomology_of_model` is the one
 reader of a model's cohomology dimensions, ranking each stored d once
 and keeping the result on the model; it gives no dimensions for a
 sequence that is not a complex, but raises the ValueError "d o d
@@ -240,7 +244,7 @@ def _nonzero_keys(acc: Mapping) -> list:
 def _sorted_subset(i_set: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(int(i) for i in i_set))
     if len(set(out)) != len(out):
-        raise ValueError("repeated component index in %r" % (out,))
+        raise DatumError("repeated component index in %r" % (out,))
     return out
 
 
@@ -254,6 +258,19 @@ class CompactificationDatum:
     increasing component order, and `build_model` checks functoriality.
     `gysins[(I, i)][p]` maps H^p(D_I) -> H^{p+2}(D_{I-i}).  `cups[I][(p, p')]`
     holds sparse structure constants {(a, b): {c: coeff}}.
+
+    The constructor is the one place that checks and converts this input.
+    It raises DatumError for the first key of `cohomology`, in the order
+    given, that names a component twice ("repeated component index in
+    I"), holds an index outside 1..components ("stratum I has a component
+    index outside 1..N") or maps a negative degree to classes or a degree
+    to a negative dimension ("stratum I has a negative degree or dimension
+    in {p: dim}", its nonzero dimensions); then for the first key of the
+    maps that names a component twice.  It reads every cup constant once
+    as an int or a Fraction: a float exactly, a string such as "1/10" as
+    parsed, and one that is no number raises Fraction's ValueError.  So
+    every stratum lies inside the components, assembly meets no negative
+    degree, and the checks and the model read the constants as they are.
     """
 
     def __init__(
@@ -268,7 +285,11 @@ class CompactificationDatum:
         self.cohomology = {}
         for i_set, dims in cohomology.items():
             key = _sorted_subset(i_set)
+            if key and not (0 < key[0] and key[-1] <= self.components):
+                raise DatumError("stratum %r has a component index outside 1..%d" % (key, self.components))
             clean = {int(p): int(d) for p, d in dims.items() if d}
+            if min(clean, default=0) < 0 or min(clean.values(), default=0) < 0:
+                raise DatumError("stratum %r has a negative degree or dimension in %r" % (key, clean))
             if clean:
                 self.cohomology[key] = clean
         self.restrictions = {
@@ -279,14 +300,19 @@ class CompactificationDatum:
             (_sorted_subset(i_set), int(i)): {int(p): blk for p, blk in blocks.items()}
             for (i_set, i), blocks in (gysins or {}).items()
         }
-        self.cups = {_sorted_subset(i_set): dict(table) for i_set, table in (cups or {}).items()}
+        self.cups = {_sorted_subset(i_set): {pp: {ab: {c: _rational(v) for c, v in vec.items()}
+                                                  for ab, vec in entries.items()} for pp, entries in table.items()}
+                     for i_set, table in (cups or {}).items()}
 
     @classmethod
     def _adopt(cls, components: int, cohomology: dict, restrictions: dict, gysins: dict,
                cups: dict) -> CompactificationDatum:
         """A datum over the dicts its caller has just built in the form
-        `__init__` makes, held without that pass: keys sorted tuples and
-        ints, no zero dimension and no stratum without classes."""
+        `__init__` makes, held without that pass, and so without its
+        checks: keys sorted tuples and ints, every component index in
+        1..components, no zero, negative or negative-degree dimension, no
+        stratum without classes, and every cup constant an int or a
+        Fraction.  `kunneth_product` meets these by construction."""
         cd = cls.__new__(cls)
         cd.components, cd.cohomology, cd.restrictions, cd.gysins, cd.cups = (
             components, cohomology, restrictions, gysins, cups)
@@ -382,7 +408,9 @@ class CompactificationDatum:
         composites differ at a degree where D_{I+j1+j2} has classes; then
         the cup faults of D_I.  `build_model` refuses a datum with any.
         Once a pair's two composites are compared, the one along (j2, j1)
-        leaves `memo`: assembly composes in ascending order only.
+        leaves `memo`: assembly composes in ascending order only.  The
+        constructor has refused a stratum with an index outside
+        1..components, so every step that assembly reads is read here.
 
         Only the pairs whose D_{I+j1+j2} is a stratum compose, since both
         composites are zero otherwise.  A pair whose composite needs a
@@ -394,7 +422,7 @@ class CompactificationDatum:
         for t_key, top in cohomology.items():
             for j1, j2 in combinations(t_key, 2):
                 i_key = tuple(x for x in t_key if x != j1 and x != j2)
-                if i_key in cohomology and 0 < j1 and j2 <= self.components:
+                if i_key in cohomology:
                     tops.setdefault(i_key, []).append((j1, j2, top))
         for i_key in self.subsets():
             degrees = sorted(cohomology[i_key])
@@ -433,7 +461,7 @@ class CompactificationDatum:
         follow in the order of the loop over the labels (p, a), and sweep
         such a product as it is."""
         cups = self.cups.get(i_key, {})
-        scale = math.lcm(*(_rational(v).denominator
+        scale = math.lcm(*(v.denominator
                            for entries in cups.values() for vec in entries.values() for v in vec.values() if v))
         tables = {((p, 0), (p2, 0)): {ab: {c: _scaled(v, scale) for c, v in vec.items() if v}
                                       for ab, vec in entries.items()}
@@ -584,9 +612,10 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     """Assemble the model of the complement from a compactification datum.
 
     The summand for (I, degree p) sits in bidegree (k, q) = (p + |I|,
-    p + 2|I|); negative p never occurs, so degenerate summands are
-    excluded structurally.  Raises DatumError when a required map is
-    missing or the datum fails validation.
+    p + 2|I|); negative p never occurs, as the datum's constructor refuses
+    it, so degenerate summands are excluded structurally.  Raises
+    DatumError when the datum fails validation (`_issues`) or a Gysin
+    block is missing or misshapen.
 
     The model is assembled in integers, block by block, a block being the
     summand of one (I, p).  The differential is written as sparse columns,
@@ -602,11 +631,8 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     model's D once.  The tables are collected by bidegree pair and written
     at the end in the order of `spaces`, keys ascending.  Validation and
     assembly share one memo of composites, released before the model is
-    made.  A step of a component index outside 1..components is one that
-    validation does not read; where a stratum has such an index, every
-    disjoint pair of blocks whose product bidegree has a space takes its
-    composites first, in the order of the basis pairs, so the first
-    DatumError is the one that restricting each basis pair raised.
+    made.  This walk is the only read order: every stratum lies inside
+    1..components, so validation has read every step the walk composes.
     """
     composites: dict = {}
     issues = cd._issues(composites)
@@ -644,16 +670,6 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                         if v:
                             cols[off + j][row_off + t] = -v if negate else v
 
-    if any(not 0 < x <= cd.components for i_key in cohomology for x in i_key):
-        # validation reads no step along such an index, and the walk below
-        # only the composites it joins: read those of every pair first
-        for (kq1, blocks1), (kq2, blocks2) in product(blocks.items(), repeat=2):
-            if (kq1[0] + kq2[0], kq1[1] + kq2[1]) in spaces:
-                for (i1, p1, _), (i2, p2, _) in product(blocks1, blocks2):
-                    if not set(i1) & set(i2):
-                        union = tuple(sorted(i1 + i2))
-                        for i_key, p in ((i1, p1), (i2, p2)):
-                            cd._composite(composites, i_key, tuple(x for x in union if x not in i_key), p)
     found: dict = {}  # (kq1, kq2) -> {(a, b): ab}, each key filled by one split
     groups: dict[int, list] = {}  # denominator -> the vectors of the splits over it
     for u_key in cd.subsets():
@@ -683,7 +699,7 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                     if not rows1 or not rows2:
                         continue
                     if table is None:
-                        den = math.lcm(*(_rational(v).denominator for vec in entries.values() for v in vec.values()))
+                        den = math.lcm(*(v.denominator for vec in entries.values() for v in vec.values()))
                         # the keys ascend, so that each vector lists its entries
                         # in the order of the (a2, b2) that reach them
                         table = {ab: {base[1] + c: _scaled(v, den) for c, v in vec.items()}

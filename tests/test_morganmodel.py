@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import random
@@ -395,12 +396,44 @@ class TestDatumValidation:
 
     @pytest.mark.parametrize("one", [1.0, "1"])
     def test_cup_constant_read_as_a_rational(self, one):
-        # validation reads a float or string constant as a rational, and so
-        # does the assembly, which took its denominator from the value as given
+        # the datum reads a float or string constant as a rational where it
+        # is made, so validation and assembly both meet a Fraction
         cd = CompactificationDatum(0, {(): {0: 1}}, {}, {}, {(): {(0, 0): {(0, 0): {0: one}}}})
         assert cd._issues({}) == []
         model, point = build_model(cd), build_model(builder_point())
         assert (model.spaces, model.scale, model.d, model.tables) == (point.spaces, point.scale, point.d, point.tables)
+
+    @pytest.mark.parametrize("cohomology, text", [
+        ({(): {0: 1}, (0,): {0: 1}}, "stratum (0,) has a component index outside 1..2"),
+        ({(): {0: 1}, (-1,): {0: 1}}, "stratum (-1,) has a component index outside 1..2"),
+        ({(): {0: 1}, (1, 3): {0: 1}, (0,): {0: 1}}, "stratum (1, 3) has a component index outside 1..2"),
+        # the first such key in the order given, not in `subsets` order
+        ({(3,): {0: 1}, (): {0: 1}, (0,): {0: 1}}, "stratum (3,) has a component index outside 1..2"),
+        ({(2, 1, 2): {0: 1}}, "repeated component index in (1, 2, 2)"),
+    ])
+    def test_stratum_outside_the_components_refused(self, cohomology, text):
+        with pytest.raises(DatumError, match="^" + re.escape(text) + "$"):
+            CompactificationDatum(2, cohomology)
+
+    @pytest.mark.parametrize("cohomology, text", [
+        # this made a model with a (-2, -2) space, whose cokernel witness
+        # gave a failing verdict instead of refusing
+        ({(): {0: 1, -2: 1}}, "stratum () has a negative degree or dimension in {0: 1, -2: 1}"),
+        # this made a model holding an empty space (2, 2): ()
+        ({(): {0: 1, 2: -1}}, "stratum () has a negative degree or dimension in {0: 1, 2: -1}"),
+        # a point stratum of dimension -1 was refused only as a restriction
+        # "expected (-1, 1)"
+        ({(): {0: 1, 2: 1}, (1,): {0: -1}}, "stratum (1,) has a negative degree or dimension in {0: -1}"),
+    ])
+    def test_negative_degree_or_dimension_refused(self, cohomology, text):
+        line = builder_projective_line_marked(1)
+        with pytest.raises(DatumError, match="^" + re.escape(text) + "$"):
+            CompactificationDatum(1, cohomology, line.restrictions, line.gysins, line.cups)
+
+    def test_negative_degree_without_classes_is_absent(self):
+        # a zero dimension means no classes, in any degree
+        cd = CompactificationDatum(0, {(): {0: 1, -2: 0}}, {}, {}, builder_point().cups)
+        assert cd.cohomology == {(): {0: 1}}
 
 
 def square_of_points(restrictions):
@@ -422,7 +455,7 @@ class TestRestrictionFunctoriality:
     def test_restriction_arguments_checked(self):
         # a restriction keyed by a stratum that names a component twice is
         # refused where the datum is made
-        with pytest.raises(ValueError, match=r"^repeated component index in \(1, 1\)$"):
+        with pytest.raises(DatumError, match=r"^repeated component index in \(1, 1\)$"):
             square_of_points({((), 1): 2, ((), 2): 3, ((1,), 2): 3, ((2,), 1): 2, ((1, 1), 2): 1})
 
     def test_non_commuting_square_named(self):
@@ -949,12 +982,13 @@ class TestSparseAxiomsAgainstDenseOracle:
             build_model(cd)
 
     def test_point_stratum_refuses_an_unusable_constant(self):
+        # a constant that is no number is refused where the datum is made,
+        # also in a table of a degree the stratum has no classes in
         cd = builder_projective_line_marked(1)
         for table in ({(0, 0): {(0, 0): {0: "one"}}}, {(0, 0): {(0, 0): {0: F(1)}}, (0, 2): {(0, 0): {0: "one"}}}):
-            bad = CompactificationDatum(cd.components, cd.cohomology, cd.restrictions, cd.gysins,
-                                        {**cd.cups, (1,): table})
             with pytest.raises(ValueError, match="one"):
-                bad._check_cup((1,))
+                CompactificationDatum(cd.components, cd.cohomology, cd.restrictions, cd.gysins,
+                                      {**cd.cups, (1,): table})
 
     def test_morphism_checks_match_dense(self):
         cd2 = builder_projective_line_marked(2)
@@ -2262,6 +2296,25 @@ class TestKunnethAgainstReference:
             for p in sorted(blocks):
                 assert_matches_reference(negate_gysin_block(square, i_set, i, p), line2)
 
+    @pytest.mark.parametrize("constant, square", [
+        (0.1, F(0.1) ** 2),  # not the float 0.1 * 0.1 = 0.010000000000000002
+        ("1/10", F(1, 100)),  # not a TypeError from multiplying strings
+        (F(1, 10), F(1, 100)),
+        (3, F(9)),
+    ])
+    def test_cup_constants_multiply_exactly(self, constant, square):
+        # the datum reads each cup constant as a rational where it is made,
+        # so the square of a line multiplies rationals
+        cups = {pp: {(0, 0): {0: constant}} for pp in ((0, 0), (0, 2), (2, 0))}
+        line = CompactificationDatum(0, {(): {0: 1, 2: 1}}, {}, {}, {(): cups})
+        sq = kunneth_product(line, line)
+        constants = [v for table in sq.cups[()].values() for vec in table.values() for v in vec.values()]
+        assert len(constants) == 9 and all(type(v) is F and v == square for v in constants)
+        normalized = CompactificationDatum(sq.components, sq.cohomology, sq.restrictions, sq.gysins, sq.cups)
+        assert repr(datum_items(sq)) == repr(datum_items(normalized))
+        built = assembly_outcome(build_model, sq)
+        assert built[0] == "model" and built == assembly_outcome(build_model, normalized)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.sampled_from(sorted(KUNNETH_FACTORS)), min_size=2, max_size=3),
@@ -2391,13 +2444,20 @@ class TestModelAssemblyAgainstReference:
             assembled.append(cd._issues({}) == [])
         assert any(assembled)
 
-    @pytest.mark.parametrize("sizes, components", [((2, 2), 2), ((2, 2), 1), ((1, 1, 1), 1), ((2, 1), 1)])
-    def test_steps_along_indices_above_the_components(self, sizes, components):
-        # validation reads no step along a component index above
-        # `components`, so assembly is the first to read one: with one or
-        # two of them missing, with and without the cup tables of the
-        # strata of two or more components, the first DatumError is the one
-        # that restricting each basis pair raised, text included
+    @pytest.mark.parametrize("sizes, components, first, last", [
+        ((2, 2), 2, (3,), (2, 4)),
+        ((2, 2), 1, (3,), (2, 4)),
+        ((1, 1, 1), 1, (3,), (1, 2, 3)),
+        ((2, 1), 1, (3,), (2, 3)),
+    ])
+    def test_steps_along_indices_above_the_components(self, sizes, components, first, last):
+        # a datum whose strata use a component index above `components` is
+        # refused where it is made, at the first such key of `cohomology` in
+        # the order given, whatever steps it is missing and with or without
+        # the cup tables of the strata of two or more components; with the
+        # components its strata use, validation lists each missing step, and
+        # the first DatumError of the assembly is the reference's, text
+        # included
         cd = marked_lines(*sizes)
         above = [(key, p) for key, blocks in cd.restrictions.items() if key[1] > components for p in blocks]
         outcomes = set()
@@ -2406,9 +2466,13 @@ class TestModelAssemblyAgainstReference:
             for key, p in drop:
                 del restrictions[key][p]
             for cups in (cd.cups, {key: table for key, table in cd.cups.items() if len(key) < 2}):
-                broken = CompactificationDatum(components, cd.cohomology, restrictions, cd.gysins, cups)
-                assert broken._issues({}) == []
-                outcomes.add(assert_assembly_matches_reference(broken))
+                for cohomology, key in ((cd.cohomology, first), (dict(reversed(cd.cohomology.items())), last)):
+                    text = "stratum %r has a component index outside 1..%d" % (key, components)
+                    with pytest.raises(DatumError, match="^" + re.escape(text) + "$"):
+                        CompactificationDatum(components, cohomology, restrictions, cd.gysins, cups)
+                whole = CompactificationDatum(cd.components, cd.cohomology, restrictions, cd.gysins, cups)
+                assert (whole._issues({}) == []) == (not drop)
+                outcomes.add(assert_assembly_matches_reference(whole))
         assert {kind for kind, _ in outcomes} == {"model", "DatumError"}
         assert len([text for kind, text in outcomes if kind == "DatumError"]) > 1
 
@@ -2441,6 +2505,77 @@ class TestModelAssemblyAgainstReference:
                                      ncols=src)
                         want = reference.restriction(cd, i_key, j_key, p)
                         assert (got.shape, got.rows) == (want.shape, want.rows)
+
+
+def constant_forms(v):
+    """The ways a caller may write the rational v as a cup constant: a
+    Fraction, its string, a float near it, and an int where v is one."""
+    return [v, str(v), float(v)] + ([int(v)] if v.denominator == 1 else [])
+
+
+def perturbed_marked_lines(rng):
+    """The constructor arguments of a drawn marked-line datum with up to three
+    drawn perturbations: an index of a stratum moved (to 0, past the
+    components or onto another index), the number of components moved, a
+    negative degree or dimension, a cup constant rescaled and written as an
+    int, float, string or Fraction, or one that is no number, and a
+    restriction or Gysin block dropped or widened."""
+    cd = marked_lines(*([rng.randint(0, 3) for _ in range(rng.randint(1, 2))] if rng.random() < 0.8
+                        else [rng.randint(0, 1) for _ in range(3)]))
+    components = cd.components
+    cohomology = {key: dict(dims) for key, dims in cd.cohomology.items()}
+    maps = {"restrictions": {key: dict(blocks) for key, blocks in cd.restrictions.items()},
+            "gysins": {key: dict(blocks) for key, blocks in cd.gysins.items()}}
+    cups = {key: {pp: {ab: dict(vec) for ab, vec in entries.items()} for pp, entries in table.items()}
+            for key, table in cd.cups.items()}
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("index", "components", "degree", "dimension", "constant", "constant", "drop", "widen"))
+        key = rng.choice(list(cohomology))
+        if kind == "index" and key:
+            pos = rng.randrange(len(key))
+            cohomology[key[:pos] + (key[pos] + rng.choice((-2, -1, 1, 2)),) + key[pos + 1:]] = cohomology.pop(key)
+        elif kind == "components":
+            components += rng.choice((-1, 1))
+        elif kind == "degree":
+            cohomology[key][rng.choice((-2, -1))] = rng.randint(1, 2)
+        elif kind == "dimension":
+            p = rng.choice(list(cohomology[key]))
+            cohomology[key][p] = -cohomology[key][p]
+        elif kind == "constant":
+            vec = rng.choice([vec for table in cups.values() for entries in table.values() for vec in entries.values()])
+            c = rng.choice(list(vec))
+            if vec[c] != "one":
+                vec[c] = rng.choice(constant_forms(F(vec[c]) * scale_draw(rng)) + ["one"])
+        elif kind in ("drop", "widen"):
+            places = [(name, key) for name, blocks in maps.items() for key in sorted(blocks) if blocks[key]]
+            if places:
+                name, key = rng.choice(places)
+                p = rng.choice(sorted(maps[name][key]))
+                maps[name] = (without if kind == "drop" else widened)(maps[name], key, p)
+    return components, cohomology, maps["restrictions"], maps["gysins"], cups
+
+
+class TestDrawnDatumInput:
+    def test_each_draw_is_refused_or_built_as_the_reference(self):
+        # every drawn input is refused where the datum is made (a DatumError,
+        # or Fraction's ValueError for a constant that is no number), or
+        # refused by `build_model` with the reference's DatumError text, or
+        # built equal to the reference's model; no other exception escapes
+        rng = random.Random("drawn-datum-input")
+        endings = collections.Counter()
+        for _ in range(800):
+            args = perturbed_marked_lines(rng)
+            try:
+                cd = CompactificationDatum(*args)
+            except DatumError:
+                endings["constructor DatumError"] += 1
+                continue
+            except ValueError as err:
+                assert str(err) == "Invalid literal for Fraction: 'one'"
+                endings["constructor ValueError"] += 1
+                continue
+            endings[assert_assembly_matches_reference(cd)[0]] += 1
+        assert set(endings) == {"constructor DatumError", "constructor ValueError", "DatumError", "model"}
 
 
 class TestAssemblyWork:
