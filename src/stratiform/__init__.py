@@ -7,7 +7,7 @@ models built from compactification data.
 """
 
 from stratiform.exactalg import Matrix, hermite_basis
-from stratiform.toriclayers import Layer, ToricHypersurface, torus_cohomology
+from stratiform.toriclayers import ToricHypersurface, torus_cohomology
 from stratiform.leraymodel import (
     FormalityCertificate,
     LerayTable,

@@ -58,7 +58,14 @@ from stratiform.morganmodel import (
     negate_gysin_block,
     verify_cdga_axioms,
 )
-from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_search, mod1
+from stratiform.toriclayers import (
+    ToricHypersurface,
+    _layer_name,
+    layer_order,
+    layer_search,
+    mod1,
+    torus_cohomology,
+)
 
 INF = math.inf
 DEFAULT_MAX_STRATA = 100_000
@@ -251,13 +258,21 @@ def _flat_nodes(af: ArrangementFile, max_strata: int):
     return [(len(key), n - len(key), _flat_name(key, text)) for key in keys], masks, covers
 
 
-def _poset_nodes_and_covers(af: ArrangementFile, max_strata: int):
-    """(codim, dim, name) of each layer or flat, in the order of its search,
-    and the covers, read off the searches' integer keys like the strata."""
+def _layer_nodes(af: ArrangementFile, max_strata: int):
+    """(codim, dim, name) of each layer of a toric file, in the order of
+    `layer_order`, the covers, and mu."""
     n = af.dim
+    keys, covers, mobius = layer_order(layer_search(n, _toric_hypersurfaces(af), max_strata))
+    return [(len(span), n - len(span), _layer_name(span, phases)) for span, phases in keys], covers, mobius
+
+
+def _poset_nodes_and_covers(af: ArrangementFile, max_strata: int):
+    """(codim, dim, name) of each layer or flat, in the order of
+    `layer_order` or `flat_order`, and the covers, read off the searches'
+    integer keys like the strata."""
     if af.kind == "toric":
-        keys, covers, _ = layer_search(n, _toric_hypersurfaces(af), max_strata)
-        return [(len(key[0]), n - len(key[0]), _layer_name(*key)) for key in keys], covers
+        nodes, covers, _ = _layer_nodes(af, max_strata)
+        return nodes, covers
     if af.kind == "hyperplane":
         nodes, _, covers = _flat_nodes(af, max_strata)
         return nodes, covers
@@ -387,6 +402,10 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
             nodes, masks, covers = _flat_nodes(af, max_strata)
             strata = [(codim, abs(mu), ((0, 1, 0),), key)
                       for (codim, _, key), mu in zip(nodes, flat_mobius(masks, covers))]
+        elif af.kind == "toric":  # the layers in the order of the poset's nodes
+            nodes, _, mobius = _layer_nodes(af, max_strata)
+            strata = [(codim, abs(mu), torus_cohomology(dim), key)
+                      for (codim, dim, key), mu in zip(nodes, mobius)]
         else:
             strata = [(s.codim, s.local_dim, s.cohomology, s.key) for s in _strata_data(af, max_strata).strata]
         rows = [

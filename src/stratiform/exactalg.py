@@ -6,19 +6,20 @@ the public `BigradedModel` and `CdgaMorphism` constructors take for d
 and for a morphism's blocks, which they convert once to the sparse
 integer columns they keep, so it keeps construction, shape and equality
 only.  The computations are integer-only.
-Smith normal form pivots on the entry of smallest absolute value, ties
-broken by lowest (row, column); Hermite bases are row-style with positive
-pivots and the entries above each pivot reduced into [0, pivot).  These
-fixed rules make every result deterministic.  All comparisons are exact;
-no tolerance parameter exists anywhere in this package.
+Hermite bases are row-style with positive pivots and the entries above
+each pivot reduced into [0, pivot); a unimodular completion runs Euclid
+on the entry of smallest absolute value, ties broken by lowest column.
+These fixed rules make every result deterministic.  All comparisons are
+exact; no tolerance parameter exists anywhere in this package.
 
-One Smith core, `_smith_core`, works on lists of ints and carries the
-inverse of its right transform along with it (each column operation is
-mirrored by the inverse row operation), so the toric layers need no
-rational elimination.  The affine intersection poset is integer-only as
-well, and `morganmodel` eliminates sparse integer columns of its own, so
-no production path eliminates or multiplies a dense matrix.  The dense
-rational elimination the tests use as an oracle lives in
+The toric layers need no Smith form: a layer's span is saturated, so
+`_completion` brings its Hermite basis to [I | 0] by column steps alone
+and carries the inverse of its transform along with it (each column
+step is mirrored by the inverse row step), with no rational elimination.
+The affine intersection poset is integer-only as well, and `morganmodel`
+eliminates sparse integer columns of its own, so no production path
+eliminates or multiplies a dense matrix.  The dense rational elimination
+and the Smith form that the tests use as oracles live in
 `tests/reference.py`.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 def _frac(x) -> Fraction:
@@ -93,110 +94,55 @@ class Matrix:
         return "Matrix(%s)" % (list(list(map(str, r)) for r in self.rows),)
 
 
-# -- Smith normal form -------------------------------------------------
+# -- unimodular completion ---------------------------------------------
 
 
-class _IntSmith(NamedTuple):
-    """Integer Smith data: left @ a @ right = diag, right_inverse = right^-1."""
+def _completion(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A unimodular R with rows @ R = [I | 0], for the `rows` of a basis
+    of a saturated lattice in Z^ncols, as the columns of R and the rows of
+    R^-1.
 
-    left: list[list[int]]
-    diag: tuple[int, ...]
-    right: list[list[int]]
-    right_inverse: list[list[int]]
-
-
-def _smith_core(rows: Sequence[Sequence[int]], ncols: int) -> _IntSmith:
-    """Smith normal form of an integer matrix given as lists of ints.
-
-    Pivot rule: entry of smallest absolute value in the unfinished
-    submatrix, ties broken by lowest (row, column).  Every column
-    operation on `right` is mirrored as the inverse row operation on
-    `right_inverse`, so the inverse comes out integral with no
-    elimination.
+    Column steps alone: for each row in turn, a Euclid run on its entries
+    from its own column on leaves one nonzero entry, which must be +-1
+    (the saturation check); it is moved to the row's column and made 1,
+    and the row's earlier entries are cleared against it, which leaves
+    the earlier rows, zero in that column, as they were.  The Euclid run
+    divides by the entry of smallest absolute value, lowest column first.
+    Every column step on R is mirrored as the inverse row step on R^-1,
+    so the inverse comes out integral with no elimination.
     """
-    a = [list(row) for row in rows]
-    nr, nc = len(a), ncols
-    left = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    right_inv = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    a = [list(col) for col in zip(*rows)] or [[] for _ in range(ncols)]  # the columns of rows @ R
+    right = [[int(i == j) for i in range(ncols)] for j in range(ncols)]  # the columns of R
+    inverse = [[int(i == j) for j in range(ncols)] for i in range(ncols)]  # the rows of R^-1
 
-    def row_sub(i, j, q):  # row_i -= q * row_j on a and left
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        left[i] = [x - q * y for x, y in zip(left[i], left[j])]
+    def col_sub(j, k, q):  # col_j -= q * col_k on a and R; row_k += q * row_j on R^-1
+        a[j] = [x - q * y for x, y in zip(a[j], a[k])]
+        right[j] = [x - q * y for x, y in zip(right[j], right[k])]
+        inverse[k] = [x + q * y for x, y in zip(inverse[k], inverse[j])]
 
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    def col_sub(j, k, q):  # col_j -= q * col_k on a and right; row_k += q * row_j on right_inv
-        for row in a:
-            row[j] -= q * row[k]
-        for row in right:
-            row[j] -= q * row[k]
-        right_inv[k] = [x + q * y for x, y in zip(right_inv[k], right_inv[j])]
-
-    def col_swap(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in right:
-            row[j], row[k] = row[k], row[j]
-        right_inv[j], right_inv[k] = right_inv[k], right_inv[j]
-
-    def stage(t: int) -> bool:
+    for i in range(len(rows)):
         while True:
-            best = None
-            pivot = None
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best):
-                        best = v
-                        pivot = (i, j)
-            if pivot is None:
-                return False
-            pi, pj = pivot
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            if a[t][t] < 0:
-                row_neg(t)
-            d = a[t][t]
-            clear = True
-            for i in range(t + 1, nr):
-                q = a[i][t] // d
-                if q:
-                    row_sub(i, t, q)
-                if a[i][t]:
-                    clear = False
-            if not clear:
-                continue
-            for j in range(t + 1, nc):
-                q = a[t][j] // d
-                if q:
-                    col_sub(j, t, q)
-                if a[t][j]:
-                    clear = False
-            if not clear:
-                continue
-            offender = None
-            for i in range(t + 1, nr):
-                if any(a[i][j] % d for j in range(t + 1, nc)):
-                    offender = i
-                    break
-            if offender is None:
-                return True
-            row_sub(t, offender, -1)  # merge the offending row, then redo
-
-    for t in range(min(nr, nc)):
-        if not stage(t):
-            break
-    diag = tuple(a[i][i] for i in range(min(nr, nc)))
-    return _IntSmith(left, diag, right, right_inv)
+            live = [j for j in range(i, ncols) if a[j][i]]
+            if len(live) < 2:
+                break
+            p = min(live, key=lambda j: abs(a[j][i]))
+            for j in live:
+                if j != p:
+                    col_sub(j, p, a[j][i] // a[p][i])
+        assert len(live) == 1 and abs(a[live[0]][i]) == 1, "the rows do not span a saturated lattice"
+        p = live[0]
+        if p != i:
+            a[i], a[p] = a[p], a[i]
+            right[i], right[p] = right[p], right[i]
+            inverse[i], inverse[p] = inverse[p], inverse[i]
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            right[i] = [-x for x in right[i]]
+            inverse[i] = [-x for x in inverse[i]]
+        for j in range(i):
+            if a[j][i]:
+                col_sub(j, i, a[j][i])
+    return right, inverse
 
 
 # -- Hermite bases and lattices -----------------------------------------

@@ -9,9 +9,10 @@ forced to vanish, so the table computes Betti numbers exactly, and the
 purity report upgrades to a formality certificate.
 
 A toric arrangement's strata are read off the integer keys of
-`layer_search`, as the `poset` command's nodes are, and an affine
+`layer_search`, in the order the search finds them, and an affine
 arrangement's off `flat_search` alone, unkeyed and unordered: the E2
-commands need only each flat's codimension and |mu|.  Each lower
+commands need only each stratum's codimension and |mu|, and only
+`poset` and `strata` sort them (`layer_order`, `flat_order`).  Each lower
 interval of either poset is a geometric lattice, the lattice of flats
 of a central arrangement, so mu comes from the covers by Weisner's
 theorem, mu(X) = -sum mu(Y) over the Y that X covers and that do not lie
@@ -90,8 +91,10 @@ def strata_data_from_toric(
     2p in degree p; the local dimension is |mu(ambient, layer)| in the
     layer poset, whose interval below the layer is the lattice of flats
     of the characters of hypersurfaces through it.  The layers of one
-    codimension share one cohomology tuple.  More than `max_strata`
-    layers raise ValueError.
+    codimension share one cohomology tuple.  The strata come by
+    codimension, in the order `layer_search` finds them, not in the
+    order `poset` prints them.  More than `max_strata` layers raise
+    ValueError.
     """
     keys, _, mobius = layer_search(ambient_dim, arrangement, max_strata)
     cohomology = [torus_cohomology(ambient_dim - q) for q in range(ambient_dim + 1)]

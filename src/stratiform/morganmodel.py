@@ -82,6 +82,10 @@ class DatumError(ValueError):
     """Structurally unusable compactification datum (missing or misshapen map)."""
 
 
+class ConstantError(ValueError):
+    """A structure constant that is not a finite rational number."""
+
+
 class ModelPurityError(RuntimeError):
     """Witness extraction refused: model cohomology off the required column."""
 
@@ -226,8 +230,39 @@ def _compose_rows(after: tuple[int, dict], before: tuple[int, dict]) -> tuple[in
 
 def _rational(v):
     """A structure constant as an int or a Fraction, which both carry a
-    numerator and a denominator."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+    numerator and a denominator; a ConstantError that names v where
+    Fraction cannot read it as a finite rational ("one", "1/0", an
+    infinite or NaN float, None)."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    try:
+        return Fraction(v)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as err:
+        raise ConstantError("structure constant %r is not a rational number" % (v,)) from err
+
+
+def _whole(x) -> int | None:
+    """x as an int where it is an integer (2, 2.0, Fraction(2), "2"), else
+    None: int() would truncate 2.9 to 2."""
+    if type(x) is int:
+        return x
+    try:
+        v = Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        return None
+    return v.numerator if v.denominator == 1 else None
+
+
+def _degree_blocks(blocks: Mapping, name: str, key) -> dict:
+    """The blocks of the map `name` `key`, by degree as an int; a DatumError
+    for the first degree that is not an integer."""
+    out = {}
+    for p, blk in blocks.items():
+        q = _whole(p)
+        if q is None:
+            raise DatumError("%s %r has a non-integral degree %r" % (name, key, p))
+        out[q] = blk
+    return out
 
 
 def _scaled(v, scale: int) -> int:
@@ -242,7 +277,11 @@ def _nonzero_keys(acc: Mapping) -> list:
 
 
 def _sorted_subset(i_set: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted(int(i) for i in i_set))
+    given = tuple(i_set)
+    ints = [_whole(i) for i in given]
+    if None in ints:
+        raise DatumError("component index in %r is not an integer" % (given,))
+    out = tuple(sorted(ints))
     if len(set(out)) != len(out):
         raise DatumError("repeated component index in %r" % (out,))
     return out
@@ -259,18 +298,31 @@ class CompactificationDatum:
     `gysins[(I, i)][p]` maps H^p(D_I) -> H^{p+2}(D_{I-i}).  `cups[I][(p, p')]`
     holds sparse structure constants {(a, b): {c: coeff}}.
 
-    The constructor is the one place that checks and converts this input.
-    It raises DatumError for the first key of `cohomology`, in the order
-    given, that names a component twice ("repeated component index in
+    The constructor is the one place that checks and converts this input,
+    and it truncates nothing: an integer may come as 2, 2.0, Fraction(2)
+    or "2".  It raises DatumError for a number of components that is not
+    an integer ("the number of components x is not an integer"); then for
+    the first key of `cohomology`, in the order given, that holds an
+    index that is not an integer ("component index in I is not an
+    integer"), names a component twice ("repeated component index in
     I"), holds an index outside 1..components ("stratum I has a component
-    index outside 1..N") or maps a negative degree to classes or a degree
-    to a negative dimension ("stratum I has a negative degree or dimension
-    in {p: dim}", its nonzero dimensions); then for the first key of the
-    maps that names a component twice.  It reads every cup constant once
+    index outside 1..N"), has a degree with classes or a dimension that
+    is not an integer ("stratum I has a non-integral degree or dimension
+    in {p: dim}", as given), or maps a negative degree to classes or a
+    degree to a negative dimension ("stratum I has a negative degree or
+    dimension in {p: dim}", its nonzero dimensions); then for the first
+    key of the maps, restrictions first, refused for its stratum the
+    same way, or whose step index ("restriction (I, j) has a
+    non-integral component index") or one of whose degrees
+    ("restriction (I, j) has a non-integral degree p"; "Gysin map (I,
+    i)" for a Gysin map) is not an integer; then for the first key of
+    the cups refused for its stratum.  It reads every cup constant once
     as an int or a Fraction: a float exactly, a string such as "1/10" as
-    parsed, and one that is no number raises Fraction's ValueError.  So
-    every stratum lies inside the components, assembly meets no negative
-    degree, and the checks and the model read the constants as they are.
+    parsed, and one that is no finite rational ("one", "1/0", an infinite
+    or NaN float, None) raises ConstantError, a ValueError that names
+    it.  So every stratum lies inside the components, assembly meets no
+    negative degree, and the checks and the model read the constants as
+    they are.
     """
 
     def __init__(
@@ -281,25 +333,29 @@ class CompactificationDatum:
         gysins: Mapping | None = None,
         cups: Mapping | None = None,
     ):
-        self.components = int(components)
+        self.components = _whole(components)
+        if self.components is None:
+            raise DatumError("the number of components %r is not an integer" % (components,))
         self.cohomology = {}
         for i_set, dims in cohomology.items():
             key = _sorted_subset(i_set)
             if key and not (0 < key[0] and key[-1] <= self.components):
                 raise DatumError("stratum %r has a component index outside 1..%d" % (key, self.components))
-            clean = {int(p): int(d) for p, d in dims.items() if d}
+            clean = {_whole(p): _whole(d) for p, d in dims.items() if d}
+            if None in clean or None in clean.values():
+                raise DatumError("stratum %r has a non-integral degree or dimension in %r" % (key, dict(dims)))
             if min(clean, default=0) < 0 or min(clean.values(), default=0) < 0:
                 raise DatumError("stratum %r has a negative degree or dimension in %r" % (key, clean))
             if clean:
                 self.cohomology[key] = clean
-        self.restrictions = {
-            (_sorted_subset(i_set), int(j)): {int(p): blk for p, blk in blocks.items()}
-            for (i_set, j), blocks in (restrictions or {}).items()
-        }
-        self.gysins = {
-            (_sorted_subset(i_set), int(i)): {int(p): blk for p, blk in blocks.items()}
-            for (i_set, i), blocks in (gysins or {}).items()
-        }
+        self.restrictions, self.gysins = {}, {}
+        for name, given, held in (("restriction", restrictions, self.restrictions),
+                                  ("Gysin map", gysins, self.gysins)):
+            for (i_set, x), blocks in (given or {}).items():
+                key = (_sorted_subset(i_set), _whole(x))
+                if key[1] is None:
+                    raise DatumError("%s %r has a non-integral component index" % (name, (key[0], x)))
+                held[key] = _degree_blocks(blocks, name, key)
         self.cups = {_sorted_subset(i_set): {pp: {ab: {c: _rational(v) for c, v in vec.items()}
                                                   for ab, vec in entries.items()} for pp, entries in table.items()}
                      for i_set, table in (cups or {}).items()}
@@ -514,8 +570,10 @@ class BigradedModel:
     ValueError("product (kq1, a) x (kq2, b) has entry c outside
     M^k_q"), the first nonzero entry c outside its target space of a
     stored product of basis vectors a and b, in the order of (kq1, kq2,
-    a, b, c).  So every check and witness may take each d and each
-    product to map into its space.  Keys outside the basis, tables on
+    a, b, c).  Between the two, a product constant that is no finite
+    rational raises ConstantError, a ValueError that names it.  So every
+    check and witness may take each d and each product to map into its
+    space.  Keys outside the basis, tables on
     bidegrees without a space and explicit zeros outside a space are
     kept and ignored.
     """

@@ -7,22 +7,23 @@ intersection of hypersurfaces: a translate of a subtorus, encoded by a
 saturated character lattice in canonical Hermite form together with one
 phase per basis row.  Phases live in Q/Z, represented in [0, 1).
 
-`layers_from_equations` solves a whole system at once.  The layers are
-searched breadth first instead (`layer_search`), one hypersurface at a
-time, in quotient coordinates of the layer being cut (De Concini-Procesi
-2005: a layer is a translate of a subtorus with a saturated character
-lattice).  The lattice half of a cut depends on the layer's span only,
-so it is done once per distinct span, per BFS level: one Smith form of
-the span splits every character into a part in the span and an image in
-the quotient lattice.  A span is a flat, the saturation of the
-characters it contains, so there is one Hermite basis per flat, keyed by
-its hypersurface bitmask.  The phase half runs per layer: the components'
-phases are integer numerators over one modulus, and a hypersurface that
-repeats the (direction, count, phase) class of one already cut at the
-layer is skipped.  B5 (1,539 layers, 647 distinct spans, 646 Hermite
-bases) takes 0.3 to 0.5 s for `betti` on a shared two-core host under
-Python 3.11; in paired runs its search takes about 13% less time than
-with one Hermite basis per new direction of each span.
+The layers are searched breadth first (`layer_search`), one
+hypersurface at a time, in quotient coordinates of the layer being cut
+(De Concini-Procesi 2005: a layer is a translate of a subtorus with a
+saturated character lattice).  The lattice half of a cut depends on the
+layer's span only, so it is done once per distinct span, per BFS level,
+with no Smith form: the span is saturated, so column steps alone
+complete its Hermite basis to a unimodular basis (`_completion`), which
+splits every character into its coordinates over the Hermite rows and
+an image in the quotient lattice.  A span is a flat, the saturation of
+the characters it contains, so there is one Hermite basis per flat,
+keyed by its hypersurface bitmask, which in paired runs made B5's
+search about 13% faster than one Hermite basis per new direction of
+each span.  The phase half runs per layer, on the layer's own phase
+numerators: the components' phases are integer numerators over one
+modulus, the layer's part of each new Hermite row's phase is computed
+once per direction, and a hypersurface that repeats the (direction,
+count, phase) class of one already cut at the layer is skipped.
 
 The search also gives mu(ambient, layer), whose absolute value is the
 local dimension of the E2 table.  The interval below a layer is the
@@ -36,10 +37,10 @@ exactly when the character lies in that layer's span.  The search
 feeds each level's covers, once each, to `weisner_step`, the one
 Moebius recursion it shares with the affine flats.
 
-The search runs and sorts on integer keys, spans with (num, den) phase
-pairs, which every command reads; `_layer_name` prints a layer's name
-from its key.  Only `layers_from_equations`, the whole-system solve,
-returns `Layer`s, with `Fraction` phases.
+The search runs on integer keys, spans with (num, den) phase pairs,
+and returns the layers in the order it finds them, which is all the E2
+commands read; `layer_order` sorts them for `poset` and `strata`, and
+`_layer_name` prints a layer's name from its key.
 """
 
 from __future__ import annotations
@@ -47,13 +48,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from stratiform.exactalg import _smith_core, hermite_basis
+from stratiform.exactalg import _completion, hermite_basis
 from stratiform.matroidos import weisner_step
 
 
@@ -95,110 +94,6 @@ class ToricHypersurface:
         return len(self.exponents)
 
 
-@dataclass(frozen=True)
-class Layer:
-    """A translated subtorus component, in canonical form.
-
-    `span` is the saturated character lattice in Hermite basis; `phases`
-    gives the value of the phase homomorphism on each basis row.  Two
-    layers are equal iff these canonical fields are identical.
-    """
-
-    ambient_dim: int
-    span: tuple[tuple[int, ...], ...]
-    phases: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.span) != len(self.phases):
-            raise ValueError("one phase per span row required")
-
-    @property
-    def codim(self) -> int:
-        return len(self.span)
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim - self.codim
-
-    @cached_property
-    def key(self) -> str:
-        return _layer_name(self.span, [(t.numerator, t.denominator) for t in self.phases])
-
-    @property
-    def sort_key(self):
-        return (self.codim, self.span, self.phases)
-
-    def equations(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return list(zip(self.span, self.phases))
-
-
-def _check_component_count(count: int, max_layers: int | None) -> None:
-    if max_layers is not None and count > max_layers:
-        raise ValueError(
-            "an intersection has %d components, more than the limit of %d" % (count, max_layers)
-        )
-
-
-def layers_from_equations(
-    n: int,
-    equations: Iterable[tuple[Sequence[int], Fraction]],
-    max_layers: int | None = None,
-) -> list[Layer]:
-    """All connected components of the solution set of z^chi = e^{2 pi i t}.
-
-    Components correspond to the extensions of the phase map from the
-    lattice generated by the chi's to its saturation; their number is the
-    index, the product of the Smith invariants.  Inconsistent phases give
-    the empty list; no equations, or only zero exponent rows with phase
-    0, give the ambient layer.  More than `max_layers` components raise
-    ValueError before any of them is built.
-
-    The work is integer-only.  With L C R = diag(d_1, ..., d_r, 0, ...)
-    the Smith form of the exponent matrix C, the rows w_1..w_r of R^-1
-    span the saturation, and R^-1 R = I makes (h R)[:r] the w-coordinates
-    c of a Hermite row h (and (h R)[r:] zero).  Phases share one
-    denominator: with D the lcm of the phase denominators and a = D t,
-    the system is consistent iff (L a)_i = 0 mod D for every i >= r, and
-    the component k in prod_i [0, d_i) gives h the phase
-    sum_i c_i ((L a)_i + k_i D) (d_r / d_i) mod D d_r, over D d_r.
-    """
-    eqs = [(tuple(int(e) for e in chi), mod1(t)) for chi, t in equations]
-    for chi, _ in eqs:
-        if len(chi) != n:
-            raise ValueError("exponent vector of wrong length")
-    if not eqs:
-        return [Layer(n, (), ())]
-    snf = _smith_core([chi for chi, _ in eqs], n)
-    diag = [d for d in snf.diag if d]
-    r = len(diag)
-    denom = lcm(*(t.denominator for _, t in eqs))
-    a = [t.numerator * (denom // t.denominator) for _, t in eqs]
-    la = [sum(x * y for x, y in zip(row, a)) for row in snf.left]
-    # rows of `left` beyond the rank span all integer relations among the chi's
-    if any(la[i] % denom for i in range(r, len(eqs))):
-        return []
-    _check_component_count(prod(diag), max_layers)
-    if r == 0:  # only zero exponent rows, all with phase 0
-        return [Layer(n, (), ())]
-    span = hermite_basis(snf.right_inverse[:r])
-    cols = list(zip(*snf.right))
-    coords = []
-    for h in span:
-        hr = [sum(x * y for x, y in zip(h, col)) for col in cols]
-        assert not any(hr[r:]), "Hermite row outside the saturation"
-        coords.append(hr[:r])
-    # the phase numerator of span row j at component k is base_j + step_j . k
-    modulus = denom * diag[-1]
-    scale = [diag[-1] // d for d in diag]
-    base = [sum(c * x * s for c, x, s in zip(crow, la, scale)) for crow in coords]
-    step = [[c * denom * s for c, s in zip(crow, scale)] for crow in coords]
-    numerators = sorted(
-        tuple((b + sum(s * ki for s, ki in zip(srow, k))) % modulus for b, srow in zip(base, step))
-        for k in product(*(range(d) for d in diag))
-    )
-    return [Layer(n, span, tuple(Fraction(x, modulus) for x in num)) for num in numerators]
-
-
 def _cut_plan(
     span: tuple[tuple[int, ...], ...],
     mask: int,
@@ -207,29 +102,28 @@ def _cut_plan(
     flats: dict[int, tuple[tuple[int, ...], ...]],
 ) -> tuple:
     """The phase-free half of cutting a layer with this span, which the
-    layers with the same span share: the left Smith transform L, for each
-    hypersurface H that cuts such a layer, in arrangement order,
-    (bit, a, m, g, num, dnm) with bit the bit of H and num/dnm its phase,
-    and for each direction g, (flat, new_span, rows).
+    layers with the same span share: for each hypersurface H that cuts
+    such a layer, in arrangement order, (bit, a, m, g, num, dnm) with bit
+    the bit of H and num/dnm its phase, and for each direction g, (flat,
+    new_span, rows).
 
-    The span S (c rows) is saturated, so one Smith form L S R = [I | 0]
-    gives quotient coordinates: chi R = (a, v), where a are the
-    coordinates of chi's part in the span over the rows of L S, and v is
-    chi's image in Z^n / span(S).  With v = 0 the character lies in the
-    span, and H contains the layer or misses it, so it is left out; those
-    H are the bits of `mask`.  Otherwise v = m g with g primitive, its
-    first nonzero entry positive; the saturation of span(S) + Z chi is
-    span(S) + Z gamma with gamma = g R^-1[c:], and its flat, the H whose
-    characters it contains, is `mask` and the H of direction g.  A span is
-    the saturation of its flat's characters, so its Hermite basis is
-    computed once per flat, in `flats`, and Z^n (c + 1 = n) is the
-    identity; the coordinates h R = (alpha, beta g) of its rows, as
-    `rows`, once per direction g.
+    The span S (c Hermite rows) is saturated, so column steps alone find
+    a unimodular R with S R = [I | 0] (`_completion`), which gives
+    quotient coordinates: chi R = (a, v), where a are the coordinates of
+    chi's part in the span over the rows of S, and v is chi's image in
+    Z^n / span(S).  With v = 0 the character lies in the span, and H
+    contains the layer or misses it, so it is left out; those H are the
+    bits of `mask`.  Otherwise v = m g with g primitive, its first nonzero
+    entry positive; the saturation of span(S) + Z chi is span(S) + Z gamma
+    with gamma = g R^-1[c:], and its flat, the H whose characters it
+    contains, is `mask` and the H of direction g.  A span is the
+    saturation of its flat's characters, so its Hermite basis is computed
+    once per flat, in `flats`, and Z^n (c + 1 = n) is the identity; the
+    coordinates h R = (alpha, beta g) of its rows, as `rows`, once per
+    direction g.
     """
     c = len(span)
-    smith = _smith_core(span, n)
-    assert all(d == 1 for d in smith.diag), "layer span is not saturated"
-    cols = list(zip(*smith.right))
+    cols, inverse = _completion(span, n)
     inside, quotient = cols[:c], cols[c:]  # chi -> a, chi -> v
     inside_bits = 0
     bits: dict[tuple[int, ...], int] = {}
@@ -255,7 +149,7 @@ def _cut_plan(
         new_span = flats.get(flat)
         if new_span is None:
             if c + 1 < n:
-                gamma = [sum(map(mul, g, col)) for col in zip(*smith.right_inverse[c:])]
+                gamma = [sum(map(mul, g, col)) for col in zip(*inverse[c:])]
                 new_span = hermite_basis([*span, gamma])
             else:
                 new_span = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -268,42 +162,46 @@ def _cut_plan(
             assert hr[c:] == [beta * x for x in g], "Hermite row outside the new span"
             rows.append((hr[:c], beta))
         directions[g] = (flat, new_span, rows)
-    return smith.left, cuts, directions
+    return cuts, directions
 
 
 def _sublayers(
     phases: Sequence[tuple[int, int]], plan: tuple, max_layers: int | None
 ) -> Iterator[tuple[int, int, tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]]:
     """The components of layer ∩ H, for each hypersurface H that cuts the
-    layer, in the order of the hypersurfaces and, within one H, in the
-    order of their phase tuples.  The layer's phases are given as (num,
-    den) pairs, and each component as the bit of H, its flat's bitmask
-    and its key: the Hermite basis of its span and (num, den) pairs.
+    layer, in the order of the hypersurfaces.  The layer's phases are
+    given as (num, den) pairs, and each component as the bit of H, its
+    flat's bitmask and its key: the Hermite basis of its span and (num,
+    den) pairs.
 
     This is the phase pass over `plan`, the `_cut_plan` of the layer's
     span, which is built once per distinct span, per BFS level.  With phi
-    the layer's phases over their common denominator, the
-    rows of L S have phases psi = L phi, so chi's part in the span has
-    phase a.psi, and the phase of gamma on the |m| components runs
-    through the solutions of m phi(gamma) = t - a.psi; a Hermite row h
-    has phase alpha.psi + beta phi(gamma).  Phases are integer numerators
-    over one modulus d |m|, with d the lcm of the phase denominators.
-    The components depend only on the class (g, |m|, target phase mod 1),
-    so a hypersurface whose class was already cut at this layer gives
-    nothing new and is skipped, after its component count is checked.
+    the layer's phases over their common denominator, chi's part in the
+    span has phase a.phi, and the phase of gamma on the |m| components
+    runs through the solutions of m phi(gamma) = t - a.phi; a Hermite row
+    h of the new span has phase alpha.phi + beta phi(gamma), and alpha.phi
+    is computed once per direction, for every cut of that direction.
+    Phases are integer numerators over one modulus d |m|, with d the lcm
+    of the phase denominators.  The components depend only on the class
+    (g, |m|, target phase mod 1), so a hypersurface whose class was
+    already cut at this layer gives nothing new and is skipped, after its
+    component count is checked.
     """
-    left, cuts, directions = plan
+    cuts, directions = plan
     den = lcm(*(q for _, q in phases))
     phi = [p * (den // q) for p, q in phases]
-    psi = [sum(map(mul, row, phi)) for row in left]
+    lifts: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # g -> (alpha.phi, beta) per new row
     seen = set()
     for bit, a, m, g, num, dnm in cuts:
         count = abs(m)
-        _check_component_count(count, max_layers)
+        if max_layers is not None and count > max_layers:
+            raise ValueError(
+                "an intersection has %d components, more than the limit of %d" % (count, max_layers)
+            )
         # m phi(gamma) = base / d mod 1: phi(gamma) = (sign(m) base + k d) / (d |m|), 0 <= k < |m|
         d = lcm(den, dnm)
         s = d // den
-        base = num * (d // dnm) - s * sum(map(mul, a, psi))
+        base = num * (d // dnm) - s * sum(map(mul, a, phi))
         if m < 0:
             base = -base
         target = base % d
@@ -313,29 +211,33 @@ def _sublayers(
             continue
         seen.add(cut)
         flat, new_span, rows = directions[g]
+        lift = lifts.get(g)
+        if lift is None:
+            lift = lifts[g] = [(sum(map(mul, alpha, phi)), beta) for alpha, beta in rows]
         modulus = d * count
-        terms = [
-            (s * count * sum(map(mul, alpha, psi)) + beta * base, beta * d) for alpha, beta in rows
-        ]
-        # in the order `layers_from_equations` gives them, so that the BFS
-        # finds layers, and hits a limit, in the same order as a whole-system solve
-        for numerators in sorted(
-            tuple((b + step * k) % modulus for b, step in terms) for k in range(count)
-        ):
-            phases = []
-            for x in numerators:
+        scale = s * count
+        # the phases of each new row over all |m| components, then one key per component
+        columns = []
+        for ap, beta in lift:
+            b, step = scale * ap + beta * base, beta * d
+            column = []
+            for k in range(count):
+                x = (b + step * k) % modulus
                 q = gcd(x, modulus)
-                phases.append((x // q, modulus // q))
-            yield bit, flat, new_span, tuple(phases)
+                column.append((x // q, modulus // q))
+            columns.append(column)
+        for cut_phases in zip(*columns):
+            yield bit, flat, new_span, cut_phases
 
 
 def layer_search(
     n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None
 ) -> tuple[list[tuple], list[tuple[int, int]], list[int]]:
-    """All layers as integer keys, in the order of `Layer.sort_key`, the
-    covers as sorted index pairs (i, j), layer j a maximal proper
-    sublayer of layer i, and mu(ambient, layer) in the order of the keys.
-    A key is a layer's span and its phases as reduced (num, den) pairs.
+    """All layers as integer keys, in the order the search finds them,
+    the covers as index pairs (i, j), layer j a maximal proper sublayer of
+    layer i, and mu(ambient, layer) in the order of the keys.  A key is a
+    layer's span and its phases as reduced (num, den) pairs.  The layers
+    come by codimension, the ambient first; `layer_order` sorts them.
 
     Layers of codimension q+1 arise by intersecting codimension-q layers
     with single hypersurfaces; the keys deduplicate, so no subset
@@ -344,16 +246,17 @@ def layer_search(
     skipped.  Any other one cuts the layer in components of one
     codimension more; each of them covers the layer, and every cover
     arises this way.  Each layer is cut in its quotient coordinates, not
-    by solving the whole system again: one Smith form per distinct span,
-    per BFS level, and one Hermite basis per flat, keyed by its
-    hypersurface bitmask (`_cut_plan`), then one integer phase pass per
-    layer (`_sublayers`).  A layer carries its flat's bitmask, which keys
-    its plan and, with its phases, the dedup index.  All layers of one
-    level share a codimension, and so do the layers they cut, so the
-    dedup index lives for one level, a plan until the last layer of the
-    level with its span is cut, and the Hermite bases until the sort.
-    An intersection with more than `max_layers` components, or finding
-    more than `max_layers` layers, raises ValueError.
+    by solving the whole system again: one unimodular completion per
+    distinct span, per BFS level, and one Hermite basis per flat, keyed
+    by its hypersurface bitmask (`_cut_plan`), then one integer phase
+    pass per layer (`_sublayers`).  A layer carries its flat's bitmask,
+    which keys its plan and, with its phases, the dedup index.  All
+    layers of one level share a codimension, and so do the layers they
+    cut, so the dedup index lives for one level, a plan until the last
+    layer of the level with its span is cut, and the Hermite bases until
+    the search ends.  An intersection with more than `max_layers`
+    components, or finding more than `max_layers` layers, raises
+    ValueError.
 
     The interval below a layer Z is the lattice of flats of the central
     arrangement that the hypersurfaces through Z make near a point of Z
@@ -405,10 +308,19 @@ def layer_search(
         weisner_step(mobius, masks, atoms, found)
         covers += found
         frontier = next_frontier
-    del flats, masks, index, atoms
-    # the order of `Layer.sort_key` without comparing Fractions: the phases
-    # p/q, all in [0, 1), are the digits p * (M // q) of one integer in base
-    # M, their common modulus, and layers of one codimension have as many
+    return keys, covers, mobius
+
+
+def layer_order(search) -> tuple[list[tuple], list[tuple[int, int]], list[int]]:
+    """The layers of `search`, a `layer_search` result, sorted by
+    codimension, then span, then phases, with the covers as sorted index
+    pairs into that order and mu in it: the order of the `poset` and
+    `strata` commands.
+
+    The phases are compared without making Fractions: the phases p/q, all
+    in [0, 1), are the digits p * (M // q) of one integer in base M, their
+    common modulus, and layers of one codimension have as many."""
+    keys, covers, mobius = search
     modulus = lcm(*{q for _, phases in keys for _, q in phases})
 
     def sort_key(i):

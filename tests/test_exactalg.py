@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratiform.exactalg import Matrix, _smith_core, hermite_basis
+from stratiform.exactalg import Matrix, _completion, hermite_basis
 
 from reference import (
+    _smith_core,
     apply,
     det,
+    from_columns,
     identity,
     inverse,
     lattice_contains,
@@ -289,6 +291,31 @@ def test_smith_core_carries_the_inverse_of_right(rows):
     right, right_inv = Matrix(core.right, ncols=ncols), Matrix(core.right_inverse, ncols=ncols)
     assert matmul(right_inv, right) == identity(ncols)
     assert matmul(right, right_inv) == identity(ncols)
+
+
+@settings(max_examples=75, deadline=None)
+@given(matrices())
+def test_completion_of_a_saturated_hermite_span(rows):
+    """The Hermite basis S of the saturation of drawn rows, up to all of
+    Z^n or none: `_completion` gives the columns of a unimodular R with
+    S R = [I | 0], and the rows of R^-1."""
+    ncols = len(rows[0])
+    independent = []
+    for r in rows:
+        if rank(Matrix(independent + [list(r)])) > len(independent):
+            independent.append(list(r))
+    span = saturate(independent)
+    cols, inv = _completion(span, ncols)
+    right = from_columns(cols, ncols)
+    assert matmul(Matrix(span, ncols=ncols), right) == Matrix(identity(ncols).rows[:len(span)], ncols=ncols)
+    assert matmul(right, Matrix(inv, ncols=ncols)) == identity(ncols)
+
+
+def test_completion_refuses_an_unsaturated_span():
+    """A pivot other than +-1 is the saturation check."""
+    assert _completion(((1, 0),), 2) == ([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    with pytest.raises(AssertionError, match="saturated"):
+        _completion(((2, 0),), 2)
 
 
 def test_integer_rows_keep_their_validation():

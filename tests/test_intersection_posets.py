@@ -32,18 +32,21 @@ from stratiform.leraymodel import (
     strata_data_from_toric,
 )
 from stratiform.matroidos import flat_mobius, flat_order, flat_search
-from stratiform.toriclayers import Layer, ToricHypersurface, layer_search, layers_from_equations
+from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_order, layer_search
 
+import reference
 from reference import (
     AffinePoset,
     Flat,
     FlatLattice,
+    Layer,
     LayerPoset,
     LinearMatroid,
     affine_poset,
     lattice_contains,
     layer_contains,
     layer_poset,
+    layers_from_equations,
     local_subarrangement,
     mobius_by_down_sets,
     rank,
@@ -614,6 +617,25 @@ def test_drawn_layer_posets_match_whole_system_reference(torus, max_layers):
     assert_same_layer_poset(*torus, max_layers)
 
 
+@settings(max_examples=150, deadline=None)
+@given(drawn_tori())
+def test_drawn_toric_strata_in_search_order_match_the_poset(torus):
+    """The E2 commands' toric strata come in the order the search finds the
+    layers: by codimension, the ambient first.  Matched one to one by
+    name, each has the name, read after a pickle round trip, the
+    codimension and the |mu| of the reference poset's layer."""
+    n, arrangement = torus
+    keys = layer_search(n, arrangement)[0]
+    strata = pickle.loads(pickle.dumps(strata_data_from_toric(n, arrangement))).strata
+    poset = layer_poset(n, arrangement)
+    by_name = {layer.key: (layer, mu) for layer, mu in zip(poset.layers, poset.mobius)}
+    assert len(strata) == len(keys) == len(by_name) == len(poset.layers)
+    assert [s.codim for s in strata] == sorted(s.codim for s in strata)
+    for stratum, (span, phases) in zip(strata, keys):
+        layer, mu = by_name[_layer_name(span, phases)]
+        assert (stratum.key, stratum.codim, stratum.local_dim) == (layer.key, layer.codim, abs(mu))
+
+
 # -- path independence of the flat bitmask that names a span in the search
 
 
@@ -716,26 +738,27 @@ def test_b5_betti_within_two_seconds():
 
 def test_b5_lattice_work(count_calls):
     """Work gate beside the wall-clock one, which moves with the host: one
-    Smith form per distinct span of a layer that is not a point (647 spans
-    for 1,507 such layers) and one Hermite basis per distinct span
-    strictly between the ambient and the full lattice (646, against 3,396
-    pairs of such a span and the span of a cover)."""
-    calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
+    unimodular completion per distinct span of a layer that is not a point
+    (647 spans for 1,507 such layers; one Smith form each before) and one
+    Hermite basis per distinct span strictly between the ambient and the
+    full lattice (646, against 3,396 pairs of such a span and the span of
+    a cover)."""
+    calls = count_calls(toriclayers, "_completion", "hermite_basis")
     keys, covers, _ = layer_search(*_toric(5, [(chi, F(0)) for chi in b_type_characters(5)]))
     assert (len(keys), len(covers)) == (1539, 9062)
-    assert (calls["_smith_core"], calls["hermite_basis"]) == (647, 646)
+    assert (calls["_completion"], calls["hermite_basis"]) == (647, 646)
 
 
 def test_b6_betti_and_lattice_work(count_calls, monkeypatch):
     """B6 (10,299 layers, 79,030 covers) through the E2 route, with its
-    work counted in the same run: one Smith form per distinct span of a
-    layer that is not a point and one Hermite basis per distinct span
-    strictly between the ambient and the full lattice (4,086, against
-    28,384 pairs of such a span and the span of a cover).  The layers and
-    covers are read from the search the E2 route runs.  No wall-clock
-    bound: the counters show a regression that the host's speed would
-    hide."""
-    calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
+    work counted in the same run: one unimodular completion per distinct
+    span of a layer that is not a point (4,087; one Smith form each
+    before) and one Hermite basis per distinct span strictly between the
+    ambient and the full lattice (4,086, against 28,384 pairs of such a
+    span and the span of a cover).  The layers and covers are read from
+    the unordered search the E2 route runs.  No wall-clock bound: the
+    counters show a regression that the host's speed would hide."""
+    calls = count_calls(toriclayers, "_completion", "hermite_basis")
     searches = []
 
     def search(*args):
@@ -748,34 +771,37 @@ def test_b6_betti_and_lattice_work(count_calls, monkeypatch):
     assert result.betti == (1, 48, 925, 9120, 48259, 129072, 135135)
     ((keys, covers, mobius),) = searches
     assert (len(data.strata), len(keys), len(mobius), len(covers)) == (10299, 10299, 10299, 79030)
-    assert (calls["_smith_core"], calls["hermite_basis"]) == (4087, 4086)
+    assert (calls["_completion"], calls["hermite_basis"]) == (4087, 4086)
 
 
 def test_layer_poset_lattice_work_on_b4(count_calls):
-    """Work gate: the whole-system solve is off the BFS path; there is one
-    Smith form per distinct span of a layer that is not a point (115 spans
-    for 241 such layers), and one Hermite basis per distinct span strictly
-    between the ambient and the full lattice (114, against 432 pairs of
-    such a span and the span of a cover, 716 pairs of a layer and a cover
-    span, and 1,100 covers)."""
-    calls = count_calls(toriclayers, "_smith_core", "hermite_basis", "layers_from_equations")
+    """Work gate: the whole-system solve and the Smith form are off the
+    BFS path (they live with the oracles); there is one unimodular
+    completion per distinct span of a layer that is not a point (115
+    spans for 241 such layers; one Smith form each before), and one
+    Hermite basis per distinct span strictly between the ambient and the
+    full lattice (114, against 432 pairs of such a span and the span of a
+    cover, 716 pairs of a layer and a cover span, and 1,100 covers)."""
+    calls = count_calls(toriclayers, "_completion", "hermite_basis")
+    oracles = count_calls(reference, "_smith_core", "layers_from_equations")
     keys, covers, _ = layer_search(*LAYER_REFERENCE_CASES["B4"])
     assert (len(keys), len(covers)) == (257, 1100)
-    assert calls["layers_from_equations"] == 0
+    assert oracles == {}
     spans = {span for span, _ in keys if len(span) < 4}
-    assert calls["_smith_core"] == len(spans) == 115
+    assert calls["_completion"] == len(spans) == 115
     assert calls["hermite_basis"] == len(spans - {()}) == 114
 
 
 def test_layer_poset_lattice_work_on_b3_translate(count_calls):
-    """Work gate: one Smith form per distinct span of a layer that is not
-    a point (23), and one Hermite basis per distinct span strictly between
-    the ambient and the full lattice (22), for B3 moved off the identity."""
-    calls = count_calls(toriclayers, "_smith_core", "hermite_basis")
+    """Work gate: one unimodular completion per distinct span of a layer
+    that is not a point (23; one Smith form each before), and one Hermite
+    basis per distinct span strictly between the ambient and the full
+    lattice (22), for B3 moved off the identity."""
+    calls = count_calls(toriclayers, "_completion", "hermite_basis")
     keys, covers, _ = layer_search(*b3_translate())
     assert (len(keys), len(covers)) == (49, 140)
     spans = {span for span, _ in keys if len(span) < 3}
-    assert calls["_smith_core"] == len(spans) == 23
+    assert calls["_completion"] == len(spans) == 23
     assert calls["hermite_basis"] == len(spans - {()}) == 22
 
 
@@ -798,10 +824,11 @@ def test_layer_poset_makes_no_rational_elimination(count_calls):
 
 
 def test_layer_poset_compares_no_fractions(count_calls):
-    """Work gate: the layers are sorted on integer phase numerators over one
-    modulus, in the order of `Layer.sort_key`."""
+    """Work gate: the search and `layer_order`, which sorts the layers on
+    integer phase numerators over one modulus, in the order of
+    `Layer.sort_key`, compare no Fractions."""
     calls = count_calls(F, "__eq__", "__lt__")
-    layer_search(*b3_translate())
+    layer_order(layer_search(*b3_translate()))
     assert calls == {}
     layers = layer_poset(*b3_translate()).layers
     assert [layer.sort_key for layer in layers] == sorted(layer.sort_key for layer in layers)

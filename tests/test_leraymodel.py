@@ -20,7 +20,7 @@ from stratiform.leraymodel import (
     strata_data_from_toric,
 )
 from stratiform.matroidos import flat_search
-from stratiform.toriclayers import ToricHypersurface, torus_cohomology
+from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_search, torus_cohomology
 
 from reference import FlatLattice, LinearMatroid, affine_poset, layer_poset, whitney_numbers
 
@@ -86,14 +86,18 @@ def test_strata_named_on_first_read_match_the_poset(kind):
     """Strata read off the searches are named on the first read of their
     key; before and after it they pickle, compare, hash and print as
     strata built from the names of the reference posets' layers and
-    flats.  The layers come in the poset's order; the flats come in the
-    order the search finds them, each matched to the poset's flat with
-    the same hyperplanes."""
+    flats.  Both come in the order their search finds them, each matched
+    to the poset's layer with the same name or flat with the same
+    hyperplanes."""
     if kind == "toric":
         arr = [H((1, 1), F(0)), H((1, -1), F(1, 2)), H((2, 0), F(0))]
         sd, poset = strata_data_from_toric(2, arr), layer_poset(2, arr)
+        by_name = {l.key: (l, mu) for l, mu in zip(poset.layers, poset.mobius)}
+        names = [_layer_name(*key) for key in layer_search(2, arr)[0]]
+        assert sorted(names) == sorted(by_name) and len(names) == len(poset.layers) == 11
         want = tuple(Stratum(l.key, l.codim, torus_cohomology(l.dim), abs(mu))
-                     for l, mu in zip(poset.layers, poset.mobius))
+                     for l, mu in map(by_name.get, names))
+        assert names != [l.key for l in poset.layers]  # the two orders differ here
     else:
         lines = [((1, 0), F(1, 2)), ((1, 1), 0), ((0, 2), F(-1, 3))]
         sd, poset = strata_data_from_hyperplanes(2, lines), affine_poset(2, lines)

@@ -20,6 +20,7 @@ from stratiform.morganmodel import (
     ClosureError,
     CompactificationDatum,
     CdgaMorphism,
+    ConstantError,
     DatumError,
     ModelPurityError,
     MorphismError,
@@ -429,6 +430,58 @@ class TestDatumValidation:
         line = builder_projective_line_marked(1)
         with pytest.raises(DatumError, match="^" + re.escape(text) + "$"):
             CompactificationDatum(1, cohomology, line.restrictions, line.gysins, line.cups)
+
+    @pytest.mark.parametrize("components, cohomology, text", [
+        # these were truncated by int(): the first was held as {(): {0: 1}}
+        # and built the model of a point, the last held 2 components
+        (0, {(): {0.5: 1.7}}, "stratum () has a non-integral degree or dimension in {0.5: 1.7}"),
+        (0, {(): {0: 1, 2: F(3, 2)}}, "stratum () has a non-integral degree or dimension in {0: 1, 2: Fraction(3, 2)}"),
+        (2.9, {(): {0: 1}}, "the number of components 2.9 is not an integer"),
+    ])
+    def test_non_integral_count_degree_or_dimension_refused(self, components, cohomology, text):
+        with pytest.raises(DatumError, match="^" + re.escape(text) + "$"):
+            CompactificationDatum(components, cohomology, {}, {}, builder_point().cups)
+
+    @pytest.mark.parametrize("name, maps, text", [
+        ("restrictions", {((), 1): {0.5: Matrix([[1]])}}, "restriction ((), 1) has a non-integral degree 0.5"),
+        ("gysins", {((1,), 1): {F(1, 2): Matrix([[1]])}}, "Gysin map ((1,), 1) has a non-integral degree Fraction(1, 2)"),
+    ])
+    def test_non_integral_degree_of_a_map_refused(self, name, maps, text):
+        with pytest.raises(DatumError, match="^" + re.escape(text) + "$"):
+            CompactificationDatum(1, {(): {0: 1}, (1,): {0: 1}}, **{name: maps})
+
+    @pytest.mark.parametrize("maps, text", [
+        # each index was truncated by int(): 1.5 to 1, 1.7 to 1
+        ({}, "component index in (1.5,) is not an integer"),
+        ({"restrictions": {((), 1.7): {0: Matrix([[1]])}}}, "restriction ((), 1.7) has a non-integral component index"),
+        ({"gysins": {((1,), F(1, 2)): {0: Matrix([[1]])}}},
+         "Gysin map ((1,), Fraction(1, 2)) has a non-integral component index"),
+        ({"restrictions": {((F(1, 2),), 1): {0: Matrix([[1]])}}}, "component index in (Fraction(1, 2),) is not an integer"),
+        ({"cups": {(0.5,): {}}}, "component index in (0.5,) is not an integer"),
+    ])
+    def test_non_integral_component_index_refused(self, maps, text):
+        cohomology = {(): {0: 1}, (1.5,) if not maps else (1,): {0: 1}}
+        with pytest.raises(DatumError, match="^" + re.escape(text) + "$"):
+            CompactificationDatum(1, cohomology, **maps)
+
+    def test_integral_non_int_input_read_as_ints(self):
+        # 2.0, Fraction(1) and "0" are integers: read, not refused
+        cd = CompactificationDatum(1.0, {(): {0.0: F(1)}, (1,): {"0": 1}}, {((), 1): {0.0: Matrix([[1]])}})
+        assert cd.components == 1 and cd.cohomology == {(): {0: 1}, (1,): {0: 1}}
+        assert list(cd.restrictions[(), 1]) == [0]
+        held = [cd.components, *cd.cohomology[()], *cd.cohomology[()].values(), *cd.restrictions[(), 1]]
+        assert all(type(x) is int for x in held)
+
+    @pytest.mark.parametrize("c", ["1/0", float("inf"), None, "one"])
+    def test_unreadable_constant_refused(self, c):
+        # "1/0", inf and None escaped as ZeroDivisionError, OverflowError
+        # and TypeError, from the datum and from the model alike
+        text = "^structure constant %s is not a rational number$" % re.escape(repr(c))
+        with pytest.raises(ConstantError, match=text):
+            CompactificationDatum(0, {(): {0: 1}}, {}, {}, {(): {(0, 0): {(0, 0): {0: c}}}})
+        with pytest.raises(ConstantError, match=text):
+            BigradedModel({(0, 0): ("1",)}, {}, {((0, 0), (0, 0)): {(0, 0): {0: c}}})
+        assert issubclass(ConstantError, ValueError)
 
     def test_negative_degree_without_classes_is_absent(self):
         # a zero dimension means no classes, in any degree
@@ -2513,13 +2566,19 @@ def constant_forms(v):
     return [v, str(v), float(v)] + ([int(v)] if v.denominator == 1 else [])
 
 
+# cup constants that are no finite rational
+UNREADABLE = ["one", "1/0", float("inf"), None]
+
+
 def perturbed_marked_lines(rng):
     """The constructor arguments of a drawn marked-line datum with up to three
     drawn perturbations: an index of a stratum moved (to 0, past the
-    components or onto another index), the number of components moved, a
-    negative degree or dimension, a cup constant rescaled and written as an
-    int, float, string or Fraction, or one that is no number, and a
-    restriction or Gysin block dropped or widened."""
+    components, onto another index or off the integers), the number of components moved or
+    made non-integral, a negative degree or dimension, a non-integral
+    degree or dimension, a cup constant rescaled and written as an int,
+    float, string or Fraction, or one that is no finite rational, a
+    restriction or Gysin block dropped or widened, and one moved to a
+    non-integral degree."""
     cd = marked_lines(*([rng.randint(0, 3) for _ in range(rng.randint(1, 2))] if rng.random() < 0.8
                         else [rng.randint(0, 1) for _ in range(3)]))
     components = cd.components
@@ -2529,36 +2588,47 @@ def perturbed_marked_lines(rng):
     cups = {key: {pp: {ab: dict(vec) for ab, vec in entries.items()} for pp, entries in table.items()}
             for key, table in cd.cups.items()}
     for _ in range(rng.randint(0, 3)):
-        kind = rng.choice(("index", "components", "degree", "dimension", "constant", "constant", "drop", "widen"))
+        kind = rng.choice(("index", "components", "degree", "dimension", "non-integral", "constant", "constant",
+                           "drop", "widen", "shift"))
         key = rng.choice(list(cohomology))
         if kind == "index" and key:
             pos = rng.randrange(len(key))
-            cohomology[key[:pos] + (key[pos] + rng.choice((-2, -1, 1, 2)),) + key[pos + 1:]] = cohomology.pop(key)
+            cohomology[key[:pos] + (key[pos] + rng.choice((-2, -1, 1, 2, 0.5)),) + key[pos + 1:]] = cohomology.pop(key)
         elif kind == "components":
-            components += rng.choice((-1, 1))
+            components += rng.choice((-1, 1, 0.5))
         elif kind == "degree":
             cohomology[key][rng.choice((-2, -1))] = rng.randint(1, 2)
         elif kind == "dimension":
             p = rng.choice(list(cohomology[key]))
             cohomology[key][p] = -cohomology[key][p]
+        elif kind == "non-integral":
+            if rng.random() < 0.5:
+                cohomology[key][rng.choice((0.5, F(3, 2)))] = 1
+            else:
+                p = rng.choice(list(cohomology[key]))
+                cohomology[key][p] += rng.choice((0.5, F(1, 3)))
         elif kind == "constant":
             vec = rng.choice([vec for table in cups.values() for entries in table.values() for vec in entries.values()])
             c = rng.choice(list(vec))
-            if vec[c] != "one":
-                vec[c] = rng.choice(constant_forms(F(vec[c]) * scale_draw(rng)) + ["one"])
-        elif kind in ("drop", "widen"):
+            if vec[c] not in UNREADABLE:
+                vec[c] = rng.choice(constant_forms(F(vec[c]) * scale_draw(rng)) + UNREADABLE)
+        elif kind in ("drop", "widen", "shift"):
             places = [(name, key) for name, blocks in maps.items() for key in sorted(blocks) if blocks[key]]
             if places:
                 name, key = rng.choice(places)
-                p = rng.choice(sorted(maps[name][key]))
-                maps[name] = (without if kind == "drop" else widened)(maps[name], key, p)
+                p = rng.choice(sorted(maps[name][key], key=str))
+                if kind == "shift":
+                    maps[name] = {k: dict(blocks) for k, blocks in maps[name].items()}
+                    maps[name][key][p + 0.5] = maps[name][key].pop(p)
+                else:
+                    maps[name] = (without if kind == "drop" else widened)(maps[name], key, p)
     return components, cohomology, maps["restrictions"], maps["gysins"], cups
 
 
 class TestDrawnDatumInput:
     def test_each_draw_is_refused_or_built_as_the_reference(self):
         # every drawn input is refused where the datum is made (a DatumError,
-        # or Fraction's ValueError for a constant that is no number), or
+        # or a ConstantError for a constant that is no finite rational), or
         # refused by `build_model` with the reference's DatumError text, or
         # built equal to the reference's model; no other exception escapes
         rng = random.Random("drawn-datum-input")
@@ -2567,15 +2637,18 @@ class TestDrawnDatumInput:
             args = perturbed_marked_lines(rng)
             try:
                 cd = CompactificationDatum(*args)
-            except DatumError:
+            except DatumError as err:
                 endings["constructor DatumError"] += 1
+                if "integ" in str(err):  # a non-integral number, degree or dimension
+                    endings["constructor DatumError, not an integer"] += 1
                 continue
-            except ValueError as err:
-                assert str(err) == "Invalid literal for Fraction: 'one'"
-                endings["constructor ValueError"] += 1
+            except ConstantError as err:
+                assert str(err) in {"structure constant %r is not a rational number" % (c,) for c in UNREADABLE}
+                endings["constructor ConstantError"] += 1
                 continue
             endings[assert_assembly_matches_reference(cd)[0]] += 1
-        assert set(endings) == {"constructor DatumError", "constructor ValueError", "DatumError", "model"}
+        assert set(endings) == {"constructor DatumError", "constructor DatumError, not an integer",
+                                "constructor ConstantError", "DatumError", "model"}
 
 
 class TestAssemblyWork:

@@ -21,11 +21,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stratiform"
 
 KEPT_UNREACHABLE = {
-    # acceptance criterion 3 checks it against brute force, and the
-    # reference layer poset of the tests builds on it
-    "layers_from_equations",
-    # the layers that `layers_from_equations` returns
-    "Layer",
     # acceptance criterion 8
     "localization_betti",
     "LocalizedBetti",
@@ -46,16 +41,10 @@ SHARED_METHOD_NAMES = {
     # constructors that hold what `build_model`, the witnesses and
     # `kunneth_product` have just built without the public one's pass
     "_adopt",
-    # the property `Layer.codim`, which `Layer.dim` reads; the strata hold a field
-    "codim",
     # the model route reads `BigradedModel.dim`, `CompactificationDatum.dim`
     # and the property `_ColumnCohomology.dim`, and the layer search the
-    # property `ToricHypersurface.dim`; `Layer.dim` is a property of a
-    # class kept above; `ArrangementFile` holds a field
+    # property `ToricHypersurface.dim`; `ArrangementFile` holds a field
     "dim",
-    # `Layer.equations` and `Layer.key`, methods of a class kept above,
-    # beside the fields `ArrangementFile.equations` and `Stratum.key`
-    "equations", "key",
     # the property `AxiomReport.passed`, which `model-selftest` reads,
     # beside the field `PurityReport.passed`
     "passed",

@@ -6,21 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratiform.exactalg import Matrix, hermite_basis
-from stratiform.toriclayers import (
-    Layer,
-    ToricHypersurface,
-    layer_search,
-    torus_cohomology,
-    layers_from_equations,
-    mod1,
-)
+from stratiform.toriclayers import ToricHypersurface, layer_search, mod1, torus_cohomology
 
 from reference import (
+    Layer,
     apply,
     brute_force_components,
     inverse,
     layer_contains,
     layer_poset,
+    layers_from_equations,
     local_subarrangement,
     phase_of,
     rank,
