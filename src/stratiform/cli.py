@@ -46,7 +46,7 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import _flat_name, flat_mobius, flat_order, flat_search
+from stratiform.matroidos import _flat_name, flat_order, flat_search
 from stratiform.morganmodel import (
     build_model,
     builder_point,
@@ -231,13 +231,15 @@ def _toric_hypersurfaces(af: ArrangementFile) -> list[ToricHypersurface]:
     return [ToricHypersurface(e.coeffs, e.constant, e.label) for e in af.equations]
 
 
+def _hyperplanes(af: ArrangementFile) -> list[tuple]:
+    return [(e.coeffs, e.constant) for e in af.equations]
+
+
 def _strata_data(af: ArrangementFile, max_strata: int) -> StrataData:
     if af.kind == "toric":
         return strata_data_from_toric(af.dim, _toric_hypersurfaces(af), max_strata)
     if af.kind == "hyperplane":
-        return strata_data_from_hyperplanes(
-            af.dim, [(e.coeffs, e.constant) for e in af.equations], max_strata
-        )
+        return strata_data_from_hyperplanes(af.dim, _hyperplanes(af), max_strata)
     sd = StrataData(
         tuple(
             Stratum("s%d" % i, s.codim, s.cohomology, s.local_dim)
@@ -248,35 +250,21 @@ def _strata_data(af: ArrangementFile, max_strata: int) -> StrataData:
     return sd
 
 
-def _flat_nodes(af: ArrangementFile, max_strata: int):
-    """(codim, dim, name) of each flat of a hyperplane file, in the order
-    of `flat_order`, the hyperplanes through each as bits, and the covers."""
+def _poset(af: ArrangementFile, max_strata: int):
+    """(codim, dim, name) of each layer or flat, the covers and mu, in the
+    order `poset` and `strata` print them, that of `layer_order` or
+    `flat_order`, read off the searches' integer keys like the strata."""
     n = af.dim
-    search = flat_search(n, [(e.coeffs, e.constant) for e in af.equations], max_strata)
-    keys, masks, covers = flat_order(search)
-    text: dict = {}  # each distinct echelon row is formatted once
-    return [(len(key), n - len(key), _flat_name(key, text)) for key in keys], masks, covers
-
-
-def _layer_nodes(af: ArrangementFile, max_strata: int):
-    """(codim, dim, name) of each layer of a toric file, in the order of
-    `layer_order`, the covers, and mu."""
-    n = af.dim
-    keys, covers, mobius = layer_order(layer_search(n, _toric_hypersurfaces(af), max_strata))
-    return [(len(span), n - len(span), _layer_name(span, phases)) for span, phases in keys], covers, mobius
-
-
-def _poset_nodes_and_covers(af: ArrangementFile, max_strata: int):
-    """(codim, dim, name) of each layer or flat, in the order of
-    `layer_order` or `flat_order`, and the covers, read off the searches'
-    integer keys like the strata."""
     if af.kind == "toric":
-        nodes, covers, _ = _layer_nodes(af, max_strata)
-        return nodes, covers
-    if af.kind == "hyperplane":
-        nodes, _, covers = _flat_nodes(af, max_strata)
-        return nodes, covers
-    raise ValueError("poset requires a toric or hyperplane file")
+        keys, covers, mobius = layer_order(layer_search(n, _toric_hypersurfaces(af), max_strata))
+        named = [(span, _layer_name(span, phases)) for span, phases in keys]
+    elif af.kind == "hyperplane":
+        keys, covers, mobius = flat_order(flat_search(n, _hyperplanes(af), max_strata))
+        text: dict = {}  # each distinct echelon row is formatted once
+        named = [(key, _flat_name(key, text)) for key in keys]
+    else:
+        raise ValueError("poset requires a toric or hyperplane file")
+    return [(len(rows), n - len(rows), name) for rows, name in named], covers, mobius
 
 
 def render_poset_dot(nodes, covers) -> str:
@@ -398,23 +386,19 @@ def run_command(command: str, af: ArrangementFile | None, r: float = INF,
     code = 0
 
     if command == "strata":
-        if af.kind == "hyperplane":  # the flats in the order of the poset's nodes
-            nodes, masks, covers = _flat_nodes(af, max_strata)
-            strata = [(codim, abs(mu), ((0, 1, 0),), key)
-                      for (codim, _, key), mu in zip(nodes, flat_mobius(masks, covers))]
-        elif af.kind == "toric":  # the layers in the order of the poset's nodes
-            nodes, _, mobius = _layer_nodes(af, max_strata)
-            strata = [(codim, abs(mu), torus_cohomology(dim), key)
-                      for (codim, dim, key), mu in zip(nodes, mobius)]
-        else:
+        if af.kind == "strata":
             strata = [(s.codim, s.local_dim, s.cohomology, s.key) for s in _strata_data(af, max_strata).strata]
+        else:  # the layers or flats in the order of the poset's nodes; a flat has a point's cohomology
+            nodes, _, mobius = _poset(af, max_strata)
+            strata = [(codim, abs(mu), torus_cohomology(dim if af.kind == "toric" else 0), key)
+                      for (codim, dim, key), mu in zip(nodes, mobius)]
         rows = [
             {"codim": codim, "a": a, "h": ",".join("%d:%d:%d" % e for e in h), "key": key}
             for codim, a, h, key in strata
         ]
         sections.append(("stratum", rows))
     elif command == "poset":
-        nodes, covers = _poset_nodes_and_covers(af, max_strata)
+        nodes, covers, _ = _poset(af, max_strata)
         sections.append(
             ("node", [{"index": i, "codim": c, "dim": d, "key": k} for i, (c, d, k) in enumerate(nodes)])
         )

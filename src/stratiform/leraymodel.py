@@ -12,11 +12,12 @@ A toric arrangement's strata are read off the integer keys of
 `layer_search`, in the order the search finds them, and an affine
 arrangement's off `flat_search` alone, unkeyed and unordered: the E2
 commands need only each stratum's codimension and |mu|, and only
-`poset` and `strata` sort them (`layer_order`, `flat_order`).  Each lower
-interval of either poset is a geometric lattice, the lattice of flats
-of a central arrangement, so mu comes from the covers by Weisner's
+`poset` and `strata` sort them (`layer_order`, `flat_order`).  Each
+search returns mu with its strata.  Each lower interval of either poset
+is a geometric lattice, the lattice of flats of a central arrangement,
+so each search computes mu at its end from its covers by Weisner's
 theorem, mu(X) = -sum mu(Y) over the Y that X covers and that do not lie
-on one fixed hypersurface through X, the atom of X (`weisner_step`).
+on one fixed hypersurface through X, the atom of X (`weisner_mobius`).
 A flat's mask is the set of hyperplanes through it, and its atom the
 lowest of them; a layer's mask is the set of hypersurfaces whose
 characters lie in its span, and its atom the hypersurface whose cut
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from stratiform.matroidos import _search_name, flat_mobius, flat_search
+from stratiform.matroidos import _search_name, flat_search
 from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_search, torus_cohomology
 
 INF = math.inf
@@ -114,17 +115,17 @@ def strata_data_from_hyperplanes(
     Each stratum has one dimension of cohomology in degree 0, weight 0;
     the local dimension is |mu(ambient, stratum)| in the intersection
     poset, whose interval below the stratum is the lattice of flats of
-    the normals of hyperplanes containing it.  The strata come by
-    codimension, in the order `flat_search` finds them, not in the
-    order `poset` prints them.  A stratum's name is the flat's name,
+    the normals of hyperplanes containing it; `flat_search` returns mu
+    with the flats.  The strata come by codimension, in the order
+    `flat_search` finds them, not in the order `poset` prints them.  A stratum's name is the flat's name,
     made on first read through one memo of keys shared by the strata.
     More than `max_strata` strata raise ValueError.
     """
-    masks, codims, steps, covers = flat_search(ambient_dim, hyperplanes, max_strata)
+    _, codims, steps, _, mobius = flat_search(ambient_dim, hyperplanes, max_strata)
     memo: dict = {}
     sd = StrataData(tuple(
         Stratum._named_later((_search_name, steps, memo, k), codim, ((0, 1, 0),), abs(mu))
-        for k, (codim, mu) in enumerate(zip(codims, flat_mobius(masks, covers)))
+        for k, (codim, mu) in enumerate(zip(codims, mobius))
     ))
     sd.validate()
     return sd

@@ -14,15 +14,16 @@ central arrangement of normals through X, a geometric lattice, so
 gives it from the covers alone: mu(ambient, X) = -sum mu(ambient, Y)
 over the flats Y that X covers and that do not lie on the atom of X,
 one fixed hyperplane through X.  A flat's mask is the set of
-hyperplanes through it, its atom the lowest bit of that mask, and
-`flat_mobius` walks the covers once, in the order the search finds
-them, through `weisner_step`, which the toric layer search shares.  The
-E2 commands read codimension and |mu| off the search alone.  A flat's
+hyperplanes through it, its atom the lowest bit of that mask, and the
+search returns mu, computed at its end by `weisner_mobius`, the one
+Moebius function of the package, which the toric layer search shares:
+one walk over the covers, in the order the search finds them.  The E2
+commands read codimension and |mu| off the search alone.  A flat's
 key, its reduced echelon rows scaled to primitive integer rows, is made
 only where a flat is named or printed in order: `_flat_key` makes it
 along the recorded steps, one `_meet` per flat, `flat_order` sorts the
-flats for `poset` and `strata`, and `_flat_name` prints a flat's name
-from its key.
+flats, with their covers and mu, for `poset` and `strata`, and
+`_flat_name` prints a flat's name from its key.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from typing import Iterable, Sequence
 from stratiform.exactalg import _primitive
 
 
-def weisner_step(mobius: list[int], masks: Sequence[int], atoms, covers: Iterable[tuple[int, int]]) -> None:
-    """Add the covers (i, k) to mu(bottom, k) by Weisner's theorem.
+def weisner_mobius(masks: Sequence[int], atoms: Sequence[int], covers: Iterable[tuple[int, int]]) -> list[int]:
+    """mu(bottom, k) for each stratum k, stratum 0 the bottom, from the
+    covers (i, k) by Weisner's theorem, in one walk over the covers.
 
     The poset is one of strata, each lower interval of which is a
     geometric lattice, the lattice of flats of a central arrangement.
@@ -45,24 +47,16 @@ def weisner_step(mobius: list[int], masks: Sequence[int], atoms, covers: Iterabl
     of a hypersurface through a stratum below i exactly when it contains
     stratum i (for a flat, the hyperplanes through it; for a layer, the
     hypersurfaces whose characters lie in its span).  Each cover (i, k)
-    takes mu(bottom, i) off `mobius[k]`, which starts at 0, unless the
+    takes mu(bottom, i) off mu(bottom, k), which starts at 0, unless the
     atom of k contains stratum i too.  `covers` holds each cover once,
     and the covers of i before any cover (i, k): mu(bottom, i) is
     complete when it is read.
     """
+    mobius = [0] * len(masks)
+    mobius[0] = 1
     for i, k in covers:
         if not atoms[k] & masks[i]:
             mobius[k] -= mobius[i]
-
-
-def flat_mobius(masks: Sequence[int], covers: Iterable[tuple[int, int]]) -> list[int]:
-    """mu(ambient, X) for the flats X with these masks, the hyperplanes
-    through each as bits, and these covers (i, j), flat j a maximal proper
-    subspace of flat i, in the order of a `flat_search` or `flat_order`.
-    The atom of a flat is the lowest bit of its mask."""
-    mobius = [0] * len(masks)
-    mobius[0] = 1  # the ambient space
-    weisner_step(mobius, masks, [m & -m for m in masks], covers)
     return mobius
 
 
@@ -94,7 +88,7 @@ def _meet(key, pivots, rest: tuple[int, ...], q: int):
 
 def flat_search(
     ambient_dim: int, hyperplanes: Sequence[tuple[Sequence, object]], max_flats: int | None = None
-) -> tuple[list[int], list[int], list, list[tuple[int, int]]]:
+) -> tuple[list[int], list[int], list, list[tuple[int, int]], list[int]]:
     """Nonempty intersections of affine hyperplanes {a.x = c}, unkeyed.
 
     Hyperplanes are (normal, constant) pairs with a nonzero normal, their
@@ -102,13 +96,13 @@ def flat_search(
     space 0, codimension by codimension in the order the BFS finds them,
     which is a linear extension.  Returns, by flat, the hyperplanes
     through it as an int with bit j set for hyperplane j, its
-    codimension and the step that found it, and the covers as index
-    pairs (i, j), flat j a maximal proper subspace of flat i.  The step
-    of a flat other than the ambient (whose step is None) is (i, row, q):
-    flat i cut by the hyperplanes whose row on flat i is `row`, with
-    pivot column q.  `_flat_key` makes a flat's key from the steps, and
-    `flat_order` orders the flats.  Finding more than `max_flats` flats
-    raises ValueError.
+    codimension and the step that found it, then the covers as index
+    pairs (i, j), flat j a maximal proper subspace of flat i, and, by
+    flat, mu(ambient, flat).  The step of a flat other than the ambient
+    (whose step is None) is (i, row, q): flat i cut by the hyperplanes
+    whose row on flat i is `row`, with pivot column q.  `_flat_key` makes
+    a flat's key from the steps, and `flat_order` orders the flats.
+    Finding more than `max_flats` flats raises ValueError.
 
     The covers of X are the nonempty X cut by H, H not through X.  Each
     flat of the BFS frontier carries the rows of the hyperplanes not
@@ -121,6 +115,8 @@ def flat_search(
     dropped.  A new cover Y = X cut by H gets its rows from X's by one
     `_clear` against H's row where they are nonzero in its pivot column,
     unless Y is a point: a point misses every hyperplane not through it.
+    Once the covers are all found, `weisner_mobius` gives mu from them,
+    with the lowest bit of a flat's mask as its atom.
     """
     n = ambient_dim
     empty = (0,) * n + (1,)  # the row of a hyperplane parallel to the flat
@@ -171,7 +167,7 @@ def flat_search(
                         new.append((k, cover_rows))
                 covers.append((i, k))
         frontier = new
-    return masks, codims, steps, covers
+    return masks, codims, steps, covers, weisner_mobius(masks, [m & -m for m in masks], covers)
 
 
 def _flat_key(steps, memo: dict, k: int):
@@ -189,14 +185,14 @@ def _flat_key(steps, memo: dict, k: int):
     return memo[k]
 
 
-def flat_order(search) -> tuple[list[tuple], list[int], list[tuple[int, int]]]:
+def flat_order(search) -> tuple[list[tuple], list[tuple[int, int]], list[int]]:
     """The flats of `search`, a `flat_search` result, in the order they are
     printed: their keys in the order of (codimension, rational echelon
-    form), in the same order their masks, and the covers as sorted index
-    pairs."""
-    masks, _, steps, covers = search
+    form), the covers as sorted index pairs into that order and mu in
+    it, the shape of `layer_order`."""
+    _, _, steps, covers, mobius = search
     memo: dict = {}
-    keys = [_flat_key(steps, memo, k)[0] for k in range(len(masks))]
+    keys = [_flat_key(steps, memo, k)[0] for k in range(len(steps))]
     # The rational echelon form divides each row r by its pivot, its first
     # nonzero entry.  Scaled by the common multiple L of all pivots, r / pivot
     # becomes the integer row r * (L // pivot) in the same lexicographic
@@ -206,8 +202,8 @@ def flat_order(search) -> tuple[list[tuple], list[int], list[tuple[int, int]]]:
     scaled = {r: tuple(x * (scale // d) for x in r) for r, d in pivot.items()}
     order = sorted(range(len(keys)), key=lambda i: (len(keys[i]), [scaled[r] for r in keys[i]]))
     position = {i: p for p, i in enumerate(order)}
-    return ([keys[i] for i in order], [masks[i] for i in order],
-            sorted((position[x], position[y]) for x, y in covers))
+    return ([keys[i] for i in order], sorted((position[x], position[y]) for x, y in covers),
+            [mobius[i] for i in order])
 
 
 def _row_text(row: Sequence[int]) -> str:

@@ -34,13 +34,15 @@ sum of mu over the layers a layer covers that do not lie on its atom.
 A layer's mask is its flat's bitmask, and its atom the bit of the
 hypersurface whose cut found it, which contains a layer above it
 exactly when the character lies in that layer's span.  The search
-feeds each level's covers, once each, to `weisner_step`, the one
-Moebius recursion it shares with the affine flats.
+returns mu, computed at its end by one walk of `weisner_mobius` over
+its covers, which come level by level: the one Moebius function of the
+package, which the affine flat search shares.
 
 The search runs on integer keys, spans with (num, den) phase pairs,
 and returns the layers in the order it finds them, which is all the E2
-commands read; `layer_order` sorts them for `poset` and `strata`, and
-`_layer_name` prints a layer's name from its key.
+commands read; `layer_order` sorts them, with their covers and mu,
+for `poset` and `strata`, and `_layer_name` prints a layer's name from
+its key.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from stratiform.exactalg import _completion, hermite_basis
-from stratiform.matroidos import weisner_step
+from stratiform.matroidos import weisner_mobius
 
 
 def mod1(x) -> Fraction:
@@ -261,11 +263,12 @@ def layer_search(
     The interval below a layer Z is the lattice of flats of the central
     arrangement that the hypersurfaces through Z make near a point of Z
     (De Concini-Procesi 2005), a geometric lattice, so mu comes from
-    the covers by `weisner_step`, one level at a time, once the level's
-    covers are all found.  A layer's mask is its flat's bitmask, and the
-    atom of a new layer is the bit of the hypersurface H whose cut found
-    it.  H contains a layer Y above the new layer exactly when H's
-    character lies in Y's span, that is, when H's bit is in Y's mask.
+    the covers by `weisner_mobius`, once the covers are all found: they
+    come level by level, so the covers below a layer come before the
+    covers above it.  A layer's mask is its flat's bitmask, and the atom
+    of a layer is the bit of the hypersurface H whose cut found it.  H
+    contains a layer Y above that layer exactly when H's character lies
+    in Y's span, that is, when H's bit is in Y's mask.
     """
     for h in arrangement:
         if h.dim != n:
@@ -273,17 +276,15 @@ def layer_search(
     hypersurfaces = [(h.exponents, h.phase.numerator, h.phase.denominator) for h in arrangement]
     keys: list[tuple] = [((), ())]
     masks = [0]  # the bits of the hypersurfaces whose characters lie in each key's span
-    mobius = [1]  # mu(ambient, layer), by key
+    atoms = [0]  # the bit of the hypersurface whose cut found each key; the ambient has none
     flats: dict[int, tuple[tuple[int, ...], ...]] = {}  # a flat's mask -> its Hermite basis
     index: dict[tuple, int] = {}  # (mask, phases) -> a layer's index, for one level
-    atoms: dict[int, int] = {}  # a layer's index -> its atom, for one level
     covers: list[tuple[int, int]] = []
     frontier = [0]
     for _ in range(n):  # codimensions 0..n-1: a point lies on or off each hypersurface
         users = Counter(masks[y] for y in frontier)
         plans: dict[int, tuple] = {}
         index.clear()
-        atoms.clear()
         found: set[tuple[int, int]] = set()  # the covers (y, j), y of this level
         next_frontier = []
         for y in frontier:
@@ -301,14 +302,12 @@ def layer_search(
                     j = index[cut_mask, cut_phases] = len(keys)
                     keys.append((cut_span, cut_phases))
                     masks.append(cut_mask)
-                    mobius.append(0)
-                    atoms[j] = bit
+                    atoms.append(bit)
                     next_frontier.append(j)
                 found.add((y, j))
-        weisner_step(mobius, masks, atoms, found)
         covers += found
         frontier = next_frontier
-    return keys, covers, mobius
+    return keys, covers, weisner_mobius(masks, atoms, covers)
 
 
 def layer_order(search) -> tuple[list[tuple], list[tuple[int, int]], list[int]]:

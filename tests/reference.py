@@ -24,7 +24,8 @@ function is an independent oracle for a production computation:
 - the intersection posets as objects, for the tests that read flats and
   layers: `affine_poset` and `layer_poset` turn the integer keys of
   `flat_order` and `layer_order` into rational echelon rows and
-  `Layer`s, with the covers and the searches' mu;
+  `Layer`s, with the covers and the mu that the searches return, and
+  `affine_poset` finds the hyperplanes through each flat by rank;
 - `morganmodel`: a datum's restriction-functoriality check on dense
   composite matrices, the model assembled one basis pair at a time
   from dense composite restrictions, and the dense blocks of the
@@ -48,7 +49,7 @@ from itertools import combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from stratiform.exactalg import Matrix, _frac, _int_rows, _primitive, hermite_basis
-from stratiform.matroidos import _flat_name, flat_mobius, flat_order, flat_search
+from stratiform.matroidos import _flat_name, flat_order, flat_search
 from stratiform.morganmodel import BigradedModel, CompactificationDatum, DatumError, shuffle_sign
 from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_order, layer_search, mod1
 
@@ -619,21 +620,23 @@ class AffinePoset(NamedTuple):
 def affine_poset(ambient_dim: int, hyperplanes: Sequence, max_flats: int | None = None) -> AffinePoset:
     """The flats of `flat_search` in the order of `flat_order`, each integer
     row divided by its pivot and each flat named as `poset` names it, with
-    their covers and mu by `flat_mobius` on `flat_order`'s masks."""
+    the hyperplanes through it, found by rank: [a | c] adds nothing to the
+    rank of the flat's rows exactly when {a.x = c} contains the flat.  The
+    covers and mu are `flat_order`'s."""
 
     def divided(row):
         pivot = next(filter(None, row))
         return tuple(Fraction(x, pivot) for x in row)
 
-    keys, masks, covers = flat_order(flat_search(ambient_dim, hyperplanes, max_flats))
+    equations = [[*normal, c] for normal, c in hyperplanes]
+    keys, covers, mobius = flat_order(flat_search(ambient_dim, hyperplanes, max_flats))
     text: dict = {}
-    flats = tuple(
-        Flat(tuple(map(divided, key)), len(key), ambient_dim - len(key),
-             frozenset(j for j in range(len(hyperplanes)) if mask >> j & 1),
-             _flat_name(key, text))
-        for key, mask in zip(keys, masks)
-    )
-    return AffinePoset(flats, tuple(covers), tuple(flat_mobius(masks, covers)))
+    flats = []
+    for key in keys:
+        rows = list(map(divided, key))
+        through = frozenset(j for j, eq in enumerate(equations) if rank(Matrix([*rows, eq])) == len(rows))
+        flats.append(Flat(tuple(rows), len(key), ambient_dim - len(key), through, _flat_name(key, text)))
+    return AffinePoset(tuple(flats), tuple(covers), tuple(mobius))
 
 
 def poset_characteristic_polynomial(poset: AffinePoset) -> tuple[int, ...]:

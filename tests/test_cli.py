@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stratiform import cli, matroidos, toriclayers
+from stratiform import cli, leraymodel, matroidos, toriclayers
 from stratiform.cli import (
     ArrangementFile,
     ParseError,
@@ -505,6 +505,23 @@ def test_only_poset_and_strata_sort_the_layers(count_calls):
         for command in ("poset", "strata"):
             code, _ = invoke([command, str(GOLDEN / name)])
             assert code == 0 and calls["layer_order"] == 1
+            calls.clear()
+
+
+def test_only_poset_and_strata_sort_the_flats(count_calls):
+    """Work gate, the affine half of the one above: `betti`, `e2`, `purity`
+    and `certificate` read the unordered flat search, once, and `poset`
+    and `strata` search the flats once and sort them once each."""
+    calls = count_calls(cli, "flat_search", "flat_order")
+    searches = count_calls(leraymodel, "flat_search")
+    for name in ("braid4.arr", "braid5.arr", "generic_lines.arr", "parallel_pair.arr"):
+        for command in ("betti", "e2", "purity", "certificate"):
+            code, _ = invoke([command, str(GOLDEN / name)])
+            assert code == 0 and calls == {} and searches == {"flat_search": 1}
+            searches.clear()
+        for command in ("poset", "strata"):
+            code, _ = invoke([command, str(GOLDEN / name)])
+            assert code == 0 and calls == {"flat_search": 1, "flat_order": 1} and searches == {}
             calls.clear()
 
 

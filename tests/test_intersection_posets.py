@@ -31,7 +31,7 @@ from stratiform.leraymodel import (
     strata_data_from_hyperplanes,
     strata_data_from_toric,
 )
-from stratiform.matroidos import flat_mobius, flat_order, flat_search
+from stratiform.matroidos import flat_order, flat_search, weisner_mobius
 from stratiform.toriclayers import ToricHypersurface, _layer_name, layer_order, layer_search
 
 import reference
@@ -845,17 +845,29 @@ def test_affine_poset_makes_no_rational_elimination(count_calls):
 
 
 def test_flat_mobius_matches_flat_lattice():
-    """The Weisner step on a lattice of flats, each flat's mask the bits
-    of its elements, against the lattice's mu summed over whole intervals."""
+    """mu of the central arrangement of these normals, as `flat_search`
+    returns it and as `flat_order` orders it, against the lattice of flats
+    of the same vectors, its mu summed over whole intervals, matched by
+    mask (the bits of a flat's elements; in `flat_order`'s order, the
+    hyperplanes that `affine_poset` finds through each flat by rank); and
+    `weisner_mobius` on the lattice's own covers, the lowest element of a
+    flat its atom."""
     for vectors in ([(1, 0), (0, 1), (1, 1)], [v for v, _ in b_type_hyperplanes(3)],
                     [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)]):
         lattice = FlatLattice(LinearMatroid(vectors))
         index = {f: i for i, f in enumerate(lattice.flats)}
         covers = [(index[f], index[g]) for f, g in lattice.covers]
         masks = [sum(1 << e for e in f) for f in lattice.flats]
-        mobius = flat_mobius(masks, covers)
-        assert mobius == [lattice.mobius[f] for f in lattice.flats]
+        mobius = [lattice.mobius[f] for f in lattice.flats]
+        assert weisner_mobius(masks, [m & -m for m in masks], covers) == mobius
         assert tuple(mobius) == mobius_by_down_sets(len(lattice.flats), covers)
+        by_mask = dict(zip(masks, mobius))
+        hyperplanes = [(v, 0) for v in vectors]
+        search_masks, _, _, _, search_mobius = flat_search(len(vectors[0]), hyperplanes)
+        assert sorted(search_masks) == sorted(by_mask)
+        assert search_mobius == [by_mask[m] for m in search_masks]
+        poset = affine_poset(len(vectors[0]), hyperplanes)
+        assert list(poset.mobius) == [by_mask[sum(1 << j for j in f.hyperplanes)] for f in poset.flats]
 
 
 def test_mobius_by_down_sets_small_posets():
@@ -870,14 +882,15 @@ def test_mobius_by_down_sets_small_posets():
 
 
 def assert_flat_mobius_matches_down_sets(n, hyperplanes):
-    """mu by the Weisner step, over the search's covers in the order it
-    finds them (the E2 commands) and over `flat_order`'s (`strata`), is
-    the down-set mu of the same covers."""
+    """mu as `flat_search` returns it, with its covers in the order it finds
+    them (the E2 commands), and as `flat_order` returns it, with its
+    sorted covers (`poset` and `strata`), is the down-set mu of the same
+    covers."""
     search = flat_search(n, hyperplanes)
-    masks, _, _, covers = search
-    assert tuple(flat_mobius(masks, covers)) == mobius_by_down_sets(len(masks), covers)
-    _, masks, covers = flat_order(search)
-    assert tuple(flat_mobius(masks, covers)) == mobius_by_down_sets(len(masks), covers)
+    masks, _, _, covers, mobius = search
+    assert tuple(mobius) == mobius_by_down_sets(len(masks), covers)
+    keys, covers, mobius = flat_order(search)
+    assert tuple(mobius) == mobius_by_down_sets(len(keys), covers)
 
 
 def assert_layer_mobius_matches_down_sets(n, arrangement):
@@ -905,10 +918,10 @@ def drawn_rational_arrangements(draw):
 
 
 class TestWeisnerAgainstDownSets:
-    """Production mu, by the Weisner step, equals the down-set mu of the
-    same covers, which assumes no lattice.  The toric search hands the
-    step each level's covers as a set, so this must hold whatever order
-    the set iterates in; CI runs the class under two fixed hash seeds."""
+    """Production mu, by `weisner_mobius`, equals the down-set mu of the
+    same covers, which assumes no lattice.  The toric search joins each
+    level's covers from a set, so this must hold whatever order the set
+    iterates in; CI runs the class under two fixed hash seeds."""
 
     @pytest.mark.parametrize("stem", sorted(stem for stem, af in GOLDEN_FILES.items() if af.kind != "strata"))
     def test_golden_files(self, stem):
@@ -936,19 +949,24 @@ class TestWeisnerAgainstDownSets:
         assert_layer_mobius_matches_down_sets(*torus)
 
 
-def test_weisner_step_reads_each_cover_once(count_calls):
-    """Work gate: the Weisner step reads each distinct cover once, 140 on
-    the B3 translate, fed one level at a time, and 160 on braid-5."""
-    calls = count_calls(toriclayers, "weisner_step")
-    _, covers, _ = layer_search(*b3_translate())
-    read = [pair for *_, level in calls.args["weisner_step"] for pair in level]
-    assert calls["weisner_step"] == 3  # one per level above the points
-    assert len(read) == len(set(read)) == len(covers) == 140
-    calls = count_calls(matroidos, "weisner_step")
-    covers = flat_search(5, braid(5))[3]
-    strata_data_from_hyperplanes(5, braid(5))
-    ((*_, read),) = calls.args["weisner_step"]
-    assert len(read) == len(set(read)) == len(covers) == 160
+def test_weisner_mobius_reads_each_cover_once(count_calls):
+    """Work gate: each search computes mu by one `weisner_mobius` call,
+    which reads each distinct cover once, 140 on the B3 translate and 160
+    on braid-5.  The order functions carry the search's mu over, and the
+    E2 route reads it off the search, so neither computes it again."""
+    for module, search, order, strata, args, count in (
+        (toriclayers, layer_search, layer_order, strata_data_from_toric, b3_translate(), 140),
+        (matroidos, flat_search, flat_order, strata_data_from_hyperplanes, (5, braid(5)), 160),
+    ):
+        calls = count_calls(module, "weisner_mobius")
+        found = search(*args)
+        ((*_, read),) = calls.args["weisner_mobius"]
+        assert sorted(read) == sorted(set(read)) == sorted(found[-2]) and len(read) == count
+        calls.clear()
+        order(found)
+        assert calls == {}
+        strata(*args)
+        assert calls["weisner_mobius"] == 1
 
 
 def test_braid6_betti_is_the_product_formula():
