@@ -69,10 +69,6 @@ class Matrix:
         self.ncols = ncols
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
     def _of_fractions(cls, rows: Sequence[tuple[Fraction, ...]], ncols: int) -> "Matrix":
         """A matrix over rows its caller has just built, each a tuple of
         `ncols` Fractions, held without the conversions of `__init__`."""

@@ -12,23 +12,28 @@ an exact check that it is an r-quasi-isomorphism.
 Compactification data is explicit input built by the provided
 constructors (marked projective lines and their Kunneth products, which
 hold the dicts they build without a second normalizing pass); no
-resolution of singularities is attempted.  Composite restrictions are
-held as integer rows over their own scale and extended one step at a
+resolution of singularities is attempted.  A datum's blocks are read
+by one reader, `_block_rows`: a restriction step or a Gysin block as
+the integer rows of its nonzero entries over the lcm of its
+denominators, nothing looked up where either space has no classes.
+Validation, assembly and `kunneth_product` all read through it.
+Composite restrictions are held as such rows and extended one step at a
 time in a memo owned by the caller: validation compares the two orders
 of each pair of steps on them and keeps the ascending one, and the model
 is assembled block by block, a block being the summand of one stratum
-and degree: d from the nonzero entries of its Gysin blocks, and the
+and degree: d from the integer rows of its Gysin blocks, and the
 products one target stratum U at a time, each cup table of U joined
 with the rows of the composites into U of the splits of U into two
 blocks, which is the only order assembly reads them in.  All checks are
-exact identities.  A model
-keeps its maps in one form only, integers over one scale D (the product
-tables and the sparse columns of each stored d), with `products` a
-rational view made on each read; a morphism keeps the sparse integer
-columns of its blocks over a scale of its own.  What a public
-constructor is given is converted once, where it enters; `build_model`
-and the witnesses write integer tables, which `_integer_form` brings to
-one D.  No accessor renders a map as a `Matrix` or applies it to one
+exact identities.  A model keeps its maps in one form only, integers
+over one scale D (the product tables and the sparse columns of each
+stored d), with `products` a rational view made on each read; a
+morphism keeps the sparse integer columns of its blocks over a scale of
+its own.  What a public constructor is given is converted once, where
+it enters, each `Matrix` to integer columns over its own scale
+(`_integer_columns`); those, and the integer tables that `build_model`
+and the witnesses write, are groups that `_integer_form` brings to one
+D.  No accessor renders a map as a `Matrix` or applies it to one
 vector: the tests' oracles in `tests/reference.py` do.  The checks and
 both witnesses run on these forms and make a Fraction only for a value
 they return.  Every product on the model route, from the model's own
@@ -45,7 +50,8 @@ spaces, `CompactificationDatum` a stratum with a component index
 outside 1..components, a negative degree or a negative dimension (and
 it reads each cup constant once, as an int or a Fraction), and a
 datum's validation (`_issues`) lists a missing or misshapen restriction
-step once.  `cohomology_of_model` is the one
+step once; `kunneth_product` refuses a factor with a nonzero cup
+constant outside its space.  `cohomology_of_model` is the one
 reader of a model's cohomology dimensions, ranking each stored d once
 and keeping the result on the model; it gives no dimensions for a
 sequence that is not a complex, but raises the ValueError "d o d
@@ -116,33 +122,33 @@ def shuffle_sign(i_set: Iterable[int], j_set: Iterable[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _sparse_columns(mat: Matrix) -> list[Sparse]:
-    """The nonzero entries of each column of `mat`, keyed by row."""
-    cols: list[Sparse] = [{} for _ in range(mat.ncols)]
+def _integer_columns(mat: Matrix) -> tuple[int, list[dict[int, int]]]:
+    """(D, the sparse integer columns {row: v * D} of `mat`), D the lcm of
+    the denominators of its entries, zeros dropped: a group of
+    `_integer_form`."""
+    den = math.lcm(*(v.denominator for row in mat.rows for v in row))
+    cols: list[dict[int, int]] = [{} for _ in range(mat.ncols)]
     for i, row in enumerate(mat.rows):
         for j, v in enumerate(row):
             if v:
-                cols[j][i] = v
-    return cols
+                cols[j][i] = v.numerator * (den // v.denominator)
+    return den, cols
 
 
-def _integer_form(maps: Mapping[Bidegree, list], groups: Iterable[tuple[int, Iterable[dict]]] = ()) -> tuple[int, dict]:
-    """(D, `maps` as integer columns) for maps given as sparse rational
-    columns, and `groups` (den, vectors) of integer vectors whose values
-    stand for v / den, rescaled in place: D is the lcm of the denominators
-    of the entries of `maps` and of the reduced ones of the groups' values,
-    and each value v becomes the integer v * D."""
+def _integer_form(groups: Iterable[tuple[int, Iterable[dict]]]) -> int:
+    """D for `groups` (den, vectors) of integer vectors whose values stand
+    for v / den, which are rescaled in place: D is the lcm of the reduced
+    denominators of the groups' values, and each value v becomes the
+    integer v * D."""
     groups = list(groups)
-    scale = math.lcm(*{v.denominator for cols in maps.values() for col in cols for v in col.values()},
-                     *(den // math.gcd(den, *(v for vec in vecs for v in vec.values())) for den, vecs in groups))
+    scale = math.lcm(*(den // math.gcd(den, *(v for vec in vecs for v in vec.values())) for den, vecs in groups))
     for den, vecs in groups:
         g = math.gcd(scale, den)  # den // g divides every value of the group
         if den != scale:
             for vec in vecs:
                 for c, v in vec.items():
                     vec[c] = v // (den // g) * (scale // g)
-    return scale, {kq: [{i: v.numerator * (scale // v.denominator) for i, v in col.items()} for col in cols]
-                   for kq, cols in maps.items()}
+    return scale
 
 
 def _apply_columns(cols: Sequence[Mapping[int, Fraction]], vec: Mapping[int, Fraction]) -> Sparse:
@@ -379,57 +385,44 @@ class CompactificationDatum:
     def dim(self, i_set: Sequence[int], p: int) -> int:
         return self.cohomology.get(tuple(sorted(i_set)), {}).get(p, 0)
 
-    def degrees(self, i_set: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sorted(self.cohomology.get(tuple(sorted(i_set)), {})))
-
     def subsets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.cohomology, key=lambda s: (len(s), s)))
 
     # -- maps --------------------------------------------------------------
 
-    def _block(self, maps: Mapping, name: str, i_key, x: int, p: int, tgt_key, tgt_p: int) -> Matrix:
-        """Block p of `maps[(i_key, x)]` into H^tgt_p(D_tgt_key), zero if either
-        space has no classes; `name` % (i_key, x, p) names it in errors.  Both
-        keys are sorted."""
+    def _block_rows(self, memo: dict, gysin: bool, i_key, x: int, p: int,
+                    tgt_key) -> tuple[int, dict[int, dict[int, int]]]:
+        """Block p of the Gysin map (I, x) into H^{p+2}(D_tgt_key) if `gysin`,
+        else of the restriction step (I, x) into H^p(D_tgt_key), as (D, its
+        integer rows {row: {column: value * D}}), D the lcm of its
+        denominators, zeros dropped, read once per `memo`, under (I, (x,), p)
+        for a step and (I, x, p) for a Gysin block; (1, {}), neither looked
+        up nor kept, where either space has no classes.  Both keys are
+        sorted.  A missing or misshapen block raises a DatumError that names
+        it, "missing restriction for I=(), j=1, degree 0" or "Gysin map for
+        I=(1,), i=1, degree 0 has shape (1, 2), expected (1, 1)"."""
         cohomology = self.cohomology
-        src, tgt = cohomology.get(i_key, {}).get(p, 0), cohomology.get(tgt_key, {}).get(tgt_p, 0)
-        if src == 0 or tgt == 0:
-            return Matrix.zero(tgt, src)
-        block = maps.get((i_key, x), {}).get(p)
-        if block is None:
-            raise DatumError("missing " + name % (i_key, x, p))
-        if block.shape != (tgt, src):
-            raise DatumError("%s has shape %r, expected %r" % (name % (i_key, x, p), block.shape, (tgt, src)))
-        return block
-
-    def _step(self, i_key: tuple[int, ...], j: int, p: int, tgt_key: tuple[int, ...]) -> Matrix:
-        """The restriction from D_I to D_{I+j} in degree p; `i_key` and
-        `tgt_key`, the sorted I + j, are sorted."""
-        return self._block(self.restrictions, "restriction for I=%r, j=%d, degree %d",
-                           i_key, j, p, tgt_key, p)
-
-    def _gysin(self, i_key: tuple[int, ...], i: int, p: int, tgt_key: tuple[int, ...]) -> Matrix:
-        """The Gysin map from D_I to D_{I-i} in degree p; both keys sorted."""
-        return self._block(self.gysins, "Gysin map for I=%r, i=%d, degree %d", i_key, i, p, tgt_key, p + 2)
-
-    def _step_rows(self, memo: dict, i_key, j: int, p: int, tgt_key) -> tuple[int, dict[int, dict[int, int]]]:
-        """`_step` as (D, its integer rows {row: {column: value * D}}), D the
-        lcm of its denominators, zeros dropped, read once per `memo`; (1,
-        {}), neither looked up nor kept, when either space has no classes."""
-        cohomology = self.cohomology
-        if not (cohomology.get(i_key, {}).get(p, 0) and cohomology.get(tgt_key, {}).get(p, 0)):
+        src, tgt = cohomology.get(i_key, {}).get(p, 0), cohomology.get(tgt_key, {}).get(p + 2 if gysin else p, 0)
+        if not (src and tgt):
             return 1, {}
-        got = memo.get((i_key, (j,), p))
+        key = (i_key, x if gysin else (x,), p)
+        got = memo.get(key)
         if got is None:
-            rows = [(t, row) for t, row in enumerate(self._step(i_key, j, p, tgt_key).rows) if any(row)]
+            block = (self.gysins if gysin else self.restrictions).get((i_key, x), {}).get(p)
+            if block is None or block.shape != (tgt, src):
+                name = ("Gysin map for I=%r, i=%d, degree %d" if gysin else
+                        "restriction for I=%r, j=%d, degree %d") % (i_key, x, p)
+                raise DatumError("missing " + name if block is None else
+                                 "%s has shape %r, expected %r" % (name, block.shape, (tgt, src)))
+            rows = [(t, row) for t, row in enumerate(block.rows) if any(row)]
             den = math.lcm(*(v.denominator for _, row in rows for v in row))
-            got = memo[(i_key, (j,), p)] = (den, {t: {a: v.numerator * (den // v.denominator) for a, v in enumerate(row)
-                                                      if v} for t, row in rows})
+            got = memo[key] = den, {t: {a: v.numerator * (den // v.denominator) for a, v in enumerate(row) if v}
+                                    for t, row in rows}
         return got
 
     def _composite(self, memo: dict, i_key, js: tuple[int, ...], p: int) -> tuple[int, dict[int, dict[int, int]]]:
         """The one-step restrictions from D_I along `js`, composed in that
-        order, as (D, integer rows) like `_step_rows`, D least; (1, {a: {a:
+        order, as (D, integer rows) like `_block_rows`, D least; (1, {a: {a:
         1}}) when `js` is empty.  Each prefix of `js` is the one before it
         extended by one step, and a nonzero one is kept in `memo` under (I,
         prefix, p), so a step is read once per memo and a missing or
@@ -446,7 +439,7 @@ class CompactificationDatum:
                 nxt = tuple(sorted(cur + (j,)))
                 prefix = memo.get((i_key, js[:n + 1], p)) if n else None
                 if prefix is None:
-                    prefix = self._step_rows(memo, cur, j, p, nxt)
+                    prefix = self._block_rows(memo, False, cur, j, p, nxt)
                     if n:
                         prefix = _compose_rows(prefix, got)
                         if prefix[1]:
@@ -487,7 +480,7 @@ class CompactificationDatum:
                     above = tuple(sorted(i_key + (j,)))
                     for p in degrees:
                         try:
-                            self._step_rows(memo, i_key, j, p, above)
+                            self._block_rows(memo, False, i_key, j, p, above)
                         except DatumError as err:
                             issues.append(str(err))
             for j1, j2, top in sorted(tops.get(i_key, ()), key=lambda pair: pair[:2]):
@@ -594,7 +587,8 @@ class BigradedModel:
         escapes = _escapes(tables, {kq: range(len(labels)) for kq, labels in self.spaces.items()})
         if escapes:
             raise ValueError(_escape_message(escapes[0]))
-        self._hold(*_integer_form({kq: _sparse_columns(mat) for kq, mat in diff.items()}, groups), tables)
+        d = {kq: _integer_columns(mat) for kq, mat in diff.items()}
+        self._hold(_integer_form([*groups, *d.values()]), {kq: cols for kq, (_, cols) in d.items()}, tables)
 
     @classmethod
     def _adopt(cls, spaces: dict, scale: int, d: dict, tables: dict) -> BigradedModel:
@@ -676,8 +670,11 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     block is missing or misshapen.
 
     The model is assembled in integers, block by block, a block being the
-    summand of one (I, p).  The differential is written as sparse columns,
-    from the nonzero entries of the Gysin blocks with one sign per (I, i).
+    summand of one (I, p), and makes no Fraction.  The differential is
+    written as sparse integer columns from the rows of the Gysin blocks
+    (`_block_rows`), with one sign per (I, i): the columns of a block are
+    over the lcm of the scales of its Gysin blocks, and are one group of
+    `_integer_form`.
     The products are assembled one target stratum U at a time, in
     `subsets` order: for each (p1, p2) of the cup table of D_U with a block
     (U, p1 + p2), that table, scaled to integers once, is joined
@@ -708,28 +705,30 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
             places[(i_key, p)] = kq, len(labels)
             labels.extend((i_key, p, j) for j in range(n))
 
-    d: dict[Bidegree, list[Sparse]] = {}
+    d: dict[Bidegree, list[dict[int, int]]] = {}
+    groups: dict[int, list] = {}  # denominator -> the columns of d's blocks and the vectors of the splits over it
     for kq, labels in spaces.items():
         k, q = kq
         if not spaces.get((k + 1, q)):
             continue
         cols = d[kq] = [{} for _ in labels]
         for i_key, p, off in blocks[kq]:
+            reads = []  # (row offset, sign, (D, rows)) per Gysin block of (I, p) into a block
             for pos, i in enumerate(i_key):
                 rest = i_key[:pos] + i_key[pos + 1:]
-                place = places.get((rest, p + 2))
-                if place is None:
-                    continue  # D_{I-i} has no classes in degree p + 2
-                row_off = place[1]
-                negate = (q + pos) % 2  # pos components of I - i precede i
-                # no other i of I reaches the rows of D_{I-i}: each entry is set once
-                for t, gys_row in enumerate(cd._gysin(i_key, i, p, rest).rows):
-                    for j, v in enumerate(gys_row):
-                        if v:
-                            cols[off + j][row_off + t] = -v if negate else v
+                place = places.get((rest, p + 2))  # None where D_{I-i} has no classes in degree p + 2
+                if place is not None:  # pos components of I - i precede i
+                    reads.append((place[1], (-1) ** (q + pos), cd._block_rows({}, True, i_key, i, p, rest)))
+            den = math.lcm(*(block_den for _, _, (block_den, _) in reads))
+            # no other i of I reaches the rows of D_{I-i}: each entry is set once
+            for row_off, sign, (block_den, rows) in reads:
+                m = sign * (den // block_den)
+                for t, row in rows.items():
+                    for a, v in row.items():
+                        cols[off + a][row_off + t] = m * v
+            groups.setdefault(den, []).extend(cols[off:off + cohomology[i_key][p]])
 
     found: dict = {}  # (kq1, kq2) -> {(a, b): ab}, each key filled by one split
-    groups: dict[int, list] = {}  # denominator -> the vectors of the splits over it
     for u_key in cd.subsets():
         lifted: dict = {}  # (I, p) -> the composite to U as (D, its rows labelled by model index)
 
@@ -778,7 +777,7 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
         if table:
             products[key] = dict(sorted(table.items()))
     return BigradedModel._adopt({kq: tuple(labels) for kq, labels in spaces.items()},
-                                *_integer_form(d, groups.items()), products)
+                                _integer_form(groups.items()), d, products)
 
 
 # -- axioms and cohomology -------------------------------------------------
@@ -1161,7 +1160,9 @@ class CdgaMorphism:
                 raise ValueError("block at %r has shape %r, expected %r" % (kq, shape, want))
         self.source = source
         self.target = target
-        self.scale, self.cols = _integer_form({kq: _sparse_columns(mat) for kq, mat in blocks.items()})
+        cols = {kq: _integer_columns(mat) for kq, mat in blocks.items()}
+        self.scale = _integer_form(cols.values())
+        self.cols = {kq: kq_cols for kq, (_, kq_cols) in cols.items()}
 
     @classmethod
     def _of_columns(cls, source: BigradedModel, target: BigradedModel, scale: int,
@@ -1348,7 +1349,7 @@ def _line_model(model: BigradedModel, weight: int, letter: str, line: Mapping[in
                     groups.setdefault(model.scale * scale1 * scale2 * den, []).append(vec)
             if table:
                 products[key] = table
-    return BigradedModel._adopt(spaces, *_integer_form({}, groups.items()), products)
+    return BigradedModel._adopt(spaces, _integer_form(groups.items()), {}, products)
 
 
 def extract_kernel_model(model: BigradedModel, r: float) -> FormalityWitness:
@@ -1415,7 +1416,7 @@ def extract_cokernel_model(model: BigradedModel, r: float) -> FormalityWitness:
     # the projection's column j at (k, k) holds the class coordinates of
     # basis vector j, over D, the lcm of the denominators of its entries
     coordinates = {(k, k): [data[k].class_coordinates({j: 1}) for j in range(model.dim((k, k)))] for k in line}
-    den = _integer_form({}, [(c, (v,)) for cols in coordinates.values() for c, v in cols])[0]
+    den = _integer_form([(c, (v,)) for cols in coordinates.values() for c, v in cols])
     projections = {kq: [v for _, v in cols] for kq, cols in coordinates.items()}
 
     # well-definedness: boundaries must multiply into boundaries, checked
@@ -1514,19 +1515,51 @@ def _lift(factor_cols, left: bool, shift: int, src: Mapping, tgt: Mapping, maps:
     return blocks
 
 
+def _cup_walk(cd: CompactificationDatum, i_key, factor: str) -> list:
+    """The nonzero cup constants of D_I in `cd` under keys (a, b) inside its
+    basis, as [(p, p2, [(a, b, [(c, v), ...]), ...]), ...] in the order of
+    the tables, each v a Fraction, without an empty list.  A nonzero
+    constant outside H^{p+p2}(D_I) raises a DatumError that names `factor`
+    and the first such entry in the order of (p, p2, a, b, c), "first
+    factor: cup product on D_() at (0,0)x(0,0) has entry 1 outside H^0", as
+    the datum's validation words it."""
+    dims, walk, escapes = cd.cohomology.get(i_key, {}), [], []
+    for (p, p2), entries in cd.cups.get(i_key, {}).items():
+        r1, r2, target = range(dims.get(p, 0)), range(dims.get(p2, 0)), range(dims.get(p + p2, 0))
+        nonzero = []
+        for (a, b), vec in entries.items():
+            if a in r1 and b in r2:
+                vec = [(c, Fraction(v) if isinstance(v, int) else v) for c, v in vec.items() if v]
+                escapes += [(p, p2, a, b, c) for c, _ in vec if c not in target]
+                if vec:
+                    nonzero.append((a, b, vec))
+        if nonzero:
+            walk.append((p, p2, nonzero))
+    if escapes:
+        p, p2, a, b, c = min(escapes)
+        raise DatumError("%s factor: cup product on D_%r at (%d,%d)x(%d,%d) has entry %r outside H^%d"
+                         % (factor, i_key, p, a, p2, b, c, p + p2))
+    return walk
+
+
 def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> CompactificationDatum:
     """Product datum: divisor components of the first factor crossed with
     the second variety, then the first variety crossed with components of
     the second.  Cohomology, restrictions, Gysin maps and cups are graded
     tensors with Koszul signs.
 
-    Each factor map is read once per degree as sparse columns: a
-    restriction step through `_step_rows`, its integers over its scale
-    made Fractions again, a Gysin block from its rows.  The lifted blocks
-    are `Matrix` rows of those Fractions and one shared zero.  The cups of
-    a product stratum look up each factor's cup table of that stratum once.
-    The dicts are built in the constructor's form (sorted integer keys, no
-    zero dimension), and the datum holds them as they are (`_adopt`).
+    Each factor map, a restriction step or a Gysin block, is read once per
+    degree through `_block_rows`, which raises the factor's DatumError for
+    a missing or misshapen block, and its integers over its scale made
+    Fractions as sparse columns.  The lifted blocks are `Matrix` rows of
+    those Fractions and one shared zero.  The cups of a product stratum
+    are the products of the nonzero entries of its factors' tables
+    (`_cup_walk`, once per factor stratum), each placed by its label; keys
+    outside a factor's basis are ignored, as its validation ignores them,
+    and a nonzero constant outside its space is refused with a DatumError
+    naming the factor.  The dicts are built in the constructor's form
+    (sorted integer keys, no zero dimension, tables and keys ascending),
+    and the datum holds them as they are (`_adopt`).
     """
     s1, s2 = cd1.components, cd2.components
 
@@ -1538,11 +1571,9 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
         for i2 in cd2.subsets():
             key = tuple(sorted(i1 + tuple(j + s1 for j in i2)))
             labels: dict[int, list] = {}
-            for p1 in cd1.degrees(i1):
-                for p2 in cd2.degrees(i2):
-                    labels.setdefault(p1 + p2, []).extend(
-                        (p1, p2, a1, a2) for a1 in range(cd1.dim(i1, p1)) for a2 in range(cd2.dim(i2, p2))
-                    )
+            for p1, n1 in sorted(cd1.cohomology[i1].items()):
+                for p2, n2 in sorted(cd2.cohomology[i2].items()):
+                    labels.setdefault(p1 + p2, []).extend((p1, p2, a1, a2) for a1 in range(n1) for a2 in range(n2))
             if labels:
                 factors[key], bases[key] = (i1, i2), labels
     cohomology = {key: {p: len(labels) for p, labels in basis.items()} for key, basis in bases.items()}
@@ -1551,80 +1582,48 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
         for key, basis in bases.items()
     }
 
-    def side(x, i1, i2):
-        """Whether component x of the product is on the left, its factor's
-        datum and stratum, and its index there."""
-        return (True, cd1, i1, x) if x <= s1 else (False, cd2, i2, x - s1)
-
-    def step_cols(cd, own, local):
-        above = tuple(sorted(own + (local,)))
+    def factor_cols(cd, gysin, own, local):
+        target = tuple(x for x in own if x != local) if gysin else tuple(sorted(own + (local,)))
 
         def cols(p):
-            den, rows = cd._step_rows({}, own, local, p, above)
+            den, rows = cd._block_rows({}, gysin, own, local, p, target)
             return _sparse_rows({t: {a: Fraction(v, den) for a, v in row.items()} for t, row in rows.items()})
         return cols
 
-    def gysin_cols(cd, own, local):
-        rest = tuple(x for x in own if x != local)
-        return lambda p: _sparse_rows({b: {a: v for a, v in enumerate(row) if v}
-                                       for b, row in enumerate(cd._gysin(own, local, p, rest).rows)})
-
     restrictions: dict = {}
     gysins: dict = {}
-    lifted: dict = {}  # (left, shift, own, local) -> the factor's map by degree
+    lifted: dict = {}  # (left, gysin, own, local) -> the factor's map by degree
     for key, (i1, i2) in factors.items():
-        for j in range(1, s1 + s2 + 1):
-            tgt_key = tuple(sorted(key + (j,)))
-            if j in key or tgt_key not in index:
-                continue
-            left, cd, own, local = side(j, i1, i2)
-            blocks = _lift(step_cols(cd, own, local), left, 0, bases[key], index[tgt_key],
-                           lifted.setdefault((left, 0, own, local), {}))
-            if blocks:
-                restrictions[(key, j)] = blocks
-        for i in key:
-            tgt_key = tuple(x for x in key if x != i)
-            if tgt_key not in index:
-                continue
-            left, cd, own, local = side(i, i1, i2)
-            blocks = _lift(gysin_cols(cd, own, local), left, 2, bases[key], index[tgt_key],
-                           lifted.setdefault((left, 2, own, local), {}))
-            if blocks:
-                gysins[(key, i)] = blocks
+        for gysin, xs in ((False, [j for j in range(1, s1 + s2 + 1) if j not in key]), (True, key)):
+            for x in xs:
+                tgt_key = tuple(y for y in key if y != x) if gysin else tuple(sorted(key + (x,)))
+                if tgt_key not in index:
+                    continue
+                # component x of the product is on the left, or x - s1 on the right
+                left, cd, own, local = (True, cd1, i1, x) if x <= s1 else (False, cd2, i2, x - s1)
+                blocks = _lift(factor_cols(cd, gysin, own, local), left, 2 if gysin else 0, bases[key], index[tgt_key],
+                               lifted.setdefault((left, gysin, own, local), {}))
+                if blocks:
+                    (gysins if gysin else restrictions)[(key, x)] = blocks
 
+    walks1 = {i1: _cup_walk(cd1, i1, "first") for i1 in cd1.subsets()}
+    walks2 = {i2: _cup_walk(cd2, i2, "second") for i2 in cd2.subsets()}
     cups: dict = {}
-    zero = Fraction(0)
     for key, (i1, i2) in factors.items():
-        basis, lookup = bases[key], index[key]
-        cups1, cups2 = cd1.cups.get(i1, {}), cd2.cups.get(i2, {})
-        table: dict = {}
-        degrees = sorted(basis)
-        for p in degrees:
-            for p2 in degrees:
-                target = lookup.get(p + p2, {})
-                entries: dict = {}
-                for a, (pa1, pa2, a1, a2) in enumerate(basis[p]):
-                    for b, (pb1, pb2, b1, b2) in enumerate(basis[p2]):
-                        c1 = cups1.get((pa1, pb1), {}).get((a1, b1))
-                        c2 = cups2.get((pa2, pb2), {}).get((a2, b2)) if c1 else None
-                        if not c2:
-                            continue
-                        # Koszul sign: the left part of b passes the right part of a
-                        sign = (-1) ** (pa2 * pb1)
-                        vec: Sparse = {}
-                        for t1_idx, v1 in c1.items():
-                            for t2_idx, v2 in c2.items():
-                                pos = target.get((pa1 + pb1, pa2 + pb2, t1_idx, t2_idx))
-                                if pos is None:
-                                    continue
-                                vec[pos] = vec.get(pos, zero) + sign * v1 * v2
-                        vec = {c: v for c, v in vec.items() if v}
-                        if vec:
-                            entries[(a, b)] = vec
-                if entries:
-                    table[(p, p2)] = entries
+        lookup, table = index[key], {}
+        for pa1, pb1, entries1 in walks1[i1]:
+            for pa2, pb2, entries2 in walks2[i2]:
+                pa, pb, pc = lookup[pa1 + pa2], lookup[pb1 + pb2], lookup[pa1 + pb1 + pa2 + pb2]
+                out = table.setdefault((pa1 + pa2, pb1 + pb2), {})
+                odd = pa2 * pb1 % 2  # Koszul sign: the left part of b passes the right part of a
+                for a1, b1, vec1 in entries1:
+                    if odd:
+                        vec1 = [(c1, -v1) for c1, v1 in vec1]
+                    for a2, b2, vec2 in entries2:
+                        out[(pa[(pa1, pa2, a1, a2)], pb[(pb1, pb2, b1, b2)])] = {
+                            pc[(pa1 + pb1, pa2 + pb2, c1, c2)]: v1 * v2 for c1, v1 in vec1 for c2, v2 in vec2}
         if table:
-            cups[key] = table
+            cups[key] = {pp: dict(sorted(table[pp].items())) for pp in sorted(table)}
     return CompactificationDatum._adopt(s1 + s2, cohomology, restrictions, gysins, cups)
 
 

@@ -36,7 +36,8 @@ function is an independent oracle for a production computation:
   `block`, `blocks`), applied to one vector (`diff_vec`, `image`), a
   model's products one basis pair or vector pair at a time
   (`mult_basis`, `mult_vec`), and a datum's Gysin blocks and cup
-  constants (`gysin`, `cup_entries`).
+  constants (`gysin`, `cup_entries`), read from the datum's dicts by a
+  reader of their own (`datum_block`) with the package's fault texts.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
 
 def identity(n: int) -> Matrix:
     return Matrix([[Fraction(i == j) for j in range(n)] for i in range(n)], ncols=n)
+
+
+def zero_matrix(nrows: int, ncols: int) -> Matrix:
+    return Matrix([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
 
 
 def from_columns(cols: Sequence[Sequence], nrows: int | None = None) -> Matrix:
@@ -863,6 +868,34 @@ def brute_force_components(n, equations, grid):
 # -- the model of a compactification datum -------------------------------------
 
 
+def datum_block(cd: CompactificationDatum, gysin: bool, i_key, x: int, p: int) -> Matrix:
+    """Block p of the Gysin map (I, x) into H^{p+2}(D_{I-x}) if `gysin`,
+    else of the restriction step (I, x) into H^p(D_{I+x}), as the datum
+    holds it; the zero matrix where either space has no classes.  A
+    missing block raises DatumError("missing restriction for I=.., j=..,
+    degree ..") ("Gysin map for I=.., i=.., degree .." for a Gysin block),
+    and one of another shape DatumError("<its name> has shape S, expected
+    T"), T the (target, source) dimensions."""
+    i_key = tuple(sorted(i_key))
+    tgt_key = tuple(y for y in i_key if y != x) if gysin else tuple(sorted(i_key + (x,)))
+    src = cd.cohomology.get(i_key, {}).get(p, 0)
+    tgt = cd.cohomology.get(tgt_key, {}).get(p + 2 if gysin else p, 0)
+    if src == 0 or tgt == 0:
+        return zero_matrix(tgt, src)
+    name = ("Gysin map for I=%r, i=%d, degree %d" if gysin else "restriction for I=%r, j=%d, degree %d") % (i_key, x, p)
+    block = (cd.gysins if gysin else cd.restrictions).get((i_key, x), {}).get(p)
+    if block is None:
+        raise DatumError("missing " + name)
+    if block.shape != (tgt, src):
+        raise DatumError("%s has shape %r, expected %r" % (name, block.shape, (tgt, src)))
+    return block
+
+
+def degrees(cd: CompactificationDatum, i_set) -> tuple[int, ...]:
+    """The degrees, ascending, in which D_I has classes."""
+    return tuple(sorted(cd.cohomology.get(tuple(sorted(i_set)), {})))
+
+
 def compose_steps(cd: CompactificationDatum, i_key, js, p) -> Matrix:
     """The one-step restrictions from D_I along `js`, composed in that order
     as dense matrices; the identity when `js` is empty."""
@@ -871,7 +904,7 @@ def compose_steps(cd: CompactificationDatum, i_key, js, p) -> Matrix:
     cur, mat = tuple(i_key), None
     for j in js:
         nxt = tuple(sorted(cur + (j,)))
-        step = cd._step(cur, j, p, nxt)
+        step = datum_block(cd, False, cur, j, p)
         mat = step if mat is None else matmul(step, mat)
         cur = nxt
     return mat
@@ -885,8 +918,7 @@ def restriction(cd: CompactificationDatum, i_set, j_set, p) -> Matrix:
 
 def gysin(cd: CompactificationDatum, i_set, i, p) -> Matrix:
     """The Gysin block H^p(D_I) -> H^{p+2}(D_{I-i}) for i in I."""
-    i_key = tuple(sorted(i_set))
-    return cd._gysin(i_key, i, p, tuple(x for x in i_key if x != i))
+    return datum_block(cd, True, i_set, i, p)
 
 
 def cup_entries(cd: CompactificationDatum, i_set, p, p2) -> dict:
@@ -906,7 +938,7 @@ def validate(cd: CompactificationDatum) -> list[str]:
         for j in remaining:
             for p in sorted(cohomology[i_key]):
                 try:
-                    cd._step(i_key, j, p, tuple(sorted(i_key + (j,))))
+                    datum_block(cd, False, i_key, j, p)
                 except DatumError as err:
                     issues.append(str(err))
         for a_pos in range(len(remaining)):
@@ -936,7 +968,7 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
         raise DatumError("; ".join(issues))
     spaces: dict = {}
     for i_key in cd.subsets():
-        for p in cd.degrees(i_key):
+        for p in degrees(cd, i_key):
             labels = spaces.setdefault((p + len(i_key), p + 2 * len(i_key)), [])
             for j in range(cd.dim(i_key, p)):
                 labels.append((i_key, p, j))
@@ -1003,7 +1035,7 @@ def _rendered(cols, scale: int, nrows: int, ncols: int) -> Matrix:
     """The `nrows` x `ncols` matrix whose sparse integer columns over `scale`
     are `cols`, or the zero matrix if `cols` is None."""
     if cols is None:
-        return Matrix.zero(nrows, ncols)
+        return zero_matrix(nrows, ncols)
     return Matrix([[Fraction(col.get(i, 0), scale) for col in cols] for i in range(nrows)], ncols=ncols)
 
 
