@@ -13,9 +13,9 @@ These fixed rules make every result deterministic.  All comparisons are
 exact; no tolerance parameter exists anywhere in this package.
 
 The toric layers need no Smith form: a layer's span is saturated, so
-`_completion` brings its Hermite basis to [I | 0] by column steps alone
-and carries the inverse of its transform along with it (each column
-step is mirrored by the inverse row step), with no rational elimination.
+`_completion` brings its Hermite basis to [I | 0] by column steps alone,
+with no rational elimination.  It returns the unimodular transform R
+only: no caller reads R^-1, so no step is mirrored to build it.
 The affine intersection poset is integer-only as well, and `morganmodel`
 eliminates sparse integer columns of its own, so no production path
 eliminates or multiplies a dense matrix.  The dense rational elimination
@@ -93,10 +93,9 @@ class Matrix:
 # -- unimodular completion ---------------------------------------------
 
 
-def _completion(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[list[int]]]:
+def _completion(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """A unimodular R with rows @ R = [I | 0], for the `rows` of a basis
-    of a saturated lattice in Z^ncols, as the columns of R and the rows of
-    R^-1.
+    of a saturated lattice in Z^ncols, as the columns of R.
 
     Column steps alone: for each row in turn, a Euclid run on its entries
     from its own column on leaves one nonzero entry, which must be +-1
@@ -104,17 +103,13 @@ def _completion(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[in
     and the row's earlier entries are cleared against it, which leaves
     the earlier rows, zero in that column, as they were.  The Euclid run
     divides by the entry of smallest absolute value, lowest column first.
-    Every column step on R is mirrored as the inverse row step on R^-1,
-    so the inverse comes out integral with no elimination.
     """
     a = [list(col) for col in zip(*rows)] or [[] for _ in range(ncols)]  # the columns of rows @ R
     right = [[int(i == j) for i in range(ncols)] for j in range(ncols)]  # the columns of R
-    inverse = [[int(i == j) for j in range(ncols)] for i in range(ncols)]  # the rows of R^-1
 
-    def col_sub(j, k, q):  # col_j -= q * col_k on a and R; row_k += q * row_j on R^-1
+    def col_sub(j, k, q):  # col_j -= q * col_k on a and R
         a[j] = [x - q * y for x, y in zip(a[j], a[k])]
         right[j] = [x - q * y for x, y in zip(right[j], right[k])]
-        inverse[k] = [x + q * y for x, y in zip(inverse[k], inverse[j])]
 
     for i in range(len(rows)):
         while True:
@@ -130,15 +125,13 @@ def _completion(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[in
         if p != i:
             a[i], a[p] = a[p], a[i]
             right[i], right[p] = right[p], right[i]
-            inverse[i], inverse[p] = inverse[p], inverse[i]
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             right[i] = [-x for x in right[i]]
-            inverse[i] = [-x for x in inverse[i]]
         for j in range(i):
             if a[j][i]:
                 col_sub(j, i, a[j][i])
-    return right, inverse
+    return right
 
 
 # -- Hermite bases and lattices -----------------------------------------

@@ -259,6 +259,19 @@ def _whole(x) -> int | None:
     return v.numerator if v.denominator == 1 else None
 
 
+def _whole_pair(key) -> tuple[int, int] | None:
+    """key as a pair of ints where it is a tuple of two integers ((0, 1),
+    (0.0, "1")), else None."""
+    if type(key) is tuple and len(key) == 2:
+        x, y = key
+        if type(x) is int and type(y) is int:
+            return key
+        x, y = _whole(x), _whole(y)
+        if x is not None and y is not None:
+            return x, y
+    return None
+
+
 def _degree_blocks(blocks: Mapping, name: str, key) -> dict:
     """The blocks of the map `name` `key`, by degree as an int; a DatumError
     for the first degree that is not an integer."""
@@ -322,13 +335,20 @@ class CompactificationDatum:
     non-integral component index") or one of whose degrees
     ("restriction (I, j) has a non-integral degree p"; "Gysin map (I,
     i)" for a Gysin map) is not an integer; then for the first key of
-    the cups refused for its stratum.  It reads every cup constant once
-    as an int or a Fraction: a float exactly, a string such as "1/10" as
-    parsed, and one that is no finite rational ("one", "1/0", an infinite
-    or NaN float, None) raises ConstantError, a ValueError that names
-    it.  So every stratum lies inside the components, assembly meets no
-    negative degree, and the checks and the model read the constants as
-    they are.
+    the cups refused for its stratum, or, in the pass that reads the
+    constants, for the first degree pair or basis pair of its table that
+    is not a tuple of two integers ("cup table of stratum I has a degree
+    pair pp that is not two integers"; "cup table of stratum I at
+    degrees pp has a basis pair ab that is not two integers") or target
+    index that is not an integer ("cup table of stratum I at degrees pp,
+    basis pair ab, has a target index c that is not an integer").  It
+    reads every cup constant once as an int or a Fraction: a float
+    exactly, a string such as "1/10" as parsed, and one that is no finite
+    rational ("one", "1/0", an infinite or NaN float, None) raises
+    ConstantError, a ValueError that names it.  So every stratum lies
+    inside the components, assembly meets no negative degree, and the
+    checks and the model read the keys as ints and the constants as they
+    are.
     """
 
     def __init__(
@@ -362,9 +382,30 @@ class CompactificationDatum:
                 if key[1] is None:
                     raise DatumError("%s %r has a non-integral component index" % (name, (key[0], x)))
                 held[key] = _degree_blocks(blocks, name, key)
-        self.cups = {_sorted_subset(i_set): {pp: {ab: {c: _rational(v) for c, v in vec.items()}
-                                                  for ab, vec in entries.items()} for pp, entries in table.items()}
-                     for i_set, table in (cups or {}).items()}
+        self.cups = {}
+        for i_set, table in (cups or {}).items():
+            key = _sorted_subset(i_set)
+            held = self.cups[key] = {}
+            for pp, entries in table.items():
+                degrees = _whole_pair(pp)
+                if degrees is None:
+                    raise DatumError("cup table of stratum %r has a degree pair %r that is not two integers"
+                                     % (key, pp))
+                products = held[degrees] = {}
+                for ab, vec in entries.items():
+                    pair = _whole_pair(ab)
+                    if pair is None:
+                        raise DatumError("cup table of stratum %r at degrees %r has a basis pair %r that is not"
+                                         " two integers" % (key, degrees, ab))
+                    row = products[pair] = {}
+                    for c, v in vec.items():
+                        if type(c) is not int:
+                            index = _whole(c)
+                            if index is None:
+                                raise DatumError("cup table of stratum %r at degrees %r, basis pair %r, has a"
+                                                 " target index %r that is not an integer" % (key, degrees, pair, c))
+                            c = index
+                        row[c] = _rational(v)
 
     @classmethod
     def _adopt(cls, components: int, cohomology: dict, restrictions: dict, gysins: dict,

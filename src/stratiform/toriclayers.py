@@ -19,11 +19,16 @@ an image in the quotient lattice.  A span is a flat, the saturation of
 the characters it contains, so there is one Hermite basis per flat,
 keyed by its hypersurface bitmask, which in paired runs made B5's
 search about 13% faster than one Hermite basis per new direction of
-each span.  The phase half runs per layer, on the layer's own phase
-numerators: the components' phases are integer numerators over one
-modulus, the layer's part of each new Hermite row's phase is computed
-once per direction, and a hypersurface that repeats the (direction,
-count, phase) class of one already cut at the layer is skipped.
+each span.  Its extra row comes from the cutting character itself,
+with no inverse of the completion: (chi - a S) / m, an exact division.
+The ambient needs no completion, as a line's span is its primitive
+direction, and Z^n, the span of the points, no Hermite basis, as the
+rows of the completion are its rows' coordinates.  The phase half runs
+per layer, on the layer's own phase numerators: the components' phases
+are integer numerators over one modulus, the layer's part of each new
+Hermite row's phase is computed once per direction, and a hypersurface
+that repeats the (direction, count, phase) class of one already cut at
+the layer is skipped.
 
 The search also gives mu(ambient, layer), whose absolute value is the
 local dimension of the E2 table.  The interval below a layer is the
@@ -116,22 +121,34 @@ def _cut_plan(
     Z^n / span(S).  With v = 0 the character lies in the span, and H
     contains the layer or misses it, so it is left out; those H are the
     bits of `mask`.  Otherwise v = m g with g primitive, its first nonzero
-    entry positive; the saturation of span(S) + Z chi is span(S) + Z gamma
-    with gamma = g R^-1[c:], and its flat, the H whose characters it
-    contains, is `mask` and the H of direction g.  A span is the
-    saturation of its flat's characters, so its Hermite basis is computed
-    once per flat, in `flats`, and Z^n (c + 1 = n) is the identity; the
+    entry positive.  The first c rows of R^-1 are S, so chi = a S + m
+    gamma with gamma = g R^-1[c:], and the saturation of span(S) + Z chi
+    is span(S) + Z gamma: gamma = (chi - a S) / m, read off the first H
+    of direction g, with no R^-1, and only where the flat is new.  The
+    flat, the H whose characters the new span contains, is `mask` and the
+    H of direction g.  A span is the saturation of its flat's characters,
+    so its Hermite basis is computed once per flat, in `flats`; the
     coordinates h R = (alpha, beta g) of its rows, as `rows`, once per
     direction g.
+
+    The first and the last level need neither R^-1 nor a dot product per
+    Hermite row.  At the root (c = 0) R = I and v = chi, so the span of a
+    rank-1 flat is (g,), already a Hermite basis, with the coordinates
+    ((), 1).  At the last level (c + 1 = n) the new span is Z^n, the
+    identity rows, and their coordinates are the rows (R[i][:c], R[i][c])
+    of R.
     """
     c = len(span)
-    cols, inverse = _completion(span, n)
-    inside, quotient = cols[:c], cols[c:]  # chi -> a, chi -> v
+    if c:
+        cols = _completion(span, n)
+        inside, quotient = cols[:c], cols[c:]  # chi -> a, chi -> v
+    else:
+        inside = ()
     inside_bits = 0
     bits: dict[tuple[int, ...], int] = {}
     cuts = []
     for i, (chi, num, dnm) in enumerate(hypersurfaces):
-        v = [sum(map(mul, chi, col)) for col in quotient]
+        v = [sum(map(mul, chi, col)) for col in quotient] if c else chi
         if not any(v):
             inside_bits |= 1 << i
             continue
@@ -148,21 +165,30 @@ def _cut_plan(
     directions = {}
     for g, g_bits in bits.items():
         flat = mask | g_bits
-        new_span = flats.get(flat)
-        if new_span is None:
-            if c + 1 < n:
-                gamma = [sum(map(mul, g, col)) for col in zip(*inverse[c:])]
-                new_span = hermite_basis([*span, gamma])
-            else:
-                new_span = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-            flats[flat] = new_span
-        p = next(i for i, x in enumerate(g) if x)
-        rows = []
-        for h in new_span:
-            hr = [sum(map(mul, h, col)) for col in cols]
-            beta = hr[c + p] // g[p]
-            assert hr[c:] == [beta * x for x in g], "Hermite row outside the new span"
-            rows.append((hr[:c], beta))
+        if not c:  # a line: its span is (g,)
+            new_span = flats[flat] = (g,)
+            rows = [((), 1)]
+        elif c + 1 == n:  # a point: its span is Z^n, whose rows have the rows of R as coordinates
+            new_span = flats.get(flat)
+            if new_span is None:
+                new_span = flats[flat] = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            rows = [([col[i] for col in inside], quotient[0][i]) for i in range(n)]
+        else:
+            new_span = flats.get(flat)
+            if new_span is None:
+                low = g_bits & -g_bits  # the bit of the first H of direction g
+                _, a, m, _, _, _ = next(cut for cut in cuts if cut[0] == low)
+                chi = hypersurfaces[low.bit_length() - 1][0]
+                gamma = [x - sum(map(mul, a, s)) for x, s in zip(chi, zip(*span))]  # m gamma
+                assert all(x % m == 0 for x in gamma), "the span is not saturated"
+                new_span = flats[flat] = hermite_basis([*span, [x // m for x in gamma]])
+            p = next(i for i, x in enumerate(g) if x)
+            rows = []
+            for h in new_span:
+                hr = [sum(map(mul, h, col)) for col in cols]
+                beta = hr[c + p] // g[p]
+                assert hr[c:] == [beta * x for x in g], "Hermite row outside the new span"
+                rows.append((hr[:c], beta))
         directions[g] = (flat, new_span, rows)
     return cuts, directions
 
@@ -249,9 +275,10 @@ def layer_search(
     codimension more; each of them covers the layer, and every cover
     arises this way.  Each layer is cut in its quotient coordinates, not
     by solving the whole system again: one unimodular completion per
-    distinct span, per BFS level, and one Hermite basis per flat, keyed
-    by its hypersurface bitmask (`_cut_plan`), then one integer phase
-    pass per layer (`_sublayers`).  A layer carries its flat's bitmask,
+    distinct span other than the ambient's, per BFS level, and one
+    Hermite basis per flat of rank 2 to n - 1, keyed by its hypersurface
+    bitmask (`_cut_plan`), then one integer phase pass per layer
+    (`_sublayers`).  A layer carries its flat's bitmask,
     which keys its plan and, with its phases, the dedup index.  All
     layers of one level share a codimension, and so do the layers they
     cut, so the dedup index lives for one level, a plan until the last

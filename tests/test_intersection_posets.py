@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from stratiform import leraymodel, matroidos, toriclayers
 from stratiform.cli import parse_arrangement_file
-from stratiform.exactalg import Matrix
+from stratiform.exactalg import Matrix, hermite_basis
 from stratiform.leraymodel import (
     assemble_e2,
     betti_and_poincare,
@@ -530,12 +530,26 @@ def layer_poset_or_error(build, n, arrangement, max_layers=None):
     return poset.layers, poset.covers, poset.mobius
 
 
+def named_search(n, arrangement, max_layers=None):
+    """`layer_search` read by name, in no order, without `layer_order`: its
+    layers' names, its covers as pairs of names, and mu by name."""
+    keys, covers, mobius = layer_search(n, arrangement, max_layers)
+    names = [_layer_name(span, phases) for span, phases in keys]
+    return set(names), {(names[i], names[j]) for i, j in covers}, dict(zip(names, mobius))
+
+
 def assert_same_layer_poset(n, arrangement, max_layers=None):
     """The quotient-coordinate search and the whole-system reference agree
-    exactly: layers, covers and mu, or the error message at a limit."""
+    exactly: layers, covers and mu, through `layer_order` and read off
+    the search by name, or the error message at a limit."""
     got = layer_poset_or_error(layer_poset, n, arrangement, max_layers)
     want = layer_poset_or_error(_layer_poset_reference, n, arrangement, max_layers)
     assert got == want
+    if not isinstance(want, str):
+        layers, covers, mobius = want
+        names = [layer.key for layer in layers]
+        assert named_search(n, arrangement, max_layers) == (
+            set(names), {(names[i], names[j]) for i, j in covers}, dict(zip(names, mobius)))
 
 
 GOLDEN_FILES = {
@@ -699,25 +713,34 @@ def test_spans_are_flats(name, torus):
 
 def test_two_parents_reach_one_flat(count_calls):
     """The plane of x and y covers layers of three spans, and its Hermite
-    basis is computed once: one per span strictly between the ambient
-    and the full lattice."""
+    basis is computed once and held by every layer on the plane: one
+    Hermite basis per span of rank 2, as the root reads a line's span
+    off its direction and the full lattice is the identity rows."""
     calls = count_calls(toriclayers, "hermite_basis")
     keys, covers, flats = flats_of_search(*TWO_PARENTS)
     plane = ((1, 0, 0), (0, 1, 0))
     parents = {keys[i][0] for i, j in covers if keys[j][0] == plane}
     assert parents == {((1, 0, 0),), ((0, 1, 0),), ((1, 1, 0),)}
     assert flats[0b0111] == plane
-    assert calls["hermite_basis"] == len({span for span, _ in keys if 0 < len(span) < 3})
+    assert all(span is flats[0b0111] for span, _ in keys if span == plane)
+    assert sum(1 for args in calls.args["hermite_basis"] if hermite_basis(*args) == plane) == 1
+    assert calls["hermite_basis"] == len({span for span, _ in keys if 1 < len(span) < 3}) == 4
 
 
 def test_parallel_characters_share_a_flat(count_calls):
     """From the ambient, x, x^2 and x^-3 have one direction: one flat,
-    bits 0, 2 and 3, and one Hermite basis, as for y alone."""
+    bits 0, 2 and 3, and one span, as for y alone, held by every layer
+    on it.  The root reads a line's span off its direction, and Z^2 is
+    the identity rows, so no Hermite basis is computed."""
     calls = count_calls(toriclayers, "hermite_basis")
     keys, _, flats = flats_of_search(*PARALLEL)
     assert flats == {0b1101: ((1, 0),), 0b0010: ((0, 1),), 0b1111: ((1, 0), (0, 1))}
-    assert calls["hermite_basis"] == 2  # Z^2 is the identity rows
-    assert sum(1 for span, _ in keys if span == ((1, 0),)) == 6  # x = 1, x^2 = -1, x^-3 = w
+    assert calls["hermite_basis"] == 0
+    hypersurfaces = [(h.exponents, h.phase.numerator, h.phase.denominator) for h in PARALLEL[1]]
+    _, directions = toriclayers._cut_plan((), 0, 2, hypersurfaces, {})
+    assert {g: flat for g, (flat, _, _) in directions.items()} == {(1, 0): 0b1101, (0, 1): 0b0010}
+    on_x = [span for span, _ in keys if span == ((1, 0),)]
+    assert len(on_x) == 6 and all(span is flats[0b1101] for span in on_x)  # x = 1, x^2 = -1, x^-3 = w
 
 
 @settings(max_examples=80, deadline=None)
@@ -738,26 +761,30 @@ def test_b5_betti_within_two_seconds():
 
 def test_b5_lattice_work(count_calls):
     """Work gate beside the wall-clock one, which moves with the host: one
-    unimodular completion per distinct span of a layer that is not a point
-    (647 spans for 1,507 such layers; one Smith form each before) and one
-    Hermite basis per distinct span strictly between the ambient and the
-    full lattice (646, against 3,396 pairs of such a span and the span of
-    a cover)."""
+    unimodular completion per distinct span of a layer that is neither
+    the ambient nor a point (646 spans for 1,506 such layers; one Smith
+    form each before, and one more for the ambient) and one Hermite
+    basis per distinct span strictly between the lines and the full
+    lattice (621, against 3,396 pairs of a span strictly between the
+    ambient and the full lattice and the span of a cover; the 25 lines
+    are read off their directions)."""
     calls = count_calls(toriclayers, "_completion", "hermite_basis")
     keys, covers, _ = layer_search(*_toric(5, [(chi, F(0)) for chi in b_type_characters(5)]))
     assert (len(keys), len(covers)) == (1539, 9062)
-    assert (calls["_completion"], calls["hermite_basis"]) == (647, 646)
+    assert (calls["_completion"], calls["hermite_basis"]) == (646, 621)
 
 
 def test_b6_betti_and_lattice_work(count_calls, monkeypatch):
     """B6 (10,299 layers, 79,030 covers) through the E2 route, with its
     work counted in the same run: one unimodular completion per distinct
-    span of a layer that is not a point (4,087; one Smith form each
-    before) and one Hermite basis per distinct span strictly between the
-    ambient and the full lattice (4,086, against 28,384 pairs of such a
-    span and the span of a cover).  The layers and covers are read from
-    the unordered search the E2 route runs.  No wall-clock bound: the
-    counters show a regression that the host's speed would hide."""
+    span of a layer that is neither the ambient nor a point (4,086; one
+    Smith form each before, and one more for the ambient) and one
+    Hermite basis per distinct span strictly between the lines and the
+    full lattice (4,050, against 28,384 pairs of a span strictly between
+    the ambient and the full lattice and the span of a cover).  The
+    layers and covers are read from the unordered search the E2 route
+    runs.  No wall-clock bound: the counters show a regression that the
+    host's speed would hide."""
     calls = count_calls(toriclayers, "_completion", "hermite_basis")
     searches = []
 
@@ -771,38 +798,39 @@ def test_b6_betti_and_lattice_work(count_calls, monkeypatch):
     assert result.betti == (1, 48, 925, 9120, 48259, 129072, 135135)
     ((keys, covers, mobius),) = searches
     assert (len(data.strata), len(keys), len(mobius), len(covers)) == (10299, 10299, 10299, 79030)
-    assert (calls["_completion"], calls["hermite_basis"]) == (4087, 4086)
+    assert (calls["_completion"], calls["hermite_basis"]) == (4086, 4050)
 
 
 def test_layer_poset_lattice_work_on_b4(count_calls):
     """Work gate: the whole-system solve and the Smith form are off the
     BFS path (they live with the oracles); there is one unimodular
-    completion per distinct span of a layer that is not a point (115
-    spans for 241 such layers; one Smith form each before), and one
-    Hermite basis per distinct span strictly between the ambient and the
-    full lattice (114, against 432 pairs of such a span and the span of a
-    cover, 716 pairs of a layer and a cover span, and 1,100 covers)."""
+    completion per distinct span of a layer that is neither the ambient
+    nor a point (114 spans for 240 such layers; one Smith form each
+    before, and one more for the ambient), and one Hermite basis per
+    distinct span strictly between the lines and the full lattice (98,
+    against 432 pairs of a span strictly between the ambient and the
+    full lattice and the span of a cover, 716 pairs of a layer and a
+    cover span, and 1,100 covers)."""
     calls = count_calls(toriclayers, "_completion", "hermite_basis")
     oracles = count_calls(reference, "_smith_core", "layers_from_equations")
     keys, covers, _ = layer_search(*LAYER_REFERENCE_CASES["B4"])
     assert (len(keys), len(covers)) == (257, 1100)
     assert oracles == {}
-    spans = {span for span, _ in keys if len(span) < 4}
-    assert calls["_completion"] == len(spans) == 115
-    assert calls["hermite_basis"] == len(spans - {()}) == 114
+    assert calls["_completion"] == len({span for span, _ in keys if 0 < len(span) < 4}) == 114
+    assert calls["hermite_basis"] == len({span for span, _ in keys if 1 < len(span) < 4}) == 98
 
 
 def test_layer_poset_lattice_work_on_b3_translate(count_calls):
     """Work gate: one unimodular completion per distinct span of a layer
-    that is not a point (23; one Smith form each before), and one Hermite
-    basis per distinct span strictly between the ambient and the full
-    lattice (22), for B3 moved off the identity."""
+    that is neither the ambient nor a point (22; one Smith form each
+    before, and one more for the ambient), and one Hermite basis per
+    distinct span strictly between the lines and the full lattice (13),
+    for B3 moved off the identity."""
     calls = count_calls(toriclayers, "_completion", "hermite_basis")
     keys, covers, _ = layer_search(*b3_translate())
     assert (len(keys), len(covers)) == (49, 140)
-    spans = {span for span, _ in keys if len(span) < 3}
-    assert calls["_completion"] == len(spans) == 23
-    assert calls["hermite_basis"] == len(spans - {()}) == 22
+    assert calls["_completion"] == len({span for span, _ in keys if 0 < len(span) < 3}) == 22
+    assert calls["hermite_basis"] == len({span for span, _ in keys if 1 < len(span) < 3}) == 13
 
 
 def count_matrix_work(count_calls):

@@ -483,6 +483,36 @@ class TestDatumValidation:
             BigradedModel({(0, 0): ("1",)}, {}, {((0, 0), (0, 0)): {(0, 0): {0: c}}})
         assert issubclass(ConstantError, ValueError)
 
+    @pytest.mark.parametrize("pp", [(0, 0.5), (0, 0, 0), 0, "00", (None, 0)])
+    def test_cup_degree_pair_not_two_integers_refused(self, pp):
+        text = "cup table of stratum () has a degree pair %r that is not two integers" % (pp,)
+        with pytest.raises(DatumError, match="^" + re.escape(text) + "$"):
+            CompactificationDatum(0, {(): {0: 1}}, {}, {}, {(): {(0, 0): {(0, 0): {0: 1}}, pp: {}}})
+
+    @pytest.mark.parametrize("ab", [5, (0, F(1, 2)), (0,), ("a", 0)])
+    def test_cup_basis_pair_not_two_integers_refused(self, ab):
+        # the basis pair 5 escaped as a TypeError from the cup checks
+        text = "cup table of stratum (1,) at degrees (0, 0) has a basis pair %r that is not two integers" % (ab,)
+        with pytest.raises(DatumError, match="^" + re.escape(text) + "$"):
+            CompactificationDatum(1, {(): {0: 1}, (1,): {0: 1}}, {}, {}, {(1,): {(0, 0): {ab: {0: 1}}}})
+
+    @pytest.mark.parametrize("c", ["x", 0.5, F(3, 2), None])
+    def test_cup_target_index_not_an_integer_refused(self, c):
+        # the target index "x" escaped as a TypeError from the cup checks
+        text = ("cup table of stratum () at degrees (0, 0), basis pair (0, 0), has a target index %r that is not"
+                " an integer" % (c,))
+        with pytest.raises(DatumError, match="^" + re.escape(text) + "$"):
+            CompactificationDatum(0, {(): {0: 1}}, {}, {}, {(): {(0, 0): {(0, 0): {0: 1, c: 1}}}})
+
+    def test_integral_cup_keys_read_as_ints(self):
+        # 0.0, Fraction(0) and "0" are integers in every key of a cup table
+        cd = CompactificationDatum(0, {(): {0: 1}}, {}, {}, {(): {("0", 0.0): {(F(0), "0"): {"0": 1}}}})
+        assert cd.cups == {(): {(0, 0): {(0, 0): {0: 1}}}}
+        (pp, entries), = cd.cups[()].items()
+        (ab, vec), = entries.items()
+        assert all(type(x) is int for x in (*pp, *ab, *vec))
+        assert build_model(cd).tables == build_model(builder_point()).tables
+
     def test_negative_degree_without_classes_is_absent(self):
         # a zero dimension means no classes, in any degree
         cd = CompactificationDatum(0, {(): {0: 1, -2: 0}}, {}, {}, builder_point().cups)
@@ -651,54 +681,6 @@ def dense_cdga_axioms(model):
                                     % (kq1, a, kq2, b, kq3, c),
                                 ))
     return AxiomReport(tuple(violations))
-
-
-def cup_vec(cd, i_key, p, a, p2, b):
-    out = {}
-    for c, v in reference.cup_entries(cd, i_key, p, p2).get((a, b), {}).items():
-        out[c] = out.get(c, F(0)) + F(v)
-    return {c: v for c, v in out.items() if v}
-
-
-def dense_cup_issues(cd, i_key):
-    issues = []
-    basis = [(p, a) for p in reference.degrees(cd, i_key) for a in range(cd.dim(i_key, p))]
-    # entries outside their space first, by (p, p2, a, b, c)
-    for p, p2 in ((p, p2) for p in reference.degrees(cd, i_key) for p2 in reference.degrees(cd, i_key)):
-        for a, b in ((a, b) for a in range(cd.dim(i_key, p)) for b in range(cd.dim(i_key, p2))):
-            for c in sorted(cup_vec(cd, i_key, p, a, p2, b)):
-                if not 0 <= c < cd.dim(i_key, p + p2):
-                    issues.append("cup product on D_%r at (%d,%d)x(%d,%d) has entry %d outside H^%d"
-                                  % (i_key, p, a, p2, b, c, p + p2))
-    for p, a in basis:
-        for p2, b in basis:
-            left = cup_vec(cd, i_key, p, a, p2, b)
-            right = cup_vec(cd, i_key, p2, b, p, a)
-            sign = (-1) ** (p * p2)
-            if left != {c: sign * v for c, v in right.items()}:
-                issues.append(
-                    "cup product on D_%r not graded-commutative at (%d,%d)x(%d,%d)"
-                    % (i_key, p, a, p2, b)
-                )
-    for p, a in basis:
-        for p2, b in basis:
-            ab = cup_vec(cd, i_key, p, a, p2, b)
-            for p3, c in basis:
-                left = {}
-                for m, v in ab.items():
-                    for t, w in cup_vec(cd, i_key, p + p2, m, p3, c).items():
-                        left[t] = left.get(t, F(0)) + v * w
-                bc = cup_vec(cd, i_key, p2, b, p3, c)
-                right = {}
-                for m, v in bc.items():
-                    for t, w in cup_vec(cd, i_key, p, a, p2 + p3, m).items():
-                        right[t] = right.get(t, F(0)) + v * w
-                if {k: v for k, v in left.items() if v} != {k: v for k, v in right.items() if v}:
-                    issues.append(
-                        "cup product on D_%r not associative at (%d,%d),(%d,%d),(%d,%d)"
-                        % (i_key, p, a, p2, b, p3, c)
-                    )
-    return issues
 
 
 def dense_product_compatibility(f):
@@ -954,7 +936,7 @@ class TestSparseAxiomsAgainstDenseOracle:
         data = list(criterion_5_builders().values()) + [torus_like_compact_datum()]
         for cd in data:
             for i_key in cd.subsets():
-                assert cd._check_cup(i_key) == dense_cup_issues(cd, i_key)
+                assert cd._check_cup(i_key) == reference.dense_cup_issues(cd, i_key)
 
     def test_cup_faults_match_dense(self):
         cups = dict(torus_like_compact_datum().cups[()])
@@ -963,7 +945,7 @@ class TestSparseAxiomsAgainstDenseOracle:
             cups[(1, 1)] = table
             cd = CompactificationDatum(0, {(): {0: 1, 1: 2, 2: 1}}, {}, {}, {(): cups})
             issues = cd._check_cup(())
-            assert issues == dense_cup_issues(cd, ())
+            assert issues == reference.dense_cup_issues(cd, ())
             assert issues[:2] == [
                 "cup product on D_() not graded-commutative at (1,0)x(1,1)",
                 "cup product on D_() not graded-commutative at (1,1)x(1,0)",
@@ -981,7 +963,7 @@ class TestSparseAxiomsAgainstDenseOracle:
         cups[(2, 4)] = {(1, 0): {0: F(1)}}
         cd = CompactificationDatum(0, {(): dims}, {}, {}, {(): cups})
         issues = cd._check_cup(())
-        assert issues == dense_cup_issues(cd, ())
+        assert issues == reference.dense_cup_issues(cd, ())
         assert issues == [
             "cup product on D_() not associative at (2,0),(2,0),(2,1)",
             "cup product on D_() not associative at (2,1),(2,0),(2,0)",
@@ -1004,7 +986,7 @@ class TestSparseAxiomsAgainstDenseOracle:
         for v, pairs in expected.items():
             cd = CompactificationDatum(0, {(): dims}, {}, {}, {(): {**units, (2, 2): {(0, 1): {0: v}}}})
             issues = cd._check_cup(())
-            assert issues == dense_cup_issues(cd, ())
+            assert issues == reference.dense_cup_issues(cd, ())
             assert [i for i in issues if "commutative" in i] == [
                 "cup product on D_() not graded-commutative at " + pair for pair in pairs
             ]
@@ -1016,7 +998,7 @@ class TestSparseAxiomsAgainstDenseOracle:
         cups = {**cd.cups, (1,): {(0, 0): {(0, 0): {0: F(1), 5: F(1)}, (5, 0): {0: F(1)}}}}
         bad = CompactificationDatum(cd.components, cd.cohomology, cd.restrictions, cd.gysins, cups)
         issues = bad._check_cup((1,))
-        assert issues == dense_cup_issues(bad, (1,))
+        assert issues == reference.dense_cup_issues(bad, (1,))
         assert issues == ["cup product on D_(1,) at (0,0)x(0,0) has entry 5 outside H^0",
                           "cup product on D_(1,) not associative at (0,0),(0,0),(0,0)"]
 
@@ -1030,7 +1012,7 @@ class TestSparseAxiomsAgainstDenseOracle:
         cd.cups[i_key][(0, 0)][(0, 0)] = {0: F(1), 3: F(2)}
         fault = "cup product on D_%r at (0,0)x(0,0) has entry 3 outside H^0" % (i_key,)
         assert cd._issues({}) == [fault]
-        assert cd._check_cup(i_key) == dense_cup_issues(cd, i_key)
+        assert cd._check_cup(i_key) == reference.dense_cup_issues(cd, i_key)
         with pytest.raises(DatumError, match="^" + re.escape(fault) + "$"):
             build_model(cd)
 
@@ -1377,7 +1359,7 @@ class TestDrawnRationalModels:
     @given(st.data())
     def test_cup_check_matches_dense(self, data):
         cd = draw_cup_datum(data)
-        assert cd._check_cup(()) == dense_cup_issues(cd, ())
+        assert cd._check_cup(()) == reference.dense_cup_issues(cd, ())
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -1388,7 +1370,7 @@ class TestDrawnRationalModels:
         # a datum's cup check lists a product outside its space and sweeps
         # the ring without the unit shortcut
         cd = as_cup_datum(spaces, products)
-        assert cd._check_cup(()) == dense_cup_issues(cd, ())
+        assert cd._check_cup(()) == reference.dense_cup_issues(cd, ())
         model = built_or_refused(spaces, diff, products)
         if model is None:  # "escape", or a "stray" entry past the space of x
             assert variant in ("escape", "stray")
@@ -2613,6 +2595,18 @@ class TestModelAssemblyAgainstReference:
         whole = rescaled(marked_lines(*sizes), [scale_draw(rng) for _ in range(7)])
         assert assert_assembly_matches_reference(whole)[0] == "model"
 
+    def test_validation_oracle_checks_the_cups_itself(self, monkeypatch):
+        # `reference.validate` runs its own dense cup loops, so a production
+        # cup check that finds nothing fails the comparison with it
+        cd = builder_projective_line_marked(2)
+        cd.cups[()][(0, 0)][(0, 0)] = {0: F(1), 3: F(2)}
+        fault = "cup product on D_() at (0,0)x(0,0) has entry 3 outside H^0"
+        assert cd._issues({}) == reference.validate(cd) == [fault]
+        monkeypatch.setattr(CompactificationDatum, "_check_cup", lambda self, i_key: [])
+        assert cd._issues({}) == [] and reference.validate(cd) == [fault]
+        with pytest.raises(AssertionError):
+            assert_assembly_matches_reference(cd)
+
     def test_negated_gysin_blocks(self):
         square = marked_lines(2, 2)
         for (i_set, i), blocks in sorted(square.gysins.items()):
@@ -2703,6 +2697,28 @@ def constant_forms(v):
 UNREADABLE = ["one", "1/0", float("inf"), None]
 
 
+def index_forms(c):
+    """The ways a caller may write the cup key entry c: as an int, float,
+    Fraction or string, or as one that is no integer."""
+    return [c, float(c), F(c), str(c), c + 0.5, F(2 * c + 1, 2), "c", None]
+
+
+def pair_forms(pair):
+    """The ways a caller may write the degree or basis pair (x, y) of a cup
+    table: each entry as in `index_forms`, or as something that is not two
+    integers."""
+    x, y = pair
+    return [(x, y), (float(x), str(y)), (F(x), y), (x, y + 0.5), (str(x), None), (x,), (x, y, 0), x]
+
+
+def renamed(d, old, new):
+    """Rename the key `old` of the dict `d` to `new`, in place and in its
+    place in the order."""
+    items = [(new if k == old else k, v) for k, v in d.items()]
+    d.clear()
+    d.update(items)
+
+
 def perturbed_marked_lines(rng):
     """The constructor arguments of a drawn marked-line datum with up to three
     drawn perturbations: an index of a stratum moved (to 0, past the
@@ -2710,8 +2726,10 @@ def perturbed_marked_lines(rng):
     made non-integral, a negative degree or dimension, a non-integral
     degree or dimension, a cup constant rescaled and written as an int,
     float, string or Fraction, or one that is no finite rational, a
-    restriction or Gysin block dropped or widened, and one moved to a
-    non-integral degree."""
+    degree pair, basis pair or target index of a cup table written in
+    another integral form or as one that is no integer, a restriction or
+    Gysin block dropped or widened, and one moved to a non-integral
+    degree."""
     cd = marked_lines(*([rng.randint(0, 3) for _ in range(rng.randint(1, 2))] if rng.random() < 0.8
                         else [rng.randint(0, 1) for _ in range(3)]))
     components = cd.components
@@ -2722,7 +2740,7 @@ def perturbed_marked_lines(rng):
             for key, table in cd.cups.items()}
     for _ in range(rng.randint(0, 3)):
         kind = rng.choice(("index", "components", "degree", "dimension", "non-integral", "constant", "constant",
-                           "drop", "widen", "shift"))
+                           "cup key", "drop", "widen", "shift"))
         key = rng.choice(list(cohomology))
         if kind == "index" and key:
             pos = rng.randrange(len(key))
@@ -2745,6 +2763,19 @@ def perturbed_marked_lines(rng):
             c = rng.choice(list(vec))
             if vec[c] not in UNREADABLE:
                 vec[c] = rng.choice(constant_forms(F(vec[c]) * scale_draw(rng)) + UNREADABLE)
+        elif kind == "cup key":
+            table = rng.choice([table for table in cups.values() if table])
+            pp = rng.choice(list(table))
+            where = rng.choice(("degrees", "basis", "target"))
+            if where == "degrees":
+                renamed(table, pp, rng.choice(pair_forms(pp)))
+            elif table[pp]:
+                ab = rng.choice(list(table[pp]))
+                if where == "basis":
+                    renamed(table[pp], ab, rng.choice(pair_forms(ab)))
+                elif table[pp][ab]:
+                    c = rng.choice(list(table[pp][ab]))
+                    renamed(table[pp][ab], c, rng.choice(index_forms(c)))
         elif kind in ("drop", "widen", "shift"):
             places = [(name, key) for name, blocks in maps.items() for key in sorted(blocks) if blocks[key]]
             if places:
@@ -2772,8 +2803,10 @@ class TestDrawnDatumInput:
                 cd = CompactificationDatum(*args)
             except DatumError as err:
                 endings["constructor DatumError"] += 1
-                if "integ" in str(err):  # a non-integral number, degree or dimension
+                if "integ" in str(err):  # a non-integral number, degree, dimension or cup key
                     endings["constructor DatumError, not an integer"] += 1
+                if str(err).startswith("cup table"):
+                    endings["constructor DatumError, cup key"] += 1
                 continue
             except ConstantError as err:
                 assert str(err) in {"structure constant %r is not a rational number" % (c,) for c in UNREADABLE}
@@ -2781,7 +2814,8 @@ class TestDrawnDatumInput:
                 continue
             endings[assert_assembly_matches_reference(cd)[0]] += 1
         assert set(endings) == {"constructor DatumError", "constructor DatumError, not an integer",
-                                "constructor ConstantError", "DatumError", "model"}
+                                "constructor DatumError, cup key", "constructor ConstantError", "DatumError",
+                                "model"}
 
 
 class TestAssemblyWork:
@@ -2965,7 +2999,7 @@ class TestBudgets:
         calls = count_calls(morganmodel, "_ring_faults")
         assert square._issues({}) == []
         assert calls["_ring_faults"] == 11
-        assert all(square._check_cup(i_key) == dense_cup_issues(square, i_key) for i_key in square.subsets())
+        assert all(square._check_cup(i_key) == reference.dense_cup_issues(square, i_key) for i_key in square.subsets())
 
     def test_axioms_sweep_only_live_tuples_without_the_unit(self, count_calls):
         # the (5, 5) square's 361 associativity triples all hold the unit;

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratiform.exactalg import Matrix, hermite_basis
-from stratiform.toriclayers import ToricHypersurface, layer_search, mod1, torus_cohomology
+from stratiform.toriclayers import ToricHypersurface, _cut_plan, layer_search, mod1, torus_cohomology
 
 from reference import (
     Layer,
@@ -299,6 +299,51 @@ class TestLocalSubarrangement:
         assert local_subarrangement(arr, minus_one) == arr
         assert local_subarrangement(arr, plus_one) == arr
         assert local_subarrangement(arr, other) == []
+
+
+def _combination(coeffs, rows, n):
+    """The integer vector sum_k coeffs[k] rows[k] in Z^n."""
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+
+
+@st.composite
+def spans_and_characters(draw):
+    """A saturated Hermite span S in Z^n, n = 1..4, of rank 0..n-1, and a
+    character chi outside span(S), entries in [-4, 4]."""
+    n = draw(st.integers(1, 4))
+    vectors = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    independent = []
+    for row in draw(st.lists(vectors, max_size=n - 1)):
+        if rank(Matrix([*independent, row])) > len(independent):
+            independent.append(row)
+    span = saturate(independent)
+    chi = draw(vectors.filter(lambda v: rank(Matrix([*span, v])) > len(span)))
+    return n, span, tuple(chi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spans_and_characters())
+def test_cut_plan_reads_gamma_off_the_cutting_character(drawn):
+    """The cut of a saturated Hermite span S by chi outside span(S) gives
+    (a, m) with m dividing chi - a S, and gamma = (chi - a S) / m with S
+    spans the saturation of span(S) + Z chi, by Smith form.  The plan
+    keeps that span under chi's flat, and the coordinates (alpha, beta)
+    of each of its rows h give h = alpha S + beta gamma: also at the root
+    and the last level, where they are read off without a dot product."""
+    n, span, chi = drawn
+    flats = {}
+    cuts, directions = _cut_plan(span, 0, n, [(chi, 0, 1)], flats)
+    ((bit, a, m, g, _, _),) = cuts
+    rest = [x - y for x, y in zip(chi, _combination(a, span, n))]
+    assert bit == 1 and all(x % m == 0 for x in rest)
+    gamma = [x // m for x in rest]
+    saturation = saturate([*span, chi])
+    assert hermite_basis([*span, gamma]) == saturation
+    assert flats == {1: saturation}
+    flat, new_span, rows = directions[g]
+    assert (flat, new_span) == (1, saturation) and len(rows) == len(new_span)
+    for h, (alpha, beta) in zip(new_span, rows):
+        assert list(h) == [x + beta * y for x, y in zip(_combination(alpha, span, n), gamma)]
 
 
 class TestHypersurfaceValidation:
