@@ -10,62 +10,29 @@ regimes (weights 2k resp. k) together with the comparison morphism and
 an exact check that it is an r-quasi-isomorphism.
 
 Compactification data is explicit input built by the provided
-constructors (marked projective lines and their Kunneth products, which
-hold the dicts they build without a second normalizing pass); no
-resolution of singularities is attempted.  A datum's blocks are read
-by one reader, `_block_rows`: a restriction step or a Gysin block as
-the integer rows of its nonzero entries over the lcm of its
-denominators, nothing looked up where either space has no classes.
-Validation, assembly and `kunneth_product` all read through it.
-Composite restrictions are held as such rows and extended one step at a
-time in a memo owned by the caller: validation compares the two orders
-of each pair of steps on them and keeps the ascending one, and the model
-is assembled block by block, a block being the summand of one stratum
-and degree: d from the integer rows of its Gysin blocks, and the
-products one target stratum U at a time, each cup table of U joined
-with the rows of the composites into U of the splits of U into two
-blocks, which is the only order assembly reads them in.  All checks are
-exact identities.  A model keeps its maps in one form only, integers
-over one scale D (the product tables and the sparse columns of each
-stored d), with `products` a rational view made on each read; a
-morphism keeps the sparse integer columns of its blocks over a scale of
-its own.  What a public constructor is given is converted once, where
-it enters, each `Matrix` to integer columns over its own scale
-(`_integer_columns`); those, and the integer tables that `build_model`
-and the witnesses write, are groups that `_integer_form` brings to one
-D.  No accessor renders a map as a `Matrix` or applies it to one
-vector: the tests' oracles in `tests/reference.py` do.  The checks and
-both witnesses run on these forms and make a Fraction only for a value
-they return.  Every product on the model route, from the model's own
-tables to both sides of Leibniz, associativity and f(ab) = f(a)f(b) and
-the witnesses' products, is one join, `_accumulate`, of a sparse
-product table with the sparse rows of the vectors on either side,
-labelled by basis tuples, or identity rows where a side is the basis.
-The ring and Leibniz sweeps visit only the bidegree tuples some table
-reaches, and no tuple holding a verified unit.  A map is checked once,
-where it enters: `BigradedModel` refuses a differential that does not
-map between its spaces and a stored product with a nonzero entry
-outside its space, `CdgaMorphism` a block that does not map between its
-spaces, `CompactificationDatum` a stratum with a component index
-outside 1..components, a negative degree or a negative dimension (and
-it reads each cup constant once, as an int or a Fraction), and a
-datum's validation (`_issues`) lists a missing or misshapen restriction
-step once; `kunneth_product` refuses a factor with a nonzero cup
-constant outside its space.  `cohomology_of_model` is the one
-reader of a model's cohomology dimensions, ranking each stored d once
-and keeping the result on the model; it gives no dimensions for a
-sequence that is not a complex, but raises the ValueError "d o d
-nonzero on M^k_q".  `check_r_quasi_iso` reads it for its source and its
-target, so it refuses a non-complex too.  Both witnesses refuse a model
-in one step (`_refuse`), in this order: that ValueError; then
-cohomology off the witness's line of bidegrees, (k, 2k) or (k, k).
-Both sweep the products of their chosen vectors in one loop
-(`_line_model`), and, like the quasi-isomorphism check, build column
-cohomology only where it is nonzero.  Ranks of d and of induced maps,
-cocycles, representatives and class coordinates all come from one
-fraction-free elimination of sparse integer columns, each carrying its
-history (`_reduce`).  Only a datum's blocks are matrices: from `build_model` to
-a verdict, nothing makes or eliminates a `Matrix`.
+constructors (marked projective lines and their Kunneth products); no
+resolution of singularities is attempted.  A datum holds one integer
+form, built where it enters: each restriction step or Gysin block as
+(shape, D, integer rows over D), each stratum's cup tables as integers
+over one D; `restrictions`, `gysins` and `cups` are views made on each
+read.  The Kunneth product is built in that form, and `build_model`
+assembles the model from it block by block, a block being the summand
+of one stratum and degree, with composite restrictions extended one step
+at a time in a memo.  A model keeps its maps as integers over one scale
+D, with `products` a rational view made on each read; a morphism keeps
+the sparse integer columns of its blocks over a scale of its own.  A
+public constructor converts what it is given once, where it enters, and
+refuses a map that does not fit its spaces, so the checks, exact
+identities, run on the integer forms.  Every product on the model route
+is one join, `_accumulate`, of a sparse product table with the sparse
+rows of the vectors on either side, and the ring and Leibniz sweeps
+visit only the bidegree tuples some table reaches.
+`cohomology_of_model` is the one reader of a model's cohomology
+dimensions; ranks, cocycles, representatives and class coordinates all
+come from one fraction-free elimination of sparse integer columns
+(`_reduce`).  A `Matrix` is made only for a view: from `kunneth_product`
+to a verdict nothing makes or eliminates one, and the tests' oracles in
+`tests/reference.py` render the maps densely.
 """
 
 from __future__ import annotations
@@ -122,17 +89,25 @@ def shuffle_sign(i_set: Iterable[int], j_set: Iterable[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _over_lcm(vecs: list[dict]) -> int:
+    """D, the lcm of the denominators of the int and Fraction constants in
+    `vecs`, which become the integers v * D, in place."""
+    den = math.lcm(*(v.denominator for vec in vecs for v in vec.values()))
+    for vec in vecs:
+        vec.update([(c, v.numerator * (den // v.denominator)) for c, v in vec.items()])
+    return den
+
+
 def _integer_columns(mat: Matrix) -> tuple[int, list[dict[int, int]]]:
     """(D, the sparse integer columns {row: v * D} of `mat`), D the lcm of
     the denominators of its entries, zeros dropped: a group of
     `_integer_form`."""
-    den = math.lcm(*(v.denominator for row in mat.rows for v in row))
     cols: list[dict[int, int]] = [{} for _ in range(mat.ncols)]
     for i, row in enumerate(mat.rows):
         for j, v in enumerate(row):
             if v:
-                cols[j][i] = v.numerator * (den // v.denominator)
-    return den, cols
+                cols[j][i] = v
+    return _over_lcm(cols), cols
 
 
 def _integer_form(groups: Iterable[tuple[int, Iterable[dict]]]) -> int:
@@ -272,22 +247,35 @@ def _whole_pair(key) -> tuple[int, int] | None:
     return None
 
 
+def _once(held: dict, key, value, fault: str, *names):
+    """held[key] = value, returned, or a DatumError with the text fault %
+    (*names, key) where `held` has the key: two keys read as the same int."""
+    if key in held:
+        raise DatumError(fault % (*names, key))
+    held[key] = value
+    return value
+
+
 def _degree_blocks(blocks: Mapping, name: str, key) -> dict:
-    """The blocks of the map `name` `key`, by degree as an int; a DatumError
-    for the first degree that is not an integer."""
+    """The blocks of the map `name` `key` by degree as an int, each held as
+    (shape, D, integer rows); a DatumError for the first degree that is no
+    integer or that one before it reads as, or whose block is no `Matrix`."""
     out = {}
     for p, blk in blocks.items():
         q = _whole(p)
         if q is None:
             raise DatumError("%s %r has a non-integral degree %r" % (name, key, p))
-        out[q] = blk
+        if not isinstance(blk, Matrix):
+            raise DatumError("%s %r has a block at degree %d that is not a Matrix" % (name, key, q))
+        rows = {t: {a: v for a, v in enumerate(row) if v} for t, row in enumerate(blk.rows) if any(row)}
+        _once(out, q, (blk.shape, _over_lcm(list(rows.values())), rows), "%s %r has degree %r twice", name, key)
     return out
 
 
-def _scaled(v, scale: int) -> int:
-    """The constant v times `scale`, a multiple of its denominator."""
-    v = _rational(v)
-    return v.numerator * (scale // v.denominator)
+def _matrix(shape: tuple[int, int], den: int, rows: Mapping[int, Mapping[int, int]]) -> Matrix:
+    """The block held as (shape, D, integer rows) as a `Matrix`."""
+    return Matrix._of_fractions([tuple(Fraction(rows.get(t, {}).get(a, 0), den) for a in range(shape[1]))
+                                 for t in range(shape[0])], shape[1])
 
 
 def _nonzero_keys(acc: Mapping) -> list:
@@ -311,44 +299,43 @@ class CompactificationDatum:
 
     `cohomology` maps a sorted component tuple I to {degree: dim} for
     H^*(D_I), with D_() the ambient compact variety; absent keys or
-    degrees mean zero.  `restrictions[(I, j)][p]` is the one-step
-    restriction H^p(D_I) -> H^p(D_{I+j}); longer restrictions compose in
-    increasing component order, and `build_model` checks functoriality.
-    `gysins[(I, i)][p]` maps H^p(D_I) -> H^{p+2}(D_{I-i}).  `cups[I][(p, p')]`
-    holds sparse structure constants {(a, b): {c: coeff}}.
+    degrees mean zero.  `restrictions[(I, j)][p]`, a `Matrix`, is the
+    one-step restriction H^p(D_I) -> H^p(D_{I+j}); longer restrictions
+    compose in increasing component order, and `build_model` checks
+    functoriality.  `gysins[(I, i)][p]` maps H^p(D_I) -> H^{p+2}(D_{I-i}).
+    `cups[I][(p, p')]` holds sparse structure constants {(a, b): {c: coeff}}.
+
+    The datum holds one integer form, built where it is made: each block
+    as (shape, D, its integer rows {row: {column: v * D}}), zeros dropped,
+    and each stratum's cup tables as (D, {(p, p'): {(a, b): {c: v * D}}}),
+    D the lcm of the denominators.  `restrictions`, `gysins` and `cups`
+    are views made on each read: `Matrix` blocks, and Fraction constants,
+    one given as an int too.
 
     The constructor is the one place that checks and converts this input,
     and it truncates nothing: an integer may come as 2, 2.0, Fraction(2)
     or "2".  It raises DatumError for a number of components that is not
-    an integer ("the number of components x is not an integer"); then for
-    the first key of `cohomology`, in the order given, that holds an
-    index that is not an integer ("component index in I is not an
-    integer"), names a component twice ("repeated component index in
-    I"), holds an index outside 1..components ("stratum I has a component
-    index outside 1..N"), has a degree with classes or a dimension that
-    is not an integer ("stratum I has a non-integral degree or dimension
-    in {p: dim}", as given), or maps a negative degree to classes or a
-    degree to a negative dimension ("stratum I has a negative degree or
-    dimension in {p: dim}", its nonzero dimensions); then for the first
-    key of the maps, restrictions first, refused for its stratum the
-    same way, or whose step index ("restriction (I, j) has a
-    non-integral component index") or one of whose degrees
-    ("restriction (I, j) has a non-integral degree p"; "Gysin map (I,
-    i)" for a Gysin map) is not an integer; then for the first key of
-    the cups refused for its stratum, or, in the pass that reads the
-    constants, for the first degree pair or basis pair of its table that
-    is not a tuple of two integers ("cup table of stratum I has a degree
-    pair pp that is not two integers"; "cup table of stratum I at
-    degrees pp has a basis pair ab that is not two integers") or target
-    index that is not an integer ("cup table of stratum I at degrees pp,
-    basis pair ab, has a target index c that is not an integer").  It
-    reads every cup constant once as an int or a Fraction: a float
-    exactly, a string such as "1/10" as parsed, and one that is no finite
-    rational ("one", "1/0", an infinite or NaN float, None) raises
-    ConstantError, a ValueError that names it.  So every stratum lies
-    inside the components, assembly meets no negative degree, and the
-    checks and the model read the keys as ints and the constants as they
-    are.
+    an integer; then, in the order given, through `cohomology`, the maps
+    (restrictions first) and the cups, for the first key with a component
+    index that is no integer or named twice, or that reads as a key before
+    it ("stratum I is given twice", "restriction (I, j) is given twice",
+    "cup table of stratum I is given twice"); for a stratum outside
+    1..components, a degree with classes or a dimension that is no
+    integer or negative, or a degree given twice ("stratum I has degree p
+    twice"); for a step index or degree of a map that is no integer, a
+    degree given twice ("restriction (I, j) has degree p twice") or a
+    block that is no `Matrix` ("Gysin map (I, i) has a block at degree p
+    that is not a Matrix"); and for a degree or basis pair of a cup table
+    that is not two integers, a target index that is no integer, or one
+    given twice ("cup table of stratum I has degree pair pp twice", "...
+    at degrees pp has basis pair ab twice", "..., basis pair ab, has
+    target index c twice").  In that pass each cup constant is read once
+    as an int or a Fraction, a float exactly and "1/10" as parsed; one
+    that is no finite rational ("one", "1/0", an infinite or NaN float,
+    None) raises ConstantError, a ValueError that names it.  So every
+    stratum lies inside the components, assembly meets no negative
+    degree, and the checks and the model read the keys as ints and the
+    integer form as it is.
     """
 
     def __init__(
@@ -367,37 +354,42 @@ class CompactificationDatum:
             key = _sorted_subset(i_set)
             if key and not (0 < key[0] and key[-1] <= self.components):
                 raise DatumError("stratum %r has a component index outside 1..%d" % (key, self.components))
-            clean = {_whole(p): _whole(d) for p, d in dims.items() if d}
-            if None in clean or None in clean.values():
-                raise DatumError("stratum %r has a non-integral degree or dimension in %r" % (key, dict(dims)))
+            clean = _once(self.cohomology, key, {}, "stratum %r is given twice")
+            for p, d in dims.items():
+                q = _whole(p)
+                if d and (q is None or _whole(d) is None):
+                    raise DatumError("stratum %r has a non-integral degree or dimension in %r" % (key, dict(dims)))
+                if q is not None:
+                    _once(clean, q, _whole(d) if d else 0, "stratum %r has degree %r twice", key)
+            clean = self.cohomology[key] = {p: n for p, n in clean.items() if n}
             if min(clean, default=0) < 0 or min(clean.values(), default=0) < 0:
                 raise DatumError("stratum %r has a negative degree or dimension in %r" % (key, clean))
-            if clean:
-                self.cohomology[key] = clean
-        self.restrictions, self.gysins = {}, {}
-        for name, given, held in (("restriction", restrictions, self.restrictions),
-                                  ("Gysin map", gysins, self.gysins)):
+        self.cohomology = {key: dims for key, dims in self.cohomology.items() if dims}
+        self._restrictions, self._gysins = {}, {}
+        for name, given, held in (("restriction", restrictions, self._restrictions),
+                                  ("Gysin map", gysins, self._gysins)):
             for (i_set, x), blocks in (given or {}).items():
                 key = (_sorted_subset(i_set), _whole(x))
                 if key[1] is None:
                     raise DatumError("%s %r has a non-integral component index" % (name, (key[0], x)))
-                held[key] = _degree_blocks(blocks, name, key)
-        self.cups = {}
+                _once(held, key, _degree_blocks(blocks, name, key), "%s %r is given twice", name)
+        self._cups = {}
         for i_set, table in (cups or {}).items():
             key = _sorted_subset(i_set)
-            held = self.cups[key] = {}
+            held = _once(self._cups, key, {}, "cup table of stratum %r is given twice")
             for pp, entries in table.items():
                 degrees = _whole_pair(pp)
                 if degrees is None:
                     raise DatumError("cup table of stratum %r has a degree pair %r that is not two integers"
                                      % (key, pp))
-                products = held[degrees] = {}
+                products = _once(held, degrees, {}, "cup table of stratum %r has degree pair %r twice", key)
                 for ab, vec in entries.items():
                     pair = _whole_pair(ab)
                     if pair is None:
                         raise DatumError("cup table of stratum %r at degrees %r has a basis pair %r that is not"
                                          " two integers" % (key, degrees, ab))
-                    row = products[pair] = {}
+                    row = _once(products, pair, {}, "cup table of stratum %r at degrees %r has basis pair %r twice",
+                                key, degrees)
                     for c, v in vec.items():
                         if type(c) is not int:
                             index = _whole(c)
@@ -405,21 +397,38 @@ class CompactificationDatum:
                                 raise DatumError("cup table of stratum %r at degrees %r, basis pair %r, has a"
                                                  " target index %r that is not an integer" % (key, degrees, pair, c))
                             c = index
-                        row[c] = _rational(v)
+                        _once(row, c, _rational(v), "cup table of stratum %r at degrees %r, basis pair %r, has"
+                              " target index %r twice", key, degrees, pair)
+            self._cups[key] = _over_lcm([vec for products in held.values() for vec in products.values()]), held
 
     @classmethod
     def _adopt(cls, components: int, cohomology: dict, restrictions: dict, gysins: dict,
                cups: dict) -> CompactificationDatum:
-        """A datum over the dicts its caller has just built in the form
-        `__init__` makes, held without that pass, and so without its
-        checks: keys sorted tuples and ints, every component index in
-        1..components, no zero, negative or negative-degree dimension, no
-        stratum without classes, and every cup constant an int or a
-        Fraction.  `kunneth_product` meets these by construction."""
+        """A datum over the integer form its caller has just built, held
+        without the checks of `__init__`: keys sorted tuples and ints, every
+        index in 1..components, no stratum without classes, no zero or
+        negative dimension or degree, and each D least.  `kunneth_product`,
+        `negate_gysin_block` and the builders meet these by construction."""
         cd = cls.__new__(cls)
-        cd.components, cd.cohomology, cd.restrictions, cd.gysins, cd.cups = (
+        cd.components, cd.cohomology, cd._restrictions, cd._gysins, cd._cups = (
             components, cohomology, restrictions, gysins, cups)
         return cd
+
+    @property
+    def restrictions(self) -> dict:
+        """The restriction steps as `Matrix` blocks: made on each read."""
+        return {key: {p: _matrix(*blk) for p, blk in blocks.items()} for key, blocks in self._restrictions.items()}
+
+    @property
+    def gysins(self) -> dict:
+        """The Gysin maps as `Matrix` blocks: made on each read."""
+        return {key: {p: _matrix(*blk) for p, blk in blocks.items()} for key, blocks in self._gysins.items()}
+
+    @property
+    def cups(self) -> dict:
+        """The cup tables with Fraction constants: made on each read."""
+        return {key: {pp: {ab: {c: Fraction(v, den) for c, v in vec.items()} for ab, vec in entries.items()}
+                      for pp, entries in table.items()} for key, (den, table) in self._cups.items()}
 
     # -- dimensions ------------------------------------------------------
 
@@ -431,43 +440,33 @@ class CompactificationDatum:
 
     # -- maps --------------------------------------------------------------
 
-    def _block_rows(self, memo: dict, gysin: bool, i_key, x: int, p: int,
-                    tgt_key) -> tuple[int, dict[int, dict[int, int]]]:
+    def _block_rows(self, gysin: bool, i_key, x: int, p: int, tgt_key) -> tuple[int, dict[int, dict[int, int]]]:
         """Block p of the Gysin map (I, x) into H^{p+2}(D_tgt_key) if `gysin`,
         else of the restriction step (I, x) into H^p(D_tgt_key), as (D, its
-        integer rows {row: {column: value * D}}), D the lcm of its
-        denominators, zeros dropped, read once per `memo`, under (I, (x,), p)
-        for a step and (I, x, p) for a Gysin block; (1, {}), neither looked
-        up nor kept, where either space has no classes.  Both keys are
-        sorted.  A missing or misshapen block raises a DatumError that names
-        it, "missing restriction for I=(), j=1, degree 0" or "Gysin map for
-        I=(1,), i=1, degree 0 has shape (1, 2), expected (1, 1)"."""
+        integer rows) as held; (1, {}), not looked up, where either space
+        has no classes.  Both keys are sorted.  A missing or misshapen block
+        raises a DatumError that names it, "missing restriction for I=(),
+        j=1, degree 0" or "Gysin map for I=(1,), i=1, degree 0 has shape (1,
+        2), expected (1, 1)"."""
         cohomology = self.cohomology
         src, tgt = cohomology.get(i_key, {}).get(p, 0), cohomology.get(tgt_key, {}).get(p + 2 if gysin else p, 0)
         if not (src and tgt):
             return 1, {}
-        key = (i_key, x if gysin else (x,), p)
-        got = memo.get(key)
-        if got is None:
-            block = (self.gysins if gysin else self.restrictions).get((i_key, x), {}).get(p)
-            if block is None or block.shape != (tgt, src):
-                name = ("Gysin map for I=%r, i=%d, degree %d" if gysin else
-                        "restriction for I=%r, j=%d, degree %d") % (i_key, x, p)
-                raise DatumError("missing " + name if block is None else
-                                 "%s has shape %r, expected %r" % (name, block.shape, (tgt, src)))
-            rows = [(t, row) for t, row in enumerate(block.rows) if any(row)]
-            den = math.lcm(*(v.denominator for _, row in rows for v in row))
-            got = memo[key] = den, {t: {a: v.numerator * (den // v.denominator) for a, v in enumerate(row) if v}
-                                    for t, row in rows}
-        return got
+        block = (self._gysins if gysin else self._restrictions).get((i_key, x), {}).get(p)
+        if block is None or block[0] != (tgt, src):
+            name = ("Gysin map for I=%r, i=%d, degree %d" if gysin else
+                    "restriction for I=%r, j=%d, degree %d") % (i_key, x, p)
+            raise DatumError("missing " + name if block is None else
+                             "%s has shape %r, expected %r" % (name, block[0], (tgt, src)))
+        return block[1:]
 
     def _composite(self, memo: dict, i_key, js: tuple[int, ...], p: int) -> tuple[int, dict[int, dict[int, int]]]:
         """The one-step restrictions from D_I along `js`, composed in that
         order, as (D, integer rows) like `_block_rows`, D least; (1, {a: {a:
         1}}) when `js` is empty.  Each prefix of `js` is the one before it
-        extended by one step, and a nonzero one is kept in `memo` under (I,
-        prefix, p), so a step is read once per memo and a missing or
-        misshapen one raises where the dense product of the steps did.
+        extended by one step, and a nonzero one of two steps or more is kept
+        in `memo` under (I, prefix, p), so a missing or misshapen step
+        raises where the dense product of the steps did.
         Every step's shape is checked, so two composites of the same I, p
         and end stratum are equal exactly when their dense matrices are."""
         got = memo.get((i_key, js, p))
@@ -480,7 +479,7 @@ class CompactificationDatum:
                 nxt = tuple(sorted(cur + (j,)))
                 prefix = memo.get((i_key, js[:n + 1], p)) if n else None
                 if prefix is None:
-                    prefix = self._block_rows(memo, False, cur, j, p, nxt)
+                    prefix = self._block_rows(False, cur, j, p, nxt)
                     if n:
                         prefix = _compose_rows(prefix, got)
                         if prefix[1]:
@@ -492,7 +491,7 @@ class CompactificationDatum:
 
     def _issues(self, memo: dict) -> list[str]:
         """The faults of the datum, stratum by stratum in `subsets` order,
-        with its steps and composites kept in `memo`.  For each stratum I:
+        with its composites kept in `memo`.  For each stratum I:
         each missing or misshapen restriction step from I into a space with
         classes, once, by (j, degree); then each pair j1 < j2 whose two
         composites differ at a degree where D_{I+j1+j2} has classes; then
@@ -521,7 +520,7 @@ class CompactificationDatum:
                     above = tuple(sorted(i_key + (j,)))
                     for p in degrees:
                         try:
-                            self._block_rows(memo, False, i_key, j, p, above)
+                            self._block_rows(False, i_key, j, p, above)
                         except DatumError as err:
                             issues.append(str(err))
             for j1, j2, top in sorted(tops.get(i_key, ()), key=lambda pair: pair[:2]):
@@ -550,12 +549,8 @@ class CompactificationDatum:
         is a fault first, in the order of (p, p2, a, b, c); the ring faults
         follow in the order of the loop over the labels (p, a), and sweep
         such a product as it is."""
-        cups = self.cups.get(i_key, {})
-        scale = math.lcm(*(v.denominator
-                           for entries in cups.values() for vec in entries.values() for v in vec.values() if v))
-        tables = {((p, 0), (p2, 0)): {ab: {c: _scaled(v, scale) for c, v in vec.items() if v}
-                                      for ab, vec in entries.items()}
-                  for (p, p2), entries in cups.items()}
+        tables = {((p, 0), (p2, 0)): {ab: {c: v for c, v in vec.items() if v} for ab, vec in entries.items()}
+                  for (p, p2), entries in self._cups.get(i_key, (1, {}))[1].items()}
         span = {(p, 0): range(d) for p, d in sorted(self.cohomology.get(i_key, {}).items())}
         escapes = _escapes(tables, span)
         issues = ["cup product on D_%r at (%d,%d)x(%d,%d) has entry %d outside H^%d" % (i_key, p, a, p2, b, c, p + p2)
@@ -574,14 +569,16 @@ class CompactificationDatum:
 
 
 def negate_gysin_block(cd: CompactificationDatum, i_set, i: int, p: int) -> CompactificationDatum:
-    """Copy of the datum with one degree block of one Gysin map negated."""
-    gysins = {key: dict(blocks) for key, blocks in cd.gysins.items()}
+    """Copy of the datum with one degree block of one Gysin map negated; it
+    shares the other blocks and the cup tables, which no caller changes."""
+    gysins = {key: dict(blocks) for key, blocks in cd._gysins.items()}
     key = (tuple(sorted(i_set)), i)
     if key not in gysins or p not in gysins[key]:
         raise KeyError("no Gysin block to negate at %r degree %d" % (key, p))
-    block = gysins[key][p]
-    gysins[key][p] = Matrix([[-x for x in row] for row in block.rows], ncols=block.ncols)
-    return CompactificationDatum(cd.components, cd.cohomology, cd.restrictions, gysins, cd.cups)
+    shape, den, rows = gysins[key][p]
+    gysins[key][p] = shape, den, {t: {a: -v for a, v in row.items()} for t, row in rows.items()}
+    return CompactificationDatum._adopt(cd.components, {key: dict(dims) for key, dims in cd.cohomology.items()},
+                                        cd._restrictions, gysins, cd._cups)
 
 
 # -- the bigraded model ----------------------------------------------------
@@ -607,9 +604,8 @@ class BigradedModel:
     a, b, c).  Between the two, a product constant that is no finite
     rational raises ConstantError, a ValueError that names it.  So every
     check and witness may take each d and each product to map into its
-    space.  Keys outside the basis, tables on
-    bidegrees without a space and explicit zeros outside a space are
-    kept and ignored.
+    space.  Keys outside the basis, tables on bidegrees without a space
+    and explicit zeros outside a space are kept and ignored.
     """
 
     def __init__(self, spaces: Mapping[Bidegree, Sequence], diff: Mapping[Bidegree, Matrix],
@@ -619,12 +615,10 @@ class BigradedModel:
             shape, want = diff[kq].shape, (self.dim((kq[0] + 1, kq[1])), self.dim(kq))
             if shape != want:
                 raise ValueError("differential at %r has shape %r, expected %r" % (kq, shape, want))
-        tables = {key: {ab: dict(vec) for ab, vec in table.items() if vec} for key, table in products.items()}
-        groups = []  # each product vector in integers over the lcm of its denominators
-        for vec in [vec for table in tables.values() for vec in table.values()]:
-            den = math.lcm(*(_rational(v).denominator for v in vec.values()))
-            vec.update({c: _scaled(v, den) for c, v in vec.items()})
-            groups.append((den, (vec,)))
+        tables = {key: {ab: {c: _rational(v) for c, v in vec.items()} for ab, vec in table.items() if vec}
+                  for key, table in products.items()}
+        # each product vector in integers over the lcm of its denominators
+        groups = [(_over_lcm([vec]), (vec,)) for table in tables.values() for vec in table.values()]
         escapes = _escapes(tables, {kq: range(len(labels)) for kq, labels in self.spaces.items()})
         if escapes:
             raise ValueError(_escape_message(escapes[0]))
@@ -710,25 +704,24 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
     DatumError when the datum fails validation (`_issues`) or a Gysin
     block is missing or misshapen.
 
-    The model is assembled in integers, block by block, a block being the
-    summand of one (I, p), and makes no Fraction.  The differential is
-    written as sparse integer columns from the rows of the Gysin blocks
-    (`_block_rows`), with one sign per (I, i): the columns of a block are
-    over the lcm of the scales of its Gysin blocks, and are one group of
-    `_integer_form`.
-    The products are assembled one target stratum U at a time, in
-    `subsets` order: for each (p1, p2) of the cup table of D_U with a block
-    (U, p1 + p2), that table, scaled to integers once, is joined
-    (`_accumulate`, keys ascending) with the rows of the composites to U of
-    every split U = I1 + I2 whose parts have blocks at p1 and p2, each over
-    its own scale, lifted to model indices once per U, with the split's
-    sign as coefficient.  No other pair reaches those basis pairs, so they
-    share one denominator, and `_integer_form` brings them and d to the
-    model's D once.  The tables are collected by bidegree pair and written
-    at the end in the order of `spaces`, keys ascending.  Validation and
-    assembly share one memo of composites, released before the model is
-    made.  This walk is the only read order: every stratum lies inside
-    1..components, so validation has read every step the walk composes.
+    The model is assembled from the datum's integer form, block by block,
+    a block being the summand of one (I, p), with no Fraction and no
+    `Matrix`.  d is written as sparse integer columns from the rows of the
+    Gysin blocks (`_block_rows`), one sign per (I, i), the columns of a
+    block over the lcm of its Gysin blocks' scales: one group of
+    `_integer_form`.  The products are assembled one target stratum U at a
+    time, in `subsets` order: each (p1, p2) of the datum's integer cup
+    table of D_U with a block (U, p1 + p2) is joined (`_accumulate`, keys
+    ascending) with the rows of the composites to U of every split U = I1
+    + I2 whose parts have blocks at p1 and p2, each over its own scale,
+    lifted to model indices once per U, with the split's sign as
+    coefficient.  No other pair reaches those basis pairs, so they share
+    one denominator, and `_integer_form` brings them and d to the model's
+    D once.  The tables are written at the end in the order of `spaces`,
+    keys ascending.  Validation and assembly share one memo of composites,
+    released before the model is made.  This walk is the only read order:
+    every stratum lies inside 1..components, so validation has read every
+    step the walk composes.
     """
     composites: dict = {}
     issues = cd._issues(composites)
@@ -759,7 +752,7 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                 rest = i_key[:pos] + i_key[pos + 1:]
                 place = places.get((rest, p + 2))  # None where D_{I-i} has no classes in degree p + 2
                 if place is not None:  # pos components of I - i precede i
-                    reads.append((place[1], (-1) ** (q + pos), cd._block_rows({}, True, i_key, i, p, rest)))
+                    reads.append((place[1], (-1) ** (q + pos), cd._block_rows(True, i_key, i, p, rest)))
             den = math.lcm(*(block_den for _, _, (block_den, _) in reads))
             # no other i of I reaches the rows of D_{I-i}: each entry is set once
             for row_off, sign, (block_den, rows) in reads:
@@ -780,7 +773,8 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                 got = lifted[(i_key, p)] = scale, {t: {(off + a,): x for a, x in row.items()} for t, row in rows.items()}
             return got
 
-        for (p1, p2), entries in cd.cups.get(u_key, {}).items():
+        den, cups = cd._cups.get(u_key, (1, {}))
+        for (p1, p2), entries in cups.items():
             base = places.get((u_key, p1 + p2))
             # validation has refused a nonzero entry outside the space,
             # so the product is zero where D_U has no classes
@@ -797,11 +791,9 @@ def build_model(cd: CompactificationDatum) -> BigradedModel:
                     if not rows1 or not rows2:
                         continue
                     if table is None:
-                        den = math.lcm(*(v.denominator for vec in entries.values() for v in vec.values()))
                         # the keys ascend, so that each vector lists its entries
                         # in the order of the (a2, b2) that reach them
-                        table = {ab: {base[1] + c: _scaled(v, den) for c, v in vec.items()}
-                                 for ab, vec in sorted(entries.items())}
+                        table = {ab: {base[1] + c: v for c, v in vec.items()} for ab, vec in sorted(entries.items())}
                     kq1, kq2 = place1[0], place2[0]
                     acc = found.setdefault((kq1, kq2), {})
                     vecs = groups.setdefault(den * den1 * den2, [])
@@ -1494,15 +1486,15 @@ def _unit_cup(dims: Mapping[int, int]) -> dict:
     for p, d in dims.items():
         if d == 0:
             continue
-        table[(0, p)] = {(0, a): {a: Fraction(1)} for a in range(d)}
+        table[(0, p)] = {(0, a): {a: 1} for a in range(d)}
         if p != 0:
-            table[(p, 0)] = {(a, 0): {a: Fraction(1)} for a in range(d)}
+            table[(p, 0)] = {(a, 0): {a: 1} for a in range(d)}
     return table
 
 
 def builder_point() -> CompactificationDatum:
     """X a point, no divisor: the unit for Kunneth products."""
-    return CompactificationDatum(0, {(): {0: 1}}, {}, {}, {(): _unit_cup({0: 1})})
+    return CompactificationDatum._adopt(0, {(): {0: 1}}, {}, {}, {(): (1, _unit_cup({0: 1}))})
 
 
 def builder_projective_line_marked(s: int) -> CompactificationDatum:
@@ -1510,67 +1502,76 @@ def builder_projective_line_marked(s: int) -> CompactificationDatum:
 
     All strata are the line or points; the Gysin map of each point sends
     its class to the degree-2 generator, restrictions in degree 0 are
-    identities, and intersections of two or more points are empty.
+    identities, and intersections of two or more points are empty.  The
+    datum is written in its integer form.
     """
     if s < 0:
         raise ValueError("number of marked points must be nonnegative")
     cohomology: dict = {(): {0: 1, 2: 1}}
     restrictions: dict = {}
     gysins: dict = {}
-    cups: dict = {(): _unit_cup({0: 1, 2: 1})}
+    cups: dict = {(): (1, _unit_cup({0: 1, 2: 1}))}
     for i in range(1, s + 1):
         cohomology[(i,)] = {0: 1}
-        restrictions[((), i)] = {0: Matrix([[1]])}
-        gysins[((i,), i)] = {0: Matrix([[1]])}
-        cups[(i,)] = _unit_cup({0: 1})
-    return CompactificationDatum(s, cohomology, restrictions, gysins, cups)
+        restrictions[((), i)] = {0: ((1, 1), 1, {0: {0: 1}})}
+        gysins[((i,), i)] = {0: ((1, 1), 1, {0: {0: 1}})}
+        cups[(i,)] = (1, _unit_cup({0: 1}))
+    return CompactificationDatum._adopt(s, cohomology, restrictions, gysins, cups)
 
 
-def _lift(factor_cols, left: bool, shift: int, src: Mapping, tgt: Mapping, maps: dict) -> dict[int, Matrix]:
-    """A map f of one factor as f (x) id (`left`) or id (x) f on the product.
-
-    `factor_cols(p)` is f on degree p of its factor, raising the degree by
-    `shift` (0 for a restriction, 2 for a Gysin map), as sparse columns
-    {column: {row: value}} with Fraction values and no zeros, and is called
-    once per degree: `maps` keeps its results, and the caller shares it
-    between the product strata that lift the same f.  `src` maps each
-    degree to the product labels (p1, p2, a1, a2) of the source stratum,
-    and `tgt` each degree to the label -> index dict of the target.  f has
-    even degree, so it commutes with the other factor without a sign.
-    """
-    zero = Fraction(0)
-    blocks: dict[int, Matrix] = {}
+def _lift(cd: CompactificationDatum, gysin: bool, own, local: int, left: bool, src: Mapping, tgt: Mapping,
+          maps: dict) -> dict:
+    """The Gysin map if `gysin`, else the restriction step, f = (own, local)
+    of the factor `cd` as f (x) id (`left`) or id (x) f on the product, by
+    degree in the datum's form.  Each degree of f is read once into `maps`
+    as (D, sparse integer columns).  `src` maps each degree to the labels
+    (p1, p2, a1, a2) of the source, `tgt` to the label -> index dict of the
+    target.  A lifted block holds every entry of the factor blocks it
+    reads, so its D, the lcm of theirs, is least.  f has even degree."""
+    shift = 2 if gysin else 0
+    target = tuple(x for x in own if x != local) if gysin else tuple(sorted(own + (local,)))
+    blocks: dict = {}
     for p, labels in src.items():
         index = tgt.get(p + shift)
         if index is None:
             continue
-        rows = [[zero] * len(labels) for _ in index]
+        den, rows = 1, {}
         for col, (p1, p2, a1, a2) in enumerate(labels):
             q = p1 if left else p2
-            cols = maps.get(q)
-            if cols is None:
-                cols = maps[q] = factor_cols(q)
-            for b, v in cols.get(a1 if left else a2, {}).items():
-                rows[index[(p1 + shift, p2, b, a2) if left else (p1, p2 + shift, a1, b)]][col] = v
-        blocks[p] = Matrix._of_fractions([tuple(row) for row in rows], len(labels))
+            got = maps.get(q)
+            if got is None:
+                q_den, q_rows = cd._block_rows(gysin, own, local, q, target)
+                got = maps[q] = q_den, _sparse_rows(q_rows)
+            q_den, cols = got
+            entries = cols.get(a1 if left else a2)
+            if not entries:
+                continue
+            if den % q_den:
+                m = math.lcm(den, q_den) // den
+                rows = {t: {a: m * v for a, v in row.items()} for t, row in rows.items()}
+                den *= m
+            m = den // q_den
+            for b, v in entries.items():
+                rows.setdefault(index[(p1 + shift, p2, b, a2) if left else (p1, p2 + shift, a1, b)], {})[col] = m * v
+        blocks[p] = (len(index), len(labels)), den, dict(sorted(rows.items()))
     return blocks
 
 
-def _cup_walk(cd: CompactificationDatum, i_key, factor: str) -> list:
-    """The nonzero cup constants of D_I in `cd` under keys (a, b) inside its
-    basis, as [(p, p2, [(a, b, [(c, v), ...]), ...]), ...] in the order of
-    the tables, each v a Fraction, without an empty list.  A nonzero
-    constant outside H^{p+p2}(D_I) raises a DatumError that names `factor`
-    and the first such entry in the order of (p, p2, a, b, c), "first
-    factor: cup product on D_() at (0,0)x(0,0) has entry 1 outside H^0", as
-    the datum's validation words it."""
+def _cup_walk(cd: CompactificationDatum, i_key, factor: str) -> tuple[int, list]:
+    """(D, the nonzero cup constants v * D of D_I in `cd` under keys (a, b)
+    inside its basis, as [(p, p2, [(a, b, [(c, v * D), ...]), ...]), ...]
+    in table order, without an empty list), D the datum's for D_I.  A
+    nonzero constant outside H^{p+p2}(D_I) raises a DatumError naming
+    `factor` and the first such entry by (p, p2, a, b, c), "first factor:
+    cup product on D_() at (0,0)x(0,0) has entry 1 outside H^0"."""
     dims, walk, escapes = cd.cohomology.get(i_key, {}), [], []
-    for (p, p2), entries in cd.cups.get(i_key, {}).items():
+    den, cups = cd._cups.get(i_key, (1, {}))
+    for (p, p2), entries in cups.items():
         r1, r2, target = range(dims.get(p, 0)), range(dims.get(p2, 0)), range(dims.get(p + p2, 0))
         nonzero = []
         for (a, b), vec in entries.items():
             if a in r1 and b in r2:
-                vec = [(c, Fraction(v) if isinstance(v, int) else v) for c, v in vec.items() if v]
+                vec = [(c, v) for c, v in vec.items() if v]
                 escapes += [(p, p2, a, b, c) for c, _ in vec if c not in target]
                 if vec:
                     nonzero.append((a, b, vec))
@@ -1580,7 +1581,7 @@ def _cup_walk(cd: CompactificationDatum, i_key, factor: str) -> list:
         p, p2, a, b, c = min(escapes)
         raise DatumError("%s factor: cup product on D_%r at (%d,%d)x(%d,%d) has entry %r outside H^%d"
                          % (factor, i_key, p, a, p2, b, c, p + p2))
-    return walk
+    return den, walk
 
 
 def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> CompactificationDatum:
@@ -1589,18 +1590,16 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
     the second.  Cohomology, restrictions, Gysin maps and cups are graded
     tensors with Koszul signs.
 
-    Each factor map, a restriction step or a Gysin block, is read once per
-    degree through `_block_rows`, which raises the factor's DatumError for
-    a missing or misshapen block, and its integers over its scale made
-    Fractions as sparse columns.  The lifted blocks are `Matrix` rows of
-    those Fractions and one shared zero.  The cups of a product stratum
-    are the products of the nonzero entries of its factors' tables
-    (`_cup_walk`, once per factor stratum), each placed by its label; keys
-    outside a factor's basis are ignored, as its validation ignores them,
-    and a nonzero constant outside its space is refused with a DatumError
-    naming the factor.  The dicts are built in the constructor's form
-    (sorted integer keys, no zero dimension, tables and keys ascending),
-    and the datum holds them as they are (`_adopt`).
+    It is built in the datum's integer form, with no Fraction and no
+    `Matrix`: each factor map is read once per degree (`_block_rows`,
+    which raises the factor's DatumError for a missing or misshapen block)
+    and lifted once per shape of the other factor's stratum (`_lift`).
+    The cups of a product stratum are the products of the nonzero entries
+    of its factors' tables (`_cup_walk`), placed by label, as integers
+    over D1 D2 divided by their gcd with it; keys outside a factor's basis
+    are ignored, and a nonzero constant outside its space is refused with
+    a DatumError naming the factor.  The dicts are built in the order and
+    form the constructor gives them and held as they are (`_adopt`).
     """
     s1, s2 = cd1.components, cd2.components
 
@@ -1623,18 +1622,11 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
         for key, basis in bases.items()
     }
 
-    def factor_cols(cd, gysin, own, local):
-        target = tuple(x for x in own if x != local) if gysin else tuple(sorted(own + (local,)))
-
-        def cols(p):
-            den, rows = cd._block_rows({}, gysin, own, local, p, target)
-            return _sparse_rows({t: {a: Fraction(v, den) for a, v in row.items()} for t, row in rows.items()})
-        return cols
-
     restrictions: dict = {}
     gysins: dict = {}
-    lifted: dict = {}  # (left, gysin, own, local) -> the factor's map by degree
+    lifted: dict = {}  # (left, gysin, own, local) -> (f by degree, its lifts by the other stratum's dims)
     for key, (i1, i2) in factors.items():
+        dims = tuple(sorted(cd1.cohomology[i1].items())), tuple(sorted(cd2.cohomology[i2].items()))
         for gysin, xs in ((False, [j for j in range(1, s1 + s2 + 1) if j not in key]), (True, key)):
             for x in xs:
                 tgt_key = tuple(y for y in key if y != x) if gysin else tuple(sorted(key + (x,)))
@@ -1642,8 +1634,10 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
                     continue
                 # component x of the product is on the left, or x - s1 on the right
                 left, cd, own, local = (True, cd1, i1, x) if x <= s1 else (False, cd2, i2, x - s1)
-                blocks = _lift(factor_cols(cd, gysin, own, local), left, 2 if gysin else 0, bases[key], index[tgt_key],
-                               lifted.setdefault((left, gysin, own, local), {}))
+                maps, lifts = lifted.setdefault((left, gysin, own, local), ({}, {}))
+                blocks = lifts.get(dims[left])
+                if blocks is None:
+                    blocks = lifts[dims[left]] = _lift(cd, gysin, own, local, left, bases[key], index[tgt_key], maps)
                 if blocks:
                     (gysins if gysin else restrictions)[(key, x)] = blocks
 
@@ -1652,8 +1646,9 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
     cups: dict = {}
     for key, (i1, i2) in factors.items():
         lookup, table = index[key], {}
-        for pa1, pb1, entries1 in walks1[i1]:
-            for pa2, pb2, entries2 in walks2[i2]:
+        (den1, walk1), (den2, walk2) = walks1[i1], walks2[i2]
+        for pa1, pb1, entries1 in walk1:
+            for pa2, pb2, entries2 in walk2:
                 pa, pb, pc = lookup[pa1 + pa2], lookup[pb1 + pb2], lookup[pa1 + pb1 + pa2 + pb2]
                 out = table.setdefault((pa1 + pa2, pb1 + pb2), {})
                 odd = pa2 * pb1 % 2  # Koszul sign: the left part of b passes the right part of a
@@ -1664,7 +1659,11 @@ def kunneth_product(cd1: CompactificationDatum, cd2: CompactificationDatum) -> C
                         out[(pa[(pa1, pa2, a1, a2)], pb[(pb1, pb2, b1, b2)])] = {
                             pc[(pa1 + pb1, pa2 + pb2, c1, c2)]: v1 * v2 for c1, v1 in vec1 for c2, v2 in vec2}
         if table:
-            cups[key] = {pp: dict(sorted(table[pp].items())) for pp in sorted(table)}
+            den = den1 * den2
+            g = 1 if den == 1 else math.gcd(den, *(v for out in table.values() for vec in out.values()
+                                                   for v in vec.values()))
+            cups[key] = den // g, {pp: {ab: {c: v // g for c, v in vec.items()} if g > 1 else vec
+                                        for ab, vec in sorted(table[pp].items())} for pp in sorted(table)}
     return CompactificationDatum._adopt(s1 + s2, cohomology, restrictions, gysins, cups)
 
 

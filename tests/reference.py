@@ -870,12 +870,13 @@ def brute_force_components(n, equations, grid):
 
 def datum_block(cd: CompactificationDatum, gysin: bool, i_key, x: int, p: int) -> Matrix:
     """Block p of the Gysin map (I, x) into H^{p+2}(D_{I-x}) if `gysin`,
-    else of the restriction step (I, x) into H^p(D_{I+x}), as the datum
-    holds it; the zero matrix where either space has no classes.  A
-    missing block raises DatumError("missing restriction for I=.., j=..,
-    degree ..") ("Gysin map for I=.., i=.., degree .." for a Gysin block),
-    and one of another shape DatumError("<its name> has shape S, expected
-    T"), T the (target, source) dimensions."""
+    else of the restriction step (I, x) into H^p(D_{I+x}), rendered from
+    the datum's integer form alone, as `restrictions` and `gysins` render
+    every block on each read; the zero matrix where either space has no
+    classes.  A missing block raises DatumError("missing restriction for
+    I=.., j=.., degree ..") ("Gysin map for I=.., i=.., degree .." for a
+    Gysin block), and one of another shape DatumError("<its name> has
+    shape S, expected T"), T the (target, source) dimensions."""
     i_key = tuple(sorted(i_key))
     tgt_key = tuple(y for y in i_key if y != x) if gysin else tuple(sorted(i_key + (x,)))
     src = cd.cohomology.get(i_key, {}).get(p, 0)
@@ -883,12 +884,13 @@ def datum_block(cd: CompactificationDatum, gysin: bool, i_key, x: int, p: int) -
     if src == 0 or tgt == 0:
         return zero_matrix(tgt, src)
     name = ("Gysin map for I=%r, i=%d, degree %d" if gysin else "restriction for I=%r, j=%d, degree %d") % (i_key, x, p)
-    block = (cd.gysins if gysin else cd.restrictions).get((i_key, x), {}).get(p)
-    if block is None:
+    held = (cd._gysins if gysin else cd._restrictions).get((i_key, x), {}).get(p)
+    if held is None:
         raise DatumError("missing " + name)
-    if block.shape != (tgt, src):
-        raise DatumError("%s has shape %r, expected %r" % (name, block.shape, (tgt, src)))
-    return block
+    (nrows, ncols), den, rows = held
+    if (nrows, ncols) != (tgt, src):
+        raise DatumError("%s has shape %r, expected %r" % (name, (nrows, ncols), (tgt, src)))
+    return Matrix([[Fraction(rows.get(t, {}).get(a, 0), den) for a in range(ncols)] for t in range(nrows)], ncols=ncols)
 
 
 def degrees(cd: CompactificationDatum, i_set) -> tuple[int, ...]:
@@ -922,16 +924,20 @@ def gysin(cd: CompactificationDatum, i_set, i, p) -> Matrix:
 
 
 def cup_entries(cd: CompactificationDatum, i_set, p, p2) -> dict:
-    """The cup constants {(a, b): {c: value}} of H^p x H^p2 on D_I."""
-    return cd.cups.get(tuple(sorted(i_set)), {}).get((p, p2), {})
+    """The cup constants {(a, b): {c: value}} of H^p x H^p2 on D_I, read
+    from the datum's integer tables, as `cups` renders every table on each
+    read."""
+    den, table = cd._cups.get(tuple(sorted(i_set)), (1, {}))
+    return {ab: {c: Fraction(v, den) for c, v in vec.items()} for ab, vec in table.get((p, p2), {}).items()}
 
 
 def cup_vec(cd: CompactificationDatum, i_key, p, a, p2, b) -> dict:
     """The cup product of classes (p, a) and (p2, b) of D_I, summed from the
     datum's constants, without its zero entries."""
+    den, table = cd._cups.get(tuple(sorted(i_key)), (1, {}))
     out = {}
-    for c, v in cup_entries(cd, i_key, p, p2).get((a, b), {}).items():
-        out[c] = out.get(c, Fraction(0)) + Fraction(v)
+    for c, v in table.get((p, p2), {}).get((a, b), {}).items():
+        out[c] = out.get(c, Fraction(0)) + Fraction(v, den)
     return {c: v for c, v in out.items() if v}
 
 

@@ -32,6 +32,14 @@ KEPT_UNREACHABLE = {
     # public API: the rational view of a model's integer tables, which
     # library callers read and `bench/workloads.py` digests for witnesses
     "BigradedModel.products",
+    # public API: the views of a datum's integer form, which library
+    # callers read and `bench/workloads.py` rescales and digests; `_matrix`
+    # renders a held block for the two block views with `_of_fractions`
+    "CompactificationDatum.restrictions",
+    "CompactificationDatum.gysins",
+    "CompactificationDatum.cups",
+    "_matrix",
+    "Matrix._of_fractions",
 }
 
 # Method names, dunders aside, that another package class also defines as
